@@ -1,0 +1,8 @@
+"""Run with ``python3 -m pytest perfbench/tests`` from the checkout root."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, BENCH)
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
