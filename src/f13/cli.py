@@ -175,7 +175,7 @@ def _validate(parser: configparser.ConfigParser, schema: dict) -> dict:
     return values
 
 
-def _build_frame(values: dict) -> cf.ScaleFactor:
+def _build_frame(values: dict, grid: Grid) -> cf.ScaleFactor:
     F = values.get("frame.F")
     table = values.get("frame.F_table")
     if (F is None) == (table is None):
@@ -190,7 +190,17 @@ def _build_frame(values: dict) -> cf.ScaleFactor:
         raise ConfigError(f"cannot read frame table {table!r}: {exc}") from None
     if data.shape[1] != 2:
         raise ConfigError("frame table must have two columns: z, F")
-    return cf.ScaleFactor.from_table(data[:, 0], data[:, 1])
+    try:
+        frame = cf.ScaleFactor.from_table(data[:, 0], data[:, 1])
+    except ValueError as exc:
+        raise ConfigError(f"bad frame table {table!r}: {exc}") from None
+    lo, hi = data[0, 0], data[-1, 0]  # increasing, or from_table raised
+    if grid.z0 < lo or grid.z1 > hi:
+        raise ConfigError(
+            f"grid [{grid.z0!r}, {grid.z1!r}] extends outside the frame table "
+            f"range [{lo!r}, {hi!r}]"
+        )
+    return frame
 
 
 def _build_grid(values: dict) -> Grid:
@@ -201,12 +211,13 @@ def _build_grid(values: dict) -> Grid:
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    # '%.17g' % x formats a float exactly as _fmt does; rows are built one
+    # at a time from the column buffers, so no table of Python floats exists
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    views = [memoryview(np.ascontiguousarray(col, dtype=float)) for col in columns]
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(rows):
-            writer.writerow([_fmt(col[i]) for col in columns])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(row % values for values in zip(*views))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +258,7 @@ def run_solve(config_path: str) -> int:
         raise ConfigError("missing required key scenario.case")
     values = _validate(parser, _solve_schema(case))
     grid = _build_grid(values)
-    frame = _build_frame(values)
+    frame = _build_frame(values, grid)
     tol = values.get("tolerances.residual_tol", 1e-10)
     cons_tol = values.get("tolerances.conservation_tol", 1e-8)
     out_path = values["scenario.output"]
@@ -273,12 +284,13 @@ def run_solve(config_path: str) -> int:
             raise ConfigError("case a1 needs sigma11_0 != 0; use a1-shearless instead")
         y0 = [s0, a30, values["initial.Omega3"]]
         try:
-            traj = rk4_integrate(lambda z, y: cf.case_a1_rhs(z, y, frame), y0, grid)
-            states = traj.states
+            states = rk4_integrate(cf.case_a1_rhs, y0, grid, frame).states
         except PoleError as exc:
             states = exc.partial_states
             notes.append(f"pole: {exc}")
             exit_code = EXIT_POLE
+        except ValueError as exc:  # F not positive at a stage abscissa
+            raise ConfigError(str(exc)) from None
         zs = grid.points()[: states.shape[0]]
         s11, a3, Om3 = states[:, 0], states[:, 1], states[:, 2]
         pi11, p, udot3 = cf.case_a1_closure(s11, a3)
@@ -345,12 +357,13 @@ def run_solve(config_path: str) -> int:
         y0 = [values["initial.p"], values["initial.udot3"],
               values["initial.a3"], values["initial.Omega3"]]
         try:
-            traj = rk4_integrate(lambda z, y: cf.case_a2_rhs(z, y, frame)[0], y0, grid)
-            states = traj.states
+            states = rk4_integrate(cf.case_a2_rhs, y0, grid, frame).states
         except PoleError as exc:
             states = exc.partial_states
             notes.append(f"pole: {exc}")
             exit_code = EXIT_POLE
+        except ValueError as exc:  # F not positive at a stage abscissa
+            raise ConfigError(str(exc)) from None
         zs = grid.points()[: states.shape[0]]
         p, u3, a3, Om3 = (states[:, i] for i in range(4))
         pi11 = cf.case_a2_pi11(p, u3, a3)
@@ -460,7 +473,7 @@ def run_verify(config_path: str) -> int:
         zs = fields["z"]
     else:
         B = values.get("constants.B", 0.0)
-        frame = _build_frame(values)
+        frame = _build_frame(values, grid)
         if case == "a2-branch2":
             fields = cf.a2_branch2_fields(frame, values["constants.D"], B, grid)
             branch = 2
@@ -582,6 +595,13 @@ def _read_table(path: str):
         data = np.array([[float(x) for x in row] for row in rows[1:]])
     except ValueError as exc:
         raise ConfigError(f"non-numeric table entry: {exc}") from None
+    if data.shape[1] != len(header):
+        raise ConfigError(f"table rows have {data.shape[1]} cells, header has {len(header)}")
+    if not np.all(np.isfinite(data)):
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        raise ConfigError(
+            f"non-finite table entry {data[r, c]!r} in column {header[c]!r}, data row {r + 1}"
+        )
     if data.shape[0] < 5:
         raise ConfigError("insufficient grid: order-4 stencils need >= 5 rows")
     coords = data[:, 0]

@@ -423,15 +423,10 @@ def case_a1_closure(sigma11, a3):
     return pi11, p, -np.asarray(a3, dtype=float)
 
 
-def case_a1_rhs(z, y, F: ScaleFactor):
-    """Right-hand side of the case A1 ODE system in (sigma11, a3, Omega3)."""
-    Fv = float(F(z))
-    if not (Fv > 0.0):
-        raise ValueError(f"frame factor must be positive at z={z!r}, got {Fv!r}")
+def case_a1_rhs(y):
+    """e_3 = F d/dz of the case A1 state (sigma11, a3, Omega3)."""
     s11, a3, Om3 = y
-    return np.array(
-        [a3 * s11 / Fv, (-9.0 * s11 * s11 + 2.0 * a3 * a3) / Fv, a3 * Om3 / Fv]
-    )
+    return (a3 * s11, -9.0 * s11 * s11 + 2.0 * a3 * a3, a3 * Om3)
 
 
 def case_a1_first_integral(sigma11, a3):
@@ -782,21 +777,15 @@ def case_a2_pi11(p, udot3, a3):
     return 0.5 * np.asarray(p, dtype=float) - 0.5 * a * a + a * udot3
 
 
-def case_a2_rhs(z, y, F: ScaleFactor):
-    """Case A2 ODE right-hand side in (p, udot3, a3, Omega3) plus algebraic pi11."""
-    Fv = float(F(z))
-    if not (Fv > 0.0):
-        raise ValueError(f"frame factor must be positive at z={z!r}, got {Fv!r}")
+def case_a2_rhs(y):
+    """e_3 = F d/dz of the case A2 state (p, udot3, a3, Omega3)."""
     p, u3, a3, Om3 = y
-    dy = np.array(
-        [
-            (-u3 * p - u3 * a3 * a3 / 3.0 + 2.0 * a3 * u3 * u3 / 3.0) / Fv,
-            (3.0 * p - u3 * u3 + 2.0 * a3 * u3) / Fv,
-            (1.5 * p + 1.5 * a3 * a3) / Fv,
-            -u3 * Om3 / Fv,
-        ]
+    return (
+        -u3 * p - u3 * a3 * a3 / 3.0 + 2.0 * a3 * u3 * u3 / 3.0,
+        3.0 * p - u3 * u3 + 2.0 * a3 * u3,
+        1.5 * p + 1.5 * a3 * a3,
+        -u3 * Om3,
     )
-    return dy, case_a2_pi11(p, u3, a3)
 
 
 @dataclass(frozen=True)

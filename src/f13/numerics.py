@@ -1,14 +1,16 @@
 """Integration, differentiation and quadrature kernels.
 
-Fixed-step classical RK4 (deterministic output grids make residual
-cross-checks and CSV diffing trivial), central finite differences of order 2
-or 4 with one-sided boundary stencils of the same order, and cumulative
-composite Simpson quadrature.  All kernels are pure functions on uniform
-grids.
+Fixed-step classical RK4 for F(z) y' = rhs(y) (deterministic output grids
+make residual cross-checks and CSV diffing trivial): rhs maps the state to
+F dy/dz and takes no z, and F is evaluated once, vectorised, on each array
+of stage abscissae.  Central finite differences of order 2 or 4 with
+one-sided boundary stencils of the same order, and cumulative composite
+Simpson quadrature.  All kernels are pure functions on uniform grids.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -82,29 +84,52 @@ class PoleError(RuntimeError):
         )
 
 
-def rk4_integrate(rhs: Callable, y0, grid: Grid) -> Trajectory:
-    """Classical fixed-step RK4; global error O(h^4).
+def rk4_integrate(rhs: Callable, y0, grid: Grid, F: Callable) -> Trajectory:
+    """Classical fixed-step RK4 for F(z) y' = rhs(y); global error O(h^4).
+
+    rhs maps the state (a sequence of floats) to F dy/dz; F is vectorised
+    over z and must be positive and finite at every stage abscissa, which
+    is checked before integrating (ValueError otherwise).  F is evaluated
+    once per abscissa array and the stages run on Python floats.
 
     Raises PoleError (with the finite prefix of the trajectory) as soon as a
-    step produces NaN/Inf, which is how pole crossings surface.
+    step produces NaN/Inf or overflows, which is how pole crossings surface.
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     h = grid.h
-    ys = np.empty((grid.N + 1, y.size))
+    n = grid.N
+    # stage abscissae: z_k, z_k + h/2 (stages 2 and 3) and z_k + h, which
+    # need not equal z_{k+1} bit for bit
+    zk = grid.z0 + np.arange(n) * h
+    zk[0] = grid.z0
+    stages = (zk, zk + 0.5 * h, zk + h)
+    Fs = [np.ascontiguousarray(np.broadcast_to(F(z), z.shape), dtype=float) for z in stages]
+    good = np.stack([(Fz > 0.0) & np.isfinite(Fz) for Fz in Fs], axis=1)
+    if not good.all():
+        k, s = divmod(int(np.argmin(good)), 3)  # first bad abscissa in loop order
+        raise ValueError(
+            f"frame factor must be positive and finite at z={float(stages[s][k])!r}, "
+            f"got {float(Fs[s][k])!r}"
+        )
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    ys = np.empty((n + 1, len(y)))
     ys[0] = y
-    z = grid.z0
-    # overflow is the pole-detection signal, not an error in itself
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.N):
-            k1 = np.asarray(rhs(z, y))
-            k2 = np.asarray(rhs(z + 0.5 * h, y + 0.5 * h * k1))
-            k3 = np.asarray(rhs(z + 0.5 * h, y + 0.5 * h * k2))
-            k4 = np.asarray(rhs(z + h, y + h * k3))
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise PoleError(z, ys[: k + 1].copy(), grid)
-            z = grid.z0 + (k + 1) * h
-            ys[k + 1] = y
+    # memoryviews hand out one Python float per step, not a list of them all
+    for k, (f1, f2, f4) in enumerate(zip(*map(memoryview, Fs))):
+        try:
+            k1 = [e / f1 for e in rhs(y)]
+            k2 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k1)])]
+            k3 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k2)])]
+            k4 = [e / f4 for e in rhs([a + h * b for a, b in zip(y, k3)])]
+            y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            finite = all(map(math.isfinite, y))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise PoleError(float(zk[k]), ys[: k + 1].copy(), grid)
+        ys[k + 1] = y
     return Trajectory(grid, ys)
 
 
@@ -158,20 +183,21 @@ def quadrature(samples, grid: Grid) -> np.ndarray:
     h = grid.h
     n = grid.N
     out = np.zeros_like(f)
-    # Simpson pairs: I[i] = I[i-2] + (h/3)(f[i-2] + 4 f[i-1] + f[i])
-    for i in range(2, n + 1, 2):
-        out[i] = out[i - 2] + (h / 3.0) * (f[i - 2] + 4.0 * f[i - 1] + f[i])
+    # Simpson pairs: I[i] = I[i-2] + (h/3)(f[i-2] + 4 f[i-1] + f[i]); the
+    # leading zero keeps the running sum in the loop's order, I[0] + inc[0]
+    m = n - n % 2
+    inc = (h / 3.0) * (f[0:m - 1:2] + 4.0 * f[1:m:2] + f[2:m + 1:2])
+    out[0:m + 1:2] = np.cumsum(np.concatenate((out[:1], inc)), axis=0)
     # odd nodes from the quadratic through the neighbouring triple
-    for i in range(1, n + 1, 2):
-        if i == n:
-            out[i] = out[i - 1] + 0.5 * h * (f[i - 1] + f[i])
-            warnings.warn(
-                "odd cell count: trapezoid fallback on the last cell",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            out[i] = out[i - 1] + (h / 12.0) * (5.0 * f[i - 1] + 8.0 * f[i] - f[i + 1])
+    out[1:m:2] = out[0:m - 1:2] + (h / 12.0) * (
+        5.0 * f[0:m - 1:2] + 8.0 * f[1:m:2] - f[2:m + 1:2])
+    if n % 2:
+        out[n] = out[n - 1] + 0.5 * h * (f[n - 1] + f[n])
+        warnings.warn(
+            "odd cell count: trapezoid fallback on the last cell",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return out
 
 

@@ -74,8 +74,7 @@ def test_criterion_2_first_integral_conservation():
     """RK4 at h = 1e-3 keeps (a3^2 - 9 sigma11^2)/sigma11^4 within 1e-8."""
     s0, A = 0.1, 1.0
     a30 = s0 * np.sqrt(A * s0 * s0 + 9.0)
-    traj = rk4_integrate(lambda z, y: cf.case_a1_rhs(z, y, F1),
-                         [s0, a30, 1.0], Grid(0.0, 1.0, 1000))
+    traj = rk4_integrate(cf.case_a1_rhs, [s0, a30, 1.0], Grid(0.0, 1.0, 1000), F1)
     vals = cf.case_a1_first_integral(traj.column(0), traj.column(1))
     drift = float(np.max(np.abs(vals - A)))
     # oracle: the reduction dw/dsigma = 4w/sigma - 18 sigma, w = a3^2,
@@ -96,14 +95,14 @@ def test_criterion_3_shearless_branches():
     res1 = float(np.max(np.abs(f1.e3_a3 - 2.0 * f1.a3**2)))
     exact1 = 1.0 / (1.0 - 2.0 * f1.z)
     form_err1 = float(np.max(np.abs(f1.a3 - exact1)))
-    rk1 = rk4_integrate(lambda z, y: np.array([2.0 * y[0] ** 2]), [1.0], grid)
+    rk1 = rk4_integrate(lambda y: [2.0 * y[0] * y[0]], [1.0], grid, F1)
     rk_err1 = float(np.max(np.abs(rk1.column(0) - exact1)))
 
     f2 = cf.a2_branch2_fields(F1, 1.0, 0.0, grid)
     res2 = float(np.max(np.abs(f2.e3_a3 - 1.5 * f2.a3**2)))
     exact2 = 1.0 / (1.0 - 1.5 * f2.z)
     form_err2 = float(np.max(np.abs(f2.a3 - exact2)))
-    rk2 = rk4_integrate(lambda z, y: np.array([1.5 * y[0] ** 2]), [1.0], grid)
+    rk2 = rk4_integrate(lambda y: [1.5 * y[0] * y[0]], [1.0], grid, F1)
     rk_err2 = float(np.max(np.abs(rk2.column(0) - exact2)))
 
     ok = (max(res1, res2) < 1e-12 and max(form_err1, form_err2) < 1e-10
@@ -121,13 +120,11 @@ def test_criterion_4_case_a2_branch_properties():
     p_branch = float(np.max(np.abs(f2.p)))
     # trajectory started on the branch stays pressure-free
     a30 = 1.0
-    traj = rk4_integrate(lambda z, y: cf.case_a2_rhs(z, y, F1)[0],
-                         [0.0, 0.5 * a30, a30, 1.0], grid)
+    traj = rk4_integrate(cf.case_a2_rhs, [0.0, 0.5 * a30, a30, 1.0], grid, F1)
     p_traj = float(np.max(np.abs(traj.column(0))))
     branch_rel = float(np.max(np.abs(traj.column(1) - 0.5 * traj.column(2))))
 
-    dust = rk4_integrate(lambda z, y: cf.case_a2_rhs(z, y, F1)[0],
-                         [0.0, 0.7, 0.0, 1.0], grid)
+    dust = rk4_integrate(cf.case_a2_rhs, [0.0, 0.7, 0.0, 1.0], grid, F1)
     p_dust = float(np.max(np.abs(dust.column(0))))
     a3_dust = float(np.max(np.abs(dust.column(2))))
     u3_exact = 1.0 / (grid.points() + 1.0 / 0.7)
@@ -247,7 +244,7 @@ def test_criterion_9_numerics_quality():
     orders = {}
     errs = []
     for N in (100, 200, 400):
-        t = rk4_integrate(lambda z, y: y, [1.0], Grid(0.0, 1.0, N))
+        t = rk4_integrate(lambda y: y, [1.0], Grid(0.0, 1.0, N), F1)
         errs.append(abs(t.column(0)[-1] - np.e))
     orders["rk4"] = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
     errs = []

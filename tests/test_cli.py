@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 
-from f13.cli import main
+from f13.cli import _fmt, _write_csv, main
 
 A1_SOLVE = """\
 [scenario]
@@ -461,3 +461,117 @@ def test_residual_threads_env_matches_serial(tmp_path, capsys, monkeypatch):
     assert main(["residual", "--table", table]) == 0
     threaded = capsys.readouterr().out
     assert serial == threaded
+
+
+# ---------------------------------------------------------------------------
+# CSV writer and config-error regressions
+# ---------------------------------------------------------------------------
+
+
+def write_csv_per_value(path, header, columns):
+    """The writer with one _fmt call per value."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(len(columns[0])):
+            writer.writerow([_fmt(col[i]) for col in columns])
+
+
+def test_write_csv_matches_per_value_writer(tmp_path):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        2.2250738585072014e-308 / 3.0, 1e300, -1e300, 1e-300,
+                        -1e-300, 0.1, 1.0 / 3.0, -123456789.123456789, 2.0**53 + 1])
+    rng = np.random.default_rng(3)
+    wide = rng.uniform(-1.0, 1.0, special.size) * 10.0 ** rng.integers(-300, 300, special.size)
+    table = np.stack([special, special[::-1], wide], axis=1)
+    columns = [special, table[:, 1], wide, np.arange(special.size)]  # strided, int
+    header = ["z", "rev", "wide", "idx"]
+    _write_csv(str(tmp_path / "new.csv"), header, columns)
+    write_csv_per_value(str(tmp_path / "ref.csv"), header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def frame_table(path, rows):
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write("z,F\n" + "".join(f"{z!r},{F!r}\n" for z, F in rows))
+    return str(path)
+
+
+def test_solve_frame_factor_below_zero_is_config_error(tmp_path, capsys):
+    """Positive F nodes whose cubic spline dips to about -0.13 between them."""
+    table = frame_table(tmp_path / "dip.csv", [(0.0, 1.0), (0.25, 0.02), (0.5, 0.02),
+                                               (0.75, 1.0), (1.0, 1.0)])
+    cfg = write(tmp_path / "dip.cfg", f"""\
+[scenario]
+case = a2
+output = {tmp_path / 'dip_out.csv'}
+
+[frame]
+F_table = {table}
+
+[grid]
+z0 = 0.0
+z1 = 1.0
+N = 200
+
+[initial]
+p = 0.1
+udot3 = 0.2
+a3 = 0.3
+Omega3 = 1.0
+""")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: frame factor must be positive and finite at z=")
+
+
+def test_grid_outside_frame_table_is_config_error(tmp_path, capsys):
+    table = frame_table(tmp_path / "half.csv", [(0.0, 1.0), (0.25, 1.1), (0.5, 1.2),
+                                                (0.75, 1.1), (0.8, 1.0)])
+    cfg = write(tmp_path / "out.cfg",
+                A1_SOLVE.format(out=tmp_path / "o.csv").replace("F = 1.0", f"F_table = {table}"))
+    assert main(["solve", "--config", cfg]) == 2
+    assert "outside the frame table range" in capsys.readouterr().err
+    # inside the table range the same config solves
+    inside = write(tmp_path / "in.cfg", open(cfg).read().replace("z1 = 1.0", "z1 = 0.8")
+                   + "\n[tolerances]\nresidual_tol = 1e-6\n")
+    assert main(["solve", "--config", inside]) == 0
+    capsys.readouterr()
+
+    verify = write(tmp_path / "vb.cfg", f"""\
+[scenario]
+case = a2-branch1
+
+[frame]
+F_table = {table}
+
+[constants]
+C = 1.0
+
+[grid]
+z0 = -0.1
+z1 = 0.4
+N = 200
+""")
+    assert main(["verify", "--config", verify]) == 2
+    assert "outside the frame table range" in capsys.readouterr().err
+    # a table the spline cannot take is a config error too
+    frame_table(tmp_path / "half.csv", [(0.0, 1.0), (0.5, 1.2), (0.25, 1.1), (0.8, 1.0)])
+    assert main(["verify", "--config", verify]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
+def test_residual_nan_cell_is_config_error(tmp_path, capsys):
+    with open(tmp_path / "nan.csv", "w", newline="\n", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["z", "p", "mu"])
+        for i in range(6):
+            w.writerow([str(0.1 * i), "nan" if i == 3 else "0.5", "1.5"])
+    assert main(["residual", "--table", str(tmp_path / "nan.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: non-finite table entry") and "'p'" in err
+    # rows shorter than the header
+    with open(tmp_path / "short.csv", "w", newline="\n", encoding="utf-8") as fh:
+        fh.write("z,p,mu\n" + "".join(f"{0.1 * i},0.5\n" for i in range(6)))
+    assert main(["residual", "--table", str(tmp_path / "short.csv")]) == 2
+    assert "header has 3" in capsys.readouterr().err

@@ -132,14 +132,14 @@ def test_case_state_records():
 
 
 def test_case_a1_rhs_examples():
-    assert np.array_equal(cf.case_a1_rhs(0.0, np.zeros(3), F1), np.zeros(3))
-    dy = cf.case_a1_rhs(0.0, np.array([0.1, 0.3, 1.0]), F1)
+    assert np.array_equal(cf.case_a1_rhs([0.0, 0.0, 0.0]), np.zeros(3))
+    dy = cf.case_a1_rhs([0.1, 0.3, 1.0])
     assert dy == pytest.approx([0.03, -0.09 + 0.18, 0.3], rel=1e-15)
-    dy = cf.case_a1_rhs(0.0, np.array([0.0, 1.0, 0.0]), F1)
+    dy = cf.case_a1_rhs([0.0, 1.0, 0.0])
     assert dy[1] == 2.0
     bad = cf.ScaleFactor(lambda z: -1.0)
     with pytest.raises(ValueError, match="positive"):
-        cf.case_a1_rhs(0.0, np.zeros(3), bad)
+        rk4_integrate(cf.case_a1_rhs, np.zeros(3), Grid(0.0, 1.0, 4), bad)
 
 
 def test_first_integral_inversion_and_errors():
@@ -167,8 +167,7 @@ def test_first_integral_ode_reduction_oracle():
 def test_first_integral_conserved_along_rk4_flow():
     s0, A = 0.1, 1.0
     a30 = s0 * np.sqrt(A * s0**2 + 9.0)
-    traj = rk4_integrate(lambda z, y: cf.case_a1_rhs(z, y, F1),
-                         [s0, a30, 1.0], Grid(0.0, 1.0, 1000))
+    traj = rk4_integrate(cf.case_a1_rhs, [s0, a30, 1.0], Grid(0.0, 1.0, 1000), F1)
     vals = cf.case_a1_first_integral(traj.column(0), traj.column(1))
     assert np.max(np.abs(vals - A)) < 1e-8
 
@@ -180,8 +179,8 @@ def test_case_a1_parameterizations_agree():
     grid = Grid(0.0, 1.0, 1000)
     f = form.evaluate(grid)
     F = cf.ScaleFactor(lambda z: 3.0 * np.exp(z))
-    traj = rk4_integrate(lambda z, y: cf.case_a1_rhs(z, y, F),
-                         [f["sigma11"][0], f["a3"][0], f["Omega3"][0]], grid)
+    traj = rk4_integrate(cf.case_a1_rhs,
+                         [f["sigma11"][0], f["a3"][0], f["Omega3"][0]], grid, F)
     assert np.max(np.abs(traj.column(0) - f["sigma11"])) < 1e-8
     assert np.max(np.abs(traj.column(1) - f["a3"])) < 1e-8
     assert np.max(np.abs(traj.column(2) - f["Omega3"])) < 1e-8
@@ -287,8 +286,8 @@ def test_scale_factor_from_table():
     # tabulated frame factor drives the ODE integration at full order
     Fexact = cf.ScaleFactor(lambda z: 1.0 + np.asarray(z)**2 / 4.0)
     grid = Grid(0.0, 1.0, 400)
-    t1 = rk4_integrate(lambda z, y: cf.case_a1_rhs(z, y, F), [0.1, 0.3, 1.0], grid)
-    t2 = rk4_integrate(lambda z, y: cf.case_a1_rhs(z, y, Fexact), [0.1, 0.3, 1.0], grid)
+    t1 = rk4_integrate(cf.case_a1_rhs, [0.1, 0.3, 1.0], grid, F)
+    t2 = rk4_integrate(cf.case_a1_rhs, [0.1, 0.3, 1.0], grid, Fexact)
     assert np.max(np.abs(t1.states - t2.states)) < 1e-9
 
 
@@ -303,19 +302,19 @@ def test_shearless_branch_satisfies_ode():
 
 
 def test_case_a2_rhs_and_pi11():
-    dy, pi11 = cf.case_a2_rhs(0.0, np.zeros(4), F1)
-    assert np.array_equal(dy, np.zeros(4)) and pi11 == 0.0
+    dy = cf.case_a2_rhs([0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(dy, np.zeros(4)) and cf.case_a2_pi11(0.0, 0.0, 0.0) == 0.0
     assert cf.case_a2_pi11(1.0, 0.5, 2.0) == 0.5 - 2.0 + 1.0
     with pytest.raises(ValueError, match="positive"):
-        cf.case_a2_rhs(0.0, np.zeros(4), cf.ScaleFactor(lambda z: 0.0))
+        rk4_integrate(cf.case_a2_rhs, np.zeros(4), Grid(0.0, 1.0, 4),
+                      cf.ScaleFactor(lambda z: 0.0))
 
 
 def test_case_a2_dust_reduction_a3_zero():
     """a3 = 0 forces p = pi11 = 0 and leaves only the udot3 equation."""
     u30 = 0.8
     grid = Grid(0.0, 0.5, 500)
-    traj = rk4_integrate(lambda z, y: cf.case_a2_rhs(z, y, F1)[0],
-                         [0.0, u30, 0.0, 1.0], grid)
+    traj = rk4_integrate(cf.case_a2_rhs, [0.0, u30, 0.0, 1.0], grid, F1)
     p, u3, a3 = traj.column(0), traj.column(1), traj.column(2)
     assert np.max(np.abs(p)) == 0.0
     assert np.max(np.abs(a3)) == 0.0
@@ -329,8 +328,7 @@ def test_case_a2_zero_acceleration_reduction():
     """udot3 = 0 forces p = 0; only the a3 equation survives."""
     a30 = 0.6
     grid = Grid(0.0, 0.5, 500)
-    traj = rk4_integrate(lambda z, y: cf.case_a2_rhs(z, y, F1)[0],
-                         [0.0, 0.0, a30, 0.0], grid)
+    traj = rk4_integrate(cf.case_a2_rhs, [0.0, 0.0, a30, 0.0], grid, F1)
     p, u3, a3 = traj.column(0), traj.column(1), traj.column(2)
     assert np.max(np.abs(p)) == 0.0
     assert np.max(np.abs(u3)) == 0.0
