@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -293,9 +292,11 @@ def run_solve(config_path: str) -> int:
             raise ConfigError(str(exc)) from None
         zs = grid.points()[: states.shape[0]]
         s11, a3, Om3 = states[:, 0], states[:, 1], states[:, 2]
-        pi11, p, udot3 = cf.case_a1_closure(s11, a3)
+        # the last rows of a pole's partial trajectory overflow to inf/nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            pi11, p, udot3 = cf.case_a1_closure(s11, a3)
+            first = cf.case_a1_first_integral(s11, a3)
         Fv = np.asarray(frame(zs), dtype=float)
-        first = cf.case_a1_first_integral(s11, a3)
         header = ["z", "sigma11", "a3", "Omega3", "F", "pi11", "p", "udot3",
                   "firstintegral_A"]
         cols = [zs, s11, a3, Om3, Fv, pi11, p, udot3, first]
@@ -696,29 +697,8 @@ def _threads() -> int:
 
 
 def _threaded_report(ja: JetArrays) -> ResidualReport:
-    """Point-parallel residual sweep, capped by F13_THREADS."""
-    workers = _threads()
-    if workers == 1 or ja.shape == () or ja.shape[0] < 2 * workers:
-        return residual_report(ja)
-    bounds = np.linspace(0, ja.shape[0], workers + 1).astype(int)
-
-    def chunk(lo, hi):
-        sub = JetArrays.__new__(JetArrays)
-        sub.shape = (hi - lo,)
-        for name in vars(ja):
-            if name == "shape":
-                continue
-            setattr(sub, name, getattr(ja, name)[lo:hi])
-        return sub
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(residual_report,
-                              (chunk(lo, hi) for lo, hi in zip(bounds, bounds[1:]))))
-    merged = {
-        f.name: np.concatenate([getattr(p, f.name) for p in parts])
-        for f in dataclasses.fields(ResidualReport)
-    }
-    return ResidualReport(**merged)
+    """Residual sweep on up to F13_THREADS threads."""
+    return residual_report(ja, workers=_threads())
 
 
 def run_residual(table_path: str, system: str, out_path: str | None,

@@ -41,7 +41,6 @@ __all__ = [
     "case_a1_closure",
     "case_a1_rhs",
     "case_a1_first_integral",
-    "case_a1_closed_form",
     "shearless_a3",
     "case_a2_rhs",
     "case_a2_pi11",
@@ -598,12 +597,6 @@ class CaseA1ClosedForm:
             a3=F * f["d_a3"], Omega3=F * f["d_Omega3"],
         )
         return SpecialJet.build(f["z"], value, e3=e3), f
-
-
-def case_a1_closed_form(profile: ScalarProfile, A: float, sign: int, B: float,
-                        grid: Grid) -> dict:
-    """Evaluate the (solA1) family on a grid: (a3, F, Omega3) plus closures."""
-    return CaseA1ClosedForm(profile, A, sign, B).evaluate(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -184,8 +184,6 @@ class TracefreeSymThree:
 
 def trace(m) -> float:
     """Trace m_11 + m_22 + m_33 of a symmetric tensor."""
-    if isinstance(m, TracefreeSymThree):
-        return m.m11 + m.m22 + m.m33
     return m.m11 + m.m22 + m.m33
 
 

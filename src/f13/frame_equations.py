@@ -9,13 +9,27 @@ derivative array carries one extra frame axis of length 4 in front of the
 component axes, d*[..., a] = e_a applied to the field.  S may be () for a
 single jet or (N,) for a grid of them.
 
+The equation blocks run on ``_Components``, a copy of the jet with the
+batch axes last, and every index contraction goes through one fixed-index
+kernel: ``_outer``, ``_vt`` and ``_tv`` (vector-tensor products), ``_dot``,
+``_tr``, ``_ddot``, ``_matvec``, ``_div`` (sums over one index), ``_mm`` and
+``_mmT`` (3x3 products), ``_iso`` (s delta_ab), and ``_eps_vec`` and
+``_eps_sym`` (the permutation-symbol contractions, one signed difference
+of two slices per output component).  Each kernel adds its terms in index
+order along the batch.  ``residual_report`` evaluates a batch in
+consecutive blocks of ``BLOCK_POINTS`` points, serially or on a thread
+pool; every residual is pointwise, so neither changes the report.
+
 Residual norms are max-abs: a single violated component must not be
 averaged away.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import NamedTuple
 
@@ -111,17 +125,14 @@ class JetArrays:
                     getattr(ja, "d" + name)[slot - 1] = val
         return ja
 
-    @classmethod
-    def from_jets(cls, jets) -> "JetArrays":
-        singles = [cls.from_jet(j) for j in jets]
-        ja = cls((len(singles),))
-        for name in _SCALARS + _VECTORS + _TENSORS:
-            getattr(ja, name)[...] = np.stack([getattr(s, name) for s in singles])
-        for name in _DERIV_FIELDS:
-            getattr(ja, "d" + name)[...] = np.stack(
-                [getattr(s, "d" + name) for s in singles]
-            )
-        return ja
+    def take(self, lo: int, hi: int) -> "JetArrays":
+        """Points lo:hi along the first batch axis; the arrays are views."""
+        sub = copy.copy(self)
+        for name, arr in vars(self).items():
+            if isinstance(arr, np.ndarray):
+                setattr(sub, name, arr[lo:hi])
+        sub.shape = sub.mu.shape
+        return sub
 
 
 def _as_arrays(jet) -> JetArrays:
@@ -132,38 +143,123 @@ def _as_arrays(jet) -> JetArrays:
     raise TypeError(f"expected StateJet or JetArrays, got {type(jet).__name__}")
 
 
+class _Components:
+    """A jet block laid out component-major for the residual kernels.
+
+    Holds the arrays of a ``JetArrays`` under the same names, as contiguous
+    copies with the batch axes moved last: vectors (3,) + S, tensors
+    (3, 3) + S, derivatives (4,) + components + S.  Every kernel then runs
+    its inner loop along the batch instead of along a 3-wide component axis.
+    """
+
+    def __init__(self, ja: JetArrays):
+        self.shape = ja.shape
+        k = len(ja.shape)
+        for name, arr in vars(ja).items():
+            if isinstance(arr, np.ndarray):
+                moved = arr.transpose(tuple(range(k, arr.ndim)) + tuple(range(k)))
+                setattr(self, name, moved if moved.flags.c_contiguous else moved.copy())
+
+
+def _batch_first(arrays, k: int) -> tuple:
+    """Component-major kernel outputs back in the batch-first layout."""
+    return tuple(
+        x.transpose(tuple(range(x.ndim - k, x.ndim)) + tuple(range(x.ndim - k)))
+        for x in arrays
+    )
+
+
+# Contraction kernels on component-major arrays (component axes first, batch
+# last).  Each writes its sum over a 3-wide index as explicit terms in index
+# order, so every term is one numpy operation along the batch.
+
+# (a, b, c) with eps_abc = +1; the partner (a, c, b) carries -1
+_EPS_POS = tuple(
+    (a, b, c) for a, b, c in zip(*(idx.tolist() for idx in np.nonzero(EPS)))
+    if EPS[a, b, c] > 0
+)
+
+
 def _sym(T):
-    return 0.5 * (T + np.swapaxes(T, -1, -2))
+    return 0.5 * (T + T.swapaxes(0, 1))
+
+
+def _iso(s):
+    """s delta_ab."""
+    return np.multiply.outer(ID3, s)
 
 
 def _outer(u, v):
-    return np.einsum("...a,...b->...ab", u, v)
+    """u_a v_b."""
+    return u[:, None] * v[None, :]
+
+
+def _vt(u, T):
+    """u_g T_bd, as [g, b, d]."""
+    return u[:, None, None] * T[None]
+
+
+def _tv(T, v):
+    """T_bg v_d, as [g, b, d]."""
+    return T.swapaxes(0, 1)[:, :, None] * v[None, None]
 
 
 def _dot(u, v):
-    return np.einsum("...a,...a->...", u, v)
-
-
-def _ddot(A, B):
-    return np.einsum("...ab,...ab->...", A, B)
-
-
-def _matvec(A, v):
-    return np.einsum("...ab,...b->...a", A, v)
+    """u_a v_a."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _tr(A):
-    return np.einsum("...aa->...", A)
+    """A_aa."""
+    return A[0, 0] + A[1, 1] + A[2, 2]
+
+
+def _ddot(A, B):
+    """A_ab B_ab, as the sum over a of the row sums over b.
+
+    This order, rather than one running sum over all nine terms, gives the
+    einsum form's bits on the exact-metric test jets.
+    """
+    rows = A[:, 0] * B[:, 0] + A[:, 1] * B[:, 1] + A[:, 2] * B[:, 2]
+    return rows[0] + rows[1] + rows[2]
+
+
+def _matvec(A, v):
+    """A_ab v_b."""
+    return A[:, 0] * v[0] + A[:, 1] * v[1] + A[:, 2] * v[2]
+
+
+def _mm(A, B):
+    """A_ag B_gb."""
+    return (A[:, 0, None] * B[None, 0] + A[:, 1, None] * B[None, 1]
+            + A[:, 2, None] * B[None, 2])
+
+
+def _mmT(A, B):
+    """A_ag B_bg."""
+    return (A[:, None, 0] * B[None, :, 0] + A[:, None, 1] * B[None, :, 1]
+            + A[:, None, 2] * B[None, :, 2])
+
+
+def _div(D):
+    """D[b, a, b]: the divergence e_b(T_ab) of a spatial-gradient array."""
+    return D[0, :, 0] + D[1, :, 1] + D[2, :, 2]
 
 
 def _eps_vec(M):
-    # eps_{abc} M_{bc} contracted into a vector
-    return np.einsum("abc,...bc->...a", EPS, M)
+    """eps_abc M_bc: each component is M_bc - M_cb for its cyclic (a, b, c)."""
+    out = np.empty(M.shape[1:])
+    for a, b, c in _EPS_POS:
+        np.subtract(M[b, c], M[c, b], out=out[a, ...])
+    return out
 
 
 def _eps_sym(inner):
-    # inner[..., g, b, d] -> sym over (a, b) of eps_{gda} inner_{gbd}
-    return _sym(np.einsum("gda,...gbd->...ab", EPS, inner))
+    """Sym over (a, b) of eps_gda inner[g, b, d]."""
+    T = np.empty(inner.shape[1:])
+    for g, d, a in _EPS_POS:
+        np.subtract(inner[g, :, d], inner[d, :, g], out=T[a])
+    return _sym(T)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +268,7 @@ def _eps_sym(inner):
 
 
 def _b_tensor_arr(n):
-    return 2.0 * np.einsum("...ag,...gb->...ab", n, n) - _tr(n)[..., None, None] * n
+    return 2.0 * _mm(n, n) - _tr(n) * n
 
 
 def b_tensor(n: SymThree) -> SymThree:
@@ -180,27 +276,27 @@ def b_tensor(n: SymThree) -> SymThree:
     return SymThree.from_matrix(_b_tensor_arr(n.as_matrix()))
 
 
-def _curly_S_arr(ja: JetArrays):
-    grad_a = ja.da[..., 1:, :]          # e_alpha(a_beta)
-    grad_n = ja.dn[..., 1:, :, :]       # e_gamma(n_{beta delta})
-    b = _b_tensor_arr(ja.n)
+def _curly_S_arr(c: _Components):
+    grad_a = c.da[1:]  # e_alpha(a_beta)
+    grad_n = c.dn[1:]  # e_gamma(n_{beta delta})
+    b = _b_tensor_arr(c.n)
     div_a = _tr(grad_a)
-    inner = grad_n - 2.0 * np.einsum("...g,...bd->...gbd", ja.a, ja.n)
+    inner = grad_n - 2.0 * _vt(c.a, c.n)
     S = (
         _sym(grad_a)
         + b
-        - (div_a + _tr(b))[..., None, None] * ID3 / 3.0
+        - _iso(div_a + _tr(b)) / 3.0
         - _eps_sym(inner)
     )
     # the assembled trace is an index-convention self-check; project it away
     pre_trace = _tr(S)
-    S = S - pre_trace[..., None, None] * ID3 / 3.0
+    S = S - _iso(pre_trace) / 3.0
     return S, pre_trace
 
 
 def curly_S(jet) -> TracefreeSymThree:
     """Trace-free 3-curvature source of the shear evolution equation."""
-    S, pre_trace = _curly_S_arr(_as_arrays(jet))
+    S, pre_trace = _curly_S_arr(_Components(_as_arrays(jet)))
     worst = float(np.max(np.abs(pre_trace))) if pre_trace.size else float(pre_trace)
     if worst > 1e-14 * max(1.0, float(np.max(np.abs(S))) if S.size else 0.0):
         log.debug("curly_S pre-projection trace %.3e", worst)
@@ -209,15 +305,15 @@ def curly_S(jet) -> TracefreeSymThree:
     raise ValueError("curly_S returns a typed tensor for single jets only")
 
 
-def _curly_R_arr(ja: JetArrays):
-    grad_a = ja.da[..., 1:, :]
-    b = _b_tensor_arr(ja.n)
-    return 2.0 * (2.0 * _tr(grad_a) - 3.0 * _dot(ja.a, ja.a)) - 0.5 * _tr(b)
+def _curly_R_arr(c: _Components):
+    grad_a = c.da[1:]
+    b = _b_tensor_arr(c.n)
+    return 2.0 * (2.0 * _tr(grad_a) - 3.0 * _dot(c.a, c.a)) - 0.5 * _tr(b)
 
 
 def curly_R(jet) -> float:
     """Spatial curvature scalar *R = 2(2 e_a - 3 a_a)(a^a) - b^a_a / 2."""
-    return float(_curly_R_arr(_as_arrays(jet)))
+    return float(_curly_R_arr(_Components(_as_arrays(jet))))
 
 
 # ---------------------------------------------------------------------------
@@ -225,78 +321,75 @@ def curly_R(jet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _efe_arr(ja: JetArrays):
-    sigma2 = 0.5 * _ddot(ja.sigma, ja.sigma)
-    omega2 = _dot(ja.omega, ja.omega)
-    grad_udot = ja.dudot[..., 1:, :]    # e_alpha(udot_beta)
+def _efe_arr(c: _Components):
+    sigma2 = 0.5 * _ddot(c.sigma, c.sigma)
+    omega2 = _dot(c.omega, c.omega)
+    grad_udot = c.dudot[1:]  # e_alpha(udot_beta)
 
     # field1: Raychaudhuri
     rhs1 = (
-        -ja.Theta**2 / 3.0
+        -c.Theta**2 / 3.0
         + _tr(grad_udot)
-        + _dot(ja.udot, ja.udot)
-        - 2.0 * _dot(ja.a, ja.udot)
+        + _dot(c.udot, c.udot)
+        - 2.0 * _dot(c.a, c.udot)
         - 2.0 * sigma2
         + 2.0 * omega2
-        - 0.5 * (ja.mu + 3.0 * ja.p)
-        + ja.Lam
+        - 0.5 * (c.mu + 3.0 * c.p)
+        + c.Lam
     )
-    res_theta = ja.dTheta[..., 0] - rhs1
+    res_theta = c.dTheta[0] - rhs1
 
     # field2: shear evolution.  The sign of the n-udot coupling is pinned by
     # exact-solution nullity: the rigidly rotating flat-space congruence
     # (vacuum, E = H = 0, with n_23 and udot_1 nonzero) satisfies the system
     # only with +eps n udot, so that sign is used here.
-    S, _ = _curly_S_arr(ja)
+    S, _ = _curly_S_arr(c)
     scalar_part = (
         _tr(grad_udot)
-        + _dot(ja.udot, ja.udot)
-        + _dot(ja.a, ja.udot)
-        + 2.0 * _dot(ja.omega, ja.Omega)
+        + _dot(c.udot, c.udot)
+        + _dot(c.a, c.udot)
+        + 2.0 * _dot(c.omega, c.Omega)
     )
-    inner = 2.0 * np.einsum("...g,...bd->...gdb", ja.Omega, ja.sigma) + np.einsum(
-        "...bd,...g->...gdb", ja.n, ja.udot
-    )
-    # inner[..., g, d, b] = 2 Omega_g sigma_bd + n_bd udot_g
-    eps_term = _sym(np.einsum("gda,...gdb->...ab", EPS, inner))
+    # inner[g, b, d] = 2 Omega_g sigma_bd + udot_g n_bd
+    eps_term = _eps_sym(2.0 * _vt(c.Omega, c.sigma) + _vt(c.udot, c.n))
     rhs2 = (
-        -ja.Theta[..., None, None] * ja.sigma
+        -c.Theta * c.sigma
         + _sym(grad_udot)
-        + _outer(ja.udot, ja.udot)
-        + _sym(_outer(ja.a, ja.udot))
-        + 2.0 * _sym(_outer(ja.omega, ja.Omega))
-        + ja.pi
+        + _outer(c.udot, c.udot)
+        + _sym(_outer(c.a, c.udot))
+        + 2.0 * _sym(_outer(c.omega, c.Omega))
+        + c.pi
         - S
-        - scalar_part[..., None, None] * ID3 / 3.0
+        - _iso(scalar_part) / 3.0
         + eps_term
     )
-    res_sigma = ja.dsigma[..., 0, :, :] - rhs2
+    res_sigma = c.dsigma[0] - rhs2
 
     # field3: Gauss (Friedmann) constraint
     gauss = (
-        ja.mu
-        - ja.Theta**2 / 3.0
+        c.mu
+        - c.Theta**2 / 3.0
         + sigma2
         - omega2
-        - 2.0 * _dot(ja.omega, ja.Omega)
-        - 0.5 * _curly_R_arr(ja)
-        + ja.Lam
+        - 2.0 * _dot(c.omega, c.Omega)
+        - 0.5 * _curly_R_arr(c)
+        + c.Lam
     )
 
     # field4: Codazzi (momentum) constraint
-    dsig = ja.dsigma[..., 1:, :, :]     # e_gamma(sigma_{alpha beta})
+    dsig = c.dsigma[1:]  # e_gamma(sigma_{alpha beta})
     inner4 = (
-        ja.domega[..., 1:, :]
-        + 2.0 * _outer(ja.udot, ja.omega)
-        - _outer(ja.a, ja.omega)
-        + np.einsum("...bd,...dg->...bg", ja.n, ja.sigma)
+        c.domega[1:]
+        + 2.0 * _outer(c.udot, c.omega)
+        - _outer(c.a, c.omega)
+        + _mm(c.n, c.sigma)
     )
     codazzi = (
-        np.einsum("...bab->...a", dsig)
-        - 3.0 * _matvec(ja.sigma, ja.a)
-        - (2.0 / 3.0) * ja.dTheta[..., 1:]
-        + _matvec(ja.n, ja.omega)
-        + ja.q
+        _div(dsig)
+        - 3.0 * _matvec(c.sigma, c.a)
+        - (2.0 / 3.0) * c.dTheta[1:]
+        + _matvec(c.n, c.omega)
+        + c.q
         - _eps_vec(inner4)
     )
     return res_theta, res_sigma, gauss, codazzi
@@ -307,64 +400,51 @@ def _efe_arr(ja: JetArrays):
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_arr(ja: JetArrays):
-    womO = ja.omega - ja.Omega
-    dwomO = ja.domega - ja.dOmega
+def _jacobi_arr(c: _Components):
+    womO = c.omega - c.Omega
+    dwomO = c.domega - c.dOmega
 
     # jacobi1: e_0(a)
     rhs_a = (
-        -(ja.dTheta[..., 1:] + (ja.udot + ja.a) * ja.Theta[..., None]) / 3.0
-        + 0.5
-        * (
-            np.einsum("...bab->...a", ja.dsigma[..., 1:, :, :])
-            + _matvec(ja.sigma, ja.udot - 2.0 * ja.a)
-        )
-        - 0.5
-        * _eps_vec(
-            dwomO[..., 1:, :] + _outer(ja.udot - 2.0 * ja.a, womO)
-        )
+        -(c.dTheta[1:] + (c.udot + c.a) * c.Theta) / 3.0
+        + 0.5 * (_div(c.dsigma[1:]) + _matvec(c.sigma, c.udot - 2.0 * c.a))
+        - 0.5 * _eps_vec(dwomO[1:] + _outer(c.udot - 2.0 * c.a, womO))
     )
-    res_a = ja.da[..., 0, :] - rhs_a
+    res_a = c.da[0] - rhs_a
 
     # jacobi2: e_0(n)
-    grad_w = dwomO[..., 1:, :]          # e_alpha(omega - Omega)_beta
-    inner = (
-        ja.dsigma[..., 1:, :, :]
-        + np.einsum("...g,...bd->...gbd", ja.udot, ja.sigma)
-        - 2.0 * np.einsum("...bg,...d->...gbd", ja.n, womO)
-    )
+    grad_w = dwomO[1:]  # e_alpha(omega - Omega)_beta
+    inner = c.dsigma[1:] + _vt(c.udot, c.sigma) - 2.0 * _tv(c.n, womO)
     rhs_n = (
-        -ja.Theta[..., None, None] * ja.n / 3.0
-        - (_sym(grad_w) + _sym(_outer(ja.udot, womO)))
-        + 2.0 * _sym(np.einsum("...ag,...bg->...ab", ja.sigma, ja.n))
-        + (_tr(grad_w) + _dot(ja.udot, womO))[..., None, None] * ID3
+        -c.Theta * c.n / 3.0
+        - (_sym(grad_w) + _sym(_outer(c.udot, womO)))
+        + 2.0 * _sym(_mmT(c.sigma, c.n))
+        + _iso(_tr(grad_w) + _dot(c.udot, womO))
         - _eps_sym(inner)
     )
-    res_n = ja.dn[..., 0, :, :] - rhs_n
+    res_n = c.dn[0] - rhs_n
 
     # jacobi3: e_0(omega)
-    inner3 = 0.5 * (ja.dudot[..., 1:, :] - _outer(ja.a, ja.udot)) + _outer(
-        ja.omega, ja.Omega
-    )
+    inner3 = 0.5 * (c.dudot[1:] - _outer(c.a, c.udot)) + _outer(c.omega, c.Omega)
     rhs_w = (
-        -(2.0 / 3.0) * ja.Theta[..., None] * ja.omega
-        + _matvec(ja.sigma, ja.omega)
-        + 0.5 * _matvec(ja.n, ja.udot)
+        -(2.0 / 3.0) * c.Theta * c.omega
+        + _matvec(c.sigma, c.omega)
+        + 0.5 * _matvec(c.n, c.udot)
         - _eps_vec(inner3)
     )
-    res_w = ja.domega[..., 0, :] - rhs_w
+    res_w = c.domega[0] - rhs_w
 
     # jacobi4: vector constraint
     j4 = (
-        np.einsum("...bab->...a", ja.dn[..., 1:, :, :])
-        - 2.0 * _matvec(ja.n, ja.a)
-        - (2.0 / 3.0) * ja.Theta[..., None] * ja.omega
-        - 2.0 * _matvec(ja.sigma, ja.omega)
-        + _eps_vec(ja.da[..., 1:, :] + 2.0 * _outer(ja.omega, ja.Omega))
+        _div(c.dn[1:])
+        - 2.0 * _matvec(c.n, c.a)
+        - (2.0 / 3.0) * c.Theta * c.omega
+        - 2.0 * _matvec(c.sigma, c.omega)
+        + _eps_vec(c.da[1:] + 2.0 * _outer(c.omega, c.Omega))
     )
 
     # jacobi5: scalar constraint
-    j5 = _tr(ja.domega[..., 1:, :]) - _dot(ja.udot + 2.0 * ja.a, ja.omega)
+    j5 = _tr(c.domega[1:]) - _dot(c.udot + 2.0 * c.a, c.omega)
     return res_a, res_n, res_w, j4, j5
 
 
@@ -373,115 +453,102 @@ def _jacobi_arr(ja: JetArrays):
 # ---------------------------------------------------------------------------
 
 
-def _bianchi_arr(ja: JetArrays):
-    mu_p = ja.mu + ja.p
-    trn = _tr(ja.n)
+def _bianchi_arr(c: _Components):
+    mu_p = c.mu + c.p
+    trn = _tr(c.n)
 
     # bianchi1: energy conservation
     rhs_mu = (
-        -mu_p * ja.Theta
-        - (_tr(ja.dq[..., 1:, :]) + 2.0 * _dot(ja.udot - ja.a, ja.q))
-        - _ddot(ja.sigma, ja.pi)
+        -mu_p * c.Theta
+        - (_tr(c.dq[1:]) + 2.0 * _dot(c.udot - c.a, c.q))
+        - _ddot(c.sigma, c.pi)
     )
-    res_mu = ja.dmu[..., 0] - rhs_mu
+    res_mu = c.dmu[0] - rhs_mu
 
     # bianchi2: momentum conservation
-    inner2 = _outer(ja.omega + ja.Omega, ja.q) + np.einsum(
-        "...bd,...dg->...bg", ja.n, ja.pi
-    )
+    inner2 = _outer(c.omega + c.Omega, c.q) + _mm(c.n, c.pi)
     rhs_q = (
-        -(4.0 / 3.0) * ja.Theta[..., None] * ja.q
-        - ja.dp[..., 1:]
-        - mu_p[..., None] * ja.udot
-        - (
-            np.einsum("...bab->...a", ja.dpi[..., 1:, :, :])
-            + _matvec(ja.pi, ja.udot - 3.0 * ja.a)
-        )
-        - _matvec(ja.sigma, ja.q)
+        -(4.0 / 3.0) * c.Theta * c.q
+        - c.dp[1:]
+        - mu_p * c.udot
+        - (_div(c.dpi[1:]) + _matvec(c.pi, c.udot - 3.0 * c.a))
+        - _matvec(c.sigma, c.q)
         + _eps_vec(inner2)
     )
-    res_q = ja.dq[..., 0, :] - rhs_q
+    res_q = c.dq[0] - rhs_q
 
     # bianchi3: e_0(E + pi/2)
-    X = ja.E - ja.pi / 6.0
-    Y = ja.E + 0.5 * ja.pi
-    grad_q = ja.dq[..., 1:, :]
+    X = c.E - c.pi / 6.0
+    Y = c.E + 0.5 * c.pi
+    grad_q = c.dq[1:]
     inner3 = (
-        ja.dH[..., 1:, :, :]
-        + np.einsum("...g,...bd->...gbd", 2.0 * ja.udot - ja.a, ja.H)
-        - np.einsum("...g,...bd->...gbd", ja.omega - 2.0 * ja.Omega, Y)
-        + 0.5 * np.einsum("...bg,...d->...gbd", ja.n, ja.q)
+        c.dH[1:]
+        + _vt(2.0 * c.udot - c.a, c.H)
+        - _vt(c.omega - 2.0 * c.Omega, Y)
+        + 0.5 * _tv(c.n, c.q)
     )
     rhs_E = (
-        -0.5 * mu_p[..., None, None] * ja.sigma
-        - ja.Theta[..., None, None] * (ja.E + ja.pi / 6.0)
-        - 0.5 * (_sym(grad_q) + _sym(_outer(2.0 * ja.udot + ja.a, ja.q)))
-        + 3.0 * _sym(np.einsum("...ag,...bg->...ab", ja.sigma, X))
-        + 0.5 * trn[..., None, None] * ja.H
-        + (
-            0.5 * (_tr(grad_q) + _dot(2.0 * ja.udot + ja.a, ja.q))
-            - 3.0 * _ddot(ja.sigma, X)
-            + 3.0 * _ddot(ja.n, ja.H)
-        )[..., None, None]
-        * ID3
+        -0.5 * mu_p * c.sigma
+        - c.Theta * (c.E + c.pi / 6.0)
+        - 0.5 * (_sym(grad_q) + _sym(_outer(2.0 * c.udot + c.a, c.q)))
+        + 3.0 * _sym(_mmT(c.sigma, X))
+        + 0.5 * trn * c.H
+        + _iso(
+            0.5 * (_tr(grad_q) + _dot(2.0 * c.udot + c.a, c.q))
+            - 3.0 * _ddot(c.sigma, X)
+            + 3.0 * _ddot(c.n, c.H)
+        )
         / 3.0
         + _eps_sym(inner3)
-        - 3.0 * _sym(np.einsum("...ag,...bg->...ab", ja.n, ja.H))
+        - 3.0 * _sym(_mmT(c.n, c.H))
     )
-    res_E = ja.dE[..., 0, :, :] + 0.5 * ja.dpi[..., 0, :, :] - rhs_E
+    res_E = c.dE[0] + 0.5 * c.dpi[0] - rhs_E
 
     # bianchi4: e_0(H)
-    Z = ja.E - 0.5 * ja.pi
+    Z = c.E - 0.5 * c.pi
     inner4 = (
-        ja.dE[..., 1:, :, :]
-        - 0.5 * ja.dpi[..., 1:, :, :]
-        - np.einsum("...g,...bd->...gbd", ja.a, Z)
-        + 2.0 * np.einsum("...g,...bd->...gbd", ja.udot, ja.E)
-        - 0.5 * np.einsum("...bg,...d->...gbd", ja.sigma, ja.q)
-        + np.einsum("...g,...bd->...gbd", ja.omega - 2.0 * ja.Omega, ja.H)
+        c.dE[1:]
+        - 0.5 * c.dpi[1:]
+        - _vt(c.a, Z)
+        + 2.0 * _vt(c.udot, c.E)
+        - 0.5 * _tv(c.sigma, c.q)
+        + _vt(c.omega - 2.0 * c.Omega, c.H)
     )
     rhs_H = (
-        -ja.Theta[..., None, None] * ja.H
-        + 3.0 * _sym(np.einsum("...ag,...bg->...ab", ja.sigma, ja.H))
-        - 1.5 * _sym(_outer(ja.omega, ja.q))
-        - 0.5 * trn[..., None, None] * Z
-        + 3.0 * _sym(np.einsum("...ag,...bg->...ab", ja.n, Z))
-        - (_ddot(ja.sigma, ja.H) - 0.5 * _dot(ja.omega, ja.q) + _ddot(ja.n, Z))[
-            ..., None, None
-        ]
-        * ID3
+        -c.Theta * c.H
+        + 3.0 * _sym(_mmT(c.sigma, c.H))
+        - 1.5 * _sym(_outer(c.omega, c.q))
+        - 0.5 * trn * Z
+        + 3.0 * _sym(_mmT(c.n, Z))
+        - _iso(_ddot(c.sigma, c.H) - 0.5 * _dot(c.omega, c.q) + _ddot(c.n, Z))
         - _eps_sym(inner4)
     )
-    res_H = ja.dH[..., 0, :, :] - rhs_H
+    res_H = c.dH[0] - rhs_H
 
     # bianchi5: div E constraint
-    inner5 = (
-        np.einsum("...bd,...dg->...bg", ja.sigma, ja.H)
-        + 1.5 * _outer(ja.omega, ja.q)
-        + np.einsum("...bd,...dg->...bg", ja.n, Y)
-    )
+    inner5 = _mm(c.sigma, c.H) + 1.5 * _outer(c.omega, c.q) + _mm(c.n, Y)
     div_E = (
-        np.einsum("...bab->...a", ja.dE[..., 1:, :, :] + 0.5 * ja.dpi[..., 1:, :, :])
-        - 3.0 * _matvec(Y, ja.a)
-        - ja.dmu[..., 1:] / 3.0
-        + ja.Theta[..., None] * ja.q / 3.0
-        - 0.5 * _matvec(ja.sigma, ja.q)
-        + 3.0 * _matvec(ja.H, ja.omega)
+        _div(c.dE[1:] + 0.5 * c.dpi[1:])
+        - 3.0 * _matvec(Y, c.a)
+        - c.dmu[1:] / 3.0
+        + c.Theta * c.q / 3.0
+        - 0.5 * _matvec(c.sigma, c.q)
+        + 3.0 * _matvec(c.H, c.omega)
         - _eps_vec(inner5)
     )
 
     # final identity: div H constraint
     inner6 = (
-        0.5 * (ja.dq[..., 1:, :] - _outer(ja.a, ja.q))
-        + np.einsum("...bd,...dg->...bg", ja.sigma, Y)
-        - np.einsum("...bd,...dg->...bg", ja.n, ja.H)
+        0.5 * (c.dq[1:] - _outer(c.a, c.q))
+        + _mm(c.sigma, Y)
+        - _mm(c.n, c.H)
     )
     div_H = (
-        np.einsum("...bab->...a", ja.dH[..., 1:, :, :])
-        - 3.0 * _matvec(ja.H, ja.a)
-        - mu_p[..., None] * ja.omega
-        - 3.0 * _matvec(X, ja.omega)
-        - 0.5 * _matvec(ja.n, ja.q)
+        _div(c.dH[1:])
+        - 3.0 * _matvec(c.H, c.a)
+        - mu_p * c.omega
+        - 3.0 * _matvec(X, c.omega)
+        - 0.5 * _matvec(c.n, c.q)
         + _eps_vec(inner6)
     )
     return res_mu, res_q, res_E, res_H, div_E, div_H
@@ -518,7 +585,7 @@ class BianchiResiduals(NamedTuple):
 
 def efe_residuals(jet) -> EfeResiduals:
     """Residuals of the Einstein evolution and constraint equations."""
-    rt, rs, g, cod = _efe_arr(_as_arrays(jet))
+    rt, rs, g, cod = _efe_arr(_Components(_as_arrays(jet)))
     return EfeResiduals(
         float(rt),
         TracefreeSymThree.project(SymThree.from_matrix(_sym(rs))),
@@ -528,7 +595,7 @@ def efe_residuals(jet) -> EfeResiduals:
 
 
 def jacobi_residuals(jet) -> JacobiResiduals:
-    ra, rn, rw, j4, j5 = _jacobi_arr(_as_arrays(jet))
+    ra, rn, rw, j4, j5 = _jacobi_arr(_Components(_as_arrays(jet)))
     return JacobiResiduals(
         ThreeVector.from_array(ra),
         SymThree.from_matrix(_sym(rn)),
@@ -539,7 +606,7 @@ def jacobi_residuals(jet) -> JacobiResiduals:
 
 
 def bianchi_residuals(jet) -> BianchiResiduals:
-    rm, rq, rE, rH, dE, dH = _bianchi_arr(_as_arrays(jet))
+    rm, rq, rE, rH, dE, dH = _bianchi_arr(_Components(_as_arrays(jet)))
     return BianchiResiduals(
         float(rm),
         ThreeVector.from_array(rq),
@@ -621,13 +688,53 @@ class ResidualReport:
         return out
 
 
-def residual_report(jet) -> ResidualReport:
-    """Evaluate every block of the general system on a jet or jet batch."""
+# points per evaluation block: a block's temporaries stay cache-sized
+BLOCK_POINTS = 2048
+
+
+def _report_arrays(ja: JetArrays) -> tuple:
+    c = _Components(ja)
+    return _batch_first(_efe_arr(c) + _jacobi_arr(c) + _bianchi_arr(c), len(ja.shape))
+
+
+def _pool_size(workers: int, blocks: int, cpus: int | None) -> int:
+    """Threads for a block sweep: at most one per block and one per CPU."""
+    return max(1, min(workers, blocks, cpus or 1))
+
+
+def residual_report(jet, workers: int = 1) -> ResidualReport:
+    """Evaluate every block of the general system on a jet or jet batch.
+
+    A batch is evaluated in consecutive blocks of BLOCK_POINTS points along
+    its first axis, serially or on up to ``workers`` threads.  Every
+    residual is pointwise, so the report is the same for any block size and
+    any ``workers``.
+    """
     ja = _as_arrays(jet)
-    rt, rs, g, cod = _efe_arr(ja)
-    ra, rn, rw, j4, j5 = _jacobi_arr(ja)
-    rm, rq, rE, rH, dE, dH = _bianchi_arr(ja)
-    return ResidualReport(rt, rs, g, cod, ra, rn, rw, j4, j5, rm, rq, rE, rH, dE, dH)
+    n = ja.shape[0] if ja.shape else 0
+    if n <= BLOCK_POINTS:
+        return ResidualReport(*_report_arrays(ja))
+    starts = range(0, n, BLOCK_POINTS)
+
+    def block(lo):
+        return _report_arrays(ja.take(lo, lo + BLOCK_POINTS))
+
+    threads = _pool_size(workers, len(starts), os.cpu_count())
+    if threads == 1:
+        return _gather(n, starts, map(block, starts))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _gather(n, starts, pool.map(block, starts))
+
+
+def _gather(n: int, starts, results) -> ResidualReport:
+    """Write the block results, in point order, into whole-batch arrays."""
+    out = None
+    for lo, arrays in zip(starts, results):
+        if out is None:
+            out = [np.empty((n,) + x.shape[1:]) for x in arrays]
+        for dst, src in zip(out, arrays):
+            dst[lo:lo + len(src)] = src
+    return ResidualReport(*out)
 
 
 # ---------------------------------------------------------------------------

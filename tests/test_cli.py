@@ -1,6 +1,7 @@
 """Command-line contract tests: config validation, exit codes, CSV output."""
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -192,6 +193,22 @@ C = 1.0
     assert cols["z"][-1] < 0.5  # clipped before the blow-up at z = 1/2
     assert np.all(np.isfinite(cols["a3"]))
     capsys.readouterr()
+
+
+
+def test_solve_a1_pole_rows_raise_no_numpy_warnings(tmp_path, capsys):
+    """The rows RK4 reaches just before a pole overflow in the closure
+    columns; the partial CSV carries them as inf/nan without warnings."""
+    out = tmp_path / "pole.csv"
+    text = (A1_SOLVE.format(out=out)
+            .replace("sigma11 = 0.1", "sigma11 = 0.5").replace("N = 1000", "N = 20000"))
+    cfg = write(tmp_path / "pole.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg]) == 3
+    _, cols = read_csv(out)
+    assert not np.isfinite(cols["pi11"][-1]) and not np.isfinite(cols["firstintegral_A"][-1])
+    assert capsys.readouterr().out.splitlines()[-1] == "RESULT fail max_residual=inf"
 
 
 VERIFY_A1 = """\

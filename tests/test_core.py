@@ -36,6 +36,7 @@ def test_trace_examples():
     assert trace(SymThree.identity()) == 3.0
     assert trace(SymThree.diag(1.0, -1.0, 0.0)) == 0.0
     assert trace(SymThree.diag(4.0, 1.0, 1.0)) == 6.0
+    assert trace(TracefreeSymThree(1.0, 2.0, 0.5, 0.0, 0.0)) == 0.0
 
 
 def test_tracefree_project():

@@ -1,11 +1,15 @@
 """General 1+3 system: residual evaluators and commutator machinery."""
 
 import dataclasses
+import os
 
+import einsum_reference
 import numpy as np
 import pytest
 from conftest import eds_jet_arrays, random_jet
 
+from f13 import conformal as cf
+from f13 import frame_equations as fe
 from f13.core import (
     State,
     StateJet,
@@ -14,6 +18,7 @@ from f13.core import (
 )
 from f13.frame_equations import (
     JetArrays,
+    ResidualReport,
     b_tensor,
     bianchi_residuals,
     commutator_residual,
@@ -22,6 +27,7 @@ from f13.frame_equations import (
     curly_S,
     efe_residuals,
     jacobi_residuals,
+    _pool_size,
     residual_report,
 )
 from f13.numerics import Grid
@@ -226,6 +232,78 @@ def test_boosted_shear_congruence_satisfies_all_blocks():
         for phi2 in (0.0, 0.8, -2.3):
             rep = residual_report(boosted_shear_jet(phi1, phi2))
             assert rep.max_residual() < 1e-14, (phi1, phi2, rep.block_norms())
+
+
+# ---------------------------------------------------------------------------
+# fixed-index kernels against the einsum form, and block evaluation
+# ---------------------------------------------------------------------------
+
+REPORT_FIELDS = [f.name for f in dataclasses.fields(ResidualReport)]
+
+
+def random_jet_arrays(rng, n):
+    ja = JetArrays((n,))
+    for arr in vars(ja).values():
+        if isinstance(arr, np.ndarray):
+            arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    return ja
+
+
+def report_pairs(ja, **kwargs):
+    rep = residual_report(ja, **kwargs)
+    return zip(REPORT_FIELDS, (getattr(rep, f) for f in REPORT_FIELDS),
+               einsum_reference.report_arrays(ja))
+
+
+def test_kernels_match_einsum_on_random_jets():
+    # 10^4 points span several blocks; sums over a contiguous axis may round
+    # differently from einsum's SIMD loop, by an ulp or so
+    ja = random_jet_arrays(np.random.default_rng(7), 10_000)
+    for name, new, ref in report_pairs(ja):
+        assert new.shape == ref.shape, name
+        assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+
+def test_kernels_bit_identical_on_closed_form_a1_jets():
+    for A, sign, B in ((0.0, 1, 1.0), (1.0, -1, 0.0), (-5.0, 1, 1.0)):
+        form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A, sign, B)
+        grid, _ = form.clip_grid(Grid(0.0, 1.0, 4999))
+        jet, _ = form.jet(grid)
+        for name, new, ref in report_pairs(cf.embed_special(jet)):
+            assert np.array_equal(new, ref), (A, sign, B, name)
+
+
+def test_report_independent_of_blocks_and_workers(monkeypatch):
+    n = 2 * fe.BLOCK_POINTS + fe.BLOCK_POINTS // 2 + 1
+    ja = random_jet_arrays(np.random.default_rng(3), n)
+    # at least three CPUs, so workers=2 and 3 really run a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    reports = [residual_report(ja, workers=w) for w in (1, 2, 3)]
+    monkeypatch.setattr(fe, "BLOCK_POINTS", n)
+    reports.append(residual_report(ja))
+    for rep in reports[1:]:
+        for name in REPORT_FIELDS:
+            assert np.array_equal(getattr(rep, name), getattr(reports[0], name)), name
+    assert reports[0].e0_sigma.shape == (n, 3, 3)
+
+
+def test_pool_size_caps_threads_at_blocks_and_cpus():
+    assert _pool_size(10_000, 49, 2) == 2
+    assert _pool_size(10_000, 3, 64) == 3
+    assert _pool_size(4, 49, 64) == 4
+    assert _pool_size(1, 49, 64) == 1
+    assert _pool_size(8, 49, None) == 1
+
+
+def test_take_returns_views_of_a_point_range():
+    ja = random_jet_arrays(np.random.default_rng(4), 10)
+    sub = ja.take(3, 7)
+    assert sub.shape == (4,)
+    for name, arr in vars(ja).items():
+        if isinstance(arr, np.ndarray):
+            part = getattr(sub, name)
+            assert np.shares_memory(part, arr) and np.array_equal(part, arr[3:7]), name
+    assert ja.take(8, 20).shape == (2,)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ Coverage by nonzero sectors:
   pp_wave           magnetic Weyl (vacuum plane wave)
 """
 
+import dataclasses
 import json
 import pathlib
 
+import einsum_reference
 import numpy as np
 import pytest
 
-from f13.frame_equations import JetArrays, residual_report
+from f13.frame_equations import JetArrays, ResidualReport, residual_report
 
 DATA = pathlib.Path(__file__).parent / "data" / "groundtruth_jets.json"
 
@@ -40,6 +42,15 @@ def groundtruth():
 def test_exact_metric_jets_null_every_block(groundtruth, case):
     rep = residual_report(load_jet(groundtruth[case]))
     assert rep.max_residual() < 1e-12, (case, rep.block_norms())
+
+
+@pytest.mark.parametrize("case", ["kasner", "generic_diagonal", "godel", "pp_wave"])
+def test_exact_metric_jets_bit_identical_to_einsum_form(groundtruth, case):
+    ja = load_jet(groundtruth[case])
+    rep = residual_report(ja)
+    fields = [f.name for f in dataclasses.fields(ResidualReport)]
+    for name, ref in zip(fields, einsum_reference.report_arrays(ja)):
+        assert np.array_equal(getattr(rep, name), ref), name
 
 
 def test_coverage_of_variable_sectors(groundtruth):
