@@ -18,6 +18,7 @@ from .core import (
 )
 from .frame_equations import (
     JetArrays,
+    NonFiniteResidual,
     ResidualReport,
     bianchi_residuals,
     commutator_residual,

@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import math
 import os
 import sys
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import conformal as cf
 from .core import MatterState, ThreeVector, TracefreeSymThree, WeylState
-from .frame_equations import JetArrays, ResidualReport, residual_report
+from .frame_equations import JetArrays, NonFiniteResidual, ResidualReport, residual_report
 from .numerics import Grid, PoleError, fd_derivative, rk4_integrate
 from .spinors import (
     diagonalizing_rotation,
@@ -52,6 +53,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -71,16 +79,16 @@ def _parse_sign(raw: str) -> int:
 
 # schema entry: (required, parser)
 def _grid_schema():
-    return {"z0": (True, float), "z1": (True, float), "N": (True, int)}
+    return {"z0": (True, _parse_float), "z1": (True, _parse_float), "N": (True, int)}
 
 
 def _tol_schema():
-    return {"residual_tol": (False, float), "conservation_tol": (False, float)}
+    return {"residual_tol": (False, _parse_float), "conservation_tol": (False, _parse_float)}
 
 
 def _frame_schema():
     # exactly one of F / F_table, enforced post-parse
-    return {"F": (False, float), "F_table": (False, str)}
+    return {"F": (False, _parse_float), "F_table": (False, str)}
 
 
 def _solve_schema(case: str) -> dict:
@@ -92,18 +100,18 @@ def _solve_schema(case: str) -> dict:
         "tolerances": _tol_schema(),
     }
     if case == "a1":
-        schema["initial"] = {"sigma11": (True, float), "a3": (False, float),
-                             "Omega3": (True, float)}
-        schema["constants"] = {"A": (False, float), "sign": (False, _parse_sign)}
+        schema["initial"] = {"sigma11": (True, _parse_float), "a3": (False, _parse_float),
+                             "Omega3": (True, _parse_float)}
+        schema["constants"] = {"A": (False, _parse_float), "sign": (False, _parse_sign)}
     elif case == "a1-shearless":
-        schema["constants"] = {"C": (True, float), "B": (False, float)}
+        schema["constants"] = {"C": (True, _parse_float), "B": (False, _parse_float)}
     elif case == "a2":
-        schema["initial"] = {"p": (True, float), "udot3": (True, float),
-                             "a3": (True, float), "Omega3": (True, float)}
+        schema["initial"] = {"p": (True, _parse_float), "udot3": (True, _parse_float),
+                             "a3": (True, _parse_float), "Omega3": (True, _parse_float)}
     elif case == "a2-branch1":
-        schema["constants"] = {"C": (True, float), "B": (False, float)}
+        schema["constants"] = {"C": (True, _parse_float), "B": (False, _parse_float)}
     elif case == "a2-branch2":
-        schema["constants"] = {"D": (True, float), "B": (False, float)}
+        schema["constants"] = {"D": (True, _parse_float), "B": (False, _parse_float)}
     else:
         raise ConfigError(
             f"scenario.case must be one of {', '.join(SOLVE_CASES)} for solve, got {case!r}"
@@ -116,16 +124,16 @@ def _verify_schema(case: str) -> dict:
         "scenario": {"case": (True, str), "profile": (False, str)},
         "grid": _grid_schema(),
         "tolerances": _tol_schema(),
-        "perturb": {"a3": (False, float)},
+        "perturb": {"a3": (False, _parse_float)},
     }
     if case == "a1":
-        schema["constants"] = {"A": (True, float), "B": (True, float),
+        schema["constants"] = {"A": (True, _parse_float), "B": (True, _parse_float),
                                "sign": (False, _parse_sign)}
     elif case in ("a1-shearless", "a2-branch1"):
-        schema["constants"] = {"C": (True, float), "B": (False, float)}
+        schema["constants"] = {"C": (True, _parse_float), "B": (False, _parse_float)}
         schema["frame"] = _frame_schema()
     elif case == "a2-branch2":
-        schema["constants"] = {"D": (True, float), "B": (False, float)}
+        schema["constants"] = {"D": (True, _parse_float), "B": (False, _parse_float)}
         schema["frame"] = _frame_schema()
     else:
         raise ConfigError(
@@ -233,6 +241,17 @@ def _resubstitution(grid: Grid, F_vals, columns: dict, rhs: dict) -> dict[str, f
     return out
 
 
+def _branch_fields(case: str, values: dict, frame: cf.ScaleFactor, grid: Grid):
+    """Closed-form fields and branch number of a shearless / A2-branch case."""
+    B = values.get("constants.B", 0.0)
+    try:
+        if case == "a2-branch2":
+            return cf.a2_branch2_fields(frame, values["constants.D"], B, grid), 2
+        return cf.shearless_branch_fields(frame, values["constants.C"], B, grid), 1
+    except ValueError as exc:  # pole at the interval start, quadrature not converging
+        raise ConfigError(str(exc)) from None
+
+
 def _report_lines(title: str, checks: dict[str, float], tol: float,
                   notes: list[str], info: dict[str, float] | None = None,
                   ) -> tuple[list[str], bool, float]:
@@ -316,13 +335,7 @@ def run_solve(config_path: str) -> int:
         jet = cf.a1_trajectory_jet(zs, s11, a3, Om3)
 
     elif case in ("a1-shearless", "a2-branch1", "a2-branch2"):
-        B = values.get("constants.B", 0.0)
-        if case == "a2-branch2":
-            fields = cf.a2_branch2_fields(frame, values["constants.D"], B, grid)
-            branch = 2
-        else:
-            fields = cf.shearless_branch_fields(frame, values["constants.C"], B, grid)
-            branch = 1
+        fields, branch = _branch_fields(case, values, frame, grid)
         if fields.note is not None:
             notes.append(f"pole: {fields.note}")
             exit_code = EXIT_POLE
@@ -437,9 +450,9 @@ def _verify_blocks(jet: cf.SpecialJet, zs: np.ndarray):
     results.append(("ricci-einstein", val, zs[idx], name))
     rep = _threaded_report(cf.embed_special(jet))
     for label, arr in rep.blocks():
-        flat = np.abs(arr.reshape(len(zs), -1))
-        j = int(np.argmax(np.max(flat, axis=-1)))
-        results.append((f"frame-{label}", float(np.max(flat)), zs[j], ""))
+        rowmax = np.max(np.abs(arr.reshape(len(zs), -1)), axis=-1)
+        j = int(np.argmax(rowmax))
+        results.append((f"frame-{label}", float(rowmax[j]), zs[j], ""))
     return results, float(max(r[1] for r in results))
 
 
@@ -464,23 +477,16 @@ def run_verify(config_path: str) -> int:
         )
         try:
             grid, note = form.clip_grid(grid)
-        except ValueError as exc:
+            jet, fields = form.jet(grid)
+        except ValueError as exc:  # no valid interval, quadrature not converging
             raise ConfigError(str(exc)) from None
         if note:
             notes.append(note)
-        jet, fields = form.jet(grid)
         if fields["orientation_flipped"]:
             notes.append("frame factor F is negative (orientation flipped)")
         zs = fields["z"]
     else:
-        B = values.get("constants.B", 0.0)
-        frame = _build_frame(values, grid)
-        if case == "a2-branch2":
-            fields = cf.a2_branch2_fields(frame, values["constants.D"], B, grid)
-            branch = 2
-        else:
-            fields = cf.shearless_branch_fields(frame, values["constants.C"], B, grid)
-            branch = 1
+        fields, branch = _branch_fields(case, values, _build_frame(values, grid), grid)
         if fields.note is not None:
             notes.append(fields.note)
         jet = cf.branch_jet(fields, branch)
@@ -515,7 +521,7 @@ _STATE_KEYS = ("mu", "p", "pi11", "pi22", "pi12", "pi13", "pi23",
 
 def run_spinor(state_path: str) -> int:
     parser = _read_config(state_path)
-    schema = {"state": {k: (False, float) for k in _STATE_KEYS}}
+    schema = {"state": {k: (False, _parse_float) for k in _STATE_KEYS}}
     values = _validate(parser, schema)
 
     def get(key):
@@ -623,8 +629,8 @@ def _jet_arrays_from_table(coord: str, grid: Grid, cols: dict) -> JetArrays:
     ja = JetArrays((npts,))
 
     def assign(target, dtarget, samples, index):
-        target[(slice(None),) + index] = samples
-        dtarget[(slice(None), axis) + index] = F * fd_derivative(samples, grid)
+        target[index] = samples
+        dtarget[(axis,) + index] = F * fd_derivative(samples, grid)
 
     for name, samples in cols.items():
         if name in (coord, "F"):
@@ -648,8 +654,8 @@ def _jet_arrays_from_table(coord: str, grid: Grid, cols: dict) -> JetArrays:
     for base in ("pi", "sigma", "E", "H"):
         arr = getattr(ja, base)
         darr = getattr(ja, "d" + base)
-        arr[:, 2, 2] = -(arr[:, 0, 0] + arr[:, 1, 1])
-        darr[:, axis, 2, 2] = -(darr[:, axis, 0, 0] + darr[:, axis, 1, 1])
+        arr[2, 2] = -(arr[0, 0] + arr[1, 1])
+        darr[axis, 2, 2] = -(darr[axis, 0, 0] + darr[axis, 1, 1])
     return ja
 
 
@@ -809,6 +815,10 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"singularity: {exc}", file=sys.stderr)
         return EXIT_POLE
+    except NonFiniteResidual as exc:  # finite input, overflowing residual
+        print(f"note: {exc}")
+        print(f"RESULT fail max_residual={_fmt(np.inf)}")
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

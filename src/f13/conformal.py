@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frame_equations import JetArrays
+from .frame_equations import JetArrays, NonFiniteResidual
 from .numerics import Grid, cumulative_integral_refined, quadrature
 
 __all__ = [
@@ -182,8 +182,10 @@ class ResidualVector:
     def __post_init__(self):
         if self.values.shape[0] != len(self.names):
             raise ValueError("names/values length mismatch")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite residual entry")
+        finite = np.isfinite(self.values).all(axis=tuple(range(1, self.values.ndim)))
+        if not finite.all():
+            name = self.names[int(np.argmin(finite))]
+            raise NonFiniteResidual(f"non-finite residual entry {name}")
 
     def entry_max(self) -> dict[str, float]:
         flat = self.values.reshape(len(self.names), -1)
@@ -604,23 +606,14 @@ class CaseA1ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def _den_on_fine_grid(F: ScaleFactor, coeff: float, const: float, grid: Grid,
-                      tol: float = 1e-10):
+def _den_on_fine_grid(F: ScaleFactor, coeff: float, const: float, grid: Grid):
     """Denominator int_{z0}^{z} (coeff/F) dz' + const on a refined grid.
 
     Returns (fine_grid, den_fine, stride) with original nodes at ::stride.
     """
-    factor = 2 if grid.N % 2 else 1
-    g = grid if factor == 1 else grid.refined(2)
-    vals = quadrature(coeff / np.asarray(F(g.points()), dtype=float), g)
-    for _ in range(12):
-        g2 = g.refined(2)
-        vals2 = quadrature(coeff / np.asarray(F(g2.points()), dtype=float), g2)
-        done = bool(np.max(np.abs(vals2[::2] - vals)) < tol)
-        g, vals, factor = g2, vals2, factor * 2
-        if done:
-            return g, vals + const, factor
-    raise RuntimeError("denominator quadrature did not converge")
+    fine, vals, stride = cumulative_integral_refined(
+        lambda z: coeff / np.asarray(F(z), dtype=float), grid, fine=True)
+    return fine, vals + const, stride
 
 
 def _clip_at_sign_change(grid: Grid, fine: Grid, den_fine: np.ndarray):
@@ -643,18 +636,23 @@ def _clip_at_sign_change(grid: Grid, fine: Grid, den_fine: np.ndarray):
     return Grid(grid.z0, z_clip, grid.N), note
 
 
-def shearless_a3(F: ScaleFactor, C: float, z: float) -> float:
-    """a3(z) = 1 / (int_0^z (-2/F) dz' + C), the shearless case A1 branch."""
+def _branch_a3(F: ScaleFactor, coeff: float, const: float, z: float) -> float:
+    """a3(z) = 1 / (int_0^z (coeff/F) dz' + const) at one point."""
     if z == 0.0:
-        den = C
+        den = const
     else:
         span = Grid(min(0.0, z), max(0.0, z), 64)
-        _, den_arr, _ = _den_on_fine_grid(F, -2.0, C, span)
+        _, den_arr, _ = _den_on_fine_grid(F, coeff, const, span)
         # for z < 0 the integral from 0 down to z is minus the cumulative one
-        den = den_arr[-1] if z > 0.0 else C - (den_arr[-1] - C)
+        den = den_arr[-1] if z > 0.0 else const - (den_arr[-1] - const)
     if abs(den) < 1e-13:
         raise ValueError(f"blow-up point: denominator vanishes at z={z!r}")
     return 1.0 / den
+
+
+def shearless_a3(F: ScaleFactor, C: float, z: float) -> float:
+    """a3(z) = 1 / (int_0^z (-2/F) dz' + C), the shearless case A1 branch."""
+    return _branch_a3(F, -2.0, C, z)
 
 
 @dataclass(frozen=True)
@@ -705,22 +703,12 @@ def _branch_fields(F: ScaleFactor, coeff: float, const: float, B: float,
 def case_a2_branch_a3(F: ScaleFactor, branch: int, const: float, z: float) -> float:
     """Case A2 closed-form a3 on branch 1 (udot3 = -a3) or 2 (udot3 = a3/2).
 
-    Branch 1 delegates to the shearless case A1 form with constant C;
-    branch 2 gives a3 = 1/(int -3/(2F) dz + D).
+    Branch 1 is the shearless case A1 form with constant C; branch 2 gives
+    a3 = 1/(int -3/(2F) dz + D).
     """
-    if branch == 1:
-        return shearless_a3(F, const, z)
-    if branch != 2:
+    if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
-    if z == 0.0:
-        den = const
-    else:
-        span = Grid(min(0.0, z), max(0.0, z), 64)
-        _, den_arr, _ = _den_on_fine_grid(F, -1.5, const, span)
-        den = den_arr[-1] if z > 0.0 else const - (den_arr[-1] - const)
-    if abs(den) < 1e-13:
-        raise ValueError(f"blow-up point: denominator vanishes at z={z!r}")
-    return 1.0 / den
+    return _branch_a3(F, -2.0 if branch == 1 else -1.5, const, z)
 
 
 def shearless_branch_fields(F: ScaleFactor, C: float, B: float, grid: Grid) -> BranchFields:
@@ -825,19 +813,34 @@ def a2_trajectory_jet(z, p, udot3, a3, Omega3) -> SpecialJet:
 # ---------------------------------------------------------------------------
 
 
-def _bcast(x, shape):
-    return np.broadcast_to(np.asarray(x, dtype=float), shape)
+# full-variable fields that a special state sets; q, E, H and Lam stay zero
+_EMBEDDED = ("mu", "p", "Theta", "udot", "omega", "Omega", "a", "pi", "sigma", "n")
+_SYM_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _vec(shape, x1, x2, x3):
-    return np.stack([_bcast(x1, shape), _bcast(x2, shape), _bcast(x3, shape)], axis=-1)
+def _put(arr, index, x) -> None:
+    # a scalar +0.0 is what the zero-initialised arrays already hold; not
+    # writing it leaves their memory pages untouched
+    if np.ndim(x) or x != 0.0 or np.signbit(x):
+        arr[index] = x
 
 
-def _symmat(shape, m11, m22, m33, m12, m13, m23):
-    r1 = np.stack([_bcast(m11, shape), _bcast(m12, shape), _bcast(m13, shape)], axis=-1)
-    r2 = np.stack([_bcast(m12, shape), _bcast(m22, shape), _bcast(m23, shape)], axis=-1)
-    r3 = np.stack([_bcast(m13, shape), _bcast(m23, shape), _bcast(m33, shape)], axis=-1)
-    return np.stack([r1, r2, r3], axis=-2)
+def _embed_state(st: SpecialState, out: dict) -> None:
+    """Write one special state into the component rows of out[field]."""
+    _put(out["mu"], ..., 3.0 * np.asarray(st.p))
+    _put(out["p"], ..., st.p)
+    _put(out["Theta"], ..., st.Theta)
+    for name in ("udot", "omega", "Omega", "a"):
+        for i in range(3):
+            _put(out[name], i, getattr(st, f"{name}{i + 1}"))
+    pi11 = np.asarray(st.pi11)
+    for i, x in enumerate((pi11, pi11, -2.0 * pi11)):
+        _put(out["pi"], (i, i), x)
+    for name in ("sigma", "n"):
+        for i, j in _SYM_ENTRIES:
+            x = getattr(st, f"{name}{i + 1}{j + 1}")
+            _put(out[name], (i, j), x)
+            _put(out[name], (j, i), x)
 
 
 def embed_special(jet: SpecialJet) -> JetArrays:
@@ -850,35 +853,7 @@ def embed_special(jet: SpecialJet) -> JetArrays:
     fields = [getattr(jet.value, f.name) for f in dataclasses.fields(SpecialState)]
     shape = np.broadcast_shapes(*(np.shape(np.asarray(x)) for x in fields))
     ja = JetArrays(shape)
-
-    def fill(dst_value, dst_deriv, take):
-        sts = (jet.value,) + jet.deriv
-        arrays = [take(st) for st in sts]
-        dst_value[...] = arrays[0]
-        ncomp = dst_value.ndim - len(shape)
-        for a in range(4):
-            idx = (Ellipsis, a) + (slice(None),) * ncomp
-            dst_deriv[idx] = arrays[a + 1]
-
-    def pi_of(st):
-        return _symmat(shape, st.pi11, st.pi11, -2.0 * np.asarray(st.pi11), 0.0, 0.0, 0.0)
-
-    def sigma_of(st):
-        return _symmat(shape, st.sigma11, st.sigma22, st.sigma33,
-                       st.sigma12, st.sigma13, st.sigma23)
-
-    def n_of(st):
-        return _symmat(shape, st.n11, st.n22, st.n33, st.n12, st.n13, st.n23)
-
-    fill(ja.mu, ja.dmu, lambda st: _bcast(3.0 * np.asarray(st.p), shape))
-    fill(ja.p, ja.dp, lambda st: _bcast(st.p, shape))
-    fill(ja.Theta, ja.dTheta, lambda st: _bcast(st.Theta, shape))
-    fill(ja.udot, ja.dudot, lambda st: _vec(shape, st.udot1, st.udot2, st.udot3))
-    fill(ja.omega, ja.domega, lambda st: _vec(shape, st.omega1, st.omega2, st.omega3))
-    fill(ja.Omega, ja.dOmega, lambda st: _vec(shape, st.Omega1, st.Omega2, st.Omega3))
-    fill(ja.a, ja.da, lambda st: _vec(shape, st.a1, st.a2, st.a3))
-    fill(ja.pi, ja.dpi, pi_of)
-    fill(ja.sigma, ja.dsigma, sigma_of)
-    fill(ja.n, ja.dn, n_of)
-    # q, E, H, Lam stay zero
+    _embed_state(jet.value, {name: getattr(ja, name) for name in _EMBEDDED})
+    for slot, st in enumerate(jet.deriv):
+        _embed_state(st, {name: getattr(ja, "d" + name)[slot, ...] for name in _EMBEDDED})
     return ja

@@ -3,22 +3,25 @@
 Evolution equations are checked as residuals, provided e_0-derivative minus
 equation right-hand side, so any candidate solution can be verified without
 time integration.  Constraint equations are evaluated directly (they must
-vanish).  All evaluators accept a batch of jets through ``JetArrays``:
-scalar fields have shape S, vectors S+(3,), tensors S+(3,3), and every
-derivative array carries one extra frame axis of length 4 in front of the
-component axes, d*[..., a] = e_a applied to the field.  S may be () for a
-single jet or (N,) for a grid of them.
+vanish).  All evaluators accept a batch of jets through ``JetArrays``, laid
+out component-major with the batch axes last: scalar fields have shape S,
+vectors (3,) + S, tensors (3, 3) + S, and every derivative array carries one
+extra frame axis of length 4 in front of the component axes,
+d*[a, ...] = e_a applied to the field.  S may be () for a single jet or
+(N,) for a grid of them.
 
-The equation blocks run on ``_Components``, a copy of the jet with the
-batch axes last, and every index contraction goes through one fixed-index
-kernel: ``_outer``, ``_vt`` and ``_tv`` (vector-tensor products), ``_dot``,
-``_tr``, ``_ddot``, ``_matvec``, ``_div`` (sums over one index), ``_mm`` and
-``_mmT`` (3x3 products), ``_iso`` (s delta_ab), and ``_eps_vec`` and
-``_eps_sym`` (the permutation-symbol contractions, one signed difference
-of two slices per output component).  Each kernel adds its terms in index
-order along the batch.  ``residual_report`` evaluates a batch in
-consecutive blocks of ``BLOCK_POINTS`` points, serially or on a thread
-pool; every residual is pointwise, so neither changes the report.
+The equation blocks read those arrays directly, and every index contraction
+goes through one fixed-index kernel: ``_outer``, ``_vt`` and ``_tv``
+(vector-tensor products), ``_dot``, ``_tr``, ``_ddot``, ``_matvec``,
+``_div`` (sums over one index), ``_mm`` and ``_mmT`` (3x3 products),
+``_iso`` (s delta_ab), and ``_eps_vec`` and ``_eps_sym`` (the
+permutation-symbol contractions, one signed difference of two slices per
+output component).  Each kernel adds its terms in index order, and each
+term is one numpy operation along the batch.  ``residual_report``
+evaluates a batch in consecutive blocks of ``BLOCK_POINTS`` points
+(views along the last batch axis), serially or on a thread pool; every
+residual is pointwise, so neither changes the report.  The report's
+arrays are batch-first: S + components.
 
 Residual norms are max-abs: a single violated component must not be
 averaged away.
@@ -48,6 +51,7 @@ from .core import (
 
 __all__ = [
     "JetArrays",
+    "NonFiniteResidual",
     "ResidualReport",
     "EfeResiduals",
     "JacobiResiduals",
@@ -75,24 +79,25 @@ _DERIV_FIELDS = tuple(f for f in _SCALARS + _VECTORS + _TENSORS if f != "Lam")
 
 
 class JetArrays:
-    """Struct-of-arrays form of one or many state jets.
+    """Struct-of-arrays form of one or many state jets, component-major.
 
-    Built once per evaluation sweep; treat instances as frozen after
-    assembly.
+    ``shape`` is the batch shape S, and the batch axes come last: scalars
+    have shape S, vectors (3,) + S, tensors (3, 3) + S and derivatives
+    (4,) + components + S.  For a single jet (S = ()) this is the plain
+    component layout.  Built once per evaluation sweep; treat instances as
+    frozen after assembly.
     """
 
     def __init__(self, shape: tuple[int, ...] = ()):
         self.shape = tuple(shape)
         for name in _SCALARS:
-            setattr(self, name, np.zeros(shape))
+            setattr(self, name, np.zeros(self.shape))
         for name in _VECTORS:
-            setattr(self, name, np.zeros(shape + (3,)))
+            setattr(self, name, np.zeros((3,) + self.shape))
         for name in _TENSORS:
-            setattr(self, name, np.zeros(shape + (3, 3)))
+            setattr(self, name, np.zeros((3, 3) + self.shape))
         for name in _DERIV_FIELDS:
-            base = getattr(self, name)
-            d = np.zeros(self.shape + (4,) + base.shape[len(shape):])
-            setattr(self, "d" + name, d)
+            setattr(self, "d" + name, np.zeros((4,) + getattr(self, name).shape))
 
     @classmethod
     def from_jet(cls, jet: StateJet) -> "JetArrays":
@@ -126,11 +131,11 @@ class JetArrays:
         return ja
 
     def take(self, lo: int, hi: int) -> "JetArrays":
-        """Points lo:hi along the first batch axis; the arrays are views."""
+        """Points lo:hi along the last batch axis; the arrays are views."""
         sub = copy.copy(self)
         for name, arr in vars(self).items():
             if isinstance(arr, np.ndarray):
-                setattr(sub, name, arr[lo:hi])
+                setattr(sub, name, arr[..., lo:hi])
         sub.shape = sub.mu.shape
         return sub
 
@@ -141,24 +146,6 @@ def _as_arrays(jet) -> JetArrays:
     if isinstance(jet, StateJet):
         return JetArrays.from_jet(jet)
     raise TypeError(f"expected StateJet or JetArrays, got {type(jet).__name__}")
-
-
-class _Components:
-    """A jet block laid out component-major for the residual kernels.
-
-    Holds the arrays of a ``JetArrays`` under the same names, as contiguous
-    copies with the batch axes moved last: vectors (3,) + S, tensors
-    (3, 3) + S, derivatives (4,) + components + S.  Every kernel then runs
-    its inner loop along the batch instead of along a 3-wide component axis.
-    """
-
-    def __init__(self, ja: JetArrays):
-        self.shape = ja.shape
-        k = len(ja.shape)
-        for name, arr in vars(ja).items():
-            if isinstance(arr, np.ndarray):
-                moved = arr.transpose(tuple(range(k, arr.ndim)) + tuple(range(k)))
-                setattr(self, name, moved if moved.flags.c_contiguous else moved.copy())
 
 
 def _batch_first(arrays, k: int) -> tuple:
@@ -276,7 +263,7 @@ def b_tensor(n: SymThree) -> SymThree:
     return SymThree.from_matrix(_b_tensor_arr(n.as_matrix()))
 
 
-def _curly_S_arr(c: _Components):
+def _curly_S_arr(c: JetArrays):
     grad_a = c.da[1:]  # e_alpha(a_beta)
     grad_n = c.dn[1:]  # e_gamma(n_{beta delta})
     b = _b_tensor_arr(c.n)
@@ -296,7 +283,7 @@ def _curly_S_arr(c: _Components):
 
 def curly_S(jet) -> TracefreeSymThree:
     """Trace-free 3-curvature source of the shear evolution equation."""
-    S, pre_trace = _curly_S_arr(_Components(_as_arrays(jet)))
+    S, pre_trace = _curly_S_arr(_as_arrays(jet))
     worst = float(np.max(np.abs(pre_trace))) if pre_trace.size else float(pre_trace)
     if worst > 1e-14 * max(1.0, float(np.max(np.abs(S))) if S.size else 0.0):
         log.debug("curly_S pre-projection trace %.3e", worst)
@@ -305,7 +292,7 @@ def curly_S(jet) -> TracefreeSymThree:
     raise ValueError("curly_S returns a typed tensor for single jets only")
 
 
-def _curly_R_arr(c: _Components):
+def _curly_R_arr(c: JetArrays):
     grad_a = c.da[1:]
     b = _b_tensor_arr(c.n)
     return 2.0 * (2.0 * _tr(grad_a) - 3.0 * _dot(c.a, c.a)) - 0.5 * _tr(b)
@@ -313,7 +300,7 @@ def _curly_R_arr(c: _Components):
 
 def curly_R(jet) -> float:
     """Spatial curvature scalar *R = 2(2 e_a - 3 a_a)(a^a) - b^a_a / 2."""
-    return float(_curly_R_arr(_Components(_as_arrays(jet))))
+    return float(_curly_R_arr(_as_arrays(jet)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +308,7 @@ def curly_R(jet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _efe_arr(c: _Components):
+def _efe_arr(c: JetArrays):
     sigma2 = 0.5 * _ddot(c.sigma, c.sigma)
     omega2 = _dot(c.omega, c.omega)
     grad_udot = c.dudot[1:]  # e_alpha(udot_beta)
@@ -400,7 +387,7 @@ def _efe_arr(c: _Components):
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_arr(c: _Components):
+def _jacobi_arr(c: JetArrays):
     womO = c.omega - c.Omega
     dwomO = c.domega - c.dOmega
 
@@ -453,7 +440,7 @@ def _jacobi_arr(c: _Components):
 # ---------------------------------------------------------------------------
 
 
-def _bianchi_arr(c: _Components):
+def _bianchi_arr(c: JetArrays):
     mu_p = c.mu + c.p
     trn = _tr(c.n)
 
@@ -585,7 +572,7 @@ class BianchiResiduals(NamedTuple):
 
 def efe_residuals(jet) -> EfeResiduals:
     """Residuals of the Einstein evolution and constraint equations."""
-    rt, rs, g, cod = _efe_arr(_Components(_as_arrays(jet)))
+    rt, rs, g, cod = _efe_arr(_as_arrays(jet))
     return EfeResiduals(
         float(rt),
         TracefreeSymThree.project(SymThree.from_matrix(_sym(rs))),
@@ -595,7 +582,7 @@ def efe_residuals(jet) -> EfeResiduals:
 
 
 def jacobi_residuals(jet) -> JacobiResiduals:
-    ra, rn, rw, j4, j5 = _jacobi_arr(_Components(_as_arrays(jet)))
+    ra, rn, rw, j4, j5 = _jacobi_arr(_as_arrays(jet))
     return JacobiResiduals(
         ThreeVector.from_array(ra),
         SymThree.from_matrix(_sym(rn)),
@@ -606,7 +593,7 @@ def jacobi_residuals(jet) -> JacobiResiduals:
 
 
 def bianchi_residuals(jet) -> BianchiResiduals:
-    rm, rq, rE, rH, dE, dH = _bianchi_arr(_Components(_as_arrays(jet)))
+    rm, rq, rE, rH, dE, dH = _bianchi_arr(_as_arrays(jet))
     return BianchiResiduals(
         float(rm),
         ThreeVector.from_array(rq),
@@ -615,6 +602,10 @@ def bianchi_residuals(jet) -> BianchiResiduals:
         ThreeVector.from_array(dE),
         ThreeVector.from_array(dH),
     )
+
+
+class NonFiniteResidual(ValueError):
+    """A residual came out NaN or infinite; the message names its block."""
 
 
 @dataclass
@@ -663,7 +654,7 @@ class ResidualReport:
         for f in dataclass_fields(self):
             arr = np.asarray(getattr(self, f.name))
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite residual in block {f.name}")
+                raise NonFiniteResidual(f"non-finite residual in block {f.name}")
             setattr(self, f.name, arr)
 
     def blocks(self):
@@ -693,8 +684,7 @@ BLOCK_POINTS = 2048
 
 
 def _report_arrays(ja: JetArrays) -> tuple:
-    c = _Components(ja)
-    return _batch_first(_efe_arr(c) + _jacobi_arr(c) + _bianchi_arr(c), len(ja.shape))
+    return _batch_first(_efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja), len(ja.shape))
 
 
 def _pool_size(workers: int, blocks: int, cpus: int | None) -> int:
@@ -705,13 +695,14 @@ def _pool_size(workers: int, blocks: int, cpus: int | None) -> int:
 def residual_report(jet, workers: int = 1) -> ResidualReport:
     """Evaluate every block of the general system on a jet or jet batch.
 
-    A batch is evaluated in consecutive blocks of BLOCK_POINTS points along
-    its first axis, serially or on up to ``workers`` threads.  Every
-    residual is pointwise, so the report is the same for any block size and
-    any ``workers``.
+    A batch of shape (N,) is evaluated in consecutive blocks of
+    BLOCK_POINTS points (``JetArrays.take`` views), serially or on up to
+    ``workers`` threads; other batch shapes are evaluated in one piece.
+    Every residual is pointwise, so the report is the same for any block
+    size and any ``workers``.
     """
     ja = _as_arrays(jet)
-    n = ja.shape[0] if ja.shape else 0
+    n = ja.shape[0] if len(ja.shape) == 1 else 0
     if n <= BLOCK_POINTS:
         return ResidualReport(*_report_arrays(ja))
     starts = range(0, n, BLOCK_POINTS)

@@ -202,10 +202,16 @@ def quadrature(samples, grid: Grid) -> np.ndarray:
 
 
 def cumulative_integral_refined(
-    fn: Callable, grid: Grid, tol: float = 1e-10, max_doublings: int = 12
-) -> np.ndarray:
+    fn: Callable, grid: Grid, tol: float = 1e-10, max_doublings: int = 12,
+    fine: bool = False,
+):
     """Cumulative integral of a callable on the grid nodes, grid-doubled
-    until two successive refinements agree to tol at the shared nodes."""
+    until two successive refinements agree to tol at the shared nodes.
+
+    Returns the values at the grid nodes or, with ``fine=True``, the tuple
+    (fine_grid, values on it, stride) with the grid nodes at ``::stride``.
+    Raises ValueError if max_doublings refinements do not reach tol.
+    """
     factor = 1 if grid.N % 2 == 0 else 2
     g = grid if factor == 1 else grid.refined(2)
     vals = quadrature(fn(g.points()), g)
@@ -215,5 +221,5 @@ def cumulative_integral_refined(
         done = bool(np.max(np.abs(vals2[::2] - vals)) < tol)
         g, vals, factor = g2, vals2, factor * 2
         if done:
-            return vals[::factor]
-    raise RuntimeError(f"cumulative quadrature did not reach tol={tol}")
+            return (g, vals, factor) if fine else vals[::factor]
+    raise ValueError(f"cumulative quadrature did not reach tol={tol}")

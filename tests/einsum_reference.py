@@ -6,6 +6,8 @@ This is the evaluation of ``f13.frame_equations`` written with
 the same equations with fixed-index kernels; tests compare the two.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from f13.core import EPS
@@ -327,6 +329,17 @@ def _bianchi_arr(ja):
     return res_mu, res_q, res_E, res_H, div_E, div_H
 
 
+def _batch_first(ja):
+    """The arrays of a component-major ``JetArrays`` with the batch axes moved
+    first, the layout the einsum evaluators index."""
+    k = len(ja.shape)
+    return SimpleNamespace(**{
+        name: np.moveaxis(arr, range(arr.ndim - k, arr.ndim), range(k))
+        for name, arr in vars(ja).items() if isinstance(arr, np.ndarray)
+    })
+
+
 def report_arrays(ja):
     """The 15 residual arrays, in ``ResidualReport`` field order."""
+    ja = _batch_first(ja)
     return _efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja)

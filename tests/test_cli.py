@@ -592,3 +592,67 @@ def test_residual_nan_cell_is_config_error(tmp_path, capsys):
         fh.write("z,p,mu\n" + "".join(f"{0.1 * i},0.5\n" for i in range(6)))
     assert main(["residual", "--table", str(tmp_path / "short.csv")]) == 2
     assert "header has 3" in capsys.readouterr().err
+
+
+def test_verify_a1_non_finite_constant_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "nan.cfg", VERIFY_A1.format(A="nan", extra=""))
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad value for constants.A: not a finite number")
+
+
+def test_verify_a1_overflowing_residual_fails_without_traceback(tmp_path, capsys):
+    cfg = write(tmp_path / "huge.cfg",
+                VERIFY_A1.format(A="1e308", extra="").replace("B = 1.0", "B = 1e308"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        assert main(["verify", "--config", cfg]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("note: non-finite residual entry ")
+    assert lines[-1] == "RESULT fail max_residual=inf"
+
+
+def test_residual_overflowing_cell_fails_without_traceback(tmp_path, capsys):
+    rows = ["z,p,mu"] + [f"{0.1 * i},{'1e308' if i == 3 else '0.5'},1.5" for i in range(8)]
+    table = write(tmp_path / "huge.csv", "\n".join(rows) + "\n")
+    notes = {"general": "note: non-finite residual in block ",
+             "special": "note: non-finite residual entry ",
+             "futurework": "note: non-finite residual entry "}
+    for system, note in notes.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["residual", "--table", table, "--system", system]) == 4, system
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith(note), system
+        assert lines[-1] == "RESULT fail max_residual=inf", system
+
+
+def test_solve_branch2_infinite_constant_is_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "b2.cfg", f"""\
+[scenario]
+case = a2-branch2
+output = {tmp_path / 'b2.csv'}
+
+[frame]
+F = 1.0
+
+[grid]
+z0 = 0.0
+z1 = 0.5
+N = 100
+
+[constants]
+D = inf
+""")
+    assert main(["solve", "--config", cfg]) == 2
+    assert "constants.D: not a finite number: 'inf'" in capsys.readouterr().err
+    assert not (tmp_path / "b2.csv").exists()
+
+
+def test_solve_a1_nan_initial_value_is_config_error(tmp_path, capsys):
+    out = tmp_path / "nan.csv"
+    cfg = write(tmp_path / "nan.cfg",
+                A1_SOLVE.format(out=out).replace("sigma11 = 0.1", "sigma11 = nan"))
+    assert main(["solve", "--config", cfg]) == 2
+    assert "initial.sigma11: not a finite number: 'nan'" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,7 @@
 """Conformally flat specialization: reduced systems, ODE cases, closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -387,6 +389,67 @@ def test_a2_trajectory_embedding_zeroes_all_systems():
     assert cf.bianchi_special_residuals(jet).max_abs() < 1e-12
     assert cf.ricci_einstein_residuals(jet).max_abs() < 1e-12
     assert residual_report(cf.embed_special(jet)).max_residual() < 1e-12
+
+
+def stacked_embedding(jet):
+    """The embedding as batch-first arrays built by stacking broadcast
+    components, the way ``embed_special`` built it before ``JetArrays``
+    became component-major."""
+    fields = [getattr(jet.value, f.name) for f in dataclasses.fields(cf.SpecialState)]
+    shape = np.broadcast_shapes(*(np.shape(np.asarray(x)) for x in fields))
+
+    def b(x):
+        return np.broadcast_to(np.asarray(x, dtype=float), shape)
+
+    def sym(m11, m22, m33, m12, m13, m23):
+        rows = ((m11, m12, m13), (m12, m22, m23), (m13, m23, m33))
+        return np.stack([np.stack([b(x) for x in r], axis=-1) for r in rows], axis=-2)
+
+    def values(st):
+        out = {"mu": b(3.0 * np.asarray(st.p)), "p": b(st.p), "Theta": b(st.Theta)}
+        for name in ("udot", "omega", "Omega", "a"):
+            out[name] = np.stack([b(getattr(st, f"{name}{i}")) for i in (1, 2, 3)], axis=-1)
+        out["pi"] = sym(st.pi11, st.pi11, -2.0 * np.asarray(st.pi11), 0.0, 0.0, 0.0)
+        out["sigma"] = sym(st.sigma11, st.sigma22, st.sigma33,
+                           st.sigma12, st.sigma13, st.sigma23)
+        out["n"] = sym(st.n11, st.n22, st.n33, st.n12, st.n13, st.n23)
+        return out
+
+    ref = values(jet.value)
+    derivs = [values(st) for st in jet.deriv]
+    for name in list(ref):
+        ref["d" + name] = np.stack([d[name] for d in derivs], axis=len(shape))
+    return ref
+
+
+def test_embed_special_matches_stacked_batch_first_embedding():
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=0.5)
+    grid, _ = form.clip_grid(Grid(0.0, 1.0, 3001))
+    F = cf.ScaleFactor.from_table(np.linspace(0.0, 1.0, 11),
+                                  1.0 + 0.1 * np.sin(np.linspace(0.0, 3.0, 11)))
+    jets = [
+        form.jet(grid)[0],
+        cf.branch_jet(cf.shearless_branch_fields(F, 1.0, 1.0, Grid(0.0, 0.4, 400)), 1),
+        cf.branch_jet(cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401)), 2),
+        cf.a2_trajectory_jet(0.0, 0.3, -0.2, 0.7, 0.1),  # a single jet
+    ]
+    # every entry set, off-diagonal shear and commutation entries included
+    rng = np.random.default_rng(5)
+    names = [f.name for f in dataclasses.fields(cf.SpecialState)]
+    states = [cf.SpecialState(**{k: rng.uniform(-1.0, 1.0, 50) for k in names})
+              for _ in range(5)]
+    jets.append(cf.SpecialJet(np.zeros(50), states[0], tuple(states[1:])))
+    for jet in jets:
+        ja = cf.embed_special(jet)
+        ref = stacked_embedding(jet)
+        k = len(ja.shape)
+        for name, arr in vars(ja).items():
+            if isinstance(arr, np.ndarray):
+                batch_first = np.moveaxis(arr, range(arr.ndim - k, arr.ndim), range(k))
+                # q, E, H and Lambda stay zero
+                expected = ref.get(name, np.zeros(batch_first.shape))
+                assert np.array_equal(batch_first, expected), (ja.shape, name)
+                assert np.array_equal(np.signbit(batch_first), np.signbit(expected)), name
 
 
 def test_perturbed_a3_breaks_residuals():

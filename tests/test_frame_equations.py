@@ -302,7 +302,7 @@ def test_take_returns_views_of_a_point_range():
     for name, arr in vars(ja).items():
         if isinstance(arr, np.ndarray):
             part = getattr(sub, name)
-            assert np.shares_memory(part, arr) and np.array_equal(part, arr[3:7]), name
+            assert np.shares_memory(part, arr) and np.array_equal(part, arr[..., 3:7]), name
     assert ja.take(8, 20).shape == (2,)
 
 
