@@ -20,6 +20,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -192,9 +193,14 @@ def _build_frame(values: dict, grid: Grid) -> cf.ScaleFactor:
             raise ConfigError("frame.F must be positive")
         return cf.ScaleFactor.constant(F)
     try:
-        data = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a table without data rows: reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read frame table {table!r}: {exc}") from None
+    if data.shape[0] < 2:
+        raise ConfigError(f"frame table needs at least two rows: {table}")
     if data.shape[1] != 2:
         raise ConfigError("frame table must have two columns: z, F")
     try:
@@ -311,10 +317,8 @@ def run_solve(config_path: str) -> int:
             raise ConfigError(str(exc)) from None
         zs = grid.points()[: states.shape[0]]
         s11, a3, Om3 = states[:, 0], states[:, 1], states[:, 2]
-        # the last rows of a pole's partial trajectory overflow to inf/nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            pi11, p, udot3 = cf.case_a1_closure(s11, a3)
-            first = cf.case_a1_first_integral(s11, a3)
+        pi11, p, udot3 = cf.case_a1_closure(s11, a3)
+        first = cf.case_a1_first_integral(s11, a3)
         Fv = np.asarray(frame(zs), dtype=float)
         header = ["z", "sigma11", "a3", "Omega3", "F", "pi11", "p", "udot3",
                   "firstintegral_A"]
@@ -586,21 +590,25 @@ _SCALAR_COLS = {"mu": "mu", "p": "p", "Lambda": "Lam", "Theta": "Theta"}
 def _read_table(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            lines = [line for line in fh if line.strip("\r\n")]  # blank lines hold no row
     except OSError as exc:
         raise ConfigError(f"cannot read table {path!r}: {exc}") from None
-    if len(rows) < 2:
+    if len(lines) < 2:
         raise ConfigError("table needs a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
     if header[0] not in ("z", "t"):
         raise ConfigError("first table column must be named z or t")
     known = set(_SCALAR_COLS) | set(_VEC_COLS) | set(_TF_COLS) | set(_N_COLS) | {"F"}
     unknown = [h for h in header[1:] if h not in known]
     if unknown:
         raise ConfigError(f"unknown table columns: {', '.join(unknown)}")
+    body = lines[1:]
     try:
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
+        data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None, quotechar='"')
     except ValueError as exc:
+        cells = next((len(row) for row in csv.reader(body) if len(row) != len(header)), None)
+        if cells is not None:
+            raise ConfigError(f"table rows have {cells} cells, header has {len(header)}") from None
         raise ConfigError(f"non-numeric table entry: {exc}") from None
     if data.shape[1] != len(header):
         raise ConfigError(f"table rows have {data.shape[1]} cells, header has {len(header)}")
@@ -802,13 +810,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            return run_solve(args.config)
-        if args.command == "verify":
-            return run_verify(args.config)
-        if args.command == "spinor":
-            return run_spinor(args.state)
-        return run_residual(args.table, args.system, args.out, args.tol)
+        # overflowing input gives inf/nan, which NonFiniteResidual, PoleError
+        # and the partial pole CSV report; numpy need not warn about it too
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "solve":
+                return run_solve(args.config)
+            if args.command == "verify":
+                return run_verify(args.config)
+            if args.command == "spinor":
+                return run_spinor(args.state)
+            return run_residual(args.table, args.system, args.out, args.tol)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

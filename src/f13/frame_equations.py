@@ -23,6 +23,24 @@ evaluates a batch in consecutive blocks of ``BLOCK_POINTS`` points
 residual is pointwise, so neither changes the report.  The report's
 arrays are batch-first: S + components.
 
+Structural zeros.  On the conformally flat elastic jets large parts of the
+state vanish identically (E = H = q = 0, n = omega = 0 on the ODE cases,
+and a jet built on a z-grid has only e_3 derivatives), so many terms of
+the general system are products with a factor that is zero everywhere.
+``residual_report`` replaces every jet array with no nonzero entry by the
+sentinel ``ZERO`` on a shallow copy of the jet, once per sweep, and the
+kernels drop every term with a ``ZERO`` factor: ``x + ZERO`` is ``x``, and
+a product, quotient, power, index or transpose of ``ZERO`` is ``ZERO``.
+Adding or subtracting a zero changes no nonzero float, so skipping can
+differ from the dense evaluation in two ways only: the sign of a zero
+result (a result that is ``ZERO`` throughout is written as +0.0), and a
+0 * inf = nan that is no longer formed.  So that a non-finite input still
+fails the report, a jet with a non-finite entry is evaluated dense; what
+is left is a product of finite fields that overflows inside a term with a
+``ZERO`` factor, which the dense evaluation turns into nan and skipping
+drops with the term.  No kernel writes into its operands, since
+``x + ZERO`` returns ``x`` itself.
+
 Residual norms are max-abs: a single violated component must not be
 averaged away.
 """
@@ -63,6 +81,7 @@ __all__ = [
     "jacobi_residuals",
     "bianchi_residuals",
     "residual_report",
+    "ZERO",
     "commutator_structure",
     "commutator_residual",
 ]
@@ -131,12 +150,14 @@ class JetArrays:
         return ja
 
     def take(self, lo: int, hi: int) -> "JetArrays":
-        """Points lo:hi along the last batch axis; the arrays are views."""
+        """Points lo:hi along the last batch axis; the arrays are views and
+        ``ZERO`` fields stay ``ZERO``."""
         sub = copy.copy(self)
         for name, arr in vars(self).items():
             if isinstance(arr, np.ndarray):
                 setattr(sub, name, arr[..., lo:hi])
-        sub.shape = sub.mu.shape
+        # the batch shape of arr[..., lo:hi]; any field, mu too, may be ZERO
+        sub.shape = self.shape[:-1] + (len(range(self.shape[-1])[lo:hi]),)
         return sub
 
 
@@ -148,12 +169,65 @@ def _as_arrays(jet) -> JetArrays:
     raise TypeError(f"expected StateJet or JetArrays, got {type(jet).__name__}")
 
 
-def _batch_first(arrays, k: int) -> tuple:
-    """Component-major kernel outputs back in the batch-first layout."""
-    return tuple(
-        x.transpose(tuple(range(x.ndim - k, x.ndim)) + tuple(range(x.ndim - k)))
-        for x in arrays
-    )
+class _StructuralZero:
+    """A jet array, or a term, that is zero at every point and component.
+
+    ndarray operators defer to it (``__array_ufunc__ = None``), so the
+    kernels below drop every term it enters: sums return the other operand
+    itself, and products, quotients, powers, indexing and transposes return
+    ``ZERO``.  ``x / ZERO`` and ufunc calls on it raise TypeError.
+    """
+
+    __array_ufunc__ = None
+    __slots__ = ()
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __truediv__ = __pow__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __getitem__(self, index):
+        return self
+
+    def swapaxes(self, axis1, axis2):
+        return self
+
+    def __repr__(self):
+        return "ZERO"
+
+
+ZERO = _StructuralZero()
+
+
+def _with_structural_zeros(ja: JetArrays) -> JetArrays:
+    """A shallow copy of ``ja`` with each array that has no nonzero entry
+    replaced by ``ZERO``.  ``ja`` itself if no array is zero, or if one has
+    a non-finite entry, whose 0 * inf = nan terms must still be formed."""
+    arrays = {name: arr for name, arr in vars(ja).items() if isinstance(arr, np.ndarray)}
+    # a field with a nonzero entry nearly always has one among its first
+    # points; testing those first spares the full scan of such arrays
+    head = ja.take(0, 16) if ja.shape else ja
+    zero = [name for name, arr in arrays.items()
+            if not (getattr(head, name).any() or arr.any())]
+    # an overflowing sum of finite entries also takes the dense path
+    if not zero or not all(np.isfinite(arr.sum()) for name, arr in arrays.items()
+                           if name not in zero):
+        return ja
+    sub = copy.copy(ja)
+    for name in zero:
+        setattr(sub, name, ZERO)
+    return sub
 
 
 # Contraction kernels on component-major arrays (component axes first, batch
@@ -173,7 +247,7 @@ def _sym(T):
 
 def _iso(s):
     """s delta_ab."""
-    return np.multiply.outer(ID3, s)
+    return ZERO if s is ZERO else np.multiply.outer(ID3, s)
 
 
 def _outer(u, v):
@@ -235,6 +309,8 @@ def _div(D):
 
 def _eps_vec(M):
     """eps_abc M_bc: each component is M_bc - M_cb for its cyclic (a, b, c)."""
+    if M is ZERO:
+        return ZERO
     out = np.empty(M.shape[1:])
     for a, b, c in _EPS_POS:
         np.subtract(M[b, c], M[c, b], out=out[a, ...])
@@ -243,6 +319,8 @@ def _eps_vec(M):
 
 def _eps_sym(inner):
     """Sym over (a, b) of eps_gda inner[g, b, d]."""
+    if inner is ZERO:
+        return ZERO
     T = np.empty(inner.shape[1:])
     for g, d, a in _EPS_POS:
         np.subtract(inner[g, :, d], inner[d, :, g], out=T[a])
@@ -632,22 +710,23 @@ class ResidualReport:
     div_E: np.ndarray
     div_H: np.ndarray
 
-    BLOCK_LABELS = {
-        "e0_theta": "field1",
-        "e0_sigma": "field2",
-        "gauss": "field3",
-        "codazzi": "field4",
-        "e0_a": "jacobi1",
-        "e0_n": "jacobi2",
-        "e0_omega": "jacobi3",
-        "jacobi4": "jacobi4",
-        "jacobi5": "jacobi5",
-        "e0_mu": "bianchi1",
-        "e0_q": "bianchi2",
-        "e0_E_pi": "bianchi3",
-        "e0_H": "bianchi4",
-        "div_E": "bianchi5",
-        "div_H": "divH",
+    # report field: (block label, component shape)
+    BLOCKS = {
+        "e0_theta": ("field1", ()),
+        "e0_sigma": ("field2", (3, 3)),
+        "gauss": ("field3", ()),
+        "codazzi": ("field4", (3,)),
+        "e0_a": ("jacobi1", (3,)),
+        "e0_n": ("jacobi2", (3, 3)),
+        "e0_omega": ("jacobi3", (3,)),
+        "jacobi4": ("jacobi4", (3,)),
+        "jacobi5": ("jacobi5", ()),
+        "e0_mu": ("bianchi1", ()),
+        "e0_q": ("bianchi2", (3,)),
+        "e0_E_pi": ("bianchi3", (3, 3)),
+        "e0_H": ("bianchi4", (3, 3)),
+        "div_E": ("bianchi5", (3,)),
+        "div_H": ("divH", (3,)),
     }
 
     def __post_init__(self):
@@ -659,7 +738,7 @@ class ResidualReport:
 
     def blocks(self):
         for f in dataclass_fields(self):
-            yield self.BLOCK_LABELS[f.name], getattr(self, f.name)
+            yield self.BLOCKS[f.name][0], getattr(self, f.name)
 
     def block_norms(self) -> dict[str, float]:
         return {label: float(np.max(np.abs(arr))) for label, arr in self.blocks()}
@@ -684,7 +763,7 @@ BLOCK_POINTS = 2048
 
 
 def _report_arrays(ja: JetArrays) -> tuple:
-    return _batch_first(_efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja), len(ja.shape))
+    return _efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja)
 
 
 def _pool_size(workers: int, blocks: int, cpus: int | None) -> int:
@@ -699,32 +778,38 @@ def residual_report(jet, workers: int = 1) -> ResidualReport:
     BLOCK_POINTS points (``JetArrays.take`` views), serially or on up to
     ``workers`` threads; other batch shapes are evaluated in one piece.
     Every residual is pointwise, so the report is the same for any block
-    size and any ``workers``.
+    size and any ``workers``.  Fields that are zero throughout are skipped
+    (see the module docstring); ``jet`` itself is left as it is.
     """
-    ja = _as_arrays(jet)
+    ja = _with_structural_zeros(_as_arrays(jet))
     n = ja.shape[0] if len(ja.shape) == 1 else 0
     if n <= BLOCK_POINTS:
-        return ResidualReport(*_report_arrays(ja))
+        return _gather(ja.shape, [(..., _report_arrays(ja))])
     starts = range(0, n, BLOCK_POINTS)
+    errors = np.geterr()  # pool threads start from numpy's default error state
 
     def block(lo):
-        return _report_arrays(ja.take(lo, lo + BLOCK_POINTS))
+        hi = lo + BLOCK_POINTS
+        with np.errstate(**errors):
+            return slice(lo, hi), _report_arrays(ja.take(lo, hi))
 
     threads = _pool_size(workers, len(starts), os.cpu_count())
     if threads == 1:
-        return _gather(n, starts, map(block, starts))
+        return _gather(ja.shape, map(block, starts))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _gather(n, starts, pool.map(block, starts))
+        return _gather(ja.shape, pool.map(block, starts))
 
 
-def _gather(n: int, starts, results) -> ResidualReport:
-    """Write the block results, in point order, into whole-batch arrays."""
-    out = None
-    for lo, arrays in zip(starts, results):
-        if out is None:
-            out = [np.empty((n,) + x.shape[1:]) for x in arrays]
+def _gather(shape: tuple, pieces) -> ResidualReport:
+    """Write the component-major kernel results of each (batch index,
+    results) piece into batch-first arrays of batch shape ``shape``; a
+    ``ZERO`` result leaves the zeros the array starts with."""
+    out = [np.zeros(shape + comp) for _, comp in ResidualReport.BLOCKS.values()]
+    k = len(shape)
+    for index, arrays in pieces:
         for dst, src in zip(out, arrays):
-            dst[lo:lo + len(src)] = src
+            if src is not ZERO:
+                dst[index] = np.moveaxis(src, range(-k, 0), range(k))
     return ResidualReport(*out)
 
 

@@ -4,8 +4,9 @@ import csv
 import warnings
 
 import numpy as np
+import pytest
 
-from f13.cli import _fmt, _write_csv, main
+from f13.cli import _fmt, _read_table, _write_csv, main
 
 A1_SOLVE = """\
 [scenario]
@@ -578,6 +579,62 @@ N = 200
     assert "strictly increasing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", [[], [(0.0, 1.0)]], ids=["header-only", "one-row"])
+def test_frame_table_with_fewer_than_two_rows_is_config_error(tmp_path, capsys, rows):
+    table = frame_table(tmp_path / "short.csv", rows)
+    cfg = write(tmp_path / "b2.cfg", f"""\
+[scenario]
+case = a2-branch2
+output = {tmp_path / 'b2.csv'}
+
+[frame]
+F_table = {table}
+
+[grid]
+z0 = 0.0
+z1 = 0.5
+N = 100
+
+[constants]
+D = -1.0
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: frame table needs at least two rows: {table}\n"
+
+
+def test_read_table_matches_per_cell_float_parse(tmp_path):
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-300, 300, (40, 4))
+    values[:, 0] = np.arange(40) * 0.125
+    values[3, 2] = -0.0
+    lines = ["z, p,mu ,Theta"] + [",".join(repr(float(x)) for x in row) for row in values]
+    lines.insert(7, "")  # blank rows are skipped
+    lines[9] = lines[9].replace(",", " , ")
+    path = write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+    coord, grid, cols = _read_table(path)
+    assert coord == "z" and grid.N == 39 and list(cols) == ["z", "p", "mu", "Theta"]
+    with open(path, encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    expected = np.array([[float(x) for x in row] for row in rows[1:]])
+    data = np.stack(list(cols.values()), axis=1)
+    assert np.array_equal(data, expected) and data.tobytes() == expected.tobytes()
+
+
+def test_residual_table_errors_name_the_row_width_or_the_entry(tmp_path, capsys):
+    good = [f"{0.1 * i},0.5,1.5" for i in range(6)]
+    ragged = write(tmp_path / "ragged.csv", "\n".join(["z,p,mu"] + good[:3] + ["0.3,0.5"]
+                                                       + good[4:]) + "\n")
+    assert main(["residual", "--table", ragged]) == 2
+    assert capsys.readouterr().err == "config error: table rows have 2 cells, header has 3\n"
+    bad = write(tmp_path / "bad.csv", "\n".join(["z,p,mu"] + good[:2] + ["0.2,abc,1.5"]
+                                                 + good[3:]) + "\n")
+    assert main(["residual", "--table", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: non-numeric table entry: ") and "abc" in err
+
+
 def test_residual_nan_cell_is_config_error(tmp_path, capsys):
     with open(tmp_path / "nan.csv", "w", newline="\n", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -605,11 +662,13 @@ def test_verify_a1_overflowing_residual_fails_without_traceback(tmp_path, capsys
     cfg = write(tmp_path / "huge.cfg",
                 VERIFY_A1.format(A="1e308", extra="").replace("B = 1.0", "B = 1e308"))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        warnings.simplefilter("error")  # the note reports the overflow, numpy does not warn
         assert main(["verify", "--config", cfg]) == 4
-    lines = capsys.readouterr().out.splitlines()
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
     assert lines[-2].startswith("note: non-finite residual entry ")
     assert lines[-1] == "RESULT fail max_residual=inf"
+    assert err == ""
 
 
 def test_residual_overflowing_cell_fails_without_traceback(tmp_path, capsys):
@@ -620,11 +679,13 @@ def test_residual_overflowing_cell_fails_without_traceback(tmp_path, capsys):
              "futurework": "note: non-finite residual entry "}
     for system, note in notes.items():
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert main(["residual", "--table", table, "--system", system]) == 4, system
-        lines = capsys.readouterr().out.splitlines()
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
         assert lines[-2].startswith(note), system
         assert lines[-1] == "RESULT fail max_residual=inf", system
+        assert err == "", system
 
 
 def test_solve_branch2_infinite_constant_is_config_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import warnings
 
 import einsum_reference
 import numpy as np
@@ -17,7 +18,9 @@ from f13.core import (
     ThreeVector,
 )
 from f13.frame_equations import (
+    ZERO,
     JetArrays,
+    NonFiniteResidual,
     ResidualReport,
     b_tensor,
     bianchi_residuals,
@@ -30,7 +33,7 @@ from f13.frame_equations import (
     _pool_size,
     residual_report,
 )
-from f13.numerics import Grid
+from f13.numerics import Grid, rk4_integrate
 from f13.providers import AnalyticLineProvider, FieldLine
 
 
@@ -275,16 +278,22 @@ def test_kernels_bit_identical_on_closed_form_a1_jets():
 
 def test_report_independent_of_blocks_and_workers(monkeypatch):
     n = 2 * fe.BLOCK_POINTS + fe.BLOCK_POINTS // 2 + 1
-    ja = random_jet_arrays(np.random.default_rng(3), n)
     # at least three CPUs, so workers=2 and 3 really run a pool
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    reports = [residual_report(ja, workers=w) for w in (1, 2, 3)]
-    monkeypatch.setattr(fe, "BLOCK_POINTS", n)
-    reports.append(residual_report(ja))
-    for rep in reports[1:]:
-        for name in REPORT_FIELDS:
-            assert np.array_equal(getattr(rep, name), getattr(reports[0], name)), name
-    assert reports[0].e0_sigma.shape == (n, 3, 3)
+    block_points = fe.BLOCK_POINTS
+    for zeroed in ((), ("q", "omega", "n", "E", "H", "dq", "dn", "dE")):
+        ja = random_jet_arrays(np.random.default_rng(3), n)
+        for name in zeroed:
+            getattr(ja, name)[...] = 0.0
+        monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
+        reports = [residual_report(ja, workers=w) for w in (1, 2, 3)]
+        monkeypatch.setattr(fe, "BLOCK_POINTS", n)
+        reports.append(residual_report(ja))
+        for rep in reports[1:]:
+            for name in REPORT_FIELDS:
+                # the same bytes, signed zeros included
+                assert getattr(rep, name).tobytes() == getattr(reports[0], name).tobytes(), name
+        assert reports[0].e0_sigma.shape == (n, 3, 3)
 
 
 def test_pool_size_caps_threads_at_blocks_and_cpus():
@@ -304,6 +313,127 @@ def test_take_returns_views_of_a_point_range():
             part = getattr(sub, name)
             assert np.shares_memory(part, arr) and np.array_equal(part, arr[..., 3:7]), name
     assert ja.take(8, 20).shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# structural zeros
+# ---------------------------------------------------------------------------
+
+JET_FIELDS = [name for name, arr in vars(JetArrays((1,))).items()
+              if isinstance(arr, np.ndarray)]
+
+
+def test_structural_zero_algebra():
+    x = np.arange(1.0, 4.0)
+    assert x + ZERO is x and ZERO + x is x and x - ZERO is x
+    assert np.array_equal(ZERO - x, -x)
+    assert 2.5 + ZERO == 2.5 and np.float64(2.5) - ZERO == 2.5
+    for term in (ZERO * x, x * ZERO, 2.0 * ZERO, ZERO / 3.0, ZERO**2, -ZERO,
+                 ZERO[1:], ZERO[:, None], ZERO.swapaxes(0, 1), ZERO + ZERO, ZERO - ZERO):
+        assert term is ZERO
+    M = np.arange(9.0).reshape(3, 3)
+    for kernel in (fe._iso, fe._eps_vec, fe._eps_sym, fe._tr, fe._sym):
+        assert kernel(ZERO) is ZERO, kernel.__name__
+    assert fe._mm(ZERO, M) is ZERO and fe._mm(M, ZERO) is ZERO
+    assert fe._ddot(M, ZERO) is ZERO and fe._outer(ZERO, x) is ZERO
+    with pytest.raises(TypeError):
+        x / ZERO
+
+
+def test_skipping_zeros_matches_einsum_on_conformally_flat_jets():
+    """Bit-identical up to the sign of a zero, with 11 (a1), 15 (branch 1
+    and a2) and 21 (branch 2) of the 27 arrays zero."""
+    F = cf.ScaleFactor.from_table(np.linspace(0.0, 1.0, 11),
+                                  1.0 + 0.1 * np.sin(np.linspace(0.0, 3.0, 11)))
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=0.5)
+    grid, _ = form.clip_grid(Grid(0.0, 1.0, 3001))
+    grid2 = Grid(0.0, 0.5, 2500)
+    a1 = rk4_integrate(cf.case_a1_rhs, [0.1, 1.0, 1.0], grid2, F).states
+    a2 = rk4_integrate(cf.case_a2_rhs, [0.2, -0.3, 0.4, 1.0], grid2, F).states
+    jets = {
+        "a1 closed form": form.jet(grid)[0],
+        "branch 1": cf.branch_jet(cf.shearless_branch_fields(F, 1.0, 1.0, Grid(0.0, 0.4, 400)), 1),
+        "branch 2": cf.branch_jet(cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401)), 2),
+        "a1 rk4": cf.a1_trajectory_jet(grid2.points(), *a1.T),
+        "a2 rk4": cf.a2_trajectory_jet(grid2.points(), *a2.T),
+    }
+    for tag, jet in jets.items():
+        ja = cf.embed_special(jet)
+        zero = {name for name, arr in vars(fe._with_structural_zeros(ja)).items() if arr is ZERO}
+        assert len(zero) >= 11, tag
+        for name, new, ref in report_pairs(ja):
+            assert np.array_equal(new, ref), (tag, name)
+        # the caller's jet keeps its arrays
+        assert all(isinstance(getattr(ja, name), np.ndarray) for name in JET_FIELDS), tag
+
+
+def test_skipping_zeros_matches_dense_kernels_on_random_jets():
+    """Random jets with a random subset of their arrays zero.  The einsum
+    form rounds their double contractions differently from the fixed-index
+    kernels (see test_kernels_match_einsum_on_random_jets), so the dense
+    evaluation of the same kernels is the reference here."""
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        ja = random_jet_arrays(rng, 300)
+        for name in rng.choice(JET_FIELDS, rng.integers(1, len(JET_FIELDS) + 1), replace=False):
+            getattr(ja, name)[...] = 0.0
+        rep = residual_report(ja)
+        dense = fe._report_arrays(ja)
+        for name, ref in zip(REPORT_FIELDS, dense):
+            assert np.array_equal(getattr(rep, name), np.moveaxis(ref, -1, 0)), (trial, name)
+        for name, new, ref in report_pairs(ja):
+            assert np.max(np.abs(new - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), name
+
+
+def test_take_keeps_structural_zeros():
+    ja = random_jet_arrays(np.random.default_rng(4), 10)
+    ja.mu[...] = 0.0
+    sub = fe._with_structural_zeros(ja).take(3, 7)
+    assert sub.mu is ZERO and sub.shape == (4,)
+    assert isinstance(ja.mu, np.ndarray)
+
+
+@pytest.mark.parametrize("case", ["a1", "branch 2"])
+def test_non_finite_entry_raises_with_zero_fields(case):
+    """An inf in any one of the 27 arrays still fails the report, although
+    the jet has fields that are zero throughout (0 * inf is nan)."""
+    if case == "a1":
+        form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+        jet = form.jet(Grid(0.0, 0.5, 60))[0]
+    else:
+        jet = cf.branch_jet(cf.a2_branch2_fields(cf.ScaleFactor.constant(1.0), 1.0, 0.5,
+                                                 Grid(0.0, 0.6, 60)), 2)
+    rng = np.random.default_rng(9)
+    for name in JET_FIELDS:
+        ja = cf.embed_special(jet)
+        arr = getattr(ja, name)
+        arr[np.unravel_index(rng.integers(arr.size), arr.shape)] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteResidual):
+                residual_report(ja)
+
+
+def test_non_finite_entry_times_zero_fields_only_still_raises():
+    """Omega enters every equation multiplied by another field; with all
+    of those zero, only the dense evaluation forms its 0 * inf = nan."""
+    ja = JetArrays((5,))
+    ja.Omega[0, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteResidual):
+            residual_report(ja)
+
+
+def test_pool_threads_keep_the_callers_numpy_error_state(monkeypatch):
+    n = 3 * fe.BLOCK_POINTS
+    ja = random_jet_arrays(np.random.default_rng(8), n)
+    ja.p[n - 5] = 1e308  # overflows in a pool thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteResidual):
+                residual_report(ja, workers=3)
+    assert not caught, [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------
