@@ -1,6 +1,8 @@
 """Command-line contract tests: config validation, exit codes, CSV output."""
 
 import csv
+import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -717,3 +719,104 @@ def test_solve_a1_nan_initial_value_is_config_error(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 2
     assert "initial.sigma11: not a finite number: 'nan'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# characterization: exit code, CSV bytes and RESULT line of every case
+# ---------------------------------------------------------------------------
+
+
+def config_text(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+def grid(z1, N, z0=0.0):
+    return {"z0": z0, "z1": z1, "N": N}
+
+
+CHARACTERIZED = {
+    # (command, sections, exit code, CSV sha256 or None, RESULT line)
+    "solve-a1-A": ("solve", {
+        "scenario": {"case": "a1", "full_check": "true"}, "frame": {"F": 1.0},
+        "grid": grid(1.0, 200), "initial": {"sigma11": 0.1, "Omega3": 1.0},
+        "constants": {"A": 1.0, "sign": -1}},
+        0, "55911ccd8cbeb2ee9bdb14c392c7649bcf054e41e475972b9799f3edeaab10ce",
+        "RESULT pass max_residual=3.624078814823406e-11"),
+    "solve-a1-a3": ("solve", {
+        "scenario": {"case": "a1"}, "frame": {"F_table": "{table}"},
+        "grid": grid(1.0, 160), "initial": {"sigma11": 0.2, "a3": 0.4, "Omega3": -0.5},
+        "tolerances": {"residual_tol": 1e-7}},
+        0, "65371590c10324f12a6dabb9945fb3c3385e388434e7f8a14bae2b2d597c5c3a",
+        "RESULT pass max_residual=3.4225101530616087e-08"),
+    "solve-a1-shearless": ("solve", {
+        "scenario": {"case": "a1-shearless", "full_check": "true"}, "frame": {"F": 1.0},
+        "grid": grid(0.4, 120), "constants": {"C": 1.0, "B": 1.0}},
+        0, "c82d908fb91b43e2d3d241b66fdeaf2836f3c684f37b2f17621cc7fe0f2b238f",
+        "RESULT pass max_residual=5.1159076974727213e-13"),
+    "solve-a2": ("solve", {
+        "scenario": {"case": "a2", "full_check": "true"}, "frame": {"F": 1.0},
+        "grid": grid(0.5, 200),
+        "initial": {"p": 0.1, "udot3": -0.3, "a3": 0.5, "Omega3": 0.7},
+        "tolerances": {"residual_tol": 1e-7}},
+        0, "f60de1cd4961f3ebdd785cd99a25b34f60116e4dfe8af66f2f39e006afe90ca4",
+        "RESULT pass max_residual=9.854109750406792e-09"),
+    "solve-a2-branch1": ("solve", {
+        "scenario": {"case": "a2-branch1"}, "frame": {"F_table": "{table}"},
+        "grid": grid(0.3, 100), "constants": {"C": 1.0, "B": 0.5}},
+        0, "8a9e0099210ccd548e286cfda291a7aaa57c1ae4a68f32554c405accee217dad",
+        "RESULT pass max_residual=3.5527136788005009e-15"),
+    "solve-a2-branch2": ("solve", {
+        "scenario": {"case": "a2-branch2", "full_check": "true"}, "frame": {"F": 0.8},
+        "grid": grid(0.5, 100), "constants": {"D": 1.0, "B": 1.0}},
+        0, "ae8f506979f772080d7247d0951696f1bb96a75d216bb8a27c4e61437e744a61",
+        "RESULT pass max_residual=1.1368683772161603e-13"),
+    "solve-a1-pole": ("solve", {
+        "scenario": {"case": "a1"}, "frame": {"F": 1.0},
+        "grid": grid(1.0, 400), "initial": {"sigma11": 0.5, "Omega3": 1.0},
+        "constants": {"A": 1.0}},
+        3, "e28a8280809d09104106d351bd64b79f4009be75e8534b7ca8d031c7b9b332e6",
+        "RESULT fail max_residual=inf"),
+    "solve-a1-shearless-pole": ("solve", {
+        "scenario": {"case": "a1-shearless"}, "frame": {"F": 1.0},
+        "grid": grid(0.9, 90), "constants": {"C": 1.0}},
+        3, "fe79f3133b732a44679eebf008954b353bf54f477471f4a30bcf3cb375263985",
+        "RESULT pass max_residual=1.8189894035458565e-12"),
+    "verify-a1": ("verify", {
+        "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
+        "constants": {"A": 1.0, "B": 1.0, "sign": -1}},
+        0, None, "RESULT pass max_residual=5.1159076974727213e-12"),
+    "verify-a1-shearless": ("verify", {
+        "scenario": {"case": "a1-shearless"}, "frame": {"F_table": "{table}"},
+        "grid": grid(0.4, 120), "constants": {"C": 1.0, "B": 1.0}},
+        0, None, "RESULT pass max_residual=1.2789769243681803e-13"),
+    "verify-a2-branch1": ("verify", {
+        "scenario": {"case": "a2-branch1"}, "frame": {"F": 1.0},
+        "grid": grid(0.4, 120), "constants": {"C": 1.0}},
+        0, None, "RESULT pass max_residual=5.1159076974727213e-13"),
+    "verify-a2-branch2-perturbed": ("verify", {
+        "scenario": {"case": "a2-branch2"}, "frame": {"F": 1.0},
+        "grid": grid(0.5, 100), "constants": {"D": 1.0, "B": 0.5},
+        "perturb": {"a3": 1e-6}},
+        4, None, "RESULT fail max_residual=2.4000002994739589e-05"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTERIZED))
+def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
+    """Exit code, CSV sha256 and RESULT line of every solve and verify case."""
+    command, sections, code, digest, result = CHARACTERIZED[name]
+    table = frame_table(tmp_path / "F.csv", [(0.05 * i, 1.0 + 0.1 * math.sin(0.3 * i))
+                                            for i in range(21)])
+    out = tmp_path / "out.csv"
+    sections = {s: {k: str(v).format(table=table) for k, v in keys.items()}
+                for s, keys in sections.items()}
+    if command == "solve":
+        sections["scenario"]["output"] = str(out)
+    cfg = write(tmp_path / "c.cfg", config_text(sections))
+    assert main([command, "--config", cfg]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == result
+    if digest is not None:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
