@@ -21,6 +21,8 @@ import math
 import os
 import sys
 import warnings
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -41,8 +43,6 @@ EXIT_CONFIG = 2
 EXIT_POLE = 3
 EXIT_VERIFY_FAIL = 4
 
-SOLVE_CASES = ("a1", "a1-shearless", "a2", "a2-branch1", "a2-branch2")
-VERIFY_CASES = ("a1", "a1-shearless", "a2-branch1", "a2-branch2")
 RESIDUAL_SYSTEMS = ("general", "special", "futurework")
 
 
@@ -79,68 +79,22 @@ def _parse_sign(raw: str) -> int:
 
 
 # schema entry: (required, parser)
-def _grid_schema():
-    return {"z0": (True, _parse_float), "z1": (True, _parse_float), "N": (True, int)}
-
-
-def _tol_schema():
-    return {"residual_tol": (False, _parse_float), "conservation_tol": (False, _parse_float)}
-
-
-def _frame_schema():
-    # exactly one of F / F_table, enforced post-parse
-    return {"F": (False, _parse_float), "F_table": (False, str)}
-
-
-def _solve_schema(case: str) -> dict:
-    schema = {
+_GRID = {"z0": (True, _parse_float), "z1": (True, _parse_float), "N": (True, int)}
+_TOLERANCES = {"residual_tol": (False, _parse_float), "conservation_tol": (False, _parse_float)}
+# exactly one of F / F_table, enforced post-parse
+_FRAME = {"F": (False, _parse_float), "F_table": (False, str)}
+# the sections every case of a command takes
+_COMMON = {
+    "solve": {
         "scenario": {"case": (True, str), "output": (True, str),
                      "full_check": (False, _parse_bool)},
-        "frame": _frame_schema(),
-        "grid": _grid_schema(),
-        "tolerances": _tol_schema(),
-    }
-    if case == "a1":
-        schema["initial"] = {"sigma11": (True, _parse_float), "a3": (False, _parse_float),
-                             "Omega3": (True, _parse_float)}
-        schema["constants"] = {"A": (False, _parse_float), "sign": (False, _parse_sign)}
-    elif case == "a1-shearless":
-        schema["constants"] = {"C": (True, _parse_float), "B": (False, _parse_float)}
-    elif case == "a2":
-        schema["initial"] = {"p": (True, _parse_float), "udot3": (True, _parse_float),
-                             "a3": (True, _parse_float), "Omega3": (True, _parse_float)}
-    elif case == "a2-branch1":
-        schema["constants"] = {"C": (True, _parse_float), "B": (False, _parse_float)}
-    elif case == "a2-branch2":
-        schema["constants"] = {"D": (True, _parse_float), "B": (False, _parse_float)}
-    else:
-        raise ConfigError(
-            f"scenario.case must be one of {', '.join(SOLVE_CASES)} for solve, got {case!r}"
-        )
-    return schema
-
-
-def _verify_schema(case: str) -> dict:
-    schema = {
-        "scenario": {"case": (True, str), "profile": (False, str)},
-        "grid": _grid_schema(),
-        "tolerances": _tol_schema(),
-        "perturb": {"a3": (False, _parse_float)},
-    }
-    if case == "a1":
-        schema["constants"] = {"A": (True, _parse_float), "B": (True, _parse_float),
-                               "sign": (False, _parse_sign)}
-    elif case in ("a1-shearless", "a2-branch1"):
-        schema["constants"] = {"C": (True, _parse_float), "B": (False, _parse_float)}
-        schema["frame"] = _frame_schema()
-    elif case == "a2-branch2":
-        schema["constants"] = {"D": (True, _parse_float), "B": (False, _parse_float)}
-        schema["frame"] = _frame_schema()
-    else:
-        raise ConfigError(
-            f"scenario.case must be one of {', '.join(VERIFY_CASES)} for verify, got {case!r}"
-        )
-    return schema
+        "frame": _FRAME, "grid": _GRID, "tolerances": _TOLERANCES,
+    },
+    "verify": {
+        "scenario": {"case": (True, str)},
+        "grid": _GRID, "tolerances": _TOLERANCES, "perturb": {"a3": (False, _parse_float)},
+    },
+}
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
@@ -181,6 +135,20 @@ def _validate(parser: configparser.ConfigParser, schema: dict) -> dict:
     if problems:
         raise ConfigError("; ".join(problems))
     return values
+
+
+def _read_case(config_path: str, command: str, cases: dict) -> tuple[str, dict]:
+    """The config's scenario.case, and its values validated against the
+    command's common sections plus those of the case."""
+    parser = _read_config(config_path)
+    case = parser.get("scenario", "case", fallback=None)
+    if case is None:
+        raise ConfigError("missing required key scenario.case")
+    if case not in cases:
+        raise ConfigError(
+            f"scenario.case must be one of {', '.join(cases)} for {command}, got {case!r}"
+        )
+    return case, _validate(parser, {**_COMMON[command], **cases[case].sections})
 
 
 def _build_frame(values: dict, grid: Grid) -> cf.ScaleFactor:
@@ -238,6 +206,29 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class _Case:
+    """One scenario.case of solve or verify: the config sections it takes
+    beyond the command's common ones, and the producer that runs it."""
+
+    sections: dict
+    run: Callable
+
+
+@dataclasses.dataclass
+class _Solved:
+    """What a solve producer returns: the CSV columns in file order, the
+    gated checks and the jet the frame suite runs on.  A jet of None means
+    an integration stopped at a pole and the columns are the rows up to it."""
+
+    columns: dict
+    checks: dict = dataclasses.field(default_factory=dict)
+    jet: cf.SpecialJet | None = None
+    pole: str | None = None
+    info: dict = dataclasses.field(default_factory=dict)
+    drift: float | None = None
+
+
 def _resubstitution(grid: Grid, F_vals, columns: dict, rhs: dict) -> dict[str, float]:
     """Max |F d/dz(column) - rhs| per equation, derivative by order-4 stencils."""
     out = {}
@@ -247,19 +238,130 @@ def _resubstitution(grid: Grid, F_vals, columns: dict, rhs: dict) -> dict[str, f
     return out
 
 
-def _branch_fields(case: str, values: dict, frame: cf.ScaleFactor, grid: Grid):
-    """Closed-form fields and branch number of a shearless / A2-branch case."""
-    B = values.get("constants.B", 0.0)
+def _solve_ode(rhs, y0, names, grid: Grid, frame: cf.ScaleFactor,
+               trajectory_jet, csv_columns) -> _Solved:
+    """RK4 of the state fields ``names`` from y0.  The checks re-substitute
+    each column into e_3 = F d/dz against the jet's e_3 entries, which are
+    ``rhs`` evaluated on the columns."""
     try:
-        if case == "a2-branch2":
-            return cf.a2_branch2_fields(frame, values["constants.D"], B, grid), 2
-        return cf.shearless_branch_fields(frame, values["constants.C"], B, grid), 1
+        states, complete = rk4_integrate(rhs, y0, grid, frame).states, True
+    except PoleError as exc:
+        states, complete = exc.partial_states, False
+    except ValueError as exc:  # F not positive at a stage abscissa
+        raise ConfigError(str(exc)) from None
+    zs = grid.points()[: states.shape[0]]
+    ys = dict(zip(names, states.T))
+    Fv = np.asarray(frame(zs), dtype=float)
+    columns = csv_columns(zs, Fv, **ys)
+    if not complete:
+        return _Solved(columns)
+    jet = trajectory_jet(zs, *ys.values())
+    e3 = {name: getattr(jet.deriv[3], name) for name in names}
+    checks = _resubstitution(grid, Fv, ys, e3)
+    return _Solved(columns, {f"ode[{k}]": v for k, v in checks.items()}, jet)
+
+
+def _a1_columns(z, F, sigma11, a3, Omega3) -> dict:
+    pi11, p, udot3 = cf.case_a1_closure(sigma11, a3)
+    return dict(z=z, sigma11=sigma11, a3=a3, Omega3=Omega3, F=F, pi11=pi11, p=p,
+                udot3=udot3, firstintegral_A=cf.case_a1_first_integral(sigma11, a3))
+
+
+def _solve_a1(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
+    s0 = values["initial.sigma11"]
+    a3_direct = values.get("initial.a3")
+    A_const = values.get("constants.A")
+    if (a3_direct is None) == (A_const is None):
+        raise ConfigError("case a1 needs exactly one of initial.a3 or constants.A")
+    if a3_direct is not None:
+        a30 = a3_direct
+    else:
+        rad = A_const * s0 * s0 + 9.0
+        if rad < 0.0:
+            raise ConfigError("constants.A gives a negative radicand at sigma11_0")
+        a30 = values.get("constants.sign", 1) * np.sqrt(rad) * s0
+    if s0 == 0.0:
+        raise ConfigError("case a1 needs sigma11_0 != 0; use a1-shearless instead")
+    solved = _solve_ode(cf.case_a1_rhs, [s0, a30, values["initial.Omega3"]],
+                        ("sigma11", "a3", "Omega3"), grid, frame,
+                        cf.a1_trajectory_jet, _a1_columns)
+    if solved.jet is not None:
+        first = solved.columns["firstintegral_A"]
+        solved.drift = float(np.max(np.abs(first - first[0])))
+    return solved
+
+
+def _a2_columns(z, F, p, udot3, a3, Omega3) -> dict:
+    return dict(z=z, p=p, udot3=udot3, a3=a3, Omega3=Omega3,
+                pi11=cf.case_a2_pi11(p, udot3, a3))
+
+
+def _solve_a2(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
+    names = ("p", "udot3", "a3", "Omega3")
+    return _solve_ode(cf.case_a2_rhs, [values[f"initial.{n}"] for n in names], names,
+                      grid, frame, cf.a2_trajectory_jet, _a2_columns)
+
+
+def _shearless(values: dict, frame: cf.ScaleFactor, grid: Grid) -> cf.BranchFields:
+    return cf.shearless_branch_fields(frame, values["constants.C"],
+                                      values.get("constants.B", 0.0), grid)
+
+
+def _branch2(values: dict, frame: cf.ScaleFactor, grid: Grid) -> cf.BranchFields:
+    return cf.a2_branch2_fields(frame, values["constants.D"],
+                                values.get("constants.B", 0.0), grid)
+
+
+def _branch_fields(fields_of, values: dict, frame: cf.ScaleFactor,
+                   grid: Grid) -> cf.BranchFields:
+    try:
+        return fields_of(values, frame, grid)
     except ValueError as exc:  # pole at the interval start, quadrature not converging
         raise ConfigError(str(exc)) from None
 
 
+_A1_COLUMNS = ("z", "sigma11", "a3", "Omega3", "F", "pi11", "p", "udot3")
+_A2_COLUMNS = ("z", "p", "udot3", "a3", "Omega3", "pi11")
+
+
+def _solve_branch(fields_of, layout, values: dict, grid: Grid,
+                  frame: cf.ScaleFactor) -> _Solved:
+    f = _branch_fields(fields_of, values, frame, grid)
+    Fv = np.asarray(frame(f.z), dtype=float)
+    fields = dict(z=f.z, sigma11=np.zeros_like(f.z), a3=f.a3, Omega3=f.Omega3, F=Fv,
+                  pi11=f.pi11, p=f.p, udot3=f.udot3)
+    e3_a3 = f.family.slope * f.a3**2
+    # the closed form carries its analytic derivative; that residual is
+    # the gated check, finite differences are informational only
+    checks = {"ode[a3] analytic": float(np.max(np.abs(f.e3_a3 - e3_a3)))}
+    jet = cf.branch_jet(f)
+    info = _resubstitution(f.grid, Fv, {"a3": f.a3, "Omega3": f.Omega3},
+                           {"a3": e3_a3, "Omega3": jet.deriv[3].Omega3})
+    return _Solved({name: fields[name] for name in layout}, checks, jet,
+                   pole=None if f.note is None else f"pole: {f.note}",
+                   info={f"fd[{k}]": v for k, v in info.items()})
+
+
+_C_CONSTANTS = {"constants": {"C": (True, _parse_float), "B": (False, _parse_float)}}
+_D_CONSTANTS = {"constants": {"D": (True, _parse_float), "B": (False, _parse_float)}}
+
+_SOLVE = {
+    "a1": _Case({"initial": {"sigma11": (True, _parse_float), "a3": (False, _parse_float),
+                             "Omega3": (True, _parse_float)},
+                 "constants": {"A": (False, _parse_float), "sign": (False, _parse_sign)}},
+                _solve_a1),
+    "a1-shearless": _Case(_C_CONSTANTS, partial(_solve_branch, _shearless, _A1_COLUMNS)),
+    "a2": _Case({"initial": {name: (True, _parse_float)
+                             for name in ("p", "udot3", "a3", "Omega3")}},
+                _solve_a2),
+    "a2-branch1": _Case(_C_CONSTANTS, partial(_solve_branch, _shearless, _A2_COLUMNS)),
+    "a2-branch2": _Case(_D_CONSTANTS, partial(_solve_branch, _branch2, _A2_COLUMNS)),
+}
+SOLVE_CASES = tuple(_SOLVE)
+
+
 def _report_lines(title: str, checks: dict[str, float], tol: float,
-                  notes: list[str], info: dict[str, float] | None = None,
+                  notes: list[str], info: dict[str, float],
                   ) -> tuple[list[str], bool, float]:
     lines = [title]
     lines += [f"note: {n}" for n in notes]
@@ -270,165 +372,49 @@ def _report_lines(title: str, checks: dict[str, float], tol: float,
         ok = ok and good
         worst = max(worst, value)
         lines.append(f"check {name:<28s} max={value:.6e} {'pass' if good else 'FAIL'}")
-    for name, value in (info or {}).items():
+    for name, value in info.items():
         lines.append(f"info  {name:<28s} max={value:.6e} (not gated)")
     return lines, ok, worst
 
 
 def run_solve(config_path: str) -> int:
-    parser = _read_config(config_path)
-    case = parser.get("scenario", "case", fallback=None)
-    if case is None:
-        raise ConfigError("missing required key scenario.case")
-    values = _validate(parser, _solve_schema(case))
+    case, values = _read_case(config_path, "solve", _SOLVE)
     grid = _build_grid(values)
     frame = _build_frame(values, grid)
     tol = values.get("tolerances.residual_tol", 1e-10)
     cons_tol = values.get("tolerances.conservation_tol", 1e-8)
     out_path = values["scenario.output"]
     full_check = values.get("scenario.full_check", False)
-    notes: list[str] = []
-    info: dict[str, float] = {}
-    exit_code = EXIT_OK
 
-    if case == "a1":
-        s0 = values["initial.sigma11"]
-        a3_direct = values.get("initial.a3")
-        A_const = values.get("constants.A")
-        if (a3_direct is None) == (A_const is None):
-            raise ConfigError("case a1 needs exactly one of initial.a3 or constants.A")
-        if a3_direct is not None:
-            a30 = a3_direct
-        else:
-            rad = A_const * s0 * s0 + 9.0
-            if rad < 0.0:
-                raise ConfigError("constants.A gives a negative radicand at sigma11_0")
-            a30 = values.get("constants.sign", 1) * np.sqrt(rad) * s0
-        if s0 == 0.0:
-            raise ConfigError("case a1 needs sigma11_0 != 0; use a1-shearless instead")
-        y0 = [s0, a30, values["initial.Omega3"]]
-        try:
-            states = rk4_integrate(cf.case_a1_rhs, y0, grid, frame).states
-        except PoleError as exc:
-            states = exc.partial_states
-            notes.append(f"pole: {exc}")
-            exit_code = EXIT_POLE
-        except ValueError as exc:  # F not positive at a stage abscissa
-            raise ConfigError(str(exc)) from None
-        zs = grid.points()[: states.shape[0]]
-        s11, a3, Om3 = states[:, 0], states[:, 1], states[:, 2]
-        pi11, p, udot3 = cf.case_a1_closure(s11, a3)
-        first = cf.case_a1_first_integral(s11, a3)
-        Fv = np.asarray(frame(zs), dtype=float)
-        header = ["z", "sigma11", "a3", "Omega3", "F", "pi11", "p", "udot3",
-                  "firstintegral_A"]
-        cols = [zs, s11, a3, Om3, Fv, pi11, p, udot3, first]
-        _write_csv(out_path, header, cols)
-        if exit_code == EXIT_POLE:
-            print(f"pole encountered; partial CSV written to {out_path}")
-            print(f"RESULT fail max_residual={_fmt(np.inf)}")
-            return exit_code
-        checks = _resubstitution(
-            grid, Fv,
-            {"sigma11": s11, "a3": a3, "Omega3": Om3},
-            {"sigma11": a3 * s11, "a3": -9.0 * s11**2 + 2.0 * a3**2,
-             "Omega3": a3 * Om3},
-        )
-        checks = {f"ode[{k}]": v for k, v in checks.items()}
-        drift = float(np.max(np.abs(first - first[0])))
-        jet = cf.a1_trajectory_jet(zs, s11, a3, Om3)
-
-    elif case in ("a1-shearless", "a2-branch1", "a2-branch2"):
-        fields, branch = _branch_fields(case, values, frame, grid)
-        if fields.note is not None:
-            notes.append(f"pole: {fields.note}")
-            exit_code = EXIT_POLE
-        zs = fields.z
-        Fv = np.asarray(frame(zs), dtype=float)
-        if case == "a1-shearless":
-            header = ["z", "sigma11", "a3", "Omega3", "F", "pi11", "p", "udot3"]
-            cols = [zs, np.zeros_like(zs), fields.a3, fields.Omega3, Fv,
-                    fields.pi11, fields.p, fields.udot3]
-        else:
-            header = ["z", "p", "udot3", "a3", "Omega3", "pi11"]
-            cols = [zs, fields.p, fields.udot3, fields.a3, fields.Omega3,
-                    fields.pi11]
-        _write_csv(out_path, header, cols)
-        slope = 2.0 if branch == 1 else 1.5
-        # the closed form carries its analytic derivative; that residual is
-        # the gated check, finite differences are informational only
-        checks = {
-            "ode[a3] analytic": float(
-                np.max(np.abs(fields.e3_a3 - slope * fields.a3**2))
-            )
-        }
-        info = _resubstitution(
-            fields.grid, Fv,
-            {"a3": fields.a3, "Omega3": fields.Omega3},
-            {"a3": slope * fields.a3**2, "Omega3": -fields.udot3 * fields.Omega3},
-        )
-        info = {f"fd[{k}]": v for k, v in info.items()}
-        drift = None
-        jet = cf.branch_jet(fields, branch)
-
-    elif case == "a2":
-        y0 = [values["initial.p"], values["initial.udot3"],
-              values["initial.a3"], values["initial.Omega3"]]
-        try:
-            states = rk4_integrate(cf.case_a2_rhs, y0, grid, frame).states
-        except PoleError as exc:
-            states = exc.partial_states
-            notes.append(f"pole: {exc}")
-            exit_code = EXIT_POLE
-        except ValueError as exc:  # F not positive at a stage abscissa
-            raise ConfigError(str(exc)) from None
-        zs = grid.points()[: states.shape[0]]
-        p, u3, a3, Om3 = (states[:, i] for i in range(4))
-        pi11 = cf.case_a2_pi11(p, u3, a3)
-        _write_csv(out_path, ["z", "p", "udot3", "a3", "Omega3", "pi11"],
-                   [zs, p, u3, a3, Om3, pi11])
-        if exit_code == EXIT_POLE:
-            print(f"pole encountered; partial CSV written to {out_path}")
-            print(f"RESULT fail max_residual={_fmt(np.inf)}")
-            return exit_code
-        Fv = np.asarray(frame(zs), dtype=float)
-        checks = _resubstitution(
-            grid, Fv,
-            {"p": p, "udot3": u3, "a3": a3, "Omega3": Om3},
-            {"p": -u3 * p - u3 * a3**2 / 3.0 + 2.0 * a3 * u3**2 / 3.0,
-             "udot3": 3.0 * p - u3**2 + 2.0 * a3 * u3,
-             "a3": 1.5 * p + 1.5 * a3**2,
-             "Omega3": -u3 * Om3},
-        )
-        checks = {f"ode[{k}]": v for k, v in checks.items()}
-        drift = None
-        jet = cf.a2_trajectory_jet(zs, p, u3, a3, Om3)
-
-    else:  # pragma: no cover - guarded by the schema
-        raise ConfigError(f"unhandled case {case!r}")
-
+    solved = _SOLVE[case].run(values, grid, frame)
+    _write_csv(out_path, list(solved.columns), list(solved.columns.values()))
+    if solved.jet is None:
+        print(f"pole encountered; partial CSV written to {out_path}")
+        print(f"RESULT fail max_residual={_fmt(np.inf)}")
+        return EXIT_POLE
+    checks = solved.checks
     if full_check:
-        rep = _threaded_report(cf.embed_special(jet))
+        rep = _threaded_report(cf.embed_special(solved.jet))
         checks["frame-suite"] = rep.max_residual()
 
     lines, ok, worst = _report_lines(
         f"solve case={case} grid=[{grid.z0:g},{grid.z1:g}] N={grid.N}",
-        checks, tol, notes, info,
+        checks, tol, [solved.pole] if solved.pole else [], solved.info,
     )
-    if drift is not None:
-        good = drift < cons_tol
+    if solved.drift is not None:
+        good = solved.drift < cons_tol
         ok = ok and good
         lines.append(
-            f"check {'first-integral-drift':<28s} max={drift:.6e} "
+            f"check {'first-integral-drift':<28s} max={solved.drift:.6e} "
             f"{'pass' if good else 'FAIL'}"
         )
     for line in lines:
         print(line)
     print(f"csv written to {out_path}")
     print(f"RESULT {'pass' if ok else 'fail'} max_residual={_fmt(worst)}")
-    if exit_code == EXIT_OK and not ok:
-        exit_code = EXIT_VERIFY_FAIL
-    return exit_code
+    if solved.pole:
+        return EXIT_POLE
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +429,9 @@ def _perturbed(jet: cf.SpecialJet, delta: float) -> cf.SpecialJet:
     return cf.SpecialJet(jet.z, value, jet.deriv)
 
 
-def _verify_blocks(jet: cf.SpecialJet, zs: np.ndarray):
+def _verify_blocks(jet: cf.SpecialJet):
     """Per-block max residuals with the grid row of the worst entry."""
+    zs = jet.z
     results = []
     b = cf.bianchi_special_residuals(jet)
     name, idx, val = b.worst()
@@ -460,46 +447,49 @@ def _verify_blocks(jet: cf.SpecialJet, zs: np.ndarray):
     return results, float(max(r[1] for r in results))
 
 
+def _verify_a1(values: dict, grid: Grid):
+    """The (solA1) family with sigma11 = e^z: the grid clipped to where it
+    exists, its jet and the notes."""
+    form = cf.CaseA1ClosedForm(
+        cf.ScalarProfile.exp(), values["constants.A"],
+        values.get("constants.sign", 1), values["constants.B"],
+    )
+    try:
+        grid, note = form.clip_grid(grid)
+        jet, fields = form.jet(grid)
+    except ValueError as exc:  # no valid interval, quadrature not converging
+        raise ConfigError(str(exc)) from None
+    notes = [note] if note else []
+    if fields["orientation_flipped"]:
+        notes.append("frame factor F is negative (orientation flipped)")
+    return grid, jet, notes
+
+
+def _verify_branch(fields_of, values: dict, grid: Grid):
+    f = _branch_fields(fields_of, values, _build_frame(values, grid), grid)
+    return grid, cf.branch_jet(f), [] if f.note is None else [f.note]
+
+
+_VERIFY = {
+    "a1": _Case({"constants": {"A": (True, _parse_float), "B": (True, _parse_float),
+                               "sign": (False, _parse_sign)}},
+                _verify_a1),
+    "a1-shearless": _Case({**_C_CONSTANTS, "frame": _FRAME}, partial(_verify_branch, _shearless)),
+    "a2-branch1": _Case({**_C_CONSTANTS, "frame": _FRAME}, partial(_verify_branch, _shearless)),
+    "a2-branch2": _Case({**_D_CONSTANTS, "frame": _FRAME}, partial(_verify_branch, _branch2)),
+}
+VERIFY_CASES = tuple(_VERIFY)
+
+
 def run_verify(config_path: str) -> int:
-    parser = _read_config(config_path)
-    case = parser.get("scenario", "case", fallback=None)
-    if case is None:
-        raise ConfigError("missing required key scenario.case")
-    values = _validate(parser, _verify_schema(case))
-    grid = _build_grid(values)
+    case, values = _read_case(config_path, "verify", _VERIFY)
     tol = values.get("tolerances.residual_tol", 1e-10)
     delta = values.get("perturb.a3", 0.0)
-    notes: list[str] = []
-
-    if case == "a1":
-        profile_name = values.get("scenario.profile", "exp")
-        if profile_name != "exp":
-            raise ConfigError(f"unsupported sigma11 profile {profile_name!r}")
-        form = cf.CaseA1ClosedForm(
-            cf.ScalarProfile.exp(), values["constants.A"],
-            values.get("constants.sign", 1), values["constants.B"],
-        )
-        try:
-            grid, note = form.clip_grid(grid)
-            jet, fields = form.jet(grid)
-        except ValueError as exc:  # no valid interval, quadrature not converging
-            raise ConfigError(str(exc)) from None
-        if note:
-            notes.append(note)
-        if fields["orientation_flipped"]:
-            notes.append("frame factor F is negative (orientation flipped)")
-        zs = fields["z"]
-    else:
-        fields, branch = _branch_fields(case, values, _build_frame(values, grid), grid)
-        if fields.note is not None:
-            notes.append(fields.note)
-        jet = cf.branch_jet(fields, branch)
-        zs = fields.z
-
+    grid, jet, notes = _VERIFY[case].run(values, _build_grid(values))
     jet = _perturbed(jet, delta)
     if delta:
         notes.append(f"a3 column perturbed by {delta:g}")
-    results, worst = _verify_blocks(jet, zs)
+    results, worst = _verify_blocks(jet)
 
     print(f"verify case={case} grid=[{grid.z0:g},{grid.z1:g}] N={grid.N}")
     for n in notes:
@@ -694,8 +684,6 @@ def _special_jet_from_table(coord: str, grid: Grid, cols: dict) -> cf.SpecialJet
         k: F * fd_derivative(np.broadcast_to(v, (npts,)), grid)
         for k, v in names.items() if v is not None
     }
-    if "sigma22" not in cols:
-        dnames.pop("sigma33", None)
     deriv = cf.SpecialState(**dnames)
     e = [cf.SpecialState()] * 4
     e[0 if coord == "t" else 3] = deriv

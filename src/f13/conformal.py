@@ -28,10 +28,11 @@ __all__ = [
     "SpecialState",
     "SpecialJet",
     "ResidualVector",
-    "CaseA1State",
-    "CaseA2State",
     "CaseA1ClosedForm",
+    "BranchFamily",
     "BranchFields",
+    "SHEARLESS",
+    "A2_BRANCH2",
     "special_ricci",
     "bianchi_special_residuals",
     "gauge_reduce",
@@ -41,10 +42,11 @@ __all__ = [
     "case_a1_closure",
     "case_a1_rhs",
     "case_a1_first_integral",
-    "shearless_a3",
     "case_a2_rhs",
     "case_a2_pi11",
-    "case_a2_branch_a3",
+    "shearless_branch_fields",
+    "a2_branch2_fields",
+    "branch_jet",
     "a1_trajectory_jet",
     "a2_trajectory_jet",
     "embed_special",
@@ -425,9 +427,26 @@ def case_a1_closure(sigma11, a3):
 
 
 def case_a1_rhs(y):
-    """e_3 = F d/dz of the case A1 state (sigma11, a3, Omega3)."""
+    """e_3 = F d/dz of the case A1 state (sigma11, a3, Omega3).
+
+    The one statement of the A1 system: RK4 calls it on floats, and the
+    trajectory jets and the CLI's re-substitution checks on arrays.
+    """
     s11, a3, Om3 = y
     return (a3 * s11, -9.0 * s11 * s11 + 2.0 * a3 * a3, a3 * Om3)
+
+
+# The array callers call the map by this name: a traced bench run
+# (perfbench/tracing.py) patches case_a1_rhs by module attribute, and its
+# call count is the RK4 stage count.
+_A1_RHS = case_a1_rhs
+
+
+def _a1_closure_slopes(s11, a3, ds11, da3):
+    """Derivatives (pi11', p') of the A1 closure along the direction in which
+    sigma11 and a3 change by ds11 and da3 (chain rule of case_a1_closure)."""
+    return (24.0 * s11 * ds11 - (8.0 / 3.0) * a3 * da3,
+            -6.0 * s11 * ds11 + (2.0 / 3.0) * a3 * da3)
 
 
 def case_a1_first_integral(sigma11, a3):
@@ -441,34 +460,12 @@ def case_a1_first_integral(sigma11, a3):
     return (np.asarray(a3, dtype=float) ** 2 - 9.0 * s * s) / s**4
 
 
-@dataclass(frozen=True)
-class CaseA1State:
-    """Case A1 point: free (sigma11, a3, Omega3) plus the algebraic outputs."""
-
-    sigma11: float
-    a3: float
-    Omega3: float = 0.0
-
-    def closure(self):
-        return case_a1_closure(self.sigma11, self.a3)
-
-    def special_state(self) -> SpecialState:
-        pi11, p, udot3 = self.closure()
-        return SpecialState(
-            p=p, pi11=pi11, Theta=6.0 * np.asarray(self.sigma11),
-            sigma11=self.sigma11, udot3=udot3, a3=self.a3, Omega3=self.Omega3,
-        )
-
-
 def _a1_e3_closure(sigma11, a3, Omega3):
     """e_3 of every case A1 field via the ODE system and the chain rule."""
     s11 = np.asarray(sigma11, dtype=float)
     a = np.asarray(a3, dtype=float)
-    e3s = a * s11
-    e3a = -9.0 * s11 * s11 + 2.0 * a * a
-    e3om = a * np.asarray(Omega3, dtype=float)
-    e3pi = 24.0 * s11 * e3s - (8.0 / 3.0) * a * e3a
-    e3p = -6.0 * s11 * e3s + (2.0 / 3.0) * a * e3a
+    e3s, e3a, e3om = _A1_RHS((s11, a, np.asarray(Omega3, dtype=float)))
+    e3pi, e3p = _a1_closure_slopes(s11, a, e3s, e3a)
     return SpecialState(
         p=e3p, pi11=e3pi, Theta=6.0 * e3s, sigma11=e3s,
         udot3=-e3a, a3=e3a, Omega3=e3om,
@@ -480,7 +477,11 @@ def a1_trajectory_jet(z, sigma11, a3, Omega3) -> SpecialJet:
 
     Valid for any (sigma11, a3, Omega3) arrays, e.g. an RK4 trajectory.
     """
-    value = CaseA1State(sigma11, a3, Omega3).special_state()
+    pi11, p, udot3 = case_a1_closure(sigma11, a3)
+    value = SpecialState(
+        p=p, pi11=pi11, Theta=6.0 * np.asarray(sigma11),
+        sigma11=sigma11, udot3=udot3, a3=a3, Omega3=Omega3,
+    )
     return SpecialJet.build(z, value, e3=_a1_e3_closure(sigma11, a3, Omega3))
 
 
@@ -555,8 +556,7 @@ class CaseA1ClosedForm:
         da3 = self.sign * ds11 * (2.0 * self.A * s11 * s11 + 9.0) / root
         F = a3 * s11 / ds11
         pi11, p, udot3 = case_a1_closure(s11, a3)
-        dp = -6.0 * s11 * ds11 + (2.0 / 3.0) * a3 * da3
-        dpi = 24.0 * s11 * ds11 - (8.0 / 3.0) * a3 * da3
+        dpi, dp = _a1_closure_slopes(s11, a3, ds11, da3)
         if self.B == 0.0:
             Omega3 = np.zeros_like(zs)
         else:
@@ -581,16 +581,13 @@ class CaseA1ClosedForm:
             "orientation_flipped": bool(np.any(F < 0.0)),
         }
 
-    def jet(self, grid: Grid, perturb_a3: float = 0.0) -> tuple[SpecialJet, dict]:
+    def jet(self, grid: Grid) -> tuple[SpecialJet, dict]:
         """Analytic jet of the family on the grid (e_3 = F d/dz applied to
-        the closed forms).  perturb_a3 shifts the a3 value column only,
-        leaving every derivative entry and derived field untouched, which is
-        the verification-sensitivity knob."""
+        the closed forms)."""
         f = self.evaluate(grid)
-        a3_val = f["a3"] + perturb_a3
         value = SpecialState(
             p=f["p"], pi11=f["pi11"], Theta=f["Theta"], sigma11=f["sigma11"],
-            udot3=f["udot3"], a3=a3_val, Omega3=f["Omega3"],
+            udot3=f["udot3"], a3=f["a3"], Omega3=f["Omega3"],
         )
         F = f["F"]
         e3 = SpecialState(
@@ -606,13 +603,13 @@ class CaseA1ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def _den_on_fine_grid(F: ScaleFactor, coeff: float, const: float, grid: Grid):
-    """Denominator int_{z0}^{z} (coeff/F) dz' + const on a refined grid.
+def _den_on_fine_grid(F: ScaleFactor, slope: float, const: float, grid: Grid):
+    """Denominator int_{z0}^{z} (-slope/F) dz' + const on a refined grid.
 
     Returns (fine_grid, den_fine, stride) with original nodes at ::stride.
     """
     fine, vals, stride = cumulative_integral_refined(
-        lambda z: coeff / np.asarray(F(z), dtype=float), grid, fine=True)
+        lambda z: -slope / np.asarray(F(z), dtype=float), grid, fine=True)
     return fine, vals + const, stride
 
 
@@ -636,29 +633,43 @@ def _clip_at_sign_change(grid: Grid, fine: Grid, den_fine: np.ndarray):
     return Grid(grid.z0, z_clip, grid.N), note
 
 
-def _branch_a3(F: ScaleFactor, coeff: float, const: float, z: float) -> float:
-    """a3(z) = 1 / (int_0^z (coeff/F) dz' + const) at one point."""
-    if z == 0.0:
-        den = const
-    else:
-        span = Grid(min(0.0, z), max(0.0, z), 64)
-        _, den_arr, _ = _den_on_fine_grid(F, coeff, const, span)
-        # for z < 0 the integral from 0 down to z is minus the cumulative one
-        den = den_arr[-1] if z > 0.0 else const - (den_arr[-1] - const)
-    if abs(den) < 1e-13:
-        raise ValueError(f"blow-up point: denominator vanishes at z={z!r}")
-    return 1.0 / den
+@dataclass(frozen=True)
+class BranchFamily:
+    """A closed-form branch with e_3(a3) = slope a3^2, so that
+    a3 = 1/(int_{z0}^{z} (-slope/F) dz' + const).
+
+    udot3(a3) and p(a3) give the algebraic fields (pi11 = -4p on both
+    branches); e3(a3, e3_a3) gives the e_3 entries of p, pi11 and udot3.
+    """
+
+    slope: float
+    udot3: Callable
+    p: Callable
+    e3: Callable
 
 
-def shearless_a3(F: ScaleFactor, C: float, z: float) -> float:
-    """a3(z) = 1 / (int_0^z (-2/F) dz' + C), the shearless case A1 branch."""
-    return _branch_a3(F, -2.0, C, z)
+# shearless case A1 = case A2 branch 1 (udot3 = -a3), and A2 branch 2
+# (udot3 = a3/2, on which p vanishes identically)
+SHEARLESS = BranchFamily(
+    slope=2.0,
+    udot3=lambda a3: -a3,
+    p=lambda a3: a3 * a3 / 3.0,
+    e3=lambda a3, e3a: dict(p=(2.0 / 3.0) * a3 * e3a, pi11=-(8.0 / 3.0) * a3 * e3a,
+                            udot3=-e3a),
+)
+A2_BRANCH2 = BranchFamily(
+    slope=1.5,
+    udot3=lambda a3: 0.5 * a3,
+    p=np.zeros_like,
+    e3=lambda a3, e3a: dict(udot3=0.5 * e3a),
+)
 
 
 @dataclass(frozen=True)
 class BranchFields:
-    """Closed-form fields of a shearless branch on a grid."""
+    """Closed-form fields of a branch family on a grid."""
 
+    family: BranchFamily
     grid: Grid
     z: np.ndarray
     a3: np.ndarray
@@ -671,79 +682,53 @@ class BranchFields:
     note: str | None
 
 
-def _branch_fields(F: ScaleFactor, coeff: float, const: float, B: float,
-                   grid: Grid, udot3_of_a3, p_of_a3) -> BranchFields:
-    fine, den_fine, stride = _den_on_fine_grid(F, coeff, const, grid)
+def _branch_fields(F: ScaleFactor, family: BranchFamily, const: float, B: float,
+                   grid: Grid) -> BranchFields:
+    fine, den_fine, stride = _den_on_fine_grid(F, family.slope, const, grid)
     clipped, note = _clip_at_sign_change(grid, fine, den_fine)
     if note is not None:
-        fine, den_fine, stride = _den_on_fine_grid(F, coeff, const, clipped)
+        fine, den_fine, stride = _den_on_fine_grid(F, family.slope, const, clipped)
     a3_fine = 1.0 / den_fine
-    udot3_fine = udot3_of_a3(a3_fine)
+    udot3_fine = family.udot3(a3_fine)
     # Omega3 solves e_3(Omega3) = -udot3 Omega3 on every branch
     omega_integrand = -udot3_fine / np.asarray(F(fine.points()), dtype=float)
     Omega3_fine = B * np.exp(quadrature(omega_integrand, fine))
     sl = slice(None, None, stride)
     a3 = a3_fine[sl]
     den = den_fine[sl]
-    p = p_of_a3(a3)
+    p = family.p(a3)
     return BranchFields(
+        family=family,
         grid=clipped,
         z=fine.points()[sl],
         a3=a3,
         den=den,
-        udot3=udot3_of_a3(a3),
+        udot3=family.udot3(a3),
         p=p,
         pi11=-4.0 * p,
         Omega3=Omega3_fine[sl],
-        e3_a3=-coeff / (den * den),
+        e3_a3=family.slope / (den * den),
         note=note,
     )
 
 
-def case_a2_branch_a3(F: ScaleFactor, branch: int, const: float, z: float) -> float:
-    """Case A2 closed-form a3 on branch 1 (udot3 = -a3) or 2 (udot3 = a3/2).
-
-    Branch 1 is the shearless case A1 form with constant C; branch 2 gives
-    a3 = 1/(int -3/(2F) dz + D).
-    """
-    if branch not in (1, 2):
-        raise ValueError("branch must be 1 or 2")
-    return _branch_a3(F, -2.0 if branch == 1 else -1.5, const, z)
-
-
 def shearless_branch_fields(F: ScaleFactor, C: float, B: float, grid: Grid) -> BranchFields:
     """Shearless case A1 family (= case A2 branch 1) on a grid."""
-    return _branch_fields(
-        F, -2.0, C, B, grid,
-        udot3_of_a3=lambda a3: -a3,
-        p_of_a3=lambda a3: a3 * a3 / 3.0,
-    )
+    return _branch_fields(F, SHEARLESS, C, B, grid)
 
 
 def a2_branch2_fields(F: ScaleFactor, D: float, B: float, grid: Grid) -> BranchFields:
     """Case A2 branch udot3 = a3/2 on a grid; p vanishes identically here."""
-    return _branch_fields(
-        F, -1.5, D, B, grid,
-        udot3_of_a3=lambda a3: 0.5 * a3,
-        p_of_a3=lambda a3: np.zeros_like(a3),
-    )
+    return _branch_fields(F, A2_BRANCH2, D, B, grid)
 
 
-def branch_jet(fields: BranchFields, branch: int) -> SpecialJet:
-    """Analytic jet of a branch family (profile derivatives, not closures)."""
-    f = fields
-    e3a = f.e3_a3
-    if branch == 1:
-        value = SpecialState(p=f.p, pi11=f.pi11, sigma11=0.0 * f.a3, Theta=0.0 * f.a3,
-                             udot3=f.udot3, a3=f.a3, Omega3=f.Omega3)
-        e3 = SpecialState(p=(2.0 / 3.0) * f.a3 * e3a, pi11=-(8.0 / 3.0) * f.a3 * e3a,
-                          udot3=-e3a, a3=e3a, Omega3=-f.udot3 * f.Omega3)
-    elif branch == 2:
-        value = SpecialState(p=f.p, pi11=f.pi11, sigma11=0.0 * f.a3, Theta=0.0 * f.a3,
-                             udot3=f.udot3, a3=f.a3, Omega3=f.Omega3)
-        e3 = SpecialState(udot3=0.5 * e3a, a3=e3a, Omega3=-f.udot3 * f.Omega3)
-    else:
-        raise ValueError("branch must be 1 or 2")
+def branch_jet(f: BranchFields) -> SpecialJet:
+    """Analytic jet of a branch family (profile derivatives, not closures,
+    except e_3(Omega3) = -udot3 Omega3 of the A2 system)."""
+    value = SpecialState(p=f.p, pi11=f.pi11, sigma11=0.0 * f.a3, Theta=0.0 * f.a3,
+                         udot3=f.udot3, a3=f.a3, Omega3=f.Omega3)
+    e3 = SpecialState(**f.family.e3(f.a3, f.e3_a3), a3=f.e3_a3,
+                      Omega3=_A2_RHS((f.p, f.udot3, f.a3, f.Omega3))[3])
     return SpecialJet.build(f.z, value, e3=e3)
 
 
@@ -759,7 +744,10 @@ def case_a2_pi11(p, udot3, a3):
 
 
 def case_a2_rhs(y):
-    """e_3 = F d/dz of the case A2 state (p, udot3, a3, Omega3)."""
+    """e_3 = F d/dz of the case A2 state (p, udot3, a3, Omega3).
+
+    The one statement of the A2 system, on floats and on arrays alike.
+    """
     p, u3, a3, Om3 = y
     return (
         -u3 * p - u3 * a3 * a3 / 3.0 + 2.0 * a3 * u3 * u3 / 3.0,
@@ -769,42 +757,22 @@ def case_a2_rhs(y):
     )
 
 
-@dataclass(frozen=True)
-class CaseA2State:
-    """Case A2 point: free (p, udot3, a3, Omega3) with algebraic pi11."""
-
-    p: float
-    udot3: float
-    a3: float
-    Omega3: float = 0.0
-
-    @property
-    def pi11(self):
-        return case_a2_pi11(self.p, self.udot3, self.a3)
-
-    def special_state(self) -> SpecialState:
-        return SpecialState(
-            p=self.p, pi11=self.pi11, udot3=self.udot3, a3=self.a3,
-            Omega3=self.Omega3,
-        )
+_A2_RHS = case_a2_rhs  # see _A1_RHS
 
 
 def _a2_e3_closure(p, udot3, a3, Omega3):
     p = np.asarray(p, dtype=float)
     u3 = np.asarray(udot3, dtype=float)
     a = np.asarray(a3, dtype=float)
-    e3p = -u3 * p - u3 * a * a / 3.0 + 2.0 * a * u3 * u3 / 3.0
-    e3u = 3.0 * p - u3 * u3 + 2.0 * a * u3
-    e3a = 1.5 * p + 1.5 * a * a
+    e3p, e3u, e3a, e3om = _A2_RHS((p, u3, a, np.asarray(Omega3, dtype=float)))
     e3pi = 0.5 * e3p - a * e3a + e3a * u3 + a * e3u
-    return SpecialState(
-        p=e3p, pi11=e3pi, udot3=e3u, a3=e3a, Omega3=-u3 * np.asarray(Omega3),
-    )
+    return SpecialState(p=e3p, pi11=e3pi, udot3=e3u, a3=e3a, Omega3=e3om)
 
 
 def a2_trajectory_jet(z, p, udot3, a3, Omega3) -> SpecialJet:
     """Jet for case A2 data with e_3 entries supplied by the ODE closure."""
-    value = CaseA2State(p, udot3, a3, Omega3).special_state()
+    value = SpecialState(p=p, pi11=case_a2_pi11(p, udot3, a3), udot3=udot3, a3=a3,
+                         Omega3=Omega3)
     return SpecialJet.build(z, value, e3=_a2_e3_closure(p, udot3, a3, Omega3))
 
 

@@ -820,3 +820,54 @@ def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
     assert capsys.readouterr().out.splitlines()[-1] == result
     if digest is not None:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+A2_SOLVE = """\
+[scenario]
+case = a2
+output = {out}
+
+[frame]
+F = 1.0
+
+[grid]
+z0 = 0.0
+z1 = 0.5
+N = 200
+
+[initial]
+p = 0.1
+udot3 = 0.4
+a3 = 0.2
+Omega3 = 0.7
+"""
+
+
+@pytest.mark.parametrize("case", ["a1", "a2"])
+def test_solve_ode_checks_recompute_from_the_csv(tmp_path, capsys, case):
+    """Each printed ode[...] value is max |F fd(column) - case_a*_rhs(columns)|
+    over the written CSV: the check uses the one right-hand side."""
+    from f13 import conformal as cf
+    from f13.numerics import Grid, fd_derivative
+
+    out = tmp_path / "o.csv"
+    text, rhs, names, grid = {
+        "a1": (A1_SOLVE, cf.case_a1_rhs, ("sigma11", "a3", "Omega3"), Grid(0.0, 1.0, 1000)),
+        "a2": (A2_SOLVE, cf.case_a2_rhs, ("p", "udot3", "a3", "Omega3"), Grid(0.0, 0.5, 200)),
+    }[case]
+    assert main(["solve", "--config", write(tmp_path / "c.cfg", text.format(out=out))]) == 0
+    printed = {line.split()[1]: line.split()[2] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("check ode[")}
+    _, cols = read_csv(out)
+    e3 = rhs(tuple(cols[n] for n in names))
+    for name, expected in zip(names, e3):
+        value = np.max(np.abs(1.0 * fd_derivative(cols[name], grid) - expected))
+        assert printed[f"ode[{name}]"] == f"max={value:.6e}", name
+
+
+def test_verify_profile_key_is_unknown(tmp_path, capsys):
+    """Case a1 of verify is the sigma11 = e^z family; there is no profile key."""
+    cfg = write(tmp_path / "p.cfg",
+                VERIFY_A1.format(A=0.0, extra="").replace("case = a1", "case = a1\nprofile = exp"))
+    assert main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: unknown key scenario.profile\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from f13 import conformal as cf
+from f13.cli import _perturbed
 from f13.core import MatterState, ThreeVector, TracefreeSymThree
 from f13.frame_equations import residual_report
 from f13.numerics import Grid, rk4_integrate
@@ -119,18 +120,35 @@ def test_case_a1_closure_identity_exact():
         assert pi11 + 4.0 * p == 0.0
 
 
-def test_case_state_records():
-    s = cf.CaseA1State(sigma11=0.2, a3=0.5, Omega3=1.5)
-    pi11, p, udot3 = s.closure()
-    assert pi11 + 4.0 * p == 0.0
-    assert udot3 == -0.5
-    st = s.special_state()
+def test_trajectory_jet_values():
+    st = cf.a1_trajectory_jet(0.0, 0.2, 0.5, 1.5).value
+    assert st.pi11 + 4.0 * st.p == 0.0
+    assert st.udot3 == -0.5
     assert st.Theta == 6.0 * 0.2
     assert st.a1 == 0.0 and st.a2 == 0.0 and st.n11 == 0.0
-    s2 = cf.CaseA2State(p=0.3, udot3=0.4, a3=0.6, Omega3=0.0)
-    assert s2.pi11 == cf.case_a2_pi11(0.3, 0.4, 0.6)
-    st2 = s2.special_state()
+    st2 = cf.a2_trajectory_jet(0.0, 0.3, 0.4, 0.6, 0.0).value
+    assert st2.pi11 == cf.case_a2_pi11(0.3, 0.4, 0.6)
     assert st2.sigma11 == 0.0 and st2.Theta == 0.0
+
+
+def test_trajectory_jets_take_e3_from_the_rhs():
+    """The e_3 entries of the free fields are case_a*_rhs on the arrays, and
+    the map gives the same bits on floats as on arrays."""
+    rng = np.random.default_rng(11)
+    s11, a3, om3, p, u3 = rng.uniform(-2.0, 2.0, (5, 300))
+    e3 = cf.a1_trajectory_jet(np.zeros(300), s11, a3, om3).deriv[3]
+    rhs = cf.case_a1_rhs((s11, a3, om3))
+    for name, expected in zip(("sigma11", "a3", "Omega3"), rhs):
+        assert np.array_equal(getattr(e3, name), expected), name
+    e3 = cf.a2_trajectory_jet(np.zeros(300), p, u3, a3, om3).deriv[3]
+    rhs2 = cf.case_a2_rhs((p, u3, a3, om3))
+    for name, expected in zip(("p", "udot3", "a3", "Omega3"), rhs2):
+        assert np.array_equal(getattr(e3, name), expected), name
+    for i in range(0, 300, 37):
+        assert cf.case_a1_rhs([float(s11[i]), float(a3[i]), float(om3[i])]) == tuple(
+            float(r[i]) for r in rhs)
+        assert cf.case_a2_rhs([float(p[i]), float(u3[i]), float(a3[i]), float(om3[i])]) == tuple(
+            float(r[i]) for r in rhs2)
 
 
 def test_case_a1_rhs_examples():
@@ -267,14 +285,22 @@ def test_closed_form_feeds_rhs_consistently():
 # ---------------------------------------------------------------------------
 
 
-def test_shearless_a3_values_and_pole():
-    assert cf.shearless_a3(F1, 1.0, 0.0) == 1.0
-    assert cf.shearless_a3(F1, 1.0, 0.25) == pytest.approx(2.0, rel=1e-12)
-    # integral anchored at zero also works leftward
-    assert cf.shearless_a3(F1, 1.0, -0.25) == pytest.approx(1.0 / 1.5, rel=1e-12)
-    assert cf.case_a2_branch_a3(F1, 2, 1.0, -0.2) == pytest.approx(1.0 / 1.3, rel=1e-12)
-    with pytest.raises(ValueError, match="blow-up"):
-        cf.shearless_a3(F1, 1.0, 0.5)
+def test_branch_fields_values_and_pole():
+    # a3 = 1/(C - 2z) through z = 0, on a grid starting left of it at
+    # z0 = -0.25 where the denominator is C + 0.5
+    f = cf.shearless_branch_fields(F1, 1.5, 0.0, Grid(-0.25, 0.25, 200))
+    assert f.a3[0] == 1.0 / 1.5
+    assert f.a3[100] == pytest.approx(1.0, rel=1e-12)
+    assert f.a3[-1] == pytest.approx(2.0, rel=1e-12)
+    f2 = cf.a2_branch2_fields(F1, 1.3, 0.0, Grid(-0.2, 0.2, 200))
+    assert f2.a3[0] == pytest.approx(1.0 / 1.3, rel=1e-12)
+    assert f2.a3[-1] == pytest.approx(1.0 / 0.7, rel=1e-12)
+    # blow-up where the denominator vanishes: z = 1/2 and z = 2/3
+    for fields, z_pole in ((cf.shearless_branch_fields(F1, 1.0, 0.0, Grid(0.0, 0.6, 120)), 0.5),
+                           (cf.a2_branch2_fields(F1, 1.0, 0.0, Grid(0.0, 0.8, 160)), 2.0 / 3.0)):
+        assert "sign change near z=" in fields.note
+        assert fields.grid.z1 == pytest.approx(z_pole - cf.POLE_MARGIN, abs=1e-9)
+        assert np.all(np.isfinite(fields.a3))
 
 
 def test_scale_factor_from_table():
@@ -340,20 +366,21 @@ def test_case_a2_zero_acceleration_reduction():
 
 def test_case_a2_branches():
     grid = Grid(0.0, 0.4, 400)
-    # branch 1 delegates to the shearless form
-    assert cf.case_a2_branch_a3(F1, 1, 1.0, 0.25) == cf.shearless_a3(F1, 1.0, 0.25)
+    # branch 1 is the shearless family; the slope of each branch is its
+    # record's
+    assert cf.shearless_branch_fields(F1, 1.0, 0.0, grid).family is cf.SHEARLESS
+    assert (cf.SHEARLESS.slope, cf.A2_BRANCH2.slope) == (2.0, 1.5)
     # branch 2: a3 = 1/(1 - 3z/2) for F = 1, D = 1
-    a = cf.case_a2_branch_a3(F1, 2, 1.0, 0.2)
+    a = cf.a2_branch2_fields(F1, 1.0, 0.0, Grid(0.0, 0.2, 200)).a3[-1]
     assert a == pytest.approx(1.0 / 0.7, rel=1e-12)
     f2 = cf.a2_branch2_fields(F1, 1.0, 0.0, grid)
+    assert f2.family is cf.A2_BRANCH2
     assert np.max(np.abs(f2.a3 - 1.0 / (1.0 - 1.5 * f2.z))) < 1e-10
     assert np.max(np.abs(f2.e3_a3 - 1.5 * f2.a3**2)) < 1e-12
     # p vanishes identically on branch 2, and equals a3^2/3 on branch 1
     assert np.max(np.abs(f2.p)) == 0.0
     f1 = cf.shearless_branch_fields(F1, 1.0, 0.0, grid)
     assert np.allclose(f1.p, f1.a3**2 / 3.0, rtol=1e-14)
-    with pytest.raises(ValueError):
-        cf.case_a2_branch_a3(F1, 3, 1.0, 0.1)
 
 
 def test_branch_clipping_reports_pole():
@@ -429,8 +456,8 @@ def test_embed_special_matches_stacked_batch_first_embedding():
                                   1.0 + 0.1 * np.sin(np.linspace(0.0, 3.0, 11)))
     jets = [
         form.jet(grid)[0],
-        cf.branch_jet(cf.shearless_branch_fields(F, 1.0, 1.0, Grid(0.0, 0.4, 400)), 1),
-        cf.branch_jet(cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401)), 2),
+        cf.branch_jet(cf.shearless_branch_fields(F, 1.0, 1.0, Grid(0.0, 0.4, 400))),
+        cf.branch_jet(cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401))),
         cf.a2_trajectory_jet(0.0, 0.3, -0.2, 0.7, 0.1),  # a single jet
     ]
     # every entry set, off-diagonal shear and commutation entries included
@@ -455,8 +482,9 @@ def test_embed_special_matches_stacked_batch_first_embedding():
 def test_perturbed_a3_breaks_residuals():
     form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=0.0, sign=1, B=1.0)
     grid = Grid(0.0, 1.0, 100)
-    jet, _ = form.jet(grid, perturb_a3=1e-3)
-    assert cf.ricci_einstein_residuals(jet).max_abs() > 1e-4
+    jet, _ = form.jet(grid)
+    assert cf.ricci_einstein_residuals(jet).max_abs() < 1e-10
+    assert cf.ricci_einstein_residuals(_perturbed(jet, 1e-3)).max_abs() > 1e-4
 
 
 def test_omega3_equation_consistency_across_cases():
@@ -465,7 +493,7 @@ def test_omega3_equation_consistency_across_cases():
     grid = Grid(0.0, 0.3, 120)
     f = cf.shearless_branch_fields(F1, 1.0, 1.0, grid)
     assert np.max(np.abs(-f.udot3 - f.a3)) == 0.0
-    jet = cf.branch_jet(f, 1)
+    jet = cf.branch_jet(f)
     e3 = jet.deriv[3]
     assert np.max(np.abs(np.asarray(e3.Omega3) - f.a3 * f.Omega3)) < 1e-14
 

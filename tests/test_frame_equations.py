@@ -352,8 +352,8 @@ def test_skipping_zeros_matches_einsum_on_conformally_flat_jets():
     a2 = rk4_integrate(cf.case_a2_rhs, [0.2, -0.3, 0.4, 1.0], grid2, F).states
     jets = {
         "a1 closed form": form.jet(grid)[0],
-        "branch 1": cf.branch_jet(cf.shearless_branch_fields(F, 1.0, 1.0, Grid(0.0, 0.4, 400)), 1),
-        "branch 2": cf.branch_jet(cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401)), 2),
+        "branch 1": cf.branch_jet(cf.shearless_branch_fields(F, 1.0, 1.0, Grid(0.0, 0.4, 400))),
+        "branch 2": cf.branch_jet(cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401))),
         "a1 rk4": cf.a1_trajectory_jet(grid2.points(), *a1.T),
         "a2 rk4": cf.a2_trajectory_jet(grid2.points(), *a2.T),
     }
@@ -402,7 +402,7 @@ def test_non_finite_entry_raises_with_zero_fields(case):
         jet = form.jet(Grid(0.0, 0.5, 60))[0]
     else:
         jet = cf.branch_jet(cf.a2_branch2_fields(cf.ScaleFactor.constant(1.0), 1.0, 0.5,
-                                                 Grid(0.0, 0.6, 60)), 2)
+                                                 Grid(0.0, 0.6, 60)))
     rng = np.random.default_rng(9)
     for name in JET_FIELDS:
         ja = cf.embed_special(jet)
