@@ -394,8 +394,9 @@ def test_residual_special_flags_spurious_omega3(tmp_path, capsys):
     assert "2.5" in line
 
 
-def a1_closed_form_table(path, N):
-    """Case A1 closed-form family sampled as a general state table in z."""
+def a1_closed_form_table(path, N, extra=None):
+    """Case A1 closed-form family sampled as a general state table in z,
+    with ``extra`` columns {name: function of z} appended."""
     from f13 import conformal as cf
     from f13.numerics import Grid
 
@@ -405,6 +406,9 @@ def a1_closed_form_table(path, N):
              "pi11", "pi22", "Omega3", "mu"]
     cols = [f["z"], f["F"], f["Theta"], f["sigma11"], f["sigma11"], f["udot3"],
             f["a3"], f["p"], f["pi11"], f["pi11"], f["Omega3"], 3.0 * f["p"]]
+    for name, of_z in (extra or {}).items():
+        names.append(name)
+        cols.append(of_z(f["z"]))
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(names)
@@ -820,6 +824,48 @@ def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
     assert capsys.readouterr().out.splitlines()[-1] == result
     if digest is not None:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+RESIDUAL_EXTRA = {
+    # the A1 closed form plus nonzero q, E and H, which the general system reads
+    "general": {"q1": lambda z: 0.01 * np.sin(z), "E11": lambda z: 0.02 * z,
+                "H13": lambda z: 0.03 * np.cos(z)},
+    "special": {},
+    # omega3 != 0: not gauge-reduced, so the RE block is skipped with a note
+    "special-ungauged": {"omega3": lambda z: 0.01 * z},
+    "futurework": {},
+}
+RESIDUAL_CHARACTERIZED = {
+    # name: (exit code, CSV sha256, sha256 of the block and note lines, RESULT line)
+    "general": (0, "4a921985728e30351f164fcb70b9a55b99aca364475ccd334738ec8a96b50b22",
+               "d4349225406be56628798e6d394560a0750a2680b092f61cda56a6e1c7331f36",
+               "RESULT pass max_residual=0.81291923793609722"),
+    "special": (0, "216afe9bb10595df8a55ebf1430470582bc3be732b48fcca62a8ebcc1c1b500a",
+               "bea37d663e6234daf361e9370a1c7b413e41cfe83e88a4877670357fa4d11a63",
+               "RESULT pass max_residual=0.054335366503437399"),
+    "special-ungauged": (0, "30b0be8473ace8804642f604baceeb43b66ce921d012a3a8e4f4dd020bb263cd",
+                        "87ccc2e2e6c1b163e9d42e5eab7cf69bbebee0012a34f092ea318648e2ab7dd1",
+                        "RESULT pass max_residual=0.054335366503437399"),
+    "futurework": (0, "76698256fb036af12f858151074dd0d608c2c1d72800bd8bf5c9ee1ad16c5b30",
+                  "845129a5ba5ec549b76720483f1b260b42c05c9f0930988b0c68daccf66ab4b5",
+                  "RESULT pass max_residual=801.08897147103175"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_CHARACTERIZED))
+def test_characterization_residual(tmp_path, capsys, name):
+    """Exit code, CSV sha256, block lines and RESULT line of every residual
+    system on a small A1 closed-form table."""
+    code, digest, blocks, result = RESIDUAL_CHARACTERIZED[name]
+    table = a1_closed_form_table(tmp_path / "state.csv", 40, RESIDUAL_EXTRA[name])
+    out = tmp_path / "res.csv"
+    system = name.split("-")[0]
+    assert main(["residual", "--table", table, "--system", system, "--out", str(out)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    printed = "\n".join(l for l in lines if l.startswith(("block ", "note: ")))
+    assert lines[-1] == result
+    assert hashlib.sha256(printed.encode()).hexdigest() == blocks
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 A2_SOLVE = """\
