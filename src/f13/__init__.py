@@ -1,6 +1,7 @@
 """1+3 orthonormal-frame equations for conformally flat elastic spacetimes.
 
-Residual verification of the general Einstein/Jacobi/Bianchi frame system,
+Residual verification of the general Einstein/Jacobi/Bianchi frame system
+(``residual_report``, which returns every block in one ``ResidualReport``),
 the Newman-Penrose curvature bridge, relativistic elasticity kinematics,
 and the non-rotating conformally flat ODE cases with their closed forms.
 """
@@ -20,11 +21,8 @@ from .frame_equations import (
     JetArrays,
     NonFiniteResidual,
     ResidualReport,
-    bianchi_residuals,
     commutator_residual,
     commutator_structure,
-    efe_residuals,
-    jacobi_residuals,
     residual_report,
 )
 from .numerics import Grid, PoleError, Trajectory, fd_derivative, quadrature, rk4_integrate

@@ -167,6 +167,8 @@ def _build_frame(values: dict, grid: Grid) -> cf.ScaleFactor:
             data = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read frame table {table!r}: {exc}") from None
+    except ValueError as exc:  # a non-numeric cell or a ragged row
+        raise ConfigError(f"bad frame table {table!r}: {exc}") from None
     if data.shape[0] < 2:
         raise ConfigError(f"frame table needs at least two rows: {table}")
     if data.shape[1] != 2:
@@ -440,8 +442,7 @@ def _verify_blocks(jet: cf.SpecialJet):
     name, idx, val = re.worst()
     results.append(("ricci-einstein", val, zs[idx], name))
     rep = _threaded_report(cf.embed_special(jet))
-    for label, arr in rep.blocks():
-        rowmax = np.max(np.abs(arr.reshape(len(zs), -1)), axis=-1)
+    for label, rowmax in rep.block_point_max().items():
         j = int(np.argmax(rowmax))
         results.append((f"frame-{label}", float(rowmax[j]), zs[j], ""))
     return results, float(max(r[1] for r in results))
@@ -467,7 +468,7 @@ def _verify_a1(values: dict, grid: Grid):
 
 def _verify_branch(fields_of, values: dict, grid: Grid):
     f = _branch_fields(fields_of, values, _build_frame(values, grid), grid)
-    return grid, cf.branch_jet(f), [] if f.note is None else [f.note]
+    return f.grid, cf.branch_jet(f), [] if f.note is None else [f.note]
 
 
 _VERIFY = {
@@ -708,37 +709,29 @@ def run_residual(table_path: str, system: str, out_path: str | None,
     coord, grid, cols = _read_table(table_path)
     zs = cols[coord]
     if system == "general":
-        ja = _jet_arrays_from_table(coord, grid, cols)
-        rep = _threaded_report(ja)
-        labels = [label for label, _ in rep.blocks()]
-        per_block = []
-        for _, arr in rep.blocks():
-            per_block.append(np.max(np.abs(arr.reshape(len(zs), -1)), axis=-1))
-        columns = [zs] + per_block + [rep.per_point_max()]
-        header = [coord] + labels + ["max"]
+        rep = _threaded_report(_jet_arrays_from_table(coord, grid, cols))
+        per_block = rep.block_point_max()
+        header = [coord, *per_block, "max"]
+        columns = [zs, *per_block.values(), rep.per_point_max()]
         summary = rep.block_norms()
         worst = rep.max_residual()
     else:
         jet = _special_jet_from_table(coord, grid, cols)
         if system == "special":
-            vec = cf.bianchi_special_residuals(jet)
-            extra_names, extras = _ansatz_checks(cols, np.zeros(len(zs)))
+            parts = [cf.bianchi_special_residuals(jet)]
             if cf.is_gauge_reduced(jet.value):
-                re_vec = cf.ricci_einstein_residuals(jet)
-                names = vec.names + re_vec.names + tuple(extra_names)
-                stacked = np.concatenate([vec.values, re_vec.values, extras])
+                parts.append(cf.ricci_einstein_residuals(jet))
             else:
                 print("note: state is not gauge-reduced; RE block skipped")
-                names = vec.names + tuple(extra_names)
-                stacked = np.concatenate([vec.values, extras])
+            parts.append(_ansatz_checks(cols, np.zeros(len(zs))))
+            vec = cf.ResidualVector(sum((v.names for v in parts), ()),
+                                    np.concatenate([v.values for v in parts]))
         else:
             vec = cf.futurework_residuals(jet)
-            names, stacked = vec.names, vec.values
-        columns = [zs] + [stacked[i] for i in range(len(names))]
-        columns.append(np.max(np.abs(stacked), axis=0))
-        header = [coord] + list(names) + ["max"]
-        summary = {n: float(np.max(np.abs(stacked[i]))) for i, n in enumerate(names)}
-        worst = float(np.max(np.abs(stacked)))
+        header = [coord, *vec.names, "max"]
+        columns = [zs, *vec.values, vec.per_point_max()]
+        summary = vec.entry_max()
+        worst = vec.max_abs()
 
     if out_path:
         _write_csv(out_path, header, columns)
@@ -751,14 +744,14 @@ def run_residual(table_path: str, system: str, out_path: str | None,
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _ansatz_checks(cols: dict, zero: np.ndarray):
+def _ansatz_checks(cols: dict, zero: np.ndarray) -> cf.ResidualVector:
     """Deviations from the diagonal elastic ansatz that the 17-entry system
     does not itself encode (reported as extra diagnostics)."""
     def col(name):
         return cols.get(name, zero)
 
-    names = ["ansatz_pi22", "ansatz_pi12", "ansatz_pi13", "ansatz_pi23",
-             "ansatz_mu3p"]
+    names = ("ansatz_pi22", "ansatz_pi12", "ansatz_pi13", "ansatz_pi23",
+             "ansatz_mu3p")
     rows = [
         np.abs(col("pi22") - col("pi11")),
         np.abs(col("pi12")),
@@ -766,7 +759,7 @@ def _ansatz_checks(cols: dict, zero: np.ndarray):
         np.abs(col("pi23")),
         np.abs(col("mu") - 3.0 * col("p")) if "mu" in cols else zero,
     ]
-    return names, np.stack(np.broadcast_arrays(*rows))
+    return cf.ResidualVector(names, np.stack(np.broadcast_arrays(*rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,10 @@ class ResidualVector:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    def per_point_max(self) -> np.ndarray:
+        """Max-abs over the entries, per batch entry."""
+        return np.max(np.abs(self.values), axis=0)
+
     def worst(self) -> tuple[str, int, float]:
         """(entry name, batch index, |value|) of the largest residual."""
         flat = np.abs(self.values.reshape(len(self.names), -1))

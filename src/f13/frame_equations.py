@@ -48,11 +48,11 @@ averaged away.
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .core import (
     DerivativeProvider,
     StateJet,
     SymThree,
-    ThreeVector,
     TracefreeSymThree,
     spatial_commutation_compose,
 )
@@ -71,15 +70,9 @@ __all__ = [
     "JetArrays",
     "NonFiniteResidual",
     "ResidualReport",
-    "EfeResiduals",
-    "JacobiResiduals",
-    "BianchiResiduals",
     "b_tensor",
     "curly_S",
     "curly_R",
-    "efe_residuals",
-    "jacobi_residuals",
-    "bianchi_residuals",
     "residual_report",
     "ZERO",
     "commutator_structure",
@@ -620,66 +613,8 @@ def _bianchi_arr(c: JetArrays):
 
 
 # ---------------------------------------------------------------------------
-# public wrappers and the assembled report
+# the assembled report
 # ---------------------------------------------------------------------------
-
-
-class EfeResiduals(NamedTuple):
-    e0_theta: float
-    e0_sigma: TracefreeSymThree
-    gauss: float
-    codazzi: ThreeVector
-
-
-class JacobiResiduals(NamedTuple):
-    e0_a: ThreeVector
-    e0_n: SymThree
-    e0_omega: ThreeVector
-    jacobi4: ThreeVector
-    jacobi5: float
-
-
-class BianchiResiduals(NamedTuple):
-    e0_mu: float
-    e0_q: ThreeVector
-    e0_E_pi: TracefreeSymThree
-    e0_H: TracefreeSymThree
-    div_E: ThreeVector
-    div_H: ThreeVector
-
-
-def efe_residuals(jet) -> EfeResiduals:
-    """Residuals of the Einstein evolution and constraint equations."""
-    rt, rs, g, cod = _efe_arr(_as_arrays(jet))
-    return EfeResiduals(
-        float(rt),
-        TracefreeSymThree.project(SymThree.from_matrix(_sym(rs))),
-        float(g),
-        ThreeVector.from_array(cod),
-    )
-
-
-def jacobi_residuals(jet) -> JacobiResiduals:
-    ra, rn, rw, j4, j5 = _jacobi_arr(_as_arrays(jet))
-    return JacobiResiduals(
-        ThreeVector.from_array(ra),
-        SymThree.from_matrix(_sym(rn)),
-        ThreeVector.from_array(rw),
-        ThreeVector.from_array(j4),
-        float(j5),
-    )
-
-
-def bianchi_residuals(jet) -> BianchiResiduals:
-    rm, rq, rE, rH, dE, dH = _bianchi_arr(_as_arrays(jet))
-    return BianchiResiduals(
-        float(rm),
-        ThreeVector.from_array(rq),
-        TracefreeSymThree.project(SymThree.from_matrix(_sym(rE))),
-        TracefreeSymThree.project(SymThree.from_matrix(_sym(rH))),
-        ThreeVector.from_array(dE),
-        ThreeVector.from_array(dH),
-    )
 
 
 class NonFiniteResidual(ValueError):
@@ -746,16 +681,15 @@ class ResidualReport:
     def max_residual(self) -> float:
         return max(self.block_norms().values())
 
-    def per_point_max(self) -> np.ndarray:
-        """Max-abs residual per batch entry (batched reports only)."""
+    def block_point_max(self) -> dict[str, np.ndarray]:
+        """Each block's max-abs over its components, per batch entry."""
         batch = self.e0_theta.shape
-        if batch == ():
-            return np.asarray(self.max_residual())
-        out = np.zeros(batch)
-        for _, arr in self.blocks():
-            flat = arr.reshape(batch + (-1,))
-            out = np.maximum(out, np.max(np.abs(flat), axis=-1))
-        return out
+        return {label: np.max(np.abs(arr.reshape(batch + (-1,))), axis=-1)
+                for label, arr in self.blocks()}
+
+    def per_point_max(self) -> np.ndarray:
+        """Max-abs residual over every block, per batch entry."""
+        return functools.reduce(np.maximum, self.block_point_max().values())
 
 
 # points per evaluation block: a block's temporaries stay cache-sized

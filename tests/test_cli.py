@@ -610,6 +610,54 @@ D = -1.0
     assert capsys.readouterr().err == f"config error: frame table needs at least two rows: {table}\n"
 
 
+@pytest.mark.parametrize("row", ["0.5,abc", "0.5,1.0,2.0"], ids=["non-numeric", "ragged"])
+def test_frame_table_bad_row_is_config_error(tmp_path, capsys, row):
+    table = tmp_path / "bad.csv"
+    table.write_text(f"z,F\n0.0,1.0\n{row}\n1.0,1.0\n", encoding="utf-8")
+    cfg = write(tmp_path / "b2.cfg", f"""\
+[scenario]
+case = a2-branch2
+output = {tmp_path / 'b2.csv'}
+
+[frame]
+F_table = {table}
+
+[grid]
+z0 = 0.0
+z1 = 0.5
+N = 100
+
+[constants]
+D = -1.0
+""")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: bad frame table {str(table)!r}: ")
+
+
+def test_verify_branch_clipped_at_a_pole_prints_the_clipped_grid(tmp_path, capsys):
+    """The title line names the grid the jet is evaluated on, as for case a1."""
+    cfg = write(tmp_path / "clip.cfg", """\
+[scenario]
+case = a1-shearless
+
+[frame]
+F = 1.0
+
+[constants]
+C = 1.0
+
+[grid]
+z0 = 0.0
+z1 = 0.9
+N = 90
+""")
+    main(["verify", "--config", cfg])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verify case=a1-shearless grid=[0,0.499] N=90"
+    assert lines[1] == "note: denominator sign change near z=0.5; clipped to [0, 0.499]"
+
+
 def test_read_table_matches_per_cell_float_parse(tmp_path):
     rng = np.random.default_rng(12)
     values = rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-300, 300, (40, 4))

@@ -23,13 +23,10 @@ from f13.frame_equations import (
     NonFiniteResidual,
     ResidualReport,
     b_tensor,
-    bianchi_residuals,
     commutator_residual,
     commutator_structure,
     curly_R,
     curly_S,
-    efe_residuals,
-    jacobi_residuals,
     _pool_size,
     residual_report,
 )
@@ -90,7 +87,7 @@ def test_einstein_de_sitter_nullity():
         assert rep.max_residual() < 1e-12
 
 
-def test_typed_wrappers_on_eds():
+def test_report_blocks_on_eds():
     t = 1.0
     matter = dataclasses.replace(State.zero().matter, mu=4.0 / 3.0)
     conn = dataclasses.replace(State.zero().connection, Theta=2.0)
@@ -101,22 +98,20 @@ def test_typed_wrappers_on_eds():
         State.zero().weyl,
     )
     jet = StateJet(t, value, (d0, State.zero(), State.zero(), State.zero()))
-    efe = efe_residuals(jet)
-    assert abs(efe.e0_theta) < 1e-15
-    assert abs(efe.gauss) < 1e-15
-    assert np.max(np.abs(efe.e0_sigma.as_matrix())) < 1e-15
-    jac = jacobi_residuals(jet)
-    assert np.max(np.abs(jac.e0_a.as_array())) == 0.0
-    assert jac.jacobi5 == 0.0
-    bia = bianchi_residuals(jet)
-    assert abs(bia.e0_mu) < 1e-15
-    assert np.max(np.abs(bia.div_H.as_array())) == 0.0
+    rep = residual_report(jet)
+    assert abs(rep.e0_theta) < 1e-15
+    assert abs(rep.gauss) < 1e-15
+    assert np.max(np.abs(rep.e0_sigma)) < 1e-15
+    assert np.max(np.abs(rep.e0_a)) == 0.0
+    assert rep.jacobi5 == 0.0
+    assert abs(rep.e0_mu) < 1e-15
+    assert np.max(np.abs(rep.div_H)) == 0.0
 
 
 def test_incomplete_jet_raises_with_slot_name():
     jet = StateJet(0.0, State.zero(), (State.zero(), State.zero(), None, State.zero()))
     with pytest.raises(ValueError, match="e_2"):
-        efe_residuals(jet)
+        residual_report(jet)
 
 
 def test_perfect_fluid_reduction():
@@ -313,6 +308,17 @@ def test_take_returns_views_of_a_point_range():
             part = getattr(sub, name)
             assert np.shares_memory(part, arr) and np.array_equal(part, arr[..., 3:7]), name
     assert ja.take(8, 20).shape == (2,)
+
+
+def test_report_reductions_agree_per_point_and_per_block():
+    rep = residual_report(random_jet_arrays(np.random.default_rng(5), 7))
+    rowmax = rep.block_point_max()
+    assert list(rowmax) == [label for label, _ in rep.blocks()]
+    for label, arr in rep.blocks():
+        assert np.array_equal(rowmax[label], [np.max(np.abs(row)) for row in arr]), label
+        assert np.max(rowmax[label]) == rep.block_norms()[label]
+    assert np.array_equal(rep.per_point_max(), np.max(list(rowmax.values()), axis=0))
+    assert np.max(rep.per_point_max()) == rep.max_residual()
 
 
 # ---------------------------------------------------------------------------
