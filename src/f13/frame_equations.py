@@ -687,9 +687,12 @@ class ResidualReport:
         return {label: np.max(np.abs(arr.reshape(batch + (-1,))), axis=-1)
                 for label, arr in self.blocks()}
 
-    def per_point_max(self) -> np.ndarray:
-        """Max-abs residual over every block, per batch entry."""
-        return functools.reduce(np.maximum, self.block_point_max().values())
+    def per_point_max(self, per_block: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Max-abs residual over every block, per batch entry.  ``per_block``
+        is this report's ``block_point_max()`` when the caller already has it."""
+        if per_block is None:
+            per_block = self.block_point_max()
+        return functools.reduce(np.maximum, per_block.values())
 
 
 # points per evaluation block: a block's temporaries stay cache-sized

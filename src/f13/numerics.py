@@ -3,15 +3,22 @@
 Fixed-step classical RK4 for F(z) y' = rhs(y) (deterministic output grids
 make residual cross-checks and CSV diffing trivial): rhs maps the state to
 F dy/dz and takes no z, and F is evaluated once, vectorised, on each array
-of stage abscissae.  Central finite differences of order 2 or 4 with
-one-sided boundary stencils of the same order, and cumulative composite
-Simpson quadrature.  All kernels are pure functions on uniform grids.
+of stage abscissae.  The step runs on Python floats and is generated once
+per state dimension, unrolled over the components; it performs the
+operations of the list-based step written out above ``_RK4_LOOP`` in the
+same order, so it gives the same bits.  Central finite differences of
+order 2 or 4 with one-sided boundary stencils of the same order, and
+cumulative composite Simpson quadrature.  All kernels are pure functions
+on uniform grids.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,18 +91,103 @@ class PoleError(RuntimeError):
         )
 
 
+# The RK4 loop is generated once per state dimension d from the template
+# below, unrolled over the components i = 0 .. d-1 (as dataclasses builds
+# its methods), so that a step runs no comprehension, zip or generator.  Its
+# operation order is that of the list-based step (tests/test_numerics.py
+# keeps it as ``rk4_list_reference``)
+#     k1 = [e / f1 for e in rhs(y)]
+#     k2 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k1)])]
+#     k3 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k2)])]
+#     k4 = [e / f4 for e in rhs([a + h * b for a, b in zip(y, k3)])]
+#     y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for ...]
+# so every float comes out bit for bit the same.  rhs is called four times
+# per step (a traced run counts these calls), with a tuple; an output of the
+# wrong length is a TypeError.
+_RK4_LOOP = """\
+def rk4_loop(rhs, y, append, Fs, h, h2, h6):
+    {y}, = y
+    # memoryviews hand out one Python float per step, not a list of them all
+    for k, (f1, f2, f4) in enumerate(zip(*map(memoryview, Fs))):
+        try:
+{stages}
+            {update}
+            finite = {finite}
+        except OverflowError:
+            finite = False
+        if not finite:
+            return k
+        {append}
+    return None
+"""
+_RK4_STAGE = """\
+            out = rhs(({arg},))
+            try:
+                {e}, = out
+            except ValueError:
+                check_length(out, {d})
+                raise
+            {slope}"""
+_RK4_STAGES = (  # (stage input, slope) of component i
+    ("y{i}", "k1_{i} = e{i} / f1"),
+    ("y{i} + h2 * k1_{i}", "k2_{i} = e{i} / f2"),
+    ("y{i} + h2 * k2_{i}", "k3_{i} = e{i} / f2"),
+    ("y{i} + h * k3_{i}", "k4_{i} = e{i} / f4"),
+)
+_RK4_UPDATE = "y{i} = y{i} + h6 * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i})"
+
+
+def _check_length(out, d: int) -> None:
+    """Turn a failed unpacking of rhs's output into a TypeError naming both
+    lengths; returns when the length was not the cause."""
+    n = len(out) if hasattr(out, "__len__") else d
+    if n != d:
+        raise TypeError(f"rhs returned {n} components for a state of {d}") from None
+
+
+@functools.cache
+def _rk4_loop(d: int) -> Callable:
+    """The RK4 loop for a state of d components: ``rk4_loop(rhs, y, append,
+    Fs, h, h2, h6)`` steps from the state y, passes each new component to
+    append, and returns the index of the step that went non-finite or
+    overflowed (its state is not appended), or None."""
+    def each(fmt: str, sep: str) -> str:
+        return sep.join(fmt.format(i=i) for i in range(d))
+
+    line = "\n" + " " * 12
+    source = _RK4_LOOP.format(
+        y=each("y{i}", ", "),
+        stages="\n".join(
+            _RK4_STAGE.format(arg=each(arg, ", "), e=each("e{i}", ", "), d=d,
+                              slope=each(slope, line))
+            for arg, slope in _RK4_STAGES),
+        update=each(_RK4_UPDATE, line),
+        finite=each("isfinite(y{i})", " and "),
+        append=each("append(y{i})", "; "),
+    )
+    filename = f"<rk4 loop, d={d}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"isfinite": math.isfinite, "check_length": _check_length}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["rk4_loop"]
+
+
 def rk4_integrate(rhs: Callable, y0, grid: Grid, F: Callable) -> Trajectory:
     """Classical fixed-step RK4 for F(z) y' = rhs(y); global error O(h^4).
 
-    rhs maps the state (a sequence of floats) to F dy/dz; F is vectorised
-    over z and must be positive and finite at every stage abscissa, which
-    is checked before integrating (ValueError otherwise).  F is evaluated
-    once per abscissa array and the stages run on Python floats.
+    rhs maps the state (a tuple of floats) to F dy/dz, a sequence of the
+    same length (TypeError otherwise), and is called four times per step.
+    F is vectorised over z and must be positive and finite at every stage
+    abscissa, which is checked before integrating (ValueError otherwise).
+    F is evaluated once per abscissa array and the stages run on Python
+    floats.
 
     Raises PoleError (with the finite prefix of the trajectory) as soon as a
     step produces NaN/Inf or overflows, which is how pole crossings surface.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    if not y:
+        raise ValueError("rk4_integrate needs a state of at least one component")
     h = grid.h
     n = grid.N
     # stage abscissae: z_k, z_k + h/2 (stages 2 and 3) and z_k + h, which
@@ -111,25 +203,11 @@ def rk4_integrate(rhs: Callable, y0, grid: Grid, F: Callable) -> Trajectory:
             f"frame factor must be positive and finite at z={float(stages[s][k])!r}, "
             f"got {float(Fs[s][k])!r}"
         )
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    ys = np.empty((n + 1, len(y)))
-    ys[0] = y
-    # memoryviews hand out one Python float per step, not a list of them all
-    for k, (f1, f2, f4) in enumerate(zip(*map(memoryview, Fs))):
-        try:
-            k1 = [e / f1 for e in rhs(y)]
-            k2 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k1)])]
-            k3 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k2)])]
-            k4 = [e / f4 for e in rhs([a + h * b for a, b in zip(y, k3)])]
-            y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            finite = all(map(math.isfinite, y))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise PoleError(float(zk[k]), ys[: k + 1].copy(), grid)
-        ys[k + 1] = y
+    buf = array("d", y)  # the trajectory, row-major; ys views it
+    k = _rk4_loop(len(y))(rhs, y, buf.append, Fs, h, 0.5 * h, h / 6.0)
+    ys = np.frombuffer(buf).reshape(-1, len(y))
+    if k is not None:
+        raise PoleError(float(zk[k]), ys.copy(), grid)
     return Trajectory(grid, ys)
 
 

@@ -319,6 +319,7 @@ def test_report_reductions_agree_per_point_and_per_block():
         assert np.max(rowmax[label]) == rep.block_norms()[label]
     assert np.array_equal(rep.per_point_max(), np.max(list(rowmax.values()), axis=0))
     assert np.max(rep.per_point_max()) == rep.max_residual()
+    assert np.array_equal(rep.per_point_max(rowmax), rep.per_point_max())  # reuses rowmax
 
 
 # ---------------------------------------------------------------------------

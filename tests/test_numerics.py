@@ -1,14 +1,17 @@
 """Integration, differentiation and quadrature kernel tests."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f13 import conformal as cf
 from f13.numerics import (
     Grid,
     PoleError,
+    Trajectory,
     cumulative_integral_refined,
     fd_derivative,
     quadrature,
@@ -131,8 +134,6 @@ def test_cumulative_refined_matches_log():
 
 def test_trajectory_shape_checks():
     g = Grid(0.0, 1.0, 10)
-    from f13.numerics import Trajectory
-
     with pytest.raises(ValueError):
         Trajectory(g, np.zeros((5, 2)))
     with pytest.raises(ValueError):
@@ -232,6 +233,187 @@ def test_rk4_overflow_is_a_pole():
     with pytest.raises(PoleError) as err:
         rk4_integrate(lambda y: [y[0] ** 3], [1.0], Grid(0.0, 2.0, 200), unit_frame)
     assert 0.4 < err.value.last_good_z < 0.6  # y' = y^3 blows up at z = 1/2
+
+
+# ---------------------------------------------------------------------------
+# bit-identity of the generated RK4 loop with the list-based loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def rk4_list_reference(rhs, y0, grid, F):
+    """rk4_integrate as it was before its step was generated per state
+    dimension: the same checks, one list comprehension per stage."""
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    h = grid.h
+    n = grid.N
+    # stage abscissae: z_k, z_k + h/2 (stages 2 and 3) and z_k + h, which
+    # need not equal z_{k+1} bit for bit
+    zk = grid.z0 + np.arange(n) * h
+    zk[0] = grid.z0
+    stages = (zk, zk + 0.5 * h, zk + h)
+    Fs = [np.ascontiguousarray(np.broadcast_to(F(z), z.shape), dtype=float) for z in stages]
+    good = np.stack([(Fz > 0.0) & np.isfinite(Fz) for Fz in Fs], axis=1)
+    if not good.all():
+        k, s = divmod(int(np.argmin(good)), 3)  # first bad abscissa in loop order
+        raise ValueError(
+            f"frame factor must be positive and finite at z={float(stages[s][k])!r}, "
+            f"got {float(Fs[s][k])!r}"
+        )
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    ys = np.empty((n + 1, len(y)))
+    ys[0] = y
+    # memoryviews hand out one Python float per step, not a list of them all
+    for k, (f1, f2, f4) in enumerate(zip(*map(memoryview, Fs))):
+        try:
+            k1 = [e / f1 for e in rhs(y)]
+            k2 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k1)])]
+            k3 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k2)])]
+            k4 = [e / f4 for e in rhs([a + h * b for a, b in zip(y, k3)])]
+            y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            finite = all(map(math.isfinite, y))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise PoleError(float(zk[k]), ys[: k + 1].copy(), grid)
+        ys[k + 1] = y
+    return Trajectory(grid, ys)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def assert_matches_list_reference(rhs, y0, grid, F) -> bool:
+    """Same states, or the same pole; returns whether a pole was hit."""
+    try:
+        want = rk4_list_reference(rhs, y0, grid, F).states
+    except PoleError as ref:
+        with pytest.raises(PoleError) as new:
+            rk4_integrate(rhs, y0, grid, F)
+        assert new.value.last_good_z == ref.last_good_z
+        assert str(new.value) == str(ref)
+        assert_same_bits(new.value.partial_states, ref.partial_states)
+        return True
+    assert_same_bits(rk4_integrate(rhs, y0, grid, F).states, want)
+    return False
+
+
+def quadratic_rhs(c, L, Q, as_tuple):
+    """e_i = c_i + sum_j L_ij y_j + sum_jk Q_ijk y_j y_k, as a list or a tuple."""
+    d = len(c)
+
+    def rhs(y):
+        out = []
+        for i in range(d):
+            e = c[i]
+            for j in range(d):
+                e += L[i][j] * y[j]
+                for k in range(d):
+                    e += Q[i][j][k] * y[j] * y[k]
+            out.append(e)
+        return tuple(out) if as_tuple else out
+
+    return rhs
+
+
+@st.composite
+def rk4_problems(draw):
+    """A random quadratic system of 1-5 components, a constant or spline F
+    in about [0.8, 1.7], and either data that stay finite or data whose
+    first component obeys F y0' = y0^2 from y0(0) >= 1.
+
+    Finite case: coefficients and |y(0)| are at most 1, so |F y'| <= 111
+    while |y| <= 2 (d <= 5), and an interval of 0.004 keeps |y| < 2.
+    Pole case: with F <= 2 the first component blows up before z = 2.
+    The coefficients come from one drawn seed, which keeps shrinking cheap."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c, L, Q = (rng.uniform(-1.0, 1.0, (d,) * n).tolist() for n in (1, 2, 3))
+    y0 = rng.uniform(-1.0, 1.0, d).tolist()
+    pole = draw(st.booleans())
+    if pole:
+        c[0] = 0.0
+        L[0] = [0.0] * d
+        Q[0] = [[0.0] * d for _ in range(d)]
+        Q[0][0][0] = 1.0
+        y0[0] = draw(st.floats(1.0, 2.0))
+    z1 = 4.0 if pole else 0.004
+    grid = Grid(0.0, z1, draw(st.integers(4, 60)))
+    if draw(st.booleans()):
+        F = cf.ScaleFactor.constant(draw(st.floats(1.0, 1.5)))
+    else:
+        nodes = draw(st.lists(st.floats(1.0, 1.5), min_size=4, max_size=9))
+        F = cf.ScaleFactor.from_table(np.linspace(0.0, z1, len(nodes)), nodes)
+    return quadratic_rhs(c, L, Q, draw(st.booleans())), y0, grid, F, pole
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rk4_problems())
+def test_rk4_matches_list_reference_on_quadratic_systems(problem):
+    rhs, y0, grid, F, pole = problem
+    assert assert_matches_list_reference(rhs, y0, grid, F) == pole
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rk4_identity_rhs_matches_list_reference(d):
+    """An rhs that returns its input: a list in the reference, a tuple here."""
+    y0 = [1.0, -0.5, 0.25][:d]
+    for F in FRAMES.values():
+        assert not assert_matches_list_reference(lambda y: y, y0, Grid(0.0, 1.0, 1000), F())
+
+
+def test_rk4_overflow_matches_list_reference():
+    assert assert_matches_list_reference(
+        lambda y: [y[0] ** 3], [1.0], Grid(0.0, 2.0, 200), unit_frame)
+
+
+@pytest.mark.parametrize("returned", [1, 2, 4])
+def test_rk4_rhs_of_the_wrong_length_is_a_type_error(returned):
+    """A 3-component state and an rhs of another length: the list-based loop
+    truncated the state to the shorter length (and broadcast one value into
+    every column) or failed inside numpy; now the first call fails."""
+    calls = []
+
+    def rhs(y):
+        calls.append(y)
+        return [0.5] * returned
+
+    with pytest.raises(TypeError, match=f"rhs returned {returned} components "
+                                        "for a state of 3"):
+        rk4_integrate(rhs, [1.0, 2.0, 3.0], Grid(0.0, 1.0, 10), unit_frame)
+    assert len(calls) == 1
+
+
+def test_rk4_empty_state_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one component"):
+        rk4_integrate(lambda y: y, [], Grid(0.0, 1.0, 10), unit_frame)
+
+
+def test_rk4_value_error_inside_rhs_is_not_a_length_error():
+    with pytest.raises(ValueError, match="math domain error"):
+        rk4_integrate(lambda y: [math.sqrt(-y[0])], [1.0], Grid(0.0, 1.0, 10), unit_frame)
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+def test_rk4_calls_rhs_four_times_per_step(frame):
+    calls = [0]
+
+    def counted(y):
+        calls[0] += 1
+        return cf.case_a1_rhs(y)
+
+    F = FRAMES[frame]()
+    rk4_integrate(counted, [0.1, 0.1 * np.sqrt(0.01 + 9.0), 1.0], Grid(0.0, 1.0, 500), F)
+    assert calls[0] == 4 * 500
+    calls[0] = 0
+    with pytest.raises(PoleError) as err:
+        rk4_integrate(counted, [0.5, 0.5 * np.sqrt(0.25 + 9.0), 1.0], Grid(0.0, 1.0, 400), F)
+    # the failed step is step number len(partial_states), and it ran in full
+    assert calls[0] == 4 * len(err.value.partial_states)
 
 
 def test_rk4_rejects_frame_factor_below_zero_between_nodes():
