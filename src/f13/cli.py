@@ -712,7 +712,7 @@ def run_residual(table_path: str, system: str, out_path: str | None,
         rep = _threaded_report(_jet_arrays_from_table(coord, grid, cols))
         per_block = rep.block_point_max()
         header = [coord, *per_block, "max"]
-        columns = [zs, *per_block.values(), rep.per_point_max(per_block)]
+        columns = [zs, *per_block.values(), rep.per_point_max()]
         summary = rep.block_norms()
         worst = rep.max_residual()
     else:

@@ -176,7 +176,11 @@ class SpecialJet:
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Named residual entries, each a scalar or a batch array."""
+    """Named residual entries, each a scalar or a batch array.
+
+    Each entry's max-abs over the batch is taken once, at construction;
+    ``entry_max``, ``max_abs``, ``worst`` and the finite check read it.
+    """
 
     names: tuple[str, ...]
     values: np.ndarray  # shape (len(names),) + batch
@@ -184,27 +188,31 @@ class ResidualVector:
     def __post_init__(self):
         if self.values.shape[0] != len(self.names):
             raise ValueError("names/values length mismatch")
-        finite = np.isfinite(self.values).all(axis=tuple(range(1, self.values.ndim)))
+        flat = self.values.reshape(len(self.names), -1)
+        # a nan or an inf survives the max-abs
+        top = np.max(np.abs(flat), axis=1, initial=0.0)
+        finite = np.isfinite(top)
         if not finite.all():
             name = self.names[int(np.argmin(finite))]
             raise NonFiniteResidual(f"non-finite residual entry {name}")
+        object.__setattr__(self, "_entry_max", top)
 
     def entry_max(self) -> dict[str, float]:
-        flat = self.values.reshape(len(self.names), -1)
-        return {n: float(np.max(np.abs(flat[i]))) for i, n in enumerate(self.names)}
+        return dict(zip(self.names, self._entry_max.tolist()))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(self._entry_max))
 
     def per_point_max(self) -> np.ndarray:
         """Max-abs over the entries, per batch entry."""
         return np.max(np.abs(self.values), axis=0)
 
     def worst(self) -> tuple[str, int, float]:
-        """(entry name, batch index, |value|) of the largest residual."""
-        flat = np.abs(self.values.reshape(len(self.names), -1))
-        i, j = np.unravel_index(np.argmax(flat), flat.shape)
-        return self.names[i], int(j), float(flat[i, j])
+        """(entry name, batch index, |value|) of the largest residual: the
+        first entry holding it, at its first batch index."""
+        i = int(np.argmax(self._entry_max))
+        j = int(np.argmax(np.abs(self.values.reshape(len(self.names), -1)[i])))
+        return self.names[i], j, float(self._entry_max[i])
 
 
 def _stack(entries) -> np.ndarray:

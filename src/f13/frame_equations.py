@@ -20,8 +20,10 @@ output component).  Each kernel adds its terms in index order, and each
 term is one numpy operation along the batch.  ``residual_report``
 evaluates a batch in consecutive blocks of ``BLOCK_POINTS`` points
 (views along the last batch axis), serially or on a thread pool; every
-residual is pointwise, so neither changes the report.  The report's
-arrays are batch-first: S + components.
+residual is pointwise, so neither changes the report.  The report keeps
+the same layout, components + S, and each block is reduced once, on the
+thread that evaluated it: its max-abs over the components at every point.
+The report's norms, per-point maxima and finite check all come from those.
 
 Structural zeros.  On the conformally flat elastic jets large parts of the
 state vanish identically (E = H = q = 0, n = omega = 0 on the ODE cases,
@@ -48,11 +50,10 @@ averaged away.
 from __future__ import annotations
 
 import copy
-import functools
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import InitVar, dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -625,8 +626,12 @@ class NonFiniteResidual(ValueError):
 class ResidualReport:
     """All residual blocks of the general system, possibly batched.
 
-    Block arrays keep their tensor character; norms are max-abs over every
-    component (and over the batch).
+    Block arrays keep their tensor character and the jet's layout,
+    components + S.  ``point_max`` holds, per block in field order, its
+    max-abs over the components at every batch entry (``ZERO`` for a block
+    the kernels returned as ``ZERO``); every reduction below is read from
+    it, and a non-finite block fails construction.  Norms are max-abs over
+    every component (and over the batch).
     """
 
     e0_theta: np.ndarray
@@ -644,6 +649,7 @@ class ResidualReport:
     e0_H: np.ndarray
     div_E: np.ndarray
     div_H: np.ndarray
+    point_max: InitVar[list]
 
     # report field: (block label, component shape)
     BLOCKS = {
@@ -664,35 +670,42 @@ class ResidualReport:
         "div_H": ("divH", (3,)),
     }
 
-    def __post_init__(self):
-        for f in dataclass_fields(self):
-            arr = np.asarray(getattr(self, f.name))
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteResidual(f"non-finite residual in block {f.name}")
-            setattr(self, f.name, arr)
+    def __post_init__(self, point_max):
+        self._point_max = {}
+        self._norms = {}
+        for name, pm in zip(self.BLOCKS, point_max, strict=True):
+            label = self.BLOCKS[name][0]
+            # a nan or an inf survives the max-abs, and so the max over points
+            norm = 0.0 if pm is ZERO else float(np.max(pm, initial=0.0))
+            if not np.isfinite(norm):
+                raise NonFiniteResidual(f"non-finite residual in block {name}")
+            if pm is not ZERO:
+                pm.flags.writeable = False
+            self._point_max[label] = pm
+            self._norms[label] = norm
 
     def blocks(self):
         for f in dataclass_fields(self):
             yield self.BLOCKS[f.name][0], getattr(self, f.name)
 
     def block_norms(self) -> dict[str, float]:
-        return {label: float(np.max(np.abs(arr))) for label, arr in self.blocks()}
+        return dict(self._norms)
 
     def max_residual(self) -> float:
-        return max(self.block_norms().values())
+        return max(self._norms.values())
 
     def block_point_max(self) -> dict[str, np.ndarray]:
         """Each block's max-abs over its components, per batch entry."""
-        batch = self.e0_theta.shape
-        return {label: np.max(np.abs(arr.reshape(batch + (-1,))), axis=-1)
-                for label, arr in self.blocks()}
+        return {label: np.zeros(self.e0_theta.shape) if pm is ZERO else pm
+                for label, pm in self._point_max.items()}
 
-    def per_point_max(self, per_block: dict[str, np.ndarray] | None = None) -> np.ndarray:
-        """Max-abs residual over every block, per batch entry.  ``per_block``
-        is this report's ``block_point_max()`` when the caller already has it."""
-        if per_block is None:
-            per_block = self.block_point_max()
-        return functools.reduce(np.maximum, per_block.values())
+    def per_point_max(self) -> np.ndarray:
+        """Max-abs residual over every block, per batch entry."""
+        out = np.zeros(self.e0_theta.shape)
+        for pm in self._point_max.values():
+            if pm is not ZERO:
+                np.maximum(out, pm, out=out)
+        return out
 
 
 # points per evaluation block: a block's temporaries stay cache-sized
@@ -714,40 +727,50 @@ def residual_report(jet, workers: int = 1) -> ResidualReport:
     A batch of shape (N,) is evaluated in consecutive blocks of
     BLOCK_POINTS points (``JetArrays.take`` views), serially or on up to
     ``workers`` threads; other batch shapes are evaluated in one piece.
-    Every residual is pointwise, so the report is the same for any block
-    size and any ``workers``.  Fields that are zero throughout are skipped
-    (see the module docstring); ``jet`` itself is left as it is.
+    Each piece is written into the report arrays and reduced over its
+    components on the thread that evaluated it.  Every residual is
+    pointwise, so the report is the same for any block size and any
+    ``workers``.  Fields that are zero throughout are skipped (see the
+    module docstring); ``jet`` itself is left as it is.
     """
     ja = _with_structural_zeros(_as_arrays(jet))
-    n = ja.shape[0] if len(ja.shape) == 1 else 0
-    if n <= BLOCK_POINTS:
-        return _gather(ja.shape, [(..., _report_arrays(ja))])
-    starts = range(0, n, BLOCK_POINTS)
+    comps = [comp for _, comp in ResidualReport.BLOCKS.values()]
+    # every point of a block is written by the piece that evaluates it
+    out = [np.empty(comp + ja.shape) for comp in comps]
+    point_max = [np.empty(ja.shape) for _ in comps]
     errors = np.geterr()  # pool threads start from numpy's default error state
 
-    def block(lo):
-        hi = lo + BLOCK_POINTS
+    def piece(lo):
+        """Evaluate points lo:lo + BLOCK_POINTS, or the whole batch for
+        None; which blocks came out ``ZERO``."""
+        if lo is None:
+            sub, index = ja, ...
+        else:
+            sub, index = ja.take(lo, lo + BLOCK_POINTS), (..., slice(lo, lo + BLOCK_POINTS))
         with np.errstate(**errors):
-            return slice(lo, hi), _report_arrays(ja.take(lo, hi))
-
-    threads = _pool_size(workers, len(starts), os.cpu_count())
-    if threads == 1:
-        return _gather(ja.shape, map(block, starts))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _gather(ja.shape, pool.map(block, starts))
-
-
-def _gather(shape: tuple, pieces) -> ResidualReport:
-    """Write the component-major kernel results of each (batch index,
-    results) piece into batch-first arrays of batch shape ``shape``; a
-    ``ZERO`` result leaves the zeros the array starts with."""
-    out = [np.zeros(shape + comp) for _, comp in ResidualReport.BLOCKS.values()]
-    k = len(shape)
-    for index, arrays in pieces:
-        for dst, src in zip(out, arrays):
+            results = _report_arrays(sub)
+        for dst, pm, src in zip(out, point_max, results):
             if src is not ZERO:
-                dst[index] = np.moveaxis(src, range(-k, 0), range(k))
-    return ResidualReport(*out)
+                dst[index] = src
+                np.max(np.abs(src).reshape((-1,) + sub.shape), axis=0, out=pm[index])
+        return tuple(src is ZERO for src in results)
+
+    n = ja.shape[0] if len(ja.shape) == 1 else 0
+    if n <= BLOCK_POINTS:
+        zero = piece(None)
+    else:
+        starts = range(0, n, BLOCK_POINTS)
+        threads = _pool_size(workers, len(starts), os.cpu_count())
+        if threads == 1:
+            zero = [piece(lo) for lo in starts][0]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                zero = list(pool.map(piece, starts))[0]
+    # the zero fields, and so the ZERO blocks, are the same in every piece
+    for k, z in enumerate(zero):
+        if z:
+            out[k], point_max[k] = np.zeros(comps[k] + ja.shape), ZERO
+    return ResidualReport(*out, point_max)
 
 
 # ---------------------------------------------------------------------------

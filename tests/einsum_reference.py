@@ -340,6 +340,9 @@ def _batch_first(ja):
 
 
 def report_arrays(ja):
-    """The 15 residual arrays, in ``ResidualReport`` field order."""
-    ja = _batch_first(ja)
-    return _efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja)
+    """The 15 residual arrays, in ``ResidualReport`` field order and layout:
+    evaluated batch-first, returned with the batch axes moved back last."""
+    k = len(ja.shape)
+    bf = _batch_first(ja)
+    out = _efe_arr(bf) + _jacobi_arr(bf) + _bianchi_arr(bf)
+    return tuple(np.moveaxis(arr, range(k), range(arr.ndim - k, arr.ndim)) for arr in out)

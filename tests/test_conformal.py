@@ -8,7 +8,7 @@ import pytest
 from f13 import conformal as cf
 from f13.cli import _perturbed
 from f13.core import MatterState, ThreeVector, TracefreeSymThree
-from f13.frame_equations import residual_report
+from f13.frame_equations import NonFiniteResidual, residual_report
 from f13.numerics import Grid, rk4_integrate
 from f13.spinors import ricci_spinor
 
@@ -548,3 +548,28 @@ def test_residual_vector_worst_location():
     vec = cf.ResidualVector(("x", "y"), vals)
     assert vec.worst() == ("y", 3, 2.5)
     assert vec.max_abs() == 2.5
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
+def test_residual_vector_worst_matches_flat_argmax_with_ties(batch):
+    """Integer entries of both signs tie often; the flat argmax takes the
+    first entry holding the largest |value| and its first batch index."""
+    rng = np.random.default_rng(8)
+    names = tuple("abcde")
+    for _ in range(40):
+        vals = rng.integers(-3, 4, size=(len(names),) + batch).astype(float)
+        flat = np.abs(vals.reshape(len(names), -1))
+        i, j = np.unravel_index(np.argmax(flat), flat.shape)
+        vec = cf.ResidualVector(names, vals)
+        assert vec.worst() == (names[i], int(j), float(flat[i, j]))
+        assert vec.max_abs() == np.max(flat)
+        assert vec.entry_max() == {n: float(np.max(flat[k])) for k, n in enumerate(names)}
+    assert cf.ResidualVector(names, np.zeros((len(names),) + batch)).worst() == ("a", 0, 0.0)
+
+
+def test_residual_vector_names_first_non_finite_entry():
+    vals = np.zeros((4, 6))
+    vals[3, 0] = np.nan
+    vals[1, 5] = -np.inf
+    with pytest.raises(NonFiniteResidual, match="entry y$"):
+        cf.ResidualVector(("w", "y", "x", "z"), vals)

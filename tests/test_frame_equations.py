@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import sys
 import warnings
 
 import einsum_reference
@@ -239,8 +240,8 @@ def test_boosted_shear_congruence_satisfies_all_blocks():
 REPORT_FIELDS = [f.name for f in dataclasses.fields(ResidualReport)]
 
 
-def random_jet_arrays(rng, n):
-    ja = JetArrays((n,))
+def random_jet_arrays(rng, *shape):
+    ja = JetArrays(shape)
     for arr in vars(ja).values():
         if isinstance(arr, np.ndarray):
             arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
@@ -288,7 +289,7 @@ def test_report_independent_of_blocks_and_workers(monkeypatch):
             for name in REPORT_FIELDS:
                 # the same bytes, signed zeros included
                 assert getattr(rep, name).tobytes() == getattr(reports[0], name).tobytes(), name
-        assert reports[0].e0_sigma.shape == (n, 3, 3)
+        assert reports[0].e0_sigma.shape == (3, 3, n)
 
 
 def test_pool_size_caps_threads_at_blocks_and_cpus():
@@ -315,11 +316,82 @@ def test_report_reductions_agree_per_point_and_per_block():
     rowmax = rep.block_point_max()
     assert list(rowmax) == [label for label, _ in rep.blocks()]
     for label, arr in rep.blocks():
-        assert np.array_equal(rowmax[label], [np.max(np.abs(row)) for row in arr]), label
+        points = [np.max(np.abs(arr[..., j])) for j in range(arr.shape[-1])]
+        assert np.array_equal(rowmax[label], points), label
         assert np.max(rowmax[label]) == rep.block_norms()[label]
+        # the stored maxima, not a second reduction of the block
+        assert rep.block_point_max()[label] is rowmax[label], label
     assert np.array_equal(rep.per_point_max(), np.max(list(rowmax.values()), axis=0))
     assert np.max(rep.per_point_max()) == rep.max_residual()
-    assert np.array_equal(rep.per_point_max(rowmax), rep.per_point_max())  # reuses rowmax
+
+
+@pytest.mark.parametrize("shape", [(), (2 * fe.BLOCK_POINTS + 37,), (4, 5)])
+def test_stored_maxima_are_the_max_abs_over_components(shape):
+    """A single jet, several blocks with a short last one, and a 2-D batch."""
+    rep = residual_report(random_jet_arrays(np.random.default_rng(21), *shape))
+    rowmax = rep.block_point_max()
+    for label, arr in rep.blocks():
+        ref = np.max(np.abs(arr), axis=tuple(range(arr.ndim - len(shape))))
+        assert rowmax[label].shape == shape, label
+        assert rowmax[label].tobytes() == ref.tobytes(), label
+
+
+def test_stored_maxima_independent_of_blocks_and_workers(monkeypatch):
+    """Pool threads write disjoint slices of the shared report arrays; more
+    threads than CPUs and a short switch interval interleave them often."""
+    n = 3 * 64 + 5
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for zeroed in ((), ("omega", "domega", "E", "dE", "H", "dH")):
+            ja = random_jet_arrays(np.random.default_rng(12), n)
+            for name in zeroed:
+                getattr(ja, name)[...] = 0.0
+            seen = []
+            for block_points in (5, 64, n):
+                monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
+                for workers in (1, 2, 8):
+                    rep = residual_report(ja, workers=workers)
+                    seen.append([arr.tobytes() for arr in rep.block_point_max().values()]
+                                + [rep.per_point_max().tobytes()]
+                                + [getattr(rep, name).tobytes() for name in REPORT_FIELDS])
+            assert all(out == seen[0] for out in seen[1:]), zeroed
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field, entry, block", [
+    ("dmu", (0,), "e0_mu"),  # e_0(mu) enters bianchi1 alone
+    ("dsigma", (0, 1, 2), "e0_sigma"),  # e_0(sigma) enters field2 alone
+])
+def test_non_finite_in_last_partial_block_names_its_block(monkeypatch, workers, bad,
+                                                          field, entry, block):
+    n = 2 * fe.BLOCK_POINTS + 5
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    ja = random_jet_arrays(np.random.default_rng(6), n)
+    getattr(ja, field)[entry + (n - 2,)] = bad
+    with pytest.raises(NonFiniteResidual, match=f"in block {block}$"):
+        residual_report(ja, workers=workers)
+
+
+def test_zero_blocks_report_zero_maxima():
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 3 * fe.BLOCK_POINTS))[0])
+    results = fe._report_arrays(fe._with_structural_zeros(ja))
+    zero = [name for name, res in zip(REPORT_FIELDS, results) if res is ZERO]
+    assert "jacobi5" in zero
+    rep = residual_report(ja)
+    rowmax = rep.block_point_max()
+    for name in zero:
+        label = ResidualReport.BLOCKS[name][0]
+        assert rowmax[label].shape == ja.shape and not rowmax[label].any(), name
+        assert rep.block_norms()[label] == 0.0 and not getattr(rep, name).any(), name
+    nonzero = [rowmax[label] for label, _ in rep.blocks() if label not in
+               {ResidualReport.BLOCKS[name][0] for name in zero}]
+    assert np.array_equal(rep.per_point_max(), np.max(nonzero, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +459,7 @@ def test_skipping_zeros_matches_dense_kernels_on_random_jets():
         rep = residual_report(ja)
         dense = fe._report_arrays(ja)
         for name, ref in zip(REPORT_FIELDS, dense):
-            assert np.array_equal(getattr(rep, name), np.moveaxis(ref, -1, 0)), (trial, name)
+            assert np.array_equal(getattr(rep, name), ref), (trial, name)
         for name, new, ref in report_pairs(ja):
             assert np.max(np.abs(new - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), name
 
