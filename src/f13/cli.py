@@ -231,13 +231,16 @@ class _Solved:
     drift: float | None = None
 
 
+def _e_derivatives(grid: Grid, F, columns: dict) -> dict:
+    """F times the order-4 grid derivative of each named column, the frame
+    derivative of gridded data; nothing else in the package takes one."""
+    return {name: F * fd_derivative(col, grid) for name, col in columns.items()}
+
+
 def _resubstitution(grid: Grid, F_vals, columns: dict, rhs: dict) -> dict[str, float]:
-    """Max |F d/dz(column) - rhs| per equation, derivative by order-4 stencils."""
-    out = {}
-    for name, rhs_vals in rhs.items():
-        d = F_vals * fd_derivative(columns[name], grid)
-        out[name] = float(np.max(np.abs(d - rhs_vals)))
-    return out
+    """Max |F d/dz(column) - rhs| per equation."""
+    e = _e_derivatives(grid, F_vals, {name: columns[name] for name in rhs})
+    return {name: float(np.max(np.abs(e[name] - rhs_vals))) for name, rhs_vals in rhs.items()}
 
 
 def _solve_ode(rhs, y0, names, grid: Grid, frame: cf.ScaleFactor,
@@ -569,13 +572,20 @@ def run_spinor(state_path: str) -> int:
 # residual
 # ---------------------------------------------------------------------------
 
-_VEC_COLS = {f"{base}{i}": (base, i - 1)
-             for base in ("q", "udot", "omega", "Omega", "a") for i in (1, 2, 3)}
-_TF_COLS = {f"{base}{ij}": (base, ij)
-            for base in ("pi", "sigma", "E", "H")
-            for ij in ("11", "22", "12", "13", "23")}
-_N_COLS = {f"n{ij}": ("n", ij) for ij in ("11", "22", "33", "12", "13", "23")}
-_SCALAR_COLS = {"mu": "mu", "p": "p", "Lambda": "Lam", "Theta": "Theta"}
+def _components(ij: str) -> set:
+    i, j = int(ij[0]) - 1, int(ij[1]) - 1
+    return {(i, j), (j, i)}  # an off-diagonal column fills both slots
+
+
+# table column -> (JetArrays field, the component indices it fills)
+_TF = ("11", "22", "12", "13", "23")
+_TABLE_COLS = (
+    {name: (name, {()}) for name in ("mu", "p", "Theta")}
+    | {f"{base}{i}": (base, {(i - 1,)})
+       for base in ("q", "udot", "omega", "Omega", "a") for i in (1, 2, 3)}
+    | {f"{base}{ij}": (base, _components(ij)) for base in ("pi", "sigma", "E", "H") for ij in _TF}
+    | {f"n{ij}": ("n", _components(ij)) for ij in _TF + ("33",)}
+)
 
 
 def _read_table(path: str):
@@ -589,7 +599,10 @@ def _read_table(path: str):
     header = [h.strip() for h in next(csv.reader(lines[:1]))]
     if header[0] not in ("z", "t"):
         raise ConfigError("first table column must be named z or t")
-    known = set(_SCALAR_COLS) | set(_VEC_COLS) | set(_TF_COLS) | set(_N_COLS) | {"F"}
+    duplicate = list(dict.fromkeys(h for i, h in enumerate(header) if h in header[:i]))
+    if duplicate:
+        raise ConfigError(f"duplicate table columns: {', '.join(duplicate)}")
+    known = set(_TABLE_COLS) | {"Lambda", "F"}
     unknown = [h for h in header[1:] if h not in known]
     if unknown:
         raise ConfigError(f"unknown table columns: {', '.join(unknown)}")
@@ -622,33 +635,16 @@ def _read_table(path: str):
 
 
 def _jet_arrays_from_table(coord: str, grid: Grid, cols: dict) -> JetArrays:
-    npts = grid.N + 1
-    F = cols.get("F", np.ones(npts))
+    ja = JetArrays((grid.N + 1,))
+    ja.Lam[...] = cols.get("Lambda", 0.0)
+    state = {name: samples for name, samples in cols.items() if name in _TABLE_COLS}
+    e = _e_derivatives(grid, cols.get("F", 1.0), state)
     axis = 0 if coord == "t" else 3
-    ja = JetArrays((npts,))
-
-    def assign(target, dtarget, samples, index):
-        target[index] = samples
-        dtarget[(axis,) + index] = F * fd_derivative(samples, grid)
-
-    for name, samples in cols.items():
-        if name in (coord, "F"):
-            continue
-        if name in _SCALAR_COLS:
-            attr = _SCALAR_COLS[name]
-            if attr == "Lam":
-                ja.Lam[...] = samples
-                continue
-            assign(getattr(ja, attr), getattr(ja, "d" + attr), samples, ())
-        elif name in _VEC_COLS:
-            base, i = _VEC_COLS[name]
-            assign(getattr(ja, base), getattr(ja, "d" + base), samples, (i,))
-        else:
-            base, ij = (_TF_COLS | _N_COLS)[name]
-            i, j = int(ij[0]) - 1, int(ij[1]) - 1
-            assign(getattr(ja, base), getattr(ja, "d" + base), samples, (i, j))
-            if i != j:
-                assign(getattr(ja, base), getattr(ja, "d" + base), samples, (j, i))
+    for name, samples in state.items():
+        field, indices = _TABLE_COLS[name]
+        for index in indices:
+            getattr(ja, field)[index] = samples
+            getattr(ja, "d" + field)[(axis,) + index] = e[name]
     # trace-free tensors: the 33 component is determined by the other two
     for base in ("pi", "sigma", "E", "H"):
         arr = getattr(ja, base)
@@ -659,36 +655,19 @@ def _jet_arrays_from_table(coord: str, grid: Grid, cols: dict) -> JetArrays:
 
 
 def _special_jet_from_table(coord: str, grid: Grid, cols: dict) -> cf.SpecialJet:
-    npts = grid.N + 1
-    zero = np.zeros(npts)
-    F = cols.get("F", np.ones(npts))
-
-    def col(name):
-        return cols.get(name, zero)
-
-    names = dict(
-        p=col("p"), pi11=col("pi11"), Theta=col("Theta"), sigma11=col("sigma11"),
-        udot3=col("udot3"), a1=col("a1"), a2=col("a2"), a3=col("a3"),
-        n11=col("n11"), n13=col("n13"), n23=col("n23"), Omega3=col("Omega3"),
-        omega1=col("omega1"), omega2=col("omega2"), omega3=col("omega3"),
-        sigma13=col("sigma13"), sigma23=col("sigma23"),
-        Omega1=col("Omega1"), Omega2=col("Omega2"),
-        udot1=col("udot1"), udot2=col("udot2"),
-        sigma22=col("sigma22") if "sigma22" in cols else None,
-        sigma12=col("sigma12"), n22=col("n22") if "n22" in cols else None,
-        n33=col("n33"), n12=col("n12"),
-    )
-    if "sigma22" in cols:
-        names["sigma33"] = -(cols["sigma22"] + col("sigma11"))
-    value = cf.SpecialState(**names)
-    dnames = {
-        k: F * fd_derivative(np.broadcast_to(v, (npts,)), grid)
-        for k, v in names.items() if v is not None
-    }
-    deriv = cf.SpecialState(**dnames)
+    # an absent column is a zero array, differentiated like the others (its
+    # edge stencils give -0.0); an absent sigma22 or n22 keeps its ansatz
+    # default, and a given sigma22 fixes sigma33 through the trace
+    zero = np.zeros(grid.N + 1)
+    names = {f.name: cols.get(f.name, None if f.default is None else zero)
+             for f in dataclasses.fields(cf.SpecialState)}
+    if names["sigma22"] is not None:
+        names["sigma33"] = -(names["sigma22"] + names["sigma11"])
+    names = {k: v for k, v in names.items() if v is not None}
     e = [cf.SpecialState()] * 4
-    e[0 if coord == "t" else 3] = deriv
-    return cf.SpecialJet(cols[coord], value, tuple(e))
+    e[0 if coord == "t" else 3] = cf.SpecialState(
+        **_e_derivatives(grid, cols.get("F", 1.0), names))
+    return cf.SpecialJet(cols[coord], cf.SpecialState(**names), tuple(e))
 
 
 def _threads() -> int:
@@ -706,6 +685,8 @@ def _threaded_report(ja: JetArrays) -> ResidualReport:
 
 def run_residual(table_path: str, system: str, out_path: str | None,
                  tol: float | None) -> int:
+    if tol is not None and not math.isfinite(tol):
+        raise ConfigError(f"--tol must be a finite number, got {tol!r}")
     coord, grid, cols = _read_table(table_path)
     zs = cols[coord]
     if system == "general":

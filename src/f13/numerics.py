@@ -6,9 +6,9 @@ F dy/dz and takes no z, and F is evaluated once, vectorised, on each array
 of stage abscissae.  The step runs on Python floats and is generated once
 per state dimension, unrolled over the components; it performs the
 operations of the list-based step written out above ``_RK4_LOOP`` in the
-same order, so it gives the same bits.  Central finite differences of
-order 2 or 4 with one-sided boundary stencils of the same order, and
-cumulative composite Simpson quadrature.  All kernels are pure functions
+same order, so it gives the same bits.  Order-4 central finite
+differences with order-4 one-sided boundary stencils, and cumulative
+composite Simpson quadrature.  All kernels are pure functions
 on uniform grids.
 """
 
@@ -218,34 +218,24 @@ _EDGE4 = (
 )
 
 
-def fd_derivative(samples, grid: Grid, order: int = 4) -> np.ndarray:
-    """Derivative of gridded samples: central stencils in the interior,
-    one-sided stencils of the same order at the boundaries.
+def fd_derivative(samples, grid: Grid) -> np.ndarray:
+    """Order-4 derivative of gridded samples: central stencils in the
+    interior, one-sided order-4 stencils at the boundaries.
 
     samples may be (N+1,) or (N+1, k); differentiation runs along axis 0.
     """
     f = np.asarray(samples, dtype=float)
     if f.shape[0] != grid.N + 1:
         raise ValueError("sample count does not match grid")
+    if f.shape[0] < 5:
+        raise ValueError("order-4 stencil needs at least 5 points")
     h = grid.h
-    if order == 2:
-        if f.shape[0] < 3:
-            raise ValueError("order-2 stencil needs at least 3 points")
-        out = np.empty_like(f)
-        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-        out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-        return out
-    if order == 4:
-        if f.shape[0] < 5:
-            raise ValueError("order-4 stencil needs at least 5 points")
-        out = np.empty_like(f)
-        out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
-        for i, coeffs in enumerate(_EDGE4):
-            out[i] = np.tensordot(coeffs, f[:5], axes=(0, 0)) / h
-            out[-1 - i] = -np.tensordot(coeffs, f[-5:][::-1], axes=(0, 0)) / h
-        return out
-    raise ValueError("order must be 2 or 4")
+    out = np.empty_like(f)
+    out[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
+    for i, coeffs in enumerate(_EDGE4):
+        out[i] = np.tensordot(coeffs, f[:5], axes=(0, 0)) / h
+        out[-1 - i] = -np.tensordot(coeffs, f[-5:][::-1], axes=(0, 0)) / h
+    return out
 
 
 def quadrature(samples, grid: Grid) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""DerivativeProvider implementations.
+"""The analytic DerivativeProvider.
 
 AnalyticLineProvider serves fields that vary along a single frame direction
 with analytic derivative evaluators (the closed-form families; homogeneous
-cosmologies with direction 0).  GriddedLineProvider serves sampled data with
-finite-difference derivatives of order 2 or 4.  Both are read-only and safe
-for concurrent queries.
+cosmologies with direction 0).  It is read-only and safe for concurrent
+queries.  Gridded data is checked through the finite-difference jets of
+``f13 residual``.
 """
 
 from __future__ import annotations
@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .core import ConnectionState
-from .numerics import Grid, fd_derivative
 
-__all__ = ["FieldLine", "AnalyticLineProvider", "GriddedLineProvider"]
+__all__ = ["FieldLine", "AnalyticLineProvider"]
 
 
 @dataclass(frozen=True)
@@ -80,64 +77,6 @@ class AnalyticLineProvider:
             float(self._F_slope(point)) * float(line.slope(point))
             + F * float(line.curvature(point))
         )
-
-    def connection(self, point) -> ConnectionState:
-        return self._connection(point)
-
-
-class GriddedLineProvider:
-    """Sampled fields on a uniform grid with finite-difference derivatives.
-
-    Queries are restricted to grid nodes; the frame factor is sampled on the
-    same grid and second derivatives apply the stencil twice.
-    """
-
-    def __init__(
-        self,
-        grid: Grid,
-        fields: Mapping[str, np.ndarray],
-        connection: Callable,
-        direction: int = 3,
-        F: np.ndarray | float = 1.0,
-        order: int = 4,
-    ):
-        if direction not in range(4):
-            raise ValueError("direction must be a frame index 0..3")
-        self.grid = grid
-        self._dir = direction
-        self._order = order
-        self._F = np.broadcast_to(np.asarray(F, dtype=float), (grid.N + 1,)).copy()
-        self._fields = {k: np.asarray(v, dtype=float) for k, v in fields.items()}
-        for k, v in self._fields.items():
-            if v.shape != (grid.N + 1,):
-                raise ValueError(f"field {k!r} does not match the grid")
-        self._connection = connection
-        self._first = {
-            k: self._F * fd_derivative(v, grid, order) for k, v in self._fields.items()
-        }
-        self._second = {
-            k: self._F * fd_derivative(d, grid, order) for k, d in self._first.items()
-        }
-
-    def _index(self, point) -> int:
-        idx = (point - self.grid.z0) / self.grid.h
-        j = int(round(idx))
-        if not (0 <= j <= self.grid.N) or abs(idx - j) > 1e-9:
-            raise ValueError(f"point {point!r} is not a grid node")
-        return j
-
-    def value(self, point, field):
-        return float(self._fields[field][self._index(point)])
-
-    def derivative(self, point, field, a):
-        if a != self._dir:
-            return 0.0
-        return float(self._first[field][self._index(point)])
-
-    def second_derivative(self, point, field, a, b):
-        if a != self._dir or b != self._dir:
-            return 0.0
-        return float(self._second[field][self._index(point)])
 
     def connection(self, point) -> ConnectionState:
         return self._connection(point)

@@ -250,7 +250,7 @@ def test_criterion_9_numerics_quality():
     errs = []
     for N in (100, 200, 400):
         g = Grid(0.0, 1.0, N)
-        d = fd_derivative(np.sin(g.points()), g, order=4)
+        d = fd_derivative(np.sin(g.points()), g)
         errs.append(np.max(np.abs(d - np.cos(g.points()))))
     orders["fd4"] = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
     errs = []

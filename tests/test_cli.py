@@ -467,6 +467,55 @@ def test_residual_tol_gates_result(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("RESULT fail")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_residual_non_finite_tol_is_config_error(tmp_path, capsys, tol):
+    table = eds_table(tmp_path / "tol.csv", 20)
+    assert main(["residual", "--table", table, f"--tol={tol}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: --tol must be a finite number, got {tol}\n"
+
+
+@pytest.mark.parametrize("system", ["general", "special"])
+def test_residual_duplicate_column_is_config_error(tmp_path, capsys, system):
+    table = write(tmp_path / "dup.csv",
+                  "z,p,mu,p\n" + "".join(f"{0.1 * i},1.0,0.5,{i}\n" for i in range(6)))
+    assert main(["residual", "--table", table, "--system", system]) == 2
+    assert capsys.readouterr().err == "config error: duplicate table columns: p\n"
+
+
+def block_maxima(out):
+    return {line.split()[1]: float(line.split("max=")[1])
+            for line in out.splitlines() if line.startswith("block ")}
+
+
+def test_residual_special_absent_sigma22_and_n22_take_the_ansatz(tmp_path, capsys):
+    z = [0.025 * i for i in range(21)]
+    rows = "".join(f"{zi!r},{0.1 + zi!r},{0.3 - zi * zi!r}\n" for zi in z)
+    table = write(tmp_path / "ansatz.csv", "z,sigma11,n11\n" + rows)
+    assert main(["residual", "--table", table, "--system", "special"]) == 0
+    blocks = block_maxima(capsys.readouterr().out)
+    assert blocks["b16"] == 0.0 and blocks["b17"] == 0.0
+    # a sigma22 column off the ansatz shows in b16
+    rows = "".join(f"{zi!r},{0.1 + zi!r},{0.3 - zi * zi!r},{0.25 + zi!r}\n" for zi in z)
+    table = write(tmp_path / "off.csv", "z,sigma11,n11,sigma22\n" + rows)
+    assert main(["residual", "--table", table, "--system", "special"]) == 0
+    blocks = block_maxima(capsys.readouterr().out)
+    assert blocks["b16"] == pytest.approx(0.15) and blocks["b17"] == 0.0
+
+
+def test_residual_general_differentiates_each_column_once(tmp_path, capsys, monkeypatch):
+    import f13.cli
+
+    calls = []
+    fd = f13.cli.fd_derivative
+    monkeypatch.setattr(f13.cli, "fd_derivative",
+                        lambda samples, grid: calls.append(1) or fd(samples, grid))
+    table = write(tmp_path / "offdiag.csv", "z,F,p,n12,sigma13\n" + "".join(
+        f"{0.1 * i},1.5,{0.5 + i},{0.1 * i * i},{1.0 - 0.2 * i}\n" for i in range(8)))
+    assert main(["residual", "--table", table]) == 0
+    assert len(calls) == 3  # p, n12 and sigma13; z and F are not state columns
+
+
 def test_solve_full_check_runs_frame_suite(tmp_path, capsys):
     out = tmp_path / "fc.csv"
     cfg = write(tmp_path / "fc.cfg",

@@ -65,37 +65,35 @@ def test_rk4_pole_detection():
 
 def test_fd_constant_and_linear():
     g = Grid(0.0, 1.0, 50)
-    for order in (2, 4):
-        # boundary stencils leave rounding-level residue on constants
-        assert np.max(np.abs(fd_derivative(np.full(51, 3.3), g, order))) < 5e-14
-        d = fd_derivative(2.0 * g.points() + 1.0, g, order)
-        assert np.max(np.abs(d - 2.0)) < 1e-12
+    # boundary stencils leave rounding-level residue on constants
+    assert np.max(np.abs(fd_derivative(np.full(51, 3.3), g))) < 5e-14
+    d = fd_derivative(2.0 * g.points() + 1.0, g)
+    assert np.max(np.abs(d - 2.0)) < 1e-12
 
 
 def test_fd_order4_accuracy_interior():
     g = Grid(0.0, 1.0, 100)  # h = 1e-2
-    d = fd_derivative(np.sin(g.points()), g, order=4)
+    d = fd_derivative(np.sin(g.points()), g)
     interior = np.abs(d - np.cos(g.points()))[2:-2]
     assert np.max(interior) < 1e-8
 
 
 def test_fd_measured_orders():
-    for order in (2, 4):
-        errs = []
-        for N in (100, 200, 400):
-            g = Grid(0.0, 1.0, N)
-            d = fd_derivative(np.sin(g.points()), g, order)
-            errs.append(np.max(np.abs(d - np.cos(g.points()))))
-        orders = measured_orders(errs)
-        print(f"fd order-{order} measured:", orders)
-        assert min(orders) > order - 0.1
+    errs = []
+    for N in (100, 200, 400):
+        g = Grid(0.0, 1.0, N)
+        d = fd_derivative(np.sin(g.points()), g)
+        errs.append(np.max(np.abs(d - np.cos(g.points()))))
+    orders = measured_orders(errs)
+    print("fd order-4 measured:", orders)
+    assert min(orders) > 4 - 0.1
 
 
 def test_fd_grid_too_small():
     with pytest.raises(ValueError):
-        fd_derivative(np.zeros(4), Grid(0.0, 1.0, 4), order=4)  # length mismatch
+        fd_derivative(np.zeros(4), Grid(0.0, 1.0, 4))  # length mismatch
     g = Grid(0.0, 1.0, 4)
-    fd_derivative(np.zeros(5), g, order=4)  # 5 points is the minimum
+    fd_derivative(np.zeros(5), g)  # 5 points is the minimum
 
 
 def test_quadrature_polynomial_and_exponential():
