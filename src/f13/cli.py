@@ -684,9 +684,12 @@ def _threaded_report(ja: JetArrays) -> ResidualReport:
 
 
 def run_residual(table_path: str, system: str, out_path: str | None,
-                 tol: float | None) -> int:
-    if tol is not None and not math.isfinite(tol):
-        raise ConfigError(f"--tol must be a finite number, got {tol!r}")
+                 tol: str | None) -> int:
+    if tol is not None:
+        try:
+            tol = _parse_float(tol)
+        except ValueError:
+            raise ConfigError(f"--tol must be a finite number, got {tol}") from None
     coord, grid, cols = _read_table(table_path)
     zs = cols[coord]
     if system == "general":
@@ -768,8 +771,15 @@ def main(argv=None) -> int:
     p_res.add_argument("--table", required=True)
     p_res.add_argument("--system", choices=RESIDUAL_SYSTEMS, default="general")
     p_res.add_argument("--out", default=None)
-    p_res.add_argument("--tol", type=float, default=None)
+    p_res.add_argument("--tol", default=None)
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value that starts with "-" (-inf, -1e-3) for an
+    # option; "--tol=VALUE" hands it to run_residual's check instead
+    for i, arg in enumerate(argv[:-1]):
+        if arg == "--tol":
+            argv[i:i + 2] = [f"--tol={argv[i + 1]}"]
+            break
     args = parser.parse_args(argv)
     try:
         # overflowing input gives inf/nan, which NonFiniteResidual, PoleError

@@ -793,34 +793,23 @@ def a2_trajectory_jet(z, p, udot3, a3, Omega3) -> SpecialJet:
 # ---------------------------------------------------------------------------
 
 
-# full-variable fields that a special state sets; q, E, H and Lam stay zero
-_EMBEDDED = ("mu", "p", "Theta", "udot", "omega", "Omega", "a", "pi", "sigma", "n")
 _SYM_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
-def _put(arr, index, x) -> None:
-    # a scalar +0.0 is what the zero-initialised arrays already hold; not
-    # writing it leaves their memory pages untouched
-    if np.ndim(x) or x != 0.0 or np.signbit(x):
-        arr[index] = x
-
-
-def _embed_state(st: SpecialState, out: dict) -> None:
-    """Write one special state into the component rows of out[field]."""
-    _put(out["mu"], ..., 3.0 * np.asarray(st.p))
-    _put(out["p"], ..., st.p)
-    _put(out["Theta"], ..., st.Theta)
+def _special_components(st: SpecialState) -> dict:
+    """(full-variable field, component index) -> value of every component a
+    special state sets: mu = 3p, pi = diag(pi11, pi11, -2 pi11), and sigma
+    and n symmetric; q, E, H and Lambda are not set."""
+    pi11 = np.asarray(st.pi11)
+    out = {("mu", ()): 3.0 * np.asarray(st.p), ("p", ()): st.p, ("Theta", ()): st.Theta,
+           ("pi", (0, 0)): pi11, ("pi", (1, 1)): pi11, ("pi", (2, 2)): -2.0 * pi11}
     for name in ("udot", "omega", "Omega", "a"):
         for i in range(3):
-            _put(out[name], i, getattr(st, f"{name}{i + 1}"))
-    pi11 = np.asarray(st.pi11)
-    for i, x in enumerate((pi11, pi11, -2.0 * pi11)):
-        _put(out["pi"], (i, i), x)
+            out[name, (i,)] = getattr(st, f"{name}{i + 1}")
     for name in ("sigma", "n"):
         for i, j in _SYM_ENTRIES:
-            x = getattr(st, f"{name}{i + 1}{j + 1}")
-            _put(out[name], (i, j), x)
-            _put(out[name], (j, i), x)
+            out[name, (i, j)] = out[name, (j, i)] = getattr(st, f"{name}{i + 1}{j + 1}")
+    return out
 
 
 def embed_special(jet: SpecialJet) -> JetArrays:
@@ -829,11 +818,19 @@ def embed_special(jet: SpecialJet) -> JetArrays:
     Conformally flat elastic data: E = H = 0, q = 0, Lambda = 0 and
     mu = 3p (vanishing NP curvature scalar); pi = diag(pi11, pi11, -2 pi11).
     This is the input to the master cross-check against the general system.
+    The jet's arrays are handed over by component, by reference (a value
+    of another shape as a broadcast view); a component whose value is a
+    zero number is ``ZERO``, so nothing is allocated for it.
     """
     fields = [getattr(jet.value, f.name) for f in dataclasses.fields(SpecialState)]
     shape = np.broadcast_shapes(*(np.shape(np.asarray(x)) for x in fields))
-    ja = JetArrays(shape)
-    _embed_state(jet.value, {name: getattr(ja, name) for name in _EMBEDDED})
-    for slot, st in enumerate(jet.deriv):
-        _embed_state(st, {name: getattr(ja, "d" + name)[slot, ...] for name in _EMBEDDED})
-    return ja
+    entries = {}
+    for slot, st in enumerate((jet.value,) + tuple(jet.deriv)):
+        for (name, index), x in _special_components(st).items():
+            if np.ndim(x) == 0 and x == 0.0:
+                continue
+            x = np.asarray(x, dtype=float)
+            if x.shape != shape:
+                x = np.broadcast_to(x, shape)
+            entries[(name, index) if slot == 0 else ("d" + name, (slot - 1,) + index)] = x
+    return JetArrays.from_components(shape, entries)

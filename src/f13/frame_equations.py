@@ -25,20 +25,28 @@ the same layout, components + S, and each block is reduced once, on the
 thread that evaluated it: its max-abs over the components at every point.
 The report's norms, per-point maxima and finite check all come from those.
 
-Structural zeros.  On the conformally flat elastic jets large parts of the
-state vanish identically (E = H = q = 0, n = omega = 0 on the ODE cases,
-and a jet built on a z-grid has only e_3 derivatives), so many terms of
-the general system are products with a factor that is zero everywhere.
-``residual_report`` replaces every jet array with no nonzero entry by the
-sentinel ``ZERO`` on a shallow copy of the jet, once per sweep, and the
-kernels drop every term with a ``ZERO`` factor: ``x + ZERO`` is ``x``, and
-a product, quotient, power, index or transpose of ``ZERO`` is ``ZERO``.
-Adding or subtracting a zero changes no nonzero float, so skipping can
-differ from the dense evaluation in two ways only: the sign of a zero
-result (a result that is ``ZERO`` throughout is written as +0.0), and a
-0 * inf = nan that is no longer formed.  So that a non-finite input still
-fails the report, a jet with a non-finite entry is evaluated dense; what
-is left is a product of finite fields that overflows inside a term with a
+Structural zeros.  On the conformally flat elastic jets almost every
+component of the state vanishes identically (E = H = q = 0 and
+n = omega = 0 on the ODE cases, pi and sigma are diagonal, udot, a and
+Omega are (0, 0, x), and a jet built on a z-grid has only e_3
+derivatives), so many terms of the general system are products with a
+factor that is zero everywhere.  ``residual_report`` reads every vector,
+tensor and derivative field as a table of its components (``_Components``,
+an object array of component shape whose entries are batch arrays), once
+per sweep: the entries are views of a dense field, or the entries a
+producer such as ``conformal.embed_special`` handed over, and every
+component with no nonzero entry is the sentinel ``ZERO``, as is a scalar
+field with none.  The kernels act on the tables entry by entry and drop
+every term with a ``ZERO`` factor: ``x + ZERO`` is ``x``, and a product,
+quotient, power, index or transpose of ``ZERO`` is ``ZERO``.  A nonzero
+component therefore goes through the same numpy operations in the same
+order as in a dense evaluation, and adding or subtracting a zero changes
+no nonzero float, so skipping can differ from the dense evaluation in two
+ways only: the sign of a zero result (a ``ZERO`` result component is
+written as +0.0), and a 0 * inf = nan that is no longer formed.  So that a
+non-finite input still fails the report, a jet with a non-finite entry has
+its ``ZERO`` components read as zero arrays by the same kernels; what is
+left is a product of finite fields that overflows inside a term with a
 ``ZERO`` factor, which the dense evaluation turns into nan and skipping
 drops with the term.  No kernel writes into its operands, since
 ``x + ZERO`` returns ``x`` itself.
@@ -89,6 +97,13 @@ _VECTORS = ("q", "udot", "omega", "Omega", "a")
 _TENSORS = ("pi", "sigma", "n", "E", "H")
 # Lam is constant; it has no derivative slot.
 _DERIV_FIELDS = tuple(f for f in _SCALARS + _VECTORS + _TENSORS if f != "Lam")
+# jet field -> component shape
+_COMPONENTS = (
+    {name: () for name in _SCALARS}
+    | {name: (3,) for name in _VECTORS}
+    | {name: (3, 3) for name in _TENSORS}
+)
+_COMPONENTS |= {"d" + name: (4,) + _COMPONENTS[name] for name in _DERIV_FIELDS}
 
 
 class JetArrays:
@@ -97,20 +112,31 @@ class JetArrays:
     ``shape`` is the batch shape S, and the batch axes come last: scalars
     have shape S, vectors (3,) + S, tensors (3, 3) + S and derivatives
     (4,) + components + S.  For a single jet (S = ()) this is the plain
-    component layout.  Built once per evaluation sweep; treat instances as
+    component layout.  A producer may hand over a vector, tensor or
+    derivative field as a component table instead (``from_components``),
+    and any field may be ``ZERO``; fields not given to the constructor are
+    zero arrays.  Built once per evaluation sweep; treat instances as
     frozen after assembly.
     """
 
-    def __init__(self, shape: tuple[int, ...] = ()):
+    def __init__(self, shape: tuple[int, ...] = (), **fields):
         self.shape = tuple(shape)
-        for name in _SCALARS:
-            setattr(self, name, np.zeros(self.shape))
-        for name in _VECTORS:
-            setattr(self, name, np.zeros((3,) + self.shape))
-        for name in _TENSORS:
-            setattr(self, name, np.zeros((3, 3) + self.shape))
-        for name in _DERIV_FIELDS:
-            setattr(self, "d" + name, np.zeros((4,) + getattr(self, name).shape))
+        for name, comp in _COMPONENTS.items():
+            field = fields.pop(name, None)
+            setattr(self, name, np.zeros(comp + self.shape) if field is None else field)
+        if fields:
+            raise TypeError(f"unknown jet fields: {', '.join(fields)}")
+
+    @classmethod
+    def from_components(cls, shape: tuple[int, ...], entries: dict) -> "JetArrays":
+        """A jet handed over by component: ``entries`` maps (field, component
+        index) to an array of shape ``shape``, held by reference; every
+        component not in it is ``ZERO``."""
+        tables = {name: np.full(comp, ZERO, dtype=object) for name, comp in _COMPONENTS.items()}
+        for (name, index), entry in entries.items():
+            tables[name][index] = entry
+        return cls(shape, **{name: t[()] if t.ndim == 0 else _table(t)
+                             for name, t in tables.items()})
 
     @classmethod
     def from_jet(cls, jet: StateJet) -> "JetArrays":
@@ -144,12 +170,15 @@ class JetArrays:
         return ja
 
     def take(self, lo: int, hi: int) -> "JetArrays":
-        """Points lo:hi along the last batch axis; the arrays are views and
-        ``ZERO`` fields stay ``ZERO``."""
+        """Points lo:hi along the last batch axis: views of the arrays and of
+        the table entries; ``ZERO`` stays ``ZERO``."""
         sub = copy.copy(self)
-        for name, arr in vars(self).items():
-            if isinstance(arr, np.ndarray):
-                setattr(sub, name, arr[..., lo:hi])
+        for name in _COMPONENTS:
+            field = getattr(self, name)
+            if isinstance(field, _Components):
+                setattr(sub, name, field.take(lo, hi))
+            elif isinstance(field, np.ndarray):
+                setattr(sub, name, field[..., lo:hi])
         # the batch shape of arr[..., lo:hi]; any field, mu too, may be ZERO
         sub.shape = self.shape[:-1] + (len(range(self.shape[-1])[lo:hi]),)
         return sub
@@ -164,7 +193,7 @@ def _as_arrays(jet) -> JetArrays:
 
 
 class _StructuralZero:
-    """A jet array, or a term, that is zero at every point and component.
+    """A jet field or component, or a term, that is zero at every point.
 
     ndarray operators defer to it (``__array_ufunc__ = None``), so the
     kernels below drop every term it enters: sums return the other operand
@@ -204,23 +233,134 @@ class _StructuralZero:
 ZERO = _StructuralZero()
 
 
-def _with_structural_zeros(ja: JetArrays) -> JetArrays:
-    """A shallow copy of ``ja`` with each array that has no nonzero entry
-    replaced by ``ZERO``.  ``ja`` itself if no array is zero, or if one has
-    a non-finite entry, whose 0 * inf = nan terms must still be formed."""
-    arrays = {name: arr for name, arr in vars(ja).items() if isinstance(arr, np.ndarray)}
-    # a field with a nonzero entry nearly always has one among its first
-    # points; testing those first spares the full scan of such arrays
-    head = ja.take(0, 16) if ja.shape else ja
-    zero = [name for name, arr in arrays.items()
-            if not (getattr(head, name).any() or arr.any())]
-    # an overflowing sum of finite entries also takes the dense path
-    if not zero or not all(np.isfinite(arr.sum()) for name, arr in arrays.items()
-                           if name not in zero):
-        return ja
+def _table(c: np.ndarray):
+    """The table of the component entries ``c``; ``ZERO`` if every entry is."""
+    for e in c.flat:
+        if e is not ZERO:
+            return _Components(c)
+    return ZERO
+
+
+def _cell(x):
+    """x as an object array: a table's own, or a 0-d one that broadcasts x
+    (a scalar field or a number) to every component."""
+    if isinstance(x, _Components):
+        return x.c
+    cell = np.empty((), dtype=object)
+    cell[()] = x
+    return cell
+
+
+class _Components:
+    """A vector, tensor or derivative field, or a term, as the table of its
+    components: ``c`` is an object array of component shape whose entries
+    are batch arrays or ``ZERO``, at least one of them an array.
+
+    Every operator acts entry by entry and broadcasts over the component
+    axes only; an operand that is not a table (a scalar field or a number)
+    enters every entry, and keeps its side of the operator.  A result whose
+    every entry is ``ZERO`` is ``ZERO`` itself, and indexing a single
+    component returns its entry.  ndarray operators defer to it
+    (``__array_ufunc__ = None``).
+    """
+
+    __array_ufunc__ = None
+    __slots__ = ("c",)
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    @staticmethod
+    def build(shape: tuple, entry):
+        """The table of component shape ``shape`` holding entry(index)."""
+        c = np.empty(shape, dtype=object)
+        for index in np.ndindex(shape):
+            c[index] = entry(index)
+        return _table(c)
+
+    def __add__(self, other):
+        return self if other is ZERO else _table(np.add(self.c, _cell(other)))
+
+    def __radd__(self, other):
+        return _table(np.add(_cell(other), self.c))
+
+    def __sub__(self, other):
+        return self if other is ZERO else _table(np.subtract(self.c, _cell(other)))
+
+    def __rsub__(self, other):
+        return _table(np.subtract(_cell(other), self.c))
+
+    def __mul__(self, other):
+        return ZERO if other is ZERO else _table(np.multiply(self.c, _cell(other)))
+
+    def __rmul__(self, other):
+        return _table(np.multiply(_cell(other), self.c))
+
+    def __truediv__(self, other):
+        return _table(np.true_divide(self.c, _cell(other)))
+
+    def __neg__(self):
+        return _Components(np.negative(self.c))
+
+    def __getitem__(self, index):
+        part = self.c[index]
+        return _table(part) if isinstance(part, np.ndarray) and part.dtype == object else part
+
+    def swapaxes(self, axis1, axis2):
+        return _Components(self.c.swapaxes(axis1, axis2))
+
+    def take(self, lo: int, hi: int) -> "_Components":
+        """Points lo:hi of every entry, along the last batch axis."""
+        return _Components.build(self.c.shape, lambda index: self.c[index][..., lo:hi])
+
+
+def _nonzero_components(x, comp: tuple) -> list:
+    """(component index, entry) of every component of a field or a kernel
+    result of component shape ``comp`` that is not ``ZERO``."""
+    if x is ZERO:
+        return []
+    entries = x.c.flat if isinstance(x, _Components) else (x,)
+    return [(index, e) for index, e in zip(np.ndindex(comp), entries, strict=True)
+            if e is not ZERO]
+
+
+def _dense(x, comp: tuple, shape: tuple) -> np.ndarray:
+    """A field or kernel result as a component-major array, zero where ``ZERO``."""
+    out = np.zeros(comp + shape)
+    for index, e in _nonzero_components(x, comp):
+        out[index] = e
+    return out
+
+
+def _component_tables(ja: JetArrays) -> JetArrays:
+    """A shallow copy of ``ja`` whose vector, tensor and derivative fields
+    are component tables and whose scalar fields are entries, with every
+    component that has no nonzero entry ``ZERO``.  A dense field is read
+    through views.  If a remaining component has a non-finite entry, the
+    ``ZERO`` components become zero arrays, so that the kernels form its
+    0 * inf = nan terms."""
+    head = bool(ja.shape)
+    tables = {}
+    for name, comp in _COMPONENTS.items():
+        field = getattr(ja, name)
+        table = np.empty(comp, dtype=object)
+        for index in np.ndindex(comp):
+            e = field.c[index] if isinstance(field, _Components) else field[index]
+            # a component with a nonzero entry nearly always has one among
+            # its first points; testing those first spares the full scan
+            nonzero = e is not ZERO and ((head and e[..., :16].any()) or e.any())
+            table[index] = e if nonzero else ZERO
+        tables[name] = table
+    # an overflowing sum of finite entries also forms the zero terms
+    if not all(np.isfinite(e.sum()) for t in tables.values() for e in t.flat if e is not ZERO):
+        zeros = np.zeros(ja.shape)
+        for t in tables.values():
+            for index in np.ndindex(t.shape):
+                if t[index] is ZERO:
+                    t[index] = zeros
     sub = copy.copy(ja)
-    for name in zero:
-        setattr(sub, name, ZERO)
+    for name, t in tables.items():
+        setattr(sub, name, t[()] if t.ndim == 0 else _table(t))
     return sub
 
 
@@ -241,7 +381,7 @@ def _sym(T):
 
 def _iso(s):
     """s delta_ab."""
-    return ZERO if s is ZERO else np.multiply.outer(ID3, s)
+    return ZERO if s is ZERO else _Components.build((3, 3), lambda ab: s if ab[0] == ab[1] else ZERO)
 
 
 def _outer(u, v):
@@ -305,20 +445,20 @@ def _eps_vec(M):
     """eps_abc M_bc: each component is M_bc - M_cb for its cyclic (a, b, c)."""
     if M is ZERO:
         return ZERO
-    out = np.empty(M.shape[1:])
+    out = np.empty(3, dtype=object)
     for a, b, c in _EPS_POS:
-        np.subtract(M[b, c], M[c, b], out=out[a, ...])
-    return out
+        out[a] = M[b, c] - M[c, b]
+    return _table(out)
 
 
 def _eps_sym(inner):
     """Sym over (a, b) of eps_gda inner[g, b, d]."""
     if inner is ZERO:
         return ZERO
-    T = np.empty(inner.shape[1:])
+    T = np.empty((3, 3), dtype=object)
     for g, d, a in _EPS_POS:
-        np.subtract(inner[g, :, d], inner[d, :, g], out=T[a])
-    return _sym(T)
+        T[a] = _cell(inner[g, :, d] - inner[d, :, g])
+    return _sym(_table(T))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +495,9 @@ def _curly_S_arr(c: JetArrays):
 
 def curly_S(jet) -> TracefreeSymThree:
     """Trace-free 3-curvature source of the shear evolution equation."""
-    S, pre_trace = _curly_S_arr(_as_arrays(jet))
+    c = _component_tables(_as_arrays(jet))
+    S, pre_trace = _curly_S_arr(c)
+    S, pre_trace = _dense(S, (3, 3), c.shape), _dense(pre_trace, (), c.shape)
     worst = float(np.max(np.abs(pre_trace))) if pre_trace.size else float(pre_trace)
     if worst > 1e-14 * max(1.0, float(np.max(np.abs(S))) if S.size else 0.0):
         log.debug("curly_S pre-projection trace %.3e", worst)
@@ -372,7 +514,8 @@ def _curly_R_arr(c: JetArrays):
 
 def curly_R(jet) -> float:
     """Spatial curvature scalar *R = 2(2 e_a - 3 a_a)(a^a) - b^a_a / 2."""
-    return float(_curly_R_arr(_as_arrays(jet)))
+    c = _component_tables(_as_arrays(jet))
+    return float(_dense(_curly_R_arr(c), (), c.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +771,11 @@ class ResidualReport:
 
     Block arrays keep their tensor character and the jet's layout,
     components + S.  ``point_max`` holds, per block in field order, its
-    max-abs over the components at every batch entry (``ZERO`` for a block
-    the kernels returned as ``ZERO``); every reduction below is read from
-    it, and a non-finite block fails construction.  Norms are max-abs over
-    every component (and over the batch).
+    max-abs over its nonzero components at every batch entry (``ZERO`` for
+    a block whose every component the kernels returned as ``ZERO``); every
+    reduction below is read from it, and a non-finite block fails
+    construction.  Norms are max-abs over every component (and over the
+    batch).
     """
 
     e0_theta: np.ndarray
@@ -709,7 +853,7 @@ class ResidualReport:
 
 
 # points per evaluation block: a block's temporaries stay cache-sized
-BLOCK_POINTS = 2048
+BLOCK_POINTS = 8192
 
 
 def _report_arrays(ja: JetArrays) -> tuple:
@@ -727,33 +871,40 @@ def residual_report(jet, workers: int = 1) -> ResidualReport:
     A batch of shape (N,) is evaluated in consecutive blocks of
     BLOCK_POINTS points (``JetArrays.take`` views), serially or on up to
     ``workers`` threads; other batch shapes are evaluated in one piece.
-    Each piece is written into the report arrays and reduced over its
-    components on the thread that evaluated it.  Every residual is
-    pointwise, so the report is the same for any block size and any
-    ``workers``.  Fields that are zero throughout are skipped (see the
-    module docstring); ``jet`` itself is left as it is.
+    Each piece writes the nonzero components of its blocks into the report
+    arrays and reduces them on the thread that evaluated it.  Every
+    residual is pointwise, so the report is the same for any block size and
+    any ``workers``.  Components that are zero throughout are skipped (see
+    the module docstring); ``jet`` itself is left as it is.
     """
-    ja = _with_structural_zeros(_as_arrays(jet))
+    ja = _component_tables(_as_arrays(jet))
     comps = [comp for _, comp in ResidualReport.BLOCKS.values()]
-    # every point of a block is written by the piece that evaluates it
-    out = [np.empty(comp + ja.shape) for comp in comps]
+    # a ZERO component is never written; it reads +0.0
+    out = [np.zeros(comp + ja.shape) for comp in comps]
     point_max = [np.empty(ja.shape) for _ in comps]
     errors = np.geterr()  # pool threads start from numpy's default error state
 
     def piece(lo):
         """Evaluate points lo:lo + BLOCK_POINTS, or the whole batch for
-        None; which blocks came out ``ZERO``."""
+        None; which blocks have no nonzero component."""
         if lo is None:
-            sub, index = ja, ...
+            sub, index = ja, (...,)
         else:
             sub, index = ja.take(lo, lo + BLOCK_POINTS), (..., slice(lo, lo + BLOCK_POINTS))
         with np.errstate(**errors):
             results = _report_arrays(sub)
-        for dst, pm, src in zip(out, point_max, results):
-            if src is not ZERO:
-                dst[index] = src
-                np.max(np.abs(src).reshape((-1,) + sub.shape), axis=0, out=pm[index])
-        return tuple(src is ZERO for src in results)
+        zero = []
+        for dst, pm, src, comp in zip(out, point_max, results, comps):
+            live = _nonzero_components(src, comp)
+            for component, e in live:
+                dst[component + index] = e
+            if live:
+                m = pm[index]
+                np.abs(live[0][1], out=m)
+                for _, e in live[1:]:
+                    np.maximum(m, np.abs(e), out=m)
+            zero.append(not live)
+        return zero
 
     n = ja.shape[0] if len(ja.shape) == 1 else 0
     if n <= BLOCK_POINTS:
@@ -766,10 +917,10 @@ def residual_report(jet, workers: int = 1) -> ResidualReport:
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 zero = list(pool.map(piece, starts))[0]
-    # the zero fields, and so the ZERO blocks, are the same in every piece
+    # the ZERO components, and so the ZERO blocks, are the same in every piece
     for k, z in enumerate(zero):
         if z:
-            out[k], point_max[k] = np.zeros(comps[k] + ja.shape), ZERO
+            point_max[k] = ZERO
     return ResidualReport(*out, point_max)
 
 

@@ -1,5 +1,8 @@
 """Shared builders for jet-based tests."""
 
+import numpy as np
+
+from f13 import frame_equations as fe
 from f13.core import (
     ConnectionState,
     MatterState,
@@ -70,3 +73,20 @@ def eds_jet_arrays(t: float) -> JetArrays:
     ja.dTheta[0] = -2.0 / t**2
     ja.dmu[0] = -8.0 / (3.0 * t**3)
     return ja
+
+
+def densified(ja: JetArrays) -> JetArrays:
+    """A dense copy of a jet: every field a component-major array, with
+    +0.0 where the jet holds ``ZERO``."""
+    dense = JetArrays(ja.shape)
+    for name, out in vars(dense).items():
+        if not isinstance(out, np.ndarray):
+            continue
+        field = getattr(ja, name)
+        if isinstance(field, fe._Components):
+            for index, entry in np.ndenumerate(field.c):
+                if entry is not fe.ZERO:
+                    out[index] = entry
+        elif field is not fe.ZERO:
+            out[...] = field
+    return dense

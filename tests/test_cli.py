@@ -467,11 +467,13 @@ def test_residual_tol_gates_result(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("RESULT fail")
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-def test_residual_non_finite_tol_is_config_error(tmp_path, capsys, tol):
+@pytest.mark.parametrize("argv", [["--tol=nan"], ["--tol=inf"], ["--tol=-inf"],
+                                  ["--tol", "abc"], ["--tol", "-inf"]])
+def test_residual_non_finite_tol_is_config_error(tmp_path, capsys, argv):
     table = eds_table(tmp_path / "tol.csv", 20)
-    assert main(["residual", "--table", table, f"--tol={tol}"]) == 2
+    assert main(["residual", "--table", table, *argv]) == 2
     out, err = capsys.readouterr()
+    tol = argv[-1].removeprefix("--tol=")
     assert out == "" and err == f"config error: --tol must be a finite number, got {tol}\n"
 
 

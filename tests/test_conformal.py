@@ -4,11 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import densified
 
 from f13 import conformal as cf
+from f13 import frame_equations as fe
 from f13.cli import _perturbed
 from f13.core import MatterState, ThreeVector, TracefreeSymThree
-from f13.frame_equations import NonFiniteResidual, residual_report
+from f13.frame_equations import ZERO, NonFiniteResidual, residual_report
 from f13.numerics import Grid, rk4_integrate
 from f13.spinors import ricci_spinor
 
@@ -470,13 +472,39 @@ def test_embed_special_matches_stacked_batch_first_embedding():
         ja = cf.embed_special(jet)
         ref = stacked_embedding(jet)
         k = len(ja.shape)
-        for name, arr in vars(ja).items():
+        for name, arr in vars(densified(ja)).items():
             if isinstance(arr, np.ndarray):
                 batch_first = np.moveaxis(arr, range(arr.ndim - k, arr.ndim), range(k))
                 # q, E, H and Lambda stay zero
                 expected = ref.get(name, np.zeros(batch_first.shape))
                 assert np.array_equal(batch_first, expected), (ja.shape, name)
-                assert np.array_equal(np.signbit(batch_first), np.signbit(expected)), name
+                # a component set by a zero number is ZERO, and reads +0.0;
+                # every other one is the jet's values, signed zeros included
+                expected = np.moveaxis(expected, range(k), range(arr.ndim - k, arr.ndim))
+                comp = arr.shape[:arr.ndim - k]
+                for index, _ in fe._nonzero_components(getattr(ja, name), comp):
+                    assert np.array_equal(np.signbit(arr[index]),
+                                          np.signbit(expected[index])), (name, index)
+
+
+def test_embed_special_hands_over_the_a1_components_by_reference():
+    """12 components in the value and 12 in the e_3 slot, each the jet's
+    own array or one computed from it (mu = 3p, pi33 = -2 pi11); every
+    other component, e_0 to e_2 included, is ``ZERO``."""
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    jet = form.jet(Grid(0.0, 0.5, 100))[0]
+    ja = cf.embed_special(jet)
+    held = {name: fe._nonzero_components(getattr(ja, name), comp)
+            for name, comp in fe._COMPONENTS.items()}
+    assert sum(len(held[name]) for name in fe._COMPONENTS if not name.startswith("d")) == 12
+    slots = [index[0] for name in fe._COMPONENTS if name.startswith("d")
+             for index, _ in held[name]]
+    assert slots == [3] * 12
+    assert ja.q is ZERO and ja.E is ZERO and ja.H is ZERO and ja.Lam is ZERO
+    assert ja.p is jet.value.p and ja.a.c[2] is jet.value.a3
+    assert ja.sigma.c[2, 2] is jet.value.sigma33 and ja.pi.c[1, 1] is jet.value.pi11
+    assert ja.dsigma.c[3, 0, 0] is jet.deriv[3].sigma11
+    assert ja.dOmega.c[3, 2] is jet.deriv[3].Omega3
 
 
 def test_perturbed_a3_breaks_residuals():

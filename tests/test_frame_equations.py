@@ -1,5 +1,6 @@
 """General 1+3 system: residual evaluators and commutator machinery."""
 
+import copy
 import dataclasses
 import os
 import sys
@@ -8,7 +9,7 @@ import warnings
 import einsum_reference
 import numpy as np
 import pytest
-from conftest import eds_jet_arrays, random_jet
+from conftest import densified, eds_jet_arrays, random_jet
 
 from f13 import conformal as cf
 from f13 import frame_equations as fe
@@ -251,7 +252,17 @@ def random_jet_arrays(rng, *shape):
 def report_pairs(ja, **kwargs):
     rep = residual_report(ja, **kwargs)
     return zip(REPORT_FIELDS, (getattr(rep, f) for f in REPORT_FIELDS),
-               einsum_reference.report_arrays(ja))
+               einsum_reference.report_arrays(densified(ja)))
+
+
+def all_components(ja):
+    """A dense jet as component tables with no ``ZERO`` entry: the kernels
+    then form every term, zero factors included, as a dense evaluation does."""
+    sub = copy.copy(ja)
+    for name, comp in fe._COMPONENTS.items():
+        arr = getattr(ja, name)
+        setattr(sub, name, fe._Components.build(comp, arr.__getitem__) if comp else arr)
+    return sub
 
 
 def test_kernels_match_einsum_on_random_jets():
@@ -380,7 +391,7 @@ def test_non_finite_in_last_partial_block_names_its_block(monkeypatch, workers, 
 def test_zero_blocks_report_zero_maxima():
     form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
     ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 3 * fe.BLOCK_POINTS))[0])
-    results = fe._report_arrays(fe._with_structural_zeros(ja))
+    results = fe._report_arrays(fe._component_tables(ja))
     zero = [name for name, res in zip(REPORT_FIELDS, results) if res is ZERO]
     assert "jacobi5" in zero
     rep = residual_report(ja)
@@ -421,7 +432,8 @@ def test_structural_zero_algebra():
 
 def test_skipping_zeros_matches_einsum_on_conformally_flat_jets():
     """Bit-identical up to the sign of a zero, with 11 (a1), 15 (branch 1
-    and a2) and 21 (branch 2) of the 27 arrays zero."""
+    and a2) and 21 (branch 2) of the 27 fields zero, and at most 24 of the
+    316 components nonzero."""
     F = cf.ScaleFactor.from_table(np.linspace(0.0, 1.0, 11),
                                   1.0 + 0.1 * np.sin(np.linspace(0.0, 3.0, 11)))
     form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=0.5)
@@ -435,15 +447,30 @@ def test_skipping_zeros_matches_einsum_on_conformally_flat_jets():
         "branch 2": cf.branch_jet(cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401))),
         "a1 rk4": cf.a1_trajectory_jet(grid2.points(), *a1.T),
         "a2 rk4": cf.a2_trajectory_jet(grid2.points(), *a2.T),
+        "a2 single jet": cf.a2_trajectory_jet(0.0, 0.3, -0.2, 0.7, 0.1),
     }
     for tag, jet in jets.items():
         ja = cf.embed_special(jet)
-        zero = {name for name, arr in vars(fe._with_structural_zeros(ja)).items() if arr is ZERO}
+        held = {name: getattr(ja, name) for name in JET_FIELDS}
+        entries = {name: list(f.c.flat) for name, f in held.items()
+                   if isinstance(f, fe._Components)}
+        tables = fe._component_tables(ja)
+        zero = {name for name in JET_FIELDS if getattr(tables, name) is ZERO}
         assert len(zero) >= 11, tag
+        nonzero = sum(len(fe._nonzero_components(getattr(tables, name), comp))
+                      for name, comp in fe._COMPONENTS.items())
+        assert nonzero <= 24, tag
         for name, new, ref in report_pairs(ja):
             assert np.array_equal(new, ref), (tag, name)
-        # the caller's jet keeps its arrays
-        assert all(isinstance(getattr(ja, name), np.ndarray) for name in JET_FIELDS), tag
+        # the handed-over components and their dense copy: the same bytes
+        rep, ref = residual_report(ja), residual_report(densified(ja))
+        for name in REPORT_FIELDS:
+            assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes(), (tag, name)
+        assert rep.per_point_max().tobytes() == ref.per_point_max().tobytes(), tag
+        # the caller's jet keeps its fields and their entries
+        assert all(getattr(ja, name) is field for name, field in held.items()), tag
+        assert all(all(a is b for a, b in zip(getattr(ja, name).c.flat, flat, strict=True))
+                   for name, flat in entries.items()), tag
 
 
 def test_skipping_zeros_matches_dense_kernels_on_random_jets():
@@ -457,7 +484,38 @@ def test_skipping_zeros_matches_dense_kernels_on_random_jets():
         for name in rng.choice(JET_FIELDS, rng.integers(1, len(JET_FIELDS) + 1), replace=False):
             getattr(ja, name)[...] = 0.0
         rep = residual_report(ja)
-        dense = fe._report_arrays(ja)
+        dense = [fe._dense(res, ResidualReport.BLOCKS[name][1], ja.shape)
+                 for name, res in zip(REPORT_FIELDS, fe._report_arrays(all_components(ja)))]
+        for name, ref in zip(REPORT_FIELDS, dense):
+            assert np.array_equal(getattr(rep, name), ref), (trial, name)
+        for name, new, ref in report_pairs(ja):
+            assert np.max(np.abs(new - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), name
+
+
+def test_skipping_zero_components_matches_dense_kernels_on_random_jets(monkeypatch):
+    """Random jets with a random subset of their components zero, not whole
+    fields: the values of the dense evaluation of the same kernels, the
+    einsum form's within rounding, and the same bytes for any block size
+    and any ``workers``."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    rng = np.random.default_rng(29)
+    n = 2 * 64 + 37
+    for trial in range(8):
+        ja = random_jet_arrays(rng, n)
+        for name, comp in fe._COMPONENTS.items():
+            for index in np.ndindex(comp):
+                if rng.random() < 0.6:
+                    getattr(ja, name)[index] = 0.0
+        dense = [fe._dense(res, ResidualReport.BLOCKS[name][1], ja.shape)
+                 for name, res in zip(REPORT_FIELDS, fe._report_arrays(all_components(ja)))]
+        seen = []
+        for block_points in (64, n):
+            monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
+            for workers in (1, 2, 3):
+                rep = residual_report(ja, workers=workers)
+                seen.append([getattr(rep, name).tobytes() for name in REPORT_FIELDS]
+                            + [rep.per_point_max().tobytes()])
+        assert all(out == seen[0] for out in seen[1:]), trial
         for name, ref in zip(REPORT_FIELDS, dense):
             assert np.array_equal(getattr(rep, name), ref), (trial, name)
         for name, new, ref in report_pairs(ja):
@@ -467,15 +525,17 @@ def test_skipping_zeros_matches_dense_kernels_on_random_jets():
 def test_take_keeps_structural_zeros():
     ja = random_jet_arrays(np.random.default_rng(4), 10)
     ja.mu[...] = 0.0
-    sub = fe._with_structural_zeros(ja).take(3, 7)
+    sub = fe._component_tables(ja).take(3, 7)
     assert sub.mu is ZERO and sub.shape == (4,)
     assert isinstance(ja.mu, np.ndarray)
 
 
 @pytest.mark.parametrize("case", ["a1", "branch 2"])
 def test_non_finite_entry_raises_with_zero_fields(case):
-    """An inf in any one of the 27 arrays still fails the report, although
-    the jet has fields that are zero throughout (0 * inf is nan)."""
+    """An inf in any one of the 316 components, ``ZERO`` ones included,
+    still fails the report, although the jet has components that are zero
+    throughout (0 * inf is nan).  The exceptions are e_0(p), e_0(udot) and
+    e_0(Omega), which enter no equation of the system."""
     if case == "a1":
         form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
         jet = form.jet(Grid(0.0, 0.5, 60))[0]
@@ -483,13 +543,22 @@ def test_non_finite_entry_raises_with_zero_fields(case):
         jet = cf.branch_jet(cf.a2_branch2_fields(cf.ScaleFactor.constant(1.0), 1.0, 0.5,
                                                  Grid(0.0, 0.6, 60)))
     rng = np.random.default_rng(9)
-    for name in JET_FIELDS:
-        ja = cf.embed_special(jet)
-        arr = getattr(ja, name)
-        arr[np.unravel_index(rng.integers(arr.size), arr.shape)] = np.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteResidual):
-                residual_report(ja)
+    for name, comp in fe._COMPONENTS.items():
+        for index in np.ndindex(comp):
+            # the embedding holds the jet's own arrays: put a copy in its place
+            ja = cf.embed_special(jet)
+            field = getattr(ja, name)
+            entries = field.c.__getitem__ if isinstance(field, fe._Components) else field.__getitem__
+            bad = np.zeros(ja.shape) if entries(index) is ZERO else np.array(entries(index))
+            bad[rng.integers(bad.size)] = np.inf
+            setattr(ja, name, fe._Components.build(
+                comp, lambda i: bad if i == index else entries(i)) if comp else bad)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if name in ("dp", "dudot", "dOmega") and index[0] == 0:
+                    assert residual_report(ja).max_residual() < 1e-10, (name, index)
+                    continue
+                with pytest.raises(NonFiniteResidual):
+                    residual_report(ja)
 
 
 def test_non_finite_entry_times_zero_fields_only_still_raises():
