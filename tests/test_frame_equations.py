@@ -255,14 +255,16 @@ def report_pairs(ja, **kwargs):
                einsum_reference.report_arrays(densified(ja)))
 
 
-def all_components(ja):
-    """A dense jet as component tables with no ``ZERO`` entry: the kernels
-    then form every term, zero factors included, as a dense evaluation does."""
+def dense_kernel_report(ja):
+    """The report arrays of a dense jet read as component tables with no
+    ``ZERO`` entry: the kernels then form every term, zero factors
+    included, as a dense evaluation does."""
     sub = copy.copy(ja)
     for name, comp in fe._COMPONENTS.items():
         arr = getattr(ja, name)
         setattr(sub, name, fe._Components.build(comp, arr.__getitem__) if comp else arr)
-    return sub
+    return [fe._dense(res, ResidualReport.BLOCKS[name][1], ja.shape)
+            for name, res in zip(REPORT_FIELDS, fe._report_arrays(sub))]
 
 
 def test_kernels_match_einsum_on_random_jets():
@@ -484,8 +486,7 @@ def test_skipping_zeros_matches_dense_kernels_on_random_jets():
         for name in rng.choice(JET_FIELDS, rng.integers(1, len(JET_FIELDS) + 1), replace=False):
             getattr(ja, name)[...] = 0.0
         rep = residual_report(ja)
-        dense = [fe._dense(res, ResidualReport.BLOCKS[name][1], ja.shape)
-                 for name, res in zip(REPORT_FIELDS, fe._report_arrays(all_components(ja)))]
+        dense = dense_kernel_report(ja)
         for name, ref in zip(REPORT_FIELDS, dense):
             assert np.array_equal(getattr(rep, name), ref), (trial, name)
         for name, new, ref in report_pairs(ja):
@@ -506,8 +507,7 @@ def test_skipping_zero_components_matches_dense_kernels_on_random_jets(monkeypat
             for index in np.ndindex(comp):
                 if rng.random() < 0.6:
                     getattr(ja, name)[index] = 0.0
-        dense = [fe._dense(res, ResidualReport.BLOCKS[name][1], ja.shape)
-                 for name, res in zip(REPORT_FIELDS, fe._report_arrays(all_components(ja)))]
+        dense = dense_kernel_report(ja)
         seen = []
         for block_points in (64, n):
             monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
