@@ -28,7 +28,13 @@ import numpy as np
 
 from . import conformal as cf
 from .core import MatterState, ThreeVector, TracefreeSymThree, WeylState
-from .frame_equations import JetArrays, NonFiniteResidual, ResidualReport, residual_report
+from .frame_equations import (
+    COMPONENT_NAMES,
+    JetArrays,
+    NonFiniteResidual,
+    ResidualReport,
+    residual_report,
+)
 from .numerics import Grid, PoleError, fd_derivative, rk4_integrate
 from .spinors import (
     diagonalizing_rotation,
@@ -430,8 +436,7 @@ def run_solve(config_path: str) -> int:
 def _perturbed(jet: cf.SpecialJet, delta: float) -> cf.SpecialJet:
     if delta == 0.0:
         return jet
-    value = dataclasses.replace(jet.value, a3=np.asarray(jet.value.a3) + delta)
-    return cf.SpecialJet(jet.z, value, jet.deriv)
+    return jet.replace_value(a3=np.asarray(jet.value.a3) + delta)
 
 
 def _verify_blocks(jet: cf.SpecialJet):
@@ -572,20 +577,11 @@ def run_spinor(state_path: str) -> int:
 # residual
 # ---------------------------------------------------------------------------
 
-def _components(ij: str) -> set:
-    i, j = int(ij[0]) - 1, int(ij[1]) - 1
-    return {(i, j), (j, i)}  # an off-diagonal column fills both slots
-
-
-# table column -> (JetArrays field, the component indices it fills)
-_TF = ("11", "22", "12", "13", "23")
-_TABLE_COLS = (
-    {name: (name, {()}) for name in ("mu", "p", "Theta")}
-    | {f"{base}{i}": (base, {(i - 1,)})
-       for base in ("q", "udot", "omega", "Omega", "a") for i in (1, 2, 3)}
-    | {f"{base}{ij}": (base, _components(ij)) for base in ("pi", "sigma", "E", "H") for ij in _TF}
-    | {f"n{ij}": ("n", _components(ij)) for ij in _TF + ("33",)}
-)
+# table column -> (JetArrays field, the component indices it fills): every
+# named component but Lambda (column "Lambda", constant) and the 33 entry of
+# a trace-free tensor, which the other two diagonal entries determine
+_TABLE_COLS = {name: fi for name, fi in COMPONENT_NAMES.items()
+               if name != "Lam" and name not in ("pi33", "sigma33", "E33", "H33")}
 
 
 def _read_table(path: str):
@@ -602,7 +598,9 @@ def _read_table(path: str):
     duplicate = list(dict.fromkeys(h for i, h in enumerate(header) if h in header[:i]))
     if duplicate:
         raise ConfigError(f"duplicate table columns: {', '.join(duplicate)}")
-    known = set(_TABLE_COLS) | {"Lambda", "F"}
+    # solve a1 writes firstintegral_A, a diagnostic derived from the state
+    # columns; residual reads it and ignores it
+    known = set(_TABLE_COLS) | {"Lambda", "F", "firstintegral_A"}
     unknown = [h for h in header[1:] if h not in known]
     if unknown:
         raise ConfigError(f"unknown table columns: {', '.join(unknown)}")
@@ -659,15 +657,12 @@ def _special_jet_from_table(coord: str, grid: Grid, cols: dict) -> cf.SpecialJet
     # edge stencils give -0.0); an absent sigma22 or n22 keeps its ansatz
     # default, and a given sigma22 fixes sigma33 through the trace
     zero = np.zeros(grid.N + 1)
-    names = {f.name: cols.get(f.name, None if f.default is None else zero)
-             for f in dataclasses.fields(cf.SpecialState)}
-    if names["sigma22"] is not None:
+    names = {name: cols.get(name, zero) for name in cf.SPECIAL_NAMES
+             if name in cols or name not in ("sigma22", "sigma33", "n22")}
+    if "sigma22" in names:
         names["sigma33"] = -(names["sigma22"] + names["sigma11"])
-    names = {k: v for k, v in names.items() if v is not None}
-    e = [cf.SpecialState()] * 4
-    e[0 if coord == "t" else 3] = cf.SpecialState(
-        **_e_derivatives(grid, cols.get("F", 1.0), names))
-    return cf.SpecialJet(cols[coord], cf.SpecialState(**names), tuple(e))
+    e = _e_derivatives(grid, cols.get("F", 1.0), names)
+    return cf.SpecialJet.build(cols[coord], names, **{"e0" if coord == "t" else "e3": e})
 
 
 def _threads() -> int:
@@ -703,7 +698,7 @@ def run_residual(table_path: str, system: str, out_path: str | None,
         jet = _special_jet_from_table(coord, grid, cols)
         if system == "special":
             parts = [cf.bianchi_special_residuals(jet)]
-            if cf.is_gauge_reduced(jet.value):
+            if cf.is_gauge_reduced(jet):
                 parts.append(cf.ricci_einstein_residuals(jet))
             else:
                 print("note: state is not gauge-reduced; RE block skipped")
@@ -730,14 +725,15 @@ def run_residual(table_path: str, system: str, out_path: str | None,
 
 def _ansatz_checks(cols: dict, zero: np.ndarray) -> cf.ResidualVector:
     """Deviations from the diagonal elastic ansatz that the 17-entry system
-    does not itself encode (reported as extra diagnostics)."""
+    does not itself encode (reported as extra diagnostics).  An absent pi22
+    or mu column takes its ansatz value, as the jet builder does."""
     def col(name):
         return cols.get(name, zero)
 
     names = ("ansatz_pi22", "ansatz_pi12", "ansatz_pi13", "ansatz_pi23",
              "ansatz_mu3p")
     rows = [
-        np.abs(col("pi22") - col("pi11")),
+        np.abs(col("pi22") - col("pi11")) if "pi22" in cols else zero,
         np.abs(col("pi12")),
         np.abs(col("pi13")),
         np.abs(col("pi23")),

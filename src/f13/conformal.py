@@ -12,20 +12,19 @@ derivative along the inhomogeneity direction is e_3 = F(z) d/dz.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .frame_equations import JetArrays, NonFiniteResidual
+from .frame_equations import COMPONENT_NAMES, JetArrays, NonFiniteResidual
 from .numerics import Grid, cumulative_integral_refined, quadrature
 
 __all__ = [
     "ScaleFactor",
     "ScalarProfile",
-    "SpecialState",
+    "SPECIAL_NAMES",
     "SpecialJet",
     "ResidualVector",
     "CaseA1ClosedForm",
@@ -61,117 +60,137 @@ POLE_MARGIN = 1e-3  # clip distance ahead of a detected denominator sign change
 class ScaleFactor:
     """Positive frame factor F(z); e_3 acts as F d/dz in the diagonal basis."""
 
-    def __init__(self, value: Callable, slope: Callable | None = None, label: str = "F"):
+    def __init__(self, value: Callable):
         self._value = value
-        self._slope = slope
-        self.label = label
 
     def __call__(self, z):
         return self._value(z)
-
-    def slope(self, z):
-        if self._slope is None:
-            raise ValueError(f"{self.label}: slope evaluator unavailable")
-        return self._slope(z)
 
     @classmethod
     def constant(cls, c: float) -> "ScaleFactor":
         c = float(c)
         if not (c > 0.0 and math.isfinite(c)):
             raise ValueError("constant frame factor must be positive and finite")
-        return cls(lambda z: np.asarray(z, dtype=float) * 0.0 + c,
-                   lambda z: np.asarray(z, dtype=float) * 0.0, label=f"F={c}")
+        return cls(lambda z: np.asarray(z, dtype=float) * 0.0 + c)
 
     @classmethod
-    def from_table(cls, zs, values, label: str = "F(table)") -> "ScaleFactor":
+    def from_table(cls, zs, values) -> "ScaleFactor":
         from scipy.interpolate import CubicSpline
 
         zs = np.asarray(zs, dtype=float)
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0.0):
             raise ValueError("tabulated frame factor must be positive")
-        spline = CubicSpline(zs, values)
-        return cls(spline, spline.derivative(), label=label)
+        return cls(CubicSpline(zs, values))
 
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    """A scalar function of z with analytic derivative evaluators."""
+    """A scalar function of z with its analytic derivative."""
 
     value: Callable
     slope: Callable
-    curvature: Callable | None = None
-    label: str = ""
 
     @classmethod
     def exp(cls) -> "ScalarProfile":
-        return cls(np.exp, np.exp, np.exp, label="exp(z)")
+        return cls(np.exp, np.exp)
 
 
-@dataclass(frozen=True)
-class SpecialState:
-    """Surviving variables of the conformally flat elastic ansatz.
-
-    The implied full tensors satisfy pi_22 = pi_11 = -pi_33/2 structurally;
-    the shear/commutation entries that the ansatz pins (sigma_22, sigma_33,
-    n_22, n_33, n_12, sigma_12) default to their constrained values but can
-    be overridden so that a violating data set is representable and shows up
-    in the (b15)-(b17) residual entries.  Fields may be floats or equally
-    shaped arrays.
-    """
-
-    p: object = 0.0
-    pi11: object = 0.0
-    Theta: object = 0.0
-    sigma11: object = 0.0
-    udot3: object = 0.0
-    a1: object = 0.0
-    a2: object = 0.0
-    a3: object = 0.0
-    n11: object = 0.0
-    n13: object = 0.0
-    n23: object = 0.0
-    Omega3: object = 0.0
-    omega1: object = 0.0
-    omega2: object = 0.0
-    omega3: object = 0.0
-    sigma13: object = 0.0
-    sigma23: object = 0.0
-    Omega1: object = 0.0
-    Omega2: object = 0.0
-    udot1: object = 0.0
-    udot2: object = 0.0
-    sigma22: object = None
-    sigma33: object = None
-    sigma12: object = 0.0
-    n22: object = None
-    n33: object = 0.0
-    n12: object = 0.0
-
-    def __post_init__(self):
-        if self.sigma22 is None:
-            object.__setattr__(self, "sigma22", self.sigma11)
-        if self.sigma33 is None:
-            object.__setattr__(self, "sigma33", -2.0 * np.asarray(self.sigma11))
-        if self.n22 is None:
-            object.__setattr__(self, "n22", self.n11)
+# The surviving variables of the conformally flat elastic ansatz.  The
+# entries it pins (sigma12, n12, n33, omega3 and the sigma/n diagonal) can
+# be set off their constrained values, so that violating data is
+# representable and shows up in the (b15)-(b17) residual entries.
+SPECIAL_NAMES = (
+    "p", "pi11", "Theta", "sigma11", "udot3", "a1", "a2", "a3",
+    "n11", "n13", "n23", "Omega3", "omega1", "omega2", "omega3",
+    "sigma13", "sigma23", "Omega1", "Omega2", "udot1", "udot2",
+    "sigma22", "sigma33", "sigma12", "n22", "n33", "n12",
+)
 
 
-_ZERO_SPECIAL = SpecialState()
+def _ansatz(values: dict) -> dict:
+    """The variables of one jet slot with the ansatz applied: mu = 3p and
+    pi = diag(pi11, pi11, -2 pi11); sigma22 = sigma11, sigma33 = -2 sigma11
+    and n22 = n11 unless given."""
+    unknown = [name for name in values if name not in SPECIAL_NAMES]
+    if unknown:
+        raise TypeError(f"unknown special variables: {', '.join(unknown)}")
+    out = dict(values)
+    sigma11 = values.get("sigma11", 0.0)
+    if "sigma22" not in values:
+        out["sigma22"] = sigma11
+    if "sigma33" not in values:
+        out["sigma33"] = -2.0 * np.asarray(sigma11)
+    if "n22" not in values:
+        out["n22"] = values.get("n11", 0.0)
+    pi11 = np.asarray(values.get("pi11", 0.0))
+    out.update(mu=3.0 * np.asarray(values.get("p", 0.0)), pi11=pi11, pi22=pi11,
+               pi33=-2.0 * pi11)
+    return out
 
 
-@dataclass(frozen=True)
+class _Slot:
+    """Read-only view of one slot of a special jet (its value, or one frame
+    derivative) by variable name (``COMPONENT_NAMES``); a component nobody
+    set reads 0.0."""
+
+    __slots__ = ("_entries", "_slot")
+
+    def __init__(self, entries: dict, slot: int | None):
+        self._entries = entries
+        self._slot = slot
+
+    def __getattr__(self, name):
+        try:
+            field, indices = COMPONENT_NAMES[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        key = (field, indices[0]) if self._slot is None else (
+            "d" + field, (self._slot,) + indices[0])
+        return self._entries.get(key, 0.0)
+
+
 class SpecialJet:
-    """A SpecialState with its four frame-derivative records."""
+    """A conformally flat elastic jet, held as the components the general
+    system consumes: ``entries`` maps (``JetArrays`` field, component index)
+    to an array of the batch shape ``shape``, and every component not in it
+    is zero.  ``value`` and ``deriv[a]`` (e_a of every variable) read the
+    entries by variable name."""
 
-    z: object
-    value: SpecialState
-    deriv: tuple[SpecialState, SpecialState, SpecialState, SpecialState]
+    def __init__(self, z, shape: tuple, entries: dict):
+        self.z = z
+        self.shape = shape
+        self.entries = entries
+        self.value = _Slot(entries, None)
+        self.deriv = tuple(_Slot(entries, a) for a in range(4))
 
     @classmethod
-    def build(cls, z, value, e0=None, e1=None, e2=None, e3=None) -> "SpecialJet":
-        zero = _ZERO_SPECIAL
-        return cls(z, value, (e0 or zero, e1 or zero, e2 or zero, e3 or zero))
+    def build(cls, z, value: dict, e0=None, e1=None, e2=None, e3=None) -> "SpecialJet":
+        """The jet of the named variables ``value`` (``SPECIAL_NAMES``) and
+        their frame derivatives, with the ansatz applied in each slot.
+        Values may be numbers or arrays that broadcast to the value's shape;
+        an array is held by reference, and a zero number is not held."""
+        shape = np.broadcast_shapes(*(np.shape(x) for x in value.values()))
+        entries = {}
+        for slot, values in enumerate((value, e0, e1, e2, e3)):
+            for name, x in _ansatz(values or {}).items():
+                if np.ndim(x) == 0 and x == 0.0:
+                    continue
+                x = np.asarray(x, dtype=float)
+                if x.shape != shape:
+                    x = np.broadcast_to(x, shape)
+                field, indices = COMPONENT_NAMES[name]
+                for index in indices:
+                    key = (field, index) if slot == 0 else ("d" + field, (slot - 1,) + index)
+                    entries[key] = x
+        return cls(z, shape, entries)
+
+    def replace_value(self, **values) -> "SpecialJet":
+        """The jet built again from its variables, with the named variables
+        of its value replaced by ``values``."""
+        value, *deriv = ({name: getattr(slot, name) for name in SPECIAL_NAMES}
+                         for slot in (self.value, *self.deriv))
+        return SpecialJet.build(self.z, value | values, *deriv)
 
 
 @dataclass(frozen=True)
@@ -291,22 +310,20 @@ _GAUGE_ZEROED = (
 )
 
 
-def gauge_reduce(s: SpecialState) -> SpecialState:
+def gauge_reduce(jet: SpecialJet) -> SpecialJet:
     """Fix the residual frame freedom of the ansatz.
 
     Forces sigma13 = sigma23 = omega_i = Omega_1 = Omega_2 = udot_1 =
-    udot_2 = 0 together with n_23 = a_1 and n_13 = -a_2, after which the
-    algebraic constraints (entries 9-14) hold identically.
+    udot_2 = 0 together with n_23 = a_1 and n_13 = -a_2 in the jet's value,
+    after which the algebraic constraints (entries 9-14) hold identically.
     """
-    return dataclasses.replace(
-        s,
-        n23=s.a1,
-        n13=-np.asarray(s.a2),
-        **{name: 0.0 for name in _GAUGE_ZEROED},
-    )
+    s = jet.value
+    return jet.replace_value(n23=s.a1, n13=-np.asarray(s.a2),
+                             **{name: 0.0 for name in _GAUGE_ZEROED})
 
 
-def is_gauge_reduced(s: SpecialState, atol: float = 0.0) -> bool:
+def is_gauge_reduced(jet: SpecialJet, atol: float = 0.0) -> bool:
+    s = jet.value
     checks = [np.asarray(getattr(s, name)) for name in _GAUGE_ZEROED]
     checks.append(np.asarray(s.n23) - s.a1)
     checks.append(np.asarray(s.n13) + s.a2)
@@ -326,7 +343,7 @@ def ricci_einstein_residuals(jet: SpecialJet, atol: float = 0.0) -> ResidualVect
     paired entries (suffix a for e_1, b for e_2).
     """
     s = jet.value
-    if not is_gauge_reduced(s, atol=atol):
+    if not is_gauge_reduced(jet, atol=atol):
         raise ValueError("ricci_einstein_residuals requires a gauge-reduced state")
     e0, e1, e2, e3 = jet.deriv
     third = 1.0 / 3.0
@@ -478,10 +495,8 @@ def _a1_e3_closure(sigma11, a3, Omega3):
     a = np.asarray(a3, dtype=float)
     e3s, e3a, e3om = _A1_RHS((s11, a, np.asarray(Omega3, dtype=float)))
     e3pi, e3p = _a1_closure_slopes(s11, a, e3s, e3a)
-    return SpecialState(
-        p=e3p, pi11=e3pi, Theta=6.0 * e3s, sigma11=e3s,
-        udot3=-e3a, a3=e3a, Omega3=e3om,
-    )
+    return dict(p=e3p, pi11=e3pi, Theta=6.0 * e3s, sigma11=e3s,
+                udot3=-e3a, a3=e3a, Omega3=e3om)
 
 
 def a1_trajectory_jet(z, sigma11, a3, Omega3) -> SpecialJet:
@@ -490,10 +505,8 @@ def a1_trajectory_jet(z, sigma11, a3, Omega3) -> SpecialJet:
     Valid for any (sigma11, a3, Omega3) arrays, e.g. an RK4 trajectory.
     """
     pi11, p, udot3 = case_a1_closure(sigma11, a3)
-    value = SpecialState(
-        p=p, pi11=pi11, Theta=6.0 * np.asarray(sigma11),
-        sigma11=sigma11, udot3=udot3, a3=a3, Omega3=Omega3,
-    )
+    value = dict(p=p, pi11=pi11, Theta=6.0 * np.asarray(sigma11),
+                 sigma11=sigma11, udot3=udot3, a3=a3, Omega3=Omega3)
     return SpecialJet.build(z, value, e3=_a1_e3_closure(sigma11, a3, Omega3))
 
 
@@ -597,17 +610,10 @@ class CaseA1ClosedForm:
         """Analytic jet of the family on the grid (e_3 = F d/dz applied to
         the closed forms)."""
         f = self.evaluate(grid)
-        value = SpecialState(
-            p=f["p"], pi11=f["pi11"], Theta=f["Theta"], sigma11=f["sigma11"],
-            udot3=f["udot3"], a3=f["a3"], Omega3=f["Omega3"],
-        )
+        names = ("p", "pi11", "Theta", "sigma11", "udot3", "a3", "Omega3")
         F = f["F"]
-        e3 = SpecialState(
-            p=F * f["d_p"], pi11=F * f["d_pi11"], Theta=F * f["d_Theta"],
-            sigma11=F * f["d_sigma11"], udot3=F * f["d_udot3"],
-            a3=F * f["d_a3"], Omega3=F * f["d_Omega3"],
-        )
-        return SpecialJet.build(f["z"], value, e3=e3), f
+        e3 = {name: F * f["d_" + name] for name in names}
+        return SpecialJet.build(f["z"], {name: f[name] for name in names}, e3=e3), f
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +743,10 @@ def a2_branch2_fields(F: ScaleFactor, D: float, B: float, grid: Grid) -> BranchF
 def branch_jet(f: BranchFields) -> SpecialJet:
     """Analytic jet of a branch family (profile derivatives, not closures,
     except e_3(Omega3) = -udot3 Omega3 of the A2 system)."""
-    value = SpecialState(p=f.p, pi11=f.pi11, sigma11=0.0 * f.a3, Theta=0.0 * f.a3,
-                         udot3=f.udot3, a3=f.a3, Omega3=f.Omega3)
-    e3 = SpecialState(**f.family.e3(f.a3, f.e3_a3), a3=f.e3_a3,
-                      Omega3=_A2_RHS((f.p, f.udot3, f.a3, f.Omega3))[3])
+    value = dict(p=f.p, pi11=f.pi11, sigma11=0.0 * f.a3, Theta=0.0 * f.a3,
+                 udot3=f.udot3, a3=f.a3, Omega3=f.Omega3)
+    e3 = dict(**f.family.e3(f.a3, f.e3_a3), a3=f.e3_a3,
+              Omega3=_A2_RHS((f.p, f.udot3, f.a3, f.Omega3))[3])
     return SpecialJet.build(f.z, value, e3=e3)
 
 
@@ -778,13 +784,12 @@ def _a2_e3_closure(p, udot3, a3, Omega3):
     a = np.asarray(a3, dtype=float)
     e3p, e3u, e3a, e3om = _A2_RHS((p, u3, a, np.asarray(Omega3, dtype=float)))
     e3pi = 0.5 * e3p - a * e3a + e3a * u3 + a * e3u
-    return SpecialState(p=e3p, pi11=e3pi, udot3=e3u, a3=e3a, Omega3=e3om)
+    return dict(p=e3p, pi11=e3pi, udot3=e3u, a3=e3a, Omega3=e3om)
 
 
 def a2_trajectory_jet(z, p, udot3, a3, Omega3) -> SpecialJet:
     """Jet for case A2 data with e_3 entries supplied by the ODE closure."""
-    value = SpecialState(p=p, pi11=case_a2_pi11(p, udot3, a3), udot3=udot3, a3=a3,
-                         Omega3=Omega3)
+    value = dict(p=p, pi11=case_a2_pi11(p, udot3, a3), udot3=udot3, a3=a3, Omega3=Omega3)
     return SpecialJet.build(z, value, e3=_a2_e3_closure(p, udot3, a3, Omega3))
 
 
@@ -793,44 +798,13 @@ def a2_trajectory_jet(z, p, udot3, a3, Omega3) -> SpecialJet:
 # ---------------------------------------------------------------------------
 
 
-_SYM_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
-
-def _special_components(st: SpecialState) -> dict:
-    """(full-variable field, component index) -> value of every component a
-    special state sets: mu = 3p, pi = diag(pi11, pi11, -2 pi11), and sigma
-    and n symmetric; q, E, H and Lambda are not set."""
-    pi11 = np.asarray(st.pi11)
-    out = {("mu", ()): 3.0 * np.asarray(st.p), ("p", ()): st.p, ("Theta", ()): st.Theta,
-           ("pi", (0, 0)): pi11, ("pi", (1, 1)): pi11, ("pi", (2, 2)): -2.0 * pi11}
-    for name in ("udot", "omega", "Omega", "a"):
-        for i in range(3):
-            out[name, (i,)] = getattr(st, f"{name}{i + 1}")
-    for name in ("sigma", "n"):
-        for i, j in _SYM_ENTRIES:
-            out[name, (i, j)] = out[name, (j, i)] = getattr(st, f"{name}{i + 1}{j + 1}")
-    return out
-
-
 def embed_special(jet: SpecialJet) -> JetArrays:
     """Embed a special jet into the full 1+3 variable set.
 
     Conformally flat elastic data: E = H = 0, q = 0, Lambda = 0 and
     mu = 3p (vanishing NP curvature scalar); pi = diag(pi11, pi11, -2 pi11).
     This is the input to the master cross-check against the general system.
-    The jet's arrays are handed over by component, by reference (a value
-    of another shape as a broadcast view); a component whose value is a
-    zero number is ``ZERO``, so nothing is allocated for it.
+    The jet's entries are handed over by reference; every component it
+    does not hold is ``ZERO``.
     """
-    fields = [getattr(jet.value, f.name) for f in dataclasses.fields(SpecialState)]
-    shape = np.broadcast_shapes(*(np.shape(np.asarray(x)) for x in fields))
-    entries = {}
-    for slot, st in enumerate((jet.value,) + tuple(jet.deriv)):
-        for (name, index), x in _special_components(st).items():
-            if np.ndim(x) == 0 and x == 0.0:
-                continue
-            x = np.asarray(x, dtype=float)
-            if x.shape != shape:
-                x = np.broadcast_to(x, shape)
-            entries[(name, index) if slot == 0 else ("d" + name, (slot - 1,) + index)] = x
-    return JetArrays.from_components(shape, entries)
+    return JetArrays.from_components(jet.shape, jet.entries)

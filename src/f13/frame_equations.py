@@ -34,7 +34,8 @@ factor that is zero everywhere.  ``residual_report`` reads every vector,
 tensor and derivative field as a table of its components (``_Components``,
 an object array of component shape whose entries are batch arrays), once
 per sweep: the entries are views of a dense field, or the entries a
-producer such as ``conformal.embed_special`` handed over, and every
+producer handed over by component (``JetArrays.from_components``; a
+``conformal.SpecialJet`` holds its entries in that form), and every
 component with no nonzero entry is the sentinel ``ZERO``, as is a scalar
 field with none.  The kernels act on the tables entry by entry and drop
 every term with a ``ZERO`` factor: ``x + ZERO`` is ``x``, and a product,
@@ -76,6 +77,7 @@ from .core import (
 )
 
 __all__ = [
+    "COMPONENT_NAMES",
     "JetArrays",
     "NonFiniteResidual",
     "ResidualReport",
@@ -104,6 +106,16 @@ _COMPONENTS = (
     | {name: (3, 3) for name in _TENSORS}
 )
 _COMPONENTS |= {"d" + name: (4,) + _COMPONENTS[name] for name in _DERIV_FIELDS}
+# variable name -> (jet field, the component indices it fills): a scalar x
+# is x, component i of a vector x is x_i and component ij of a tensor x is
+# x_ij (indices from 1), where x_ij also fills x_ji, since every tensor
+# field is symmetric
+COMPONENT_NAMES = (
+    {name: (name, ((),)) for name in _SCALARS}
+    | {f"{name}{i + 1}": (name, ((i,),)) for name in _VECTORS for i in range(3)}
+    | {f"{name}{i + 1}{j + 1}": (name, ((i, j),) if i == j else ((i, j), (j, i)))
+       for name in _TENSORS for i in range(3) for j in range(i, 3)}
+)
 
 
 class JetArrays:

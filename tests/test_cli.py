@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from f13.cli import _fmt, _read_table, _write_csv, main
+from f13.cli import RESIDUAL_SYSTEMS, _fmt, _read_table, _write_csv, main
 
 A1_SOLVE = """\
 [scenario]
@@ -503,6 +503,59 @@ def test_residual_special_absent_sigma22_and_n22_take_the_ansatz(tmp_path, capsy
     assert main(["residual", "--table", table, "--system", "special"]) == 0
     blocks = block_maxima(capsys.readouterr().out)
     assert blocks["b16"] == pytest.approx(0.15) and blocks["b17"] == 0.0
+
+
+def test_residual_special_reads_the_csv_solve_a1_writes(tmp_path, capsys):
+    """Every column of the a1 CSV is accepted, firstintegral_A is ignored,
+    and the absent pi22 reads as its ansatz value."""
+    out = tmp_path / "a1.csv"
+    assert main(["solve", "--config", write(tmp_path / "a1.cfg", A1_SOLVE.format(out=out))]) == 0
+    capsys.readouterr()
+    assert main(["residual", "--table", str(out), "--system", "general"]) == 0
+    capsys.readouterr()
+    assert main(["residual", "--table", str(out), "--system", "special"]) == 0
+    blocks = block_maxima(capsys.readouterr().out)
+    assert blocks["ansatz_pi22"] == 0.0 and blocks["ansatz_mu3p"] == 0.0
+    assert blocks["b8"] < 1e-8  # the FD e_3(pi11) equation on RK4 data
+
+
+@pytest.mark.parametrize("pi22", [None, 0.1])
+def test_residual_special_absent_pi22_takes_the_ansatz(tmp_path, capsys, pi22):
+    """No pi22 column reads as pi22 = pi11 (no deviation); a given one is
+    checked against pi11."""
+    z = [0.025 * i for i in range(21)]
+    header = "z,p,pi11" + ("" if pi22 is None else ",pi22")
+    rows = "".join(f"{zi!r},{0.2 + zi!r},{0.5 - zi * zi!r}"
+                   + ("" if pi22 is None else f",{0.5 - zi * zi + pi22!r}") + "\n" for zi in z)
+    table = write(tmp_path / "pi.csv", header + "\n" + rows)
+    assert main(["residual", "--table", table, "--system", "special"]) == 0
+    blocks = block_maxima(capsys.readouterr().out)
+    assert blocks["ansatz_pi22"] == (0.0 if pi22 is None else pytest.approx(0.1, rel=1e-12))
+
+
+# the state columns residual accepted before the named-component map
+STATE_COLUMNS = (
+    "mu p Theta q1 q2 q3 udot1 udot2 udot3 omega1 omega2 omega3 Omega1 Omega2 Omega3 a1 a2 a3 "
+    "pi11 pi22 pi12 pi13 pi23 sigma11 sigma22 sigma12 sigma13 sigma23 n11 n22 n33 n12 n13 n23 "
+    "E11 E22 E12 E13 E23 H11 H22 H12 H13 H23").split()
+
+
+def test_residual_accepts_the_44_state_columns(tmp_path, capsys):
+    from f13.cli import _TABLE_COLS
+
+    assert len(STATE_COLUMNS) == 44 and set(_TABLE_COLS) == set(STATE_COLUMNS)
+    header = ["z", *STATE_COLUMNS, "Lambda", "F", "firstintegral_A"]
+    rows = "".join(",".join([repr(0.05 * i)] + [repr(0.01 * (k + 1) * (1.0 + 0.05 * i))
+                                                 for k in range(len(header) - 1)]) + "\n"
+                   for i in range(8))
+    table = write(tmp_path / "all.csv", ",".join(header) + "\n" + rows)
+    for system in RESIDUAL_SYSTEMS:
+        assert main(["residual", "--table", table, "--system", system]) == 0, system
+        assert capsys.readouterr().out.splitlines()[-1].startswith("RESULT pass")
+    for name in ("pi33", "sigma33", "E33", "H33", "Lam"):
+        bad = write(tmp_path / f"{name}.csv", f"z,{name}\n" + "".join(f"{i},0.0\n" for i in range(6)))
+        assert main(["residual", "--table", bad]) == 2
+        assert capsys.readouterr().err == f"config error: unknown table columns: {name}\n"
 
 
 def test_residual_general_differentiates_each_column_once(tmp_path, capsys, monkeypatch):
