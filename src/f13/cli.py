@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import io
 import math
 import os
 import sys
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import conformal as cf
 from .core import MatterState, ThreeVector, TracefreeSymThree, WeylState
+from .csvtext import csv_rows
 from .frame_equations import (
     COMPONENT_NAMES,
     JetArrays,
@@ -200,13 +202,16 @@ def _build_grid(values: dict) -> Grid:
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    # '%.17g' % x formats a float exactly as _fmt does; rows are built one
-    # at a time from the column buffers, so no table of Python floats exists
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    views = [memoryview(np.ascontiguousarray(col, dtype=float)) for col in columns]
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(row % values for values in zip(*views))
+    # every cell is '%.17g' % x, as _fmt writes it, formatted a block of rows
+    # at a time by csv_rows
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(header)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(line.getvalue().encode("utf-8"))
+            fh.writelines(csv_rows(columns))
+    except OSError as exc:
+        raise ConfigError(f"cannot write csv {path!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

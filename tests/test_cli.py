@@ -3,12 +3,19 @@
 import csv
 import hashlib
 import math
+import tempfile
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from f13 import csvtext
 from f13.cli import RESIDUAL_SYSTEMS, _fmt, _read_table, _write_csv, main
+
+EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 A1_SOLVE = """\
 [scenario]
@@ -605,7 +612,56 @@ def write_csv_per_value(path, header, columns):
             writer.writerow([_fmt(col[i]) for col in columns])
 
 
-def test_write_csv_matches_per_value_writer(tmp_path):
+def assert_writes_like_per_value(directory, columns, header=None):
+    header = header or [f"c{i}" for i in range(len(columns))]
+    _write_csv(str(directory / "new.csv"), header, columns)
+    write_csv_per_value(str(directory / "ref.csv"), header, columns)
+    assert (directory / "new.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+
+
+@EXACT
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60), st.integers(1, 4))
+def test_write_csv_matches_per_value_writer(bits, ncols):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    rows = -(-values.size // ncols)
+    table = np.resize(values, (rows, ncols))
+    with tempfile.TemporaryDirectory() as directory:
+        assert_writes_like_per_value(Path(directory), list(table.T))
+
+
+def write_csv_fixed_cases():
+    """Values chosen at the edges of the block formatter."""
+    rng = np.random.default_rng(5)
+    m = rng.integers(4 * 10**15, 9 * 10**15, 2000) | 1
+    ties = m / 4.0  # exact, fraction .25 or .75: a tie at 17 digits
+    powers = np.array([float(f"1e{j}") for j in range(-7, 18)])
+    # the doubles nearest to 10**j that lie below it; some print as 10**j
+    nearest = [float(f"1e{j}") for j in range(-300, 300)]
+    carries = [x for x in nearest if Fraction(x) < Fraction(10) ** int(f"{x:e}".split("e")[1])]
+    # the only ties below 1e-6: odd m * 2**-j with m * 5**j of 18 digits
+    inexact_ties = np.array([m * 2.0**-24 for m in range(3, 16, 2)] + [2.0**-25, 3 * 2.0**-25])
+    bounds = np.array([1e-6, 1e16, 1e17, 1e-280, 1e290])
+    integers = rng.integers(1, 10**6, 2000) * 10.0 ** rng.integers(0, 12, 2000)
+    subnormal = rng.integers(1, 2**52, 500).astype(np.int64).view(np.float64)
+    values = np.concatenate([
+        ties, inexact_ties, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), carries,
+        bounds, np.nextafter(bounds, 0), np.nextafter(bounds, np.inf), integers,
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308],
+        subnormal, np.ldexp(1.0, np.arange(-1074, 1024)), np.ldexp(3.0, np.arange(-1074, 1022)),
+    ])
+    return np.concatenate([values, -values]), carries, inexact_ties
+
+
+def test_write_csv_matches_per_value_writer_at_the_edges(tmp_path):
+    values, carries, inexact_ties = write_csv_fixed_cases()
+    # some doubles below a power of ten print as that power: the carry is taken
+    assert any(_fmt(x).startswith("1e") for x in carries)
+    # a tie the inexact product cannot settle is left to '%.17g'
+    assert csvtext._decimal(inexact_ties)[3].all()
+    assert_writes_like_per_value(tmp_path, [values, values[::-1]])
+
+
+def test_write_csv_matches_per_value_writer_special_and_strided(tmp_path):
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                         2.2250738585072014e-308 / 3.0, 1e300, -1e300, 1e-300,
                         -1e-300, 0.1, 1.0 / 3.0, -123456789.123456789, 2.0**53 + 1])
@@ -613,10 +669,34 @@ def test_write_csv_matches_per_value_writer(tmp_path):
     wide = rng.uniform(-1.0, 1.0, special.size) * 10.0 ** rng.integers(-300, 300, special.size)
     table = np.stack([special, special[::-1], wide], axis=1)
     columns = [special, table[:, 1], wide, np.arange(special.size)]  # strided, int
-    header = ["z", "rev", "wide", "idx"]
-    _write_csv(str(tmp_path / "new.csv"), header, columns)
-    write_csv_per_value(str(tmp_path / "ref.csv"), header, columns)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert_writes_like_per_value(tmp_path, columns, ["z", "rev", "wide", "idx"])
+
+
+@pytest.mark.parametrize("rows", [csvtext.BLOCK_ROWS - 1, csvtext.BLOCK_ROWS, csvtext.BLOCK_ROWS + 1])
+def test_write_csv_rows_across_a_block_edge(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    z = np.linspace(0.0, 1.0, rows)
+    assert_writes_like_per_value(tmp_path, [z, rng.standard_normal(rows) * 1e-9])
+
+
+def test_write_csv_without_rows_writes_the_header(tmp_path):
+    assert_writes_like_per_value(tmp_path, [np.zeros(0), np.zeros(0)])
+
+
+def test_solve_unwritable_output_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "a1.csv"
+    cfg = write(tmp_path / "a1.cfg", A1_SOLVE.format(out=out))
+    assert main(["solve", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write csv {str(out)!r}: ")
+    assert "RESULT" not in captured.out
+
+
+def test_residual_out_directory_is_config_error(tmp_path, capsys):
+    table = eds_table(tmp_path / "eds.csv", 60)
+    assert main(["residual", "--table", table, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write csv {str(tmp_path)!r}: ")
 
 
 def frame_table(path, rows):
