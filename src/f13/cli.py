@@ -455,9 +455,8 @@ def _verify_blocks(jet: cf.SpecialJet):
     name, idx, val = re.worst()
     results.append(("ricci-einstein", val, zs[idx], name))
     rep = _threaded_report(cf.embed_special(jet))
-    for label, rowmax in rep.block_point_max().items():
-        j = int(np.argmax(rowmax))
-        results.append((f"frame-{label}", float(rowmax[j]), zs[j], ""))
+    for label, (j, val) in rep.block_worst().items():
+        results.append((f"frame-{label}", val, zs[j], ""))
     return results, float(max(r[1] for r in results))
 
 
@@ -709,7 +708,7 @@ def run_residual(table_path: str, system: str, out_path: str | None,
                 print("note: state is not gauge-reduced; RE block skipped")
             parts.append(_ansatz_checks(cols, np.zeros(len(zs))))
             vec = cf.ResidualVector(sum((v.names for v in parts), ()),
-                                    np.concatenate([v.values for v in parts]))
+                                    sum((v.entries for v in parts), ()))
         else:
             vec = cf.futurework_residuals(jet)
         header = [coord, *vec.names, "max"]
@@ -744,7 +743,7 @@ def _ansatz_checks(cols: dict, zero: np.ndarray) -> cf.ResidualVector:
         np.abs(col("pi23")),
         np.abs(col("mu") - 3.0 * col("p")) if "mu" in cols else zero,
     ]
-    return cf.ResidualVector(names, np.stack(np.broadcast_arrays(*rows)))
+    return cf.ResidualVector(names, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -193,28 +193,36 @@ class SpecialJet:
         return SpecialJet.build(self.z, value | values, *deriv)
 
 
-@dataclass(frozen=True)
 class ResidualVector:
     """Named residual entries, each a scalar or a batch array.
 
-    Each entry's max-abs over the batch is taken once, at construction;
+    Entries are held as given (as float arrays), each of a shape that
+    broadcasts to the batch shape; a scalar entry stands for the same value
+    at every batch entry.  Each entry's max-abs over the batch is taken
+    once, at construction, on the entry alone (a 0-d entry is its own max);
     ``entry_max``, ``max_abs``, ``worst`` and the finite check read it.
+    ``values``, the entries stacked to shape (len(names),) + batch, is built
+    only when read.
     """
 
-    names: tuple[str, ...]
-    values: np.ndarray  # shape (len(names),) + batch
-
-    def __post_init__(self):
-        if self.values.shape[0] != len(self.names):
-            raise ValueError("names/values length mismatch")
-        flat = self.values.reshape(len(self.names), -1)
-        # a nan or an inf survives the max-abs
-        top = np.max(np.abs(flat), axis=1, initial=0.0)
+    def __init__(self, names, entries):
+        self.names = tuple(names)
+        self.entries = tuple(np.asarray(e, dtype=float) for e in entries)
+        if len(self.entries) != len(self.names):
+            raise ValueError("names/entries length mismatch")
+        self.shape = np.broadcast_shapes(*(e.shape for e in self.entries))
+        # a nan or an inf survives the max-abs; an empty batch holds no value
+        empty = math.prod(self.shape) == 0
+        top = np.array([0.0 if empty else np.max(np.abs(e), initial=0.0) for e in self.entries])
         finite = np.isfinite(top)
         if not finite.all():
             name = self.names[int(np.argmin(finite))]
             raise NonFiniteResidual(f"non-finite residual entry {name}")
-        object.__setattr__(self, "_entry_max", top)
+        self._entry_max = top
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.stack(np.broadcast_arrays(*self.entries))
 
     def entry_max(self) -> dict[str, float]:
         return dict(zip(self.names, self._entry_max.tolist()))
@@ -224,19 +232,18 @@ class ResidualVector:
 
     def per_point_max(self) -> np.ndarray:
         """Max-abs over the entries, per batch entry."""
-        return np.max(np.abs(self.values), axis=0)
+        out = np.empty(self.shape)
+        np.abs(self.entries[0], out=out)
+        for e in self.entries[1:]:
+            np.maximum(out, np.abs(e), out=out)
+        return out
 
     def worst(self) -> tuple[str, int, float]:
-        """(entry name, batch index, |value|) of the largest residual: the
-        first entry holding it, at its first batch index."""
+        """(entry name, flat batch index, |value|) of the largest residual:
+        the first entry holding it, at its first batch index."""
         i = int(np.argmax(self._entry_max))
-        j = int(np.argmax(np.abs(self.values.reshape(len(self.names), -1)[i])))
+        j = int(np.argmax(np.abs(np.broadcast_to(self.entries[i], self.shape))))
         return self.names[i], j, float(self._entry_max[i])
-
-
-def _stack(entries) -> np.ndarray:
-    arrays = [np.asarray(e, dtype=float) for e in entries]
-    return np.stack(np.broadcast_arrays(*arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +308,7 @@ def bianchi_special_residuals(jet: SpecialJet) -> ResidualVector:
         ),
         np.abs(np.asarray(s.n11) - s.n22),
     ]
-    return ResidualVector(B_NAMES, _stack(entries))
+    return ResidualVector(B_NAMES, entries)
 
 
 _GAUGE_ZEROED = (
@@ -382,7 +389,7 @@ def ricci_einstein_residuals(jet: SpecialJet, atol: float = 0.0) -> ResidualVect
         np.asarray(e1.Theta),
         np.asarray(e2.Theta),
     ]
-    return ResidualVector(RE_NAMES, _stack(entries))
+    return ResidualVector(RE_NAMES, entries)
 
 
 FW_NAMES = (
@@ -433,7 +440,7 @@ def futurework_residuals(jet: SpecialJet) -> ResidualVector:
         np.asarray(e2.Omega3),
         np.asarray(e3.Omega3),
     ]
-    return ResidualVector(FW_NAMES, _stack(entries))
+    return ResidualVector(FW_NAMES, entries)
 
 
 # ---------------------------------------------------------------------------

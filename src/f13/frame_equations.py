@@ -20,10 +20,13 @@ output component).  Each kernel adds its terms in index order, and each
 term is one numpy operation along the batch.  ``residual_report``
 evaluates a batch in consecutive blocks of ``BLOCK_POINTS`` points
 (views along the last batch axis), serially or on a thread pool; every
-residual is pointwise, so neither changes the report.  The report keeps
-the same layout, components + S, and each block is reduced once, on the
-thread that evaluated it: its max-abs over the components at every point.
-The report's norms, per-point maxima and finite check all come from those.
+residual is pointwise, so neither changes the report.  Each block is
+reduced once, on the thread that evaluated it: its max-abs over the
+components at every point.  The report's norms, per-point maxima, worst
+points and finite check all come from those.  The report holds the
+nonzero components each piece produced by reference and copies nothing:
+a block's array, in the jet's layout (components + S), is assembled only
+when it is read.
 
 Structural zeros.  On the conformally flat elastic jets almost every
 component of the state vanishes identically (E = H = q = 0 and
@@ -62,7 +65,6 @@ import copy
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -336,11 +338,14 @@ def _nonzero_components(x, comp: tuple) -> list:
             if e is not ZERO]
 
 
-def _dense(x, comp: tuple, shape: tuple) -> np.ndarray:
-    """A field or kernel result as a component-major array, zero where ``ZERO``."""
+def _dense(pieces, comp: tuple, shape: tuple) -> np.ndarray:
+    """Fields or kernel results as one component-major array of batch shape
+    ``shape``, +0.0 where ``ZERO``: ``pieces`` holds (batch index, field or
+    result there) pairs, such as ``[((...,), x)]`` for a whole batch."""
     out = np.zeros(comp + shape)
-    for index, e in _nonzero_components(x, comp):
-        out[index] = e
+    for index, x in pieces:
+        for component, e in _nonzero_components(x, comp):
+            out[component + index] = e
     return out
 
 
@@ -509,7 +514,8 @@ def curly_S(jet) -> TracefreeSymThree:
     """Trace-free 3-curvature source of the shear evolution equation."""
     c = _component_tables(_as_arrays(jet))
     S, pre_trace = _curly_S_arr(c)
-    S, pre_trace = _dense(S, (3, 3), c.shape), _dense(pre_trace, (), c.shape)
+    S = _dense([((...,), S)], (3, 3), c.shape)
+    pre_trace = _dense([((...,), pre_trace)], (), c.shape)
     worst = float(np.max(np.abs(pre_trace))) if pre_trace.size else float(pre_trace)
     if worst > 1e-14 * max(1.0, float(np.max(np.abs(S))) if S.size else 0.0):
         log.debug("curly_S pre-projection trace %.3e", worst)
@@ -527,7 +533,7 @@ def _curly_R_arr(c: JetArrays):
 def curly_R(jet) -> float:
     """Spatial curvature scalar *R = 2(2 e_a - 3 a_a)(a^a) - b^a_a / 2."""
     c = _component_tables(_as_arrays(jet))
-    return float(_dense(_curly_R_arr(c), (), c.shape))
+    return float(_dense([((...,), _curly_R_arr(c))], (), c.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -777,35 +783,25 @@ class NonFiniteResidual(ValueError):
     """A residual came out NaN or infinite; the message names its block."""
 
 
-@dataclass
 class ResidualReport:
     """All residual blocks of the general system, possibly batched.
 
-    Block arrays keep their tensor character and the jet's layout,
-    components + S.  ``point_max`` holds, per block in field order, its
-    max-abs over its nonzero components at every batch entry (``ZERO`` for
-    a block whose every component the kernels returned as ``ZERO``); every
-    reduction below is read from it, and a non-finite block fails
-    construction.  Norms are max-abs over every component (and over the
-    batch).
-    """
+    The report keeps what the kernels produced: for each block, the result
+    of every evaluated piece, keyed by the piece's batch index (``(...,)``
+    for a batch evaluated whole, ``(..., slice(lo, hi))`` for a block of
+    points), with its nonzero components held by reference, and its max-abs
+    over those components at every batch entry (``point_max``, in field
+    order; ``ZERO`` for a block whose every component the kernels returned
+    as ``ZERO``).  Every reduction below is read from the maxima, and a
+    non-finite block fails construction.  Norms are max-abs over every
+    component (and over the batch).
 
-    e0_theta: np.ndarray
-    e0_sigma: np.ndarray
-    gauss: np.ndarray
-    codazzi: np.ndarray
-    e0_a: np.ndarray
-    e0_n: np.ndarray
-    e0_omega: np.ndarray
-    jacobi4: np.ndarray
-    jacobi5: np.ndarray
-    e0_mu: np.ndarray
-    e0_q: np.ndarray
-    e0_E_pi: np.ndarray
-    e0_H: np.ndarray
-    div_E: np.ndarray
-    div_H: np.ndarray
-    point_max: InitVar[list]
+    A block's array (``rep.e0_theta``, ..., ``blocks()``) is built from its
+    pieces on its first read and kept: tensor character and the jet's
+    layout, components + S, with +0.0 in every ``ZERO`` component.  A
+    kernel result may be an array of the jet itself (``x + ZERO`` is ``x``),
+    so the jet must not change while the report is read.
+    """
 
     # report field: (block label, component shape)
     BLOCKS = {
@@ -826,7 +822,12 @@ class ResidualReport:
         "div_H": ("divH", (3,)),
     }
 
-    def __post_init__(self, point_max):
+    def __init__(self, shape: tuple, pieces: list, point_max: list):
+        """``pieces`` holds (batch index, kernel results in field order)
+        per evaluated piece."""
+        self.shape = tuple(shape)
+        self._pieces = {name: [(index, results[k]) for index, results in pieces]
+                        for k, name in enumerate(self.BLOCKS)}
         self._point_max = {}
         self._norms = {}
         for name, pm in zip(self.BLOCKS, point_max, strict=True):
@@ -840,9 +841,17 @@ class ResidualReport:
             self._point_max[label] = pm
             self._norms[label] = norm
 
+    def __getattr__(self, name):
+        # only reached while the block's array is not yet built
+        if name not in self.BLOCKS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        arr = _dense(self._pieces[name], self.BLOCKS[name][1], self.shape)
+        setattr(self, name, arr)
+        return arr
+
     def blocks(self):
-        for f in dataclass_fields(self):
-            yield self.BLOCKS[f.name][0], getattr(self, f.name)
+        for name, (label, _) in self.BLOCKS.items():
+            yield label, getattr(self, name)
 
     def block_norms(self) -> dict[str, float]:
         return dict(self._norms)
@@ -851,13 +860,25 @@ class ResidualReport:
         return max(self._norms.values())
 
     def block_point_max(self) -> dict[str, np.ndarray]:
-        """Each block's max-abs over its components, per batch entry."""
-        return {label: np.zeros(self.e0_theta.shape) if pm is ZERO else pm
-                for label, pm in self._point_max.items()}
+        """Each block's max-abs over its components, per batch entry; the
+        ``ZERO`` blocks share one read-only zero array."""
+        zeros = np.zeros(self.shape)
+        zeros.flags.writeable = False
+        return {label: zeros if pm is ZERO else pm for label, pm in self._point_max.items()}
+
+    def block_worst(self) -> dict[str, tuple[int, float]]:
+        """Each block's largest residual as (flat batch index, value): its
+        first batch index holding the block's norm; a ``ZERO`` block reads
+        (0, 0.0)."""
+        out = {}
+        for label, pm in self._point_max.items():
+            j = 0 if pm is ZERO else int(np.argmax(pm))
+            out[label] = (j, self._norms[label])
+        return out
 
     def per_point_max(self) -> np.ndarray:
         """Max-abs residual over every block, per batch entry."""
-        out = np.zeros(self.e0_theta.shape)
+        out = np.zeros(self.shape)
         for pm in self._point_max.values():
             if pm is not ZERO:
                 np.maximum(out, pm, out=out)
@@ -883,57 +904,51 @@ def residual_report(jet, workers: int = 1) -> ResidualReport:
     A batch of shape (N,) is evaluated in consecutive blocks of
     BLOCK_POINTS points (``JetArrays.take`` views), serially or on up to
     ``workers`` threads; other batch shapes are evaluated in one piece.
-    Each piece writes the nonzero components of its blocks into the report
-    arrays and reduces them on the thread that evaluated it.  Every
-    residual is pointwise, so the report is the same for any block size and
-    any ``workers``.  Components that are zero throughout are skipped (see
-    the module docstring); ``jet`` itself is left as it is.
+    Each piece reduces its blocks on the thread that evaluated it, and the
+    report keeps its results as they are.  Every residual is pointwise, so
+    the report is the same for any block size and any ``workers``.
+    Components that are zero throughout are skipped (see the module
+    docstring); ``jet`` itself is left as it is.
     """
     ja = _component_tables(_as_arrays(jet))
     comps = [comp for _, comp in ResidualReport.BLOCKS.values()]
-    # a ZERO component is never written; it reads +0.0
-    out = [np.zeros(comp + ja.shape) for comp in comps]
     point_max = [np.empty(ja.shape) for _ in comps]
     errors = np.geterr()  # pool threads start from numpy's default error state
 
     def piece(lo):
         """Evaluate points lo:lo + BLOCK_POINTS, or the whole batch for
-        None; which blocks have no nonzero component."""
+        None; its batch index and its kernel results."""
         if lo is None:
             sub, index = ja, (...,)
         else:
             sub, index = ja.take(lo, lo + BLOCK_POINTS), (..., slice(lo, lo + BLOCK_POINTS))
         with np.errstate(**errors):
             results = _report_arrays(sub)
-        zero = []
-        for dst, pm, src, comp in zip(out, point_max, results, comps):
-            live = _nonzero_components(src, comp)
-            for component, e in live:
-                dst[component + index] = e
+        for pm, src, comp in zip(point_max, results, comps):
+            live = [e for _, e in _nonzero_components(src, comp)]
             if live:
                 m = pm[index]
-                np.abs(live[0][1], out=m)
-                for _, e in live[1:]:
+                np.abs(live[0], out=m)
+                for e in live[1:]:
                     np.maximum(m, np.abs(e), out=m)
-            zero.append(not live)
-        return zero
+        return index, results
 
     n = ja.shape[0] if len(ja.shape) == 1 else 0
     if n <= BLOCK_POINTS:
-        zero = piece(None)
+        pieces = [piece(None)]
     else:
         starts = range(0, n, BLOCK_POINTS)
         threads = _pool_size(workers, len(starts), os.cpu_count())
         if threads == 1:
-            zero = [piece(lo) for lo in starts][0]
+            pieces = [piece(lo) for lo in starts]
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                zero = list(pool.map(piece, starts))[0]
+                pieces = list(pool.map(piece, starts))
     # the ZERO components, and so the ZERO blocks, are the same in every piece
-    for k, z in enumerate(zero):
-        if z:
+    for k, (src, comp) in enumerate(zip(pieces[0][1], comps)):
+        if not _nonzero_components(src, comp):
             point_max[k] = ZERO
-    return ResidualReport(*out, point_max)
+    return ResidualReport(ja.shape, pieces, point_max)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from f13 import conformal as cf
 from f13 import csvtext
-from f13.cli import RESIDUAL_SYSTEMS, _fmt, _read_table, _write_csv, main
+from f13 import frame_equations as fe
+from f13.cli import RESIDUAL_SYSTEMS, _fmt, _read_table, _write_csv, main, run_verify
 
 EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -250,6 +252,26 @@ def test_verify_pass_and_perturbed_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert out.splitlines()[-1].startswith("RESULT fail")
+
+
+def test_verify_and_full_check_build_no_dense_array(tmp_path, capsys, monkeypatch):
+    """verify and solve full_check print maxima and their locations only:
+    no report block array and no stacked special residual vector."""
+    built = []
+    dense, values = fe._dense, cf.ResidualVector.values
+    monkeypatch.setattr(fe, "_dense", lambda *args: built.append("block") or dense(*args))
+    monkeypatch.setattr(cf.ResidualVector, "values",
+                        property(lambda vec: built.append("values") or values.fget(vec)))
+    assert run_verify(write(tmp_path / "v.cfg", VERIFY_A1.format(A=0.0, extra=""))) == 0
+    cfg = write(tmp_path / "fc.cfg", A1_SOLVE.format(out=tmp_path / "fc.csv").replace(
+        "output = ", "full_check = true\noutput = "))
+    assert main(["solve", "--config", cfg]) == 0
+    assert "frame-suite" in capsys.readouterr().out
+    assert built == []
+    # a block read and a values read do build them
+    fe.residual_report(fe.JetArrays((3,))).e0_theta
+    cf.ResidualVector(("x",), [0.0]).values
+    assert built == ["block", "values"]
 
 
 def test_verify_branch_cases_agree(tmp_path, capsys):

@@ -670,3 +670,65 @@ def test_residual_vector_names_first_non_finite_entry():
     vals[1, 5] = -np.inf
     with pytest.raises(NonFiniteResidual, match="entry y$"):
         cf.ResidualVector(("w", "y", "x", "z"), vals)
+
+
+def stacked_reductions(names, entries):
+    """The reductions of the entries stacked to (len(names),) + batch: the
+    reference for the per-entry forms of ``ResidualVector``."""
+    values = np.stack(np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in entries)))
+    flat = np.abs(values.reshape(len(names), -1))
+    top = np.max(flat, axis=1, initial=0.0)
+    worst = None
+    if flat.size:
+        i = int(np.argmax(top))
+        worst = (names[i], int(np.argmax(flat[i])), top[i])
+    return values, top, np.max(np.abs(values), axis=0), worst
+
+
+@pytest.mark.parametrize("batch, shapes", [
+    ((), [()]),
+    ((7,), [(), (1,), (7,)]),
+    ((3, 4), [(), (1, 4), (3, 1), (3, 4)]),
+    ((0,), [(), (0,)]),
+])
+def test_residual_vector_reduces_each_entry_like_the_stacked_form(batch, shapes):
+    """Scalar entries, entries that broadcast along one batch axis and full
+    entries, mixed; small integers of both signs and signed zeros tie often,
+    and the first entry and first flat index holding the largest value win."""
+    rng = np.random.default_rng(14)
+    names = tuple("abcdef")
+    for _ in range(60):
+        entries = []
+        for _ in names:
+            shape = shapes[rng.integers(len(shapes))]
+            e = rng.integers(-3, 4, size=shape).astype(float)
+            e[...] = np.where(rng.random(shape) < 0.2, -0.0, e)
+            entries.append(e[()] if shape == () and rng.random() < 0.5 else e)
+        vec = cf.ResidualVector(names, entries)
+        values, top, per_point, worst = stacked_reductions(names, entries)
+        assert vec.values.tobytes() == values.tobytes() and vec.values.shape == values.shape
+        assert vec.entry_max() == dict(zip(names, top.tolist()))
+        assert vec.max_abs() == np.max(top)
+        assert np.asarray(vec.per_point_max()).tobytes() == np.asarray(per_point).tobytes()
+        if worst is not None:
+            assert vec.worst() == worst
+
+
+def test_residual_vector_worst_of_a_scalar_and_of_a_broadcast_entry():
+    zero = np.zeros((3, 4))
+    col = np.zeros((3, 1))
+    col[2, 0] = -2.0
+    assert cf.ResidualVector(("a", "b", "c"), [zero, 2.0, col]).worst() == ("b", 0, 2.0)
+    # flat index of the column entry broadcast to (3, 4): row 2, column 0
+    assert cf.ResidualVector(("a", "c", "b"), [zero, col, 2.0]).worst() == ("c", 8, 2.0)
+    row = np.array([[0.0, 1.0, -5.0, 5.0]])
+    assert cf.ResidualVector(("a", "r"), [zero, row]).worst() == ("r", 2, 5.0)
+
+
+def test_residual_vector_names_first_non_finite_scalar_or_broadcast_entry():
+    col = np.zeros((3, 1))
+    col[1, 0] = np.inf
+    with pytest.raises(NonFiniteResidual, match="entry x$"):
+        cf.ResidualVector(("w", "x", "y"), [np.zeros((3, 4)), np.nan, col])
+    with pytest.raises(NonFiniteResidual, match="entry x$"):
+        cf.ResidualVector(("w", "x", "y"), [np.zeros((3, 4)), col, np.nan])

@@ -238,7 +238,7 @@ def test_boosted_shear_congruence_satisfies_all_blocks():
 # fixed-index kernels against the einsum form, and block evaluation
 # ---------------------------------------------------------------------------
 
-REPORT_FIELDS = [f.name for f in dataclasses.fields(ResidualReport)]
+REPORT_FIELDS = list(ResidualReport.BLOCKS)
 
 
 def random_jet_arrays(rng, *shape):
@@ -263,7 +263,7 @@ def dense_kernel_report(ja):
     for name, comp in fe._COMPONENTS.items():
         arr = getattr(ja, name)
         setattr(sub, name, fe._Components.build(comp, arr.__getitem__) if comp else arr)
-    return [fe._dense(res, ResidualReport.BLOCKS[name][1], ja.shape)
+    return [fe._dense([((...,), res)], ResidualReport.BLOCKS[name][1], ja.shape)
             for name, res in zip(REPORT_FIELDS, fe._report_arrays(sub))]
 
 
@@ -286,6 +286,9 @@ def test_kernels_bit_identical_on_closed_form_a1_jets():
 
 
 def test_report_independent_of_blocks_and_workers(monkeypatch):
+    """The block arrays a report builds from its pieces on first read: the
+    bytes, signed zeros included, of one eager ``_dense`` of the kernel
+    results on the whole batch."""
     n = 2 * fe.BLOCK_POINTS + fe.BLOCK_POINTS // 2 + 1
     # at least three CPUs, so workers=2 and 3 really run a pool
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -294,14 +297,16 @@ def test_report_independent_of_blocks_and_workers(monkeypatch):
         ja = random_jet_arrays(np.random.default_rng(3), n)
         for name in zeroed:
             getattr(ja, name)[...] = 0.0
+        eager = [fe._dense([((...,), res)], ResidualReport.BLOCKS[name][1], ja.shape)
+                 for name, res in zip(REPORT_FIELDS, fe._report_arrays(fe._component_tables(ja)))]
         monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
         reports = [residual_report(ja, workers=w) for w in (1, 2, 3)]
         monkeypatch.setattr(fe, "BLOCK_POINTS", n)
         reports.append(residual_report(ja))
-        for rep in reports[1:]:
-            for name in REPORT_FIELDS:
-                # the same bytes, signed zeros included
-                assert getattr(rep, name).tobytes() == getattr(reports[0], name).tobytes(), name
+        for rep in reports:
+            for name, ref in zip(REPORT_FIELDS, eager):
+                assert getattr(rep, name).tobytes() == ref.tobytes(), name
+                assert getattr(rep, name).shape == ref.shape, name
         assert reports[0].e0_sigma.shape == (3, 3, n)
 
 
@@ -405,6 +410,10 @@ def test_zero_blocks_report_zero_maxima():
     nonzero = [rowmax[label] for label, _ in rep.blocks() if label not in
                {ResidualReport.BLOCKS[name][0] for name in zero}]
     assert np.array_equal(rep.per_point_max(), np.max(nonzero, axis=0))
+    # the worst point of each block: a ZERO block's is its first, with 0.0
+    for label, pm in rowmax.items():
+        j = int(np.argmax(pm))
+        assert rep.block_worst()[label] == (j, float(pm[j])), label
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ Coverage by nonzero sectors:
   pp_wave           magnetic Weyl (vacuum plane wave)
 """
 
-import dataclasses
 import json
 import pathlib
 
@@ -48,8 +47,7 @@ def test_exact_metric_jets_null_every_block(groundtruth, case):
 def test_exact_metric_jets_bit_identical_to_einsum_form(groundtruth, case):
     ja = load_jet(groundtruth[case])
     rep = residual_report(ja)
-    fields = [f.name for f in dataclasses.fields(ResidualReport)]
-    for name, ref in zip(fields, einsum_reference.report_arrays(ja)):
+    for name, ref in zip(ResidualReport.BLOCKS, einsum_reference.report_arrays(ja)):
         assert np.array_equal(getattr(rep, name), ref), name
 
 
