@@ -113,8 +113,12 @@ def _read_config(path: str) -> configparser.ConfigParser:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path!r}: {exc}") from None
+        # some messages span lines (no section header, a line with no key)
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed config {path!r}: {message}") from None
     return parser
 
 
@@ -594,6 +598,8 @@ def _read_table(path: str):
             lines = [line for line in fh if line.strip("\r\n")]  # blank lines hold no row
     except OSError as exc:
         raise ConfigError(f"cannot read table {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"table {path!r} is not UTF-8 text: {exc}") from None
     if len(lines) < 2:
         raise ConfigError("table needs a header row and at least one data row")
     header = [h.strip() for h in next(csv.reader(lines[:1]))]
@@ -637,23 +643,19 @@ def _read_table(path: str):
 
 
 def _jet_arrays_from_table(coord: str, grid: Grid, cols: dict) -> JetArrays:
-    ja = JetArrays((grid.N + 1,))
-    ja.Lam[...] = cols.get("Lambda", 0.0)
     state = {name: samples for name, samples in cols.items() if name in _TABLE_COLS}
     e = _e_derivatives(grid, cols.get("F", 1.0), state)
-    axis = 0 if coord == "t" else 3
-    for name, samples in state.items():
-        field, indices = _TABLE_COLS[name]
-        for index in indices:
-            getattr(ja, field)[index] = samples
-            getattr(ja, "d" + field)[(axis,) + index] = e[name]
-    # trace-free tensors: the 33 component is determined by the other two
+    # trace-free tensors: the 33 component is determined by the other two,
+    # an absent one read as a zero array, which keeps the signs of zeros
+    zero = np.zeros(grid.N + 1)
     for base in ("pi", "sigma", "E", "H"):
-        arr = getattr(ja, base)
-        darr = getattr(ja, "d" + base)
-        arr[2, 2] = -(arr[0, 0] + arr[1, 1])
-        darr[axis, 2, 2] = -(darr[axis, 0, 0] + darr[axis, 1, 1])
-    return ja
+        diag = (base + "11", base + "22")
+        if diag[0] in state or diag[1] in state:
+            for slot in (state, e):
+                slot[base + "33"] = -(slot.get(diag[0], zero) + slot.get(diag[1], zero))
+    if "Lambda" in cols:
+        state["Lam"] = cols["Lambda"]
+    return JetArrays.build((grid.N + 1,), state, **{"e0" if coord == "t" else "e3": e})
 
 
 def _special_jet_from_table(coord: str, grid: Grid, cols: dict) -> cf.SpecialJet:

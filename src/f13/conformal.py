@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frame_equations import COMPONENT_NAMES, JetArrays, NonFiniteResidual
+from .frame_equations import JetArrays, NonFiniteResidual
 from .numerics import Grid, cumulative_integral_refined, quadrature
 
 __all__ = [
@@ -129,61 +129,22 @@ def _ansatz(values: dict) -> dict:
     return out
 
 
-class _Slot:
-    """Read-only view of one slot of a special jet (its value, or one frame
-    derivative) by variable name (``COMPONENT_NAMES``); a component nobody
-    set reads 0.0."""
-
-    __slots__ = ("_entries", "_slot")
-
-    def __init__(self, entries: dict, slot: int | None):
-        self._entries = entries
-        self._slot = slot
-
-    def __getattr__(self, name):
-        try:
-            field, indices = COMPONENT_NAMES[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        key = (field, indices[0]) if self._slot is None else (
-            "d" + field, (self._slot,) + indices[0])
-        return self._entries.get(key, 0.0)
-
-
-class SpecialJet:
-    """A conformally flat elastic jet, held as the components the general
-    system consumes: ``entries`` maps (``JetArrays`` field, component index)
-    to an array of the batch shape ``shape``, and every component not in it
-    is zero.  ``value`` and ``deriv[a]`` (e_a of every variable) read the
-    entries by variable name."""
+class SpecialJet(JetArrays):
+    """A conformally flat elastic jet: a ``JetArrays`` built from the ansatz
+    variables, with its z grid."""
 
     def __init__(self, z, shape: tuple, entries: dict):
+        super().__init__(shape, entries)
         self.z = z
-        self.shape = shape
-        self.entries = entries
-        self.value = _Slot(entries, None)
-        self.deriv = tuple(_Slot(entries, a) for a in range(4))
 
-    @classmethod
-    def build(cls, z, value: dict, e0=None, e1=None, e2=None, e3=None) -> "SpecialJet":
+    @staticmethod
+    def build(z, value: dict, e0=None, e1=None, e2=None, e3=None) -> "SpecialJet":
         """The jet of the named variables ``value`` (``SPECIAL_NAMES``) and
-        their frame derivatives, with the ansatz applied in each slot.
-        Values may be numbers or arrays that broadcast to the value's shape;
-        an array is held by reference, and a zero number is not held."""
+        their frame derivatives, with the ansatz applied in each slot and
+        the batch shape of ``value`` (see ``JetArrays.build``)."""
         shape = np.broadcast_shapes(*(np.shape(x) for x in value.values()))
-        entries = {}
-        for slot, values in enumerate((value, e0, e1, e2, e3)):
-            for name, x in _ansatz(values or {}).items():
-                if np.ndim(x) == 0 and x == 0.0:
-                    continue
-                x = np.asarray(x, dtype=float)
-                if x.shape != shape:
-                    x = np.broadcast_to(x, shape)
-                field, indices = COMPONENT_NAMES[name]
-                for index in indices:
-                    key = (field, index) if slot == 0 else ("d" + field, (slot - 1,) + index)
-                    entries[key] = x
-        return cls(z, shape, entries)
+        slots = (_ansatz(values or {}) for values in (value, e0, e1, e2, e3))
+        return SpecialJet(z, shape, JetArrays.build(shape, *slots).entries)
 
     def replace_value(self, **values) -> "SpecialJet":
         """The jet built again from its variables, with the named variables
@@ -810,8 +771,7 @@ def embed_special(jet: SpecialJet) -> JetArrays:
 
     Conformally flat elastic data: E = H = 0, q = 0, Lambda = 0 and
     mu = 3p (vanishing NP curvature scalar); pi = diag(pi11, pi11, -2 pi11).
-    This is the input to the master cross-check against the general system.
-    The jet's entries are handed over by reference; every component it
-    does not hold is ``ZERO``.
+    This is the input to the master cross-check against the general system:
+    the jet's own entries, held by reference, as a plain ``JetArrays``.
     """
-    return JetArrays.from_components(jet.shape, jet.entries)
+    return JetArrays(jet.shape, jet.entries)

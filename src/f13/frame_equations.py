@@ -3,12 +3,12 @@
 Evolution equations are checked as residuals, provided e_0-derivative minus
 equation right-hand side, so any candidate solution can be verified without
 time integration.  Constraint equations are evaluated directly (they must
-vanish).  All evaluators accept a batch of jets through ``JetArrays``, laid
-out component-major with the batch axes last: scalar fields have shape S,
-vectors (3,) + S, tensors (3, 3) + S, and every derivative array carries one
-extra frame axis of length 4 in front of the component axes,
+vanish).  All evaluators accept a batch of jets through ``JetArrays``: one
+array of batch shape S per component, keyed by field and component index,
+where a derivative field's index has one extra frame index in front,
 d*[a, ...] = e_a applied to the field.  S may be () for a single jet or
-(N,) for a grid of them.
+(N,) for a grid of them.  Report arrays are component-major with the batch
+axes last: scalars have shape S, vectors (3,) + S and tensors (3, 3) + S.
 
 The equation blocks read those arrays directly, and every index contraction
 goes through one fixed-index kernel: ``_outer``, ``_vt`` and ``_tv``
@@ -25,7 +25,7 @@ reduced once, on the thread that evaluated it: its max-abs over the
 components at every point.  The report's norms, per-point maxima, worst
 points and finite check all come from those.  The report holds the
 nonzero components each piece produced by reference and copies nothing:
-a block's array, in the jet's layout (components + S), is assembled only
+a block's array, component-major (components + S), is assembled only
 when it is read.
 
 Structural zeros.  On the conformally flat elastic jets almost every
@@ -35,12 +35,10 @@ Omega are (0, 0, x), and a jet built on a z-grid has only e_3
 derivatives), so many terms of the general system are products with a
 factor that is zero everywhere.  ``residual_report`` reads every vector,
 tensor and derivative field as a table of its components (``_Components``,
-an object array of component shape whose entries are batch arrays), once
-per sweep: the entries are views of a dense field, or the entries a
-producer handed over by component (``JetArrays.from_components``; a
-``conformal.SpecialJet`` holds its entries in that form), and every
-component with no nonzero entry is the sentinel ``ZERO``, as is a scalar
-field with none.  The kernels act on the tables entry by entry and drop
+an object array of component shape whose entries are batch arrays), built
+once per sweep from the jet's entries: a component the jet holds no entry
+for, or only a zero one, is the sentinel ``ZERO``, as is a scalar field
+with none.  The kernels act on the tables entry by entry and drop
 every term with a ``ZERO`` factor: ``x + ZERO`` is ``x``, and a product,
 quotient, power, index or transpose of ``ZERO`` is ``ZERO``.  A nonzero
 component therefore goes through the same numpy operations in the same
@@ -61,7 +59,6 @@ averaged away.
 
 from __future__ import annotations
 
-import copy
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -120,46 +117,83 @@ COMPONENT_NAMES = (
 )
 
 
-class JetArrays:
-    """Struct-of-arrays form of one or many state jets, component-major.
+class _Slot:
+    """Read-only view of one slot of a jet (its value, or one frame
+    derivative) by variable name (``COMPONENT_NAMES``); a component the jet
+    does not hold reads 0.0."""
 
-    ``shape`` is the batch shape S, and the batch axes come last: scalars
-    have shape S, vectors (3,) + S, tensors (3, 3) + S and derivatives
-    (4,) + components + S.  For a single jet (S = ()) this is the plain
-    component layout.  A producer may hand over a vector, tensor or
-    derivative field as a component table instead (``from_components``),
-    and any field may be ``ZERO``; fields not given to the constructor are
-    zero arrays.  Built once per evaluation sweep; treat instances as
-    frozen after assembly.
+    __slots__ = ("_entries", "_slot")
+
+    def __init__(self, entries: dict, slot: int | None):
+        self._entries = entries
+        self._slot = slot
+
+    def __getattr__(self, name):
+        try:
+            field, indices = COMPONENT_NAMES[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        key = (field, indices[0]) if self._slot is None else (
+            "d" + field, (self._slot,) + indices[0])
+        return self._entries.get(key, 0.0)
+
+
+# every (jet field, component index) a jet may hold
+_KEYS = frozenset((name, index) for name, comp in _COMPONENTS.items()
+                  for index in np.ndindex(comp))
+
+
+class JetArrays:
+    """One or many state jets, held by component.
+
+    ``shape`` is the batch shape S, and ``entries`` maps (field, component
+    index) to an array of shape S, held by reference: a scalar field has
+    the index (), a vector (i,), a tensor (i, j) and a derivative field
+    (a,) + the component index, for e_a of that component.  Every component
+    not in ``entries`` is zero.  ``value`` and ``deriv[a]`` read the entries
+    by variable name (``COMPONENT_NAMES``).  Treat instances as frozen.
     """
 
-    def __init__(self, shape: tuple[int, ...] = (), **fields):
+    def __init__(self, shape: tuple[int, ...], entries: dict):
+        unknown = [key for key in entries if key not in _KEYS]
+        if unknown:
+            raise TypeError(f"unknown jet components: {', '.join(map(str, unknown))}")
         self.shape = tuple(shape)
-        for name, comp in _COMPONENTS.items():
-            field = fields.pop(name, None)
-            setattr(self, name, np.zeros(comp + self.shape) if field is None else field)
-        if fields:
-            raise TypeError(f"unknown jet fields: {', '.join(fields)}")
+        self.entries = entries
+        self.value = _Slot(entries, None)
+        self.deriv = tuple(_Slot(entries, a) for a in range(4))
 
-    @classmethod
-    def from_components(cls, shape: tuple[int, ...], entries: dict) -> "JetArrays":
-        """A jet handed over by component: ``entries`` maps (field, component
-        index) to an array of shape ``shape``, held by reference; every
-        component not in it is ``ZERO``."""
-        tables = {name: np.full(comp, ZERO, dtype=object) for name, comp in _COMPONENTS.items()}
-        for (name, index), entry in entries.items():
-            tables[name][index] = entry
-        return cls(shape, **{name: t[()] if t.ndim == 0 else _table(t)
-                             for name, t in tables.items()})
+    @staticmethod
+    def build(shape: tuple[int, ...], value: dict, e0=None, e1=None, e2=None,
+              e3=None) -> "JetArrays":
+        """The jet of the named variables ``value`` (``COMPONENT_NAMES``) and
+        their frame derivatives ``e0`` to ``e3``.  Values may be numbers or
+        arrays that broadcast to ``shape``; an array of that shape is held
+        by reference, and a zero number is not held."""
+        shape = tuple(shape)
+        entries = {}
+        for slot, values in enumerate((value, e0, e1, e2, e3)):
+            for name, x in (values or {}).items():
+                if name not in COMPONENT_NAMES:
+                    raise TypeError(f"unknown jet variable: {name}")
+                if np.ndim(x) == 0 and x == 0.0:
+                    continue
+                x = np.asarray(x, dtype=float)
+                if x.shape != shape:
+                    x = np.broadcast_to(x, shape)
+                field, indices = COMPONENT_NAMES[name]
+                for index in indices:
+                    key = (field, index) if slot == 0 else ("d" + field, (slot - 1,) + index)
+                    entries[key] = x
+        return JetArrays(shape, entries)
 
-    @classmethod
-    def from_jet(cls, jet: StateJet) -> "JetArrays":
+    @staticmethod
+    def from_jet(jet: StateJet) -> "JetArrays":
         jet.require_complete()
-        ja = cls(())
-        states = (jet.value,) + tuple(jet.deriv)
-        for slot, st in enumerate(states):
+        slots = []
+        for st in (jet.value,) + tuple(jet.deriv):
             m, c, w = st.matter, st.connection, st.weyl
-            values = {
+            fields = {
                 "mu": m.mu,
                 "p": m.p,
                 "Theta": c.Theta,
@@ -174,28 +208,12 @@ class JetArrays:
                 "E": w.E.as_matrix(),
                 "H": w.H.as_matrix(),
             }
-            if slot == 0:
-                for name, val in values.items():
-                    getattr(ja, name)[...] = val
-                ja.Lam[...] = m.Lam
-            else:
-                for name, val in values.items():
-                    getattr(ja, "d" + name)[slot - 1] = val
-        return ja
-
-    def take(self, lo: int, hi: int) -> "JetArrays":
-        """Points lo:hi along the last batch axis: views of the arrays and of
-        the table entries; ``ZERO`` stays ``ZERO``."""
-        sub = copy.copy(self)
-        for name in _COMPONENTS:
-            field = getattr(self, name)
-            if isinstance(field, _Components):
-                setattr(sub, name, field.take(lo, hi))
-            elif isinstance(field, np.ndarray):
-                setattr(sub, name, field[..., lo:hi])
-        # the batch shape of arr[..., lo:hi]; any field, mu too, may be ZERO
-        sub.shape = self.shape[:-1] + (len(range(self.shape[-1])[lo:hi]),)
-        return sub
+            if not slots:
+                fields["Lam"] = m.Lam
+            slots.append({name: np.asarray(fields[field])[indices[0]]
+                          for name, (field, indices) in COMPONENT_NAMES.items()
+                          if field in fields})
+        return JetArrays.build((), *slots)
 
 
 def _as_arrays(jet) -> JetArrays:
@@ -349,25 +367,43 @@ def _dense(pieces, comp: tuple, shape: tuple) -> np.ndarray:
     return out
 
 
-def _component_tables(ja: JetArrays) -> JetArrays:
-    """A shallow copy of ``ja`` whose vector, tensor and derivative fields
-    are component tables and whose scalar fields are entries, with every
-    component that has no nonzero entry ``ZERO``.  A dense field is read
-    through views.  If a remaining component has a non-finite entry, the
-    ``ZERO`` components become zero arrays, so that the kernels form its
-    0 * inf = nan terms."""
+class _Tables:
+    """A jet as the kernels read it: its batch ``shape``, and each field of
+    ``_COMPONENTS`` as an attribute, a scalar field its entry and any other
+    field the table of its components, ``ZERO`` where no component holds a
+    nonzero entry."""
+
+    def __init__(self, shape: tuple, fields: dict):
+        self.shape = shape
+        vars(self).update(fields)
+
+    def take(self, lo: int, hi: int) -> "_Tables":
+        """Points lo:hi along the last batch axis: views of the entries;
+        ``ZERO`` stays ``ZERO``."""
+        fields = {}
+        for name in _COMPONENTS:
+            field = getattr(self, name)
+            if isinstance(field, _Components):
+                field = field.take(lo, hi)
+            elif field is not ZERO:
+                field = field[..., lo:hi]
+            fields[name] = field
+        # the batch shape of arr[..., lo:hi]; any field, mu too, may be ZERO
+        return _Tables(self.shape[:-1] + (len(range(self.shape[-1])[lo:hi]),), fields)
+
+
+def _component_tables(ja: JetArrays) -> _Tables:
+    """The tables of ``ja``'s entries, with every component that has no
+    nonzero entry ``ZERO``.  If a remaining component has a non-finite
+    entry, the ``ZERO`` components become zero arrays, so that the kernels
+    form its 0 * inf = nan terms."""
     head = bool(ja.shape)
-    tables = {}
-    for name, comp in _COMPONENTS.items():
-        field = getattr(ja, name)
-        table = np.empty(comp, dtype=object)
-        for index in np.ndindex(comp):
-            e = field.c[index] if isinstance(field, _Components) else field[index]
-            # a component with a nonzero entry nearly always has one among
-            # its first points; testing those first spares the full scan
-            nonzero = e is not ZERO and ((head and e[..., :16].any()) or e.any())
-            table[index] = e if nonzero else ZERO
-        tables[name] = table
+    tables = {name: np.full(comp, ZERO, dtype=object) for name, comp in _COMPONENTS.items()}
+    for (name, index), e in ja.entries.items():
+        # a component with a nonzero entry nearly always has one among its
+        # first points; testing those first spares the full scan
+        if (head and e[..., :16].any()) or e.any():
+            tables[name][index] = e
     # an overflowing sum of finite entries also forms the zero terms
     if not all(np.isfinite(e.sum()) for t in tables.values() for e in t.flat if e is not ZERO):
         zeros = np.zeros(ja.shape)
@@ -375,10 +411,8 @@ def _component_tables(ja: JetArrays) -> JetArrays:
             for index in np.ndindex(t.shape):
                 if t[index] is ZERO:
                     t[index] = zeros
-    sub = copy.copy(ja)
-    for name, t in tables.items():
-        setattr(sub, name, t[()] if t.ndim == 0 else _table(t))
-    return sub
+    return _Tables(ja.shape, {name: t[()] if t.ndim == 0 else _table(t)
+                              for name, t in tables.items()})
 
 
 # Contraction kernels on component-major arrays (component axes first, batch
@@ -492,7 +526,7 @@ def b_tensor(n: SymThree) -> SymThree:
     return SymThree.from_matrix(_b_tensor_arr(n.as_matrix()))
 
 
-def _curly_S_arr(c: JetArrays):
+def _curly_S_arr(c: _Tables):
     grad_a = c.da[1:]  # e_alpha(a_beta)
     grad_n = c.dn[1:]  # e_gamma(n_{beta delta})
     b = _b_tensor_arr(c.n)
@@ -524,7 +558,7 @@ def curly_S(jet) -> TracefreeSymThree:
     raise ValueError("curly_S returns a typed tensor for single jets only")
 
 
-def _curly_R_arr(c: JetArrays):
+def _curly_R_arr(c: _Tables):
     grad_a = c.da[1:]
     b = _b_tensor_arr(c.n)
     return 2.0 * (2.0 * _tr(grad_a) - 3.0 * _dot(c.a, c.a)) - 0.5 * _tr(b)
@@ -541,7 +575,7 @@ def curly_R(jet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _efe_arr(c: JetArrays):
+def _efe_arr(c: _Tables):
     sigma2 = 0.5 * _ddot(c.sigma, c.sigma)
     omega2 = _dot(c.omega, c.omega)
     grad_udot = c.dudot[1:]  # e_alpha(udot_beta)
@@ -620,7 +654,7 @@ def _efe_arr(c: JetArrays):
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_arr(c: JetArrays):
+def _jacobi_arr(c: _Tables):
     womO = c.omega - c.Omega
     dwomO = c.domega - c.dOmega
 
@@ -673,7 +707,7 @@ def _jacobi_arr(c: JetArrays):
 # ---------------------------------------------------------------------------
 
 
-def _bianchi_arr(c: JetArrays):
+def _bianchi_arr(c: _Tables):
     mu_p = c.mu + c.p
     trn = _tr(c.n)
 
@@ -797,8 +831,8 @@ class ResidualReport:
     component (and over the batch).
 
     A block's array (``rep.e0_theta``, ..., ``blocks()``) is built from its
-    pieces on its first read and kept: tensor character and the jet's
-    layout, components + S, with +0.0 in every ``ZERO`` component.  A
+    pieces on its first read and kept: tensor character and the
+    component-major layout, components + S, with +0.0 in every ``ZERO`` component.  A
     kernel result may be an array of the jet itself (``x + ZERO`` is ``x``),
     so the jet must not change while the report is read.
     """
@@ -889,7 +923,7 @@ class ResidualReport:
 BLOCK_POINTS = 8192
 
 
-def _report_arrays(ja: JetArrays) -> tuple:
+def _report_arrays(ja: _Tables) -> tuple:
     return _efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja)
 
 
@@ -902,7 +936,7 @@ def residual_report(jet, workers: int = 1) -> ResidualReport:
     """Evaluate every block of the general system on a jet or jet batch.
 
     A batch of shape (N,) is evaluated in consecutive blocks of
-    BLOCK_POINTS points (``JetArrays.take`` views), serially or on up to
+    BLOCK_POINTS points (views of the component tables), serially or on up to
     ``workers`` threads; other batch shapes are evaluated in one piece.
     Each piece reduces its blocks on the thread that evaluated it, and the
     report keeps its results as they are.  Every residual is pointwise, so

@@ -67,26 +67,30 @@ def eds_jet_arrays(t: float) -> JetArrays:
     adot_over_a = (2.0 / 3.0) / t
     theta = 3.0 * adot_over_a
     mu = theta * theta / 3.0
-    ja = JetArrays(())
-    ja.Theta[...] = theta
-    ja.mu[...] = mu
-    ja.dTheta[0] = -2.0 / t**2
-    ja.dmu[0] = -8.0 / (3.0 * t**3)
-    return ja
+    return JetArrays.build((), dict(Theta=theta, mu=mu),
+                           e0=dict(Theta=-2.0 / t**2, mu=-8.0 / (3.0 * t**3)))
 
 
-def densified(ja: JetArrays) -> JetArrays:
-    """A dense copy of a jet: every field a component-major array, with
-    +0.0 where the jet holds ``ZERO``."""
-    dense = JetArrays(ja.shape)
-    for name, out in vars(dense).items():
-        if not isinstance(out, np.ndarray):
-            continue
-        field = getattr(ja, name)
-        if isinstance(field, fe._Components):
-            for index, entry in np.ndenumerate(field.c):
-                if entry is not fe.ZERO:
-                    out[index] = entry
-        elif field is not fe.ZERO:
-            out[...] = field
+class DenseJet(JetArrays):
+    """A jet whose every field is also a dense component-major array
+    (``ja.mu``, ``ja.dsigma``, ...), zero at first.  Its entries are views
+    of every component of those arrays, so what a test assigns into them
+    (``ja.n[1, 2] = x``, ``ja.dq[...] = 0.0``) is what the jet holds; the
+    einsum reference reads the arrays."""
+
+    def __init__(self, shape=()):
+        shape = tuple(shape)
+        fields = {name: np.zeros(comp + shape) for name, comp in fe._COMPONENTS.items()}
+        super().__init__(shape, {(name, index): arr[index + (...,)]
+                                 for name, arr in fields.items()
+                                 for index in np.ndindex(fe._COMPONENTS[name])})
+        vars(self).update(fields)
+
+
+def densified(ja: JetArrays) -> DenseJet:
+    """The dense view of a jet: every field a component-major array, +0.0
+    where the jet holds no entry."""
+    dense = DenseJet(ja.shape)
+    for (name, index), entry in ja.entries.items():
+        getattr(dense, name)[index] = entry
     return dense

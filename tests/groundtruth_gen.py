@@ -18,6 +18,8 @@ import numpy as np
 import sympy as sp
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+from conftest import densified  # noqa: E402
+
 from f13.frame_equations import JetArrays  # noqa: E402
 
 ETA = sp.diag(-1, 1, 1, 1)
@@ -117,8 +119,7 @@ def build_jet(coords, frame, subs, Lam=0):
     pi = sp.Matrix(3, 3, lambda i, j: G_f[i + 1, j + 1]
                    + (Lam if i == j else 0) - (p if i == j else 0))
 
-    ja = JetArrays(())
-    ja.Lam[...] = float(Lam)
+    entries = {("Lam", ()): np.asarray(float(Lam))}
 
     def ev(expr):
         return float(sp.N(sp.sympify(expr).subs(subs)))
@@ -127,24 +128,23 @@ def build_jet(coords, frame, subs, Lam=0):
         d = sum(frame[a][m] * sp.diff(sp.sympify(expr), coords[m]) for m in range(4))
         return float(sp.N(d.subs(subs)))
 
-    for name, expr in (("mu", mu), ("p", p), ("Theta", Theta)):
-        getattr(ja, name)[...] = ev(expr)
+    def put(name, index, expr):
+        entries[(name, index)] = np.asarray(ev(expr))
         for a in range(4):
-            getattr(ja, "d" + name)[a] = eder(expr, a)
+            entries[("d" + name, (a,) + index)] = np.asarray(eder(expr, a))
+
+    for name, expr in (("mu", mu), ("p", p), ("Theta", Theta)):
+        put(name, (), expr)
     for name, exprs in (("q", q), ("udot", udot), ("omega", omega),
                         ("Omega", Omega), ("a", a_vec)):
         for i in range(3):
-            getattr(ja, name)[i] = ev(exprs[i])
-            for a in range(4):
-                getattr(ja, "d" + name)[a, i] = eder(exprs[i], a)
+            put(name, (i,), exprs[i])
     for name, m in (("pi", pi), ("sigma", sigma), ("n", n_mat),
                     ("E", E_t), ("H", H_t)):
         for i in range(3):
             for j in range(3):
-                getattr(ja, name)[i, j] = ev(m[i, j])
-                for a in range(4):
-                    getattr(ja, "d" + name)[a, i, j] = eder(m[i, j], a)
-    return ja
+                put(name, (i, j), m[i, j])
+    return JetArrays((), entries)
 
 
 def cases():
@@ -192,7 +192,7 @@ def main():
     data = {}
     for name, (coords, frame, subs, Lam) in cases().items():
         print(f"building {name} ...", flush=True)
-        ja = build_jet(coords, frame, subs, Lam=Lam)
+        ja = densified(build_jet(coords, frame, subs, Lam=Lam))
         entry = {}
         for f in _FIELDS:
             entry[f] = np.asarray(getattr(ja, f)).tolist()

@@ -264,11 +264,9 @@ def test_criterion_9_numerics_quality():
     for N in (400, 800, 1600):
         g = Grid(0.5, 2.5, N)
         t = g.points()
-        ja = JetArrays((N + 1,))
-        ja.Theta[...] = 2.0 / t
-        ja.mu[...] = 4.0 / (3.0 * t * t)
-        ja.dTheta[0] = fd_derivative(ja.Theta, g)
-        ja.dmu[0] = fd_derivative(ja.mu, g)
+        value = dict(Theta=2.0 / t, mu=4.0 / (3.0 * t * t))
+        ja = JetArrays.build((N + 1,), value,
+                             e0={name: fd_derivative(x, g) for name, x in value.items()})
         errs.append(residual_report(ja).max_residual())
     orders["gridded"] = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
 

@@ -269,7 +269,7 @@ def test_verify_and_full_check_build_no_dense_array(tmp_path, capsys, monkeypatc
     assert "frame-suite" in capsys.readouterr().out
     assert built == []
     # a block read and a values read do build them
-    fe.residual_report(fe.JetArrays((3,))).e0_theta
+    fe.residual_report(fe.JetArrays((3,), {})).e0_theta
     cf.ResidualVector(("x",), [0.0]).values
     assert built == ["block", "values"]
 
@@ -598,6 +598,46 @@ def test_residual_general_differentiates_each_column_once(tmp_path, capsys, monk
         f"{0.1 * i},1.5,{0.5 + i},{0.1 * i * i},{1.0 - 0.2 * i}\n" for i in range(8)))
     assert main(["residual", "--table", table]) == 0
     assert len(calls) == 3  # p, n12 and sigma13; z and F are not state columns
+
+
+@pytest.mark.parametrize("coord, slot", [("z", 3), ("t", 0)])
+def test_residual_general_jet_holds_only_column_derived_entries(tmp_path, coord, slot):
+    """The table jet holds each state column itself, its frame derivative,
+    the 33 entries of the trace-free tensors given by a diagonal column, and
+    Lambda; no zero array stands in for an absent column."""
+    from f13.cli import _e_derivatives, _jet_arrays_from_table
+
+    names = ("mu", "sigma11", "sigma12", "pi22", "E11", "E22", "a3")
+    table = write(tmp_path / "jet.csv", ",".join((coord, "F", "Lambda", *names)) + "\n" + "".join(
+        ",".join(repr(x) for x in (0.1 * i, 1.5 + 0.01 * i, -0.25, *(
+            (k + 1) * 0.1 + 0.02 * i * i * (k - 2) for k in range(len(names))))) + "\n"
+        for i in range(9)))
+    _, grid, cols = _read_table(table)
+    ja = _jet_arrays_from_table(coord, grid, cols)
+    e = _e_derivatives(grid, cols["F"], {name: cols[name] for name in names})
+    expected = {("Lam", ()): cols["Lambda"]}
+    for name in names:
+        field, indices = fe.COMPONENT_NAMES[name]
+        for index in indices:
+            expected[(field, index)] = cols[name]
+            expected[("d" + field, (slot,) + index)] = e[name]
+    zero = np.zeros(grid.N + 1)
+    for base, (x11, x22) in {"pi": (zero, cols["pi22"]), "sigma": (cols["sigma11"], zero),
+                             "E": (cols["E11"], cols["E22"])}.items():
+        expected[(base, (2, 2))] = -(x11 + x22)
+        d11, d22 = (e.get(f"{base}{i}{i}", zero) for i in (1, 2))
+        expected[("d" + base, (slot, 2, 2))] = -(d11 + d22)
+    assert ja.entries.keys() == expected.keys()
+    for key, x in expected.items():
+        assert np.array_equal(ja.entries[key], x), key
+        assert ja.entries[key].any(), key
+        if not key[0].startswith("d") and key[1] != (2, 2):
+            assert ja.entries[key] is x, key  # the column itself, a view of the table
+    # the name views read the general jet: the same arrays, 0.0 where unset
+    assert ja.value.sigma12 is cols["sigma12"] and ja.value.Lam is cols["Lambda"]
+    assert ja.deriv[slot].sigma12 is ja.entries[("dsigma", (slot, 1, 0))]
+    assert ja.deriv[slot].pi33 is ja.entries[("dpi", (slot, 2, 2))]
+    assert ja.value.q1 == 0.0 and ja.deriv[3 - slot].mu == 0.0 and ja.value.H23 == 0.0
 
 
 def test_solve_full_check_runs_frame_suite(tmp_path, capsys):

@@ -13,6 +13,7 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from f13.cli import RESIDUAL_SYSTEMS, SOLVE_CASES, VERIFY_CASES, main
@@ -207,3 +208,39 @@ def test_verify_contract_holds_for_generated_configs(config):
        st.sampled_from((None, "1e-3", "nan")))
 def test_residual_contract_holds_for_generated_tables(table, system, tol):
     check_table(table, system, tol)
+
+
+# one byte that is not UTF-8, in a value of an otherwise usable input
+NOT_UTF8 = {
+    "solve": ("run.cfg", b"[scenario]\ncase = a1\noutput = out.csv\n[frame]\nF = 1.0\n"
+                         b"[grid]\nz0 = 0.0\nz1 = 0.3\nN = 8\n"
+                         b"[initial]\nsigma11 = 0.1\xff\nOmega3 = 1.0\n[constants]\nA = 1.0\n"),
+    "verify": ("run.cfg", b"[scenario]\ncase = a1\n[grid]\nz0 = 0.0\nz1 = 0.3\nN = 8\n"
+                          b"[constants]\nA = 1.0\xff\nB = 1.0\n"),
+    "spinor": ("state.cfg", b"[state]\nmu = 1.0\np = 0.1\xff\n"),
+    "residual": ("state.csv", b"z,p\n" + b"".join(b"%g,0.1\n" % (0.1 * i) for i in range(5))
+                              + b"0.5,\xff\n"),
+}
+FLAG = {"solve": "--config", "verify": "--config", "spinor": "--state", "residual": "--table"}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_UTF8))
+def test_input_that_is_not_utf8_is_a_config_error(tmp_path, command):
+    name, data = NOT_UTF8[command]
+    (tmp_path / name).write_bytes(data)
+    code, out, err = run_cli([command, FLAG[command], str(tmp_path / name)])
+    assert code == 2 and len(err) == 1, (code, out, err)
+    assert err[0].startswith("config error: ") and "is not UTF-8 text" in err[0], err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "spinor"])
+@pytest.mark.parametrize("text, message", [
+    ("case = a1\n", "File contains no section headers."),
+    ("[scenario]\ncase = a1\nno key here\n", "Source contains parsing errors:"),
+], ids=["no-section-header", "line-without-key"])
+def test_config_parsing_errors_are_one_config_error_line(tmp_path, command, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([command, FLAG[command], str(path)])
+    assert code == 2 and len(err) == 1, (code, out, err)
+    assert err[0].startswith(f"config error: malformed config {str(path)!r}: {message}"), err

@@ -1,6 +1,5 @@
 """General 1+3 system: residual evaluators and commutator machinery."""
 
-import copy
 import dataclasses
 import os
 import sys
@@ -9,7 +8,7 @@ import warnings
 import einsum_reference
 import numpy as np
 import pytest
-from conftest import densified, eds_jet_arrays, random_jet
+from conftest import DenseJet, densified, eds_jet_arrays, random_jet
 
 from f13 import conformal as cf
 from f13 import frame_equations as fe
@@ -122,7 +121,7 @@ def test_perfect_fluid_reduction():
     to the energy form; a and n may stay arbitrary."""
     rng = np.random.default_rng(99)
     for _ in range(50):
-        ja = JetArrays(())
+        ja = DenseJet(())
         ja.mu[...] = rng.uniform(-2.0, 2.0)
         ja.p[...] = rng.uniform(-2.0, 2.0)
         ja.Lam[...] = rng.uniform(-2.0, 2.0)
@@ -145,10 +144,8 @@ def test_residuals_affine_in_derivative_slots():
     jet = random_jet(rng)
     jA = JetArrays.from_jet(jet)
     j0 = JetArrays.from_jet(StateJet(0.0, jet.value, (State.zero(),) * 4))
-    jL = JetArrays.from_jet(jet)
-    for name in ("dmu", "dp", "dTheta", "dq", "dudot", "domega", "dOmega",
-                 "da", "dpi", "dsigma", "dn", "dE", "dH"):
-        getattr(jL, name)[...] *= lam
+    jL = JetArrays((), {(name, index): lam * x if name.startswith("d") else x
+                        for (name, index), x in jA.entries.items()})
     rA, r0, rL = (residual_report(x) for x in (jA, j0, jL))
     for (label, a), (_, z), (_, l) in zip(rA.blocks(), r0.blocks(), rL.blocks()):
         lhs = l - z
@@ -187,19 +184,12 @@ def rotating_congruence_jet(r, w):
     """
     gam2 = 1.0 / (1.0 - w * w * r * r)
     dgam2 = 2.0 * gam2 * gam2 * w * w * r  # d(gamma^2)/dr
-    ja = JetArrays(())
-    ja.udot[0] = -gam2 * w * w * r
-    ja.omega[2] = -gam2 * w
-    ja.Omega[2] = -gam2 * w
-    ja.a[0] = -gam2 / (2.0 * r)
-    ja.n[1, 2] = ja.n[2, 1] = -gam2 / (2.0 * r)
-    ja.dudot[1, 0] = -w * w * (gam2 + r * dgam2)
-    ja.domega[1, 2] = -dgam2 * w
-    ja.dOmega[1, 2] = -dgam2 * w
     da1 = -0.5 * (dgam2 * r - gam2) / (r * r)
-    ja.da[1, 0] = da1
-    ja.dn[1, 1, 2] = ja.dn[1, 2, 1] = da1
-    return ja
+    value = dict(udot1=-gam2 * w * w * r, omega3=-gam2 * w, Omega3=-gam2 * w,
+                 a1=-gam2 / (2.0 * r), n23=-gam2 / (2.0 * r))
+    e1 = dict(udot1=-w * w * (gam2 + r * dgam2), omega3=-dgam2 * w, Omega3=-dgam2 * w,
+              a1=da1, n23=da1)
+    return JetArrays.build((), value, e1=e1)
 
 
 def test_rotating_congruence_satisfies_all_blocks():
@@ -217,12 +207,8 @@ def boosted_shear_jet(phi1, phi2):
     with all fields functions of y (frame direction 2).  phi1 = phi'(y0),
     phi2 = phi''(y0) at the probe point.
     """
-    ja = JetArrays(())
-    ja.sigma[0, 1] = ja.sigma[1, 0] = 0.5 * phi1
-    ja.omega[2] = 0.5 * phi1
-    ja.dsigma[2, 0, 1] = ja.dsigma[2, 1, 0] = 0.5 * phi2
-    ja.domega[2, 2] = 0.5 * phi2
-    return ja
+    return JetArrays.build((), dict(sigma12=0.5 * phi1, omega3=0.5 * phi1),
+                           e2=dict(sigma12=0.5 * phi2, omega3=0.5 * phi2))
 
 
 def test_boosted_shear_congruence_satisfies_all_blocks():
@@ -242,10 +228,10 @@ REPORT_FIELDS = list(ResidualReport.BLOCKS)
 
 
 def random_jet_arrays(rng, *shape):
-    ja = JetArrays(shape)
-    for arr in vars(ja).values():
-        if isinstance(arr, np.ndarray):
-            arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    ja = DenseJet(shape)
+    for name in fe._COMPONENTS:
+        arr = getattr(ja, name)
+        arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
     return ja
 
 
@@ -259,10 +245,9 @@ def dense_kernel_report(ja):
     """The report arrays of a dense jet read as component tables with no
     ``ZERO`` entry: the kernels then form every term, zero factors
     included, as a dense evaluation does."""
-    sub = copy.copy(ja)
-    for name, comp in fe._COMPONENTS.items():
-        arr = getattr(ja, name)
-        setattr(sub, name, fe._Components.build(comp, arr.__getitem__) if comp else arr)
+    sub = fe._Tables(ja.shape, {
+        name: fe._Components.build(comp, getattr(ja, name).__getitem__) if comp
+        else getattr(ja, name) for name, comp in fe._COMPONENTS.items()})
     return [fe._dense([((...,), res)], ResidualReport.BLOCKS[name][1], ja.shape)
             for name, res in zip(REPORT_FIELDS, fe._report_arrays(sub))]
 
@@ -318,15 +303,50 @@ def test_pool_size_caps_threads_at_blocks_and_cpus():
     assert _pool_size(8, 49, None) == 1
 
 
+def test_name_views_read_a_general_jet():
+    """``value.x`` and ``deriv[a].x`` of a jet built from a ``StateJet``:
+    every named variable of every slot, 0.0 where the jet holds nothing."""
+    jet = random_jet(np.random.default_rng(31))
+    ja = JetArrays.from_jet(jet)
+    dense = densified(ja)
+    for slot, view in enumerate((ja.value, *ja.deriv)):
+        for var, (field, indices) in fe.COMPONENT_NAMES.items():
+            if slot and field == "Lam":
+                assert getattr(view, var) == 0.0
+                continue
+            for index in indices:
+                ref = (getattr(dense, field)[index] if slot == 0
+                       else getattr(dense, "d" + field)[(slot - 1,) + index])
+                assert getattr(view, var) == ref, (slot, var)
+    assert ja.value.Lam == jet.value.matter.Lam
+    assert ja.value.sigma12 == jet.value.connection.sigma.as_matrix()[0, 1]
+    assert ja.deriv[2].E13 == jet.deriv[2].weyl.E.as_matrix()[0, 2]
+    assert ja.deriv[3].pi33 == jet.deriv[3].matter.pi.as_matrix()[2, 2]
+    with pytest.raises(AttributeError):
+        ja.value.sigma21
+
+
+def test_jet_rejects_unknown_fields_components_and_names():
+    one = np.ones(())
+    for key in (("mu", (0,)), ("sigma", (3, 0)), ("dLam", (0,)), ("rho", ()), ("da", (0,))):
+        with pytest.raises(TypeError, match="unknown jet components"):
+            JetArrays((), {key: one})
+    with pytest.raises(TypeError, match="unknown jet variable: sigma21"):
+        JetArrays.build((), {"sigma21": 1.0})
+    with pytest.raises(TypeError, match="unknown jet components"):
+        JetArrays.build((), {}, e1={"Lam": 1.0})
+
+
 def test_take_returns_views_of_a_point_range():
     ja = random_jet_arrays(np.random.default_rng(4), 10)
-    sub = ja.take(3, 7)
+    tables = fe._component_tables(ja)
+    sub = tables.take(3, 7)
     assert sub.shape == (4,)
-    for name, arr in vars(ja).items():
-        if isinstance(arr, np.ndarray):
-            part = getattr(sub, name)
-            assert np.shares_memory(part, arr) and np.array_equal(part, arr[..., 3:7]), name
-    assert ja.take(8, 20).shape == (2,)
+    for (name, index), arr in ja.entries.items():
+        part = getattr(sub, name)
+        part = part.c[index] if index else part
+        assert np.shares_memory(part, arr) and np.array_equal(part, arr[..., 3:7]), name
+    assert tables.take(8, 20).shape == (2,)
 
 
 def test_report_reductions_agree_per_point_and_per_block():
@@ -420,8 +440,7 @@ def test_zero_blocks_report_zero_maxima():
 # structural zeros
 # ---------------------------------------------------------------------------
 
-JET_FIELDS = [name for name, arr in vars(JetArrays((1,))).items()
-              if isinstance(arr, np.ndarray)]
+JET_FIELDS = list(fe._COMPONENTS)
 
 
 def test_structural_zero_algebra():
@@ -462,9 +481,7 @@ def test_skipping_zeros_matches_einsum_on_conformally_flat_jets():
     }
     for tag, jet in jets.items():
         ja = cf.embed_special(jet)
-        held = {name: getattr(ja, name) for name in JET_FIELDS}
-        entries = {name: list(f.c.flat) for name, f in held.items()
-                   if isinstance(f, fe._Components)}
+        held = dict(ja.entries)
         tables = fe._component_tables(ja)
         zero = {name for name in JET_FIELDS if getattr(tables, name) is ZERO}
         assert len(zero) >= 11, tag
@@ -478,10 +495,9 @@ def test_skipping_zeros_matches_einsum_on_conformally_flat_jets():
         for name in REPORT_FIELDS:
             assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes(), (tag, name)
         assert rep.per_point_max().tobytes() == ref.per_point_max().tobytes(), tag
-        # the caller's jet keeps its fields and their entries
-        assert all(getattr(ja, name) is field for name, field in held.items()), tag
-        assert all(all(a is b for a, b in zip(getattr(ja, name).c.flat, flat, strict=True))
-                   for name, flat in entries.items()), tag
+        # the caller's jet keeps its entries
+        assert ja.entries.keys() == held.keys(), tag
+        assert all(ja.entries[key] is entry for key, entry in held.items()), tag
 
 
 def test_skipping_zeros_matches_dense_kernels_on_random_jets():
@@ -555,13 +571,12 @@ def test_non_finite_entry_raises_with_zero_fields(case):
     for name, comp in fe._COMPONENTS.items():
         for index in np.ndindex(comp):
             # the embedding holds the jet's own arrays: put a copy in its place
-            ja = cf.embed_special(jet)
-            field = getattr(ja, name)
-            entries = field.c.__getitem__ if isinstance(field, fe._Components) else field.__getitem__
-            bad = np.zeros(ja.shape) if entries(index) is ZERO else np.array(entries(index))
+            entries = dict(cf.embed_special(jet).entries)
+            held = entries.get((name, index))
+            bad = np.zeros(jet.shape) if held is None else np.array(held)
             bad[rng.integers(bad.size)] = np.inf
-            setattr(ja, name, fe._Components.build(
-                comp, lambda i: bad if i == index else entries(i)) if comp else bad)
+            entries[(name, index)] = bad
+            ja = JetArrays(jet.shape, entries)
             with np.errstate(over="ignore", invalid="ignore"):
                 if name in ("dp", "dudot", "dOmega") and index[0] == 0:
                     assert residual_report(ja).max_residual() < 1e-10, (name, index)
@@ -573,7 +588,7 @@ def test_non_finite_entry_raises_with_zero_fields(case):
 def test_non_finite_entry_times_zero_fields_only_still_raises():
     """Omega enters every equation multiplied by another field; with all
     of those zero, only the dense evaluation forms its 0 * inf = nan."""
-    ja = JetArrays((5,))
+    ja = DenseJet((5,))
     ja.Omega[0, 2] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteResidual):

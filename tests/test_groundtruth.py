@@ -20,13 +20,15 @@ import einsum_reference
 import numpy as np
 import pytest
 
-from f13.frame_equations import JetArrays, ResidualReport, residual_report
+from conftest import DenseJet
+
+from f13.frame_equations import ResidualReport, residual_report
 
 DATA = pathlib.Path(__file__).parent / "data" / "groundtruth_jets.json"
 
 
-def load_jet(entry) -> JetArrays:
-    ja = JetArrays(())
+def load_jet(entry) -> DenseJet:
+    ja = DenseJet(())
     for name, values in entry.items():
         getattr(ja, name)[...] = np.asarray(values)
     return ja
