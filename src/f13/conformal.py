@@ -290,12 +290,12 @@ def gauge_reduce(jet: SpecialJet) -> SpecialJet:
                              **{name: 0.0 for name in _GAUGE_ZEROED})
 
 
-def is_gauge_reduced(jet: SpecialJet, atol: float = 0.0) -> bool:
+def is_gauge_reduced(jet: SpecialJet) -> bool:
     s = jet.value
     checks = [np.asarray(getattr(s, name)) for name in _GAUGE_ZEROED]
     checks.append(np.asarray(s.n23) - s.a1)
     checks.append(np.asarray(s.n13) + s.a2)
-    return all(np.all(np.abs(c) <= atol) for c in checks)
+    return all(np.all(c == 0.0) for c in checks)
 
 
 RE_NAMES = (
@@ -304,14 +304,14 @@ RE_NAMES = (
 )
 
 
-def ricci_einstein_residuals(jet: SpecialJet, atol: float = 0.0) -> ResidualVector:
+def ricci_einstein_residuals(jet: SpecialJet) -> ResidualVector:
     """Residuals of the reduced Ricci/Einstein system.
 
     Requires a gauge-reduced state; the two-sided zero equations contribute
     paired entries (suffix a for e_1, b for e_2).
     """
     s = jet.value
-    if not is_gauge_reduced(jet, atol=atol):
+    if not is_gauge_reduced(jet):
         raise ValueError("ricci_einstein_residuals requires a gauge-reduced state")
     e0, e1, e2, e3 = jet.deriv
     third = 1.0 / 3.0
@@ -387,7 +387,7 @@ def futurework_residuals(jet: SpecialJet) -> ResidualVector:
         - (1.5 * s.p - th2 / 6.0 + 1.5 * np.asarray(s.sigma11) ** 2
            + 1.5 * np.asarray(s.a3) ** 2),
         np.asarray(e0.sigma11)
-        - (0.5 * s.p + np.asarray(s.pi11) + 1.5 * np.asarray(s.sigma11) ** 2
+        - (0.5 * s.p + np.asarray(s.pi11) + 0.5 * np.asarray(s.sigma11) ** 2
            + 0.5 * np.asarray(s.a3) ** 2 - th2 / 18.0 - s.Theta * s.sigma11),
         np.asarray(e3.sigma11) + np.asarray(e3.Theta) / 3.0 - 3.0 * s.a3 * s.sigma11,
         np.asarray(e0.Theta) + th2 / 3.0 + 6.0 * np.asarray(s.sigma11) ** 2 + 3.0 * s.p,

@@ -19,14 +19,13 @@ permutation-symbol contractions, one signed difference of two slices per
 output component).  Each kernel adds its terms in index order, and each
 term is one numpy operation along the batch.  ``residual_report``
 evaluates a batch in consecutive blocks of ``BLOCK_POINTS`` points
-(views along the last batch axis), serially or on a thread pool; every
-residual is pointwise, so neither changes the report.  Each block is
-reduced once, on the thread that evaluated it: its max-abs over the
-components at every point.  The report's norms, per-point maxima, worst
-points and finite check all come from those.  The report holds the
-nonzero components each piece produced by reference and copies nothing:
-a block's array, component-major (components + S), is assembled only
-when it is read.
+(views along the last batch axis); every residual is pointwise, so the
+block size does not change the report.  Each block is reduced once, as
+soon as it is evaluated: its max-abs over the components at every point.
+The report's norms, per-point maxima, worst points and finite check all
+come from those.  The report holds the nonzero components each piece
+produced by reference and copies nothing: a block's array,
+component-major (components + S), is assembled only when it is read.
 
 Structural zeros.  On the conformally flat elastic jets almost every
 component of the state vanishes identically (E = H = q = 0 and
@@ -60,8 +59,6 @@ averaged away.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -927,27 +924,20 @@ def _report_arrays(ja: _Tables) -> tuple:
     return _efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja)
 
 
-def _pool_size(workers: int, blocks: int, cpus: int | None) -> int:
-    """Threads for a block sweep: at most one per block and one per CPU."""
-    return max(1, min(workers, blocks, cpus or 1))
-
-
-def residual_report(jet, workers: int = 1) -> ResidualReport:
+def residual_report(jet) -> ResidualReport:
     """Evaluate every block of the general system on a jet or jet batch.
 
     A batch of shape (N,) is evaluated in consecutive blocks of
-    BLOCK_POINTS points (views of the component tables), serially or on up to
-    ``workers`` threads; other batch shapes are evaluated in one piece.
-    Each piece reduces its blocks on the thread that evaluated it, and the
-    report keeps its results as they are.  Every residual is pointwise, so
-    the report is the same for any block size and any ``workers``.
+    BLOCK_POINTS points (views of the component tables); other batch shapes
+    are evaluated in one piece.  Each piece reduces its blocks as soon as
+    it is evaluated, and the report keeps its results as they are.  Every
+    residual is pointwise, so the report is the same for any block size.
     Components that are zero throughout are skipped (see the module
     docstring); ``jet`` itself is left as it is.
     """
     ja = _component_tables(_as_arrays(jet))
     comps = [comp for _, comp in ResidualReport.BLOCKS.values()]
     point_max = [np.empty(ja.shape) for _ in comps]
-    errors = np.geterr()  # pool threads start from numpy's default error state
 
     def piece(lo):
         """Evaluate points lo:lo + BLOCK_POINTS, or the whole batch for
@@ -956,8 +946,7 @@ def residual_report(jet, workers: int = 1) -> ResidualReport:
             sub, index = ja, (...,)
         else:
             sub, index = ja.take(lo, lo + BLOCK_POINTS), (..., slice(lo, lo + BLOCK_POINTS))
-        with np.errstate(**errors):
-            results = _report_arrays(sub)
+        results = _report_arrays(sub)
         for pm, src, comp in zip(point_max, results, comps):
             live = [e for _, e in _nonzero_components(src, comp)]
             if live:
@@ -971,13 +960,7 @@ def residual_report(jet, workers: int = 1) -> ResidualReport:
     if n <= BLOCK_POINTS:
         pieces = [piece(None)]
     else:
-        starts = range(0, n, BLOCK_POINTS)
-        threads = _pool_size(workers, len(starts), os.cpu_count())
-        if threads == 1:
-            pieces = [piece(lo) for lo in starts]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                pieces = list(pool.map(piece, starts))
+        pieces = [piece(lo) for lo in range(0, n, BLOCK_POINTS)]
     # the ZERO components, and so the ZERO blocks, are the same in every piece
     for k, (src, comp) in enumerate(zip(pieces[0][1], comps)):
         if not _nonzero_components(src, comp):

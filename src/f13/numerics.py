@@ -58,8 +58,9 @@ class Grid:
     def points(self) -> np.ndarray:
         return np.linspace(self.z0, self.z1, self.N + 1)
 
-    def refined(self, factor: int = 2) -> "Grid":
-        return Grid(self.z0, self.z1, self.N * factor)
+    def refined(self) -> "Grid":
+        """The grid with every interval halved."""
+        return Grid(self.z0, self.z1, 2 * self.N)
 
 
 @dataclass(frozen=True)
@@ -269,22 +270,20 @@ def quadrature(samples, grid: Grid) -> np.ndarray:
     return out
 
 
-def cumulative_integral_refined(
-    fn: Callable, grid: Grid, tol: float = 1e-10, max_doublings: int = 12,
-    fine: bool = False,
-):
+def cumulative_integral_refined(fn: Callable, grid: Grid, tol: float = 1e-10,
+                                fine: bool = False):
     """Cumulative integral of a callable on the grid nodes, grid-doubled
     until two successive refinements agree to tol at the shared nodes.
 
     Returns the values at the grid nodes or, with ``fine=True``, the tuple
     (fine_grid, values on it, stride) with the grid nodes at ``::stride``.
-    Raises ValueError if max_doublings refinements do not reach tol.
+    Raises ValueError if 12 doublings do not reach tol.
     """
     factor = 1 if grid.N % 2 == 0 else 2
-    g = grid if factor == 1 else grid.refined(2)
+    g = grid if factor == 1 else grid.refined()
     vals = quadrature(fn(g.points()), g)
-    for _ in range(max_doublings):
-        g2 = g.refined(2)
+    for _ in range(12):
+        g2 = g.refined()
         vals2 = quadrature(fn(g2.points()), g2)
         done = bool(np.max(np.abs(vals2[::2] - vals)) < tol)
         g, vals, factor = g2, vals2, factor * 2

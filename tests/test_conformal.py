@@ -615,6 +615,22 @@ def test_futurework_flrw_reduction():
     assert vec.entry_max()["RES5"] == pytest.approx(abs(expected), rel=1e-14)
 
 
+def test_futurework_res3_is_re3_with_res2_substituted():
+    """RES3 is RE3 (with udot = 0) after e_3(a3) is replaced through RES2:
+    e_0(sigma11) = p/2 + pi11 + sigma11^2/2 + a3^2/2 - Theta^2/18 - Theta sigma11."""
+    rng = np.random.default_rng(31)
+    names = ("p", "pi11", "Theta", "sigma11", "a3")
+    value, e0, e3 = ({name: rng.uniform(-1.0, 1.0, 50) for name in names} for _ in range(3))
+    jet = cf.SpecialJet.build(np.zeros(50), value, e0=e0, e3=e3)
+    fw = dict(zip(cf.FW_NAMES, cf.futurework_residuals(jet).entries))
+    re = dict(zip(cf.RE_NAMES, cf.ricci_einstein_residuals(jet).entries))
+    np.testing.assert_allclose(fw["RES3"], fw["RES2"] - re["RE3"], rtol=0.0, atol=1e-14)
+    s11, theta = value["sigma11"], value["Theta"]
+    expected = e0["sigma11"] - (0.5 * value["p"] + value["pi11"] + 0.5 * s11**2
+                                + 0.5 * value["a3"] ** 2 - theta**2 / 18.0 - theta * s11)
+    np.testing.assert_allclose(fw["RES3"], expected, rtol=1e-14, atol=1e-15)
+
+
 def test_futurework_flags_spatial_gradients():
     jet = cf.SpecialJet.build(0.0, {}, e1=dict(Theta=0.33))
     vec = cf.futurework_residuals(jet)

@@ -1,9 +1,6 @@
 """General 1+3 system: residual evaluators and commutator machinery."""
 
 import dataclasses
-import os
-import sys
-import warnings
 
 import einsum_reference
 import numpy as np
@@ -28,7 +25,6 @@ from f13.frame_equations import (
     commutator_structure,
     curly_R,
     curly_S,
-    _pool_size,
     residual_report,
 )
 from f13.numerics import Grid, rk4_integrate
@@ -270,13 +266,11 @@ def test_kernels_bit_identical_on_closed_form_a1_jets():
             assert np.array_equal(new, ref), (A, sign, B, name)
 
 
-def test_report_independent_of_blocks_and_workers(monkeypatch):
+def test_report_independent_of_blocks(monkeypatch):
     """The block arrays a report builds from its pieces on first read: the
     bytes, signed zeros included, of one eager ``_dense`` of the kernel
     results on the whole batch."""
     n = 2 * fe.BLOCK_POINTS + fe.BLOCK_POINTS // 2 + 1
-    # at least three CPUs, so workers=2 and 3 really run a pool
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     block_points = fe.BLOCK_POINTS
     for zeroed in ((), ("q", "omega", "n", "E", "H", "dq", "dn", "dE")):
         ja = random_jet_arrays(np.random.default_rng(3), n)
@@ -285,7 +279,7 @@ def test_report_independent_of_blocks_and_workers(monkeypatch):
         eager = [fe._dense([((...,), res)], ResidualReport.BLOCKS[name][1], ja.shape)
                  for name, res in zip(REPORT_FIELDS, fe._report_arrays(fe._component_tables(ja)))]
         monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
-        reports = [residual_report(ja, workers=w) for w in (1, 2, 3)]
+        reports = [residual_report(ja)]
         monkeypatch.setattr(fe, "BLOCK_POINTS", n)
         reports.append(residual_report(ja))
         for rep in reports:
@@ -293,14 +287,6 @@ def test_report_independent_of_blocks_and_workers(monkeypatch):
                 assert getattr(rep, name).tobytes() == ref.tobytes(), name
                 assert getattr(rep, name).shape == ref.shape, name
         assert reports[0].e0_sigma.shape == (3, 3, n)
-
-
-def test_pool_size_caps_threads_at_blocks_and_cpus():
-    assert _pool_size(10_000, 49, 2) == 2
-    assert _pool_size(10_000, 3, 64) == 3
-    assert _pool_size(4, 49, 64) == 4
-    assert _pool_size(1, 49, 64) == 1
-    assert _pool_size(8, 49, None) == 1
 
 
 def test_name_views_read_a_general_jet():
@@ -374,45 +360,35 @@ def test_stored_maxima_are_the_max_abs_over_components(shape):
         assert rowmax[label].tobytes() == ref.tobytes(), label
 
 
-def test_stored_maxima_independent_of_blocks_and_workers(monkeypatch):
-    """Pool threads write disjoint slices of the shared report arrays; more
-    threads than CPUs and a short switch interval interleave them often."""
+def test_stored_maxima_independent_of_blocks(monkeypatch):
+    """Each block writes its own slice of the shared report arrays; the
+    maxima and the block arrays are the same bytes for any block size."""
     n = 3 * 64 + 5
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for zeroed in ((), ("omega", "domega", "E", "dE", "H", "dH")):
-            ja = random_jet_arrays(np.random.default_rng(12), n)
-            for name in zeroed:
-                getattr(ja, name)[...] = 0.0
-            seen = []
-            for block_points in (5, 64, n):
-                monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
-                for workers in (1, 2, 8):
-                    rep = residual_report(ja, workers=workers)
-                    seen.append([arr.tobytes() for arr in rep.block_point_max().values()]
-                                + [rep.per_point_max().tobytes()]
-                                + [getattr(rep, name).tobytes() for name in REPORT_FIELDS])
-            assert all(out == seen[0] for out in seen[1:]), zeroed
-    finally:
-        sys.setswitchinterval(interval)
+    for zeroed in ((), ("omega", "domega", "E", "dE", "H", "dH")):
+        ja = random_jet_arrays(np.random.default_rng(12), n)
+        for name in zeroed:
+            getattr(ja, name)[...] = 0.0
+        seen = []
+        for block_points in (5, 64, n):
+            monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
+            rep = residual_report(ja)
+            seen.append([arr.tobytes() for arr in rep.block_point_max().values()]
+                        + [rep.per_point_max().tobytes()]
+                        + [getattr(rep, name).tobytes() for name in REPORT_FIELDS])
+        assert all(out == seen[0] for out in seen[1:]), zeroed
 
 
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field, entry, block", [
     ("dmu", (0,), "e0_mu"),  # e_0(mu) enters bianchi1 alone
     ("dsigma", (0, 1, 2), "e0_sigma"),  # e_0(sigma) enters field2 alone
 ])
-def test_non_finite_in_last_partial_block_names_its_block(monkeypatch, workers, bad,
-                                                          field, entry, block):
+def test_non_finite_in_last_partial_block_names_its_block(bad, field, entry, block):
     n = 2 * fe.BLOCK_POINTS + 5
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     ja = random_jet_arrays(np.random.default_rng(6), n)
     getattr(ja, field)[entry + (n - 2,)] = bad
     with pytest.raises(NonFiniteResidual, match=f"in block {block}$"):
-        residual_report(ja, workers=workers)
+        residual_report(ja)
 
 
 def test_zero_blocks_report_zero_maxima():
@@ -521,9 +497,7 @@ def test_skipping_zeros_matches_dense_kernels_on_random_jets():
 def test_skipping_zero_components_matches_dense_kernels_on_random_jets(monkeypatch):
     """Random jets with a random subset of their components zero, not whole
     fields: the values of the dense evaluation of the same kernels, the
-    einsum form's within rounding, and the same bytes for any block size
-    and any ``workers``."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    einsum form's within rounding, and the same bytes for any block size."""
     rng = np.random.default_rng(29)
     n = 2 * 64 + 37
     for trial in range(8):
@@ -536,10 +510,9 @@ def test_skipping_zero_components_matches_dense_kernels_on_random_jets(monkeypat
         seen = []
         for block_points in (64, n):
             monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
-            for workers in (1, 2, 3):
-                rep = residual_report(ja, workers=workers)
-                seen.append([getattr(rep, name).tobytes() for name in REPORT_FIELDS]
-                            + [rep.per_point_max().tobytes()])
+            rep = residual_report(ja)
+            seen.append([getattr(rep, name).tobytes() for name in REPORT_FIELDS]
+                        + [rep.per_point_max().tobytes()])
         assert all(out == seen[0] for out in seen[1:]), trial
         for name, ref in zip(REPORT_FIELDS, dense):
             assert np.array_equal(getattr(rep, name), ref), (trial, name)
@@ -593,19 +566,6 @@ def test_non_finite_entry_times_zero_fields_only_still_raises():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteResidual):
             residual_report(ja)
-
-
-def test_pool_threads_keep_the_callers_numpy_error_state(monkeypatch):
-    n = 3 * fe.BLOCK_POINTS
-    ja = random_jet_arrays(np.random.default_rng(8), n)
-    ja.p[n - 5] = 1e308  # overflows in a pool thread
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteResidual):
-                residual_report(ja, workers=3)
-    assert not caught, [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------
