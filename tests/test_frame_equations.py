@@ -378,13 +378,16 @@ def test_stored_maxima_independent_of_blocks(monkeypatch):
         assert all(out == seen[0] for out in seen[1:]), zeroed
 
 
+# full_blocks=0: one short batch, evaluated in one piece
+@pytest.mark.parametrize("full_blocks", [0, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field, entry, block", [
     ("dmu", (0,), "e0_mu"),  # e_0(mu) enters bianchi1 alone
     ("dsigma", (0, 1, 2), "e0_sigma"),  # e_0(sigma) enters field2 alone
 ])
-def test_non_finite_in_last_partial_block_names_its_block(bad, field, entry, block):
-    n = 2 * fe.BLOCK_POINTS + 5
+def test_non_finite_in_last_partial_block_names_its_block(full_blocks, bad, field, entry,
+                                                          block):
+    n = full_blocks * fe.BLOCK_POINTS + 5
     ja = random_jet_arrays(np.random.default_rng(6), n)
     getattr(ja, field)[entry + (n - 2,)] = bad
     with pytest.raises(NonFiniteResidual, match=f"in block {block}$"):

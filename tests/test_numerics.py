@@ -37,6 +37,13 @@ def test_grid_invariants():
         Grid(0.0, 1.0, 3)
 
 
+def test_grid_refined_halves_every_interval():
+    g = Grid(0.5, 2.0, 6)
+    fine = g.refined()
+    assert (fine.z0, fine.z1, fine.N) == (0.5, 2.0, 12)
+    assert np.array_equal(fine.points()[::2], g.points())
+
+
 def test_rk4_constant_and_exponential():
     g = Grid(0.0, 1.0, 1000)
     t = rk4_integrate(lambda y: [0.0] * len(y), [2.0, -3.0], g, unit_frame)
@@ -128,6 +135,18 @@ def test_cumulative_refined_matches_log():
     vals = cumulative_integral_refined(lambda z: 1.0 / z, g, tol=1e-12)
     assert vals.shape == (41,)
     assert np.max(np.abs(vals - np.log(g.points()))) < 1e-11
+
+
+def test_cumulative_refined_gives_up_after_twelve_doublings():
+    sizes = []
+
+    def never_settles(z):
+        sizes.append(z.size)
+        return np.full_like(z, z.size)  # the integral grows with every doubling
+
+    with pytest.raises(ValueError, match="did not reach tol=1e-10"):
+        cumulative_integral_refined(never_settles, Grid(0.0, 1.0, 4))
+    assert sizes == [4 * 2**k + 1 for k in range(13)]
 
 
 def test_trajectory_shape_checks():
