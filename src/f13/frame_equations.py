@@ -18,14 +18,12 @@ goes through one fixed-index kernel: ``_outer``, ``_vt`` and ``_tv``
 permutation-symbol contractions, one signed difference of two slices per
 output component).  Each kernel adds its terms in index order, and each
 term is one numpy operation along the batch.  ``residual_report``
-evaluates a batch in consecutive blocks of ``BLOCK_POINTS`` points
-(views along the last batch axis); every residual is pointwise, so the
-block size does not change the report.  Each block is reduced once, as
-soon as it is evaluated: its max-abs over the components at every point.
-The report's norms, per-point maxima, worst points and finite check all
-come from those.  The report holds the nonzero components each piece
-produced by reference and copies nothing: a block's array,
-component-major (components + S), is assembled only when it is read.
+evaluates a batch of any shape in one piece and reduces each block once:
+its max-abs over the components at every point.  The report's norms,
+per-point maxima, worst points and finite check all come from those.  The
+report holds the nonzero components the kernels produced by reference and
+copies nothing: a block's array, component-major (components + S), is
+assembled only when it is read.
 
 Structural zeros.  On the conformally flat elastic jets almost every
 component of the state vanishes identically (E = H = q = 0 and
@@ -59,6 +57,7 @@ averaged away.
 from __future__ import annotations
 
 import logging
+import operator
 
 import numpy as np
 
@@ -280,6 +279,18 @@ def _cell(x):
     return cell
 
 
+# The entry-wise operators of the tables.  numpy's own object loops
+# (np.add, ...) pass each entry as a borrowed reference, and numpy reuses an
+# operand of 256 KiB or more whose only reference is that one as the
+# result's buffer (temporary elision): an entry of a table would be
+# overwritten while later terms still read it.  frompyfunc's argument tuple
+# holds a reference to every entry, so no operand is reused, and the Python
+# operators make the same calls on the same arrays.
+_ADD, _SUB, _MUL, _DIV = (np.frompyfunc(op, 2, 1) for op in (
+    operator.add, operator.sub, operator.mul, operator.truediv))
+_NEG = np.frompyfunc(operator.neg, 1, 1)
+
+
 class _Components:
     """A vector, tensor or derivative field, or a term, as the table of its
     components: ``c`` is an object array of component shape whose entries
@@ -308,28 +319,28 @@ class _Components:
         return _table(c)
 
     def __add__(self, other):
-        return self if other is ZERO else _table(np.add(self.c, _cell(other)))
+        return self if other is ZERO else _table(_ADD(self.c, _cell(other)))
 
     def __radd__(self, other):
-        return _table(np.add(_cell(other), self.c))
+        return _table(_ADD(_cell(other), self.c))
 
     def __sub__(self, other):
-        return self if other is ZERO else _table(np.subtract(self.c, _cell(other)))
+        return self if other is ZERO else _table(_SUB(self.c, _cell(other)))
 
     def __rsub__(self, other):
-        return _table(np.subtract(_cell(other), self.c))
+        return _table(_SUB(_cell(other), self.c))
 
     def __mul__(self, other):
-        return ZERO if other is ZERO else _table(np.multiply(self.c, _cell(other)))
+        return ZERO if other is ZERO else _table(_MUL(self.c, _cell(other)))
 
     def __rmul__(self, other):
-        return _table(np.multiply(_cell(other), self.c))
+        return _table(_MUL(_cell(other), self.c))
 
     def __truediv__(self, other):
-        return _table(np.true_divide(self.c, _cell(other)))
+        return _table(_DIV(self.c, _cell(other)))
 
     def __neg__(self):
-        return _Components(np.negative(self.c))
+        return _Components(_NEG(self.c))
 
     def __getitem__(self, index):
         part = self.c[index]
@@ -337,10 +348,6 @@ class _Components:
 
     def swapaxes(self, axis1, axis2):
         return _Components(self.c.swapaxes(axis1, axis2))
-
-    def take(self, lo: int, hi: int) -> "_Components":
-        """Points lo:hi of every entry, along the last batch axis."""
-        return _Components.build(self.c.shape, lambda index: self.c[index][..., lo:hi])
 
 
 def _nonzero_components(x, comp: tuple) -> list:
@@ -353,14 +360,12 @@ def _nonzero_components(x, comp: tuple) -> list:
             if e is not ZERO]
 
 
-def _dense(pieces, comp: tuple, shape: tuple) -> np.ndarray:
-    """Fields or kernel results as one component-major array of batch shape
-    ``shape``, +0.0 where ``ZERO``: ``pieces`` holds (batch index, field or
-    result there) pairs, such as ``[((...,), x)]`` for a whole batch."""
+def _dense(x, comp: tuple, shape: tuple) -> np.ndarray:
+    """A field or kernel result of component shape ``comp`` as one
+    component-major array of batch shape ``shape``, +0.0 where ``ZERO``."""
     out = np.zeros(comp + shape)
-    for index, x in pieces:
-        for component, e in _nonzero_components(x, comp):
-            out[component + index] = e
+    for component, e in _nonzero_components(x, comp):
+        out[component] = e
     return out
 
 
@@ -373,20 +378,6 @@ class _Tables:
     def __init__(self, shape: tuple, fields: dict):
         self.shape = shape
         vars(self).update(fields)
-
-    def take(self, lo: int, hi: int) -> "_Tables":
-        """Points lo:hi along the last batch axis: views of the entries;
-        ``ZERO`` stays ``ZERO``."""
-        fields = {}
-        for name in _COMPONENTS:
-            field = getattr(self, name)
-            if isinstance(field, _Components):
-                field = field.take(lo, hi)
-            elif field is not ZERO:
-                field = field[..., lo:hi]
-            fields[name] = field
-        # the batch shape of arr[..., lo:hi]; any field, mu too, may be ZERO
-        return _Tables(self.shape[:-1] + (len(range(self.shape[-1])[lo:hi]),), fields)
 
 
 def _component_tables(ja: JetArrays) -> _Tables:
@@ -544,15 +535,14 @@ def _curly_S_arr(c: _Tables):
 def curly_S(jet) -> TracefreeSymThree:
     """Trace-free 3-curvature source of the shear evolution equation."""
     c = _component_tables(_as_arrays(jet))
+    if c.shape:
+        raise ValueError("curly_S returns a typed tensor for single jets only")
     S, pre_trace = _curly_S_arr(c)
-    S = _dense([((...,), S)], (3, 3), c.shape)
-    pre_trace = _dense([((...,), pre_trace)], (), c.shape)
-    worst = float(np.max(np.abs(pre_trace))) if pre_trace.size else float(pre_trace)
-    if worst > 1e-14 * max(1.0, float(np.max(np.abs(S))) if S.size else 0.0):
-        log.debug("curly_S pre-projection trace %.3e", worst)
-    if S.ndim == 2:
-        return TracefreeSymThree.project(SymThree.from_matrix(S))
-    raise ValueError("curly_S returns a typed tensor for single jets only")
+    S = _dense(S, (3, 3), ())
+    pre_trace = abs(float(_dense(pre_trace, (), ())))
+    if pre_trace > 1e-14 * max(1.0, float(np.max(np.abs(S)))):
+        log.debug("curly_S pre-projection trace %.3e", pre_trace)
+    return TracefreeSymThree.project(SymThree.from_matrix(S))
 
 
 def _curly_R_arr(c: _Tables):
@@ -564,7 +554,9 @@ def _curly_R_arr(c: _Tables):
 def curly_R(jet) -> float:
     """Spatial curvature scalar *R = 2(2 e_a - 3 a_a)(a^a) - b^a_a / 2."""
     c = _component_tables(_as_arrays(jet))
-    return float(_dense([((...,), _curly_R_arr(c))], (), c.shape))
+    if c.shape:
+        raise ValueError("curly_R returns a float for single jets only")
+    return float(_dense(_curly_R_arr(c), (), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -817,21 +809,20 @@ class NonFiniteResidual(ValueError):
 class ResidualReport:
     """All residual blocks of the general system, possibly batched.
 
-    The report keeps what the kernels produced: for each block, the result
-    of every evaluated piece, keyed by the piece's batch index (``(...,)``
-    for a batch evaluated whole, ``(..., slice(lo, hi))`` for a block of
-    points), with its nonzero components held by reference, and its max-abs
-    over those components at every batch entry (``point_max``, in field
-    order; ``ZERO`` for a block whose every component the kernels returned
-    as ``ZERO``).  Every reduction below is read from the maxima, and a
-    non-finite block fails construction.  Norms are max-abs over every
+    The report keeps what the kernels produced: for each block, its result
+    on the whole batch, with its nonzero components held by reference, and
+    its max-abs over those components at every batch entry, taken at
+    construction (``ZERO`` for a block whose every component the kernels
+    returned as ``ZERO``).  Every reduction below is read from the maxima,
+    and a non-finite block fails construction.  Norms are max-abs over every
     component (and over the batch).
 
     A block's array (``rep.e0_theta``, ..., ``blocks()``) is built from its
-    pieces on its first read and kept: tensor character and the
-    component-major layout, components + S, with +0.0 in every ``ZERO`` component.  A
-    kernel result may be an array of the jet itself (``x + ZERO`` is ``x``),
-    so the jet must not change while the report is read.
+    result on its first read and kept: tensor character and the
+    component-major layout, components + S, with +0.0 in every ``ZERO``
+    component.  A kernel result may be an array of the jet itself
+    (``x + ZERO`` is ``x``), so the jet must not change while the report is
+    read.
     """
 
     # report field: (block label, component shape)
@@ -853,22 +844,25 @@ class ResidualReport:
         "div_H": ("divH", (3,)),
     }
 
-    def __init__(self, shape: tuple, pieces: list, point_max: list):
-        """``pieces`` holds (batch index, kernel results in field order)
-        per evaluated piece."""
+    def __init__(self, shape: tuple, results: tuple):
+        """``results`` holds the kernel results in field order."""
         self.shape = tuple(shape)
-        self._pieces = {name: [(index, results[k]) for index, results in pieces]
-                        for k, name in enumerate(self.BLOCKS)}
+        self._results = dict(zip(self.BLOCKS, results, strict=True))
         self._point_max = {}
         self._norms = {}
-        for name, pm in zip(self.BLOCKS, point_max, strict=True):
-            label = self.BLOCKS[name][0]
+        for name, (label, comp) in self.BLOCKS.items():
+            live = [e for _, e in _nonzero_components(self._results[name], comp)]
+            pm = ZERO
+            if live:
+                pm = np.empty(self.shape)
+                np.abs(live[0], out=pm)
+                for e in live[1:]:
+                    np.maximum(pm, np.abs(e), out=pm)
+                pm.flags.writeable = False
             # a nan or an inf survives the max-abs, and so the max over points
             norm = 0.0 if pm is ZERO else float(np.max(pm, initial=0.0))
             if not np.isfinite(norm):
                 raise NonFiniteResidual(f"non-finite residual in block {name}")
-            if pm is not ZERO:
-                pm.flags.writeable = False
             self._point_max[label] = pm
             self._norms[label] = norm
 
@@ -876,7 +870,7 @@ class ResidualReport:
         # only reached while the block's array is not yet built
         if name not in self.BLOCKS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        arr = _dense(self._pieces[name], self.BLOCKS[name][1], self.shape)
+        arr = _dense(self._results[name], self.BLOCKS[name][1], self.shape)
         setattr(self, name, arr)
         return arr
 
@@ -916,10 +910,6 @@ class ResidualReport:
         return out
 
 
-# points per evaluation block: a block's temporaries stay cache-sized
-BLOCK_POINTS = 8192
-
-
 def _report_arrays(ja: _Tables) -> tuple:
     return _efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja)
 
@@ -927,45 +917,13 @@ def _report_arrays(ja: _Tables) -> tuple:
 def residual_report(jet) -> ResidualReport:
     """Evaluate every block of the general system on a jet or jet batch.
 
-    A batch of shape (N,) is evaluated in consecutive blocks of
-    BLOCK_POINTS points (views of the component tables); other batch shapes
-    are evaluated in one piece.  Each piece reduces its blocks as soon as
-    it is evaluated, and the report keeps its results as they are.  Every
-    residual is pointwise, so the report is the same for any block size.
-    Components that are zero throughout are skipped (see the module
-    docstring); ``jet`` itself is left as it is.
+    The batch is evaluated in one piece, whatever its shape, and the report
+    keeps the kernel results as they are.  Components that are zero
+    throughout are skipped (see the module docstring); ``jet`` itself is
+    left as it is.
     """
     ja = _component_tables(_as_arrays(jet))
-    comps = [comp for _, comp in ResidualReport.BLOCKS.values()]
-    point_max = [np.empty(ja.shape) for _ in comps]
-
-    def piece(lo):
-        """Evaluate points lo:lo + BLOCK_POINTS, or the whole batch for
-        None; its batch index and its kernel results."""
-        if lo is None:
-            sub, index = ja, (...,)
-        else:
-            sub, index = ja.take(lo, lo + BLOCK_POINTS), (..., slice(lo, lo + BLOCK_POINTS))
-        results = _report_arrays(sub)
-        for pm, src, comp in zip(point_max, results, comps):
-            live = [e for _, e in _nonzero_components(src, comp)]
-            if live:
-                m = pm[index]
-                np.abs(live[0], out=m)
-                for e in live[1:]:
-                    np.maximum(m, np.abs(e), out=m)
-        return index, results
-
-    n = ja.shape[0] if len(ja.shape) == 1 else 0
-    if n <= BLOCK_POINTS:
-        pieces = [piece(None)]
-    else:
-        pieces = [piece(lo) for lo in range(0, n, BLOCK_POINTS)]
-    # the ZERO components, and so the ZERO blocks, are the same in every piece
-    for k, (src, comp) in enumerate(zip(pieces[0][1], comps)):
-        if not _nonzero_components(src, comp):
-            point_max[k] = ZERO
-    return ResidualReport(ja.shape, pieces, point_max)
+    return ResidualReport(ja.shape, _report_arrays(ja))
 
 
 # ---------------------------------------------------------------------------

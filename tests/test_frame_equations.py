@@ -69,6 +69,13 @@ def test_curly_R_examples():
     assert curly_R(jet) == pytest.approx(1.5, rel=1e-15)
 
 
+def test_curly_S_and_curly_R_take_single_jets_only():
+    ja = JetArrays.build((3,), dict(n11=np.ones(3), a3=np.full(3, 0.5)))
+    for f in (curly_S, curly_R):
+        with pytest.raises(ValueError, match="single jets only"):
+            f(ja)
+
+
 def test_minkowski_all_zero():
     rep = residual_report(zero_jet())
     assert rep.max_residual() == 0.0
@@ -217,7 +224,7 @@ def test_boosted_shear_congruence_satisfies_all_blocks():
 
 
 # ---------------------------------------------------------------------------
-# fixed-index kernels against the einsum form, and block evaluation
+# fixed-index kernels against the einsum form, and the report's reductions
 # ---------------------------------------------------------------------------
 
 REPORT_FIELDS = list(ResidualReport.BLOCKS)
@@ -231,8 +238,8 @@ def random_jet_arrays(rng, *shape):
     return ja
 
 
-def report_pairs(ja, **kwargs):
-    rep = residual_report(ja, **kwargs)
+def report_pairs(ja):
+    rep = residual_report(ja)
     return zip(REPORT_FIELDS, (getattr(rep, f) for f in REPORT_FIELDS),
                einsum_reference.report_arrays(densified(ja)))
 
@@ -244,13 +251,13 @@ def dense_kernel_report(ja):
     sub = fe._Tables(ja.shape, {
         name: fe._Components.build(comp, getattr(ja, name).__getitem__) if comp
         else getattr(ja, name) for name, comp in fe._COMPONENTS.items()})
-    return [fe._dense([((...,), res)], ResidualReport.BLOCKS[name][1], ja.shape)
+    return [fe._dense(res, ResidualReport.BLOCKS[name][1], ja.shape)
             for name, res in zip(REPORT_FIELDS, fe._report_arrays(sub))]
 
 
 def test_kernels_match_einsum_on_random_jets():
-    # 10^4 points span several blocks; sums over a contiguous axis may round
-    # differently from einsum's SIMD loop, by an ulp or so
+    # sums over a contiguous axis may round differently from einsum's SIMD
+    # loop, by an ulp or so
     ja = random_jet_arrays(np.random.default_rng(7), 10_000)
     for name, new, ref in report_pairs(ja):
         assert new.shape == ref.shape, name
@@ -264,29 +271,6 @@ def test_kernels_bit_identical_on_closed_form_a1_jets():
         jet, _ = form.jet(grid)
         for name, new, ref in report_pairs(cf.embed_special(jet)):
             assert np.array_equal(new, ref), (A, sign, B, name)
-
-
-def test_report_independent_of_blocks(monkeypatch):
-    """The block arrays a report builds from its pieces on first read: the
-    bytes, signed zeros included, of one eager ``_dense`` of the kernel
-    results on the whole batch."""
-    n = 2 * fe.BLOCK_POINTS + fe.BLOCK_POINTS // 2 + 1
-    block_points = fe.BLOCK_POINTS
-    for zeroed in ((), ("q", "omega", "n", "E", "H", "dq", "dn", "dE")):
-        ja = random_jet_arrays(np.random.default_rng(3), n)
-        for name in zeroed:
-            getattr(ja, name)[...] = 0.0
-        eager = [fe._dense([((...,), res)], ResidualReport.BLOCKS[name][1], ja.shape)
-                 for name, res in zip(REPORT_FIELDS, fe._report_arrays(fe._component_tables(ja)))]
-        monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
-        reports = [residual_report(ja)]
-        monkeypatch.setattr(fe, "BLOCK_POINTS", n)
-        reports.append(residual_report(ja))
-        for rep in reports:
-            for name, ref in zip(REPORT_FIELDS, eager):
-                assert getattr(rep, name).tobytes() == ref.tobytes(), name
-                assert getattr(rep, name).shape == ref.shape, name
-        assert reports[0].e0_sigma.shape == (3, 3, n)
 
 
 def test_name_views_read_a_general_jet():
@@ -323,18 +307,6 @@ def test_jet_rejects_unknown_fields_components_and_names():
         JetArrays.build((), {}, e1={"Lam": 1.0})
 
 
-def test_take_returns_views_of_a_point_range():
-    ja = random_jet_arrays(np.random.default_rng(4), 10)
-    tables = fe._component_tables(ja)
-    sub = tables.take(3, 7)
-    assert sub.shape == (4,)
-    for (name, index), arr in ja.entries.items():
-        part = getattr(sub, name)
-        part = part.c[index] if index else part
-        assert np.shares_memory(part, arr) and np.array_equal(part, arr[..., 3:7]), name
-    assert tables.take(8, 20).shape == (2,)
-
-
 def test_report_reductions_agree_per_point_and_per_block():
     rep = residual_report(random_jet_arrays(np.random.default_rng(5), 7))
     rowmax = rep.block_point_max()
@@ -349,9 +321,9 @@ def test_report_reductions_agree_per_point_and_per_block():
     assert np.max(rep.per_point_max()) == rep.max_residual()
 
 
-@pytest.mark.parametrize("shape", [(), (2 * fe.BLOCK_POINTS + 37,), (4, 5)])
+@pytest.mark.parametrize("shape", [(), (37,), (4, 5)])
 def test_stored_maxima_are_the_max_abs_over_components(shape):
-    """A single jet, several blocks with a short last one, and a 2-D batch."""
+    """A single jet, a 1-D and a 2-D batch."""
     rep = residual_report(random_jet_arrays(np.random.default_rng(21), *shape))
     rowmax = rep.block_point_max()
     for label, arr in rep.blocks():
@@ -360,43 +332,65 @@ def test_stored_maxima_are_the_max_abs_over_components(shape):
         assert rowmax[label].tobytes() == ref.tobytes(), label
 
 
-def test_stored_maxima_independent_of_blocks(monkeypatch):
-    """Each block writes its own slice of the shared report arrays; the
-    maxima and the block arrays are the same bytes for any block size."""
-    n = 3 * 64 + 5
-    for zeroed in ((), ("omega", "domega", "E", "dE", "H", "dH")):
-        ja = random_jet_arrays(np.random.default_rng(12), n)
-        for name in zeroed:
-            getattr(ja, name)[...] = 0.0
-        seen = []
-        for block_points in (5, 64, n):
-            monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
-            rep = residual_report(ja)
-            seen.append([arr.tobytes() for arr in rep.block_point_max().values()]
-                        + [rep.per_point_max().tobytes()]
-                        + [getattr(rep, name).tobytes() for name in REPORT_FIELDS])
-        assert all(out == seen[0] for out in seen[1:]), zeroed
-
-
-# full_blocks=0: one short batch, evaluated in one piece
-@pytest.mark.parametrize("full_blocks", [0, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field, entry, block", [
     ("dmu", (0,), "e0_mu"),  # e_0(mu) enters bianchi1 alone
     ("dsigma", (0, 1, 2), "e0_sigma"),  # e_0(sigma) enters field2 alone
 ])
-def test_non_finite_in_last_partial_block_names_its_block(full_blocks, bad, field, entry,
-                                                          block):
-    n = full_blocks * fe.BLOCK_POINTS + 5
+def test_non_finite_residual_names_its_block(bad, field, entry, block):
+    n = 5
     ja = random_jet_arrays(np.random.default_rng(6), n)
     getattr(ja, field)[entry + (n - 2,)] = bad
     with pytest.raises(NonFiniteResidual, match=f"in block {block}$"):
         residual_report(ja)
 
 
+# numpy writes a result into an operand of 2**15 float64 points or more
+# that nothing else refers to (temporary elision)
+ELISION_POINTS = 2**15
+
+
+def test_table_operators_leave_their_operands_unchanged():
+    """Each entry of a fresh table is referred to by the table alone, the
+    case in which numpy would reuse it as a result's buffer."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 1.0, ELISION_POINTS)
+    ops = {
+        "T + T^t": lambda T: T + T.swapaxes(0, 1),
+        "T - x": lambda T: T - x,
+        "x - T": lambda T: x - T,
+        "x + T": lambda T: x + T,
+        "T * x": lambda T: T * x,
+        "x * T": lambda T: x * T,
+        "T / x": lambda T: T / x,
+        "-T": lambda T: -T,
+    }
+    for name, op in ops.items():
+        T = fe._Components.build((3, 3), lambda _: rng.uniform(-1.0, 1.0, ELISION_POINTS))
+        held = [e.tobytes() for e in T.c.flat]
+        op(T)
+        assert [e.tobytes() for e in T.c.flat] == held, name
+
+
+def test_report_is_the_same_for_any_batch_shape():
+    """A batch large enough for numpy's temporary elision, as (2**15,) and
+    as (2, 2**14) points: the same bytes, block by block."""
+    ja = random_jet_arrays(np.random.default_rng(13), ELISION_POINTS)
+    flat = residual_report(ja)
+    shape = (2, ELISION_POINTS // 2)
+    rep = residual_report(JetArrays(shape, {key: e.reshape(shape)
+                                            for key, e in ja.entries.items()}))
+    for name in REPORT_FIELDS:
+        ref = getattr(flat, name)
+        assert getattr(rep, name).reshape(ref.shape).tobytes() == ref.tobytes(), name
+    for label, pm in rep.block_point_max().items():
+        assert pm.shape == shape, label
+        assert pm.tobytes() == flat.block_point_max()[label].tobytes(), label
+
+
 def test_zero_blocks_report_zero_maxima():
     form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
-    ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 3 * fe.BLOCK_POINTS))[0])
+    ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 3000))[0])
     results = fe._report_arrays(fe._component_tables(ja))
     zero = [name for name, res in zip(REPORT_FIELDS, results) if res is ZERO]
     assert "jacobi5" in zero
@@ -497,10 +491,10 @@ def test_skipping_zeros_matches_dense_kernels_on_random_jets():
             assert np.max(np.abs(new - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), name
 
 
-def test_skipping_zero_components_matches_dense_kernels_on_random_jets(monkeypatch):
+def test_skipping_zero_components_matches_dense_kernels_on_random_jets():
     """Random jets with a random subset of their components zero, not whole
-    fields: the values of the dense evaluation of the same kernels, the
-    einsum form's within rounding, and the same bytes for any block size."""
+    fields: the values of the dense evaluation of the same kernels, and the
+    einsum form's within rounding."""
     rng = np.random.default_rng(29)
     n = 2 * 64 + 37
     for trial in range(8):
@@ -510,24 +504,17 @@ def test_skipping_zero_components_matches_dense_kernels_on_random_jets(monkeypat
                 if rng.random() < 0.6:
                     getattr(ja, name)[index] = 0.0
         dense = dense_kernel_report(ja)
-        seen = []
-        for block_points in (64, n):
-            monkeypatch.setattr(fe, "BLOCK_POINTS", block_points)
-            rep = residual_report(ja)
-            seen.append([getattr(rep, name).tobytes() for name in REPORT_FIELDS]
-                        + [rep.per_point_max().tobytes()])
-        assert all(out == seen[0] for out in seen[1:]), trial
+        rep = residual_report(ja)
         for name, ref in zip(REPORT_FIELDS, dense):
             assert np.array_equal(getattr(rep, name), ref), (trial, name)
         for name, new, ref in report_pairs(ja):
             assert np.max(np.abs(new - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), name
 
 
-def test_take_keeps_structural_zeros():
+def test_zero_scalar_field_is_a_structural_zero():
     ja = random_jet_arrays(np.random.default_rng(4), 10)
     ja.mu[...] = 0.0
-    sub = fe._component_tables(ja).take(3, 7)
-    assert sub.mu is ZERO and sub.shape == (4,)
+    assert fe._component_tables(ja).mu is ZERO
     assert isinstance(ja.mu, np.ndarray)
 
 
