@@ -337,10 +337,11 @@ def test_stored_maxima_are_the_max_abs_over_components(shape):
     ("dmu", (0,), "e0_mu"),  # e_0(mu) enters bianchi1 alone
     ("dsigma", (0, 1, 2), "e0_sigma"),  # e_0(sigma) enters field2 alone
 ])
-def test_non_finite_residual_names_its_block(bad, field, entry, block):
-    n = 5
-    ja = random_jet_arrays(np.random.default_rng(6), n)
-    getattr(ja, field)[entry + (n - 2,)] = bad
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_non_finite_residual_names_its_block(bad, field, entry, block, shape):
+    """In a 1-D and a 2-D batch, at the next-to-last point."""
+    ja = random_jet_arrays(np.random.default_rng(6), *shape)
+    getattr(ja, field)[entry + tuple(m - 1 for m in shape[:-1]) + (shape[-1] - 2,)] = bad
     with pytest.raises(NonFiniteResidual, match=f"in block {block}$"):
         residual_report(ja)
 
@@ -350,26 +351,28 @@ def test_non_finite_residual_names_its_block(bad, field, entry, block):
 ELISION_POINTS = 2**15
 
 
-def test_table_operators_leave_their_operands_unchanged():
+TABLE_OPS = {
+    "T + T^t": lambda T, x: T + T.swapaxes(0, 1),
+    "T - x": lambda T, x: T - x,
+    "x - T": lambda T, x: x - T,
+    "x + T": lambda T, x: x + T,
+    "T * x": lambda T, x: T * x,
+    "x * T": lambda T, x: x * T,
+    "T / x": lambda T, x: T / x,
+    "-T": lambda T, x: -T,
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_OPS))
+def test_table_operators_leave_their_operands_unchanged(name):
     """Each entry of a fresh table is referred to by the table alone, the
     case in which numpy would reuse it as a result's buffer."""
     rng = np.random.default_rng(11)
     x = rng.uniform(-1.0, 1.0, ELISION_POINTS)
-    ops = {
-        "T + T^t": lambda T: T + T.swapaxes(0, 1),
-        "T - x": lambda T: T - x,
-        "x - T": lambda T: x - T,
-        "x + T": lambda T: x + T,
-        "T * x": lambda T: T * x,
-        "x * T": lambda T: x * T,
-        "T / x": lambda T: T / x,
-        "-T": lambda T: -T,
-    }
-    for name, op in ops.items():
-        T = fe._Components.build((3, 3), lambda _: rng.uniform(-1.0, 1.0, ELISION_POINTS))
-        held = [e.tobytes() for e in T.c.flat]
-        op(T)
-        assert [e.tobytes() for e in T.c.flat] == held, name
+    T = fe._Components.build((3, 3), lambda _: rng.uniform(-1.0, 1.0, ELISION_POINTS))
+    held = [e.tobytes() for e in T.c.flat]
+    TABLE_OPS[name](T, x)
+    assert [e.tobytes() for e in T.c.flat] == held
 
 
 def test_report_is_the_same_for_any_batch_shape():
