@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .frame_equations import JetArrays, NonFiniteResidual
-from .numerics import Grid, cumulative_integral_refined, quadrature
+from .numerics import (Grid, NotAKnotSpline, check_frame_factor, cumulative_integral_refined,
+                       quadrature)
 
 __all__ = [
     "ScaleFactor",
@@ -75,13 +76,14 @@ class ScaleFactor:
 
     @classmethod
     def from_table(cls, zs, values) -> "ScaleFactor":
-        from scipy.interpolate import CubicSpline
-
-        zs = np.asarray(zs, dtype=float)
+        """The not-a-knot cubic spline through the table, equal to scipy's
+        ``CubicSpline`` bit for bit.  Only the nodes are checked for
+        positivity: the spline may dip below zero between them, which its
+        users check where they evaluate it."""
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0.0):
             raise ValueError("tabulated frame factor must be positive")
-        return cls(CubicSpline(zs, values))
+        return cls(NotAKnotSpline(zs, values))
 
 
 @dataclass(frozen=True)
@@ -593,9 +595,14 @@ def _den_on_fine_grid(F: ScaleFactor, slope: float, const: float, grid: Grid):
     """Denominator int_{z0}^{z} (-slope/F) dz' + const on a refined grid.
 
     Returns (fine_grid, den_fine, stride) with original nodes at ::stride.
+    Raises ValueError where F is not positive and finite on a refined grid.
     """
-    fine, vals, stride = cumulative_integral_refined(
-        lambda z: -slope / np.asarray(F(z), dtype=float), grid, fine=True)
+    def integrand(z):
+        Fz = np.asarray(F(z), dtype=float)
+        check_frame_factor([z], [Fz])
+        return -slope / Fz
+
+    fine, vals, stride = cumulative_integral_refined(integrand, grid, fine=True)
     return fine, vals + const, stride
 
 

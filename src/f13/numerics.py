@@ -9,7 +9,8 @@ operations of the list-based step written out above ``_RK4_LOOP`` in the
 same order, so it gives the same bits.  Order-4 central finite
 differences with order-4 one-sided boundary stencils, and cumulative
 composite Simpson quadrature.  All kernels are pure functions
-on uniform grids.
+on uniform grids.  ``NotAKnotSpline`` interpolates a tabulated frame
+factor; it equals scipy's ``CubicSpline`` bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "fd_derivative",
     "quadrature",
     "cumulative_integral_refined",
+    "check_frame_factor",
+    "NotAKnotSpline",
 ]
 
 
@@ -197,19 +200,27 @@ def rk4_integrate(rhs: Callable, y0, grid: Grid, F: Callable) -> Trajectory:
     zk[0] = grid.z0
     stages = (zk, zk + 0.5 * h, zk + h)
     Fs = [np.ascontiguousarray(np.broadcast_to(F(z), z.shape), dtype=float) for z in stages]
-    good = np.stack([(Fz > 0.0) & np.isfinite(Fz) for Fz in Fs], axis=1)
-    if not good.all():
-        k, s = divmod(int(np.argmin(good)), 3)  # first bad abscissa in loop order
-        raise ValueError(
-            f"frame factor must be positive and finite at z={float(stages[s][k])!r}, "
-            f"got {float(Fs[s][k])!r}"
-        )
+    check_frame_factor(stages, Fs)
     buf = array("d", y)  # the trajectory, row-major; ys views it
     k = _rk4_loop(len(y))(rhs, y, buf.append, Fs, h, 0.5 * h, h / 6.0)
     ys = np.frombuffer(buf).reshape(-1, len(y))
     if k is not None:
         raise PoleError(float(zk[k]), ys.copy(), grid)
     return Trajectory(grid, ys)
+
+
+def check_frame_factor(zs, Fs) -> None:
+    """Raise ValueError naming the first abscissa at which the frame factor
+    is not positive and finite.  zs and Fs are sequences of equally long 1-d
+    arrays of abscissae and F values, taken as RK4 takes its stages: entry
+    k of each array in turn."""
+    good = np.stack([(F > 0.0) & np.isfinite(F) for F in Fs], axis=1)
+    if not good.all():
+        k, s = divmod(int(np.argmin(good)), len(Fs))
+        raise ValueError(
+            f"frame factor must be positive and finite at z={float(zs[s][k])!r}, "
+            f"got {float(Fs[s][k])!r}"
+        )
 
 
 # order 4 one-sided stencils (left edge; right edge uses the mirror image)
@@ -290,3 +301,133 @@ def cumulative_integral_refined(fn: Callable, grid: Grid, tol: float = 1e-10,
         if done:
             return (g, vals, factor) if fine else vals[::factor]
     raise ValueError(f"cumulative quadrature did not reach tol={tol}")
+
+
+# points per evaluation block: a block's temporaries (64 KiB each) stay
+# below glibc's default mmap threshold, so they reuse heap memory rather
+# than fault in fresh pages on every call, and they stay in cache
+_BLOCK = 8192
+
+
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve a tridiagonal system (sub-, main and super-diagonal, right-hand
+    side) by LAPACK dgtsv's Gaussian elimination with partial pivoting, in
+    its operation order, so the solution has its bits."""
+    n = len(d)
+    du2 = [0.0] * n  # second super-diagonal, filled by row interchanges
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):  # no row interchange
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    b[-1] = b[-1] / d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return b
+
+
+class NotAKnotSpline:
+    """Not-a-knot cubic spline through (x, y), equal to scipy's
+    ``CubicSpline(x, y)`` bit for bit: the same input checks, slopes,
+    coefficients ``c`` (shape (4, n - 1), highest power first) and values,
+    the end cubics extrapolating.  n = 2 gives the line, bit for bit too,
+    and n = 3 the parabola through the points, to rounding: scipy solves
+    that 3x3 system with LAPACK's dense solver."""
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("`x` must be 1-dimensional.")
+        if x.shape[0] < 2:
+            raise ValueError("`x` must contain at least 2 elements.")
+        if y.shape != x.shape:
+            raise ValueError("The length of `y` along `axis`=0 doesn't match the length of `x`")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("`x` must contain only finite values.")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("`y` must contain only finite values.")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("`x` must be strictly increasing sequence.")
+        n = len(x)
+        slope = np.diff(y) / dx
+        if n == 2:
+            s = np.array([slope[0], slope[0]])
+        elif n == 3:  # the parabola: its slope at x[1] weighs the chords
+            s1 = (dx[1] * slope[0] + dx[0] * slope[1]) / (dx[0] + dx[1])
+            s = np.array([2 * slope[0] - s1, s1, 2 * slope[1] - s1])
+        else:  # CubicSpline's banded system, with both not-a-knot end rows
+            d = np.empty(n)
+            d[1:-1] = 2 * (dx[:-1] + dx[1:])
+            du = np.empty(n - 1)
+            du[1:] = dx[:-1]
+            dl = np.empty(n - 1)
+            dl[:-1] = dx[1:]
+            b = np.empty(n)
+            b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            d[0], du[0] = dx[1], x[2] - x[0]
+            w = x[2] - x[0]
+            b[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / w
+            d[-1], dl[-1] = dx[-2], x[-1] - x[-3]
+            w = x[-1] - x[-3]
+            b[-1] = (dx[-1]**2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
+            s = np.array(_gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+        # the Hermite form of CubicHermiteSpline
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        # scipy's power sum starts from 0.0, which turns a -0.0 in y into 0.0
+        self._terms = (x[:-1], self.c[3] + 0.0, self.c[2], self.c[1], self.c[0])
+
+    def __call__(self, z) -> np.ndarray:
+        """Spline values at z, in z's shape (a 0-d array for a scalar).
+
+        Interval i holds x[i] <= z < x[i + 1], the end intervals open
+        outwards, and the power sum runs in scipy's order.  Points go in
+        blocks of _BLOCK.  For non-decreasing 1-D z (grid points, RK4 stage
+        abscissae) each interval's points are counted, as scipy's
+        find_interval walks them, and its terms repeated that often; any
+        other z (scalars, unsorted or n-d, NaN) looks each point up."""
+        z = np.asarray(z, dtype=float)
+        flat = z.ravel()
+        out = np.empty(flat.shape)
+        inner = self.x[1:-1]
+        ascending = z.ndim == 1 and bool((z[1:] >= z[:-1]).all())
+        edges = np.zeros(len(self.x), dtype=np.intp)
+        for lo in range(0, flat.size, _BLOCK):
+            zb = flat[lo:lo + _BLOCK]
+            if ascending:
+                edges[1:-1] = np.searchsorted(zb, inner, "left")
+                edges[-1] = len(zb)
+                counts = np.diff(edges)
+                x0, c3, c2, c1, c0 = (np.repeat(t, counts) for t in self._terms)
+            else:
+                i = np.searchsorted(inner, zb, "right")
+                x0, c3, c2, c1, c0 = (t.take(i) for t in self._terms)
+            res = out[lo:lo + _BLOCK]
+            s = np.subtract(zb, x0, out=x0)
+            np.multiply(c2, s, out=res)
+            res += c3
+            w = np.multiply(s, s, out=c2)
+            c1 *= w
+            res += c1
+            w *= s
+            c0 *= w
+            res += c0
+        return out.reshape(z.shape)

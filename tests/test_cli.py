@@ -3,7 +3,12 @@
 import csv
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -783,6 +788,106 @@ Omega3 = 1.0
     assert main(["solve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: frame factor must be positive and finite at z=")
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("case, constant", [("a2-branch1", "C = 1.0"),
+                                            ("a2-branch2", "D = -1.0"),
+                                            ("a1-shearless", "C = 1.0")],
+                         ids=["a2-branch1", "a2-branch2", "a1-shearless"])
+def test_branch_on_a_frame_factor_below_zero_is_config_error(tmp_path, capsys, command,
+                                                             case, constant):
+    """The branches integrate 1/F; where the spline dips below zero they name
+    the first bad grid point, as the RK4 cases do, instead of reporting a
+    quadrature that does not converge."""
+    table = frame_table(tmp_path / "dip.csv", [(0.0, 1.0), (0.25, 0.02), (0.5, 0.02),
+                                               (0.75, 1.0), (1.0, 1.0)])
+    output = f"output = {tmp_path / 'dip_out.csv'}\n" if command == "solve" else ""
+    cfg = write(tmp_path / "dip.cfg", f"""\
+[scenario]
+case = {case}
+{output}
+[frame]
+F_table = {table}
+
+[constants]
+{constant}
+
+[grid]
+z0 = 0.0
+z1 = 1.0
+N = 200
+""")
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: frame factor must be positive and finite "
+                                   "at z=0.26, got -0.00207")
+    assert not (tmp_path / "dip_out.csv").exists()
+
+
+def run_python(args, cwd):
+    """A fresh interpreter that imports f13 from this checkout."""
+    src = str(Path(fe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_solve_and_verify_with_a_frame_table_run_without_scipy(tmp_path):
+    """scipy is a test-only dependency: a tabulated frame factor needs only numpy."""
+    table = frame_table(tmp_path / "F.csv", [(z, 1.0 + 0.1 * z * z) for z in
+                                             np.linspace(0.0, 1.0, 11).tolist()])
+    solve = write(tmp_path / "a1.cfg", A1_SOLVE.format(out=tmp_path / "a1.csv")
+                  .replace("F = 1.0", f"F_table = {table}"))
+    verify = write(tmp_path / "b1.cfg", f"""\
+[scenario]
+case = a2-branch1
+
+[frame]
+F_table = {table}
+
+[constants]
+C = 1.0
+
+[grid]
+z0 = 0.0
+z1 = 0.4
+N = 200
+""")
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from f13.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["solve", "--config", solve], ["verify", "--config", verify]):
+        proc = run_python(["-c", code, *argv], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1].startswith("RESULT pass max_residual=")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_main_lets_numpy_temporaries_reuse_heap_pages(tmp_path):
+    """After main, four live 1 MiB arrays at a time come from the heap and
+    stay there: allocating them again faults no fresh pages in, where glibc's
+    default thresholds map and unmap each one afresh."""
+    code = textwrap.dedent("""\
+        import resource
+        import numpy as np
+        from f13.cli import main
+        main(["spinor", "--state", "missing.txt"])
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 17) for _ in range(4)]
+        del arrays
+        before = faults()
+        for _ in range(10):
+            arrays = [np.ones(1 << 17) for _ in range(4)]
+            del arrays
+        print(faults() - before)
+    """)
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100  # each round maps 4 x 256 pages without it
 
 
 def test_grid_outside_frame_table_is_config_error(tmp_path, capsys):
