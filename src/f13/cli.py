@@ -22,7 +22,7 @@ import io
 import math
 import sys
 import warnings
-from functools import partial
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -474,15 +474,14 @@ def _perturbed(jet: cf.SpecialJet, delta: float) -> cf.SpecialJet:
 
 
 def _verify_blocks(jet: cf.SpecialJet):
-    """Per-block max residuals with the grid row of the worst entry."""
+    """Per-block max residuals with the grid row of the worst entry.  Each
+    special report is dropped before the next report is built."""
     zs = jet.z
     results = []
-    b = cf.bianchi_special_residuals(jet)
-    name, idx, val = b.worst()
-    results.append(("special-bianchi", val, zs[idx], name))
-    re = cf.ricci_einstein_residuals(jet)
-    name, idx, val = re.worst()
-    results.append(("ricci-einstein", val, zs[idx], name))
+    for title, system in (("special-bianchi", cf.bianchi_special_residuals),
+                          ("ricci-einstein", cf.ricci_einstein_residuals)):
+        label, j, val = system(jet).worst()
+        results.append((title, val, zs[j], label))
     rep = _threaded_report(cf.embed_special(jet))
     for label, (j, val) in rep.block_worst().items():
         results.append((f"frame-{label}", val, zs[j], ""))
@@ -712,29 +711,28 @@ def run_residual(table_path: str, system: str, out_path: str | None,
     coord, grid, cols = _read_table(table_path)
     zs = cols[coord]
     if system == "general":
-        rep = _threaded_report(_jet_arrays_from_table(coord, grid, cols))
-        per_block = rep.block_point_max()
-        header = [coord, *per_block, "max"]
-        columns = [zs, *per_block.values(), rep.per_point_max()]
-        summary = rep.block_norms()
-        worst = rep.max_residual()
+        reports = [_threaded_report(_jet_arrays_from_table(coord, grid, cols))]
     else:
         jet = _special_jet_from_table(coord, grid, cols)
         if system == "special":
-            parts = [cf.bianchi_special_residuals(jet)]
+            reports = [cf.bianchi_special_residuals(jet)]
             if cf.is_gauge_reduced(jet):
-                parts.append(cf.ricci_einstein_residuals(jet))
+                reports.append(cf.ricci_einstein_residuals(jet))
             else:
                 print("note: state is not gauge-reduced; RE block skipped")
-            parts.append(_ansatz_checks(cols, np.zeros(len(zs))))
-            vec = cf.ResidualVector(sum((v.names for v in parts), ()),
-                                    sum((v.entries for v in parts), ()))
+            reports.append(_ansatz_checks(cols, np.zeros(len(zs))))
         else:
-            vec = cf.futurework_residuals(jet)
-        header = [coord, *vec.names, "max"]
-        columns = [zs, *vec.values, vec.per_point_max()]
-        summary = vec.entry_max()
-        worst = vec.max_abs()
+            reports = [cf.futurework_residuals(jet)]
+    # the general CSV holds each block's max-abs per point, the special ones
+    # each signed entry
+    summary, columns = {}, [zs]
+    for rep in reports:
+        summary |= rep.block_norms()
+        columns += (rep.block_point_max().values() if system == "general"
+                    else [arr for _, arr in rep.blocks()])
+    columns.append(reduce(np.maximum, (rep.per_point_max() for rep in reports)))
+    header = [coord, *summary, "max"]
+    worst = max(summary.values())
 
     if out_path:
         _write_csv(out_path, header, columns)
@@ -747,7 +745,7 @@ def run_residual(table_path: str, system: str, out_path: str | None,
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _ansatz_checks(cols: dict, zero: np.ndarray) -> cf.ResidualVector:
+def _ansatz_checks(cols: dict, zero: np.ndarray) -> ResidualReport:
     """Deviations from the diagonal elastic ansatz that the 17-entry system
     does not itself encode (reported as extra diagnostics).  An absent pi22
     or mu column takes its ansatz value, as the jet builder does."""
@@ -763,7 +761,7 @@ def _ansatz_checks(cols: dict, zero: np.ndarray) -> cf.ResidualVector:
         np.abs(col("pi23")),
         np.abs(col("mu") - 3.0 * col("p")) if "mu" in cols else zero,
     ]
-    return cf.ResidualVector(names, rows)
+    return ResidualReport.of_entries(zero.shape, names, rows)
 
 
 # ---------------------------------------------------------------------------

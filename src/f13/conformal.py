@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frame_equations import JetArrays, NonFiniteResidual
+from .frame_equations import JetArrays, ResidualReport
 from .numerics import (Grid, NotAKnotSpline, check_frame_factor, cumulative_integral_refined,
                        quadrature)
 
@@ -27,7 +27,6 @@ __all__ = [
     "ScalarProfile",
     "SPECIAL_NAMES",
     "SpecialJet",
-    "ResidualVector",
     "CaseA1ClosedForm",
     "BranchFamily",
     "BranchFields",
@@ -156,59 +155,6 @@ class SpecialJet(JetArrays):
         return SpecialJet.build(self.z, value | values, *deriv)
 
 
-class ResidualVector:
-    """Named residual entries, each a scalar or a batch array.
-
-    Entries are held as given (as float arrays), each of a shape that
-    broadcasts to the batch shape; a scalar entry stands for the same value
-    at every batch entry.  Each entry's max-abs over the batch is taken
-    once, at construction, on the entry alone (a 0-d entry is its own max);
-    ``entry_max``, ``max_abs``, ``worst`` and the finite check read it.
-    ``values``, the entries stacked to shape (len(names),) + batch, is built
-    only when read.
-    """
-
-    def __init__(self, names, entries):
-        self.names = tuple(names)
-        self.entries = tuple(np.asarray(e, dtype=float) for e in entries)
-        if len(self.entries) != len(self.names):
-            raise ValueError("names/entries length mismatch")
-        self.shape = np.broadcast_shapes(*(e.shape for e in self.entries))
-        # a nan or an inf survives the max-abs; an empty batch holds no value
-        empty = math.prod(self.shape) == 0
-        top = np.array([0.0 if empty else np.max(np.abs(e), initial=0.0) for e in self.entries])
-        finite = np.isfinite(top)
-        if not finite.all():
-            name = self.names[int(np.argmin(finite))]
-            raise NonFiniteResidual(f"non-finite residual entry {name}")
-        self._entry_max = top
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.stack(np.broadcast_arrays(*self.entries))
-
-    def entry_max(self) -> dict[str, float]:
-        return dict(zip(self.names, self._entry_max.tolist()))
-
-    def max_abs(self) -> float:
-        return float(np.max(self._entry_max))
-
-    def per_point_max(self) -> np.ndarray:
-        """Max-abs over the entries, per batch entry."""
-        out = np.empty(self.shape)
-        np.abs(self.entries[0], out=out)
-        for e in self.entries[1:]:
-            np.maximum(out, np.abs(e), out=out)
-        return out
-
-    def worst(self) -> tuple[str, int, float]:
-        """(entry name, flat batch index, |value|) of the largest residual:
-        the first entry holding it, at its first batch index."""
-        i = int(np.argmax(self._entry_max))
-        j = int(np.argmax(np.abs(np.broadcast_to(self.entries[i], self.shape))))
-        return self.names[i], j, float(self._entry_max[i])
-
-
 # ---------------------------------------------------------------------------
 # reduced curvature map and the specialized systems
 # ---------------------------------------------------------------------------
@@ -226,7 +172,7 @@ def special_ricci(p, pi11):
 B_NAMES = tuple(f"b{i}" for i in range(1, 18))
 
 
-def bianchi_special_residuals(jet: SpecialJet) -> ResidualVector:
+def bianchi_special_residuals(jet: SpecialJet) -> ResidualReport:
     """Seventeen-entry residual vector of the specialized Bianchi system.
 
     Entries 1-8 are derivative equations, 9-14 algebraic constraints, and
@@ -271,7 +217,7 @@ def bianchi_special_residuals(jet: SpecialJet) -> ResidualVector:
         ),
         np.abs(np.asarray(s.n11) - s.n22),
     ]
-    return ResidualVector(B_NAMES, entries)
+    return ResidualReport.of_entries(jet.shape, B_NAMES, entries)
 
 
 _GAUGE_ZEROED = (
@@ -306,7 +252,7 @@ RE_NAMES = (
 )
 
 
-def ricci_einstein_residuals(jet: SpecialJet) -> ResidualVector:
+def ricci_einstein_residuals(jet: SpecialJet) -> ResidualReport:
     """Residuals of the reduced Ricci/Einstein system.
 
     Requires a gauge-reduced state; the two-sided zero equations contribute
@@ -337,7 +283,9 @@ def ricci_einstein_residuals(jet: SpecialJet) -> ResidualVector:
            - 3.0 * s.p + np.asarray(s.udot3) ** 2 - 2.0 * s.a3 * s.udot3),
         (np.asarray(e1.n11) - 2.0 * np.asarray(e3.a2))
         - (2.0 * s.a1 * s.n11 - 2.0 * s.a3 * s.a2),
-        (2.0 * np.asarray(e3.a1) - e2.n11)
+        # 2 e3(a1) + e2(n11), written so that an absent e2(n11) (0.0) leaves
+        # 2 e3(a1) as it is, the sign of a zero included
+        -(-2.0 * np.asarray(e3.a1) - e2.n11)
         - (2.0 * s.a2 * s.n11 + 2.0 * s.a3 * s.a1),
         (np.asarray(e0.a1) - 0.5 * np.asarray(e2.Omega3))
         - (-third * s.a1 * s.Theta - s.a1 * s.sigma11 - s.a2 * s.Omega3),
@@ -352,7 +300,7 @@ def ricci_einstein_residuals(jet: SpecialJet) -> ResidualVector:
         np.asarray(e1.Theta),
         np.asarray(e2.Theta),
     ]
-    return ResidualVector(RE_NAMES, entries)
+    return ResidualReport.of_entries(jet.shape, RE_NAMES, entries)
 
 
 FW_NAMES = (
@@ -364,7 +312,7 @@ FW_NAMES = (
 )
 
 
-def futurework_residuals(jet: SpecialJet) -> ResidualVector:
+def futurework_residuals(jet: SpecialJet) -> ResidualReport:
     """Residual-only evaluation of the future-work system.
 
     Non-rotating, non-accelerated data with n = 0, a = (0, 0, a3) and
@@ -403,7 +351,7 @@ def futurework_residuals(jet: SpecialJet) -> ResidualVector:
         np.asarray(e2.Omega3),
         np.asarray(e3.Omega3),
     ]
-    return ResidualVector(FW_NAMES, entries)
+    return ResidualReport.of_entries(jet.shape, FW_NAMES, entries)
 
 
 # ---------------------------------------------------------------------------

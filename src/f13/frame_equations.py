@@ -57,6 +57,7 @@ averaged away.
 from __future__ import annotations
 
 import logging
+import math
 import operator
 
 import numpy as np
@@ -73,6 +74,7 @@ from .core import (
 
 __all__ = [
     "COMPONENT_NAMES",
+    "GENERAL_BLOCKS",
     "JetArrays",
     "NonFiniteResidual",
     "ResidualReport",
@@ -362,7 +364,11 @@ def _nonzero_components(x, comp: tuple) -> list:
 
 def _dense(x, comp: tuple, shape: tuple) -> np.ndarray:
     """A field or kernel result of component shape ``comp`` as one
-    component-major array of batch shape ``shape``, +0.0 where ``ZERO``."""
+    component-major array of batch shape ``shape``, +0.0 where ``ZERO``;
+    a scalar that is not ``ZERO`` as a read-only view broadcast to
+    ``shape``."""
+    if not comp and x is not ZERO:
+        return np.broadcast_to(x, shape)
     out = np.zeros(comp + shape)
     for component, e in _nonzero_components(x, comp):
         out[component] = e
@@ -806,77 +812,85 @@ class NonFiniteResidual(ValueError):
     """A residual came out NaN or infinite; the message names its block."""
 
 
+# the blocks of the general system: label -> component shape, in report order
+GENERAL_BLOCKS = {
+    "field1": (),
+    "field2": (3, 3),
+    "field3": (),
+    "field4": (3,),
+    "jacobi1": (3,),
+    "jacobi2": (3, 3),
+    "jacobi3": (3,),
+    "jacobi4": (3,),
+    "jacobi5": (),
+    "bianchi1": (),
+    "bianchi2": (3,),
+    "bianchi3": (3, 3),
+    "bianchi4": (3, 3),
+    "bianchi5": (3,),
+    "divH": (3,),
+}
+
+
 class ResidualReport:
-    """All residual blocks of the general system, possibly batched.
+    """Residual blocks on a batch of batch shape S: the general system's,
+    or one scalar block per entry of a reduced system.
 
-    The report keeps what the kernels produced: for each block, its result
-    on the whole batch, with its nonzero components held by reference, and
-    its max-abs over those components at every batch entry, taken at
-    construction (``ZERO`` for a block whose every component the kernels
-    returned as ``ZERO``).  Every reduction below is read from the maxima,
-    and a non-finite block fails construction.  Norms are max-abs over every
-    component (and over the batch).
+    ``blocks`` maps each block's label, in order, to its component shape
+    and its result: a table of components, one array, or ``ZERO``.  The
+    report keeps each result as given, its nonzero components held by
+    reference, and takes at construction each block's max-abs over those
+    components at every batch entry (``ZERO`` for a block whose every
+    component is ``ZERO``).  A block's components share one shape, which
+    broadcasts to S: a 0-d entry keeps a 0-d maximum.  Every reduction
+    below is read from the maxima, and a non-finite block fails
+    construction.  Norms are max-abs over every component (and over the
+    batch; an empty batch holds no value).
 
-    A block's array (``rep.e0_theta``, ..., ``blocks()``) is built from its
-    result on its first read and kept: tensor character and the
-    component-major layout, components + S, with +0.0 in every ``ZERO``
-    component.  A kernel result may be an array of the jet itself
-    (``x + ZERO`` is ``x``), so the jet must not change while the report is
-    read.
+    ``block(label)`` and ``blocks()`` build a block's array from its result
+    on each read: tensor character and the component-major layout,
+    components + S, with +0.0 in every ``ZERO`` component; a scalar block
+    reads as a broadcast view of its result.  A result may be an array of
+    the jet itself (``x + ZERO`` is ``x``), so the jet must not change while
+    the report is read.
     """
 
-    # report field: (block label, component shape)
-    BLOCKS = {
-        "e0_theta": ("field1", ()),
-        "e0_sigma": ("field2", (3, 3)),
-        "gauss": ("field3", ()),
-        "codazzi": ("field4", (3,)),
-        "e0_a": ("jacobi1", (3,)),
-        "e0_n": ("jacobi2", (3, 3)),
-        "e0_omega": ("jacobi3", (3,)),
-        "jacobi4": ("jacobi4", (3,)),
-        "jacobi5": ("jacobi5", ()),
-        "e0_mu": ("bianchi1", ()),
-        "e0_q": ("bianchi2", (3,)),
-        "e0_E_pi": ("bianchi3", (3, 3)),
-        "e0_H": ("bianchi4", (3, 3)),
-        "div_E": ("bianchi5", (3,)),
-        "div_H": ("divH", (3,)),
-    }
-
-    def __init__(self, shape: tuple, results: tuple):
-        """``results`` holds the kernel results in field order."""
+    def __init__(self, shape: tuple, blocks: dict):
         self.shape = tuple(shape)
-        self._results = dict(zip(self.BLOCKS, results, strict=True))
+        self._blocks = blocks
         self._point_max = {}
         self._norms = {}
-        for name, (label, comp) in self.BLOCKS.items():
-            live = [e for _, e in _nonzero_components(self._results[name], comp)]
+        empty = math.prod(self.shape) == 0
+        for label, (comp, result) in blocks.items():
+            live = [e for _, e in _nonzero_components(result, comp)]
             pm = ZERO
             if live:
-                pm = np.empty(self.shape)
+                pm = np.empty(np.shape(live[0]))
                 np.abs(live[0], out=pm)
                 for e in live[1:]:
                     np.maximum(pm, np.abs(e), out=pm)
                 pm.flags.writeable = False
             # a nan or an inf survives the max-abs, and so the max over points
-            norm = 0.0 if pm is ZERO else float(np.max(pm, initial=0.0))
+            norm = 0.0 if pm is ZERO or empty else float(np.max(pm))
             if not np.isfinite(norm):
-                raise NonFiniteResidual(f"non-finite residual in block {name}")
+                raise NonFiniteResidual(f"non-finite residual in block {label}")
             self._point_max[label] = pm
             self._norms[label] = norm
 
-    def __getattr__(self, name):
-        # only reached while the block's array is not yet built
-        if name not in self.BLOCKS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        arr = _dense(self._results[name], self.BLOCKS[name][1], self.shape)
-        setattr(self, name, arr)
-        return arr
+    @staticmethod
+    def of_entries(shape: tuple, names, entries) -> "ResidualReport":
+        """The report of one scalar block per named entry, each a number or
+        an array that broadcasts to ``shape``."""
+        return ResidualReport(shape, {name: ((), e)
+                                      for name, e in zip(names, entries, strict=True)})
+
+    def block(self, label: str) -> np.ndarray:
+        comp, result = self._blocks[label]
+        return _dense(result, comp, self.shape)
 
     def blocks(self):
-        for name, (label, _) in self.BLOCKS.items():
-            yield label, getattr(self, name)
+        for label in self._blocks:
+            yield label, self.block(label)
 
     def block_norms(self) -> dict[str, float]:
         return dict(self._norms)
@@ -885,21 +899,29 @@ class ResidualReport:
         return max(self._norms.values())
 
     def block_point_max(self) -> dict[str, np.ndarray]:
-        """Each block's max-abs over its components, per batch entry; the
-        ``ZERO`` blocks share one read-only zero array."""
+        """Each block's max-abs over its components, per batch entry, in the
+        shape of its components; the ``ZERO`` blocks share one read-only
+        zero array of shape S."""
         zeros = np.zeros(self.shape)
         zeros.flags.writeable = False
         return {label: zeros if pm is ZERO else pm for label, pm in self._point_max.items()}
+
+    def _worst(self, label: str) -> tuple[int, float]:
+        pm = self._point_max[label]
+        j = 0 if pm is ZERO else int(np.argmax(np.broadcast_to(pm, self.shape)))
+        return j, self._norms[label]
 
     def block_worst(self) -> dict[str, tuple[int, float]]:
         """Each block's largest residual as (flat batch index, value): its
         first batch index holding the block's norm; a ``ZERO`` block reads
         (0, 0.0)."""
-        out = {}
-        for label, pm in self._point_max.items():
-            j = 0 if pm is ZERO else int(np.argmax(pm))
-            out[label] = (j, self._norms[label])
-        return out
+        return {label: self._worst(label) for label in self._point_max}
+
+    def worst(self) -> tuple[str, int, float]:
+        """(label, flat batch index, value) of the largest residual: the
+        first block holding it, at its first batch index."""
+        label = max(self._norms, key=self._norms.get)
+        return (label, *self._worst(label))
 
     def per_point_max(self) -> np.ndarray:
         """Max-abs residual over every block, per batch entry."""
@@ -923,7 +945,8 @@ def residual_report(jet) -> ResidualReport:
     left as it is.
     """
     ja = _component_tables(_as_arrays(jet))
-    return ResidualReport(ja.shape, _report_arrays(ja))
+    results = zip(GENERAL_BLOCKS.items(), _report_arrays(ja), strict=True)
+    return ResidualReport(ja.shape, {label: (comp, res) for (label, comp), res in results})
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def _batch_first(ja):
 
 
 def report_arrays(ja):
-    """The 15 residual arrays, in ``ResidualReport`` field order and layout:
+    """The 15 residual arrays, in ``GENERAL_BLOCKS`` order and the report layout:
     evaluated batch-first, returned with the batch axes moved back last."""
     k = len(ja.shape)
     bf = _batch_first(ja)

@@ -57,8 +57,8 @@ def test_criterion_1_closed_form_master_check():
                 grid, _ = form.clip_grid(base)
                 jet, _ = form.jet(grid)
                 m = max(
-                    cf.bianchi_special_residuals(jet).max_abs(),
-                    cf.ricci_einstein_residuals(jet).max_abs(),
+                    cf.bianchi_special_residuals(jet).max_residual(),
+                    cf.ricci_einstein_residuals(jet).max_residual(),
                     residual_report(cf.embed_special(jet)).max_residual(),
                 )
                 worst = max(worst, m)

@@ -261,22 +261,19 @@ def test_verify_pass_and_perturbed_fail(tmp_path, capsys):
 
 def test_verify_and_full_check_build_no_dense_array(tmp_path, capsys, monkeypatch):
     """verify and solve full_check print maxima and their locations only:
-    no report block array and no stacked special residual vector."""
+    no block array of any report, general or special."""
     built = []
-    dense, values = fe._dense, cf.ResidualVector.values
+    dense = fe._dense
     monkeypatch.setattr(fe, "_dense", lambda *args: built.append("block") or dense(*args))
-    monkeypatch.setattr(cf.ResidualVector, "values",
-                        property(lambda vec: built.append("values") or values.fget(vec)))
     assert run_verify(write(tmp_path / "v.cfg", VERIFY_A1.format(A=0.0, extra=""))) == 0
     cfg = write(tmp_path / "fc.cfg", A1_SOLVE.format(out=tmp_path / "fc.csv").replace(
         "output = ", "full_check = true\noutput = "))
     assert main(["solve", "--config", cfg]) == 0
     assert "frame-suite" in capsys.readouterr().out
     assert built == []
-    # a block read and a values read do build them
-    fe.residual_report(fe.JetArrays((3,), {})).e0_theta
-    cf.ResidualVector(("x",), [0.0]).values
-    assert built == ["block", "values"]
+    # a block read does build it
+    fe.residual_report(fe.JetArrays((3,), {})).block("field1")
+    assert built == ["block"]
 
 
 def test_verify_branch_cases_agree(tmp_path, capsys):
@@ -1062,7 +1059,7 @@ def test_verify_a1_overflowing_residual_fails_without_traceback(tmp_path, capsys
         assert main(["verify", "--config", cfg]) == 4
     out, err = capsys.readouterr()
     lines = out.splitlines()
-    assert lines[-2].startswith("note: non-finite residual entry ")
+    assert lines[-2].startswith("note: non-finite residual in block ")
     assert lines[-1] == "RESULT fail max_residual=inf"
     assert err == ""
 
@@ -1070,16 +1067,16 @@ def test_verify_a1_overflowing_residual_fails_without_traceback(tmp_path, capsys
 def test_residual_overflowing_cell_fails_without_traceback(tmp_path, capsys):
     rows = ["z,p,mu"] + [f"{0.1 * i},{'1e308' if i == 3 else '0.5'},1.5" for i in range(8)]
     table = write(tmp_path / "huge.csv", "\n".join(rows) + "\n")
-    notes = {"general": "note: non-finite residual in block ",
-             "special": "note: non-finite residual entry ",
-             "futurework": "note: non-finite residual entry "}
+    notes = {"general": "note: non-finite residual in block field1",
+             "special": "note: non-finite residual in block b7",
+             "futurework": "note: non-finite residual in block BS4_e3p"}
     for system, note in notes.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["residual", "--table", table, "--system", system]) == 4, system
         out, err = capsys.readouterr()
         lines = out.splitlines()
-        assert lines[-2].startswith(note), system
+        assert lines[-2] == note, system
         assert lines[-1] == "RESULT fail max_residual=inf", system
         assert err == "", system
 

@@ -8,7 +8,7 @@ from f13 import conformal as cf
 from f13 import frame_equations as fe
 from f13.cli import _perturbed
 from f13.core import MatterState, ThreeVector, TracefreeSymThree
-from f13.frame_equations import ZERO, NonFiniteResidual, residual_report
+from f13.frame_equations import ZERO, NonFiniteResidual, ResidualReport, residual_report
 from f13.numerics import Grid, rk4_integrate
 from f13.spinors import ricci_spinor
 
@@ -47,18 +47,18 @@ def test_special_ricci_matches_general_map():
 
 def test_bianchi_special_zero_state():
     vec = cf.bianchi_special_residuals(zero_jet())
-    assert vec.max_abs() == 0.0
-    assert vec.names == cf.B_NAMES
-    assert len(vec.names) == 17
+    assert vec.max_residual() == 0.0
+    assert tuple(vec.block_norms()) == cf.B_NAMES
+    assert len(cf.B_NAMES) == 17
 
 
 def test_bianchi_special_b16_entry():
     s = dict(sigma11=0.3, sigma22=0.5)
     vec = cf.bianchi_special_residuals(cf.SpecialJet.build(0.0, s))
-    assert vec.entry_max()["b16"] == pytest.approx(0.2, rel=1e-14)
+    assert vec.block_norms()["b16"] == pytest.approx(0.2, rel=1e-14)
     s = dict(omega3=0.7)
     vec = cf.bianchi_special_residuals(cf.SpecialJet.build(0.0, s))
-    assert vec.entry_max()["b15"] == 0.7
+    assert vec.block_norms()["b15"] == 0.7
 
 
 def test_gauge_reduce():
@@ -82,7 +82,7 @@ def test_gauge_reduce():
     # (b9)-(b14) vanish identically on reduced states
     vec = cf.bianchi_special_residuals(red)
     for name in ("b9", "b10", "b11", "b12", "b13", "b14"):
-        assert vec.entry_max()[name] == 0.0
+        assert vec.block_norms()[name] == 0.0
 
 
 def test_ricci_einstein_requires_reduction():
@@ -93,8 +93,9 @@ def test_ricci_einstein_requires_reduction():
 
 def test_ricci_einstein_zero_jet():
     vec = cf.ricci_einstein_residuals(zero_jet())
-    assert vec.max_abs() == 0.0
-    assert len(vec.names) == 18
+    assert vec.max_residual() == 0.0
+    assert tuple(vec.block_norms()) == cf.RE_NAMES
+    assert len(cf.RE_NAMES) == 18
 
 
 # the variables (b15)-(b17) pin: left at their ansatz values
@@ -120,49 +121,95 @@ def random_special_jet(rng, n, reduced=False):
     return cf.SpecialJet.build(np.zeros(n), *slots)
 
 
-def assert_projections(entries: dict, projections: dict):
-    """Each reduced entry equals its combination of general residuals."""
-    for name, combination in projections.items():
-        err = np.max(np.abs(entries[name] - combination))
+# Every projectable reduced entry as its combination of general residual
+# components: [(coefficient, block label, component index), ...].  The
+# special Bianchi entries hold on jets that hold (b15)-(b17)
+# (random_special_jet), the RE entries on jets that are gauge-reduced in
+# every slot and hold (RE11)-(RE14) (random_special_jet(reduced=True)).
+# b15-b17, RE11-RE14 and the ansatz checks are the reduction's own content.
+PROJECTIONS = {
+    "b1": [(1 / 3, "bianchi1", ())],
+    "b2": [(1 / 3, "bianchi3", (0, 0)), (1 / 3, "bianchi3", (1, 1)),
+           (-2 / 3, "bianchi3", (2, 2))],
+    "b3": [(-1 / 3, "bianchi4", (1, 2)), (-1 / 3, "bianchi4", (2, 1)), (-1, "bianchi5", (0,))],
+    "b4": [(-2 / 3, "bianchi4", (1, 2)), (-2 / 3, "bianchi4", (2, 1))],
+    "b5": [(1 / 3, "bianchi4", (0, 2)), (1 / 3, "bianchi4", (2, 0)), (-1, "bianchi5", (1,))],
+    "b6": [(2 / 3, "bianchi4", (0, 2)), (2 / 3, "bianchi4", (2, 0))],
+    "b7": [(1 / 3, "bianchi2", (2,)), (-2 / 3, "bianchi5", (2,))],
+    "b8": [(-1 / 3, "bianchi2", (2,)), (-1 / 3, "bianchi5", (2,))],
+    "b9": [(1, "bianchi2", (0,)), (1, "bianchi4", (1, 2)), (1, "bianchi4", (2, 1)),
+           (1, "bianchi5", (0,))],
+    "b10": [(1, "bianchi2", (1,)), (-1, "bianchi4", (0, 2)), (-1, "bianchi4", (2, 0)),
+            (1, "bianchi5", (1,))],
+    "b11": [(-1 / 2, "bianchi3", (0, 2)), (-1 / 2, "bianchi3", (2, 0))],
+    "b12": [(-1 / 2, "bianchi3", (1, 2)), (-1 / 2, "bianchi3", (2, 1))],
+    "b13": [(1, "divH", (0,))],
+    "b14": [(1, "divH", (1,))],
+    "RE1": [(1 / 2, "field4", (2,)), (1, "jacobi1", (2,))],
+    "RE2": [(-1 / 2, "field3", ())],
+    "RE3": [(-1 / 6, "field2", (0, 0)), (-1 / 6, "field2", (1, 1)), (1 / 3, "field2", (2, 2)),
+            (-1 / 3, "field3", ())],
+    "RE4": [(-1 / 2, "field4", (2,))],
+    "RE5": [(1 / 2, "jacobi2", (0, 0)), (1 / 2, "jacobi2", (1, 1))],
+    "RE6": [(1, "field1", ())],
+    "RE7": [(-1 / 3, "field2", (1, 2)), (-1 / 3, "field2", (2, 1)), (2 / 3, "jacobi4", (0,))],
+    "RE8": [(1 / 3, "field2", (0, 2)), (1 / 3, "field2", (2, 0)), (2 / 3, "jacobi4", (1,))],
+    "RE9": [(1 / 3, "jacobi1", (0,)), (1 / 3, "jacobi2", (1, 2)), (1 / 3, "jacobi2", (2, 1))],
+    "RE10": [(1 / 3, "jacobi1", (1,)), (-1 / 3, "jacobi2", (0, 2)),
+             (-1 / 3, "jacobi2", (2, 0))],
+}
+
+
+def assert_projections(reduced: ResidualReport, general: ResidualReport, names):
+    """Each named reduced entry equals its combination of general residuals."""
+    for name in names:
+        combination = sum(c * general.block(label)[index]
+                          for c, label, index in PROJECTIONS[name])
+        err = np.max(np.abs(reduced.block(name) - combination))
         assert err <= 1e-14 * np.max(np.abs(combination)), (name, err)
 
 
 def test_special_bianchi_entries_are_projections_of_the_general_system():
     jet = random_special_jet(np.random.default_rng(41), 4000)
-    rep = residual_report(cf.embed_special(jet))
-    E, H = rep.e0_E_pi, rep.e0_H
-    assert_projections(dict(zip(cf.B_NAMES, cf.bianchi_special_residuals(jet).entries)), {
-        "b1": rep.e0_mu / 3.0,
-        "b2": (E[0, 0] + E[1, 1]) / 3.0 - (2.0 / 3.0) * E[2, 2],
-        "b4": -(2.0 / 3.0) * (H[1, 2] + H[2, 1]),
-        "b13": rep.div_H[0],
-    })
+    assert_projections(cf.bianchi_special_residuals(jet), residual_report(cf.embed_special(jet)),
+                       cf.B_NAMES[:14])
 
 
 def ricci_einstein_and_general(seed):
     jet = random_special_jet(np.random.default_rng(seed), 4000, reduced=True)
-    entries = dict(zip(cf.RE_NAMES, cf.ricci_einstein_residuals(jet).entries))
-    assert not any(entries[name].any() for name in cf.RE_NAMES[10:])  # RE11-RE14
-    return entries, residual_report(cf.embed_special(jet))
+    reduced = cf.ricci_einstein_residuals(jet)
+    assert not any(reduced.block(name).any() for name in cf.RE_NAMES[10:])  # RE11-RE14
+    return reduced, residual_report(cf.embed_special(jet))
 
 
 def test_ricci_einstein_entries_are_projections_of_the_general_system():
-    entries, rep = ricci_einstein_and_general(43)
-    assert_projections(entries, {
-        "RE2": -0.5 * rep.gauss,
-        "RE4": -0.5 * rep.codazzi[2],
-        "RE6": rep.e0_theta,
-    })
+    assert_projections(*ricci_einstein_and_general(43),
+                       [name for name in cf.RE_NAMES[:10] if name != "RE8"])
 
 
-@pytest.mark.xfail(strict=True, reason="RE8 carries - e2(n11) where the general system "
-                   "implies + e2(n11) (open FOUND in CHANGES.md); the fix changes the "
-                   "pinned residual CSV bytes")
 def test_re8_is_a_projection_of_the_general_system():
-    entries, rep = ricci_einstein_and_general(47)
-    assert_projections(entries, {
-        "RE8": (2.0 / 3.0) * rep.jacobi4[1] + (rep.e0_sigma[0, 2] + rep.e0_sigma[2, 0]) / 3.0,
-    })
+    """RE8 reads 2 e3(a1) + e2(n11); e2(n11) is nonzero on these jets."""
+    reduced, general = ricci_einstein_and_general(47)
+    assert reduced.block_norms()["RE8"] > 0.1
+    assert_projections(reduced, general, ["RE8"])
+
+
+def test_re8_without_an_e2_slot_keeps_the_bytes_of_2_e3_a1_minus_e2_n11():
+    """With no e2(n11) entry (every table, solve and verify jet), RE8 gives
+    the bits of the form it replaced, 2 e3(a1) - e2(n11), signed zeros
+    included."""
+    rng = np.random.default_rng(53)
+    n = 2000
+    value, e3 = ({name: np.where(rng.random(n) < 0.3, rng.choice([0.0, -0.0], n),
+                                 rng.uniform(-1.0, 1.0, n))
+                  for name in ("a1", "a2", "a3", "n11")} for _ in range(2))
+    value.update(n23=value["a1"], n13=-value["a2"])
+    jet = cf.SpecialJet.build(np.zeros(n), value, e3=e3)
+    s, e2 = jet.value, jet.deriv[2]
+    old = ((2.0 * np.asarray(jet.deriv[3].a1) - e2.n11)
+           - (2.0 * s.a2 * s.n11 + 2.0 * s.a3 * s.a1))
+    assert (np.signbit(old) & (old == 0.0)).any()  # -0.0 cells
+    assert cf.ricci_einstein_residuals(jet).block("RE8").tobytes() == old.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +515,8 @@ def test_a1_trajectory_embedding_zeroes_all_systems():
         np.zeros(n), rng.uniform(-1.5, 1.5, n), rng.uniform(-2.0, 2.0, n),
         rng.uniform(-1.0, 1.0, n),
     )
-    assert cf.bianchi_special_residuals(jet).max_abs() < 1e-12
-    assert cf.ricci_einstein_residuals(jet).max_abs() < 1e-12
+    assert cf.bianchi_special_residuals(jet).max_residual() < 1e-12
+    assert cf.ricci_einstein_residuals(jet).max_residual() < 1e-12
     assert residual_report(cf.embed_special(jet)).max_residual() < 1e-12
 
 
@@ -480,8 +527,8 @@ def test_a2_trajectory_embedding_zeroes_all_systems():
         np.zeros(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.5, 1.5, n),
         rng.uniform(-1.5, 1.5, n), rng.uniform(-1.0, 1.0, n),
     )
-    assert cf.bianchi_special_residuals(jet).max_abs() < 1e-12
-    assert cf.ricci_einstein_residuals(jet).max_abs() < 1e-12
+    assert cf.bianchi_special_residuals(jet).max_residual() < 1e-12
+    assert cf.ricci_einstein_residuals(jet).max_residual() < 1e-12
     assert residual_report(cf.embed_special(jet)).max_residual() < 1e-12
 
 
@@ -646,8 +693,8 @@ def test_perturbed_a3_breaks_residuals():
     form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=0.0, sign=1, B=1.0)
     grid = Grid(0.0, 1.0, 100)
     jet, _ = form.jet(grid)
-    assert cf.ricci_einstein_residuals(jet).max_abs() < 1e-10
-    assert cf.ricci_einstein_residuals(_perturbed(jet, 1e-3)).max_abs() > 1e-4
+    assert cf.ricci_einstein_residuals(jet).max_residual() < 1e-10
+    assert cf.ricci_einstein_residuals(_perturbed(jet, 1e-3)).max_residual() > 1e-4
 
 
 def test_omega3_equation_consistency_across_cases():
@@ -668,8 +715,8 @@ def test_omega3_equation_consistency_across_cases():
 
 def test_futurework_zero_jet():
     vec = cf.futurework_residuals(zero_jet())
-    assert vec.max_abs() == 0.0
-    assert vec.names == cf.FW_NAMES
+    assert vec.max_residual() == 0.0
+    assert tuple(vec.block_norms()) == cf.FW_NAMES
 
 
 def test_futurework_flrw_reduction():
@@ -680,7 +727,7 @@ def test_futurework_flrw_reduction():
     jet = cf.SpecialJet.build(0.0, value, e0=e0)
     vec = cf.futurework_residuals(jet)
     expected = dtheta + theta**2 / 3.0 + 3.0 * p
-    assert vec.entry_max()["RES5"] == pytest.approx(abs(expected), rel=1e-14)
+    assert vec.block_norms()["RES5"] == pytest.approx(abs(expected), rel=1e-14)
 
 
 def test_futurework_res3_is_re3_with_res2_substituted():
@@ -690,8 +737,8 @@ def test_futurework_res3_is_re3_with_res2_substituted():
     names = ("p", "pi11", "Theta", "sigma11", "a3")
     value, e0, e3 = ({name: rng.uniform(-1.0, 1.0, 50) for name in names} for _ in range(3))
     jet = cf.SpecialJet.build(np.zeros(50), value, e0=e0, e3=e3)
-    fw = dict(zip(cf.FW_NAMES, cf.futurework_residuals(jet).entries))
-    re = dict(zip(cf.RE_NAMES, cf.ricci_einstein_residuals(jet).entries))
+    fw = dict(cf.futurework_residuals(jet).blocks())
+    re = dict(cf.ricci_einstein_residuals(jet).blocks())
     np.testing.assert_allclose(fw["RES3"], fw["RES2"] - re["RE3"], rtol=0.0, atol=1e-14)
     s11, theta = value["sigma11"], value["Theta"]
     expected = e0["sigma11"] - (0.5 * value["p"] + value["pi11"] + 0.5 * s11**2
@@ -702,8 +749,8 @@ def test_futurework_res3_is_re3_with_res2_substituted():
 def test_futurework_flags_spatial_gradients():
     jet = cf.SpecialJet.build(0.0, {}, e1=dict(Theta=0.33))
     vec = cf.futurework_residuals(jet)
-    assert vec.entry_max()["RES8_e1"] == 0.33
-    assert vec.max_abs() == 0.33
+    assert vec.block_norms()["RES8_e1"] == 0.33
+    assert vec.max_residual() == 0.33
 
 
 # ---------------------------------------------------------------------------
@@ -721,12 +768,21 @@ def test_special_state_constrained_defaults():
     assert over.sigma22 == 0.1
 
 
+# A residual vector: a report of one scalar block per named entry, as the
+# special systems return it.
+
+
+def residual_vector(names, entries):
+    shape = np.broadcast_shapes(*(np.shape(e) for e in entries))
+    return ResidualReport.of_entries(shape, names, entries)
+
+
 def test_residual_vector_worst_location():
     vals = np.zeros((2, 5))
     vals[1, 3] = -2.5
-    vec = cf.ResidualVector(("x", "y"), vals)
+    vec = residual_vector(("x", "y"), vals)
     assert vec.worst() == ("y", 3, 2.5)
-    assert vec.max_abs() == 2.5
+    assert vec.max_residual() == 2.5
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
@@ -739,24 +795,24 @@ def test_residual_vector_worst_matches_flat_argmax_with_ties(batch):
         vals = rng.integers(-3, 4, size=(len(names),) + batch).astype(float)
         flat = np.abs(vals.reshape(len(names), -1))
         i, j = np.unravel_index(np.argmax(flat), flat.shape)
-        vec = cf.ResidualVector(names, vals)
+        vec = residual_vector(names, vals)
         assert vec.worst() == (names[i], int(j), float(flat[i, j]))
-        assert vec.max_abs() == np.max(flat)
-        assert vec.entry_max() == {n: float(np.max(flat[k])) for k, n in enumerate(names)}
-    assert cf.ResidualVector(names, np.zeros((len(names),) + batch)).worst() == ("a", 0, 0.0)
+        assert vec.max_residual() == np.max(flat)
+        assert vec.block_norms() == {n: float(np.max(flat[k])) for k, n in enumerate(names)}
+    assert residual_vector(names, np.zeros((len(names),) + batch)).worst() == ("a", 0, 0.0)
 
 
 def test_residual_vector_names_first_non_finite_entry():
     vals = np.zeros((4, 6))
     vals[3, 0] = np.nan
     vals[1, 5] = -np.inf
-    with pytest.raises(NonFiniteResidual, match="entry y$"):
-        cf.ResidualVector(("w", "y", "x", "z"), vals)
+    with pytest.raises(NonFiniteResidual, match="in block y$"):
+        residual_vector(("w", "y", "x", "z"), vals)
 
 
 def stacked_reductions(names, entries):
     """The reductions of the entries stacked to (len(names),) + batch: the
-    reference for the per-entry forms of ``ResidualVector``."""
+    reference for the per-entry forms of a residual vector."""
     values = np.stack(np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in entries)))
     flat = np.abs(values.reshape(len(names), -1))
     top = np.max(flat, axis=1, initial=0.0)
@@ -776,7 +832,9 @@ def stacked_reductions(names, entries):
 def test_residual_vector_reduces_each_entry_like_the_stacked_form(batch, shapes):
     """Scalar entries, entries that broadcast along one batch axis and full
     entries, mixed; small integers of both signs and signed zeros tie often,
-    and the first entry and first flat index holding the largest value win."""
+    and the first entry and first flat index holding the largest value win.
+    The blocks read back as the signed entries, as the residual CSV writes
+    them."""
     rng = np.random.default_rng(14)
     names = tuple("abcdef")
     for _ in range(60):
@@ -786,11 +844,12 @@ def test_residual_vector_reduces_each_entry_like_the_stacked_form(batch, shapes)
             e = rng.integers(-3, 4, size=shape).astype(float)
             e[...] = np.where(rng.random(shape) < 0.2, -0.0, e)
             entries.append(e[()] if shape == () and rng.random() < 0.5 else e)
-        vec = cf.ResidualVector(names, entries)
+        vec = residual_vector(names, entries)
         values, top, per_point, worst = stacked_reductions(names, entries)
-        assert vec.values.tobytes() == values.tobytes() and vec.values.shape == values.shape
-        assert vec.entry_max() == dict(zip(names, top.tolist()))
-        assert vec.max_abs() == np.max(top)
+        blocks = np.stack([arr for _, arr in vec.blocks()])
+        assert blocks.tobytes() == values.tobytes() and blocks.shape == values.shape
+        assert vec.block_norms() == dict(zip(names, top.tolist()))
+        assert vec.max_residual() == np.max(top)
         assert np.asarray(vec.per_point_max()).tobytes() == np.asarray(per_point).tobytes()
         if worst is not None:
             assert vec.worst() == worst
@@ -800,17 +859,26 @@ def test_residual_vector_worst_of_a_scalar_and_of_a_broadcast_entry():
     zero = np.zeros((3, 4))
     col = np.zeros((3, 1))
     col[2, 0] = -2.0
-    assert cf.ResidualVector(("a", "b", "c"), [zero, 2.0, col]).worst() == ("b", 0, 2.0)
+    assert residual_vector(("a", "b", "c"), [zero, 2.0, col]).worst() == ("b", 0, 2.0)
     # flat index of the column entry broadcast to (3, 4): row 2, column 0
-    assert cf.ResidualVector(("a", "c", "b"), [zero, col, 2.0]).worst() == ("c", 8, 2.0)
+    assert residual_vector(("a", "c", "b"), [zero, col, 2.0]).worst() == ("c", 8, 2.0)
     row = np.array([[0.0, 1.0, -5.0, 5.0]])
-    assert cf.ResidualVector(("a", "r"), [zero, row]).worst() == ("r", 2, 5.0)
+    assert residual_vector(("a", "r"), [zero, row]).worst() == ("r", 2, 5.0)
 
 
 def test_residual_vector_names_first_non_finite_scalar_or_broadcast_entry():
     col = np.zeros((3, 1))
     col[1, 0] = np.inf
-    with pytest.raises(NonFiniteResidual, match="entry x$"):
-        cf.ResidualVector(("w", "x", "y"), [np.zeros((3, 4)), np.nan, col])
-    with pytest.raises(NonFiniteResidual, match="entry x$"):
-        cf.ResidualVector(("w", "x", "y"), [np.zeros((3, 4)), col, np.nan])
+    with pytest.raises(NonFiniteResidual, match="in block x$"):
+        residual_vector(("w", "x", "y"), [np.zeros((3, 4)), np.nan, col])
+    with pytest.raises(NonFiniteResidual, match="in block x$"):
+        residual_vector(("w", "x", "y"), [np.zeros((3, 4)), col, np.nan])
+
+
+def test_residual_vector_keeps_a_0d_maximum_for_a_0d_entry():
+    """A 0-d entry is reduced on its own: no buffer of the batch shape."""
+    vec = residual_vector(("a", "b"), [np.full(1000, -0.5), np.float64(-2.0)])
+    point_max = vec.block_point_max()
+    assert point_max["a"].shape == (1000,) and point_max["b"].shape == ()
+    assert vec.worst() == ("b", 0, 2.0)
+    assert vec.block("b").shape == (1000,) and vec.block("b").strides == (0,)
