@@ -10,8 +10,6 @@ from .core import (
     ConnectionState,
     DerivativeProvider,
     MatterState,
-    State,
-    StateJet,
     SymThree,
     ThreeVector,
     TracefreeSymThree,

@@ -134,7 +134,7 @@ def _read_config(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (N, Omega3, A, B, ...)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
@@ -611,14 +611,14 @@ def run_spinor(state_path: str) -> int:
 
 # table column -> (JetArrays field, the component indices it fills): every
 # named component but Lambda (column "Lambda", constant) and the 33 entry of
-# a trace-free tensor, which the other two diagonal entries determine
+# a trace-free tensor, which JetArrays.build derives from the other two
 _TABLE_COLS = {name: fi for name, fi in COMPONENT_NAMES.items()
                if name != "Lam" and name not in ("pi33", "sigma33", "E33", "H33")}
 
 
 def _read_table(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [line for line in fh if line.strip("\r\n")]  # blank lines hold no row
     except OSError as exc:
         raise ConfigError(f"cannot read table {path!r}: {exc}") from None
@@ -629,6 +629,9 @@ def _read_table(path: str):
     header = [h.strip() for h in next(csv.reader(lines[:1]))]
     if header[0] not in ("z", "t"):
         raise ConfigError("first table column must be named z or t")
+    empty = next((k for k, h in enumerate(header, 1) if not h), None)
+    if empty is not None:
+        raise ConfigError(f"table header has an empty column name (column {empty})")
     duplicate = list(dict.fromkeys(h for i, h in enumerate(header) if h in header[:i]))
     if duplicate:
         raise ConfigError(f"duplicate table columns: {', '.join(duplicate)}")
@@ -669,14 +672,6 @@ def _read_table(path: str):
 def _jet_arrays_from_table(coord: str, grid: Grid, cols: dict) -> JetArrays:
     state = {name: samples for name, samples in cols.items() if name in _TABLE_COLS}
     e = _e_derivatives(grid, cols.get("F", 1.0), state)
-    # trace-free tensors: the 33 component is determined by the other two,
-    # an absent one read as a zero array, which keeps the signs of zeros
-    zero = np.zeros(grid.N + 1)
-    for base in ("pi", "sigma", "E", "H"):
-        diag = (base + "11", base + "22")
-        if diag[0] in state or diag[1] in state:
-            for slot in (state, e):
-                slot[base + "33"] = -(slot.get(diag[0], zero) + slot.get(diag[1], zero))
     if "Lambda" in cols:
         state["Lam"] = cols["Lambda"]
     return JetArrays.build((grid.N + 1,), state, **{"e0" if coord == "t" else "e3": e})

@@ -509,7 +509,8 @@ class CaseA1ClosedForm:
                     self.profile.value(z), dtype=float
                 )
 
-            Omega3 = self.B * np.exp(cumulative_integral_refined(integrand, grid))
+            _, values, stride = cumulative_integral_refined(integrand, grid)
+            Omega3 = self.B * np.exp(values[::stride])
         dOmega3 = (ds11 / s11) * Omega3
         return {
             "z": zs,
@@ -550,7 +551,7 @@ def _den_on_fine_grid(F: ScaleFactor, slope: float, const: float, grid: Grid):
         check_frame_factor([z], [Fz])
         return -slope / Fz
 
-    fine, vals, stride = cumulative_integral_refined(integrand, grid, fine=True)
+    fine, vals, stride = cumulative_integral_refined(integrand, grid)
     return fine, vals + const, stride
 
 

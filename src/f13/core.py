@@ -9,8 +9,10 @@ Conventions used throughout the package:
 * symmetrisation X_(ab) = (X_ab + X_ba)/2, antisymmetrisation
   X_[ab] = (X_ab - X_ba)/2.
 
-NaN/Inf never enter a state record: constructors reject non-finite input so
-that residual reports built downstream can be trusted.
+NaN/Inf never enter a state record: constructors reject non-finite input.
+The records describe a single point for the commutator checks, the
+derivative providers and the ``spinor`` subcommand; residual reports read
+jets held as arrays (``frame_equations.JetArrays``), not these records.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ __all__ = [
     "MatterState",
     "ConnectionState",
     "WeylState",
-    "State",
-    "StateJet",
     "DerivativeProvider",
     "trace",
     "tracefree_project",
@@ -321,42 +321,6 @@ class WeylState:
     @classmethod
     def zero(cls) -> "WeylState":
         return cls(TracefreeSymThree.zero(), TracefreeSymThree.zero())
-
-
-@dataclass(frozen=True)
-class State:
-    matter: MatterState
-    connection: ConnectionState
-    weyl: WeylState
-
-    @classmethod
-    def zero(cls) -> "State":
-        return cls(MatterState.zero(), ConnectionState.zero(), WeylState.zero())
-
-
-@dataclass(frozen=True)
-class StateJet:
-    """A state together with its four frame derivatives at one point.
-
-    deriv[a] holds e_a applied componentwise to every field (a = 0..3);
-    entries may be None, in which case evaluators that need them raise.
-    Derivative records reuse the state types, so e_a of a trace-free field
-    is trace-free by construction.
-    """
-
-    point: float
-    value: State
-    deriv: tuple[State | None, State | None, State | None, State | None]
-
-    def __post_init__(self):
-        _require_finite("StateJet", self.point)
-        if len(self.deriv) != 4:
-            raise ValueError("deriv must have exactly four entries (e_0..e_3)")
-
-    def require_complete(self) -> None:
-        for a, d in enumerate(self.deriv):
-            if d is None:
-                raise ValueError(f"incomplete jet: missing e_{a} derivative record")
 
 
 @runtime_checkable

@@ -66,7 +66,6 @@ from .core import (
     EPS,
     ConnectionState,
     DerivativeProvider,
-    StateJet,
     SymThree,
     TracefreeSymThree,
     spatial_commutation_compose,
@@ -167,11 +166,21 @@ class JetArrays:
         """The jet of the named variables ``value`` (``COMPONENT_NAMES``) and
         their frame derivatives ``e0`` to ``e3``.  Values may be numbers or
         arrays that broadcast to ``shape``; an array of that shape is held
-        by reference, and a zero number is not held."""
+        by reference, and a zero number is not held.
+
+        pi, sigma, E and H are trace-free: in a slot that names x11 or x22
+        but not x33, x33 is -(x11 + x22), an absent one read as 0.0.  A
+        given x33 is kept, so that data off the trace-free ansatz stays
+        representable."""
         shape = tuple(shape)
         entries = {}
         for slot, values in enumerate((value, e0, e1, e2, e3)):
-            for name, x in (values or {}).items():
+            values = dict(values or {})
+            for t in ("pi", "sigma", "E", "H"):
+                x11, x22, x33 = (t + ij for ij in ("11", "22", "33"))
+                if (x11 in values or x22 in values) and x33 not in values:
+                    values[x33] = -(values.get(x11, 0.0) + values.get(x22, 0.0))
+            for name, x in values.items():
                 if name not in COMPONENT_NAMES:
                     raise TypeError(f"unknown jet variable: {name}")
                 if np.ndim(x) == 0 and x == 0.0:
@@ -184,42 +193,6 @@ class JetArrays:
                     key = (field, index) if slot == 0 else ("d" + field, (slot - 1,) + index)
                     entries[key] = x
         return JetArrays(shape, entries)
-
-    @staticmethod
-    def from_jet(jet: StateJet) -> "JetArrays":
-        jet.require_complete()
-        slots = []
-        for st in (jet.value,) + tuple(jet.deriv):
-            m, c, w = st.matter, st.connection, st.weyl
-            fields = {
-                "mu": m.mu,
-                "p": m.p,
-                "Theta": c.Theta,
-                "q": m.q.as_array(),
-                "udot": c.udot.as_array(),
-                "omega": c.omega.as_array(),
-                "Omega": c.Omega.as_array(),
-                "a": c.a.as_array(),
-                "pi": m.pi.as_matrix(),
-                "sigma": c.sigma.as_matrix(),
-                "n": c.n.as_matrix(),
-                "E": w.E.as_matrix(),
-                "H": w.H.as_matrix(),
-            }
-            if not slots:
-                fields["Lam"] = m.Lam
-            slots.append({name: np.asarray(fields[field])[indices[0]]
-                          for name, (field, indices) in COMPONENT_NAMES.items()
-                          if field in fields})
-        return JetArrays.build((), *slots)
-
-
-def _as_arrays(jet) -> JetArrays:
-    if isinstance(jet, JetArrays):
-        return jet
-    if isinstance(jet, StateJet):
-        return JetArrays.from_jet(jet)
-    raise TypeError(f"expected StateJet or JetArrays, got {type(jet).__name__}")
 
 
 class _StructuralZero:
@@ -391,6 +364,8 @@ def _component_tables(ja: JetArrays) -> _Tables:
     nonzero entry ``ZERO``.  If a remaining component has a non-finite
     entry, the ``ZERO`` components become zero arrays, so that the kernels
     form its 0 * inf = nan terms."""
+    if not isinstance(ja, JetArrays):
+        raise TypeError(f"expected JetArrays, got {type(ja).__name__}")
     head = bool(ja.shape)
     tables = {name: np.full(comp, ZERO, dtype=object) for name, comp in _COMPONENTS.items()}
     for (name, index), e in ja.entries.items():
@@ -538,9 +513,9 @@ def _curly_S_arr(c: _Tables):
     return S, pre_trace
 
 
-def curly_S(jet) -> TracefreeSymThree:
+def curly_S(jet: JetArrays) -> TracefreeSymThree:
     """Trace-free 3-curvature source of the shear evolution equation."""
-    c = _component_tables(_as_arrays(jet))
+    c = _component_tables(jet)
     if c.shape:
         raise ValueError("curly_S returns a typed tensor for single jets only")
     S, pre_trace = _curly_S_arr(c)
@@ -557,9 +532,9 @@ def _curly_R_arr(c: _Tables):
     return 2.0 * (2.0 * _tr(grad_a) - 3.0 * _dot(c.a, c.a)) - 0.5 * _tr(b)
 
 
-def curly_R(jet) -> float:
+def curly_R(jet: JetArrays) -> float:
     """Spatial curvature scalar *R = 2(2 e_a - 3 a_a)(a^a) - b^a_a / 2."""
-    c = _component_tables(_as_arrays(jet))
+    c = _component_tables(jet)
     if c.shape:
         raise ValueError("curly_R returns a float for single jets only")
     return float(_dense(_curly_R_arr(c), (), ()))
@@ -936,7 +911,7 @@ def _report_arrays(ja: _Tables) -> tuple:
     return _efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja)
 
 
-def residual_report(jet) -> ResidualReport:
+def residual_report(jet: JetArrays) -> ResidualReport:
     """Evaluate every block of the general system on a jet or jet batch.
 
     The batch is evaluated in one piece, whatever its shape, and the report
@@ -944,7 +919,7 @@ def residual_report(jet) -> ResidualReport:
     throughout are skipped (see the module docstring); ``jet`` itself is
     left as it is.
     """
-    ja = _component_tables(_as_arrays(jet))
+    ja = _component_tables(jet)
     results = zip(GENERAL_BLOCKS.items(), _report_arrays(ja), strict=True)
     return ResidualReport(ja.shape, {label: (comp, res) for (label, comp), res in results})
 

@@ -281,14 +281,12 @@ def quadrature(samples, grid: Grid) -> np.ndarray:
     return out
 
 
-def cumulative_integral_refined(fn: Callable, grid: Grid, tol: float = 1e-10,
-                                fine: bool = False):
-    """Cumulative integral of a callable on the grid nodes, grid-doubled
-    until two successive refinements agree to tol at the shared nodes.
+def cumulative_integral_refined(fn: Callable, grid: Grid, tol: float = 1e-10):
+    """Cumulative integral of a callable, grid-doubled until two successive
+    refinements agree to tol at the shared nodes.
 
-    Returns the values at the grid nodes or, with ``fine=True``, the tuple
-    (fine_grid, values on it, stride) with the grid nodes at ``::stride``.
-    Raises ValueError if 12 doublings do not reach tol.
+    Returns (fine_grid, values on it, stride), with the grid nodes at
+    ``::stride``.  Raises ValueError if 12 doublings do not reach tol.
     """
     factor = 1 if grid.N % 2 == 0 else 2
     g = grid if factor == 1 else grid.refined()
@@ -299,7 +297,7 @@ def cumulative_integral_refined(fn: Callable, grid: Grid, tol: float = 1e-10,
         done = bool(np.max(np.abs(vals2[::2] - vals)) < tol)
         g, vals, factor = g2, vals2, factor * 2
         if done:
-            return (g, vals, factor) if fine else vals[::factor]
+            return g, vals, factor
     raise ValueError(f"cumulative quadrature did not reach tol={tol}")
 
 

@@ -3,59 +3,36 @@
 import numpy as np
 
 from f13 import frame_equations as fe
-from f13.core import (
-    ConnectionState,
-    MatterState,
-    State,
-    StateJet,
-    SymThree,
-    ThreeVector,
-    TracefreeSymThree,
-    WeylState,
-)
-from f13.frame_equations import JetArrays
+from f13.core import ConnectionState, SymThree, ThreeVector, TracefreeSymThree
+from f13.frame_equations import COMPONENT_NAMES, JetArrays
 
 
-def random_tracefree(rng, scale=1.0):
-    return TracefreeSymThree(*(scale * rng.uniform(-1.0, 1.0, 5)))
+def random_vec(rng):
+    return ThreeVector(*rng.uniform(-1.0, 1.0, 3))
 
 
-def random_sym(rng, scale=1.0):
-    raw = scale * rng.uniform(-1.0, 1.0, (3, 3))
-    return SymThree.from_matrix(0.5 * (raw + raw.T))
-
-
-def random_vec(rng, scale=1.0):
-    return ThreeVector(*(scale * rng.uniform(-1.0, 1.0, 3)))
-
-
-def random_state(rng, scale=1.0):
-    matter = MatterState(
-        mu=rng.uniform(-1.0, 1.0) * scale,
-        p=rng.uniform(-1.0, 1.0) * scale,
-        q=random_vec(rng, scale),
-        pi=random_tracefree(rng, scale),
-        Lam=rng.uniform(-1.0, 1.0) * scale,
+def random_connection(rng):
+    raw = rng.uniform(-1.0, 1.0, (3, 3))
+    return ConnectionState(
+        Theta=rng.uniform(-1.0, 1.0),
+        udot=random_vec(rng),
+        sigma=TracefreeSymThree(*rng.uniform(-1.0, 1.0, 5)),
+        omega=random_vec(rng),
+        Omega=random_vec(rng),
+        a=random_vec(rng),
+        n=SymThree.from_matrix(0.5 * (raw + raw.T)),
     )
-    conn = ConnectionState(
-        Theta=rng.uniform(-1.0, 1.0) * scale,
-        udot=random_vec(rng, scale),
-        sigma=random_tracefree(rng, scale),
-        omega=random_vec(rng, scale),
-        Omega=random_vec(rng, scale),
-        a=random_vec(rng, scale),
-        n=random_sym(rng, scale),
-    )
-    weyl = WeylState(random_tracefree(rng, scale), random_tracefree(rng, scale))
-    return State(matter, conn, weyl)
 
 
-def random_jet(rng, scale=1.0, deriv_scale=1.0):
-    return StateJet(
-        0.0,
-        random_state(rng, scale),
-        tuple(random_state(rng, deriv_scale) for _ in range(4)),
-    )
+def random_jet(rng):
+    """A single jet of random variables in every slot; the 33 entry of each
+    trace-free tensor is left for ``JetArrays.build`` to derive."""
+    def slot(derivative):
+        return {name: rng.uniform(-1.0, 1.0) for name in COMPONENT_NAMES
+                if name not in ("pi33", "sigma33", "E33", "H33")
+                and not (derivative and name == "Lam")}
+
+    return JetArrays.build((), slot(False), *(slot(True) for _ in range(4)))
 
 
 def eds_jet_arrays(t: float) -> JetArrays:

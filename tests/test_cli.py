@@ -516,6 +516,36 @@ def test_residual_duplicate_column_is_config_error(tmp_path, capsys, system):
     assert capsys.readouterr().err == "config error: duplicate table columns: p\n"
 
 
+@pytest.mark.parametrize("header, column", [("z,p,", 3), ("z,p,,", 3), ("z, ,p", 2)])
+def test_residual_empty_column_name_is_config_error(tmp_path, capsys, header, column):
+    row = ",".join(["{}"] + ["1.0"] * header.count(","))
+    table = write(tmp_path / "empty.csv",
+                  "\n".join([header] + [row.format(0.1 * i) for i in range(6)]) + "\n")
+    assert main(["residual", "--table", table]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: table header has an empty column name (column {column})\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "spinor", "residual"])
+def test_a_byte_order_mark_reads_as_its_plain_twin(tmp_path, capsys, command):
+    """A UTF-8 byte-order mark in front of a config, a state file or a
+    table changes no output byte."""
+    out = tmp_path / "out.csv"
+    text, flag, extra = {
+        "solve": (A1_SOLVE.format(out=out), "--config", []),
+        "spinor": ("[state]\nmu = 3.0\np = 1.0\npi11 = 1.0\n", "--state", []),
+        "residual": ("z,p,mu\n" + "".join(f"{0.1 * i},1.0,{0.5 * i}\n" for i in range(6)),
+                     "--table", ["--out", str(out)]),
+    }[command]
+    runs = []
+    for bom in ("", "\ufeff"):
+        code = main([command, flag, write(tmp_path / "input", bom + text), *extra])
+        runs.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert runs[0][0] != 2 and runs[1] == runs[0]
+
+
 def block_maxima(out):
     return {line.split()[1]: float(line.split("max=")[1])
             for line in out.splitlines() if line.startswith("block ")}

@@ -7,8 +7,6 @@ from f13.core import (
     EPS,
     ConnectionState,
     MatterState,
-    State,
-    StateJet,
     SymThree,
     ThreeVector,
     TracefreeSymThree,
@@ -176,14 +174,6 @@ def test_nonfinite_rejected():
 def test_symthree_from_matrix_rejects_asymmetric():
     with pytest.raises(ValueError):
         SymThree.from_matrix([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def test_state_jet_completeness():
-    jet = StateJet(0.0, State.zero(), (State.zero(), None, None, None))
-    with pytest.raises(ValueError, match="e_1"):
-        jet.require_complete()
-    full = StateJet(0.0, State.zero(), (State.zero(),) * 4)
-    full.require_complete()
 
 
 def test_connection_state_holds_kinematics():

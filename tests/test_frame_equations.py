@@ -5,16 +5,11 @@ import dataclasses
 import einsum_reference
 import numpy as np
 import pytest
-from conftest import DenseJet, densified, eds_jet_arrays, random_jet
+from conftest import DenseJet, densified, eds_jet_arrays, random_connection, random_jet
 
 from f13 import conformal as cf
 from f13 import frame_equations as fe
-from f13.core import (
-    State,
-    StateJet,
-    SymThree,
-    ThreeVector,
-)
+from f13.core import ConnectionState, SymThree, ThreeVector
 from f13.frame_equations import (
     ZERO,
     JetArrays,
@@ -31,7 +26,7 @@ from f13.providers import AnalyticLineProvider, FieldLine
 
 
 def zero_jet():
-    return StateJet(0.0, State.zero(), (State.zero(),) * 4)
+    return JetArrays.build((), {})
 
 
 def test_b_tensor_examples():
@@ -43,28 +38,15 @@ def test_b_tensor_examples():
 def test_curly_S_examples():
     assert np.max(np.abs(curly_S(zero_jet()).as_matrix())) == 0.0
     # a = 0, n = identity, derivatives zero: trace-free part of b(n) = 0
-    conn = dataclasses.replace(State.zero().connection, n=SymThree.identity())
-    st = dataclasses.replace(State.zero(), connection=conn)
-    jet = StateJet(0.0, st, (State.zero(),) * 4)
+    jet = JetArrays.build((), dict(n11=1.0, n22=1.0, n33=1.0))
     assert np.max(np.abs(curly_S(jet).as_matrix())) < 1e-15
-
-
-def test_curly_S_requires_spatial_derivatives():
-    jet = StateJet(0.0, State.zero(), (State.zero(), None, None, None))
-    with pytest.raises(ValueError, match="e_1"):
-        curly_S(jet)
 
 
 def test_curly_R_examples():
     assert curly_R(zero_jet()) == 0.0
     a3 = 0.7
-    conn = dataclasses.replace(State.zero().connection, a=ThreeVector(0.0, 0.0, a3))
-    jet = StateJet(0.0, dataclasses.replace(State.zero(), connection=conn),
-                   (State.zero(),) * 4)
-    assert curly_R(jet) == pytest.approx(-6.0 * a3 * a3, rel=1e-15)
-    conn = dataclasses.replace(State.zero().connection, n=SymThree.identity())
-    jet = StateJet(0.0, dataclasses.replace(State.zero(), connection=conn),
-                   (State.zero(),) * 4)
+    assert curly_R(JetArrays.build((), dict(a3=a3))) == pytest.approx(-6.0 * a3 * a3, rel=1e-15)
+    jet = JetArrays.build((), dict(n11=1.0, n22=1.0, n33=1.0))
     assert curly_R(jet) == pytest.approx(1.5, rel=1e-15)
 
 
@@ -91,17 +73,7 @@ def test_einstein_de_sitter_nullity():
 
 
 def test_report_blocks_on_eds():
-    t = 1.0
-    matter = dataclasses.replace(State.zero().matter, mu=4.0 / 3.0)
-    conn = dataclasses.replace(State.zero().connection, Theta=2.0)
-    value = State(matter, conn, State.zero().weyl)
-    d0 = State(
-        dataclasses.replace(State.zero().matter, mu=-8.0 / 3.0),
-        dataclasses.replace(State.zero().connection, Theta=-2.0),
-        State.zero().weyl,
-    )
-    jet = StateJet(t, value, (d0, State.zero(), State.zero(), State.zero()))
-    rep = residual_report(jet)
+    rep = residual_report(eds_jet_arrays(1.0))
     assert abs(rep.block("field1")) < 1e-15
     assert abs(rep.block("field3")) < 1e-15
     assert np.max(np.abs(rep.block("field2"))) < 1e-15
@@ -111,10 +83,37 @@ def test_report_blocks_on_eds():
     assert np.max(np.abs(rep.block("divH"))) == 0.0
 
 
-def test_incomplete_jet_raises_with_slot_name():
-    jet = StateJet(0.0, State.zero(), (State.zero(), State.zero(), None, State.zero()))
-    with pytest.raises(ValueError, match="e_2"):
-        residual_report(jet)
+@pytest.mark.parametrize("evaluate", [residual_report, curly_S, curly_R])
+@pytest.mark.parametrize("jet", [None, 0.0, {"mu": 1.0}], ids=["None", "float", "dict"])
+def test_evaluators_take_jet_arrays_only(evaluate, jet):
+    with pytest.raises(TypeError, match=f"expected JetArrays, got {type(jet).__name__}$"):
+        evaluate(jet)
+
+
+def test_build_derives_the_trace_free_33_entry_in_every_slot():
+    """In each slot, x33 = -(x11 + x22) for pi, sigma, E and H when the slot
+    names x11 or x22 but not x33; a given x33 is kept, and n is left as
+    it is."""
+    x11, x22 = np.array([0.5, -0.0, 2.0]), np.array([0.25, -0.0, -2.0])
+    for slot in range(5):
+        given = {"pi11": x11, "pi22": x22, "sigma11": x11, "E22": x22,
+                 "H11": x11, "H33": x22, "n11": x11, "n22": x22}
+        ja = JetArrays.build((3,), *([{}] * slot), given)
+        view = (ja.value, *ja.deriv)[slot]
+        assert view.pi33.tobytes() == (-(x11 + x22)).tobytes()
+        assert view.sigma33.tobytes() == (-(x11 + 0.0)).tobytes()
+        assert view.E33.tobytes() == (-(0.0 + x22)).tobytes()
+        assert view.H33 is x22
+        assert view.n33 == 0.0
+    # a derived zero number is not held, a nonzero one is
+    ja = JetArrays.build((), dict(pi11=0.0, sigma11=1.5, sigma22=-1.5),
+                         e3=dict(E11=1.5, E22=0.5))
+    assert ja.entries.keys() == {("sigma", (0, 0)), ("sigma", (1, 1)),
+                                 ("dE", (3, 0, 0)), ("dE", (3, 1, 1)), ("dE", (3, 2, 2))}
+    assert ja.deriv[3].E33 == -2.0
+    # a tensor with no diagonal entry named gets no 33 entry
+    ja = JetArrays.build((), dict(sigma12=1.0, H13=2.0))
+    assert ("sigma", (2, 2)) not in ja.entries and ("H", (2, 2)) not in ja.entries
 
 
 def test_perfect_fluid_reduction():
@@ -143,9 +142,9 @@ def test_residuals_affine_in_derivative_slots():
     derivatives by lam scales the derivative contribution by lam."""
     rng = np.random.default_rng(4)
     lam = 2.5
-    jet = random_jet(rng)
-    jA = JetArrays.from_jet(jet)
-    j0 = JetArrays.from_jet(StateJet(0.0, jet.value, (State.zero(),) * 4))
+    jA = random_jet(rng)
+    j0 = JetArrays((), {(name, index): x for (name, index), x in jA.entries.items()
+                        if not name.startswith("d")})
     jL = JetArrays((), {(name, index): lam * x if name.startswith("d") else x
                         for (name, index), x in jA.entries.items()})
     rA, r0, rL = (residual_report(x) for x in (jA, j0, jL))
@@ -159,7 +158,7 @@ def test_residuals_affine_in_derivative_slots():
 def test_trace_consistency_of_tracefree_blocks():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        rep = residual_report(JetArrays.from_jet(random_jet(rng)))
+        rep = residual_report(random_jet(rng))
         sigma, E = rep.block("field2"), rep.block("bianchi3")
         tr_sigma = abs(np.trace(sigma))
         tr_E = abs(np.trace(E))
@@ -274,10 +273,9 @@ def test_kernels_bit_identical_on_closed_form_a1_jets():
 
 
 def test_name_views_read_a_general_jet():
-    """``value.x`` and ``deriv[a].x`` of a jet built from a ``StateJet``:
+    """``value.x`` and ``deriv[a].x`` of a jet of every named variable:
     every named variable of every slot, 0.0 where the jet holds nothing."""
-    jet = random_jet(np.random.default_rng(31))
-    ja = JetArrays.from_jet(jet)
+    ja = random_jet(np.random.default_rng(31))
     dense = densified(ja)
     for slot, view in enumerate((ja.value, *ja.deriv)):
         for var, (field, indices) in fe.COMPONENT_NAMES.items():
@@ -288,10 +286,10 @@ def test_name_views_read_a_general_jet():
                 ref = (getattr(dense, field)[index] if slot == 0
                        else getattr(dense, "d" + field)[(slot - 1,) + index])
                 assert getattr(view, var) == ref, (slot, var)
-    assert ja.value.Lam == jet.value.matter.Lam
-    assert ja.value.sigma12 == jet.value.connection.sigma.as_matrix()[0, 1]
-    assert ja.deriv[2].E13 == jet.deriv[2].weyl.E.as_matrix()[0, 2]
-    assert ja.deriv[3].pi33 == jet.deriv[3].matter.pi.as_matrix()[2, 2]
+    assert ja.value.Lam == ja.entries[("Lam", ())]
+    assert ja.value.sigma12 == dense.sigma[1, 0]
+    assert ja.deriv[2].E13 == dense.dE[2, 2, 0]
+    assert ja.deriv[3].pi33 == -(ja.deriv[3].pi11 + ja.deriv[3].pi22)
     with pytest.raises(AttributeError):
         ja.value.sigma21
 
@@ -567,26 +565,23 @@ def test_non_finite_entry_times_zero_fields_only_still_raises():
 
 
 def test_commutator_structure_examples():
-    zero = commutator_structure(State.zero().connection)
+    zero = commutator_structure(ConnectionState.zero())
     assert np.max(np.abs(zero)) == 0.0
 
-    conn = dataclasses.replace(State.zero().connection, Theta=3.0)
+    conn = dataclasses.replace(ConnectionState.zero(), Theta=3.0)
     g = commutator_structure(conn)
     assert np.allclose(g[1:, 0, 1:], -np.eye(3))
     g[1:, 0, 1:] = 0.0
     g[1:, 1:, 0] = 0.0
     assert np.max(np.abs(g)) == 0.0
 
-    conn = dataclasses.replace(State.zero().connection, omega=ThreeVector(0.0, 0.0, 1.0))
+    conn = dataclasses.replace(ConnectionState.zero(), omega=ThreeVector(0.0, 0.0, 1.0))
     g = commutator_structure(conn)
     assert g[0, 1, 2] == -2.0
     assert g[0, 2, 1] == 2.0
     assert g[1, 0, 2] == -1.0  # -eps_123 omega^3 with the fixed orientation
 
-    rng = np.random.default_rng(5)
-    from conftest import random_state
-
-    g = commutator_structure(random_state(rng).connection)
+    g = commutator_structure(random_connection(np.random.default_rng(5)))
     assert np.max(np.abs(g + np.swapaxes(g, 1, 2))) == 0.0
 
 
@@ -616,7 +611,7 @@ class _RotatingTriadProvider:
 
     def connection(self, t):
         return dataclasses.replace(
-            State.zero().connection, Omega=ThreeVector(0.0, 0.0, -self.w)
+            ConnectionState.zero(), Omega=ThreeVector(0.0, 0.0, -self.w)
         )
 
 
@@ -628,7 +623,7 @@ def test_commutator_residual_rotating_triad():
     # flipping the documented sign of Omega_3 breaks consistency
     bad = _RotatingTriadProvider(w=0.9)
     bad.connection = lambda t: dataclasses.replace(
-        State.zero().connection, Omega=ThreeVector(0.0, 0.0, +0.9)
+        ConnectionState.zero(), Omega=ThreeVector(0.0, 0.0, +0.9)
     )
     assert abs(commutator_residual(bad, "f", 0, 1, 0.4)) > 0.1
 
@@ -653,7 +648,7 @@ class _FlrwGradientProvider:
 
     def connection(self, t):
         return dataclasses.replace(
-            State.zero().connection, Theta=3.0 * self.adot(t) / self.a(t)
+            ConnectionState.zero(), Theta=3.0 * self.adot(t) / self.a(t)
         )
 
 
@@ -668,7 +663,7 @@ def test_commutator_residual_constant_field():
     provider = AnalyticLineProvider(
         {"c": FieldLine(lambda z: 4.0, lambda z: 0.0, lambda z: 0.0)},
         connection=lambda z: dataclasses.replace(
-            State.zero().connection, Theta=1.3, a=ThreeVector(0.0, 0.0, 0.5)
+            ConnectionState.zero(), Theta=1.3, a=ThreeVector(0.0, 0.0, 0.5)
         ),
         direction=3,
         F=lambda z: 2.0,
@@ -733,7 +728,7 @@ class _TwoAxisFdProvider:
     def connection(self, point):
         t, _ = point
         return dataclasses.replace(
-            State.zero().connection, Theta=2.0 / t
+            ConnectionState.zero(), Theta=2.0 / t
         )
 
 

@@ -132,9 +132,10 @@ def test_quadrature_odd_cell_flagged():
 
 def test_cumulative_refined_matches_log():
     g = Grid(1.0, 3.0, 40)
-    vals = cumulative_integral_refined(lambda z: 1.0 / z, g, tol=1e-12)
-    assert vals.shape == (41,)
-    assert np.max(np.abs(vals - np.log(g.points()))) < 1e-11
+    fine, vals, stride = cumulative_integral_refined(lambda z: 1.0 / z, g, tol=1e-12)
+    assert vals.shape == (fine.N + 1,) and fine.N == 40 * stride
+    assert np.array_equal(fine.points()[::stride], g.points())
+    assert np.max(np.abs(vals[::stride] - np.log(g.points()))) < 1e-11
 
 
 def test_cumulative_refined_gives_up_after_twelve_doublings():
