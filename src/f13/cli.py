@@ -53,20 +53,26 @@ EXIT_VERIFY_FAIL = 4
 
 RESIDUAL_SYSTEMS = ("general", "special", "futurework")
 
-# glibc mallopt parameters, and the largest allocation served from the heap
+# glibc mallopt parameters; the largest allocation served from the heap, and
+# the free memory at the top of the heap that glibc keeps before trimming
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 64 << 20
 
 
 def _serve_temporaries_from_the_heap() -> None:
     """On glibc, serve allocations of up to 4 MiB from the heap and keep up
-    to 8 MiB of it free, so that numpy temporaries reuse heap pages.  By
+    to 64 MiB of it free, so that numpy temporaries reuse heap pages.  By
     default glibc maps every block of 128 KiB or more afresh, and faults its
-    pages in, until frees of such blocks raise its threshold: a verify of a
-    branch case on 2*10^4 points then takes about 3,000 more page faults,
-    most of them in the quadrature on the refined grids (up to 8*10^4
-    points).  Other C libraries are left as they are."""
+    pages in, until frees of such blocks raise its threshold.  And when more
+    than the trim threshold is free at the top of the heap, glibc hands it
+    back to the kernel: a verify report frees more than 8 MiB there, so at
+    8 MiB the next report faulted the same pages in again (about 2,850
+    faults per verify of a1 on 2*10^4 points).  Trimming stays on, so that
+    a long run gives back the peaks of large reports: with it off, the
+    residual sweep of a 10^5-row table peaked 25 MB higher.  Other C
+    libraries are left as they are."""
     if not sys.platform.startswith("linux"):
         return
     try:
@@ -76,7 +82,7 @@ def _serve_temporaries_from_the_heap() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 class ConfigError(Exception):

@@ -301,12 +301,6 @@ def cumulative_integral_refined(fn: Callable, grid: Grid, tol: float = 1e-10):
     raise ValueError(f"cumulative quadrature did not reach tol={tol}")
 
 
-# points per evaluation block: a block's temporaries (64 KiB each) stay
-# below glibc's default mmap threshold, so they reuse heap memory rather
-# than fault in fresh pages on every call, and they stay in cache
-_BLOCK = 8192
-
-
 def _gtsv(dl: list, d: list, du: list, b: list) -> list:
     """Solve a tridiagonal system (sub-, main and super-diagonal, right-hand
     side) by LAPACK dgtsv's Gaussian elimination with partial pivoting, in
@@ -397,35 +391,30 @@ class NotAKnotSpline:
         """Spline values at z, in z's shape (a 0-d array for a scalar).
 
         Interval i holds x[i] <= z < x[i + 1], the end intervals open
-        outwards, and the power sum runs in scipy's order.  Points go in
-        blocks of _BLOCK.  For non-decreasing 1-D z (grid points, RK4 stage
-        abscissae) each interval's points are counted, as scipy's
-        find_interval walks them, and its terms repeated that often; any
-        other z (scalars, unsorted or n-d, NaN) looks each point up."""
+        outwards, and the power sum runs in scipy's order.  For
+        non-decreasing 1-D z (grid points, RK4 stage abscissae) each
+        interval's points are counted, as scipy's find_interval walks them,
+        and its terms repeated that often; any other z (scalars, unsorted or
+        n-d, NaN) looks each point up."""
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
-        out = np.empty(flat.shape)
         inner = self.x[1:-1]
-        ascending = z.ndim == 1 and bool((z[1:] >= z[:-1]).all())
-        edges = np.zeros(len(self.x), dtype=np.intp)
-        for lo in range(0, flat.size, _BLOCK):
-            zb = flat[lo:lo + _BLOCK]
-            if ascending:
-                edges[1:-1] = np.searchsorted(zb, inner, "left")
-                edges[-1] = len(zb)
-                counts = np.diff(edges)
-                x0, c3, c2, c1, c0 = (np.repeat(t, counts) for t in self._terms)
-            else:
-                i = np.searchsorted(inner, zb, "right")
-                x0, c3, c2, c1, c0 = (t.take(i) for t in self._terms)
-            res = out[lo:lo + _BLOCK]
-            s = np.subtract(zb, x0, out=x0)
-            np.multiply(c2, s, out=res)
-            res += c3
-            w = np.multiply(s, s, out=c2)
-            c1 *= w
-            res += c1
-            w *= s
-            c0 *= w
-            res += c0
-        return out.reshape(z.shape)
+        if z.ndim == 1 and (z[1:] >= z[:-1]).all():
+            edges = np.zeros(len(self.x), dtype=np.intp)
+            edges[1:-1] = np.searchsorted(flat, inner, "left")
+            edges[-1] = len(flat)
+            counts = np.diff(edges)
+            x0, c3, c2, c1, c0 = (np.repeat(t, counts) for t in self._terms)
+        else:
+            i = np.searchsorted(inner, flat, "right")
+            x0, c3, c2, c1, c0 = (t.take(i) for t in self._terms)
+        s = np.subtract(flat, x0, out=x0)
+        res = c2 * s
+        res += c3
+        w = np.multiply(s, s, out=c2)
+        c1 *= w
+        res += c1
+        w *= s
+        c0 *= w
+        res += c0
+        return res.reshape(z.shape)

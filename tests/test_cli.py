@@ -894,9 +894,11 @@ N = 200
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
 def test_main_lets_numpy_temporaries_reuse_heap_pages(tmp_path):
-    """After main, four live 1 MiB arrays at a time come from the heap and
-    stay there: allocating them again faults no fresh pages in, where glibc's
-    default thresholds map and unmap each one afresh."""
+    """After main, twelve live 1 MiB arrays at a time come from the heap and
+    stay there when freed: allocating them again faults no fresh pages in.
+    glibc's default thresholds map and unmap each one afresh, and a trim
+    threshold below 12 MiB hands the freed top of the heap back to the
+    kernel after every round."""
     code = textwrap.dedent("""\
         import resource
         import numpy as np
@@ -904,17 +906,40 @@ def test_main_lets_numpy_temporaries_reuse_heap_pages(tmp_path):
         main(["spinor", "--state", "missing.txt"])
         def faults():
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        arrays = [np.ones(1 << 17) for _ in range(4)]
+        arrays = [np.ones(1 << 17) for _ in range(12)]
         del arrays
         before = faults()
         for _ in range(10):
-            arrays = [np.ones(1 << 17) for _ in range(4)]
+            arrays = [np.ones(1 << 17) for _ in range(12)]
             del arrays
         print(faults() - before)
     """)
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 100  # each round maps 4 x 256 pages without it
+    assert int(proc.stdout) < 100  # about 2,000 a round with an 8 MiB trim threshold
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_second_verify_reuses_the_heap_pages_of_the_first(tmp_path):
+    """A verify report on 2*10^4 points frees more than 8 MiB at the top of
+    the heap; a second verify in the same process finds those pages still
+    mapped, where an 8 MiB trim threshold made it fault them in again."""
+    cfg = write(tmp_path / "v.cfg",
+                VERIFY_A1.format(A=1.9, extra="").replace("N = 500", "N = 20000"))
+    code = textwrap.dedent(f"""\
+        import contextlib, io, resource
+        from f13.cli import main
+        def verify():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["verify", "--config", {str(cfg)!r}]) == 0
+        verify()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        verify()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100  # about 2,850 with an 8 MiB trim threshold
 
 
 def test_grid_outside_frame_table_is_config_error(tmp_path, capsys):

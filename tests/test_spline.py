@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f13 import conformal as cf
-from f13.numerics import NotAKnotSpline
+from f13.numerics import Grid, NotAKnotSpline
 
 CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
 
@@ -78,6 +78,21 @@ def test_non_decreasing_and_general_probes_give_the_same_bits():
     assert spline(np.empty(0)).shape == (0,)
     with_nan = np.concatenate((z[:5], [np.nan], z[5:]))
     assert np.array_equal(bits(spline(with_nan)), bits(ref(with_nan)))
+
+
+def test_rk4_stage_abscissae_of_a_long_grid_equal_scipy():
+    """A tabulated F at each RK4 stage's 20,001 abscissae on [0, 1], as
+    ``rk4_integrate`` forms them, ascending and then shuffled: every value
+    equals scipy's, bit for bit, on both evaluation paths."""
+    zs = np.linspace(0.0, 1.0, 41)
+    values = 1.0 + 0.3 * np.sin(5.0 * zs) ** 2
+    F, ref = cf.ScaleFactor.from_table(zs, values), CubicSpline(zs, values)
+    grid = Grid(0.0, 1.0, 20001)
+    zk = grid.z0 + np.arange(grid.N) * grid.h
+    shuffled = np.random.default_rng(0).permutation(grid.N)
+    for stage in (zk, zk + 0.5 * grid.h, zk + grid.h):
+        for probe in (stage, stage[shuffled]):
+            assert np.array_equal(bits(F(probe)), bits(ref(probe)))
 
 
 def test_negative_zero_value_sums_as_scipy_does():
