@@ -815,6 +815,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a grid.N beyond memory, e.g. 10**17 points
+        print(f"config error: input too large for memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except PoleError as exc:
         print(f"singularity: {exc}", file=sys.stderr)
         return EXIT_POLE

@@ -1,19 +1,26 @@
 """CSV text of float columns, exactly as Python's ``'%.17g'`` writes each cell.
 
-``csv_rows(columns)`` yields the rows of a table as bytes, BLOCK_ROWS rows at
-a time: cells are ``'%.17g' % float(value)``, joined by ``,``, rows end in
-``\\n``.  The text is formatted by numpy on whole blocks, not by one Python
-format call per value, and is byte-identical to the per-value form.
+``csv_rows(columns)`` yields the rows of a table as bytes, BLOCK_VALUES //
+ncols rows (at least one) at a time: cells are ``'%.17g' % float(value)``,
+joined by ``,``, rows end in ``\\n``.  The text is formatted by numpy on
+whole blocks, not by one Python format call per value, and is byte-identical
+to the per-value form.
 
-Each value is first laid out in a fixed 56-byte slot of fourteen uint32
-words, with NUL where a shorter value leaves room, and one ``bytes.translate``
-per block drops the NULs:
+Each value is first laid out in a slot of uint32 words, with NUL where a
+shorter value leaves room, and one ``bytes.translate`` per block drops the
+NULs.  A block sizes its slots to its own values: the prefix, integer and
+suffix fields have as many words as the longest of its values needs, and a
+digit pass runs only for the words that are kept:
 
-    prefix  8 bytes   sign and '0.000'-style leader, or a whole 0, inf or nan
-    integer 20 bytes  the digits before the point, right aligned
-    point   4 bytes   '.' when digits follow it
-    fraction 16 bytes the digits after the point, left aligned
-    suffix  8 bytes   exponent, then ',' or newline
+    prefix   0-2 words  sign and '0.000'-style leader, or a whole 0, inf or nan
+    integer  1-5 words  the digits before the point, right aligned
+    point    1 word     '.' when digits follow it
+    fraction 4 words    the digits after the point, left aligned
+    suffix   1-2 words  the exponent, when a value of the block takes one,
+                        then ',' or newline
+
+The narrowest slot, seven words, still holds the longest '%.17g' cell and
+its separator (25 bytes), so a value left to '%.17g' always fits its slot.
 
 The 17 significant digits come from the exact product |x| * 10**(16 - k)
 with k = floor(log10|x|), held as a double p plus its error: 10**s is a
@@ -32,9 +39,10 @@ from typing import Iterator
 
 import numpy as np
 
-BLOCK_ROWS = 512
+# values per block: a block's temporaries scale with its values, so a wide
+# table gets fewer rows per block (2048 rows of 8 columns, 390 of 42)
+BLOCK_VALUES = 16384
 
-_SLOT = 14  # uint32 words: prefix 2, integer part 5, point 1, fraction 4, suffix 2
 _TIE = 2.0 ** -24  # far above the error of an inexact product, about 1e-13
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _LO, _HI = 1e-280, 1e290  # |x| range of the vectorised path
@@ -82,17 +90,18 @@ def _digits() -> np.ndarray:
 
 
 @functools.cache
-def _affixes() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The two uint32 words of the prefixes, row 2 * lead + negative, and of
-    the suffixes, row (k - _K_LO + 1, or 0 without exponent) + _N_EXP *
-    (last value of a row)."""
+def _affixes() -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[np.ndarray, ...]]:
+    """The two uint32 words of the prefixes, row 2 * lead + negative, and
+    their lengths in bytes; the two words of the suffixes, row (k - _K_LO +
+    1, or 0 without exponent) + _N_EXP * (last value of a row)."""
     def words(texts):
         text = "".join(w.ljust(8, "\0") for w in texts).encode()
         return tuple(np.frombuffer(text, "<u4").reshape(-1, 2).T.copy())
 
     leads = ["", "0.", "0.0", "0.00", "0.000", "0", "inf"]
+    prefixes = [sign + w for w in leads for sign in ("", "-")] + ["nan", "nan"]
     exps = [""] + ["e%+03d" % k for k in range(_K_LO, _K_HI + 1)]
-    return (words([sign + w for w in leads for sign in ("", "-")] + ["nan", "nan"]),
+    return (words(prefixes), np.array([len(w) for w in prefixes]),
             words([e.ljust(7, "\0") + sep for sep in ",\n" for e in exps]))
 
 
@@ -151,10 +160,11 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _slots(x: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (_SLOT, values) uint32 words of the values of a block in row-major
-    order, ncols to a row, and the indices of the values left to '%.17g'."""
+    """The (words, values) uint32 words of the values of a block in row-major
+    order, ncols to a row, and the indices of the values left to '%.17g'.
+    The prefix, integer and suffix fields are as wide as the block needs."""
     digits = _digits()
-    prefixes, suffixes = _affixes()
+    prefixes, prefix_bytes, suffixes = _affixes()
     D, k, special, slow = _decimal(x)
     # '%.17g' writes k in [-4, 16] without exponent; the integer part holds
     # the first t + 1 digits, with t = k there and t = 0 otherwise
@@ -164,53 +174,56 @@ def _slots(x: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
     div = _P10[16 - t]
     whole = D // div
     frac_digits = (D - whole * div) * _P10[t]  # left aligned in 16 digits
-
-    out = np.empty((_SLOT, x.size), np.uint32)
     lead = np.where(below_one, -k, 0)  # rows of _affixes: '0.' + (-k - 1) zeros
     lead[special] = np.where(np.isnan(x[special]), 7, np.where(x[special] == 0, 5, 6))
-    pre = 2 * lead
-    np.add(pre, 1, out=pre, where=np.signbit(x))
-    for word, table in enumerate(prefixes):
+    pre = 2 * lead + np.signbit(x)
+    exp = np.where(plain | special, 0, k - _K_LO + 1)
+
+    n_pre = -(-int(prefix_bytes.take(pre).max()) // 4)
+    n_int = int(t.max()) // 4 + 1
+    n_suf = 2 if exp.any() else 1  # exponent word, then the separator's
+    point = n_pre + n_int
+    out = np.empty((point + 5 + n_suf, x.size), np.uint32)
+    for word, table in enumerate(prefixes[:n_pre]):
         out[word] = table.take(pre)
-    # integer part, words 2-6: a chunk with only zeros before it drops its
-    # leading zeros
+    # integer part: a chunk with only zeros before it drops its leading zeros
     q = whole
-    for j in range(6, 2, -1):
+    for j in range(point - 1, n_pre, -1):
         rest = q // 10_000
         chunk = q - rest * 10_000
-        np.add(chunk, 10_000, out=chunk, where=rest == 0)
+        chunk += 10_000 * (rest == 0)
         out[j] = digits.take(chunk)
         q = rest
-    out[2] = digits.take(q + 10_000)
-    out[7] = np.where((frac_digits != 0) & ~below_one, _POINT, 0)
-    # fraction, words 8-11: a chunk with only zeros after it drops its
+    out[n_pre] = digits.take(q + 10_000)
+    out[point] = np.where((frac_digits != 0) & ~below_one, _POINT, 0)
+    # fraction, four words: a chunk with only zeros after it drops its
     # trailing zeros
     q = frac_digits
     zeros_after = np.ones(x.size, bool)
-    for j in range(11, 7, -1):
+    for j in range(point + 4, point, -1):
         rest = q // 10_000
         chunk = q - rest * 10_000
         nonzero = chunk != 0
-        np.add(chunk, 20_000, out=chunk, where=zeros_after)
+        chunk += 20_000 * zeros_after
         out[j] = digits.take(chunk)
         zeros_after &= ~nonzero
         q = rest
-    exp = np.where(plain | special, 0, k - _K_LO + 1)
     exp[ncols - 1::ncols] += _N_EXP
-    for word, table in enumerate(suffixes, 12):
+    for word, table in enumerate(suffixes[2 - n_suf:], point + 5):
         out[word] = table.take(exp)
     return out, np.flatnonzero(slow)
 
 
 def csv_rows(columns: list[np.ndarray]) -> Iterator[bytes]:
-    """The rows of equal-length columns as CSV text, BLOCK_ROWS rows per
-    item; every cell is exactly '%.17g' % float(value)."""
+    """The rows of equal-length columns as CSV text, BLOCK_VALUES // ncols
+    rows (at least one) per item; every cell is exactly '%.17g' % float(value)."""
     columns = [np.asarray(col, dtype=float) for col in columns]
     ncols = len(columns)
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        x = np.stack([col[start:start + BLOCK_ROWS] for col in columns], axis=1).ravel()
+    rows = max(1, BLOCK_VALUES // ncols)
+    for start in range(0, len(columns[0]), rows):
+        x = np.stack([col[start:start + rows] for col in columns], axis=1).ravel()
         out, slow = _slots(x, ncols)
         for i in slow.tolist():
             text = b"%.17g" % x[i] + (b"\n" if i % ncols == ncols - 1 else b",")
-            out[:, i] = np.frombuffer(text.ljust(4 * _SLOT, b"\0"), np.uint32)
+            out[:, i] = np.frombuffer(text.ljust(4 * len(out), b"\0"), np.uint32)
         yield out.T.tobytes().translate(None, b"\0")

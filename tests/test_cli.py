@@ -756,11 +756,62 @@ def test_write_csv_matches_per_value_writer_special_and_strided(tmp_path):
     assert_writes_like_per_value(tmp_path, columns, ["z", "rev", "wide", "idx"])
 
 
-@pytest.mark.parametrize("rows", [csvtext.BLOCK_ROWS - 1, csvtext.BLOCK_ROWS, csvtext.BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [511, 512, 513])
 def test_write_csv_rows_across_a_block_edge(tmp_path, rows):
+    ncols = csvtext.BLOCK_VALUES // 512  # a block of 512 rows
     rng = np.random.default_rng(rows)
     z = np.linspace(0.0, 1.0, rows)
-    assert_writes_like_per_value(tmp_path, [z, rng.standard_normal(rows) * 1e-9])
+    assert_writes_like_per_value(tmp_path, [z, *rng.standard_normal((ncols - 1, rows)) * 1e-9])
+
+
+def width_blocks(rows):
+    """Blocks of rows x 3 values that need different slot widths, with the
+    widest value first in some blocks and last in others."""
+    rng = np.random.default_rng(22)
+
+    def block(wide=None, at=0):
+        values = rng.uniform(1.0, 10.0, (rows, 3))
+        if wide is not None:
+            values.flat[at] = wide
+        return values
+
+    return [
+        block(),  # [1, 10): no prefix, one integer word, no exponent
+        -rng.uniform(1e-4, 1e-3, (rows, 3)),  # '-0.000' prefixes
+        block(1.2345678901234567e16), block(-9.87654321e16, -1),  # 17 integer digits
+        block(3.5e-200), block(-7.25e123, -1), block(1e-5, -1),  # exponents
+        block(0.0), block(-0.0, -1), block(np.inf), block(-np.inf, -1), block(np.nan, -1),
+        block(at=-1),
+    ]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 512, csvtext.BLOCK_VALUES // 3])
+def test_write_csv_blocks_of_different_widths(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(csvtext, "BLOCK_VALUES", 3 * block_rows)
+    blocks = width_blocks(block_rows)
+    widths = {len(csvtext._slots(b.ravel(), 3)[0]) for b in blocks}
+    assert widths == {7, 8, 9, 11, 12}
+    assert_writes_like_per_value(tmp_path, list(np.concatenate(blocks).T))
+
+
+def test_write_csv_same_bytes_for_any_block_size(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    table = np.concatenate(width_blocks(150))[rng.permutation(13 * 150)]
+    columns = list(table.T)
+    write_csv_per_value(str(tmp_path / "ref.csv"), ["a", "b", "c"], columns)
+    # 1, 7, 512 and the default number of rows a block, the first from a
+    # BLOCK_VALUES below the row's width
+    for block_values in (1, 3 * 7, 3 * 512, csvtext.BLOCK_VALUES):
+        monkeypatch.setattr(csvtext, "BLOCK_VALUES", block_values)
+        _write_csv(str(tmp_path / "new.csv"), ["a", "b", "c"], columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_block_of_values_left_to_format(tmp_path):
+    """Subnormals are left to '%.17g', and their text fits the slot."""
+    tiny = -np.array([2.2250738585072014e-308, 5e-324, 1.2345678901234567e-310])
+    assert len(csvtext._slots(tiny, 1)[0]) == 8 and csvtext._decimal(tiny)[3].all()
+    assert_writes_like_per_value(tmp_path, [tiny])
 
 
 def test_write_csv_without_rows_writes_the_header(tmp_path):

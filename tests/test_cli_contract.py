@@ -91,7 +91,7 @@ def configs(draw, command):
     sections["grid"] = {
         "z0": pick(st.just("0.0"), GOOD),
         "z1": pick(st.sampled_from(("0.3", "0.6", "1.0")), GOOD),
-        "N": pick(st.integers(4, 64), st.sampled_from((-1, 0, 3, "1e3", "x"))),
+        "N": pick(st.integers(4, 64), st.sampled_from((-1, 0, 3, "1e3", "x", 10**17))),
     }
     table = None
     if command == "solve" or case != "a1":
@@ -244,3 +244,24 @@ def test_config_parsing_errors_are_one_config_error_line(tmp_path, command, text
     code, out, err = run_cli([command, FLAG[command], str(path)])
     assert code == 2 and len(err) == 1, (code, out, err)
     assert err[0].startswith(f"config error: malformed config {str(path)!r}: {message}"), err
+
+
+# 10**17 grid points need 711 PiB per column, more than any address space, so
+# the first array allocation fails at once and no memory is touched
+HUGE_N = {
+    "solve": "[scenario]\ncase = a1\noutput = {out}\n[frame]\nF = 1.0\n"
+             "[grid]\nz0 = 0.0\nz1 = 0.3\nN = 100000000000000000\n"
+             "[initial]\nsigma11 = 0.1\nOmega3 = 1.0\n[constants]\nA = 1.0\n",
+    "verify": "[scenario]\ncase = a1\n[grid]\nz0 = 0.0\nz1 = 0.3\nN = 100000000000000000\n"
+              "[constants]\nA = 1.0\nB = 1.0\nsign = 1\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUGE_N))
+def test_grid_beyond_memory_is_one_config_error_line(tmp_path, command):
+    path = tmp_path / "run.cfg"
+    path.write_text(HUGE_N[command].format(out=tmp_path / "out.csv"), encoding="utf-8")
+    code, out, err = run_cli([command, "--config", str(path)])
+    assert code == 2 and len(err) == 1, (code, out, err)
+    assert err[0].startswith("config error: input too large for memory: "), err
+    assert not (tmp_path / "out.csv").exists()
