@@ -22,7 +22,7 @@ import io
 import math
 import sys
 import warnings
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -770,7 +770,10 @@ def _ansatz_checks(cols: dict, zero: np.ndarray) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so repeated in-process ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="f13",
         description="1+3 frame equations for conformally flat elastic spacetimes",
@@ -791,7 +794,10 @@ def main(argv=None) -> int:
     p_res.add_argument("--system", choices=RESIDUAL_SYSTEMS, default="general")
     p_res.add_argument("--out", default=None)
     p_res.add_argument("--tol", default=None)
+    return parser
 
+
+def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a value that starts with "-" (-inf, -1e-3) for an
     # option; "--tol=VALUE" hands it to run_residual's check instead
@@ -799,7 +805,7 @@ def main(argv=None) -> int:
         if arg == "--tol":
             argv[i:i + 2] = [f"--tol={argv[i + 1]}"]
             break
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     _serve_temporaries_from_the_heap()
     try:
         # overflowing input gives inf/nan, which NonFiniteResidual, PoleError

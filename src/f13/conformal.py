@@ -373,14 +373,13 @@ def case_a1_closure(sigma11, a3):
     return pi11, p, -np.asarray(a3, dtype=float)
 
 
-def case_a1_rhs(y):
-    """e_3 = F d/dz of the case A1 state (sigma11, a3, Omega3).
+def case_a1_rhs(sigma11, a3, Omega3):
+    """e_3 = F d/dz of the case A1 state (sigma11, a3, Omega3), as a tuple.
 
     The one statement of the A1 system: RK4 calls it on floats, and the
     trajectory jets and the CLI's re-substitution checks on arrays.
     """
-    s11, a3, Om3 = y
-    return (a3 * s11, -9.0 * s11 * s11 + 2.0 * a3 * a3, a3 * Om3)
+    return (a3 * sigma11, -9.0 * sigma11 * sigma11 + 2.0 * a3 * a3, a3 * Omega3)
 
 
 # The array callers call the map by this name: a traced bench run
@@ -411,7 +410,7 @@ def _a1_e3_closure(sigma11, a3, Omega3):
     """e_3 of every case A1 field via the ODE system and the chain rule."""
     s11 = np.asarray(sigma11, dtype=float)
     a = np.asarray(a3, dtype=float)
-    e3s, e3a, e3om = _A1_RHS((s11, a, np.asarray(Omega3, dtype=float)))
+    e3s, e3a, e3om = _A1_RHS(s11, a, np.asarray(Omega3, dtype=float))
     e3pi, e3p = _a1_closure_slopes(s11, a, e3s, e3a)
     return dict(p=e3p, pi11=e3pi, Theta=6.0 * e3s, sigma11=e3s,
                 udot3=-e3a, a3=e3a, Omega3=e3om)
@@ -670,7 +669,7 @@ def branch_jet(f: BranchFields) -> SpecialJet:
     value = dict(p=f.p, pi11=f.pi11, sigma11=0.0 * f.a3, Theta=0.0 * f.a3,
                  udot3=f.udot3, a3=f.a3, Omega3=f.Omega3)
     e3 = dict(**f.family.e3(f.a3, f.e3_a3), a3=f.e3_a3,
-              Omega3=_A2_RHS((f.p, f.udot3, f.a3, f.Omega3))[3])
+              Omega3=_A2_RHS(f.p, f.udot3, f.a3, f.Omega3)[3])
     return SpecialJet.build(f.z, value, e3=e3)
 
 
@@ -685,17 +684,20 @@ def case_a2_pi11(p, udot3, a3):
     return 0.5 * np.asarray(p, dtype=float) - 0.5 * a * a + a * udot3
 
 
-def case_a2_rhs(y):
-    """e_3 = F d/dz of the case A2 state (p, udot3, a3, Omega3).
+def case_a2_rhs(p, udot3, a3, Omega3):
+    """e_3 = F d/dz of the case A2 state (p, udot3, a3, Omega3), as a tuple.
 
     The one statement of the A2 system, on floats and on arrays alike.
+    2 a3 udot3 and -udot3 are formed once each, by the operations that each
+    term would run, so the bits are those of the terms written out.
     """
-    p, u3, a3, Om3 = y
+    neg_u3 = -udot3
+    two_a3_u3 = 2.0 * a3 * udot3
     return (
-        -u3 * p - u3 * a3 * a3 / 3.0 + 2.0 * a3 * u3 * u3 / 3.0,
-        3.0 * p - u3 * u3 + 2.0 * a3 * u3,
+        neg_u3 * p - udot3 * a3 * a3 / 3.0 + two_a3_u3 * udot3 / 3.0,
+        3.0 * p - udot3 * udot3 + two_a3_u3,
         1.5 * p + 1.5 * a3 * a3,
-        -u3 * Om3,
+        neg_u3 * Omega3,
     )
 
 
@@ -706,7 +708,7 @@ def _a2_e3_closure(p, udot3, a3, Omega3):
     p = np.asarray(p, dtype=float)
     u3 = np.asarray(udot3, dtype=float)
     a = np.asarray(a3, dtype=float)
-    e3p, e3u, e3a, e3om = _A2_RHS((p, u3, a, np.asarray(Omega3, dtype=float)))
+    e3p, e3u, e3a, e3om = _A2_RHS(p, u3, a, np.asarray(Omega3, dtype=float))
     e3pi = 0.5 * e3p - a * e3a + e3a * u3 + a * e3u
     return dict(p=e3p, pi11=e3pi, udot3=e3u, a3=e3a, Omega3=e3om)
 

@@ -1,15 +1,15 @@
 """Integration, differentiation and quadrature kernels.
 
-Fixed-step classical RK4 for F(z) y' = rhs(y) (deterministic output grids
-make residual cross-checks and CSV diffing trivial): rhs maps the state to
-F dy/dz and takes no z, and F is evaluated once, vectorised, on each array
-of stage abscissae.  The step runs on Python floats and is generated once
-per state dimension, unrolled over the components; it performs the
-operations of the list-based step written out above ``_RK4_LOOP`` in the
-same order, so it gives the same bits.  Order-4 central finite
-differences with order-4 one-sided boundary stencils, and cumulative
-composite Simpson quadrature.  All kernels are pure functions
-on uniform grids.  ``NotAKnotSpline`` interpolates a tabulated frame
+Fixed-step classical RK4 for F(z) y' = rhs(*y) (deterministic output grids
+make residual cross-checks and CSV diffing trivial): rhs takes the state
+components as positional arguments, returns F dy/dz and takes no z, and F
+is evaluated once, vectorised, on each array of stage abscissae.  The step
+runs on Python floats and is generated once per state dimension, unrolled
+over the components; it performs the operations of the list-based step
+written out above ``_RK4_LOOP`` in the same order, so it gives the same
+bits.  Order-4 central finite differences with order-4 one-sided boundary
+stencils, and cumulative composite Simpson quadrature.  All kernels are
+pure functions on uniform grids.  ``NotAKnotSpline`` interpolates a tabulated frame
 factor; it equals scipy's ``CubicSpline`` bit for bit.
 """
 
@@ -100,14 +100,15 @@ class PoleError(RuntimeError):
 # its methods), so that a step runs no comprehension, zip or generator.  Its
 # operation order is that of the list-based step (tests/test_numerics.py
 # keeps it as ``rk4_list_reference``)
-#     k1 = [e / f1 for e in rhs(y)]
-#     k2 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k1)])]
-#     k3 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k2)])]
-#     k4 = [e / f4 for e in rhs([a + h * b for a, b in zip(y, k3)])]
+#     k1 = [e / f1 for e in rhs(*y)]
+#     k2 = [e / f2 for e in rhs(*[a + h2 * b for a, b in zip(y, k1)])]
+#     k3 = [e / f2 for e in rhs(*[a + h2 * b for a, b in zip(y, k2)])]
+#     k4 = [e / f4 for e in rhs(*[a + h * b for a, b in zip(y, k3)])]
 #     y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for ...]
 # so every float comes out bit for bit the same.  rhs is called four times
-# per step (a traced run counts these calls), with a tuple; an output of the
-# wrong length is a TypeError.
+# per step (a traced run counts these calls), with the components as
+# positional arguments, so no call builds a tuple; an rhs of another arity
+# fails at its first call, and an output of the wrong length is a TypeError.
 _RK4_LOOP = """\
 def rk4_loop(rhs, y, append, Fs, h, h2, h6):
     {y}, = y
@@ -125,7 +126,7 @@ def rk4_loop(rhs, y, append, Fs, h, h2, h6):
     return None
 """
 _RK4_STAGE = """\
-            out = rhs(({arg},))
+            out = rhs({arg})
             try:
                 {e}, = out
             except ValueError:
@@ -177,10 +178,13 @@ def _rk4_loop(d: int) -> Callable:
 
 
 def rk4_integrate(rhs: Callable, y0, grid: Grid, F: Callable) -> Trajectory:
-    """Classical fixed-step RK4 for F(z) y' = rhs(y); global error O(h^4).
+    """Classical fixed-step RK4 for F(z) y' = rhs(*y); global error O(h^4).
 
-    rhs maps the state (a tuple of floats) to F dy/dz, a sequence of the
-    same length (TypeError otherwise), and is called four times per step.
+    rhs takes the state components (Python floats) as positional arguments
+    and returns F dy/dz, a sequence of the same length (TypeError
+    otherwise); it is called four times per step.  An rhs that takes
+    another number of arguments raises TypeError at its first call, and no
+    trajectory comes back.
     F is vectorised over z and must be positive and finite at every stage
     abscissa, which is checked before integrating (ValueError otherwise).
     F is evaluated once per abscissa array and the stages run on Python

@@ -95,14 +95,14 @@ def test_criterion_3_shearless_branches():
     res1 = float(np.max(np.abs(f1.e3_a3 - 2.0 * f1.a3**2)))
     exact1 = 1.0 / (1.0 - 2.0 * f1.z)
     form_err1 = float(np.max(np.abs(f1.a3 - exact1)))
-    rk1 = rk4_integrate(lambda y: [2.0 * y[0] * y[0]], [1.0], grid, F1)
+    rk1 = rk4_integrate(lambda y: [2.0 * y * y], [1.0], grid, F1)
     rk_err1 = float(np.max(np.abs(rk1.column(0) - exact1)))
 
     f2 = cf.a2_branch2_fields(F1, 1.0, 0.0, grid)
     res2 = float(np.max(np.abs(f2.e3_a3 - 1.5 * f2.a3**2)))
     exact2 = 1.0 / (1.0 - 1.5 * f2.z)
     form_err2 = float(np.max(np.abs(f2.a3 - exact2)))
-    rk2 = rk4_integrate(lambda y: [1.5 * y[0] * y[0]], [1.0], grid, F1)
+    rk2 = rk4_integrate(lambda y: [1.5 * y * y], [1.0], grid, F1)
     rk_err2 = float(np.max(np.abs(rk2.column(0) - exact2)))
 
     ok = (max(res1, res2) < 1e-12 and max(form_err1, form_err2) < 1e-10
@@ -244,7 +244,7 @@ def test_criterion_9_numerics_quality():
     orders = {}
     errs = []
     for N in (100, 200, 400):
-        t = rk4_integrate(lambda y: y, [1.0], Grid(0.0, 1.0, N), F1)
+        t = rk4_integrate(lambda *y: y, [1.0], Grid(0.0, 1.0, N), F1)
         errs.append(abs(t.column(0)[-1] - np.e))
     orders["rk4"] = min(np.log2(errs[i] / errs[i + 1]) for i in range(2))
     errs = []

@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from f13 import conformal as cf
 from f13 import csvtext
 from f13 import frame_equations as fe
-from f13.cli import RESIDUAL_SYSTEMS, _fmt, _read_table, _write_csv, main, run_verify
+from f13.cli import (RESIDUAL_SYSTEMS, _fmt, _parser, _read_table, _write_csv, main,
+                     run_verify)
 
 EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -1398,7 +1399,7 @@ def test_solve_ode_checks_recompute_from_the_csv(tmp_path, capsys, case):
     printed = {line.split()[1]: line.split()[2] for line in capsys.readouterr().out.splitlines()
                if line.startswith("check ode[")}
     _, cols = read_csv(out)
-    e3 = rhs(tuple(cols[n] for n in names))
+    e3 = rhs(*(cols[n] for n in names))
     for name, expected in zip(names, e3):
         value = np.max(np.abs(1.0 * fd_derivative(cols[name], grid) - expected))
         assert printed[f"ode[{name}]"] == f"max={value:.6e}", name
@@ -1410,3 +1411,30 @@ def test_verify_profile_key_is_unknown(tmp_path, capsys):
                 VERIFY_A1.format(A=0.0, extra="").replace("case = a1", "case = a1\nprofile = exp"))
     assert main(["verify", "--config", cfg]) == 2
     assert capsys.readouterr().err == "config error: unknown key scenario.profile\n"
+
+
+def test_parser_is_built_once_and_an_argparse_error_leaves_it_usable(tmp_path, capsys):
+    """main parses with one parser per process.  After an argparse error
+    (SystemExit 2), a solve and a verify give the code, stdout, stderr and
+    CSV bytes of the same calls on a freshly built parser."""
+    out = tmp_path / "a1.csv"
+    solve = ["solve", "--config", write(tmp_path / "s.cfg", A1_SOLVE.format(out=out))]
+    verify = ["verify", "--config", write(tmp_path / "v.cfg", VERIFY_A1.format(A=0.0, extra=""))]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes()
+
+    _parser.cache_clear()
+    fresh = [run(solve)]
+    _parser.cache_clear()
+    fresh.append(run(verify))
+    out.unlink()
+    parser = _parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--bogus"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert [run(solve), run(verify)] == fresh
+    assert _parser() is parser

@@ -252,25 +252,57 @@ def test_trajectory_jets_take_e3_from_the_rhs():
     rng = np.random.default_rng(11)
     s11, a3, om3, p, u3 = rng.uniform(-2.0, 2.0, (5, 300))
     e3 = cf.a1_trajectory_jet(np.zeros(300), s11, a3, om3).deriv[3]
-    rhs = cf.case_a1_rhs((s11, a3, om3))
+    rhs = cf.case_a1_rhs(s11, a3, om3)
     for name, expected in zip(("sigma11", "a3", "Omega3"), rhs):
         assert np.array_equal(getattr(e3, name), expected), name
     e3 = cf.a2_trajectory_jet(np.zeros(300), p, u3, a3, om3).deriv[3]
-    rhs2 = cf.case_a2_rhs((p, u3, a3, om3))
+    rhs2 = cf.case_a2_rhs(p, u3, a3, om3)
     for name, expected in zip(("p", "udot3", "a3", "Omega3"), rhs2):
         assert np.array_equal(getattr(e3, name), expected), name
     for i in range(0, 300, 37):
-        assert cf.case_a1_rhs([float(s11[i]), float(a3[i]), float(om3[i])]) == tuple(
+        assert cf.case_a1_rhs(float(s11[i]), float(a3[i]), float(om3[i])) == tuple(
             float(r[i]) for r in rhs)
-        assert cf.case_a2_rhs([float(p[i]), float(u3[i]), float(a3[i]), float(om3[i])]) == tuple(
+        assert cf.case_a2_rhs(float(p[i]), float(u3[i]), float(a3[i]), float(om3[i])) == tuple(
             float(r[i]) for r in rhs2)
 
 
+def a2_rhs_terms(p, u3, a3, Om3):
+    """case_a2_rhs with every term written out in full."""
+    return (
+        -u3 * p - u3 * a3 * a3 / 3.0 + 2.0 * a3 * u3 * u3 / 3.0,
+        3.0 * p - u3 * u3 + 2.0 * a3 * u3,
+        1.5 * p + 1.5 * a3 * a3,
+        -u3 * Om3,
+    )
+
+
+def test_case_a2_rhs_has_the_bits_of_its_terms_written_out():
+    """Forming 2 a3 udot3 and -udot3 once leaves every bit as it is, on
+    arrays and on floats, signed zeros, overflow and NaN included, and
+    floats and arrays agree.  On floats the sign of a NaN is left out: the
+    product of two NaNs takes the sign of one of them, and which one
+    changes when CPython's specialising interpreter warms a function up."""
+    rng = np.random.default_rng(23)
+    cols = rng.uniform(-3.0, 3.0, (4, 400))
+    hit = rng.random(cols.shape) < 0.3
+    cols[hit] = rng.choice([0.0, -0.0, 1e200, -1e200, np.inf, -np.inf, np.nan, 1e-320],
+                           hit.sum())
+    with np.errstate(all="ignore"):
+        got = np.array(cf.case_a2_rhs(*cols))
+        want = np.array(a2_rhs_terms(*cols))
+    assert got.tobytes() == want.tobytes()
+    points = [[float(x) for x in point] for point in cols.T]
+    got_f = np.array([cf.case_a2_rhs(*point) for point in points]).T
+    want_f = np.array([a2_rhs_terms(*point) for point in points]).T
+    unsigned_nan = lambda a: np.where(np.isnan(a), np.nan, a).tobytes()
+    assert unsigned_nan(got_f) == unsigned_nan(want_f) == unsigned_nan(got)
+
+
 def test_case_a1_rhs_examples():
-    assert np.array_equal(cf.case_a1_rhs([0.0, 0.0, 0.0]), np.zeros(3))
-    dy = cf.case_a1_rhs([0.1, 0.3, 1.0])
+    assert np.array_equal(cf.case_a1_rhs(0.0, 0.0, 0.0), np.zeros(3))
+    dy = cf.case_a1_rhs(0.1, 0.3, 1.0)
     assert dy == pytest.approx([0.03, -0.09 + 0.18, 0.3], rel=1e-15)
-    dy = cf.case_a1_rhs([0.0, 1.0, 0.0])
+    dy = cf.case_a1_rhs(0.0, 1.0, 0.0)
     assert dy[1] == 2.0
     bad = cf.ScaleFactor(lambda z: -1.0)
     with pytest.raises(ValueError, match="positive"):
@@ -444,7 +476,7 @@ def test_shearless_branch_satisfies_ode():
 
 
 def test_case_a2_rhs_and_pi11():
-    dy = cf.case_a2_rhs([0.0, 0.0, 0.0, 0.0])
+    dy = cf.case_a2_rhs(0.0, 0.0, 0.0, 0.0)
     assert np.array_equal(dy, np.zeros(4)) and cf.case_a2_pi11(0.0, 0.0, 0.0) == 0.0
     assert cf.case_a2_pi11(1.0, 0.5, 2.0) == 0.5 - 2.0 + 1.0
     with pytest.raises(ValueError, match="positive"):

@@ -46,16 +46,16 @@ def test_grid_refined_halves_every_interval():
 
 def test_rk4_constant_and_exponential():
     g = Grid(0.0, 1.0, 1000)
-    t = rk4_integrate(lambda y: [0.0] * len(y), [2.0, -3.0], g, unit_frame)
+    t = rk4_integrate(lambda *y: [0.0] * len(y), [2.0, -3.0], g, unit_frame)
     assert np.max(np.abs(t.states - [2.0, -3.0])) == 0.0
-    t = rk4_integrate(lambda y: y, [1.0], g, unit_frame)
+    t = rk4_integrate(lambda *y: y, [1.0], g, unit_frame)
     assert abs(t.column(0)[-1] - np.e) < 1e-10
 
 
 def test_rk4_order():
     errs = []
     for N in (100, 200, 400):
-        t = rk4_integrate(lambda y: y, [1.0], Grid(0.0, 1.0, N), unit_frame)
+        t = rk4_integrate(lambda *y: y, [1.0], Grid(0.0, 1.0, N), unit_frame)
         errs.append(abs(t.column(0)[-1] - np.e))
     orders = measured_orders(errs)
     print("rk4 orders:", orders)
@@ -65,7 +65,7 @@ def test_rk4_order():
 def test_rk4_pole_detection():
     # y' = y^2 from y(0) = 1 blows up at z = 1
     with pytest.raises(PoleError) as err:
-        rk4_integrate(lambda y: [y[0] * y[0]], [1.0], Grid(0.0, 2.0, 200), unit_frame)
+        rk4_integrate(lambda y: [y * y], [1.0], Grid(0.0, 2.0, 200), unit_frame)
     assert np.all(np.isfinite(err.value.partial_states))
     assert 0.9 < err.value.last_good_z <= 1.1
 
@@ -249,7 +249,7 @@ def test_rk4_pole_matches_per_stage_reference(frame):
 
 def test_rk4_overflow_is_a_pole():
     with pytest.raises(PoleError) as err:
-        rk4_integrate(lambda y: [y[0] ** 3], [1.0], Grid(0.0, 2.0, 200), unit_frame)
+        rk4_integrate(lambda y: [y ** 3], [1.0], Grid(0.0, 2.0, 200), unit_frame)
     assert 0.4 < err.value.last_good_z < 0.6  # y' = y^3 blows up at z = 1/2
 
 
@@ -260,7 +260,9 @@ def test_rk4_overflow_is_a_pole():
 
 def rk4_list_reference(rhs, y0, grid, F):
     """rk4_integrate as it was before its step was generated per state
-    dimension: the same checks, one list comprehension per stage."""
+    dimension: the same checks, one list comprehension per stage, and rhs
+    called as the generated loop calls it, with the components as
+    positional arguments."""
     y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     h = grid.h
     n = grid.N
@@ -284,10 +286,10 @@ def rk4_list_reference(rhs, y0, grid, F):
     # memoryviews hand out one Python float per step, not a list of them all
     for k, (f1, f2, f4) in enumerate(zip(*map(memoryview, Fs))):
         try:
-            k1 = [e / f1 for e in rhs(y)]
-            k2 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k1)])]
-            k3 = [e / f2 for e in rhs([a + h2 * b for a, b in zip(y, k2)])]
-            k4 = [e / f4 for e in rhs([a + h * b for a, b in zip(y, k3)])]
+            k1 = [e / f1 for e in rhs(*y)]
+            k2 = [e / f2 for e in rhs(*[a + h2 * b for a, b in zip(y, k1)])]
+            k3 = [e / f2 for e in rhs(*[a + h2 * b for a, b in zip(y, k2)])]
+            k4 = [e / f4 for e in rhs(*[a + h * b for a, b in zip(y, k3)])]
             y = [a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             finite = all(map(math.isfinite, y))
@@ -324,7 +326,7 @@ def quadratic_rhs(c, L, Q, as_tuple):
     """e_i = c_i + sum_j L_ij y_j + sum_jk Q_ijk y_j y_k, as a list or a tuple."""
     d = len(c)
 
-    def rhs(y):
+    def rhs(*y):
         out = []
         for i in range(d):
             e = c[i]
@@ -376,17 +378,30 @@ def test_rk4_matches_list_reference_on_quadratic_systems(problem):
     assert assert_matches_list_reference(rhs, y0, grid, F) == pole
 
 
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rk4_case_rhs_matches_list_reference(case, frame):
+    """The A1 and A2 systems step bit for bit as the list-based loop steps
+    them, on a clean run and, for A1, into its pole."""
+    rhs, _, y0 = CASES[case]
+    F = FRAMES[frame]()
+    assert not assert_matches_list_reference(rhs, y0, Grid(0.0, 1.0, 2000), F)
+    if case == "a1":
+        y0 = [0.5, 0.5 * np.sqrt(0.25 + 9.0), 1.0]  # pole near z = 0.565 F
+        assert assert_matches_list_reference(rhs, y0, Grid(0.0, 1.0, 400), F)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_rk4_identity_rhs_matches_list_reference(d):
-    """An rhs that returns its input: a list in the reference, a tuple here."""
+    """An rhs that returns its input, the tuple of its arguments."""
     y0 = [1.0, -0.5, 0.25][:d]
     for F in FRAMES.values():
-        assert not assert_matches_list_reference(lambda y: y, y0, Grid(0.0, 1.0, 1000), F())
+        assert not assert_matches_list_reference(lambda *y: y, y0, Grid(0.0, 1.0, 1000), F())
 
 
 def test_rk4_overflow_matches_list_reference():
     assert assert_matches_list_reference(
-        lambda y: [y[0] ** 3], [1.0], Grid(0.0, 2.0, 200), unit_frame)
+        lambda y: [y ** 3], [1.0], Grid(0.0, 2.0, 200), unit_frame)
 
 
 @pytest.mark.parametrize("returned", [1, 2, 4])
@@ -396,7 +411,7 @@ def test_rk4_rhs_of_the_wrong_length_is_a_type_error(returned):
     every column) or failed inside numpy; now the first call fails."""
     calls = []
 
-    def rhs(y):
+    def rhs(*y):
         calls.append(y)
         return [0.5] * returned
 
@@ -406,23 +421,46 @@ def test_rk4_rhs_of_the_wrong_length_is_a_type_error(returned):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("rhs, y0", [
+    (lambda s11, a3: (s11, a3, 0.0), [1.0, 2.0, 3.0]),
+    (lambda p, u3, a3, om3: (p, u3, a3), [1.0, 2.0, 3.0]),
+    (cf.case_a1_rhs, [0.1, 0.2, 0.3, 1.0]),
+    (cf.case_a2_rhs, [0.1, 0.2, 0.3]),
+], ids=["2-for-3", "4-for-3", "a1-for-4", "a2-for-3"])
+def test_rk4_rhs_of_another_arity_is_a_type_error_before_the_first_step(rhs, y0):
+    """rhs takes the state components as positional arguments: one of
+    another arity fails at the first call, before its body runs, and no
+    trajectory, partial or whole, comes back."""
+    calls = []
+
+    def counted(*y):
+        calls.append(y)
+        return rhs(*y)
+
+    with pytest.raises(TypeError, match="positional argument"):
+        rk4_integrate(counted, y0, Grid(0.0, 1.0, 10), unit_frame)
+    assert calls == [tuple(y0)]  # the first stage of the first step
+    with pytest.raises(TypeError, match="positional argument"):
+        rk4_integrate(rhs, y0, Grid(0.0, 1.0, 10), unit_frame)
+
+
 def test_rk4_empty_state_is_a_value_error():
     with pytest.raises(ValueError, match="at least one component"):
-        rk4_integrate(lambda y: y, [], Grid(0.0, 1.0, 10), unit_frame)
+        rk4_integrate(lambda *y: y, [], Grid(0.0, 1.0, 10), unit_frame)
 
 
 def test_rk4_value_error_inside_rhs_is_not_a_length_error():
     with pytest.raises(ValueError, match="math domain error"):
-        rk4_integrate(lambda y: [math.sqrt(-y[0])], [1.0], Grid(0.0, 1.0, 10), unit_frame)
+        rk4_integrate(lambda y: [math.sqrt(-y)], [1.0], Grid(0.0, 1.0, 10), unit_frame)
 
 
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 def test_rk4_calls_rhs_four_times_per_step(frame):
     calls = [0]
 
-    def counted(y):
+    def counted(*y):
         calls[0] += 1
-        return cf.case_a1_rhs(y)
+        return cf.case_a1_rhs(*y)
 
     F = FRAMES[frame]()
     rk4_integrate(counted, [0.1, 0.1 * np.sqrt(0.01 + 9.0), 1.0], Grid(0.0, 1.0, 500), F)
