@@ -50,12 +50,36 @@ left is a product of finite fields that overflows inside a term with a
 drops with the term.  No kernel writes into its operands, since
 ``x + ZERO`` returns ``x`` itself.
 
+Plans.  ``residual_report`` does not run the block kernels on the jet's
+arrays: ``_efe_arr``, ``_jacobi_arr`` and ``_bianchi_arr`` are planned
+(``_planned``).  A jet's sparsity pattern (``_Tables.sparsity``) lists the
+components that are not ``ZERO`` and, for each, which of the jet's distinct
+arrays it holds, by identity: pi22 is pi11 and x_ji is x_ij on the
+conformally flat jets.  The first time a block sees a pattern, it runs its
+kernel once on symbolic entries (``_Entry``) through the same tables, so
+the ``ZERO`` terms drop out as above, and records each ``+ - * / **`` and
+negation once, keyed by the operator and its operands (a number by its type
+and bits, so 2 and 2.0, or 0.0 and -0.0, stay apart): an operation the
+kernel repeats on the same operands is made once, and one no result
+depends on is dropped.  Every report of that pattern then replays the
+recorded operations (``_Plan``) on its own arrays, in the recorded order,
+and frees each intermediate after its last use; the same operations on the
+same operands give the same bits, and the results have the kernels'
+structure, except that one array may fill several components (field2[0, 1]
+is field2[1, 0]).  Replay reads every operand from its list of slots, which
+holds a reference to it, so numpy's temporary elision, which writes into an
+operand nothing else refers to, never reuses one.  Each block keeps the
+plans of its ``PLAN_CACHE`` most recent patterns, keyed by the pattern
+alone, not by the batch shape or the values.
+
 Residual norms are max-abs: a single violated component must not be
 averaged away.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 import operator
@@ -135,9 +159,12 @@ class _Slot:
         return self._entries.get(key, 0.0)
 
 
-# every (jet field, component index) a jet may hold
-_KEYS = frozenset((name, index) for name, comp in _COMPONENTS.items()
-                  for index in np.ndindex(comp))
+# every (jet field, component index) a jet may hold, numbered in field order
+_FLAT = tuple((name, index) for name, comp in _COMPONENTS.items() for index in np.ndindex(comp))
+_KEYS = frozenset(_FLAT)
+# jet field -> the number of its first component
+_FIRST = dict(zip(_COMPONENTS, itertools.accumulate(
+    (math.prod(comp) for comp in _COMPONENTS.values()), initial=0)))
 
 
 class JetArrays:
@@ -358,6 +385,35 @@ class _Tables:
         self.shape = shape
         vars(self).update(fields)
 
+    @functools.cached_property
+    def sparsity(self) -> tuple:
+        """(pattern, inputs): ``inputs`` lists each distinct entry once, by
+        identity, in the order of the first component holding it, and
+        ``pattern`` pairs the number (``_FLAT``) of every component that is
+        not ``ZERO`` with the position of its entry in ``inputs``."""
+        pattern, inputs, ids = [], [], {}
+        for name, first in _FIRST.items():
+            x = getattr(self, name)
+            if x is ZERO:
+                continue
+            for k, e in enumerate(x.c.flat if isinstance(x, _Components) else (x,), first):
+                if e is not ZERO:
+                    i = ids.setdefault(id(e), len(inputs))
+                    if i == len(inputs):
+                        inputs.append(e)
+                    pattern.append((k, i))
+        return tuple(pattern), inputs
+
+
+def _tables(shape: tuple, live: dict) -> _Tables:
+    """The tables holding the entry live[(field, component index)] in each
+    listed component and ``ZERO`` in every other."""
+    tables = {name: np.full(comp, ZERO, dtype=object) for name, comp in _COMPONENTS.items()}
+    for (name, index), e in live.items():
+        tables[name][index] = e
+    return _Tables(shape, {name: t[()] if t.ndim == 0 else _table(t)
+                           for name, t in tables.items()})
+
 
 def _component_tables(ja: JetArrays) -> _Tables:
     """The tables of ``ja``'s entries, with every component that has no
@@ -367,21 +423,204 @@ def _component_tables(ja: JetArrays) -> _Tables:
     if not isinstance(ja, JetArrays):
         raise TypeError(f"expected JetArrays, got {type(ja).__name__}")
     head = bool(ja.shape)
-    tables = {name: np.full(comp, ZERO, dtype=object) for name, comp in _COMPONENTS.items()}
-    for (name, index), e in ja.entries.items():
-        # a component with a nonzero entry nearly always has one among its
-        # first points; testing those first spares the full scan
-        if (head and e[..., :16].any()) or e.any():
-            tables[name][index] = e
+    # a component with a nonzero entry nearly always has one among its
+    # first points; testing those first spares the full scan
+    live = {key: e for key, e in ja.entries.items()
+            if (head and e[..., :16].any()) or e.any()}
     # an overflowing sum of finite entries also forms the zero terms
-    if not all(np.isfinite(e.sum()) for t in tables.values() for e in t.flat if e is not ZERO):
+    if not all(np.isfinite(e.sum()) for e in live.values()):
         zeros = np.zeros(ja.shape)
-        for t in tables.values():
-            for index in np.ndindex(t.shape):
-                if t[index] is ZERO:
-                    t[index] = zeros
-    return _Tables(ja.shape, {name: t[()] if t.ndim == 0 else _table(t)
-                              for name, t in tables.items()})
+        live = {key: live.get(key, zeros) for key in _FLAT}
+    return _tables(ja.shape, live)
+
+
+# ---------------------------------------------------------------------------
+# plans: each block kernel traced once per sparsity pattern
+# ---------------------------------------------------------------------------
+
+# patterns each block keeps a plan for
+PLAN_CACHE = 32
+
+
+def _neg(x, _):
+    return -x
+
+
+class _Trace:
+    """The batch operations of one kernel run, each recorded once.
+
+    A slot numbers an input entry (``0 .. n_inputs - 1``), a constant or a
+    result; ``ops`` holds (operator, operand slot, operand slot, result
+    slot) in the order the kernel made them, and ``consts`` maps the slot
+    of each constant to its value.
+    """
+
+    def __init__(self, n_inputs: int):
+        self.ops = []
+        self.consts = {}
+        self.slots = n_inputs
+        self._memo = {}  # (operator, slot, slot) or (type, bits) -> entry or slot
+
+    def _slot(self, x):
+        """The slot of an entry or a number, None for any other operand; a
+        number is keyed by its type and bits, so 2 and 2.0, or 0.0 and
+        -0.0, take two slots."""
+        if type(x) is _Entry:
+            return x.slot
+        if type(x) not in (int, float):
+            return None
+        key = (type(x), x.hex() if type(x) is float else x)
+        if key not in self._memo:
+            self._memo[key] = self.slots
+            self.consts[self.slots] = x
+            self.slots += 1
+        return self._memo[key]
+
+    def record(self, fn, a, b):
+        """The entry of fn(a, b): the one an earlier call with the same
+        operator and operands returned, or a new one recorded in ``ops``;
+        NotImplemented if an operand is neither an entry nor a number."""
+        sa, sb = self._slot(a), self._slot(b)
+        if sa is None or sb is None:
+            return NotImplemented
+        key = (fn, sa, sb)
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo[key] = _Entry(self, self.slots)
+            self.ops.append(key + (self.slots,))
+            self.slots += 1
+        return entry
+
+
+class _Entry:
+    """A batch entry of a kernel being traced: a slot of its trace.
+
+    ``+ - * /`` and ``**`` with another entry of the trace or a number, and
+    unary minus, record the operation on the trace; numpy defers to it
+    (``__array_ufunc__ = None``), so any other use raises TypeError.
+    """
+
+    __array_ufunc__ = None
+    __slots__ = ("trace", "slot")
+
+    def __init__(self, trace: _Trace, slot: int):
+        self.trace = trace
+        self.slot = slot
+
+    def __add__(self, other):
+        return self.trace.record(operator.add, self, other)
+
+    def __radd__(self, other):
+        return self.trace.record(operator.add, other, self)
+
+    def __sub__(self, other):
+        return self.trace.record(operator.sub, self, other)
+
+    def __rsub__(self, other):
+        return self.trace.record(operator.sub, other, self)
+
+    def __mul__(self, other):
+        return self.trace.record(operator.mul, self, other)
+
+    def __rmul__(self, other):
+        return self.trace.record(operator.mul, other, self)
+
+    def __truediv__(self, other):
+        return self.trace.record(operator.truediv, self, other)
+
+    def __pow__(self, other):
+        return self.trace.record(operator.pow, self, other)
+
+    def __neg__(self):
+        return self.trace.record(_neg, self, self)
+
+    def __bool__(self):
+        raise TypeError("a traced entry has no truth value")
+
+
+def _result_slots(r):
+    """A kernel result on traced entries with each entry replaced by its
+    slot: ``ZERO``, a slot, or (component shape, slot or None per
+    component)."""
+    if r is ZERO or type(r) is _Entry:
+        return r if r is ZERO else r.slot
+    if isinstance(r, _Components):
+        return r.c.shape, tuple(None if e is ZERO else e.slot for e in r.c.flat)
+    raise TypeError(f"a kernel returned {type(r).__name__}")
+
+
+class _Plan:
+    """A block kernel traced on one sparsity pattern (``_Tables.sparsity``):
+    the operations that lead to its results, each once, in order, and after
+    each the slots it reads for the last time."""
+
+    def __init__(self, kernel, pattern: tuple):
+        n_inputs = 1 + max((i for _, i in pattern), default=-1)
+        trace = _Trace(n_inputs)
+        entries = [_Entry(trace, i) for i in range(n_inputs)]
+        results = kernel(_tables((), {_FLAT[k]: entries[i] for k, i in pattern}))
+        self.results = tuple(_result_slots(r) for r in results)
+        kept = set()
+        for r in self.results:
+            if r is not ZERO:
+                kept.update([r] if type(r) is int else (s for s in r[1] if s is not None))
+        # drop the operations no result depends on, walking back from the results
+        needed, ops = set(kept), []
+        for op in reversed(trace.ops):
+            if op[3] in needed:
+                ops.append(op)
+                needed.update(op[1:3])
+        ops.reverse()
+        last = {}
+        for n, (_, a, b, _) in enumerate(ops):
+            last[a] = last[b] = n
+        frees = [[] for _ in ops]
+        for s, n in last.items():
+            if s not in kept:
+                frees[n].append(s)
+        self.ops = [op + (tuple(f),) for op, f in zip(ops, frees)]
+        self.template = [trace.consts.get(s) for s in range(n_inputs, trace.slots)]
+
+    def replay(self, inputs: list) -> tuple:
+        """The kernel's results on ``inputs``, the entries of a jet of the
+        plan's pattern.  Every operand is read from the slot list, which
+        holds a reference to it, so numpy never reuses one as a result's
+        buffer (temporary elision)."""
+        v = inputs + self.template
+        for fn, a, b, out, frees in self.ops:
+            v[out] = fn(v[a], v[b])
+            for s in frees:
+                v[s] = None
+        return tuple(_result(r, v) for r in self.results)
+
+
+def _result(r, v: list):
+    """A result of ``_result_slots`` with the entries of the slots ``v``."""
+    if r is ZERO or type(r) is int:
+        return r if r is ZERO else v[r]
+    comp, slots = r
+    c = np.empty(len(slots), dtype=object)
+    for k, s in enumerate(slots):
+        c[k] = ZERO if s is None else v[s]
+    return _Components(c.reshape(comp))
+
+
+def _planned(kernel):
+    """The block ``kernel`` evaluated through its plan for the sparsity
+    pattern of the tables it is given; ``plan`` is the bounded plan cache,
+    keyed by the pattern alone, and ``__wrapped__`` the kernel itself."""
+
+    @functools.lru_cache(maxsize=PLAN_CACHE)
+    def plan(pattern: tuple) -> _Plan:
+        return _Plan(kernel, pattern)
+
+    @functools.wraps(kernel)
+    def block(c: _Tables) -> tuple:
+        pattern, inputs = c.sparsity
+        return plan(pattern).replay(inputs)
+
+    block.plan = plan
+    return block
 
 
 # Contraction kernels on component-major arrays (component axes first, batch
@@ -545,6 +784,7 @@ def curly_R(jet: JetArrays) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_planned
 def _efe_arr(c: _Tables):
     sigma2 = 0.5 * _ddot(c.sigma, c.sigma)
     omega2 = _dot(c.omega, c.omega)
@@ -624,6 +864,7 @@ def _efe_arr(c: _Tables):
 # ---------------------------------------------------------------------------
 
 
+@_planned
 def _jacobi_arr(c: _Tables):
     womO = c.omega - c.Omega
     dwomO = c.domega - c.dOmega
@@ -677,6 +918,7 @@ def _jacobi_arr(c: _Tables):
 # ---------------------------------------------------------------------------
 
 
+@_planned
 def _bianchi_arr(c: _Tables):
     mu_p = c.mu + c.p
     trn = _tr(c.n)
@@ -827,7 +1069,8 @@ class ResidualReport:
     components + S, with +0.0 in every ``ZERO`` component; a scalar block
     reads as a broadcast view of its result.  A result may be an array of
     the jet itself (``x + ZERO`` is ``x``), so the jet must not change while
-    the report is read.
+    the report is read, and one array may fill several components of a
+    result, which are reduced once.
     """
 
     def __init__(self, shape: tuple, blocks: dict):
@@ -837,7 +1080,8 @@ class ResidualReport:
         self._norms = {}
         empty = math.prod(self.shape) == 0
         for label, (comp, result) in blocks.items():
-            live = [e for _, e in _nonzero_components(result, comp)]
+            # a planned result may hold one array in several components
+            live = list({id(e): e for _, e in _nonzero_components(result, comp)}.values())
             pm = ZERO
             if live:
                 pm = np.empty(np.shape(live[0]))

@@ -1,11 +1,13 @@
 """General 1+3 system: residual evaluators and commutator machinery."""
 
 import dataclasses
+import math
 
 import einsum_reference
 import numpy as np
 import pytest
 from conftest import DenseJet, densified, eds_jet_arrays, random_connection, random_jet
+from hypothesis import given, settings, strategies as st
 
 from f13 import conformal as cf
 from f13 import frame_equations as fe
@@ -557,6 +559,135 @@ def test_non_finite_entry_times_zero_fields_only_still_raises():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteResidual):
             residual_report(ja)
+
+
+# ---------------------------------------------------------------------------
+# plans
+# ---------------------------------------------------------------------------
+
+PLANNED_BLOCKS = (fe._efe_arr, fe._jacobi_arr, fe._bianchi_arr)
+
+# a single jet, a 1-D and a 2-D batch, and a two-axis batch large enough for
+# numpy's temporary elision
+PLAN_SHAPES = [(), (3,), (4, 3), (2, ELISION_POINTS // 2)]
+
+
+def direct_report(ja):
+    """The report of the undecorated block kernels on the tables of ``ja``."""
+    c = fe._component_tables(ja)
+    results = [r for block in PLANNED_BLOCKS for r in block.__wrapped__(c)]
+    return fe.ResidualReport(ja.shape, {label: (comp, r) for (label, comp), r
+                                        in zip(fe.GENERAL_BLOCKS.items(), results, strict=True)})
+
+
+@st.composite
+def plan_jets(draw):
+    """A jet holding a random subset of the 316 components: each a fresh
+    random array, the array of an earlier component, or zeros; sometimes
+    one array holds a nan or an inf at one point."""
+    shape = draw(st.sampled_from(PLAN_SHAPES))
+    keys = draw(st.lists(st.sampled_from(fe._FLAT), min_size=1, unique=True,
+                         max_size=8 if math.prod(shape) >= ELISION_POINTS else 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays, entries = [], {}
+    for key in keys:
+        kind = draw(st.sampled_from(("fresh", "zeros", "shared")[:3 if arrays else 2]))
+        if kind == "shared":
+            entries[key] = arrays[draw(st.integers(0, len(arrays) - 1))]
+            continue
+        entries[key] = np.array(rng.uniform(-1.0, 1.0, shape) if kind == "fresh" else np.zeros(shape))
+        arrays.append(entries[key])
+    bad = draw(st.sampled_from((None, None, None, np.nan, np.inf, -np.inf)))
+    if bad is not None:
+        arrays[draw(st.integers(0, len(arrays) - 1))].flat[rng.integers(math.prod(shape))] = bad
+    return JetArrays(shape, entries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(plan_jets())
+def test_planned_report_equals_the_direct_kernels(ja):
+    """Every block, norm, per-point maximum and worst index, bit for bit; a
+    non-finite jet fails both, naming the same block."""
+    with np.errstate(all="ignore"):
+        try:
+            ref = direct_report(ja)
+        except NonFiniteResidual as exc:
+            with pytest.raises(NonFiniteResidual, match=f"^{exc}$"):
+                residual_report(ja)
+            return
+        rep = residual_report(ja)
+    assert rep.block_norms() == ref.block_norms()
+    assert rep.block_worst() == ref.block_worst()
+    for label in fe.GENERAL_BLOCKS:
+        assert rep.block(label).tobytes() == ref.block(label).tobytes(), label
+        assert (rep.block_point_max()[label].tobytes()
+                == ref.block_point_max()[label].tobytes()), label
+
+
+def test_plans_are_traced_once_per_pattern():
+    """A report of a known pattern, on another batch shape and other
+    values, replays its plan; a new pattern is traced; each block keeps at
+    most ``PLAN_CACHE`` plans."""
+    rng = np.random.default_rng(41)
+
+    def jet(n, sigma23):
+        names = ("mu", "Theta", "sigma11", "sigma23") if sigma23 else ("mu", "Theta", "sigma11")
+        return JetArrays.build((n,), {name: rng.uniform(-1.0, 1.0, n) for name in names},
+                               e3={"sigma11": rng.uniform(-1.0, 1.0, n)})
+
+    def misses():
+        return [block.plan.cache_info().misses for block in PLANNED_BLOCKS]
+
+    for block in PLANNED_BLOCKS:
+        block.plan.cache_clear()
+    residual_report(jet(5, False))
+    assert misses() == [1, 1, 1]
+    residual_report(jet(7, False))
+    assert misses() == [1, 1, 1]
+    residual_report(jet(7, True))
+    assert misses() == [2, 2, 2]
+    one = np.ones(())
+    for key in fe._FLAT[:fe.PLAN_CACHE + 4]:
+        residual_report(JetArrays((), {key: one}))
+    for block in PLANNED_BLOCKS:
+        info = block.plan.cache_info()
+        assert info.maxsize == fe.PLAN_CACHE and info.currsize == fe.PLAN_CACHE
+
+
+def test_trace_records_each_operation_once():
+    """The same operator on the same operands is one entry; a number is
+    keyed by its type and bits; any other operation is a TypeError."""
+    trace = fe._Trace(2)
+    x, y = fe._Entry(trace, 0), fe._Entry(trace, 1)
+    assert x * y is x * y and -x is -x and x**2 is x**2 and 0.5 - x is 0.5 - x
+    assert x * y is not y * x
+    assert x * 2.0 is x * 2.0 and x * 2 is not x * 2.0 and x + 0.0 is not x + -0.0
+    assert x + ZERO is x and ZERO - x is -x and ZERO * x is ZERO
+    recorded = len(trace.ops)
+    for op in (lambda: x + np.ones(3), lambda: np.ones(3) * x, lambda: np.float64(2.0) * x,
+               lambda: 2.0 / x, lambda: x / ZERO, lambda: abs(x), lambda: x < y,
+               lambda: bool(x), lambda: np.sin(x), lambda: x[0], lambda: x + "1"):
+        with pytest.raises(TypeError):
+            op()
+    assert len(trace.ops) == recorded
+
+
+def test_general_report_flags_single_variable_violations():
+    """ROADMAP item 7: on the a1 closed form, after a clean report has
+    cached the plan of its pattern, each violation is flagged in the block
+    that the equations put it in.  Theta + 0.1 keeps the pattern, so the
+    cached plan replays on the new array; each other adds a component."""
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=0.5)
+    grid, _ = form.clip_grid(Grid(0.0, 1.0, 20_000))
+    ja = cf.embed_special(form.jet(grid)[0])
+    assert residual_report(ja).max_residual() < 1e-10
+    for var, value, block in (("Theta", ja.value.Theta + 0.1, "bianchi1"),
+                              ("a1", 0.1, "bianchi2"), ("a2", 0.1, "bianchi2"),
+                              ("n13", 0.1, "bianchi2"), ("n23", 0.1, "bianchi2"),
+                              ("n33", 0.1, "bianchi4"), ("omega3", 0.1, "jacobi3")):
+        violated = JetArrays(ja.shape, ja.entries | JetArrays.build(ja.shape, {var: value}).entries)
+        label, _, worst = residual_report(violated).worst()
+        assert label == block and worst > 1e-2, var
 
 
 # ---------------------------------------------------------------------------
