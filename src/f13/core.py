@@ -10,16 +10,15 @@ Conventions used throughout the package:
   X_[ab] = (X_ab - X_ba)/2.
 
 NaN/Inf never enter a state record: constructors reject non-finite input.
-The records describe a single point for the commutator checks, the
-derivative providers and the ``spinor`` subcommand; residual reports read
-jets held as arrays (``frame_equations.JetArrays``), not these records.
+The records describe a single point for the ``spinor`` subcommand;
+residual reports read jets held as arrays (``frame_equations.JetArrays``),
+not these records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -29,18 +28,7 @@ __all__ = [
     "SymThree",
     "TracefreeSymThree",
     "MatterState",
-    "ConnectionState",
     "WeylState",
-    "DerivativeProvider",
-    "trace",
-    "tracefree_project",
-    "shear_magnitude_sq",
-    "vorticity_magnitude_sq",
-    "vorticity_vector_from_tensor",
-    "vorticity_tensor_from_vector",
-    "spatial_commutation_compose",
-    "spatial_commutation_decompose",
-    "commutation_from_connection",
 ]
 
 # spatial permutation symbol, eps_{123} = +1
@@ -160,19 +148,13 @@ class TracefreeSymThree:
         return cls(0.0, 0.0, 0.0, 0.0, 0.0)
 
     @classmethod
-    def project(cls, m: SymThree) -> "TracefreeSymThree":
-        """Remove the trace part of a symmetric tensor."""
-        t = (m.m11 + m.m22 + m.m33) / 3.0
-        return cls(m.m11 - t, m.m22 - t, m.m12, m.m13, m.m23)
-
-    @classmethod
     def from_matrix(cls, m, atol: float = 1e-12) -> "TracefreeSymThree":
         """Strict constructor: rejects matrices whose trace exceeds atol."""
         s = SymThree.from_matrix(m, atol=atol)
         tr = s.m11 + s.m22 + s.m33
         scale = max(1.0, abs(s.m11), abs(s.m22), abs(s.m33))
         if abs(tr) > atol * scale:
-            raise ValueError(f"matrix has trace {tr!r}; project it explicitly")
+            raise ValueError(f"matrix has trace {tr!r}, not 0")
         return cls(s.m11, s.m22, s.m12, s.m13, s.m23)
 
     def as_sym(self) -> SymThree:
@@ -180,86 +162,6 @@ class TracefreeSymThree:
 
     def as_matrix(self) -> np.ndarray:
         return self.as_sym().as_matrix()
-
-
-def trace(m) -> float:
-    """Trace m_11 + m_22 + m_33 of a symmetric tensor."""
-    return m.m11 + m.m22 + m.m33
-
-
-def tracefree_project(m: SymThree) -> TracefreeSymThree:
-    """m - (trace(m)/3) delta; idempotent, annihilates pure-trace input."""
-    return TracefreeSymThree.project(m)
-
-
-def shear_magnitude_sq(sigma) -> float:
-    """sigma^2 = (1/2) sigma_ab sigma^ab >= 0."""
-    m = sigma.as_matrix()
-    return 0.5 * float(np.sum(m * m))
-
-
-def vorticity_magnitude_sq(omega: ThreeVector) -> float:
-    """omega^2 = omega_a omega^a >= 0."""
-    return omega.dot(omega)
-
-
-def vorticity_vector_from_tensor(w23: float, w31: float, w12: float) -> ThreeVector:
-    """Frame-adapted dual omega_a = (1/2) eps_abc w_bc of an antisymmetric tensor.
-
-    The tensor is given by its independent components (w_23, w_31, w_12).
-    """
-    w = np.array([[0.0, w12, -w31], [-w12, 0.0, w23], [w31, -w23, 0.0]])
-    omega = 0.5 * np.einsum("abc,bc->a", EPS, w)
-    return ThreeVector.from_array(omega)
-
-
-def vorticity_tensor_from_vector(omega: ThreeVector) -> tuple[float, float, float]:
-    """Inverse dual: w_bc = eps_abc omega_a, returned as (w_23, w_31, w_12)."""
-    w = np.einsum("abc,a->bc", EPS, omega.as_array())
-    return float(w[1, 2]), float(w[2, 0]), float(w[0, 1])
-
-
-def spatial_commutation_compose(a: ThreeVector, n: SymThree) -> np.ndarray:
-    """Assemble gamma^alpha_{beta gamma} = 2 a_[beta delta^alpha_gamma] + eps_{beta gamma delta} n^{delta alpha}.
-
-    Returns the rank-3 array gamma[alpha, beta, gamma], antisymmetric in the
-    last two indices.
-    """
-    av = a.as_array()
-    nm = n.as_matrix()
-    delta = np.eye(3)
-    gamma = (
-        np.einsum("b,ag->abg", av, delta)
-        - np.einsum("g,ab->abg", av, delta)
-        + np.einsum("bgd,da->abg", EPS, nm)
-    )
-    return gamma
-
-
-def spatial_commutation_decompose(gamma) -> tuple[ThreeVector, SymThree]:
-    """Invert spatial_commutation_compose.
-
-    a_beta = (1/2) gamma^alpha_{beta alpha}; n is the symmetric part of
-    (1/2) eps^{beta gamma delta} gamma^alpha_{beta gamma}.
-    """
-    g = np.asarray(gamma, dtype=float)
-    if g.shape != (3, 3, 3):
-        raise ValueError(f"expected shape (3, 3, 3), got {g.shape}")
-    anti = g + np.swapaxes(g, 1, 2)
-    if np.max(np.abs(anti)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-        raise ValueError("gamma is not antisymmetric in its lower index pair")
-    a = 0.5 * np.einsum("aba->b", g)
-    raw = 0.5 * np.einsum("bgd,abg->da", EPS, g)
-    n = 0.5 * (raw + raw.T)
-    return ThreeVector.from_array(a), SymThree.from_matrix(n)
-
-
-def commutation_from_connection(Gamma) -> np.ndarray:
-    """Commutation functions gamma^a_bc = Gamma^a_cb - Gamma^a_bc from rotation coefficients."""
-    G = np.asarray(Gamma, dtype=float)
-    if G.shape != (4, 4, 4):
-        raise ValueError(f"expected shape (4, 4, 4), got {G.shape}")
-    return np.swapaxes(G, 1, 2) - G
 
 
 # ---------------------------------------------------------------------------
@@ -286,32 +188,6 @@ class MatterState:
 
 
 @dataclass(frozen=True)
-class ConnectionState:
-    """Kinematics plus spatial commutation variables.
-
-    Theta: expansion; udot: acceleration; sigma: shear; omega: vorticity;
-    Omega: triad angular velocity; (a, n): irreducible parts of the purely
-    spatial commutation functions.
-    """
-
-    Theta: float
-    udot: ThreeVector
-    sigma: TracefreeSymThree
-    omega: ThreeVector
-    Omega: ThreeVector
-    a: ThreeVector
-    n: SymThree
-
-    def __post_init__(self):
-        _require_finite("ConnectionState", self.Theta)
-
-    @classmethod
-    def zero(cls) -> "ConnectionState":
-        z3 = ThreeVector.zero()
-        return cls(0.0, z3, TracefreeSymThree.zero(), z3, z3, z3, SymThree.zero())
-
-
-@dataclass(frozen=True)
 class WeylState:
     """Electric and magnetic Weyl curvature parts relative to u."""
 
@@ -322,21 +198,3 @@ class WeylState:
     def zero(cls) -> "WeylState":
         return cls(TracefreeSymThree.zero(), TracefreeSymThree.zero())
 
-
-@runtime_checkable
-class DerivativeProvider(Protocol):
-    """Queryable source of field values and frame derivatives at a point.
-
-    Contract: derivatives of constant fields vanish; queries are linear over
-    field addition; implementations are safe for concurrent read-only use.
-    Second mixed derivatives are only needed for commutator checks and an
-    implementation may raise ValueError if it cannot supply them.
-    """
-
-    def value(self, point: float, field: str) -> float: ...
-
-    def derivative(self, point: float, field: str, a: int) -> float: ...
-
-    def second_derivative(self, point: float, field: str, a: int, b: int) -> float: ...
-
-    def connection(self, point: float) -> ConnectionState: ...

@@ -70,7 +70,10 @@ is field2[1, 0]).  Replay reads every operand from its list of slots, which
 holds a reference to it, so numpy's temporary elision, which writes into an
 operand nothing else refers to, never reuses one.  Each block keeps the
 plans of its ``PLAN_CACHE`` most recent patterns, keyed by the pattern
-alone, not by the batch shape or the values.
+alone, not by the batch shape or the values.  A non-finite jet, whose
+tables are dense, is evaluated by the kernels themselves and leaves the
+plans as they are: each position of its non-finite entry would be a new
+pattern.
 
 Residual norms are max-abs: a single violated component must not be
 averaged away.
@@ -80,20 +83,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 import operator
 
 import numpy as np
 
-from .core import (
-    EPS,
-    ConnectionState,
-    DerivativeProvider,
-    SymThree,
-    TracefreeSymThree,
-    spatial_commutation_compose,
-)
+from .core import EPS
 
 __all__ = [
     "COMPONENT_NAMES",
@@ -101,18 +96,9 @@ __all__ = [
     "JetArrays",
     "NonFiniteResidual",
     "ResidualReport",
-    "b_tensor",
-    "curly_S",
-    "curly_R",
     "residual_report",
     "ZERO",
-    "commutator_structure",
-    "commutator_residual",
 ]
-
-log = logging.getLogger(__name__)
-
-ID3 = np.eye(3)
 
 _SCALARS = ("mu", "p", "Lam", "Theta")
 _VECTORS = ("q", "udot", "omega", "Omega", "a")
@@ -379,7 +365,10 @@ class _Tables:
     """A jet as the kernels read it: its batch ``shape``, and each field of
     ``_COMPONENTS`` as an attribute, a scalar field its entry and any other
     field the table of its components, ``ZERO`` where no component holds a
-    nonzero entry."""
+    nonzero entry.  ``dense`` marks the zero-filled tables of a non-finite
+    jet, which the blocks evaluate without a plan."""
+
+    dense = False
 
     def __init__(self, shape: tuple, fields: dict):
         self.shape = shape
@@ -430,7 +419,9 @@ def _component_tables(ja: JetArrays) -> _Tables:
     # an overflowing sum of finite entries also forms the zero terms
     if not all(np.isfinite(e.sum()) for e in live.values()):
         zeros = np.zeros(ja.shape)
-        live = {key: live.get(key, zeros) for key in _FLAT}
+        tables = _tables(ja.shape, {key: live.get(key, zeros) for key in _FLAT})
+        tables.dense = True
+        return tables
     return _tables(ja.shape, live)
 
 
@@ -607,8 +598,9 @@ def _result(r, v: list):
 
 def _planned(kernel):
     """The block ``kernel`` evaluated through its plan for the sparsity
-    pattern of the tables it is given; ``plan`` is the bounded plan cache,
-    keyed by the pattern alone, and ``__wrapped__`` the kernel itself."""
+    pattern of the tables it is given, or on dense tables by the kernel
+    itself; ``plan`` is the bounded plan cache, keyed by the pattern alone,
+    and ``__wrapped__`` the kernel itself."""
 
     @functools.lru_cache(maxsize=PLAN_CACHE)
     def plan(pattern: tuple) -> _Plan:
@@ -616,6 +608,8 @@ def _planned(kernel):
 
     @functools.wraps(kernel)
     def block(c: _Tables) -> tuple:
+        if c.dense:
+            return kernel(c)
         pattern, inputs = c.sparsity
         return plan(pattern).replay(inputs)
 
@@ -729,11 +723,6 @@ def _b_tensor_arr(n):
     return 2.0 * _mm(n, n) - _tr(n) * n
 
 
-def b_tensor(n: SymThree) -> SymThree:
-    """b_ab = 2 n_ag n^g_b - n^g_g n_ab."""
-    return SymThree.from_matrix(_b_tensor_arr(n.as_matrix()))
-
-
 def _curly_S_arr(c: _Tables):
     grad_a = c.da[1:]  # e_alpha(a_beta)
     grad_n = c.dn[1:]  # e_gamma(n_{beta delta})
@@ -746,37 +735,14 @@ def _curly_S_arr(c: _Tables):
         - _iso(div_a + _tr(b)) / 3.0
         - _eps_sym(inner)
     )
-    # the assembled trace is an index-convention self-check; project it away
-    pre_trace = _tr(S)
-    S = S - _iso(pre_trace) / 3.0
-    return S, pre_trace
-
-
-def curly_S(jet: JetArrays) -> TracefreeSymThree:
-    """Trace-free 3-curvature source of the shear evolution equation."""
-    c = _component_tables(jet)
-    if c.shape:
-        raise ValueError("curly_S returns a typed tensor for single jets only")
-    S, pre_trace = _curly_S_arr(c)
-    S = _dense(S, (3, 3), ())
-    pre_trace = abs(float(_dense(pre_trace, (), ())))
-    if pre_trace > 1e-14 * max(1.0, float(np.max(np.abs(S)))):
-        log.debug("curly_S pre-projection trace %.3e", pre_trace)
-    return TracefreeSymThree.project(SymThree.from_matrix(S))
+    # trace-free up to rounding: project the rounding away
+    return S - _iso(_tr(S)) / 3.0
 
 
 def _curly_R_arr(c: _Tables):
     grad_a = c.da[1:]
     b = _b_tensor_arr(c.n)
     return 2.0 * (2.0 * _tr(grad_a) - 3.0 * _dot(c.a, c.a)) - 0.5 * _tr(b)
-
-
-def curly_R(jet: JetArrays) -> float:
-    """Spatial curvature scalar *R = 2(2 e_a - 3 a_a)(a^a) - b^a_a / 2."""
-    c = _component_tables(jet)
-    if c.shape:
-        raise ValueError("curly_R returns a float for single jets only")
-    return float(_dense(_curly_R_arr(c), (), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +773,7 @@ def _efe_arr(c: _Tables):
     # exact-solution nullity: the rigidly rotating flat-space congruence
     # (vacuum, E = H = 0, with n_23 and udot_1 nonzero) satisfies the system
     # only with +eps n udot, so that sign is used here.
-    S, _ = _curly_S_arr(c)
+    S = _curly_S_arr(c)
     scalar_part = (
         _tr(grad_udot)
         + _dot(c.udot, c.udot)
@@ -1167,42 +1133,3 @@ def residual_report(jet: JetArrays) -> ResidualReport:
     results = zip(GENERAL_BLOCKS.items(), _report_arrays(ja), strict=True)
     return ResidualReport(ja.shape, {label: (comp, res) for (label, comp), res in results})
 
-
-# ---------------------------------------------------------------------------
-# commutators
-# ---------------------------------------------------------------------------
-
-
-def commutator_structure(c: ConnectionState) -> np.ndarray:
-    """Structure functions gamma^c_{ab} of the frame, [e_a, e_b] = gamma^c_{ab} e_c.
-
-    Returned as gamma[c, a, b] with a, b, c in 0..3, antisymmetric in (a, b).
-    """
-    gamma = np.zeros((4, 4, 4))
-    udot = c.udot.as_array()
-    womO = c.omega.as_array() - c.Omega.as_array()
-    sigma = c.sigma.as_matrix()
-    spatial = spatial_commutation_compose(c.a, c.n)
-
-    # [e_0, e_alpha] block
-    gamma[0, 0, 1:] = udot
-    coeff = c.Theta * ID3 / 3.0 + sigma + np.einsum("big,g->bi", EPS, womO)
-    gamma[1:, 0, 1:] = -coeff
-    gamma[:, 1:, 0] = -gamma[:, 0, 1:]
-
-    # [e_alpha, e_beta] block
-    gamma[0, 1:, 1:] = -2.0 * np.einsum("ibg,g->ib", EPS, c.omega.as_array())
-    gamma[1:, 1:, 1:] = spatial
-    return gamma
-
-
-def commutator_residual(
-    provider: DerivativeProvider, field: str, a: int, b: int, point: float
-) -> float:
-    """e_a(e_b f) - e_b(e_a f) - gamma^c_{ab} e_c(f); zero for consistent data."""
-    gamma = commutator_structure(provider.connection(point))
-    mixed = provider.second_derivative(point, field, a, b) - provider.second_derivative(
-        point, field, b, a
-    )
-    first = np.array([provider.derivative(point, field, c) for c in range(4)])
-    return float(mixed - gamma[:, a, b] @ first)

@@ -10,23 +10,18 @@ conjugates where a null rotation needs them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import MatterState, WeylState
 
 __all__ = [
     "RicciSpinor",
     "WeylSpinor",
-    "NullTetrad",
     "ricci_spinor",
     "weyl_spinor",
     "null_rotate_ricci",
     "diagonalizing_rotation",
     "rotation_admissible",
-    "null_tetrad",
 ]
 
 
@@ -170,38 +165,3 @@ def rotation_admissible(m: MatterState) -> bool:
     rhs12 = v1 * (-pi.m11 + 2.0 * pi.m22 - s) / 9.0
     return rhs13 >= 0.0 and rhs23 >= 0.0 and rhs12 >= 0.0
 
-
-@dataclass(frozen=True)
-class NullTetrad:
-    """Null tetrad adapted to the frame e_a = F * (coordinate direction a).
-
-    The matching conformally flat coordinate metric is
-    g_{mu nu} = F^{-2} diag(-1, 1, 1, 1); inner products of tetrad legs are
-    therefore independent of F.
-    """
-
-    F: float
-    l: np.ndarray
-    k: np.ndarray
-    m: np.ndarray
-    mbar: np.ndarray
-
-    def metric(self) -> np.ndarray:
-        return np.diag([-1.0, 1.0, 1.0, 1.0]) / self.F**2
-
-    def inner(self, v, w) -> complex:
-        """Bilinear (not sesquilinear) inner product g(v, w)."""
-        g = self.metric()
-        return complex(np.asarray(v) @ g @ np.asarray(w))
-
-
-def null_tetrad(F: float) -> NullTetrad:
-    """Build l = (e_0 - e_3)/sqrt2, k = (e_0 + e_3)/sqrt2, m = (e_1 - i e_2)/sqrt2."""
-    if not (F > 0.0):
-        raise ValueError("frame scale F must be positive")
-    e = F * np.eye(4)
-    s = 1.0 / math.sqrt(2.0)
-    l = s * (e[0] - e[3]) + 0j
-    k = s * (e[0] + e[3]) + 0j
-    m = s * (e[1] - 1j * e[2])
-    return NullTetrad(F, l, k, m, m.conjugate())

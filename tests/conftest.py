@@ -3,25 +3,7 @@
 import numpy as np
 
 from f13 import frame_equations as fe
-from f13.core import ConnectionState, SymThree, ThreeVector, TracefreeSymThree
 from f13.frame_equations import COMPONENT_NAMES, JetArrays
-
-
-def random_vec(rng):
-    return ThreeVector(*rng.uniform(-1.0, 1.0, 3))
-
-
-def random_connection(rng):
-    raw = rng.uniform(-1.0, 1.0, (3, 3))
-    return ConnectionState(
-        Theta=rng.uniform(-1.0, 1.0),
-        udot=random_vec(rng),
-        sigma=TracefreeSymThree(*rng.uniform(-1.0, 1.0, 5)),
-        omega=random_vec(rng),
-        Omega=random_vec(rng),
-        a=random_vec(rng),
-        n=SymThree.from_matrix(0.5 * (raw + raw.T)),
-    )
 
 
 def random_jet(rng):

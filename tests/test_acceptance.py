@@ -2,6 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every tolerance is fixed here, nothing is calibrated at runtime.
+
+Criteria 6 (the elasticity invariant identity) and 7 (the commutator
+argument on analytic a1 data) were retired with the library code they
+exercised, which no subcommand reached.  On the z-only jets the program
+builds, criterion 7's case, Theta shifted by 0.1, is flagged by the general
+report: ``test_frame_equations.test_general_report_flags_single_variable_violations``.
 """
 
 import time
@@ -12,22 +18,9 @@ from conftest import eds_jet_arrays
 
 from f13 import conformal as cf
 from f13.cli import main
-from f13.core import (
-    ConnectionState,
-    MatterState,
-    SymThree,
-    ThreeVector,
-    TracefreeSymThree,
-    WeylState,
-)
-from f13.elasticity import invariants
-from f13.frame_equations import (
-    JetArrays,
-    commutator_residual,
-    residual_report,
-)
+from f13.core import MatterState, ThreeVector, TracefreeSymThree, WeylState
+from f13.frame_equations import JetArrays, residual_report
 from f13.numerics import Grid, fd_derivative, quadrature, rk4_integrate
-from f13.providers import AnalyticLineProvider, FieldLine
 from f13.spinors import (
     diagonalizing_rotation,
     null_rotate_ricci,
@@ -174,60 +167,6 @@ def test_criterion_5_spinor_maps():
     report(5, ok,
            f"special-ricci agreement {worst_special:.1e} (< 1e-15), zero map ok, "
            f"Phi00 invariant, rotation kills Phi01 to {kill_worst:.1e}")
-
-
-def test_criterion_6_elasticity_identity():
-    inv = invariants(np.diag([4.0, 1.0, 1.0]))
-    hand = (inv.I1**3 - 3 * inv.I1 * inv.I2 + 2 * inv.I3) / 6.0  # 24/6 = 4
-    diag_ok = inv.n == pytest.approx(2.0, rel=1e-14) and hand == pytest.approx(4.0)
-    rng = np.random.default_rng(66)
-    worst = 0.0
-    for _ in range(100):
-        Amat = rng.uniform(-1.0, 1.0, (3, 3))
-        k = Amat @ Amat.T + 0.05 * np.eye(3)
-        inv = invariants(k)
-        rhs = (inv.I1**3 - 3.0 * inv.I1 * inv.I2 + 2.0 * inv.I3) / 6.0
-        worst = max(worst, abs(inv.n**2 - rhs) / max(1.0, abs(rhs)))
-    ok = diag_ok and worst < 1e-12
-    report(6, ok, f"n^2 identity relative error {worst:.3e} (< 1e-12), "
-                  f"diag(4,1,1) gives n = 2")
-
-
-def _a1_commutator_provider(theta_offset=0.0):
-    """Case A1 analytic data with sigma11 = e^z (A = 0 family)."""
-    sigma11 = np.exp
-    a3 = lambda z: 3.0 * np.exp(z)
-    F = lambda z: 3.0 * np.exp(z)  # a3 sigma11 / sigma11'
-
-    def connection(z):
-        s = float(sigma11(z))
-        return ConnectionState(
-            Theta=6.0 * s + theta_offset,
-            udot=ThreeVector(0.0, 0.0, -float(a3(z))),
-            sigma=TracefreeSymThree(s, s, 0.0, 0.0, 0.0),
-            omega=ThreeVector.zero(),
-            Omega=ThreeVector(0.0, 0.0, 1.0),
-            a=ThreeVector(0.0, 0.0, float(a3(z))),
-            n=SymThree.zero(),
-        )
-
-    fields = {"sigma11": FieldLine(sigma11, np.exp, np.exp)}
-    return AnalyticLineProvider(fields, connection, direction=3, F=F,
-                                F_slope=lambda z: 3.0 * np.exp(z))
-
-
-def test_criterion_7_commutator_argument():
-    """[e_0, e_3] on sigma11 vanishes exactly when Theta = 6 sigma11 and
-    lights up when Theta is shifted by 0.1."""
-    good = _a1_commutator_provider(0.0)
-    bad = _a1_commutator_provider(0.1)
-    worst_good = max(abs(commutator_residual(good, "sigma11", 0, 3, z))
-                     for z in (0.0, 0.3, 0.7, 1.0))
-    best_bad = min(abs(commutator_residual(bad, "sigma11", 0, 3, z))
-                   for z in (0.0, 0.3, 0.7, 1.0))
-    ok = worst_good < 1e-12 and best_bad > 1e-3
-    report(7, ok, f"consistent data residual {worst_good:.2e} (< 1e-12), "
-                  f"perturbed Theta residual {best_bad:.2e} (> 1e-3)")
 
 
 def test_criterion_8_einstein_de_sitter_oracle():

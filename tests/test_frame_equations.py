@@ -1,62 +1,50 @@
-"""General 1+3 system: residual evaluators and commutator machinery."""
+"""General 1+3 system: residual evaluators, their kernels and their plans."""
 
-import dataclasses
 import math
 
 import einsum_reference
 import numpy as np
 import pytest
-from conftest import DenseJet, densified, eds_jet_arrays, random_connection, random_jet
+from conftest import DenseJet, densified, eds_jet_arrays, random_jet
 from hypothesis import given, settings, strategies as st
 
 from f13 import conformal as cf
 from f13 import frame_equations as fe
-from f13.core import ConnectionState, SymThree, ThreeVector
-from f13.frame_equations import (
-    ZERO,
-    JetArrays,
-    NonFiniteResidual,
-    b_tensor,
-    commutator_residual,
-    commutator_structure,
-    curly_R,
-    curly_S,
-    residual_report,
-)
+from f13.frame_equations import ZERO, JetArrays, NonFiniteResidual, residual_report
 from f13.numerics import Grid, rk4_integrate
-from f13.providers import AnalyticLineProvider, FieldLine
 
 
 def zero_jet():
     return JetArrays.build((), {})
 
 
+def curvature(kernel, comp, **values):
+    """The dense result of ``kernel`` on the tables of the single jet of
+    ``values``."""
+    return fe._dense(kernel(fe._component_tables(JetArrays.build((), values))), comp, ())
+
+
+def b_tensor(c):
+    return fe._b_tensor_arr(c.n)
+
+
 def test_b_tensor_examples():
-    assert np.max(np.abs(b_tensor(SymThree.zero()).as_matrix())) == 0.0
-    assert np.allclose(b_tensor(SymThree.identity()).as_matrix(), -np.eye(3))
-    assert np.max(np.abs(b_tensor(SymThree.diag(1.0, 1.0, 0.0)).as_matrix())) == 0.0
+    assert np.max(np.abs(curvature(b_tensor, (3, 3)))) == 0.0
+    assert np.allclose(curvature(b_tensor, (3, 3), n11=1.0, n22=1.0, n33=1.0), -np.eye(3))
+    assert np.max(np.abs(curvature(b_tensor, (3, 3), n11=1.0, n22=1.0))) == 0.0
 
 
 def test_curly_S_examples():
-    assert np.max(np.abs(curly_S(zero_jet()).as_matrix())) == 0.0
+    assert np.max(np.abs(curvature(fe._curly_S_arr, (3, 3)))) == 0.0
     # a = 0, n = identity, derivatives zero: trace-free part of b(n) = 0
-    jet = JetArrays.build((), dict(n11=1.0, n22=1.0, n33=1.0))
-    assert np.max(np.abs(curly_S(jet).as_matrix())) < 1e-15
+    assert np.max(np.abs(curvature(fe._curly_S_arr, (3, 3), n11=1.0, n22=1.0, n33=1.0))) < 1e-15
 
 
 def test_curly_R_examples():
-    assert curly_R(zero_jet()) == 0.0
+    assert curvature(fe._curly_R_arr, ()) == 0.0
     a3 = 0.7
-    assert curly_R(JetArrays.build((), dict(a3=a3))) == pytest.approx(-6.0 * a3 * a3, rel=1e-15)
-    jet = JetArrays.build((), dict(n11=1.0, n22=1.0, n33=1.0))
-    assert curly_R(jet) == pytest.approx(1.5, rel=1e-15)
-
-
-def test_curly_S_and_curly_R_take_single_jets_only():
-    ja = JetArrays.build((3,), dict(n11=np.ones(3), a3=np.full(3, 0.5)))
-    for f in (curly_S, curly_R):
-        with pytest.raises(ValueError, match="single jets only"):
-            f(ja)
+    assert curvature(fe._curly_R_arr, (), a3=a3) == pytest.approx(-6.0 * a3 * a3, rel=1e-15)
+    assert curvature(fe._curly_R_arr, (), n11=1.0, n22=1.0, n33=1.0) == pytest.approx(1.5, rel=1e-15)
 
 
 def test_minkowski_all_zero():
@@ -85,7 +73,7 @@ def test_report_blocks_on_eds():
     assert np.max(np.abs(rep.block("divH"))) == 0.0
 
 
-@pytest.mark.parametrize("evaluate", [residual_report, curly_S, curly_R])
+@pytest.mark.parametrize("evaluate", [residual_report])
 @pytest.mark.parametrize("jet", [None, 0.0, {"mu": 1.0}], ids=["None", "float", "dict"])
 def test_evaluators_take_jet_arrays_only(evaluate, jet):
     with pytest.raises(TypeError, match=f"expected JetArrays, got {type(jet).__name__}$"):
@@ -654,6 +642,28 @@ def test_plans_are_traced_once_per_pattern():
         assert info.maxsize == fe.PLAN_CACHE and info.currsize == fe.PLAN_CACHE
 
 
+def test_non_finite_report_leaves_the_plans_as_they_are():
+    """A non-finite jet is evaluated on its dense tables by the kernels
+    themselves: it traces no plan and evicts none, wherever its non-finite
+    entry is."""
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 60))[0])
+    residual_report(ja)
+
+    def plans():
+        return [(info.currsize, info.misses)
+                for info in (block.plan.cache_info() for block in PLANNED_BLOCKS)]
+
+    before = plans()
+    for key in (("Theta", ()), ("n", (0, 1)), ("dE", (3, 2, 2))):
+        bad = np.array(ja.entries.get(key, np.zeros(ja.shape)))
+        bad[7] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteResidual):
+                residual_report(JetArrays(ja.shape, ja.entries | {key: bad}))
+    assert plans() == before
+
+
 def test_trace_records_each_operation_once():
     """The same operator on the same operands is one entry; a number is
     keyed by its type and bits; any other operation is a TypeError."""
@@ -689,189 +699,3 @@ def test_general_report_flags_single_variable_violations():
         label, _, worst = residual_report(violated).worst()
         assert label == block and worst > 1e-2, var
 
-
-# ---------------------------------------------------------------------------
-# commutators
-# ---------------------------------------------------------------------------
-
-
-def test_commutator_structure_examples():
-    zero = commutator_structure(ConnectionState.zero())
-    assert np.max(np.abs(zero)) == 0.0
-
-    conn = dataclasses.replace(ConnectionState.zero(), Theta=3.0)
-    g = commutator_structure(conn)
-    assert np.allclose(g[1:, 0, 1:], -np.eye(3))
-    g[1:, 0, 1:] = 0.0
-    g[1:, 1:, 0] = 0.0
-    assert np.max(np.abs(g)) == 0.0
-
-    conn = dataclasses.replace(ConnectionState.zero(), omega=ThreeVector(0.0, 0.0, 1.0))
-    g = commutator_structure(conn)
-    assert g[0, 1, 2] == -2.0
-    assert g[0, 2, 1] == 2.0
-    assert g[1, 0, 2] == -1.0  # -eps_123 omega^3 with the fixed orientation
-
-    g = commutator_structure(random_connection(np.random.default_rng(5)))
-    assert np.max(np.abs(g + np.swapaxes(g, 1, 2))) == 0.0
-
-
-class _RotatingTriadProvider:
-    """Flat spacetime, spatial triad rotating about z at rate w.
-
-    e_1 = cos(wt) dx + sin(wt) dy rotates with [e_0, e_1] = +w e_2, which
-    pins the triad angular velocity to Omega_3 = -w under eps_123 = +1.
-    The probe field is f = x at a fixed spatial point.
-    """
-
-    def __init__(self, w):
-        self.w = w
-
-    def value(self, t, field):
-        return 0.3
-
-    def derivative(self, t, field, a):
-        return {1: np.cos(self.w * t), 2: -np.sin(self.w * t)}.get(a, 0.0)
-
-    def second_derivative(self, t, field, a, b):
-        if a == 0 and b == 1:
-            return -self.w * np.sin(self.w * t)
-        if a == 0 and b == 2:
-            return -self.w * np.cos(self.w * t)
-        return 0.0
-
-    def connection(self, t):
-        return dataclasses.replace(
-            ConnectionState.zero(), Omega=ThreeVector(0.0, 0.0, -self.w)
-        )
-
-
-def test_commutator_residual_rotating_triad():
-    provider = _RotatingTriadProvider(w=0.9)
-    for t in (0.0, 0.4, 1.3):
-        for pair in ((0, 1), (0, 2), (1, 0), (1, 2)):
-            assert abs(commutator_residual(provider, "f", *pair, t)) < 1e-15
-    # flipping the documented sign of Omega_3 breaks consistency
-    bad = _RotatingTriadProvider(w=0.9)
-    bad.connection = lambda t: dataclasses.replace(
-        ConnectionState.zero(), Omega=ThreeVector(0.0, 0.0, +0.9)
-    )
-    assert abs(commutator_residual(bad, "f", 0, 1, 0.4)) > 0.1
-
-
-class _FlrwGradientProvider:
-    """EdS frame e_1 = (1/a) dx probing f = x: [e_0, e_1]f = -(Theta/3) e_1 f."""
-
-    def __init__(self):
-        self.a = lambda t: t ** (2.0 / 3.0)
-        self.adot = lambda t: (2.0 / 3.0) * t ** (-1.0 / 3.0)
-
-    def value(self, t, field):
-        return 0.0
-
-    def derivative(self, t, field, a):
-        return 1.0 / self.a(t) if a == 1 else 0.0
-
-    def second_derivative(self, t, field, a, b):
-        if a == 0 and b == 1:
-            return -self.adot(t) / self.a(t) ** 2
-        return 0.0
-
-    def connection(self, t):
-        return dataclasses.replace(
-            ConnectionState.zero(), Theta=3.0 * self.adot(t) / self.a(t)
-        )
-
-
-def test_commutator_residual_flrw_gradient():
-    provider = _FlrwGradientProvider()
-    for t in (0.5, 1.0, 2.0):
-        assert abs(commutator_residual(provider, "f", 0, 1, t)) < 1e-15
-        assert abs(commutator_residual(provider, "f", 1, 0, t)) < 1e-15
-
-
-def test_commutator_residual_constant_field():
-    provider = AnalyticLineProvider(
-        {"c": FieldLine(lambda z: 4.0, lambda z: 0.0, lambda z: 0.0)},
-        connection=lambda z: dataclasses.replace(
-            ConnectionState.zero(), Theta=1.3, a=ThreeVector(0.0, 0.0, 0.5)
-        ),
-        direction=3,
-        F=lambda z: 2.0,
-        F_slope=lambda z: 0.0,
-    )
-    for a in range(4):
-        for b in range(4):
-            assert commutator_residual(provider, "c", a, b, 0.2) == 0.0
-
-
-class _TwoAxisFdProvider:
-    """f(t, z) sampled on a (t, z) grid of an EdS frame; e_0 = FD_t,
-    e_3 = (1/a(t)) FD_z, second derivatives by repeated stencils.
-
-    The exact commutator residual vanishes; the finite-difference one must
-    shrink at the stencil order because the t-dependent frame factor does
-    not commute with the t stencil.
-    """
-
-    def __init__(self, n):
-        from f13.numerics import fd_derivative
-
-        self.tg = Grid(0.8, 1.8, n)
-        self.zg = Grid(0.2, 1.2, n)
-        t = self.tg.points()[:, None]
-        z = self.zg.points()[None, :]
-        self.a_of_t = self.tg.points() ** (2.0 / 3.0)
-        f = np.sin(z) * np.exp(-t)
-        ft = fd_derivative(f, self.tg)           # FD along t (axis 0)
-        fz = fd_derivative(f.T, self.zg).T       # FD along z (axis 1)
-        self._d = {0: ft, 3: fz / self.a_of_t[:, None]}
-        e3f = self._d[3]
-        e0f = self._d[0]
-        self._dd = {
-            (0, 3): fd_derivative(e3f, self.tg),
-            (3, 0): fd_derivative(e0f.T, self.zg).T / self.a_of_t[:, None],
-            (0, 0): fd_derivative(e0f, self.tg),
-            (3, 3): fd_derivative(e3f.T, self.zg).T / self.a_of_t[:, None],
-        }
-        self.f = f
-
-    def _ij(self, point):
-        t, z = point
-        i = int(round((t - self.tg.z0) / self.tg.h))
-        j = int(round((z - self.zg.z0) / self.zg.h))
-        return i, j
-
-    def value(self, point, field):
-        i, j = self._ij(point)
-        return self.f[i, j]
-
-    def derivative(self, point, field, a):
-        i, j = self._ij(point)
-        return float(self._d[a][i, j]) if a in self._d else 0.0
-
-    def second_derivative(self, point, field, a, b):
-        if (a, b) not in self._dd:
-            return 0.0
-        i, j = self._ij(point)
-        return float(self._dd[(a, b)][i, j])
-
-    def connection(self, point):
-        t, _ = point
-        return dataclasses.replace(
-            ConnectionState.zero(), Theta=2.0 / t
-        )
-
-
-def test_commutator_residual_fd_convergence_order():
-    errs = []
-    for n in (40, 80, 160):
-        provider = _TwoAxisFdProvider(n)
-        # interior probe point shared by all grids
-        t = provider.tg.z0 + 0.5
-        z = provider.zg.z0 + 0.5
-        errs.append(abs(commutator_residual(provider, "f", 0, 3, (t, z))))
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    print("fd commutator errors:", errs, "orders:", orders)
-    assert errs[-1] < errs[0]
-    assert min(orders) > 3.5

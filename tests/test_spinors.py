@@ -7,7 +7,6 @@ from f13.core import MatterState, ThreeVector, TracefreeSymThree, WeylState
 from f13.spinors import (
     diagonalizing_rotation,
     null_rotate_ricci,
-    null_tetrad,
     ricci_spinor,
     rotation_admissible,
     weyl_spinor,
@@ -166,22 +165,3 @@ def test_rotation_admissible_predicate():
     assert rotation_admissible(good)
     bad = matter(3.0, 1.0, TracefreeSymThree(1.0, 1.0, 0.0, 0.0, 0.0))
     assert not rotation_admissible(bad)
-
-
-def test_null_tetrad_normalization():
-    for F in (1.0, 2.0, 0.3):
-        t = null_tetrad(F)
-        assert t.inner(t.l, t.k) == pytest.approx(-1.0, abs=1e-14)
-        assert t.inner(t.m, t.mbar) == pytest.approx(1.0, abs=1e-14)
-        for v in (t.l, t.k):
-            assert abs(t.inner(v, v)) < 1e-14
-        assert abs(t.inner(t.m, t.m)) < 1e-14
-        assert abs(t.inner(t.l, t.m)) < 1e-14
-        assert abs(t.inner(t.k, t.m)) < 1e-14
-        # u = (k + l)/sqrt(2) recovers e_0 = F * (coordinate time direction)
-        u = (t.k + t.l) / np.sqrt(2.0)
-        assert np.allclose(u, [F, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        null_tetrad(0.0)
-    with pytest.raises(ValueError):
-        null_tetrad(-1.0)
