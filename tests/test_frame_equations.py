@@ -28,6 +28,16 @@ def b_tensor(c):
     return fe._b_tensor_arr(c.n)
 
 
+def curly_S(jet):
+    """The curly-S kernel on the component tables of ``jet``."""
+    return fe._curly_S_arr(fe._component_tables(jet))
+
+
+def curly_R(jet):
+    """The curly-R kernel on the component tables of ``jet``."""
+    return fe._curly_R_arr(fe._component_tables(jet))
+
+
 def test_b_tensor_examples():
     assert np.max(np.abs(curvature(b_tensor, (3, 3)))) == 0.0
     assert np.allclose(curvature(b_tensor, (3, 3), n11=1.0, n22=1.0, n33=1.0), -np.eye(3))
@@ -73,7 +83,7 @@ def test_report_blocks_on_eds():
     assert np.max(np.abs(rep.block("divH"))) == 0.0
 
 
-@pytest.mark.parametrize("evaluate", [residual_report])
+@pytest.mark.parametrize("evaluate", [residual_report, curly_S, curly_R])
 @pytest.mark.parametrize("jet", [None, 0.0, {"mu": 1.0}], ids=["None", "float", "dict"])
 def test_evaluators_take_jet_arrays_only(evaluate, jet):
     with pytest.raises(TypeError, match=f"expected JetArrays, got {type(jet).__name__}$"):
