@@ -716,9 +716,9 @@ def run_residual(table_path: str, system: str, out_path: str | None,
     else:
         jet = _special_jet_from_table(coord, grid, cols)
         if system == "special":
-            reports = [cf.bianchi_special_residuals(jet)]
+            reports = [cf.bianchi_special_residuals(jet, signed_zeros=True)]
             if cf.is_gauge_reduced(jet):
-                reports.append(cf.ricci_einstein_residuals(jet))
+                reports.append(cf.ricci_einstein_residuals(jet, signed_zeros=True))
             else:
                 print("note: state is not gauge-reduced; RE block skipped")
             reports.append(_ansatz_checks(cols, np.zeros(len(zs))))

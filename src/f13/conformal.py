@@ -8,6 +8,13 @@ system as residuals only.
 Every residual evaluator here accepts scalar fields or equally shaped
 arrays, so a whole grid of states is checked in one call.  The frame
 derivative along the inhomogeneity direction is e_3 = F(z) d/dz.
+
+Entries (b1)-(b14) and (RE1)-(RE14b) are kernels that read the jet's slots
+by variable name, evaluated through per-pattern plans that skip every term
+with a factor the jet does not hold (``frame_equations._planned_view``):
+the same bits as the kernel on the jet itself, up to the sign of a zero.
+``signed_zeros`` runs the kernel on the jet itself, for the ``residual``
+CSV, which writes each sign.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frame_equations import JetArrays, ResidualReport
+from .frame_equations import JetArrays, ResidualReport, _planned_view
 from .numerics import (Grid, NotAKnotSpline, check_frame_factor, cumulative_integral_refined,
                        quadrature)
 
@@ -172,37 +179,44 @@ def special_ricci(p, pi11):
 B_NAMES = tuple(f"b{i}" for i in range(1, 18))
 
 
-def bianchi_special_residuals(jet: SpecialJet) -> ResidualReport:
+@_planned_view
+def _special_bianchi(jet):
+    """(b1)-(b14): derivative equations 1-8 and algebraic constraints 9-14."""
+    s = jet.value
+    e0, e1, e2, e3 = jet.deriv
+    third = 1.0 / 3.0
+    return (
+        e0.p - (-(4.0 * third) * s.p * s.Theta - 2.0 * s.sigma11 * s.pi11),
+        e0.pi11 - (-4.0 * s.sigma11 * s.p + (s.sigma11 - third * s.Theta) * s.pi11),
+        e1.p - (-(s.a1 - s.n23) * s.pi11),
+        e1.pi11 - (s.a1 - s.n23) * s.pi11,
+        e2.p - (-(s.a2 + s.n13) * s.pi11),
+        e2.pi11 - (s.a2 + s.n13) * s.pi11,
+        e3.p - (-(4.0 * third) * s.udot3 * s.p + (2.0 * third) * s.udot3 * s.pi11),
+        e3.pi11
+        - ((4.0 * third) * s.udot3 * s.p + (3.0 * s.a3 - (2.0 * third) * s.udot3) * s.pi11),
+        4.0 * s.udot1 * s.p + (s.udot1 - 3.0 * s.a1 + 3.0 * s.n23) * s.pi11,
+        4.0 * s.udot2 * s.p + (s.udot2 - 3.0 * s.a2 - 3.0 * s.n13) * s.pi11,
+        -2.0 * s.sigma13 * s.p + 0.25 * (3.0 * s.omega2 - 6.0 * s.Omega2 + s.sigma13) * s.pi11,
+        -2.0 * s.sigma23 * s.p - 0.25 * (3.0 * s.omega1 - 6.0 * s.Omega1 - s.sigma23) * s.pi11,
+        -4.0 * s.omega1 * s.p + 0.5 * (s.omega1 - 3.0 * s.sigma23) * s.pi11,
+        -4.0 * s.omega2 * s.p + 0.5 * (s.omega2 + 3.0 * s.sigma13) * s.pi11,
+    )
+
+
+def bianchi_special_residuals(jet: SpecialJet, signed_zeros: bool = False) -> ResidualReport:
     """Seventeen-entry residual vector of the specialized Bianchi system.
 
     Entries 1-8 are derivative equations, 9-14 algebraic constraints, and
     15-17 encode the structural conditions (vanishing of omega_3, n_33,
     n_12, sigma_12; sigma_22 = sigma_11 = -sigma_33/2; n_11 = n_22) as
-    max-abs of their member variables and differences.
+    max-abs of their member variables and differences.  Entries 1-14 skip
+    their zero terms, unless ``signed_zeros`` asks for the sign of each zero
+    entry (see ``frame_equations._planned_view``).
     """
     s = jet.value
-    e0, e1, e2, e3 = jet.deriv
-    third = 1.0 / 3.0
     entries = [
-        np.asarray(e0.p) - (-(4.0 * third) * s.p * s.Theta - 2.0 * s.sigma11 * s.pi11),
-        np.asarray(e0.pi11)
-        - (-4.0 * s.sigma11 * s.p + (s.sigma11 - third * s.Theta) * s.pi11),
-        np.asarray(e1.p) - (-(s.a1 - s.n23) * s.pi11),
-        np.asarray(e1.pi11) - (s.a1 - s.n23) * s.pi11,
-        np.asarray(e2.p) - (-(s.a2 + s.n13) * s.pi11),
-        np.asarray(e2.pi11) - (s.a2 + s.n13) * s.pi11,
-        np.asarray(e3.p)
-        - (-(4.0 * third) * s.udot3 * s.p + (2.0 * third) * s.udot3 * s.pi11),
-        np.asarray(e3.pi11)
-        - ((4.0 * third) * s.udot3 * s.p + (3.0 * s.a3 - (2.0 * third) * s.udot3) * s.pi11),
-        4.0 * s.udot1 * s.p + (np.asarray(s.udot1) - 3.0 * s.a1 + 3.0 * s.n23) * s.pi11,
-        4.0 * s.udot2 * s.p + (np.asarray(s.udot2) - 3.0 * s.a2 - 3.0 * s.n13) * s.pi11,
-        -2.0 * s.sigma13 * s.p
-        + 0.25 * (3.0 * s.omega2 - 6.0 * s.Omega2 + np.asarray(s.sigma13)) * s.pi11,
-        -2.0 * s.sigma23 * s.p
-        - 0.25 * (3.0 * s.omega1 - 6.0 * s.Omega1 - np.asarray(s.sigma23)) * s.pi11,
-        -4.0 * s.omega1 * s.p + 0.5 * (np.asarray(s.omega1) - 3.0 * s.sigma23) * s.pi11,
-        -4.0 * s.omega2 * s.p + 0.5 * (np.asarray(s.omega2) + 3.0 * s.sigma13) * s.pi11,
+        *_special_bianchi(jet, signed_zeros),
         np.maximum.reduce(
             np.broadcast_arrays(
                 np.abs(np.asarray(s.omega3, dtype=float)),
@@ -252,55 +266,60 @@ RE_NAMES = (
 )
 
 
-def ricci_einstein_residuals(jet: SpecialJet) -> ResidualReport:
-    """Residuals of the reduced Ricci/Einstein system.
-
-    Requires a gauge-reduced state; the two-sided zero equations contribute
-    paired entries (suffix a for e_1, b for e_2).
-    """
+@_planned_view
+def _ricci_einstein(jet):
+    """(RE1)-(RE14b); the two-sided zero equations give paired entries
+    (suffix a for e_1, b for e_2)."""
     s = jet.value
-    if not is_gauge_reduced(jet):
-        raise ValueError("ricci_einstein_residuals requires a gauge-reduced state")
     e0, e1, e2, e3 = jet.deriv
     third = 1.0 / 3.0
-    entries = [
-        np.asarray(e0.a3)
+    return (
+        e0.a3
         - (-third * s.udot3 * s.Theta - third * s.a3 * s.Theta
            - s.udot3 * s.sigma11 - s.a3 * s.sigma11),
-        (np.asarray(e1.a1) + e2.a2 + e3.a3)
-        - (1.5 * s.p - np.asarray(s.Theta) ** 2 / 6.0 + 1.5 * np.asarray(s.sigma11) ** 2
-           + 2.0 * np.asarray(s.a1) ** 2 + 2.0 * np.asarray(s.a2) ** 2
-           + 1.5 * np.asarray(s.a3) ** 2),
-        (np.asarray(e3.a3) - e0.sigma11 - third * np.asarray(e3.udot3))
-        - (s.Theta * s.sigma11 - np.asarray(s.pi11) + third * np.asarray(s.udot3) ** 2
-           + third * s.a3 * s.udot3 + s.p - np.asarray(s.Theta) ** 2 / 9.0
-           + np.asarray(s.sigma11) ** 2 + np.asarray(s.a3) ** 2),
-        (np.asarray(e3.sigma11) + third * np.asarray(e3.Theta)) - 3.0 * s.a3 * s.sigma11,
-        (np.asarray(e3.Omega3) + e0.n11)
+        (e1.a1 + e2.a2 + e3.a3)
+        - (1.5 * s.p - s.Theta ** 2 / 6.0 + 1.5 * s.sigma11 ** 2
+           + 2.0 * s.a1 ** 2 + 2.0 * s.a2 ** 2 + 1.5 * s.a3 ** 2),
+        (e3.a3 - e0.sigma11 - third * e3.udot3)
+        - (s.Theta * s.sigma11 - s.pi11 + third * s.udot3 ** 2
+           + third * s.a3 * s.udot3 + s.p - s.Theta ** 2 / 9.0
+           + s.sigma11 ** 2 + s.a3 ** 2),
+        (e3.sigma11 + third * e3.Theta) - 3.0 * s.a3 * s.sigma11,
+        (e3.Omega3 + e0.n11)
         - (-s.udot3 * s.Omega3 + 2.0 * s.sigma11 * s.n11 - third * s.Theta * s.n11),
-        (np.asarray(e0.Theta) - e3.udot3)
-        - (-np.asarray(s.Theta) ** 2 / 3.0 - 6.0 * np.asarray(s.sigma11) ** 2
-           - 3.0 * s.p + np.asarray(s.udot3) ** 2 - 2.0 * s.a3 * s.udot3),
-        (np.asarray(e1.n11) - 2.0 * np.asarray(e3.a2))
-        - (2.0 * s.a1 * s.n11 - 2.0 * s.a3 * s.a2),
+        (e0.Theta - e3.udot3)
+        - (-s.Theta ** 2 / 3.0 - 6.0 * s.sigma11 ** 2
+           - 3.0 * s.p + s.udot3 ** 2 - 2.0 * s.a3 * s.udot3),
+        (e1.n11 - 2.0 * e3.a2) - (2.0 * s.a1 * s.n11 - 2.0 * s.a3 * s.a2),
         # 2 e3(a1) + e2(n11), written so that an absent e2(n11) (0.0) leaves
         # 2 e3(a1) as it is, the sign of a zero included
-        -(-2.0 * np.asarray(e3.a1) - e2.n11)
-        - (2.0 * s.a2 * s.n11 + 2.0 * s.a3 * s.a1),
-        (np.asarray(e0.a1) - 0.5 * np.asarray(e2.Omega3))
+        -(-2.0 * e3.a1 - e2.n11) - (2.0 * s.a2 * s.n11 + 2.0 * s.a3 * s.a1),
+        (e0.a1 - 0.5 * e2.Omega3)
         - (-third * s.a1 * s.Theta - s.a1 * s.sigma11 - s.a2 * s.Omega3),
-        (np.asarray(e0.a2) + 0.5 * np.asarray(e1.Omega3))
+        (e0.a2 + 0.5 * e1.Omega3)
         - (-third * s.a2 * s.Theta - s.a2 * s.sigma11 + s.a1 * s.Omega3),
-        np.asarray(e1.udot3),
-        np.asarray(e2.udot3),
-        np.asarray(e1.a3),
-        np.asarray(e2.a3),
-        np.asarray(e1.sigma11),
-        np.asarray(e2.sigma11),
-        np.asarray(e1.Theta),
-        np.asarray(e2.Theta),
-    ]
-    return ResidualReport.of_entries(jet.shape, RE_NAMES, entries)
+        e1.udot3,
+        e2.udot3,
+        e1.a3,
+        e2.a3,
+        e1.sigma11,
+        e2.sigma11,
+        e1.Theta,
+        e2.Theta,
+    )
+
+
+def ricci_einstein_residuals(jet: SpecialJet, signed_zeros: bool = False) -> ResidualReport:
+    """Residuals of the reduced Ricci/Einstein system, skipping their zero
+    terms unless ``signed_zeros`` asks for the sign of each zero entry (see
+    ``frame_equations._planned_view``).
+
+    Requires a gauge-reduced state.
+    """
+    if not is_gauge_reduced(jet):
+        raise ValueError("ricci_einstein_residuals requires a gauge-reduced state")
+    return ResidualReport.of_entries(jet.shape, RE_NAMES,
+                                     _ricci_einstein(jet, signed_zeros))
 
 
 FW_NAMES = (

@@ -30,12 +30,12 @@ component of the state vanishes identically (E = H = q = 0 and
 n = omega = 0 on the ODE cases, pi and sigma are diagonal, udot, a and
 Omega are (0, 0, x), and a jet built on a z-grid has only e_3
 derivatives), so many terms of the general system are products with a
-factor that is zero everywhere.  ``residual_report`` reads every vector,
+factor that is zero everywhere.  The block kernels read every vector,
 tensor and derivative field as a table of its components (``_Components``,
-an object array of component shape whose entries are batch arrays), built
-once per sweep from the jet's entries: a component the jet holds no entry
-for, or only a zero one, is the sentinel ``ZERO``, as is a scalar field
-with none.  The kernels act on the tables entry by entry and drop
+an object array of component shape whose entries are batch arrays): a
+component the jet holds no entry for, or only a zero one, is the sentinel
+``ZERO``, as is a scalar field with none.  The kernels act on the tables
+entry by entry and drop
 every term with a ``ZERO`` factor: ``x + ZERO`` is ``x``, and a product,
 quotient, power, index or transpose of ``ZERO`` is ``ZERO``.  A nonzero
 component therefore goes through the same numpy operations in the same
@@ -52,28 +52,34 @@ drops with the term.  No kernel writes into its operands, since
 
 Plans.  ``residual_report`` does not run the block kernels on the jet's
 arrays: ``_efe_arr``, ``_jacobi_arr`` and ``_bianchi_arr`` are planned
-(``_planned``).  A jet's sparsity pattern (``_Tables.sparsity``) lists the
-components that are not ``ZERO`` and, for each, which of the jet's distinct
-arrays it holds, by identity: pi22 is pi11 and x_ji is x_ij on the
-conformally flat jets.  The first time a block sees a pattern, it runs its
-kernel once on symbolic entries (``_Entry``) through the same tables, so
-the ``ZERO`` terms drop out as above, and records each ``+ - * / **`` and
-negation once, keyed by the operator and its operands (a number by its type
-and bits, so 2 and 2.0, or 0.0 and -0.0, stay apart): an operation the
-kernel repeats on the same operands is made once, and one no result
-depends on is dropped.  Every report of that pattern then replays the
-recorded operations (``_Plan``) on its own arrays, in the recorded order,
-and frees each intermediate after its last use; the same operations on the
-same operands give the same bits, and the results have the kernels'
-structure, except that one array may fill several components (field2[0, 1]
-is field2[1, 0]).  Replay reads every operand from its list of slots, which
+(``_planned``).  A jet's sparsity pattern (``_Sparse.sparsity``), read
+from its entries, lists the components that hold a nonzero entry and, for
+each, which of the jet's distinct arrays it holds, by identity: pi22 is
+pi11 and x_ji is x_ij on the conformally flat jets.  The first time a block
+sees a pattern, it runs its kernel once on symbolic entries (``_Entry``)
+in tables that hold ``ZERO`` in every other component, so the ``ZERO``
+terms drop out as above, and records each ``+ - * / **`` and negation
+once, keyed by the operator and its operands (a number by its type and
+bits, so 2 and 2.0, or 0.0 and -0.0, stay apart): an operation the kernel
+repeats on the same operands is made once, and one no result depends on is
+dropped.  Every report of that pattern then replays the recorded
+operations (``_Plan``) on its own arrays, in the recorded order, and frees
+each intermediate after its last use; the same operations on the same
+operands give the same bits, and the results have the kernels' structure,
+except that one array may fill several components (field2[0, 1] is
+field2[1, 0]).  Replay reads every operand from its list of slots, which
 holds a reference to it, so numpy's temporary elision, which writes into an
 operand nothing else refers to, never reuses one.  Each block keeps the
 plans of its ``PLAN_CACHE`` most recent patterns, keyed by the pattern
-alone, not by the batch shape or the values.  A non-finite jet, whose
-tables are dense, is evaluated by the kernels themselves and leaves the
-plans as they are: each position of its non-finite entry would be a new
-pattern.
+alone, not by the batch shape or the values.  A non-finite jet is
+evaluated by the kernels themselves, on dense tables, and leaves the plans
+as they are: each position of its non-finite entry would be a new pattern.
+The component tables are built only for a trace and for a non-finite jet.
+
+The reduced systems of ``conformal`` are planned the same way
+(``_planned_view``): their kernels read a jet's value and derivative slots
+by variable name, ``ZERO`` where the jet holds no nonzero entry, and their
+patterns list only the components they read.
 
 Residual norms are max-abs: a single violated component must not be
 averaged away.
@@ -82,7 +88,6 @@ averaged away.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
@@ -127,13 +132,14 @@ COMPONENT_NAMES = (
 class _Slot:
     """Read-only view of one slot of a jet (its value, or one frame
     derivative) by variable name (``COMPONENT_NAMES``); a component the jet
-    does not hold reads 0.0."""
+    does not hold reads ``zero``."""
 
-    __slots__ = ("_entries", "_slot")
+    __slots__ = ("_entries", "_slot", "_zero")
 
-    def __init__(self, entries: dict, slot: int | None):
+    def __init__(self, entries: dict, slot: int | None, zero=0.0):
         self._entries = entries
         self._slot = slot
+        self._zero = zero
 
     def __getattr__(self, name):
         try:
@@ -142,15 +148,37 @@ class _Slot:
             raise AttributeError(name) from None
         key = (field, indices[0]) if self._slot is None else (
             "d" + field, (self._slot,) + indices[0])
-        return self._entries.get(key, 0.0)
+        return self._entries.get(key, self._zero)
+
+
+class _View:
+    """``value`` and ``deriv[a]`` of a jet's entries, read by variable name,
+    with ``zero`` in every component the entries do not hold."""
+
+    __slots__ = ("value", "deriv")
+
+    def __init__(self, entries: dict, zero):
+        self.value = _Slot(entries, None, zero)
+        self.deriv = tuple(_Slot(entries, a, zero) for a in range(4))
+
+
+class _Reads(dict):
+    """An empty entry table that records each component read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys_read = set()
+
+    def get(self, key, default=None):
+        self.keys_read.add(key)
+        return default
 
 
 # every (jet field, component index) a jet may hold, numbered in field order
 _FLAT = tuple((name, index) for name, comp in _COMPONENTS.items() for index in np.ndindex(comp))
 _KEYS = frozenset(_FLAT)
-# jet field -> the number of its first component
-_FIRST = dict(zip(_COMPONENTS, itertools.accumulate(
-    (math.prod(comp) for comp in _COMPONENTS.values()), initial=0)))
+# (jet field, component index) -> its number in _FLAT
+_NUMBER = {key: k for k, key in enumerate(_FLAT)}
 
 
 class JetArrays:
@@ -362,36 +390,14 @@ def _dense(x, comp: tuple, shape: tuple) -> np.ndarray:
 
 
 class _Tables:
-    """A jet as the kernels read it: its batch ``shape``, and each field of
-    ``_COMPONENTS`` as an attribute, a scalar field its entry and any other
-    field the table of its components, ``ZERO`` where no component holds a
-    nonzero entry.  ``dense`` marks the zero-filled tables of a non-finite
-    jet, which the blocks evaluate without a plan."""
-
-    dense = False
+    """A jet as the block kernels read it: its batch ``shape``, and each
+    field of ``_COMPONENTS`` as an attribute, a scalar field its entry and
+    any other field the table of its components, ``ZERO`` where no
+    component holds an entry."""
 
     def __init__(self, shape: tuple, fields: dict):
         self.shape = shape
         vars(self).update(fields)
-
-    @functools.cached_property
-    def sparsity(self) -> tuple:
-        """(pattern, inputs): ``inputs`` lists each distinct entry once, by
-        identity, in the order of the first component holding it, and
-        ``pattern`` pairs the number (``_FLAT``) of every component that is
-        not ``ZERO`` with the position of its entry in ``inputs``."""
-        pattern, inputs, ids = [], [], {}
-        for name, first in _FIRST.items():
-            x = getattr(self, name)
-            if x is ZERO:
-                continue
-            for k, e in enumerate(x.c.flat if isinstance(x, _Components) else (x,), first):
-                if e is not ZERO:
-                    i = ids.setdefault(id(e), len(inputs))
-                    if i == len(inputs):
-                        inputs.append(e)
-                    pattern.append((k, i))
-        return tuple(pattern), inputs
 
 
 def _tables(shape: tuple, live: dict) -> _Tables:
@@ -404,25 +410,69 @@ def _tables(shape: tuple, live: dict) -> _Tables:
                            for name, t in tables.items()})
 
 
-def _component_tables(ja: JetArrays) -> _Tables:
-    """The tables of ``ja``'s entries, with every component that has no
-    nonzero entry ``ZERO``.  If a remaining component has a non-finite
-    entry, the ``ZERO`` components become zero arrays, so that the kernels
-    form its 0 * inf = nan terms."""
-    if not isinstance(ja, JetArrays):
-        raise TypeError(f"expected JetArrays, got {type(ja).__name__}")
-    head = bool(ja.shape)
-    # a component with a nonzero entry nearly always has one among its
-    # first points; testing those first spares the full scan
-    live = {key: e for key, e in ja.entries.items()
-            if (head and e[..., :16].any()) or e.any()}
-    # an overflowing sum of finite entries also forms the zero terms
-    if not all(np.isfinite(e.sum()) for e in live.values()):
-        zeros = np.zeros(ja.shape)
-        tables = _tables(ja.shape, {key: live.get(key, zeros) for key in _FLAT})
-        tables.dense = True
-        return tables
-    return _tables(ja.shape, live)
+class _Sparse:
+    """A jet as the planned kernels take it.
+
+    ``entries`` are the jet's own, and ``live`` maps each component whose
+    entry is nonzero somewhere to that entry.  ``dense`` marks a jet with a
+    non-finite live entry, which the kernels evaluate without a plan.
+    ``sparsity`` is what a plan replays; the kernels' arguments, ``tables``
+    (the component tables) and ``view`` (the value and derivative slots by
+    variable name), are built only when read, for a dense jet or a trace.
+    They hold ``ZERO`` in every component that is not live, except on a
+    dense jet: there ``tables`` holds zero arrays, so that the kernels form
+    the 0 * inf = nan terms, and ``view`` reads the jet's own entries, 0.0
+    where it holds none, as a direct evaluation does.
+    """
+
+    def __init__(self, shape: tuple, entries: dict, live: dict, dense: bool = False):
+        self.shape = shape
+        self.entries = entries
+        self.live = live
+        self.dense = dense
+
+    @staticmethod
+    def of(ja: JetArrays, keys=None) -> "_Sparse":
+        """``ja`` as the kernels take it; ``keys``, if given, are the
+        components the kernels read, and the others are left out."""
+        if not isinstance(ja, JetArrays):
+            raise TypeError(f"expected JetArrays, got {type(ja).__name__}")
+        entries = ja.entries if keys is None else {
+            key: e for key, e in ja.entries.items() if key in keys}
+        head = bool(ja.shape)
+        # a component with a nonzero entry nearly always has one among its
+        # first points; testing those first spares the full scan
+        live = {key: e for key, e in entries.items()
+                if (head and e[..., :16].any()) or e.any()}
+        # an overflowing sum of finite entries also forms the zero terms
+        dense = not all(np.isfinite(e.sum()) for e in live.values())
+        return _Sparse(ja.shape, entries, live, dense)
+
+    @functools.cached_property
+    def sparsity(self) -> tuple:
+        """(pattern, inputs): ``inputs`` lists each distinct live entry
+        once, by identity, in the order of the first component (``_FLAT``)
+        holding it, and ``pattern`` pairs the number of every live
+        component with the position of its entry in ``inputs``."""
+        pattern, inputs, ids = [], [], {}
+        for k in sorted(map(_NUMBER.__getitem__, self.live)):
+            e = self.live[_FLAT[k]]
+            i = ids.setdefault(id(e), len(inputs))
+            if i == len(inputs):
+                inputs.append(e)
+            pattern.append((k, i))
+        return tuple(pattern), inputs
+
+    @functools.cached_property
+    def tables(self) -> _Tables:
+        if self.dense:
+            zeros = np.zeros(self.shape)
+            return _tables(self.shape, {key: self.live.get(key, zeros) for key in _FLAT})
+        return _tables(self.shape, self.live)
+
+    @functools.cached_property
+    def view(self) -> _View:
+        return _View(self.entries, 0.0) if self.dense else _View(self.live, ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +591,17 @@ def _result_slots(r):
 
 
 class _Plan:
-    """A block kernel traced on one sparsity pattern (``_Tables.sparsity``):
-    the operations that lead to its results, each once, in order, and after
-    each the slots it reads for the last time."""
+    """A kernel traced on one sparsity pattern (``_Sparse.sparsity``): the
+    operations that lead to its results, each once, in order, and after
+    each the slots it reads for the last time.  ``reads`` gives the
+    kernel's argument for a ``_Sparse``."""
 
-    def __init__(self, kernel, pattern: tuple):
+    def __init__(self, kernel, reads, pattern: tuple):
         n_inputs = 1 + max((i for _, i in pattern), default=-1)
         trace = _Trace(n_inputs)
         entries = [_Entry(trace, i) for i in range(n_inputs)]
-        results = kernel(_tables((), {_FLAT[k]: entries[i] for k, i in pattern}))
+        live = {_FLAT[k]: entries[i] for k, i in pattern}
+        results = kernel(reads(_Sparse((), live, live)))
         self.results = tuple(_result_slots(r) for r in results)
         kept = set()
         for r in self.results:
@@ -596,25 +648,48 @@ def _result(r, v: list):
     return _Components(c.reshape(comp))
 
 
-def _planned(kernel):
-    """The block ``kernel`` evaluated through its plan for the sparsity
-    pattern of the tables it is given, or on dense tables by the kernel
-    itself; ``plan`` is the bounded plan cache, keyed by the pattern alone,
-    and ``__wrapped__`` the kernel itself."""
+def _planned(kernel, reads=operator.attrgetter("tables")):
+    """The ``kernel`` evaluated through its plan for the sparsity pattern of
+    the ``_Sparse`` jet it is given, or on a dense jet by the kernel itself.
+    ``reads(c)`` is the kernel's argument for a jet ``c``: its ``tables``,
+    or its ``view``.  ``plan`` is the bounded plan cache, keyed by the
+    pattern alone, and ``__wrapped__`` the kernel itself."""
 
     @functools.lru_cache(maxsize=PLAN_CACHE)
     def plan(pattern: tuple) -> _Plan:
-        return _Plan(kernel, pattern)
+        return _Plan(kernel, reads, pattern)
 
     @functools.wraps(kernel)
-    def block(c: _Tables) -> tuple:
+    def block(c: _Sparse) -> tuple:
         if c.dense:
-            return kernel(c)
+            return kernel(reads(c))
         pattern, inputs = c.sparsity
         return plan(pattern).replay(inputs)
 
     block.plan = plan
     return block
+
+
+def _planned_view(kernel):
+    """A kernel that reads a jet's ``value`` and ``deriv`` slots by variable
+    name (a reduced system), evaluated on a ``JetArrays``: through its plan
+    for the pattern of the components it reads, or, with ``signed_zeros``,
+    by the kernel itself on the jet's own entries, 0.0 where it holds none,
+    so that each zero result keeps the sign its terms give it (a planned
+    result that is zero throughout is ``ZERO``, read as +0.0).  ``plan``
+    is the plan cache and ``keys_read`` the components the kernel reads."""
+    reads = _Reads()
+    kernel(_View(reads, ZERO))
+    keys = frozenset(reads.keys_read)
+    block = _planned(kernel, operator.attrgetter("view"))
+
+    @functools.wraps(kernel)
+    def evaluate(ja: JetArrays, signed_zeros: bool = False) -> tuple:
+        return kernel(ja) if signed_zeros else block(_Sparse.of(ja, keys))
+
+    evaluate.plan = block.plan
+    evaluate.keys_read = keys
+    return evaluate
 
 
 # Contraction kernels on component-major arrays (component axes first, batch
@@ -1117,8 +1192,8 @@ class ResidualReport:
         return out
 
 
-def _report_arrays(ja: _Tables) -> tuple:
-    return _efe_arr(ja) + _jacobi_arr(ja) + _bianchi_arr(ja)
+def _report_arrays(c: _Sparse) -> tuple:
+    return _efe_arr(c) + _jacobi_arr(c) + _bianchi_arr(c)
 
 
 def residual_report(jet: JetArrays) -> ResidualReport:
@@ -1129,7 +1204,7 @@ def residual_report(jet: JetArrays) -> ResidualReport:
     throughout are skipped (see the module docstring); ``jet`` itself is
     left as it is.
     """
-    ja = _component_tables(jet)
-    results = zip(GENERAL_BLOCKS.items(), _report_arrays(ja), strict=True)
-    return ResidualReport(ja.shape, {label: (comp, res) for (label, comp), res in results})
+    c = _Sparse.of(jet)
+    results = zip(GENERAL_BLOCKS.items(), _report_arrays(c), strict=True)
+    return ResidualReport(c.shape, {label: (comp, res) for (label, comp), res in results})
 

@@ -5,6 +5,13 @@ import numpy as np
 from f13 import frame_equations as fe
 from f13.frame_equations import COMPONENT_NAMES, JetArrays
 
+# numpy writes a result into an operand of 2**15 float64 points or more
+# that nothing else refers to (temporary elision)
+ELISION_POINTS = 2**15
+# the batch shapes of the plan tests: a single jet, a 1-D and a 2-D batch,
+# and a two-axis batch large enough for numpy's temporary elision
+PLAN_SHAPES = [(), (3,), (4, 3), (2, ELISION_POINTS // 2)]
+
 
 def random_jet(rng):
     """A single jet of random variables in every slot; the 33 entry of each

@@ -1236,7 +1236,8 @@ def grid(z1, N, z0=0.0):
 
 
 CHARACTERIZED = {
-    # (command, sections, exit code, CSV sha256 or None, RESULT line)
+    # (command, sections, exit code, sha256 of the CSV (solve) or of the
+    # block and note lines (verify), RESULT line)
     "solve-a1-A": ("solve", {
         "scenario": {"case": "a1", "full_check": "true"}, "frame": {"F": 1.0},
         "grid": grid(1.0, 200), "initial": {"sigma11": 0.1, "Omega3": 1.0},
@@ -1285,26 +1286,43 @@ CHARACTERIZED = {
     "verify-a1": ("verify", {
         "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
         "constants": {"A": 1.0, "B": 1.0, "sign": -1}},
-        0, None, "RESULT pass max_residual=5.1159076974727213e-12"),
+        0,
+        "2e34285ed1a2fadc65bb343e682951b11f33da776d4414ee5e955721170085f1",
+        "RESULT pass max_residual=5.1159076974727213e-12"),
     "verify-a1-shearless": ("verify", {
         "scenario": {"case": "a1-shearless"}, "frame": {"F_table": "{table}"},
         "grid": grid(0.4, 120), "constants": {"C": 1.0, "B": 1.0}},
-        0, None, "RESULT pass max_residual=1.2789769243681803e-13"),
+        0,
+        "de6c993f3a374d38d894e8ab7bf21da6c8278f6ec460fab8db89545faeabdd9d",
+        "RESULT pass max_residual=1.2789769243681803e-13"),
     "verify-a2-branch1": ("verify", {
         "scenario": {"case": "a2-branch1"}, "frame": {"F": 1.0},
         "grid": grid(0.4, 120), "constants": {"C": 1.0}},
-        0, None, "RESULT pass max_residual=5.1159076974727213e-13"),
+        0,
+        "adc9e643cd79336914020dffadcb5581c7fc3ee5c95fa7e0d92a7358360dad72",
+        "RESULT pass max_residual=5.1159076974727213e-13"),
     "verify-a2-branch2-perturbed": ("verify", {
         "scenario": {"case": "a2-branch2"}, "frame": {"F": 1.0},
         "grid": grid(0.5, 100), "constants": {"D": 1.0, "B": 0.5},
         "perturb": {"a3": 1e-6}},
-        4, None, "RESULT fail max_residual=2.4000002994739589e-05"),
+        4,
+        "af9bcf4ef1b137e4310dc6e93f6d20e963362fc5b34f2a456df4b25d163d5df8",
+        "RESULT fail max_residual=2.4000002994739589e-05"),
+    # an exact closed form clipped just ahead of its pole, where a3 is about
+    # 1000: the widest-ranged jet whose every line is pinned
+    "verify-a1-shearless-pole": ("verify", {
+        "scenario": {"case": "a1-shearless"}, "frame": {"F": 1.0},
+        "grid": grid(0.9, 90), "constants": {"C": 1.0}},
+        4,
+        "f929c28df5e53fd53bf05900d0cb19e4c20fd21507b32161e81f7ae0ba660ba8",
+        "RESULT fail max_residual=2.6822090148925781e-07"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHARACTERIZED))
 def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
-    """Exit code, CSV sha256 and RESULT line of every solve and verify case."""
+    """Exit code, RESULT line and the sha256 of the CSV of every solve case
+    and of the block and note lines of every verify case."""
     command, sections, code, digest, result = CHARACTERIZED[name]
     table = frame_table(tmp_path / "F.csv", [(0.05 * i, 1.0 + 0.1 * math.sin(0.3 * i))
                                             for i in range(21)])
@@ -1315,9 +1333,13 @@ def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
         sections["scenario"]["output"] = str(out)
     cfg = write(tmp_path / "c.cfg", config_text(sections))
     assert main([command, "--config", cfg]) == code
-    assert capsys.readouterr().out.splitlines()[-1] == result
-    if digest is not None:
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == result
+    if command == "solve":
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    else:
+        printed = "\n".join(l for l in lines if l.startswith(("block ", "note: ")))
+        assert hashlib.sha256(printed.encode()).hexdigest() == digest
 
 
 RESIDUAL_EXTRA = {

@@ -1,14 +1,18 @@
 """Conformally flat specialization: reduced systems, ODE cases, closed forms."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
-from conftest import densified
+from conftest import ELISION_POINTS, PLAN_SHAPES, densified
+from hypothesis import given, settings, strategies as st
 
 from f13 import conformal as cf
 from f13 import frame_equations as fe
 from f13.cli import _perturbed
 from f13.core import MatterState, ThreeVector, TracefreeSymThree
-from f13.frame_equations import ZERO, NonFiniteResidual, ResidualReport, residual_report
+from f13.frame_equations import ZERO, JetArrays, NonFiniteResidual, ResidualReport, residual_report
 from f13.numerics import Grid, rk4_integrate
 from f13.spinors import ricci_spinor
 
@@ -210,6 +214,146 @@ def test_re8_without_an_e2_slot_keeps_the_bytes_of_2_e3_a1_minus_e2_n11():
            - (2.0 * s.a2 * s.n11 + 2.0 * s.a3 * s.a1))
     assert (np.signbit(old) & (old == 0.0)).any()  # -0.0 cells
     assert cf.ricci_einstein_residuals(jet).block("RE8").tobytes() == old.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the planned reduced systems
+# ---------------------------------------------------------------------------
+
+REDUCED = {"bianchi": cf.bianchi_special_residuals, "ricci-einstein": cf.ricci_einstein_residuals}
+REDUCED_KERNELS = (cf._special_bianchi, cf._ricci_einstein)
+
+
+@st.composite
+def reduced_jets(draw):
+    """A special jet holding a random subset of the variables in each slot:
+    each a fresh random array with some zeros of either sign, the array of
+    an earlier variable, or all +0.0 or all -0.0; sometimes gauge-reduced
+    in its value (the gauge variables absent or zero, n23 the array of a1
+    and n13 = -a2), and sometimes one array holds a nan or an inf."""
+    shape = draw(st.sampled_from(PLAN_SHAPES))
+    big = math.prod(shape) >= ELISION_POINTS
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+
+    def entry():
+        kind = draw(st.sampled_from(("fresh", "zeros", "-zeros", "shared")[:4 if arrays else 3]))
+        if kind == "shared":
+            return arrays[draw(st.integers(0, len(arrays) - 1))]
+        if kind == "fresh":
+            x = np.where(rng.random(shape) < 0.2, rng.choice([0.0, -0.0], shape),
+                         rng.uniform(-1.0, 1.0, shape))
+        else:
+            x = np.full(shape, 0.0 if kind == "zeros" else -0.0)
+        arrays.append(x)
+        return x
+
+    slots = [{name: entry() for name in draw(st.lists(
+        st.sampled_from(cf.SPECIAL_NAMES), unique=True, max_size=4 if big else 20))}
+        for _ in range(5)]
+    if draw(st.booleans()):
+        value = slots[0]
+        for name in cf._GAUGE_ZEROED + ("n23", "n13"):
+            if value.pop(name, None) is not None and draw(st.booleans()):
+                value[name] = np.full(shape, draw(st.sampled_from((0.0, -0.0))))
+        if "a1" in value:
+            value["n23"] = value["a1"]
+        if "a2" in value:
+            value["n13"] = -value["a2"]
+    bad = draw(st.sampled_from((None, None, None, np.nan, np.inf, -np.inf)))
+    if bad is not None and arrays:
+        arrays[draw(st.integers(0, len(arrays) - 1))].flat[rng.integers(math.prod(shape))] = bad
+    return cf.SpecialJet(None, shape, JetArrays.build(shape, *slots).entries)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(reduced_jets())
+def test_planned_reduced_systems_equal_the_kernels_on_the_jet(jet):
+    """Every norm and worst entry, and every entry up to the sign of its
+    zeros, bit for bit; a non-finite jet fails both, naming the same
+    entry."""
+    for name, system in REDUCED.items():
+        if system is cf.ricci_einstein_residuals and not cf.is_gauge_reduced(jet):
+            continue
+        with np.errstate(all="ignore"):
+            try:
+                ref = system(jet, signed_zeros=True)
+            except NonFiniteResidual as exc:
+                with pytest.raises(NonFiniteResidual, match=f"^{exc}$"):
+                    system(jet)
+                continue
+            rep = system(jet)
+        assert rep.block_norms() == ref.block_norms(), name
+        assert rep.block_worst() == ref.block_worst(), name
+        for label, block in ref.blocks():
+            assert np.abs(rep.block(label)).tobytes() == np.abs(block).tobytes(), (name, label)
+
+
+def gauge_reduced_jet(n, *names, e3=("sigma11",)):
+    rng = np.random.default_rng(n)
+    return cf.SpecialJet.build(np.zeros(n), {name: rng.uniform(-1.0, 1.0, n) for name in names},
+                               e3={name: rng.uniform(-1.0, 1.0, n) for name in e3})
+
+
+def test_reduced_plans_are_traced_once_per_pattern():
+    """A jet of a known pattern, on another batch shape and other values,
+    replays its plan, as does one that adds only a component the kernel
+    does not read; a new pattern of read components is traced; each
+    kernel keeps at most ``PLAN_CACHE`` plans."""
+    def misses():
+        return [kernel.plan.cache_info().misses for kernel in REDUCED_KERNELS]
+
+    def reports(jet):
+        for system in REDUCED.values():
+            system(jet)
+
+    for kernel in REDUCED_KERNELS:
+        kernel.plan.cache_clear()
+    reports(gauge_reduced_jet(5, "p", "Theta", "sigma11"))
+    assert misses() == [1, 1]
+    reports(gauge_reduced_jet(7, "p", "Theta", "sigma11"))
+    assert misses() == [1, 1]
+    # neither system reads e_1(mu)
+    jet = gauge_reduced_jet(7, "p", "Theta", "sigma11")
+    assert ("dmu", (1,)) not in cf._special_bianchi.keys_read | cf._ricci_einstein.keys_read
+    reports(cf.SpecialJet(None, jet.shape, jet.entries | {("dmu", (1,)): np.ones(7)}))
+    assert misses() == [1, 1]
+    reports(gauge_reduced_jet(7, "p", "Theta", "sigma11", "a3"))
+    assert misses() == [2, 2]
+    one = np.ones(())
+    for kernel in REDUCED_KERNELS:
+        pairs = itertools.combinations(sorted(kernel.keys_read), 2)
+        for pair in itertools.islice(pairs, fe.PLAN_CACHE + 4):
+            kernel(JetArrays((), dict.fromkeys(pair, one)))
+        info = kernel.plan.cache_info()
+        assert info.maxsize == fe.PLAN_CACHE and info.currsize == fe.PLAN_CACHE
+
+
+def test_non_finite_reduced_reports_leave_the_plans_as_they_are():
+    """A jet with a non-finite component that a kernel reads is evaluated
+    by the kernel itself: it traces no plan and evicts none.  One that a
+    kernel does not read leaves its entries as they were."""
+    jet = gauge_reduced_jet(60, "p", "pi11", "Theta", "sigma11", "a3", "udot3",
+                            e3=("p", "pi11", "sigma11", "a3"))
+    reports = [system(jet) for system in REDUCED.values()]
+
+    def plans():
+        return [(info.currsize, info.misses)
+                for info in (kernel.plan.cache_info() for kernel in REDUCED_KERNELS)]
+
+    before = plans()
+    for key in (("Theta", ()), ("sigma", (0, 0)), ("dpi", (3, 0, 0)), ("dsigma", (3, 0, 0))):
+        bad = np.array(jet.entries[key])
+        bad[7] = np.inf
+        bad_jet = cf.SpecialJet(None, jet.shape, jet.entries | {key: bad})
+        for kernel, system, rep in zip(REDUCED_KERNELS, REDUCED.values(), reports, strict=True):
+            if key not in kernel.keys_read:
+                assert system(bad_jet).block_norms() == rep.block_norms(), key
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteResidual):
+                    system(bad_jet)
+    assert plans() == before
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +778,7 @@ def test_embed_special_hands_over_the_a1_components_by_reference():
     other component, e_0 to e_2 included, is ``ZERO``."""
     form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
     jet = form.jet(Grid(0.0, 0.5, 100))[0]
-    ja = fe._component_tables(cf.embed_special(jet))
+    ja = fe._Sparse.of(cf.embed_special(jet)).tables
     held = {name: fe._nonzero_components(getattr(ja, name), comp)
             for name, comp in fe._COMPONENTS.items()}
     assert sum(len(held[name]) for name in fe._COMPONENTS if not name.startswith("d")) == 12

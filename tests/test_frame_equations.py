@@ -5,7 +5,8 @@ import math
 import einsum_reference
 import numpy as np
 import pytest
-from conftest import DenseJet, densified, eds_jet_arrays, random_jet
+from conftest import (ELISION_POINTS, PLAN_SHAPES, DenseJet, densified, eds_jet_arrays,
+                      random_jet)
 from hypothesis import given, settings, strategies as st
 
 from f13 import conformal as cf
@@ -21,7 +22,7 @@ def zero_jet():
 def curvature(kernel, comp, **values):
     """The dense result of ``kernel`` on the tables of the single jet of
     ``values``."""
-    return fe._dense(kernel(fe._component_tables(JetArrays.build((), values))), comp, ())
+    return fe._dense(kernel(fe._Sparse.of(JetArrays.build((), values)).tables), comp, ())
 
 
 def b_tensor(c):
@@ -30,12 +31,12 @@ def b_tensor(c):
 
 def curly_S(jet):
     """The curly-S kernel on the component tables of ``jet``."""
-    return fe._curly_S_arr(fe._component_tables(jet))
+    return fe._curly_S_arr(fe._Sparse.of(jet).tables)
 
 
 def curly_R(jet):
     """The curly-R kernel on the component tables of ``jet``."""
-    return fe._curly_R_arr(fe._component_tables(jet))
+    return fe._curly_R_arr(fe._Sparse.of(jet).tables)
 
 
 def test_b_tensor_examples():
@@ -244,12 +245,10 @@ def report_pairs(ja):
 
 
 def dense_kernel_report(ja):
-    """The report arrays of a dense jet read as component tables with no
-    ``ZERO`` entry: the kernels then form every term, zero factors
-    included, as a dense evaluation does."""
-    sub = fe._Tables(ja.shape, {
-        name: fe._Components.build(comp, getattr(ja, name).__getitem__) if comp
-        else getattr(ja, name) for name, comp in fe._COMPONENTS.items()})
+    """The report arrays of a dense jet with every component live, so that
+    no table entry is ``ZERO``: the kernels then form every term, zero
+    factors included, as a dense evaluation does."""
+    sub = fe._Sparse(ja.shape, ja.entries, ja.entries)
     return [fe._dense(res, fe.GENERAL_BLOCKS[name], ja.shape)
             for name, res in zip(REPORT_FIELDS, fe._report_arrays(sub))]
 
@@ -346,11 +345,6 @@ def test_non_finite_residual_names_its_block(bad, field, entry, block, shape):
         residual_report(ja)
 
 
-# numpy writes a result into an operand of 2**15 float64 points or more
-# that nothing else refers to (temporary elision)
-ELISION_POINTS = 2**15
-
-
 TABLE_OPS = {
     "T + T^t": lambda T, x: T + T.swapaxes(0, 1),
     "T - x": lambda T, x: T - x,
@@ -394,7 +388,7 @@ def test_report_is_the_same_for_any_batch_shape():
 def test_zero_blocks_report_zero_maxima():
     form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
     ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 3000))[0])
-    results = fe._report_arrays(fe._component_tables(ja))
+    results = fe._report_arrays(fe._Sparse.of(ja))
     zero = [name for name, res in zip(REPORT_FIELDS, results) if res is ZERO]
     assert "jacobi5" in zero
     rep = residual_report(ja)
@@ -456,7 +450,7 @@ def test_skipping_zeros_matches_einsum_on_conformally_flat_jets():
     for tag, jet in jets.items():
         ja = cf.embed_special(jet)
         held = dict(ja.entries)
-        tables = fe._component_tables(ja)
+        tables = fe._Sparse.of(ja).tables
         zero = {name for name in JET_FIELDS if getattr(tables, name) is ZERO}
         assert len(zero) >= 11, tag
         nonzero = sum(len(fe._nonzero_components(getattr(tables, name), comp))
@@ -515,7 +509,7 @@ def test_skipping_zero_components_matches_dense_kernels_on_random_jets():
 def test_zero_scalar_field_is_a_structural_zero():
     ja = random_jet_arrays(np.random.default_rng(4), 10)
     ja.mu[...] = 0.0
-    assert fe._component_tables(ja).mu is ZERO
+    assert fe._Sparse.of(ja).tables.mu is ZERO
     assert isinstance(ja.mu, np.ndarray)
 
 
@@ -565,14 +559,10 @@ def test_non_finite_entry_times_zero_fields_only_still_raises():
 
 PLANNED_BLOCKS = (fe._efe_arr, fe._jacobi_arr, fe._bianchi_arr)
 
-# a single jet, a 1-D and a 2-D batch, and a two-axis batch large enough for
-# numpy's temporary elision
-PLAN_SHAPES = [(), (3,), (4, 3), (2, ELISION_POINTS // 2)]
-
 
 def direct_report(ja):
     """The report of the undecorated block kernels on the tables of ``ja``."""
-    c = fe._component_tables(ja)
+    c = fe._Sparse.of(ja).tables
     results = [r for block in PLANNED_BLOCKS for r in block.__wrapped__(c)]
     return fe.ResidualReport(ja.shape, {label: (comp, r) for (label, comp), r
                                         in zip(fe.GENERAL_BLOCKS.items(), results, strict=True)})
@@ -599,6 +589,44 @@ def plan_jets(draw):
     if bad is not None:
         arrays[draw(st.integers(0, len(arrays) - 1))].flat[rng.integers(math.prod(shape))] = bad
     return JetArrays(shape, entries)
+
+
+def table_sparsity(tables):
+    """(pattern, inputs) walked from component tables, field by field and
+    component by component: the reference for ``_Sparse.sparsity``, which
+    reads the jet's entries."""
+    pattern, inputs, ids = [], [], {}
+    k = 0
+    for name, comp in fe._COMPONENTS.items():
+        x = getattr(tables, name)
+        cells = ([ZERO] * math.prod(comp) if x is ZERO
+                 else list(x.c.flat) if isinstance(x, fe._Components) else [x])
+        for e in cells:
+            if e is not ZERO:
+                i = ids.setdefault(id(e), len(inputs))
+                if i == len(inputs):
+                    inputs.append(e)
+                pattern.append((k, i))
+            k += 1
+    return tuple(pattern), inputs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(plan_jets())
+def test_sparsity_read_from_the_entries_equals_the_table_walk(ja):
+    """The live components are those with a nonzero entry; their pattern
+    and inputs, by identity, are those of the walk over their tables; and a
+    report builds the tables of a non-finite jet only."""
+    c = fe._Sparse.of(ja)
+    assert c.live.keys() == {key for key, e in ja.entries.items() if np.any(e)}
+    pattern, inputs = c.sparsity
+    ref_pattern, ref_inputs = table_sparsity(fe._tables(ja.shape, c.live))
+    assert pattern == ref_pattern
+    assert len(inputs) == len(ref_inputs)
+    assert all(a is b for a, b in zip(inputs, ref_inputs, strict=True))
+    with np.errstate(all="ignore"):
+        fe._report_arrays(c)
+    assert ("tables" in vars(c)) == c.dense
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
