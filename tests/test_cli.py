@@ -1316,6 +1316,20 @@ CHARACTERIZED = {
         4,
         "f929c28df5e53fd53bf05900d0cb19e4c20fd21507b32161e81f7ae0ba660ba8",
         "RESULT fail max_residual=2.6822090148925781e-07"),
+    # sign -1 with A < 0: negative a3 and F, clipped ahead of the family
+    # boundary, so that negative residual entries set block maxima
+    "verify-a1-sign-clipped": ("verify", {
+        "scenario": {"case": "a1"}, "grid": grid(3.0, 300),
+        "constants": {"A": -0.05, "B": 0.5, "sign": -1}},
+        0,
+        "6a14df60bdd0c4870f0b27f4d8effe3e107c21657f78a5f638ff0fef0cdec4d1",
+        "RESULT pass max_residual=6.5483618527650833e-11"),
+    "verify-a1-perturbed": ("verify", {
+        "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
+        "constants": {"A": 1.0, "B": 1.0}, "perturb": {"a3": 1e-6}},
+        4,
+        "bfedeafc201cd8c25660cbc4e73537e6611dd6d4431c78a2cf8a1c52f1aa6340",
+        "RESULT fail max_residual=0.00043678519989498454"),
 }
 
 
