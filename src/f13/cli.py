@@ -36,6 +36,7 @@ from .frame_equations import (
     NonFiniteResidual,
     ResidualReport,
     residual_report,
+    scan_jet,
 )
 from .numerics import Grid, PoleError, fd_derivative, rk4_integrate
 from .spinors import (
@@ -480,15 +481,20 @@ def _perturbed(jet: cf.SpecialJet, delta: float) -> cf.SpecialJet:
 
 
 def _verify_blocks(jet: cf.SpecialJet):
-    """Per-block max residuals with the grid row of the worst entry.  Each
-    special report is dropped before the next report is built."""
+    """Per-block max residuals with the grid row of the worst entry.  The
+    jet's entries are scanned once, for which are live and finite, and the
+    three reports take their components from that scan; each report reduces
+    its results as the kernels make them, and each special report is
+    dropped before the next report is built."""
     zs = jet.z
+    scan = scan_jet(jet)
     results = []
     for title, system in (("special-bianchi", cf.bianchi_special_residuals),
                           ("ricci-einstein", cf.ricci_einstein_residuals)):
-        label, j, val = system(jet).worst()
+        label, j, val = system(jet, scan=scan).worst()
         results.append((title, val, zs[j], label))
-    rep = _threaded_report(cf.embed_special(jet))
+    # embed_special shares the jet's entries, so the scan is its too
+    rep = _threaded_report(cf.embed_special(jet), scan)
     for label, (j, val) in rep.block_worst().items():
         results.append((f"frame-{label}", val, zs[j], ""))
     return results, float(max(r[1] for r in results))
@@ -697,9 +703,10 @@ def _special_jet_from_table(coord: str, grid: Grid, cols: dict) -> cf.SpecialJet
 
 
 # perfbench/tracing.py LAYER_PATCHES patches this name; callers look it up here
-def _threaded_report(ja: JetArrays) -> ResidualReport:
-    """The general-system residual report of a jet batch."""
-    return residual_report(ja)
+def _threaded_report(ja: JetArrays, scan=None) -> ResidualReport:
+    """The general-system residual report of a jet batch (``scan``: see
+    ``residual_report``)."""
+    return residual_report(ja, scan)
 
 
 def run_residual(table_path: str, system: str, out_path: str | None,

@@ -14,7 +14,8 @@ by variable name, evaluated through per-pattern plans that skip every term
 with a factor the jet does not hold (``frame_equations._planned_view``):
 the same bits as the kernel on the jet itself, up to the sign of a zero.
 ``signed_zeros`` runs the kernel on the jet itself, for the ``residual``
-CSV, which writes each sign.
+CSV, which writes each sign.  ``scan``, the jet's
+``frame_equations.scan_jet``, spares reading its entries once per system.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frame_equations import JetArrays, ResidualReport, _planned_view
+from .frame_equations import JetArrays, ResidualReport, _planned_view, _sparse
 from .numerics import (Grid, NotAKnotSpline, check_frame_factor, cumulative_integral_refined,
                        quadrature)
 
@@ -204,7 +205,8 @@ def _special_bianchi(jet):
     )
 
 
-def bianchi_special_residuals(jet: SpecialJet, signed_zeros: bool = False) -> ResidualReport:
+def bianchi_special_residuals(jet: SpecialJet, signed_zeros: bool = False,
+                              scan=None) -> ResidualReport:
     """Seventeen-entry residual vector of the specialized Bianchi system.
 
     Entries 1-8 are derivative equations, 9-14 algebraic constraints, and
@@ -215,8 +217,9 @@ def bianchi_special_residuals(jet: SpecialJet, signed_zeros: bool = False) -> Re
     entry (see ``frame_equations._planned_view``).
     """
     s = jet.value
+    planned = _special_bianchi(jet, signed_zeros, scan)
     entries = [
-        *_special_bianchi(jet, signed_zeros),
+        *planned,
         np.maximum.reduce(
             np.broadcast_arrays(
                 np.abs(np.asarray(s.omega3, dtype=float)),
@@ -231,7 +234,7 @@ def bianchi_special_residuals(jet: SpecialJet, signed_zeros: bool = False) -> Re
         ),
         np.abs(np.asarray(s.n11) - s.n22),
     ]
-    return ResidualReport.of_entries(jet.shape, B_NAMES, entries)
+    return ResidualReport.of_entries(jet.shape, B_NAMES, entries, planned.extremes)
 
 
 _GAUGE_ZEROED = (
@@ -252,8 +255,10 @@ def gauge_reduce(jet: SpecialJet) -> SpecialJet:
                              **{name: 0.0 for name in _GAUGE_ZEROED})
 
 
-def is_gauge_reduced(jet: SpecialJet) -> bool:
-    s = jet.value
+def is_gauge_reduced(jet: SpecialJet, scan=None) -> bool:
+    """Whether the gauge of ``gauge_reduce`` holds at every point; with a
+    ``scan`` of the jet, each entry that is zero throughout reads 0.0."""
+    s = jet.value if scan is None else JetArrays(jet.shape, _sparse(jet, scan).live).value
     checks = [np.asarray(getattr(s, name)) for name in _GAUGE_ZEROED]
     checks.append(np.asarray(s.n23) - s.a1)
     checks.append(np.asarray(s.n13) + s.a2)
@@ -309,17 +314,18 @@ def _ricci_einstein(jet):
     )
 
 
-def ricci_einstein_residuals(jet: SpecialJet, signed_zeros: bool = False) -> ResidualReport:
+def ricci_einstein_residuals(jet: SpecialJet, signed_zeros: bool = False,
+                             scan=None) -> ResidualReport:
     """Residuals of the reduced Ricci/Einstein system, skipping their zero
     terms unless ``signed_zeros`` asks for the sign of each zero entry (see
     ``frame_equations._planned_view``).
 
     Requires a gauge-reduced state.
     """
-    if not is_gauge_reduced(jet):
+    if not is_gauge_reduced(jet, scan):
         raise ValueError("ricci_einstein_residuals requires a gauge-reduced state")
-    return ResidualReport.of_entries(jet.shape, RE_NAMES,
-                                     _ricci_einstein(jet, signed_zeros))
+    planned = _ricci_einstein(jet, signed_zeros, scan)
+    return ResidualReport.of_entries(jet.shape, RE_NAMES, planned, planned.extremes)
 
 
 FW_NAMES = (
@@ -561,16 +567,21 @@ class CaseA1ClosedForm:
 def _den_on_fine_grid(F: ScaleFactor, slope: float, const: float, grid: Grid):
     """Denominator int_{z0}^{z} (-slope/F) dz' + const on a refined grid.
 
-    Returns (fine_grid, den_fine, stride) with original nodes at ::stride.
-    Raises ValueError where F is not positive and finite on a refined grid.
+    Returns (fine_grid, den_fine, stride, F_fine) with original nodes at
+    ::stride and F_fine the values of F at the fine grid's points.  Raises
+    ValueError where F is not positive and finite on a refined grid.
     """
+    last = []
+
     def integrand(z):
         Fz = np.asarray(F(z), dtype=float)
         check_frame_factor([z], [Fz])
+        last[:] = [Fz]
         return -slope / Fz
 
+    # the last evaluation is on the grid the refinement returns
     fine, vals, stride = cumulative_integral_refined(integrand, grid)
-    return fine, vals + const, stride
+    return fine, vals + const, stride, last[0]
 
 
 def _clip_at_sign_change(grid: Grid, fine: Grid, den_fine: np.ndarray):
@@ -644,14 +655,14 @@ class BranchFields:
 
 def _branch_fields(F: ScaleFactor, family: BranchFamily, const: float, B: float,
                    grid: Grid) -> BranchFields:
-    fine, den_fine, stride = _den_on_fine_grid(F, family.slope, const, grid)
+    fine, den_fine, stride, F_fine = _den_on_fine_grid(F, family.slope, const, grid)
     clipped, note = _clip_at_sign_change(grid, fine, den_fine)
     if note is not None:
-        fine, den_fine, stride = _den_on_fine_grid(F, family.slope, const, clipped)
+        fine, den_fine, stride, F_fine = _den_on_fine_grid(F, family.slope, const, clipped)
     a3_fine = 1.0 / den_fine
     udot3_fine = family.udot3(a3_fine)
     # Omega3 solves e_3(Omega3) = -udot3 Omega3 on every branch
-    omega_integrand = -udot3_fine / np.asarray(F(fine.points()), dtype=float)
+    omega_integrand = -udot3_fine / F_fine
     Omega3_fine = B * np.exp(quadrature(omega_integrand, fine))
     sl = slice(None, None, stride)
     a3 = a3_fine[sl]

@@ -18,11 +18,14 @@ goes through one fixed-index kernel: ``_outer``, ``_vt`` and ``_tv``
 permutation-symbol contractions, one signed difference of two slices per
 output component).  Each kernel adds its terms in index order, and each
 term is one numpy operation along the batch.  ``residual_report``
-evaluates a batch of any shape in one piece and reduces each block once:
-its max-abs over the components at every point.  The report's norms,
-per-point maxima, worst points and finite check all come from those.  The
-report holds the nonzero components the kernels produced by reference and
-copies nothing: a block's array, component-major (components + S), is
+evaluates a batch of any shape in one piece and reduces each result array
+once, to the flat indices of its largest and its smallest entry, taken as
+the plan replay makes the array, while it is still in cache.  The report's
+norms (max over components of max(largest, -smallest)), worst points and
+finite check all come from those; the per-point maxima over components are
+built only when read (the ``residual`` CSV), and ``verify`` builds none.
+The report holds the nonzero components the kernels produced by reference
+and copies nothing: a block's array, component-major (components + S), is
 assembled only when it is read.
 
 Structural zeros.  On the conformally flat elastic jets almost every
@@ -63,8 +66,9 @@ once, keyed by the operator and its operands (a number by its type and
 bits, so 2 and 2.0, or 0.0 and -0.0, stay apart): an operation the kernel
 repeats on the same operands is made once, and one no result depends on is
 dropped.  Every report of that pattern then replays the recorded
-operations (``_Plan``) on its own arrays, in the recorded order, and frees
-each intermediate after its last use; the same operations on the same
+operations (``_Plan``) on its own arrays, in the recorded order, frees
+each intermediate after its last use and takes the extremes of each result
+array as it makes it (``_Results``); the same operations on the same
 operands give the same bits, and the results have the kernels' structure,
 except that one array may fill several components (field2[0, 1] is
 field2[1, 0]).  Replay reads every operand from its list of slots, which
@@ -79,7 +83,10 @@ The component tables are built only for a trace and for a non-finite jet.
 The reduced systems of ``conformal`` are planned the same way
 (``_planned_view``): their kernels read a jet's value and derivative slots
 by variable name, ``ZERO`` where the jet holds no nonzero entry, and their
-patterns list only the components they read.
+patterns list only the components they read.  A jet's entries are scanned
+for which are live and finite once per report, or once for all the reports
+of one jet when each is given its ``scan_jet``, as ``verify`` does; a scan
+is never cached on the jet, whose entries a caller may change.
 
 Residual norms are max-abs: a single violated component must not be
 averaged away.
@@ -414,22 +421,24 @@ class _Sparse:
     """A jet as the planned kernels take it.
 
     ``entries`` are the jet's own, and ``live`` maps each component whose
-    entry is nonzero somewhere to that entry.  ``dense`` marks a jet with a
-    non-finite live entry, which the kernels evaluate without a plan.
-    ``sparsity`` is what a plan replays; the kernels' arguments, ``tables``
-    (the component tables) and ``view`` (the value and derivative slots by
-    variable name), are built only when read, for a dense jet or a trace.
-    They hold ``ZERO`` in every component that is not live, except on a
-    dense jet: there ``tables`` holds zero arrays, so that the kernels form
-    the 0 * inf = nan terms, and ``view`` reads the jet's own entries, 0.0
-    where it holds none, as a direct evaluation does.
+    entry is nonzero somewhere to that entry.  ``nonfinite`` lists the live
+    components whose entry has a non-finite sum, and ``dense`` marks a jet
+    with any, which the kernels evaluate without a plan.  ``sparsity`` is
+    what a plan replays; the kernels' arguments, ``tables`` (the component
+    tables) and ``view`` (the value and derivative slots by variable name),
+    are built only when read, for a dense jet or a trace.  They hold
+    ``ZERO`` in every component that is not live, except on a dense jet:
+    there ``tables`` holds zero arrays, so that the kernels form the
+    0 * inf = nan terms, and ``view`` reads the jet's own entries, 0.0 where
+    it holds none, as a direct evaluation does.
     """
 
-    def __init__(self, shape: tuple, entries: dict, live: dict, dense: bool = False):
+    def __init__(self, shape: tuple, entries: dict, live: dict, nonfinite=frozenset()):
         self.shape = shape
         self.entries = entries
         self.live = live
-        self.dense = dense
+        self.nonfinite = frozenset(nonfinite)
+        self.dense = bool(self.nonfinite)
 
     @staticmethod
     def of(ja: JetArrays, keys=None) -> "_Sparse":
@@ -445,8 +454,13 @@ class _Sparse:
         live = {key: e for key, e in entries.items()
                 if (head and e[..., :16].any()) or e.any()}
         # an overflowing sum of finite entries also forms the zero terms
-        dense = not all(np.isfinite(e.sum()) for e in live.values())
-        return _Sparse(ja.shape, entries, live, dense)
+        nonfinite = [key for key, e in live.items() if not np.isfinite(e.sum())]
+        return _Sparse(ja.shape, ja.entries, live, nonfinite)
+
+    def only(self, keys) -> "_Sparse":
+        """The jet as kernels that read the components ``keys`` take it."""
+        live = {key: e for key, e in self.live.items() if key in keys}
+        return _Sparse(self.shape, self.entries, live, live.keys() & self.nonfinite)
 
     @functools.cached_property
     def sparsity(self) -> tuple:
@@ -473,6 +487,24 @@ class _Sparse:
     @functools.cached_property
     def view(self) -> _View:
         return _View(self.entries, 0.0) if self.dense else _View(self.live, ZERO)
+
+
+def scan_jet(ja: JetArrays) -> _Sparse:
+    """The live entries of ``ja`` and whether each is finite, read once.
+    ``residual_report`` and the reduced systems of ``conformal`` take it as
+    ``scan`` instead of reading the entries of the same jet again.  It
+    reads the entries as they are now: scan again after changing them."""
+    return _Sparse.of(ja)
+
+
+def _sparse(ja: JetArrays, scan: _Sparse | None, keys=None) -> _Sparse:
+    """``ja`` as the kernels that read ``keys`` (all if None) take it: from
+    its ``scan`` if given, else from its entries."""
+    if scan is None:
+        return _Sparse.of(ja, keys)
+    if scan.entries is not ja.entries:
+        raise ValueError("the scan is of another jet")
+    return scan if keys is None else scan.only(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +611,23 @@ class _Entry:
         raise TypeError("a traced entry has no truth value")
 
 
+class _Results(tuple):
+    """A kernel's results.  ``extremes`` maps the id of each result array
+    that a plan replay made to the flat indices of its first largest and
+    first smallest entry (``_extremes``), taken as the replay made it."""
+
+    def __new__(cls, results, extremes=None):
+        self = super().__new__(cls, results)
+        self.extremes = {} if extremes is None else extremes
+        return self
+
+
+def _extremes(x) -> tuple:
+    """(argmax, argmin) of the array ``x``, flat; the first of each on ties,
+    and of any nan."""
+    return x.argmax(), x.argmin()
+
+
 def _result_slots(r):
     """A kernel result on traced entries with each entry replaced by its
     slot: ``ZERO``, a slot, or (component shape, slot or None per
@@ -621,20 +670,24 @@ class _Plan:
         for s, n in last.items():
             if s not in kept:
                 frees[n].append(s)
-        self.ops = [op + (tuple(f),) for op, f in zip(ops, frees)]
+        self.ops = [op + (tuple(f), op[3] in kept) for op, f in zip(ops, frees)]
         self.template = [trace.consts.get(s) for s in range(n_inputs, trace.slots)]
 
-    def replay(self, inputs: list) -> tuple:
+    def replay(self, inputs: list) -> _Results:
         """The kernel's results on ``inputs``, the entries of a jet of the
-        plan's pattern.  Every operand is read from the slot list, which
-        holds a reference to it, so numpy never reuses one as a result's
-        buffer (temporary elision)."""
+        plan's pattern, with the extremes of each result array it makes,
+        taken while that array is still in cache.  Every operand is read
+        from the slot list, which holds a reference to it, so numpy never
+        reuses one as a result's buffer (temporary elision)."""
         v = inputs + self.template
-        for fn, a, b, out, frees in self.ops:
-            v[out] = fn(v[a], v[b])
+        extremes = {}
+        for fn, a, b, out, frees, kept in self.ops:
+            x = v[out] = fn(v[a], v[b])
+            if kept and x.size:
+                extremes[id(x)] = _extremes(x)
             for s in frees:
                 v[s] = None
-        return tuple(_result(r, v) for r in self.results)
+        return _Results((_result(r, v) for r in self.results), extremes)
 
 
 def _result(r, v: list):
@@ -660,9 +713,9 @@ def _planned(kernel, reads=operator.attrgetter("tables")):
         return _Plan(kernel, reads, pattern)
 
     @functools.wraps(kernel)
-    def block(c: _Sparse) -> tuple:
+    def block(c: _Sparse) -> _Results:
         if c.dense:
-            return kernel(reads(c))
+            return _Results(kernel(reads(c)))
         pattern, inputs = c.sparsity
         return plan(pattern).replay(inputs)
 
@@ -673,19 +726,20 @@ def _planned(kernel, reads=operator.attrgetter("tables")):
 def _planned_view(kernel):
     """A kernel that reads a jet's ``value`` and ``deriv`` slots by variable
     name (a reduced system), evaluated on a ``JetArrays``: through its plan
-    for the pattern of the components it reads, or, with ``signed_zeros``,
-    by the kernel itself on the jet's own entries, 0.0 where it holds none,
-    so that each zero result keeps the sign its terms give it (a planned
-    result that is zero throughout is ``ZERO``, read as +0.0).  ``plan``
-    is the plan cache and ``keys_read`` the components the kernel reads."""
+    for the pattern of the components it reads (taken from the jet's
+    ``scan`` if given), or, with ``signed_zeros``, by the kernel itself on
+    the jet's own entries, 0.0 where it holds none, so that each zero
+    result keeps the sign its terms give it (a planned result that is zero
+    throughout is ``ZERO``, read as +0.0).  ``plan`` is the plan cache and
+    ``keys_read`` the components the kernel reads."""
     reads = _Reads()
     kernel(_View(reads, ZERO))
     keys = frozenset(reads.keys_read)
     block = _planned(kernel, operator.attrgetter("view"))
 
     @functools.wraps(kernel)
-    def evaluate(ja: JetArrays, signed_zeros: bool = False) -> tuple:
-        return kernel(ja) if signed_zeros else block(_Sparse.of(ja, keys))
+    def evaluate(ja: JetArrays, signed_zeros: bool = False, scan=None) -> _Results:
+        return _Results(kernel(ja)) if signed_zeros else block(_sparse(ja, scan, keys))
 
     evaluate.plan = block.plan
     evaluate.keys_read = keys
@@ -1097,13 +1151,15 @@ class ResidualReport:
     ``blocks`` maps each block's label, in order, to its component shape
     and its result: a table of components, one array, or ``ZERO``.  The
     report keeps each result as given, its nonzero components held by
-    reference, and takes at construction each block's max-abs over those
-    components at every batch entry (``ZERO`` for a block whose every
-    component is ``ZERO``).  A block's components share one shape, which
-    broadcasts to S: a 0-d entry keeps a 0-d maximum.  Every reduction
-    below is read from the maxima, and a non-finite block fails
-    construction.  Norms are max-abs over every component (and over the
-    batch; an empty batch holds no value).
+    reference.  At construction it takes each block's norm, the max-abs
+    over every component and over the batch (0.0 for a ``ZERO`` block or an
+    empty batch), and the first batch index holding it, from the largest
+    and the smallest entry of each component: ``extremes`` gives their
+    flat indices for the arrays a plan replay made (``_Results``), and the
+    report takes them itself for any other.  A non-finite block fails
+    construction.  A block's components share one shape, which broadcasts
+    to S: a 0-d entry keeps a 0-d maximum.  The per-point maxima
+    (``block_point_max``, ``per_point_max``) are built when first read.
 
     ``block(label)`` and ``blocks()`` build a block's array from its result
     on each read: tensor character and the component-major layout,
@@ -1114,35 +1170,42 @@ class ResidualReport:
     result, which are reduced once.
     """
 
-    def __init__(self, shape: tuple, blocks: dict):
+    def __init__(self, shape: tuple, blocks: dict, extremes=None):
         self.shape = tuple(shape)
         self._blocks = blocks
-        self._point_max = {}
         self._norms = {}
+        self._at = {}
+        self._point_max = {}
+        extremes = extremes or {}
         empty = math.prod(self.shape) == 0
         for label, (comp, result) in blocks.items():
-            # a planned result may hold one array in several components
-            live = list({id(e): e for _, e in _nonzero_components(result, comp)}.values())
-            pm = ZERO
-            if live:
-                pm = np.empty(np.shape(live[0]))
-                np.abs(live[0], out=pm)
-                for e in live[1:]:
-                    np.maximum(pm, np.abs(e), out=pm)
-                pm.flags.writeable = False
-            # a nan or an inf survives the max-abs, and so the max over points
-            norm = 0.0 if pm is ZERO or empty else float(np.max(pm))
-            if not np.isfinite(norm):
-                raise NonFiniteResidual(f"non-finite residual in block {label}")
-            self._point_max[label] = pm
+            norm, at = 0.0, 0
+            live = _distinct(result)
+            if live and empty:
+                at = None  # no batch index holds the norm
+            elif live:
+                peaks = []
+                for e in live:
+                    x = np.asarray(e)
+                    i, j = extremes.get(id(e)) or _extremes(x)
+                    hi, lo = float(x.flat[i]), float(x.flat[j])
+                    if not (math.isfinite(hi) and math.isfinite(lo)):
+                        raise NonFiniteResidual(f"non-finite residual in block {label}")
+                    peaks += [(hi, i, x.shape), (-lo, j, x.shape)]
+                # + 0.0 reads the -0.0 of a block of zeros as +0.0
+                norm = max(peak for peak, _, _ in peaks) + 0.0
+                at = min(_batch_index(i, comp_shape, self.shape)
+                         for peak, i, comp_shape in peaks if peak == norm)
             self._norms[label] = norm
+            self._at[label] = at
 
     @staticmethod
-    def of_entries(shape: tuple, names, entries) -> "ResidualReport":
+    def of_entries(shape: tuple, names, entries, extremes=None) -> "ResidualReport":
         """The report of one scalar block per named entry, each a number or
         an array that broadcasts to ``shape``."""
         return ResidualReport(shape, {name: ((), e)
-                                      for name, e in zip(names, entries, strict=True)})
+                                      for name, e in zip(names, entries, strict=True)},
+                              extremes)
 
     def block(self, label: str) -> np.ndarray:
         comp, result = self._blocks[label]
@@ -1158,24 +1221,41 @@ class ResidualReport:
     def max_residual(self) -> float:
         return max(self._norms.values())
 
+    def _block_max(self, label: str):
+        """The block's max-abs over its components at every batch entry,
+        read-only; ``ZERO`` for a ``ZERO`` block."""
+        if label not in self._point_max:
+            pm = ZERO
+            live = _distinct(self._blocks[label][1])
+            if live:
+                pm = np.empty(np.shape(live[0]))
+                np.abs(live[0], out=pm)
+                for e in live[1:]:
+                    np.maximum(pm, np.abs(e), out=pm)
+                pm.flags.writeable = False
+            self._point_max[label] = pm
+        return self._point_max[label]
+
     def block_point_max(self) -> dict[str, np.ndarray]:
         """Each block's max-abs over its components, per batch entry, in the
         shape of its components; the ``ZERO`` blocks share one read-only
         zero array of shape S."""
         zeros = np.zeros(self.shape)
         zeros.flags.writeable = False
-        return {label: zeros if pm is ZERO else pm for label, pm in self._point_max.items()}
+        return {label: zeros if (pm := self._block_max(label)) is ZERO else pm
+                for label in self._blocks}
 
     def _worst(self, label: str) -> tuple[int, float]:
-        pm = self._point_max[label]
-        j = 0 if pm is ZERO else int(np.argmax(np.broadcast_to(pm, self.shape)))
-        return j, self._norms[label]
+        at = self._at[label]
+        if at is None:  # an empty batch: argmax raises, as on any empty array
+            at = int(np.argmax(np.broadcast_to(self._block_max(label), self.shape)))
+        return at, self._norms[label]
 
     def block_worst(self) -> dict[str, tuple[int, float]]:
         """Each block's largest residual as (flat batch index, value): its
         first batch index holding the block's norm; a ``ZERO`` block reads
         (0, 0.0)."""
-        return {label: self._worst(label) for label in self._point_max}
+        return {label: self._worst(label) for label in self._blocks}
 
     def worst(self) -> tuple[str, int, float]:
         """(label, flat batch index, value) of the largest residual: the
@@ -1186,25 +1266,48 @@ class ResidualReport:
     def per_point_max(self) -> np.ndarray:
         """Max-abs residual over every block, per batch entry."""
         out = np.zeros(self.shape)
-        for pm in self._point_max.values():
+        for label in self._blocks:
+            pm = self._block_max(label)
             if pm is not ZERO:
                 np.maximum(out, pm, out=out)
         return out
 
 
-def _report_arrays(c: _Sparse) -> tuple:
-    return _efe_arr(c) + _jacobi_arr(c) + _bianchi_arr(c)
+def _distinct(result) -> list:
+    """The distinct arrays (or numbers) of a result's nonzero components:
+    a planned result may hold one array in several components."""
+    if result is ZERO:
+        return []
+    entries = result.c.flat if isinstance(result, _Components) else (result,)
+    return list({id(e): e for e in entries if e is not ZERO}.values())
 
 
-def residual_report(jet: JetArrays) -> ResidualReport:
+def _batch_index(i, shape: tuple, batch: tuple) -> int:
+    """The first flat index of the batch shape ``batch`` that holds entry i
+    (flat) of an array of ``shape`` broadcast to it."""
+    if shape == batch:
+        return int(i)
+    index = (0,) * (len(batch) - len(shape)) + np.unravel_index(i, shape)
+    return int(np.ravel_multi_index(index, batch))
+
+
+def _report_arrays(c: _Sparse) -> _Results:
+    parts = _efe_arr(c), _jacobi_arr(c), _bianchi_arr(c)
+    return _Results((r for part in parts for r in part),
+                    {k: v for part in parts for k, v in part.extremes.items()})
+
+
+def residual_report(jet: JetArrays, scan: _Sparse | None = None) -> ResidualReport:
     """Evaluate every block of the general system on a jet or jet batch.
 
     The batch is evaluated in one piece, whatever its shape, and the report
     keeps the kernel results as they are.  Components that are zero
     throughout are skipped (see the module docstring); ``jet`` itself is
-    left as it is.
+    left as it is.  ``scan``, if given, is ``scan_jet(jet)``, read instead
+    of the jet's entries.
     """
-    c = _Sparse.of(jet)
-    results = zip(GENERAL_BLOCKS.items(), _report_arrays(c), strict=True)
-    return ResidualReport(c.shape, {label: (comp, res) for (label, comp), res in results})
-
+    c = _sparse(jet, scan)
+    results = _report_arrays(c)
+    return ResidualReport(c.shape, {label: (comp, res) for (label, comp), res
+                                    in zip(GENERAL_BLOCKS.items(), results, strict=True)},
+                          results.extremes)

@@ -277,6 +277,20 @@ def test_verify_and_full_check_build_no_dense_array(tmp_path, capsys, monkeypatc
     assert built == ["block"]
 
 
+def test_verify_scans_its_jet_once_and_builds_no_per_point_maxima(tmp_path, monkeypatch):
+    """The three reports of verify take their live components from one
+    scan of the jet, and read their maxima from the extremes alone."""
+    scans, maxima = [], []
+    of, block_max = fe._Sparse.of, fe.ResidualReport._block_max
+    monkeypatch.setattr(fe._Sparse, "of", staticmethod(
+        lambda ja, keys=None: scans.append(keys) or of(ja, keys)))
+    monkeypatch.setattr(fe.ResidualReport, "_block_max",
+                        lambda rep, label: maxima.append(label) or block_max(rep, label))
+    cfg = write(tmp_path / "v.cfg", VERIFY_A1.format(A=1.0, extra="\n[perturb]\na3 = 1e-3\n"))
+    assert run_verify(cfg) == 4
+    assert scans == [None] and maxima == []
+
+
 def test_verify_branch_cases_agree(tmp_path, capsys):
     shear = write(tmp_path / "vs.cfg", """\
 [scenario]

@@ -13,7 +13,8 @@ from f13 import frame_equations as fe
 from f13.cli import _perturbed
 from f13.core import MatterState, ThreeVector, TracefreeSymThree
 from f13.frame_equations import ZERO, JetArrays, NonFiniteResidual, ResidualReport, residual_report
-from f13.numerics import Grid, rk4_integrate
+from f13.numerics import (Grid, check_frame_factor, cumulative_integral_refined, quadrature,
+                          rk4_integrate)
 from f13.spinors import ricci_spinor
 
 F1 = cf.ScaleFactor.constant(1.0)
@@ -270,8 +271,12 @@ def reduced_jets(draw):
 @given(reduced_jets())
 def test_planned_reduced_systems_equal_the_kernels_on_the_jet(jet):
     """Every norm and worst entry, and every entry up to the sign of its
-    zeros, bit for bit; a non-finite jet fails both, naming the same
-    entry."""
+    zeros, bit for bit, whether the plan's components come from a scan of
+    the kernel's own or from one scan of the whole jet; a non-finite jet
+    fails all, naming the same entry.  The gauge check reads the same
+    from the scan."""
+    scan = fe.scan_jet(jet)
+    assert cf.is_gauge_reduced(jet, scan) == cf.is_gauge_reduced(jet)
     for name, system in REDUCED.items():
         if system is cf.ricci_einstein_residuals and not cf.is_gauge_reduced(jet):
             continue
@@ -279,14 +284,17 @@ def test_planned_reduced_systems_equal_the_kernels_on_the_jet(jet):
             try:
                 ref = system(jet, signed_zeros=True)
             except NonFiniteResidual as exc:
-                with pytest.raises(NonFiniteResidual, match=f"^{exc}$"):
-                    system(jet)
+                for given_scan in (None, scan):
+                    with pytest.raises(NonFiniteResidual, match=f"^{exc}$"):
+                        system(jet, scan=given_scan)
                 continue
-            rep = system(jet)
-        assert rep.block_norms() == ref.block_norms(), name
-        assert rep.block_worst() == ref.block_worst(), name
-        for label, block in ref.blocks():
-            assert np.abs(rep.block(label)).tobytes() == np.abs(block).tobytes(), (name, label)
+            reports = [system(jet), system(jet, scan=scan)]
+        for rep in reports:
+            assert rep.block_norms() == ref.block_norms(), name
+            assert rep.block_worst() == ref.block_worst(), name
+            for label, block in ref.blocks():
+                assert (np.abs(rep.block(label)).tobytes()
+                        == np.abs(block).tobytes()), (name, label)
 
 
 def gauge_reduced_jet(n, *names, e3=("sigma11",)):
@@ -592,6 +600,61 @@ def test_branch_fields_values_and_pole():
         assert "sign change near z=" in fields.note
         assert fields.grid.z1 == pytest.approx(z_pole - cf.POLE_MARGIN, abs=1e-9)
         assert np.all(np.isfinite(fields.a3))
+
+
+def two_evaluation_branch_fields(F, family, const, B, grid):
+    """The branch fields with F evaluated once more on the fine grid for the
+    Omega3 integrand: the reference for reusing the values of the last
+    evaluation of the denominator's integrand."""
+    def den(g):
+        def integrand(z):
+            Fz = np.asarray(F(z), dtype=float)
+            check_frame_factor([z], [Fz])
+            return -family.slope / Fz
+
+        fine, vals, stride = cumulative_integral_refined(integrand, g)
+        return fine, vals + const, stride
+
+    fine, den_fine, stride = den(grid)
+    clipped, note = cf._clip_at_sign_change(grid, fine, den_fine)
+    if note is not None:
+        fine, den_fine, stride = den(clipped)
+    a3_fine = 1.0 / den_fine
+    omega_integrand = -family.udot3(a3_fine) / np.asarray(F(fine.points()), dtype=float)
+    Omega3_fine = B * np.exp(quadrature(omega_integrand, fine))
+    sl = slice(None, None, stride)
+    a3, den = a3_fine[sl], den_fine[sl]
+    p = family.p(a3)
+    return cf.BranchFields(family=family, grid=clipped, z=fine.points()[sl], a3=a3, den=den,
+                           udot3=family.udot3(a3), p=p, pi11=-4.0 * p, Omega3=Omega3_fine[sl],
+                           e3_a3=family.slope / (den * den), note=note)
+
+
+@pytest.mark.parametrize("family, const, B, z1", [
+    (cf.SHEARLESS, 1.0, 1.0, 0.4),      # unclipped
+    (cf.SHEARLESS, 1.0, 0.5, 0.9),      # clipped ahead of the pole at z = 1/2
+    (cf.A2_BRANCH2, -1.5, 1.2, 1.0),    # unclipped
+    (cf.A2_BRANCH2, 1.0, 0.7, 0.9),     # clipped ahead of the pole at z = 2/3
+])
+@pytest.mark.parametrize("frame", ["constant", "table"])
+def test_branch_fields_reuse_the_fine_grid_values_of_F(family, const, B, z1, frame):
+    """The branch fields, byte for byte, of the reference that evaluates F
+    once more on the fine grid, with one call of F fewer per denominator."""
+    zs = np.linspace(0.0, 1.0, 21)
+    F = (cf.ScaleFactor.constant(0.9) if frame == "constant"
+         else cf.ScaleFactor.from_table(zs, 1.0 + 0.1 * np.sin(3.0 * zs)))
+    calls = []
+    counted = cf.ScaleFactor(lambda z: calls.append(1) or F(z))
+    grid = Grid(0.0, z1, 150)
+    got = cf._branch_fields(counted, family, const, B, grid)
+    n_got = len(calls)
+    calls.clear()
+    ref = two_evaluation_branch_fields(counted, family, const, B, grid)
+    assert (got.note is None) == (z1 in (0.4, 1.0))
+    assert got.grid == ref.grid and got.note == ref.note and got.family is ref.family
+    for name in ("z", "a3", "den", "udot3", "p", "pi11", "Omega3", "e3_a3"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert n_got == len(calls) - 1
 
 
 def test_scale_factor_from_table():

@@ -329,6 +329,144 @@ def test_stored_maxima_are_the_max_abs_over_components(shape):
         assert rowmax[label].tobytes() == ref.tobytes(), label
 
 
+def outcome(read):
+    """read(), or the type and message of the exception it raises."""
+    try:
+        return read()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+class AbsMaxReference:
+    """The report's reductions by max-abs at every point: each block's
+    max-abs over its distinct components per batch entry, and from those
+    its norm, its first worst batch index and the maximum over blocks."""
+
+    def __init__(self, shape, blocks):
+        self.shape = shape
+        self.point_max, self.norms = {}, {}
+        for label, (comp, result) in blocks.items():
+            live = list({id(e): e for _, e in fe._nonzero_components(result, comp)}.values())
+            pm = None
+            if live:
+                pm = np.empty(np.shape(live[0]))
+                np.abs(live[0], out=pm)
+                for e in live[1:]:
+                    np.maximum(pm, np.abs(e), out=pm)
+            norm = 0.0 if pm is None or math.prod(shape) == 0 else float(np.max(pm))
+            if not np.isfinite(norm):
+                raise NonFiniteResidual(f"non-finite residual in block {label}")
+            self.point_max[label], self.norms[label] = pm, norm
+
+    def block_point_max(self):
+        return {label: np.zeros(self.shape) if pm is None else pm
+                for label, pm in self.point_max.items()}
+
+    def worst_at(self, label):
+        pm = self.point_max[label]
+        j = 0 if pm is None else int(np.argmax(np.broadcast_to(pm, self.shape)))
+        return j, self.norms[label]
+
+    def per_point_max(self):
+        out = np.zeros(self.shape)
+        for pm in self.point_max.values():
+            if pm is not None:
+                np.maximum(out, pm, out=out)
+        return out
+
+
+# few values, so that components and points tie; zeros of either sign
+TIE_VALUES = (0.0, -0.0, 0.5, -0.5, 2.0, -2.0)
+
+
+@st.composite
+def report_blocks(draw):
+    """(shape, blocks, extremes): blocks of shape (), (3,) or (3, 3) on a
+    batch that may be empty, their components ``ZERO``, fresh arrays of
+    few values, arrays of earlier components, or 0-d (an array, a numpy
+    scalar or a number), sometimes one holding a nan or an inf; and the
+    extremes a replay would give for some of the arrays."""
+    shape = draw(st.sampled_from([(), (1,), (6,), (3, 4), (0,), (2, 0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+
+    def entry(zero_d):
+        kind = draw(st.sampled_from(("zero", "fresh", "fresh", "shared")))
+        if kind == "zero":
+            return ZERO
+        same = [x for x in arrays if (np.ndim(x) == 0) == zero_d]
+        if kind == "shared" and same:
+            return same[draw(st.integers(0, len(same) - 1))]
+        if zero_d:
+            x = float(rng.choice(TIE_VALUES))
+            x = draw(st.sampled_from((x, np.float64(x), np.array(x))))
+        else:
+            x = rng.choice(TIE_VALUES, shape)
+        arrays.append(x)
+        return x
+
+    blocks = {}
+    for b in range(draw(st.integers(1, 6))):
+        comp = draw(st.sampled_from([(), (3,), (3, 3)]))
+        zero_d = draw(st.booleans()) if shape else True
+        c = np.empty(comp, dtype=object)
+        for index in np.ndindex(comp):
+            c[index] = entry(zero_d)
+        blocks[f"block{b}"] = (comp, c[()] if not comp else fe._table(c))
+    bad = draw(st.sampled_from((None, None, np.nan, np.inf, -np.inf)))
+    held = [x for x in arrays if isinstance(x, np.ndarray) and x.size]
+    if bad is not None and held:
+        x = held[draw(st.integers(0, len(held) - 1))]
+        x.flat[rng.integers(x.size)] = bad
+    extremes = {id(x): fe._extremes(x) for x in held + [x for x in arrays if type(x) is np.float64]
+                if draw(st.booleans())}
+    return shape, blocks, extremes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(report_blocks())
+def test_reductions_from_the_extremes_equal_the_max_abs_reductions(case):
+    """Norms (+0.0 for a block of zeros), worst points, the per-point maxima
+    bytes and the named non-finite block, with the extremes of a replay and
+    with the report taking them itself."""
+    shape, blocks, extremes = case
+    with np.errstate(all="ignore"):
+        try:
+            ref = AbsMaxReference(shape, blocks)
+        except NonFiniteResidual as exc:
+            for given_extremes in (extremes, None):
+                with pytest.raises(NonFiniteResidual, match=f"^{exc}$"):
+                    fe.ResidualReport(shape, blocks, given_extremes)
+            return
+        for given_extremes in (extremes, None):
+            rep = fe.ResidualReport(shape, blocks, given_extremes)
+            assert {k: v.hex() for k, v in rep.block_norms().items()} == {
+                k: v.hex() for k, v in ref.norms.items()}
+            assert outcome(rep.block_worst) == outcome(
+                lambda: {label: ref.worst_at(label) for label in blocks})
+            label = max(ref.norms, key=ref.norms.get)
+            assert outcome(rep.worst) == outcome(lambda: (label, *ref.worst_at(label)))
+            assert rep.per_point_max().tobytes() == ref.per_point_max().tobytes()
+            got, want = rep.block_point_max(), ref.block_point_max()
+            assert list(got) == list(want)
+            for label in blocks:
+                assert got[label].shape == want[label].shape, label
+                assert got[label].tobytes() == want[label].tobytes(), label
+
+
+def test_replay_takes_the_extremes_of_each_result_array():
+    """Each array a replay makes for a result, and no input it passes
+    through, carries its first argmax and argmin."""
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=1.0)
+    ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 300))[0])
+    results = fe._report_arrays(fe._Sparse.of(ja))
+    made = {id(e): e for r in results for e in fe._distinct(r)}
+    inputs = {id(e) for e in ja.entries.values()}
+    assert results.extremes.keys() == made.keys() - inputs
+    for key, (i, j) in results.extremes.items():
+        assert (i, j) == (np.argmax(made[key]), np.argmin(made[key]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 # the ids name the corrupted derivative: e_0(mu) enters bianchi1 alone,
 # e_0(sigma) field2 alone
@@ -678,6 +816,24 @@ def test_plans_are_traced_once_per_pattern():
     for block in PLANNED_BLOCKS:
         info = block.plan.cache_info()
         assert info.maxsize == fe.PLAN_CACHE and info.currsize == fe.PLAN_CACHE
+
+
+def test_a_scan_is_taken_for_its_own_jet_only():
+    """A report given the scan of its jet equals one that scans the jet
+    itself; the scan of another jet, even an equal one, is refused."""
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    jet = form.jet(Grid(0.0, 0.5, 60))[0]
+    scan = fe.scan_jet(jet)
+    ref = residual_report(jet)
+    rep = residual_report(cf.embed_special(jet), scan)
+    assert rep.block_norms() == ref.block_norms() and rep.block_worst() == ref.block_worst()
+    twin = JetArrays(jet.shape, dict(jet.entries))
+    for report in (lambda: residual_report(twin, scan),
+                   lambda: cf.bianchi_special_residuals(twin, scan=scan),
+                   lambda: cf.ricci_einstein_residuals(twin, scan=scan),
+                   lambda: cf.is_gauge_reduced(twin, scan)):
+        with pytest.raises(ValueError, match="the scan is of another jet"):
+            report()
 
 
 def test_non_finite_report_leaves_the_plans_as_they_are():
