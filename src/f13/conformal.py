@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frame_equations import JetArrays, ResidualReport, _planned_view, _sparse
+from .frame_equations import JetArrays, ResidualReport, _planned_view
 from .numerics import (Grid, NotAKnotSpline, check_frame_factor, cumulative_integral_refined,
                        quadrature)
 
@@ -255,10 +255,8 @@ def gauge_reduce(jet: SpecialJet) -> SpecialJet:
                              **{name: 0.0 for name in _GAUGE_ZEROED})
 
 
-def is_gauge_reduced(jet: SpecialJet, scan=None) -> bool:
-    """Whether the gauge of ``gauge_reduce`` holds at every point; with a
-    ``scan`` of the jet, each entry that is zero throughout reads 0.0."""
-    s = jet.value if scan is None else JetArrays(jet.shape, _sparse(jet, scan).live).value
+def is_gauge_reduced(jet: SpecialJet) -> bool:
+    s = jet.value
     checks = [np.asarray(getattr(s, name)) for name in _GAUGE_ZEROED]
     checks.append(np.asarray(s.n23) - s.a1)
     checks.append(np.asarray(s.n13) + s.a2)
@@ -322,7 +320,7 @@ def ricci_einstein_residuals(jet: SpecialJet, signed_zeros: bool = False,
 
     Requires a gauge-reduced state.
     """
-    if not is_gauge_reduced(jet, scan):
+    if not is_gauge_reduced(jet):
         raise ValueError("ricci_einstein_residuals requires a gauge-reduced state")
     planned = _ricci_einstein(jet, signed_zeros, scan)
     return ResidualReport.of_entries(jet.shape, RE_NAMES, planned, planned.extremes)

@@ -1180,7 +1180,8 @@ class ResidualReport:
         empty = math.prod(self.shape) == 0
         for label, (comp, result) in blocks.items():
             norm, at = 0.0, 0
-            live = _distinct(result)
+            # a planned result may hold one array in several components
+            live = list({id(e): e for _, e in _nonzero_components(result, comp)}.values())
             if live and empty:
                 at = None  # no batch index holds the norm
             elif live:
@@ -1226,7 +1227,8 @@ class ResidualReport:
         read-only; ``ZERO`` for a ``ZERO`` block."""
         if label not in self._point_max:
             pm = ZERO
-            live = _distinct(self._blocks[label][1])
+            comp, result = self._blocks[label]
+            live = list({id(e): e for _, e in _nonzero_components(result, comp)}.values())
             if live:
                 pm = np.empty(np.shape(live[0]))
                 np.abs(live[0], out=pm)
@@ -1271,15 +1273,6 @@ class ResidualReport:
             if pm is not ZERO:
                 np.maximum(out, pm, out=out)
         return out
-
-
-def _distinct(result) -> list:
-    """The distinct arrays (or numbers) of a result's nonzero components:
-    a planned result may hold one array in several components."""
-    if result is ZERO:
-        return []
-    entries = result.c.flat if isinstance(result, _Components) else (result,)
-    return list({id(e): e for e in entries if e is not ZERO}.values())
 
 
 def _batch_index(i, shape: tuple, batch: tuple) -> int:
