@@ -482,10 +482,10 @@ def _perturbed(jet: cf.SpecialJet, delta: float) -> cf.SpecialJet:
 
 def _verify_blocks(jet: cf.SpecialJet):
     """Per-block max residuals with the grid row of the worst entry.  The
-    jet's entries are scanned once, for which are live and finite, and the
-    three reports take their components from that scan; each report reduces
-    its results as the kernels make them, and each special report is
-    dropped before the next report is built."""
+    jet's entries are scanned once, for which are live and whether all are
+    finite, and the three reports take their components from that scan;
+    each report reduces its results as the kernels make them, and each
+    special report is dropped before the next report is built."""
     zs = jet.z
     scan = scan_jet(jet)
     results = []

@@ -421,24 +421,22 @@ class _Sparse:
     """A jet as the planned kernels take it.
 
     ``entries`` are the jet's own, and ``live`` maps each component whose
-    entry is nonzero somewhere to that entry.  ``nonfinite`` lists the live
-    components whose entry has a non-finite sum, and ``dense`` marks a jet
-    with any, which the kernels evaluate without a plan.  ``sparsity`` is
-    what a plan replays; the kernels' arguments, ``tables`` (the component
-    tables) and ``view`` (the value and derivative slots by variable name),
-    are built only when read, for a dense jet or a trace.  They hold
-    ``ZERO`` in every component that is not live, except on a dense jet:
-    there ``tables`` holds zero arrays, so that the kernels form the
-    0 * inf = nan terms, and ``view`` reads the jet's own entries, 0.0 where
-    it holds none, as a direct evaluation does.
+    entry is nonzero somewhere to that entry.  ``dense`` marks a jet with a
+    non-finite live entry, which the kernels evaluate without a plan.
+    ``sparsity`` is what a plan replays; the kernels' arguments, ``tables``
+    (the component tables) and ``view`` (the value and derivative slots by
+    variable name), are built only when read, for a dense jet or a trace.
+    They hold ``ZERO`` in every component that is not live, except on a
+    dense jet: there ``tables`` holds zero arrays, so that the kernels form
+    the 0 * inf = nan terms, and ``view`` reads the jet's own entries, 0.0
+    where it holds none, as a direct evaluation does.
     """
 
-    def __init__(self, shape: tuple, entries: dict, live: dict, nonfinite=frozenset()):
+    def __init__(self, shape: tuple, entries: dict, live: dict, dense: bool = False):
         self.shape = shape
         self.entries = entries
         self.live = live
-        self.nonfinite = frozenset(nonfinite)
-        self.dense = bool(self.nonfinite)
+        self.dense = dense
 
     @staticmethod
     def of(ja: JetArrays, keys=None) -> "_Sparse":
@@ -454,13 +452,8 @@ class _Sparse:
         live = {key: e for key, e in entries.items()
                 if (head and e[..., :16].any()) or e.any()}
         # an overflowing sum of finite entries also forms the zero terms
-        nonfinite = [key for key, e in live.items() if not np.isfinite(e.sum())]
-        return _Sparse(ja.shape, ja.entries, live, nonfinite)
-
-    def only(self, keys) -> "_Sparse":
-        """The jet as kernels that read the components ``keys`` take it."""
-        live = {key: e for key, e in self.live.items() if key in keys}
-        return _Sparse(self.shape, self.entries, live, live.keys() & self.nonfinite)
+        dense = not all(np.isfinite(e.sum()) for e in live.values())
+        return _Sparse(ja.shape, entries, live, dense)
 
     @functools.cached_property
     def sparsity(self) -> tuple:
@@ -490,7 +483,7 @@ class _Sparse:
 
 
 def scan_jet(ja: JetArrays) -> _Sparse:
-    """The live entries of ``ja`` and whether each is finite, read once.
+    """The live entries of ``ja`` and whether all are finite, read once.
     ``residual_report`` and the reduced systems of ``conformal`` take it as
     ``scan`` instead of reading the entries of the same jet again.  It
     reads the entries as they are now: scan again after changing them."""
@@ -500,11 +493,14 @@ def scan_jet(ja: JetArrays) -> _Sparse:
 def _sparse(ja: JetArrays, scan: _Sparse | None, keys=None) -> _Sparse:
     """``ja`` as the kernels that read ``keys`` (all if None) take it: from
     its ``scan`` if given, else from its entries."""
-    if scan is None:
-        return _Sparse.of(ja, keys)
-    if scan.entries is not ja.entries:
+    if scan is not None and scan.entries is not ja.entries:
         raise ValueError("the scan is of another jet")
-    return scan if keys is None else scan.only(keys)
+    if scan is None or (keys is not None and scan.dense):
+        # a non-finite entry of the jet may be one the kernels do not read
+        return _Sparse.of(ja, keys)
+    if keys is None:
+        return scan
+    return _Sparse(ja.shape, ja.entries, {key: e for key, e in scan.live.items() if key in keys})
 
 
 # ---------------------------------------------------------------------------
