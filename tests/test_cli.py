@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -397,6 +398,15 @@ E22 = -1.0
     bad = write(tmp_path / "bad.cfg", "[state]\nnonsense = 1\n")
     assert main(["spinor", "--state", bad]) == 2
     capsys.readouterr()
+
+
+def test_spinor_non_finite_state_is_config_error(tmp_path, capsys):
+    """The config parser is the one check on non-finite state values."""
+    state = write(tmp_path / "s.cfg", "[state]\nmu = nan\np = 0.1\n")
+    assert main(["spinor", "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: bad value for state.mu: not a finite number: 'nan'\n"
 
 
 def eds_table(path, N, t0=0.5, t1=2.5):
@@ -1410,6 +1420,87 @@ def test_characterization_residual(tmp_path, capsys, name):
     assert lines[-1] == result
     assert hashlib.sha256(printed.encode()).hexdigest() == blocks
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+STATE_KEYS = ("mu", "p", "pi11", "pi22", "pi12", "pi13", "pi23",
+              "E11", "E22", "E12", "E13", "E23", "H11", "H22", "H12", "H13", "H23")
+
+
+def spinor_states(count, seed):
+    """count seeded state files: each key present with probability 1/2, as a
+    signed zero, a short decimal or, now and then for mu, p and pi, 1e308."""
+    rng = random.Random(seed)
+    states = []
+    for _ in range(count):
+        state = {}
+        for key in STATE_KEYS:
+            if rng.random() < 0.5:
+                continue
+            pool = ["0.0", "-0.0", "0.5", "-0.7", "1.0", "2.0", repr(round(rng.uniform(-3.0, 3.0), 3))]
+            if key[0] in "mp" and rng.random() < 0.02:
+                pool = ["1e308", "-1e308"]
+            state[key] = rng.choice(pool)
+        states.append(state)
+    return states
+
+
+# The rotation block (rotation_alpha, rotated_*, the off-diagonal note) is
+# computed with Python complex numbers.  CPython 3.14 does mixed float and
+# complex arithmetic the C99 way, where a float operand no longer enters as
+# a complex with a +0.0 imaginary part, so the sign of a zero part of those
+# lines, or a nan part of an overflowing state, may differ there.  The
+# digest of every other line is pinned on every interpreter, and the digest
+# of all of stdout and stderr on CPython 3.13 and older.
+ROTATION_LINES = ("rotation_alpha ", "rotated_", "note: off-diagonal")
+SPINOR_CHARACTERIZED = {
+    # name: (state files, the exit code of each, sha256 of stdout + stderr
+    # of the runs in turn, sha256 of the same without the rotation block)
+    "elastic": ([{"mu": "3.0", "p": "1.0", "pi11": "1.0", "pi22": "1.0"}], 0,
+        "8bbd61fb50bb6f40a132dc3440d1837f09df8ad9327efed1e74c69bab8064449",
+        "8ddf65bd4f690eba23d95798e5c70ec84c72226cb258638945d924a0274f9c65"),
+    "weyl": ([{"E11": "1.0", "E22": "-1.0"}], 0,
+        "c02f46805117afceb9ddbb04286c47f7163d99d3b2bc61de12362680e34c7936",
+        "c02f46805117afceb9ddbb04286c47f7163d99d3b2bc61de12362680e34c7936"),
+    "empty": ([{}], 0,
+        "a071078cf89fc7d1ea053ed8b1d47f08afa49f604b63c46103ec77629468539b",
+        "a071078cf89fc7d1ea053ed8b1d47f08afa49f604b63c46103ec77629468539b"),
+    "signed-zeros": ([{"pi13": "-0.0", "E12": "-0.0"}], 0,
+        "0fe49d36d4e92aba35737826b955698f20bd6a8f1dec8e6f8623482863e99c44",
+        "0fe49d36d4e92aba35737826b955698f20bd6a8f1dec8e6f8623482863e99c44"),
+    "pi23": ([{"pi23": "-0.7"}], 0,
+        "624117ac4f6778169df8284ea6f4bb44a39179432bc4b93e26c133d571cb0ac1",
+        "624117ac4f6778169df8284ea6f4bb44a39179432bc4b93e26c133d571cb0ac1"),
+    "mu-p-negative-zero": ([{"mu": "-0.0", "p": "-0.0"}], 0,
+        "15c183f7040e534b3023e24491177e6dcd02ed97568fdba0878294ecbdf22384",
+        "15c183f7040e534b3023e24491177e6dcd02ed97568fdba0878294ecbdf22384"),
+    "pi-overflow": ([{"pi11": "1e308", "pi22": "1e308"}], 0,
+        "02ac7fee615676677b403b8909dc686e47cd55b5584cc271c39c9d875a4478ba",
+        "cbeaec86ba2ba60660fdc578bd7cd7fe02f261288b5d59e19044727cd0cf4ec6"),
+    # mu + p + pi33 = 0, with an off-diagonal pi that the rotation would kill
+    "phi00-zero": ([{"mu": "1.5", "p": "0.5", "pi11": "1.0", "pi22": "1.0", "pi13": "0.3"}], 0,
+        "7267578a8856e8d22cec31ecf7986f83e8d44c1e28c696d035b0609ca2113883",
+        "7267578a8856e8d22cec31ecf7986f83e8d44c1e28c696d035b0609ca2113883"),
+    "generated": (spinor_states(400, seed=0), 0,
+        "373b8feb0aae2211df946f9eef5e3e346866c20324387b1162c02df5f495c9f8",
+        "ff0cc8ca9c56148b342be4dbfa39ae6319618122578a1225ca4fb82acd787a8b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPINOR_CHARACTERIZED))
+def test_characterization_spinor(tmp_path, capsys, name):
+    """Exit code and the sha256 of stdout and stderr of spinor on each state."""
+    states, code, digest, stable = SPINOR_CHARACTERIZED[name]
+    printed = []
+    for state in states:
+        path = write(tmp_path / "s.cfg", config_text({"state": state}))
+        assert main(["spinor", "--state", path]) == code, state
+        captured = capsys.readouterr()
+        printed.append(captured.out + captured.err)
+    printed = "".join(printed)
+    kept = "".join(l for l in printed.splitlines(keepends=True) if not l.startswith(ROTATION_LINES))
+    assert hashlib.sha256(kept.encode()).hexdigest() == stable
+    if sys.version_info < (3, 14):
+        assert hashlib.sha256(printed.encode()).hexdigest() == digest
 
 
 A2_SOLVE = """\
