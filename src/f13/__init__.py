@@ -6,13 +6,6 @@ the Newman-Penrose curvature bridge, and the non-rotating conformally flat
 ODE cases with their closed forms.
 """
 
-from .core import (
-    MatterState,
-    SymThree,
-    ThreeVector,
-    TracefreeSymThree,
-    WeylState,
-)
 from .frame_equations import (
     JetArrays,
     NonFiniteResidual,

@@ -28,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from . import conformal as cf
-from .core import MatterState, ThreeVector, TracefreeSymThree, WeylState
 from .csvtext import csv_rows
 from .frame_equations import (
     COMPONENT_NAMES,
@@ -570,21 +569,18 @@ def run_spinor(state_path: str) -> int:
     parser = _read_config(state_path)
     schema = {"state": {k: (False, _parse_float) for k in _STATE_KEYS}}
     values = _validate(parser, schema)
+    # JetArrays.build drops a zero number but holds every array, so a
+    # one-point batch keeps the sign of each zero the file gives
+    state = JetArrays.build((1,), {key.removeprefix("state."): np.array([x])
+                                   for key, x in values.items()}).value
 
-    def get(key):
-        return values.get(f"state.{key}", 0.0)
+    def point(v):  # the value at the batch's one point, as a Python number
+        return np.asarray(v).item()
 
-    matter = MatterState(
-        get("mu"), get("p"), ThreeVector.zero(),
-        TracefreeSymThree(get("pi11"), get("pi22"), get("pi12"),
-                          get("pi13"), get("pi23")),
-    )
-    weyl = WeylState(
-        TracefreeSymThree(get("E11"), get("E22"), get("E12"), get("E13"), get("E23")),
-        TracefreeSymThree(get("H11"), get("H22"), get("H12"), get("H13"), get("H23")),
-    )
-    r = ricci_spinor(matter)
-    w = weyl_spinor(weyl)
+    # the null rotation runs on Python numbers, whose complex division
+    # rounds differently from numpy's
+    r, w = (type(rec)(*(point(getattr(rec, f.name)) for f in dataclasses.fields(rec)))
+            for rec in (ricci_spinor(state), weyl_spinor(state)))
 
     def cfmt(zv: complex) -> str:
         return f"{zv.real:.17g}{zv.imag:+.17g}i"
@@ -600,7 +596,7 @@ def run_spinor(state_path: str) -> int:
         print(f"Psi{i} {cfmt(psi)}")
     flat = w.max_abs() < 1e-14
     print(f"conformally_flat {'true' if flat else 'false'}")
-    admissible = rotation_admissible(matter)
+    admissible = point(rotation_admissible(state))
     print(f"rotation_admissible {'true' if admissible else 'false'}")
     if r.phi00 != 0.0:
         alpha = diagonalizing_rotation(r)

@@ -3,16 +3,20 @@
 The null tetrad is adapted to the orthonormal frame by
 l = (e_0 - e_3)/sqrt(2), k = (e_0 + e_3)/sqrt(2), m = (e_1 - i e_2)/sqrt(2),
 and the curvature maps are purely algebraic in the matter and Weyl
-variables.  Complex arithmetic uses paired 64-bit reals; the hermitian
-partners Phi_10, Phi_20, Phi_21 are never stored, they are materialised as
-conjugates where a null rotation needs them.
+variables.  ``ricci_spinor``, ``weyl_spinor`` and ``rotation_admissible``
+read one slot of a jet (``JetArrays.value``, single or batched) by
+variable name, and give numbers or arrays of its batch shape; pi, E and H
+are trace-free, so their 33 entries are -(x11 + x22) whatever the slot
+holds.  The hermitian partners Phi_10, Phi_20, Phi_21 are never stored,
+they are materialised as conjugates where a null rotation needs them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .core import MatterState, WeylState
+import numpy as np
 
 __all__ = [
     "RicciSpinor",
@@ -62,42 +66,65 @@ class WeylSpinor:
     psi3: complex
     psi4: complex
 
-    def max_abs(self) -> float:
-        return max(abs(self.psi0), abs(self.psi1), abs(self.psi2),
-                   abs(self.psi3), abs(self.psi4))
+    def max_abs(self):
+        """max |Psi_n|, taken as ``max`` takes it: a nan after Psi_0 is
+        passed over."""
+        return functools.reduce(lambda m, a: np.where(a > m, a, m),
+                                map(abs, (self.psi0, self.psi1, self.psi2,
+                                          self.psi3, self.psi4)))
 
 
-def ricci_spinor(m: MatterState) -> RicciSpinor:
-    """Map matter variables to the Ricci spinor components.
+def _tracefree(x, t: str) -> dict:
+    """The entries 11, 22, 12, 13, 23 and 33 of the trace-free tensor t of
+    the jet slot x, as arrays, with t33 = -(t11 + t22)."""
+    c = {ij: np.asarray(getattr(x, t + ij)) for ij in ("11", "22", "12", "13", "23")}
+    c["33"] = -(c["11"] + c["22"])
+    return c
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i im, set part by part: the arithmetic of re + 1j * im can
+    change the sign of a zero part."""
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def ricci_spinor(x) -> RicciSpinor:
+    """Map the matter variables of the jet slot x to the Ricci spinor
+    components.
 
     Phi_00 = Phi_22 = (mu + p + pi_33)/4,
     Phi_11 = (mu + p + pi_11 + pi_22 - pi_33)/8,
     Phi_01 = (-pi_13 + i pi_23)/4,  Phi_12 = (pi_13 - i pi_23)/4,
     Phi_02 = (pi_11 - pi_22 - 2 i pi_12)/4,  Lambda_NP = (mu - 3p)/24.
     """
-    pi = m.pi
-    s = m.mu + m.p
-    phi00 = 0.25 * (s + pi.m33)
-    phi11 = 0.125 * (s + pi.m11 + pi.m22 - pi.m33)
-    phi01 = 0.25 * complex(-pi.m13, pi.m23)
-    phi12 = 0.25 * complex(pi.m13, -pi.m23)
-    phi02 = 0.25 * complex(pi.m11 - pi.m22, -2.0 * pi.m12)
-    lam_np = (m.mu - 3.0 * m.p) / 24.0
+    pi = _tracefree(x, "pi")
+    s = x.mu + x.p
+    phi00 = 0.25 * (s + pi["33"])
+    phi11 = 0.125 * (s + pi["11"] + pi["22"] - pi["33"])
+    phi01 = 0.25 * _complex(-pi["13"], pi["23"])
+    phi12 = 0.25 * _complex(pi["13"], -pi["23"])
+    phi02 = 0.25 * _complex(pi["11"] - pi["22"], -2.0 * pi["12"])
+    lam_np = (x.mu - 3.0 * x.p) / 24.0
     return RicciSpinor(phi00, phi11, phi00, phi01, phi02, phi12, lam_np)
 
 
-def weyl_spinor(w: WeylState) -> WeylSpinor:
-    """Weyl spinor components from Q = E + iH.
+def weyl_spinor(x) -> WeylSpinor:
+    """Weyl spinor components of the jet slot x from Q = E + iH.
 
     Psi_0 = (Q11 - Q22 - 2i Q12)/2, Psi_1 = (i Q23 - Q13)/2, Psi_2 = Q33/2,
     Psi_3 = (i Q23 + Q13)/2, Psi_4 = (Q11 - Q22 + 2i Q12)/2.
     """
-    Q = w.E.as_matrix() + 1j * w.H.as_matrix()
-    psi0 = 0.5 * (Q[0, 0] - Q[1, 1] - 2j * Q[0, 1])
-    psi1 = 0.5 * (1j * Q[1, 2] - Q[0, 2])
-    psi2 = 0.5 * Q[2, 2]
-    psi3 = 0.5 * (1j * Q[1, 2] + Q[0, 2])
-    psi4 = 0.5 * (Q[0, 0] - Q[1, 1] + 2j * Q[0, 1])
+    E, H = _tracefree(x, "E"), _tracefree(x, "H")
+    # numpy's E + 1j * H, not set part by part: the signs of its zero parts
+    # are those the Psi carry
+    Q = {ij: E[ij] + 1j * H[ij] for ij in E}
+    psi0 = 0.5 * (Q["11"] - Q["22"] - 2j * Q["12"])
+    psi1 = 0.5 * (1j * Q["23"] - Q["13"])
+    psi2 = 0.5 * Q["33"]
+    psi3 = 0.5 * (1j * Q["23"] + Q["13"])
+    psi4 = 0.5 * (Q["11"] - Q["22"] + 2j * Q["12"])
     return WeylSpinor(psi0, psi1, psi2, psi3, psi4)
 
 
@@ -147,21 +174,20 @@ def diagonalizing_rotation(r: RicciSpinor) -> complex:
     return -r.phi01 / r.phi00
 
 
-def rotation_admissible(m: MatterState) -> bool:
+def rotation_admissible(x):
     """Nonnegativity of the three quadratic right-hand sides that a basis
-    with pi_13 = pi_23 = pi_12 = 0 requires.
+    with pi_13 = pi_23 = pi_12 = 0 requires, at each point of the jet slot x.
 
     The three expressions equated to pi_13^2, pi_23^2 and pi_12^2 must each
     be >= 0; this predicate does not assert that a single rotation realises
     the diagonal basis, it only screens the stated necessary conditions.
     """
-    pi = m.pi
-    s = m.mu + m.p
-    u = s + pi.m33
-    v1 = pi.m11 - 2.0 * pi.m22 - s
-    v2 = -2.0 * pi.m11 + pi.m22 - s
+    pi = _tracefree(x, "pi")
+    s = x.mu + x.p
+    u = s + pi["33"]
+    v1 = pi["11"] - 2.0 * pi["22"] - s
+    v2 = -2.0 * pi["11"] + pi["22"] - s
     rhs13 = u * v1 / 3.0
     rhs23 = u * v2 / 3.0
-    rhs12 = v1 * (-pi.m11 + 2.0 * pi.m22 - s) / 9.0
-    return rhs13 >= 0.0 and rhs23 >= 0.0 and rhs12 >= 0.0
-
+    rhs12 = v1 * (-pi["11"] + 2.0 * pi["22"] - s) / 9.0
+    return (rhs13 >= 0.0) & (rhs23 >= 0.0) & (rhs12 >= 0.0)

@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 from f13 import conformal as cf
 from f13 import csvtext
 from f13 import frame_equations as fe
-from f13.cli import (RESIDUAL_SYSTEMS, _fmt, _parser, _read_table, _write_csv, main,
-                     run_verify)
+from f13.cli import (_STATE_KEYS, RESIDUAL_SYSTEMS, _fmt, _parser, _read_table, _write_csv,
+                     main, run_verify)
 
 EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -398,6 +398,17 @@ E22 = -1.0
     bad = write(tmp_path / "bad.cfg", "[state]\nnonsense = 1\n")
     assert main(["spinor", "--state", bad]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tensor", ["pi", "E", "H"])
+def test_spinor_overflowing_state_prints_inf_and_nan(tmp_path, capsys, tensor):
+    """x11 = x22 = 1e308 are finite, and x33 = -(x11 + x22) overflows: the
+    spinor components are inf or nan, and the run still ends in exit 0."""
+    state = write(tmp_path / "s.cfg", f"[state]\n{tensor}11 = 1e308\n{tensor}22 = 1e308\n")
+    assert main(["spinor", "--state", state]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "inf" in captured.out or "nan" in captured.out
 
 
 def test_spinor_non_finite_state_is_config_error(tmp_path, capsys):
@@ -1422,10 +1433,6 @@ def test_characterization_residual(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-STATE_KEYS = ("mu", "p", "pi11", "pi22", "pi12", "pi13", "pi23",
-              "E11", "E22", "E12", "E13", "E23", "H11", "H22", "H12", "H13", "H23")
-
-
 def spinor_states(count, seed):
     """count seeded state files: each key present with probability 1/2, as a
     signed zero, a short decimal or, now and then for mu, p and pi, 1e308."""
@@ -1433,7 +1440,7 @@ def spinor_states(count, seed):
     states = []
     for _ in range(count):
         state = {}
-        for key in STATE_KEYS:
+        for key in _STATE_KEYS:
             if rng.random() < 0.5:
                 continue
             pool = ["0.0", "-0.0", "0.5", "-0.7", "1.0", "2.0", repr(round(rng.uniform(-3.0, 3.0), 3))]
@@ -1476,6 +1483,13 @@ SPINOR_CHARACTERIZED = {
     "pi-overflow": ([{"pi11": "1e308", "pi22": "1e308"}], 0,
         "02ac7fee615676677b403b8909dc686e47cd55b5584cc271c39c9d875a4478ba",
         "cbeaec86ba2ba60660fdc578bd7cd7fe02f261288b5d59e19044727cd0cf4ec6"),
+    # E33 and H33 overflow to -inf from finite E and H
+    "E-overflow": ([{"E11": "1e308", "E22": "1e308"}], 0,
+        "12ed2239bd06f5932464c38aa5c13175a2c95ced887d8d4f6a5b9aa65cd683dd",
+        "12ed2239bd06f5932464c38aa5c13175a2c95ced887d8d4f6a5b9aa65cd683dd"),
+    "H-overflow": ([{"H11": "1e308", "H22": "1e308"}], 0,
+        "d66f68fa0430ba36666a11fc6952867c1ef22b8b3d6f048ab961b45cfec2d174",
+        "d66f68fa0430ba36666a11fc6952867c1ef22b8b3d6f048ab961b45cfec2d174"),
     # mu + p + pi33 = 0, with an off-diagonal pi that the rotation would kill
     "phi00-zero": ([{"mu": "1.5", "p": "0.5", "pi11": "1.0", "pi22": "1.0", "pi13": "0.3"}], 0,
         "7267578a8856e8d22cec31ecf7986f83e8d44c1e28c696d035b0609ca2113883",

@@ -2,9 +2,11 @@
 
 Whatever the input, ``solve``, ``verify`` and ``residual`` end in exit code
 0, 3 or 4 with a last stdout line ``RESULT ...``, or in exit code 2 with a
-last stderr line ``config error: ...``; never in a traceback.  Configs and
-tables are generated with unknown keys, NaN/Inf/huge and non-numeric
-values, zero or negative F, non-uniform and unordered grids.
+last stderr line ``config error: ...``; ``spinor`` ends in exit code 0 with
+nothing on stderr, or in exit code 2 with one ``config error: ...`` line;
+never in a traceback.  Configs, state files and tables are generated with
+unknown keys, NaN/Inf/huge and non-numeric values, zero or negative F,
+non-uniform and unordered grids.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ import warnings
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from f13.cli import RESIDUAL_SYSTEMS, SOLVE_CASES, VERIFY_CASES, main
+from f13.cli import _STATE_KEYS, RESIDUAL_SYSTEMS, SOLVE_CASES, VERIFY_CASES, main
 
 EXAMPLES = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -149,6 +151,17 @@ def state_tables(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def state_files(draw):
+    pick = Picker(draw)
+    section = pick(st.just("state"), st.just("matter"))
+    state = {k: pick(GOOD, st.sampled_from(BAD + ("1e300",)))
+             for k in _STATE_KEYS if draw(st.booleans()) and pick.keep()}
+    if pick.hostile and not pick.keep():
+        state["bogus"] = "1"
+    return f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in state.items())
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -191,6 +204,19 @@ def check_table(table, system, tol):
         assert_contract(argv + (["--tol", tol] if tol else []))
 
 
+def check_state(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = run_cli(["spinor", "--state", path])
+    assert code in (0, 2), (code, out, err)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("config error: ") and not out, (out, err)
+    else:
+        assert out and not err, (out, err)
+
+
 # 10**17 grid points need 711 PiB per column, more than any address space, so
 # the first array allocation fails at once and no memory is touched
 HUGE_N = {
@@ -223,6 +249,14 @@ def test_verify_contract_holds_for_generated_configs(config):
        st.sampled_from((None, "1e-3", "nan")))
 def test_residual_contract_holds_for_generated_tables(table, system, tol):
     check_table(table, system, tol)
+
+
+# E33 = -(E11 + E22) overflows to -inf from finite values
+@EXAMPLES
+@given(state_files())
+@example("[state]\nE11 = 1e308\nE22 = 1e308\n")
+def test_spinor_contract_holds_for_generated_state_files(text):
+    check_state(text)
 
 
 # one byte that is not UTF-8, in a value of an otherwise usable input

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from f13 import conformal as cf
 from f13 import frame_equations as fe
 from f13.cli import _perturbed
-from f13.core import MatterState, ThreeVector, TracefreeSymThree
 from f13.frame_equations import ZERO, JetArrays, NonFiniteResidual, ResidualReport, residual_report
 from f13.numerics import (Grid, check_frame_factor, cumulative_integral_refined, quadrature,
                           rk4_integrate)
@@ -37,17 +36,19 @@ def test_special_ricci_examples():
 
 
 def test_special_ricci_matches_general_map():
-    rng = np.random.default_rng(123)
-    for _ in range(50):
-        p, pi11 = rng.uniform(-3.0, 3.0, 2)
-        phi00, phi11 = cf.special_ricci(p, pi11)
-        m = MatterState(3.0 * p, p, ThreeVector.zero(),
-                        TracefreeSymThree(pi11, pi11, 0.0, 0.0, 0.0))
-        r = ricci_spinor(m)
-        assert abs(r.phi00 - phi00) < 1e-15 * max(1.0, abs(phi00))
-        assert abs(r.phi11 - phi11) < 1e-15 * max(1.0, abs(phi11))
-        assert abs(r.lam_np) < 1e-16
-        assert r.phi01 == 0.0 and r.phi02 == 0.0 and r.phi12 == 0.0
+    """The null tetrad Ricci components of the general matter map, in one
+    call on a whole A1 closed-form jet, against the ansatz's own relation to
+    the pressures and the energy density at every point."""
+    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=1.0)
+    jet, fields = form.jet(Grid(-1.0, 1.0, 400))
+    r = ricci_spinor(jet.value)
+    phi00, phi11 = cf.special_ricci(fields["p"], fields["pi11"])
+    assert np.shape(r.phi00) == np.shape(r.phi11) == (401,)
+    assert np.all(np.abs(r.phi00 - phi00) <= 1e-15 * np.maximum(1.0, np.abs(phi00)))
+    assert np.all(np.abs(r.phi11 - phi11) <= 1e-15 * np.maximum(1.0, np.abs(phi11)))
+    assert np.array_equal(r.phi22, r.phi00)
+    assert np.all(r.lam_np == 0.0)
+    assert np.all(r.phi01 == 0.0) and np.all(r.phi02 == 0.0) and np.all(r.phi12 == 0.0)
 
 
 def test_bianchi_special_zero_state():

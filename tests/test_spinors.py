@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from f13.core import MatterState, ThreeVector, TracefreeSymThree, WeylState
+from f13.frame_equations import JetArrays
 from f13.spinors import (
     diagonalizing_rotation,
     null_rotate_ricci,
@@ -12,15 +12,28 @@ from f13.spinors import (
     weyl_spinor,
 )
 
+ENTRIES = ("11", "22", "12", "13", "23")
 
-def matter(mu=0.0, p=0.0, pi=None):
-    return MatterState(mu, p, ThreeVector.zero(), pi or TracefreeSymThree.zero())
+
+def state(**values):
+    """The value slot of the jet of the named variables, batched by their
+    shape."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in values.values()))
+    return JetArrays.build(shape, values).value
+
+
+def tracefree(t, entries):
+    """The variables t11, t22, t12, t13, t23 of a trace-free tensor, from
+    its five entries in that order."""
+    return {t + ij: x for ij, x in zip(ENTRIES, entries)}
+
+
+def matter(mu=0.0, p=0.0, pi=(0.0,) * 5):
+    return state(mu=mu, p=p, **tracefree("pi", pi))
 
 
 def random_ricci(rng):
-    return ricci_spinor(
-        matter(rng.uniform(-2, 2), rng.uniform(-2, 2), TracefreeSymThree(*rng.uniform(-2, 2, 5)))
-    )
+    return ricci_spinor(matter(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2, 5)))
 
 
 def test_ricci_spinor_vacuum():
@@ -39,7 +52,7 @@ def test_ricci_spinor_perfect_fluid():
 
 def test_ricci_spinor_elastic_example():
     # mu=3, p=1, pi=diag(1,1,-2); equals (2p-pi11)/2 and (p+pi11)/2
-    r = ricci_spinor(matter(3.0, 1.0, TracefreeSymThree(1.0, 1.0, 0.0, 0.0, 0.0)))
+    r = ricci_spinor(matter(3.0, 1.0, (1.0, 1.0, 0.0, 0.0, 0.0)))
     assert r.phi00 == r.phi22 == 0.5
     assert r.phi11 == 1.0
     assert r.lam_np == 0.0
@@ -47,8 +60,7 @@ def test_ricci_spinor_elastic_example():
 
 
 def test_ricci_spinor_offdiagonal_components():
-    pi = TracefreeSymThree(0.6, -0.2, 0.3, 0.5, -0.7)
-    r = ricci_spinor(matter(1.0, 0.2, pi))
+    r = ricci_spinor(matter(1.0, 0.2, (0.6, -0.2, 0.3, 0.5, -0.7)))
     assert r.phi01 == 0.25 * complex(-0.5, -0.7)
     assert r.phi12 == 0.25 * complex(0.5, 0.7)
     assert r.phi02 == 0.25 * complex(0.6 + 0.2, -2.0 * 0.3)
@@ -57,60 +69,73 @@ def test_ricci_spinor_offdiagonal_components():
     assert r.phi21 == r.phi12.conjugate()
 
 
+def test_spinor_maps_read_a_batch_as_its_points():
+    """A batched jet maps, point by point, to the records of its single
+    points exactly."""
+    rng = np.random.default_rng(4)
+    names = ["mu", "p", *tracefree("pi", ENTRIES), *tracefree("E", ENTRIES),
+             *tracefree("H", ENTRIES)]
+    values = dict(zip(names, rng.uniform(-2, 2, (len(names), 6))))
+    batch = state(**values)
+    for k in range(6):
+        point = state(**{name: x[k] for name, x in values.items()})
+        for maps in (ricci_spinor, weyl_spinor):
+            for name, x in vars(maps(batch)).items():
+                assert x[k] == getattr(maps(point), name), (maps.__name__, name)
+        assert rotation_admissible(batch)[k] == rotation_admissible(point)
+
+
 def test_weyl_spinor_zero_iff_zero():
-    assert weyl_spinor(WeylState.zero()).max_abs() == 0.0
-    w = WeylState(TracefreeSymThree(1.0, -1.0, 0.0, 0.0, 0.0), TracefreeSymThree.zero())
-    s = weyl_spinor(w)
+    assert weyl_spinor(state()).max_abs() == 0.0
+    s = weyl_spinor(state(E11=1.0, E22=-1.0))
     assert s.psi0 == 1.0 and s.psi4 == 1.0
     assert s.psi1 == s.psi2 == s.psi3 == 0.0
 
 
+def q_entries(E, H):
+    """The entries of Q = E + iH, the 33 one by trace-freedom."""
+    q = {ij: e + 1j * h for ij, e, h in zip(ENTRIES, E, H)}
+    q["33"] = -(q["11"] + q["22"])
+    return q
+
+
 def _q_from_psis(s):
     """Invert the Weyl spinor map (independent reconstruction oracle)."""
-    Q = np.zeros((3, 3), dtype=complex)
-    Q[2, 2] = 2.0 * s.psi2
+    q = {"33": 2.0 * s.psi2}
     diff = s.psi0 + s.psi4          # Q11 - Q22
-    Q[0, 0] = 0.5 * (diff - Q[2, 2])
-    Q[1, 1] = 0.5 * (-diff - Q[2, 2])
-    Q[0, 1] = Q[1, 0] = -0.5j * (s.psi4 - s.psi0)
-    Q[0, 2] = Q[2, 0] = s.psi3 - s.psi1
-    Q[1, 2] = Q[2, 1] = -1j * (s.psi1 + s.psi3)
-    return Q
+    q["11"] = 0.5 * (diff - q["33"])
+    q["22"] = 0.5 * (-diff - q["33"])
+    q["12"] = -0.5j * (s.psi4 - s.psi0)
+    q["13"] = s.psi3 - s.psi1
+    q["23"] = -1j * (s.psi1 + s.psi3)
+    return q
 
 
 def test_weyl_spinor_reconstruction_and_injectivity():
     rng = np.random.default_rng(31)
-    for _ in range(50):
-        E = TracefreeSymThree(*rng.uniform(-2, 2, 5))
-        H = TracefreeSymThree(*rng.uniform(-2, 2, 5))
-        s = weyl_spinor(WeylState(E, H))
-        Q = E.as_matrix() + 1j * H.as_matrix()
-        assert np.max(np.abs(_q_from_psis(s) - Q)) < 1e-13
-        if np.max(np.abs(Q)) > 1e-12:
-            assert s.max_abs() > 0.0
+    E, H = rng.uniform(-2, 2, (2, 5, 50))
+    s = weyl_spinor(state(**tracefree("E", E), **tracefree("H", H)))
+    q, back = q_entries(E, H), _q_from_psis(s)
+    assert max(np.max(np.abs(back[ij] - q[ij])) for ij in q) < 1e-13
+    nonzero = np.max(np.abs(list(q.values())), axis=0) > 1e-12
+    assert np.all(s.max_abs()[nonzero] > 0.0)
 
 
 def test_weyl_spinor_real_q_symmetries():
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        E = TracefreeSymThree(*rng.uniform(-2, 2, 5))
-        s = weyl_spinor(WeylState(E, TracefreeSymThree.zero()))
-        assert s.psi4 == s.psi0.conjugate()
-        assert s.psi3 == -s.psi1.conjugate()
-        assert s.psi2.imag == 0.0
+    s = weyl_spinor(state(**tracefree("E", rng.uniform(-2, 2, (5, 25)))))
+    assert np.array_equal(s.psi4, s.psi0.conjugate())
+    assert np.array_equal(s.psi3, -s.psi1.conjugate())
+    assert np.all(s.psi2.imag == 0.0)
 
 
 def test_weyl_spinor_complex_linearity():
     rng = np.random.default_rng(17)
     lam = 0.37
-    E1 = TracefreeSymThree(*rng.uniform(-1, 1, 5))
-    E2 = TracefreeSymThree(*rng.uniform(-1, 1, 5))
-    H = TracefreeSymThree(*rng.uniform(-1, 1, 5))
-    comb = TracefreeSymThree(*(np.array([E1.m11, E1.m22, E1.m12, E1.m13, E1.m23])
-                               + lam * np.array([E2.m11, E2.m22, E2.m12, E2.m13, E2.m23])))
-    s = weyl_spinor(WeylState(comb, H))
-    s1 = weyl_spinor(WeylState(E1, H))
-    s2 = weyl_spinor(WeylState(E2, TracefreeSymThree.zero()))
+    E1, E2, H = rng.uniform(-1, 1, (3, 5))
+    s = weyl_spinor(state(**tracefree("E", E1 + lam * E2), **tracefree("H", H)))
+    s1 = weyl_spinor(state(**tracefree("E", E1), **tracefree("H", H)))
+    s2 = weyl_spinor(state(**tracefree("E", E2)))
     for name in ("psi0", "psi1", "psi2", "psi3", "psi4"):
         assert getattr(s, name) == pytest.approx(
             getattr(s1, name) + lam * getattr(s2, name), abs=1e-14
@@ -160,8 +185,8 @@ def test_diagonalizing_rotation():
 
 
 def test_rotation_admissible_predicate():
-    # mu + p < 0 with pi = diag(-3, -3, 6) satisfies all three conditions
-    good = matter(-4.0, 0.0, TracefreeSymThree(-3.0, -3.0, 0.0, 0.0, 0.0))
-    assert rotation_admissible(good)
-    bad = matter(3.0, 1.0, TracefreeSymThree(1.0, 1.0, 0.0, 0.0, 0.0))
-    assert not rotation_admissible(bad)
+    # mu + p < 0 with pi = diag(-3, -3, 6) satisfies all three conditions;
+    # mu = 3, p = 1 with pi = diag(1, 1, -2) does not
+    both = matter(np.array([-4.0, 3.0]), np.array([0.0, 1.0]),
+                  (np.array([-3.0, 1.0]), np.array([-3.0, 1.0]), 0.0, 0.0, 0.0))
+    assert rotation_admissible(both).tolist() == [True, False]
