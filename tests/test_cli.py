@@ -2,10 +2,12 @@
 
 import csv
 import hashlib
+import json
 import math
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -1368,11 +1370,9 @@ CHARACTERIZED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CHARACTERIZED))
-def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
-    """Exit code, RESULT line and the sha256 of the CSV of every solve case
-    and of the block and note lines of every verify case."""
-    command, sections, code, digest, result = CHARACTERIZED[name]
+def run_characterized(tmp_path, capsys, name):
+    """Run a CHARACTERIZED case: its exit code, stdout lines and CSV path."""
+    command, sections = CHARACTERIZED[name][:2]
     table = frame_table(tmp_path / "F.csv", [(0.05 * i, 1.0 + 0.1 * math.sin(0.3 * i))
                                             for i in range(21)])
     out = tmp_path / "out.csv"
@@ -1381,14 +1381,46 @@ def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
     if command == "solve":
         sections["scenario"]["output"] = str(out)
     cfg = write(tmp_path / "c.cfg", config_text(sections))
-    assert main([command, "--config", cfg]) == code
-    lines = capsys.readouterr().out.splitlines()
+    code = main([command, "--config", cfg])
+    return code, capsys.readouterr().out.splitlines(), out
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTERIZED))
+def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
+    """Exit code, RESULT line and the sha256 of the CSV of every solve case
+    and of the block and note lines of every verify case."""
+    command, _, code, digest, result = CHARACTERIZED[name]
+    status, lines, out = run_characterized(tmp_path, capsys, name)
+    assert status == code
     assert lines[-1] == result
     if command == "solve":
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     else:
         printed = "\n".join(l for l in lines if l.startswith(("block ", "note: ")))
         assert hashlib.sha256(printed.encode()).hexdigest() == digest
+
+
+# A check line in any shape solve, verify and residual have printed it:
+# "check <label> max=<v> pass|FAIL" and "info  <label> max=<v> (not gated)"
+# (solve), "block <label> max=<v> at z=<z> (<entry>) pass|FAIL" (verify),
+# "block <label> max=<v>" (residual) and "check <label> max=<v>[ at <z|t>=<c>]
+# [ (<entry>)] pass|FAIL|(not gated)".  A line without a verdict is not gated.
+ANY_CHECK_LINE = re.compile(
+    r"(?:check|info |block) (?P<label>\S(?:.*?\S)?) +max=(?P<max>\S+)"
+    r"(?: at [zt]=(?P<at>\S+))?(?: \((?P<entry>(?!not gated\))[^)]+)\))?"
+    r"(?: (?P<verdict>pass|FAIL|\(not gated\)))?")
+
+
+def check_rows(lines):
+    """(label, max text, coordinate text, entry, verdict) of each check line."""
+    rows = []
+    for line in lines:
+        if line.startswith(("check ", "info ", "block ")):
+            m = ANY_CHECK_LINE.fullmatch(line)
+            assert m, line
+            rows.append((m["label"], m["max"], m["at"], m["entry"],
+                         m["verdict"] or "(not gated)"))
+    return rows
 
 
 RESIDUAL_EXTRA = {
@@ -1417,20 +1449,46 @@ RESIDUAL_CHARACTERIZED = {
 }
 
 
+def run_residual_characterized(tmp_path, capsys, name):
+    """Run a RESIDUAL_CHARACTERIZED case: its exit code, stdout lines and
+    CSV path."""
+    table = a1_closed_form_table(tmp_path / "state.csv", 40, RESIDUAL_EXTRA[name])
+    out = tmp_path / "res.csv"
+    system = name.split("-")[0]
+    code = main(["residual", "--table", table, "--system", system, "--out", str(out)])
+    return code, capsys.readouterr().out.splitlines(), out
+
+
 @pytest.mark.parametrize("name", sorted(RESIDUAL_CHARACTERIZED))
 def test_characterization_residual(tmp_path, capsys, name):
     """Exit code, CSV sha256, block lines and RESULT line of every residual
     system on a small A1 closed-form table."""
     code, digest, blocks, result = RESIDUAL_CHARACTERIZED[name]
-    table = a1_closed_form_table(tmp_path / "state.csv", 40, RESIDUAL_EXTRA[name])
-    out = tmp_path / "res.csv"
-    system = name.split("-")[0]
-    assert main(["residual", "--table", table, "--system", system, "--out", str(out)]) == code
-    lines = capsys.readouterr().out.splitlines()
+    status, lines, out = run_residual_characterized(tmp_path, capsys, name)
+    assert status == code
     printed = "\n".join(l for l in lines if l.startswith(("block ", "note: ")))
     assert lines[-1] == result
     assert hashlib.sha256(printed.encode()).hexdigest() == blocks
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the check lines of every characterized run, as check_rows reads them; a
+# coordinate or entry of null is not pinned
+CHECK_CONTENT = json.loads((Path(__file__).parent / "data" / "check_lines.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_CONTENT))
+def test_characterization_check_lines(tmp_path, capsys, name):
+    """Label, max text, verdict and, where pinned, the coordinate and entry
+    of every check line of each characterized solve, verify and residual run."""
+    if name.startswith("residual-"):
+        _, lines, _ = run_residual_characterized(tmp_path, capsys, name.removeprefix("residual-"))
+    else:
+        _, lines, _ = run_characterized(tmp_path, capsys, name)
+    rows, pinned = check_rows(lines), CHECK_CONTENT[name]
+    assert len(rows) == len(pinned)
+    assert [[got if want is not None else None for got, want in zip(row, pin)]
+            for row, pin in zip(rows, pinned)] == pinned
 
 
 def spinor_states(count, seed):
