@@ -23,7 +23,7 @@ import math
 import sys
 import warnings
 from functools import cache, partial, reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -249,6 +249,47 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
         raise ConfigError(f"cannot write csv {path!r}: {exc}") from None
 
 
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One check of a report: the largest value of a residual or diagnostic,
+    the coordinate and entry of its worst point where known, and the
+    tolerance it must stay below (None: reported, not gated)."""
+
+    label: str
+    value: float
+    at: float | None = None
+    entry: str | None = None
+    tol: float | None = None
+
+
+def _result(ok: bool, worst: float) -> None:
+    print(f"RESULT {'pass' if ok else 'fail'} max_residual={_fmt(worst)}")
+
+
+def _report(title: str, notes: list[str], residuals: Sequence[Check],
+            diagnostics: Sequence[Check] = (), coord: str = "z",
+            footer: str | None = None) -> bool:
+    """Print a report: the title, the notes, a check line per residual and
+    then per diagnostic, the footer and the RESULT line, and return the
+    verdict: every gated check below its tolerance.  max_residual is the
+    largest residual; a diagnostic gates the verdict only."""
+    print(title)
+    for note in notes:
+        print(f"note: {note}")
+    ok = True
+    for row in (*residuals, *diagnostics):
+        where = "" if row.at is None else f" at {coord}={row.at:.6g}"
+        if row.entry is not None:
+            where += f" ({row.entry})"
+        verdict = "(not gated)" if row.tol is None else "pass" if row.value < row.tol else "FAIL"
+        ok = ok and verdict != "FAIL"
+        print(f"check {row.label:<22s} max={row.value:.6e}{where} {verdict}")
+    if footer is not None:
+        print(footer)
+    _result(ok, reduce(max, (row.value for row in residuals), 0.0))
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -411,23 +452,6 @@ _SOLVE = {
 SOLVE_CASES = tuple(_SOLVE)
 
 
-def _report_lines(title: str, checks: dict[str, float], tol: float,
-                  notes: list[str], info: dict[str, float],
-                  ) -> tuple[list[str], bool, float]:
-    lines = [title]
-    lines += [f"note: {n}" for n in notes]
-    worst = 0.0
-    ok = True
-    for name, value in checks.items():
-        good = value < tol
-        ok = ok and good
-        worst = max(worst, value)
-        lines.append(f"check {name:<28s} max={value:.6e} {'pass' if good else 'FAIL'}")
-    for name, value in info.items():
-        lines.append(f"info  {name:<28s} max={value:.6e} (not gated)")
-    return lines, ok, worst
-
-
 def run_solve(config_path: str) -> int:
     case, values = _read_case(config_path, "solve", _SOLVE)
     grid = _build_grid(values)
@@ -441,28 +465,18 @@ def run_solve(config_path: str) -> int:
     _write_csv(out_path, list(solved.columns), list(solved.columns.values()))
     if solved.jet is None:
         print(f"pole encountered; partial CSV written to {out_path}")
-        print(f"RESULT fail max_residual={_fmt(np.inf)}")
+        _result(False, math.inf)
         return EXIT_POLE
-    checks = solved.checks
+    residuals = [Check(name, value, tol=tol) for name, value in solved.checks.items()]
     if full_check:
-        rep = _threaded_report(cf.embed_special(solved.jet))
-        checks["frame-suite"] = rep.max_residual()
-
-    lines, ok, worst = _report_lines(
-        f"solve case={case} grid=[{grid.z0:g},{grid.z1:g}] N={grid.N}",
-        checks, tol, [solved.pole] if solved.pole else [], solved.info,
-    )
+        label, j, value = _threaded_report(cf.embed_special(solved.jet)).worst()
+        residuals.append(Check("frame-suite", value, solved.jet.z[j], label, tol))
+    diagnostics = [Check(name, value) for name, value in solved.info.items()]
     if solved.drift is not None:
-        good = solved.drift < cons_tol
-        ok = ok and good
-        lines.append(
-            f"check {'first-integral-drift':<28s} max={solved.drift:.6e} "
-            f"{'pass' if good else 'FAIL'}"
-        )
-    for line in lines:
-        print(line)
-    print(f"csv written to {out_path}")
-    print(f"RESULT {'pass' if ok else 'fail'} max_residual={_fmt(worst)}")
+        diagnostics.append(Check("first-integral-drift", solved.drift, tol=cons_tol))
+    ok = _report(f"solve case={case} grid=[{grid.z0:g},{grid.z1:g}] N={grid.N}",
+                 [solved.pole] if solved.pole else [], residuals, diagnostics,
+                 footer=f"csv written to {out_path}")
     if solved.pole:
         return EXIT_POLE
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -479,7 +493,7 @@ def _perturbed(jet: cf.SpecialJet, delta: float) -> cf.SpecialJet:
     return jet.replace_value(a3=np.asarray(jet.value.a3) + delta)
 
 
-def _verify_blocks(jet: cf.SpecialJet):
+def _verify_blocks(jet: cf.SpecialJet, tol: float) -> list[Check]:
     """Per-block max residuals with the grid row of the worst entry.  The
     jet's entries are scanned once, for which are live and whether all are
     finite, and the three reports take their components from that scan;
@@ -487,16 +501,15 @@ def _verify_blocks(jet: cf.SpecialJet):
     special report is dropped before the next report is built."""
     zs = jet.z
     scan = scan_jet(jet)
-    results = []
+    rows = []
     for title, system in (("special-bianchi", cf.bianchi_special_residuals),
                           ("ricci-einstein", cf.ricci_einstein_residuals)):
-        label, j, val = system(jet, scan=scan).worst()
-        results.append((title, val, zs[j], label))
+        label, j, value = system(jet, scan=scan).worst()
+        rows.append(Check(title, value, zs[j], label, tol))
     # embed_special shares the jet's entries, so the scan is its too
     rep = _threaded_report(cf.embed_special(jet), scan)
-    for label, (j, val) in rep.block_worst().items():
-        results.append((f"frame-{label}", val, zs[j], ""))
-    return results, float(max(r[1] for r in results))
+    return rows + [Check(f"frame-{label}", value, zs[j], tol=tol)
+                   for label, (j, value) in rep.block_worst().items()]
 
 
 def _verify_a1(values: dict, grid: Grid):
@@ -541,18 +554,8 @@ def run_verify(config_path: str) -> int:
     jet = _perturbed(jet, delta)
     if delta:
         notes.append(f"a3 column perturbed by {delta:g}")
-    results, worst = _verify_blocks(jet)
-
-    print(f"verify case={case} grid=[{grid.z0:g},{grid.z1:g}] N={grid.N}")
-    for n in notes:
-        print(f"note: {n}")
-    ok = True
-    for label, val, z_at, entry in results:
-        good = val < tol
-        ok = ok and good
-        where = f" at z={z_at:.6g}" + (f" ({entry})" if entry else "")
-        print(f"block {label:<22s} max={val:.6e}{where} {'pass' if good else 'FAIL'}")
-    print(f"RESULT {'pass' if ok else 'fail'} max_residual={_fmt(worst)}")
+    ok = _report(f"verify case={case} grid=[{grid.z0:g},{grid.z1:g}] N={grid.N}",
+                 notes, _verify_blocks(jet, tol))
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -714,6 +717,7 @@ def run_residual(table_path: str, system: str, out_path: str | None,
             raise ConfigError(f"--tol must be a finite number, got {tol}") from None
     coord, grid, cols = _read_table(table_path)
     zs = cols[coord]
+    notes = []
     if system == "general":
         reports = [_threaded_report(_jet_arrays_from_table(coord, grid, cols))]
     else:
@@ -723,29 +727,23 @@ def run_residual(table_path: str, system: str, out_path: str | None,
             if cf.is_gauge_reduced(jet):
                 reports.append(cf.ricci_einstein_residuals(jet, signed_zeros=True))
             else:
-                print("note: state is not gauge-reduced; RE block skipped")
+                notes.append("state is not gauge-reduced; RE block skipped")
             reports.append(_ansatz_checks(cols, np.zeros(len(zs))))
         else:
             reports = [cf.futurework_residuals(jet)]
-    # the general CSV holds each block's max-abs per point, the special ones
-    # each signed entry
-    summary, columns = {}, [zs]
-    for rep in reports:
-        summary |= rep.block_norms()
-        columns += (rep.block_point_max().values() if system == "general"
-                    else [arr for _, arr in rep.blocks()])
-    columns.append(reduce(np.maximum, (rep.per_point_max() for rep in reports)))
-    header = [coord, *summary, "max"]
-    worst = max(summary.values())
-
+    rows = [Check(label, value, zs[j], tol=tol)
+            for rep in reports for label, (j, value) in rep.block_worst().items()]
     if out_path:
-        _write_csv(out_path, header, columns)
+        # the general CSV holds each block's max-abs per point, the special
+        # ones each signed entry
+        columns = [zs]
+        for rep in reports:
+            columns += (rep.block_point_max().values() if system == "general"
+                        else [arr for _, arr in rep.blocks()])
+        columns.append(reduce(np.maximum, (rep.per_point_max() for rep in reports)))
+        _write_csv(out_path, [coord, *(row.label for row in rows), "max"], columns)
         print(f"residual csv written to {out_path}")
-    print(f"residual system={system} points={len(zs)}")
-    for name, val in summary.items():
-        print(f"block {name:<12s} max={val:.6e}")
-    ok = True if tol is None else worst < tol
-    print(f"RESULT {'pass' if ok else 'fail'} max_residual={_fmt(worst)}")
+    ok = _report(f"residual system={system} points={len(zs)}", notes, rows, coord=coord)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -832,7 +830,7 @@ def main(argv=None) -> int:
         return EXIT_POLE
     except NonFiniteResidual as exc:  # finite input, overflowing residual
         print(f"note: {exc}")
-        print(f"RESULT fail max_residual={_fmt(np.inf)}")
+        _result(False, math.inf)
         return EXIT_VERIFY_FAIL
 
 

@@ -63,6 +63,38 @@ def read_csv(path):
     return header, {name: data[:, i] for i, name in enumerate(header)}
 
 
+# every check line that solve, verify and residual print
+CHECK_LINE = re.compile(
+    r"check (?P<label>\S(?:.*?\S)?) +max=(?P<max>\S+)(?: at (?P<coord>[zt])=(?P<at>\S+))?"
+    r"(?: \((?P<entry>[^)]+)\))? (?P<verdict>pass|FAIL|\(not gated\))")
+
+
+def checks(out):
+    """{label: CHECK_LINE match} of the check lines of a report."""
+    found = {}
+    for line in out.splitlines():
+        if line.startswith("check "):
+            m = CHECK_LINE.fullmatch(line)
+            assert m, line
+            found[m["label"]] = m
+    return found
+
+
+def check_maxima(out):
+    return {label: float(m["max"]) for label, m in checks(out).items()}
+
+
+# the lines of a report besides its check lines
+REPORT_LINE = re.compile(r"(?:solve case|verify case|residual system)=.*|note: .*"
+                         r"|(?:residual )?csv written to .*|pole encountered; .*|RESULT .*")
+
+
+def check_and_note_lines(lines):
+    """The check and note lines of a report, which must hold no line but
+    these, its title, CSV line and RESULT line."""
+    for line in lines:
+        assert REPORT_LINE.fullmatch(line) or CHECK_LINE.fullmatch(line), line
+    return "\n".join(l for l in lines if l.startswith(("check ", "note: ")))
 def test_solve_a1_csv_columns_and_conservation(tmp_path, capsys):
     out = tmp_path / "a1.csv"
     cfg = write(tmp_path / "a1.cfg", A1_SOLVE.format(out=out))
@@ -253,7 +285,7 @@ def test_verify_pass_and_perturbed_fail(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("RESULT pass")
-    assert "block special-bianchi" in out and "block frame-divH" in out
+    assert {"special-bianchi", "frame-divH"} <= set(checks(out))
 
     cfg = write(tmp_path / "vp.cfg",
                 VERIFY_A1.format(A=0.0, extra="\n[perturb]\na3 = 1e-3\n"))
@@ -458,9 +490,7 @@ def test_residual_special_flags_spurious_omega3(tmp_path, capsys):
     assert main(["residual", "--table", str(tmp_path / "sp.csv"),
                  "--system", "special"]) == 0
     out = capsys.readouterr().out
-    assert "b15" in out
-    line = [l for l in out.splitlines() if l.startswith("block b15")][0]
-    assert "2.5" in line
+    assert checks(out)["b15"]["max"] == "2.500000e-01"
 
 
 def a1_closed_form_table(path, N, extra=None):
@@ -584,23 +614,18 @@ def test_a_byte_order_mark_reads_as_its_plain_twin(tmp_path, capsys, command):
     assert runs[0][0] != 2 and runs[1] == runs[0]
 
 
-def block_maxima(out):
-    return {line.split()[1]: float(line.split("max=")[1])
-            for line in out.splitlines() if line.startswith("block ")}
-
-
 def test_residual_special_absent_sigma22_and_n22_take_the_ansatz(tmp_path, capsys):
     z = [0.025 * i for i in range(21)]
     rows = "".join(f"{zi!r},{0.1 + zi!r},{0.3 - zi * zi!r}\n" for zi in z)
     table = write(tmp_path / "ansatz.csv", "z,sigma11,n11\n" + rows)
     assert main(["residual", "--table", table, "--system", "special"]) == 0
-    blocks = block_maxima(capsys.readouterr().out)
+    blocks = check_maxima(capsys.readouterr().out)
     assert blocks["b16"] == 0.0 and blocks["b17"] == 0.0
     # a sigma22 column off the ansatz shows in b16
     rows = "".join(f"{zi!r},{0.1 + zi!r},{0.3 - zi * zi!r},{0.25 + zi!r}\n" for zi in z)
     table = write(tmp_path / "off.csv", "z,sigma11,n11,sigma22\n" + rows)
     assert main(["residual", "--table", table, "--system", "special"]) == 0
-    blocks = block_maxima(capsys.readouterr().out)
+    blocks = check_maxima(capsys.readouterr().out)
     assert blocks["b16"] == pytest.approx(0.15) and blocks["b17"] == 0.0
 
 
@@ -613,7 +638,7 @@ def test_residual_special_reads_the_csv_solve_a1_writes(tmp_path, capsys):
     assert main(["residual", "--table", str(out), "--system", "general"]) == 0
     capsys.readouterr()
     assert main(["residual", "--table", str(out), "--system", "special"]) == 0
-    blocks = block_maxima(capsys.readouterr().out)
+    blocks = check_maxima(capsys.readouterr().out)
     assert blocks["ansatz_pi22"] == 0.0 and blocks["ansatz_mu3p"] == 0.0
     assert blocks["b8"] < 1e-8  # the FD e_3(pi11) equation on RK4 data
 
@@ -628,7 +653,7 @@ def test_residual_special_absent_pi22_takes_the_ansatz(tmp_path, capsys, pi22):
                    + ("" if pi22 is None else f",{0.5 - zi * zi + pi22!r}") + "\n" for zi in z)
     table = write(tmp_path / "pi.csv", header + "\n" + rows)
     assert main(["residual", "--table", table, "--system", "special"]) == 0
-    blocks = block_maxima(capsys.readouterr().out)
+    blocks = check_maxima(capsys.readouterr().out)
     assert blocks["ansatz_pi22"] == (0.0 if pi22 is None else pytest.approx(0.1, rel=1e-12))
 
 
@@ -1274,7 +1299,7 @@ def grid(z1, N, z0=0.0):
 
 CHARACTERIZED = {
     # (command, sections, exit code, sha256 of the CSV (solve) or of the
-    # block and note lines (verify), RESULT line)
+    # check and note lines (verify), RESULT line)
     "solve-a1-A": ("solve", {
         "scenario": {"case": "a1", "full_check": "true"}, "frame": {"F": 1.0},
         "grid": grid(1.0, 200), "initial": {"sigma11": 0.1, "Omega3": 1.0},
@@ -1324,26 +1349,26 @@ CHARACTERIZED = {
         "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
         "constants": {"A": 1.0, "B": 1.0, "sign": -1}},
         0,
-        "2e34285ed1a2fadc65bb343e682951b11f33da776d4414ee5e955721170085f1",
+        "3be505f7ae5934a68fab0e0976413935922f105560e0d415f45623eaa6df611e",
         "RESULT pass max_residual=5.1159076974727213e-12"),
     "verify-a1-shearless": ("verify", {
         "scenario": {"case": "a1-shearless"}, "frame": {"F_table": "{table}"},
         "grid": grid(0.4, 120), "constants": {"C": 1.0, "B": 1.0}},
         0,
-        "de6c993f3a374d38d894e8ab7bf21da6c8278f6ec460fab8db89545faeabdd9d",
+        "33b61f1e85d9a72ce962263b11312b48436edb6334a9933eb6572381640230ad",
         "RESULT pass max_residual=1.2789769243681803e-13"),
     "verify-a2-branch1": ("verify", {
         "scenario": {"case": "a2-branch1"}, "frame": {"F": 1.0},
         "grid": grid(0.4, 120), "constants": {"C": 1.0}},
         0,
-        "adc9e643cd79336914020dffadcb5581c7fc3ee5c95fa7e0d92a7358360dad72",
+        "667a9b78e43cb58e16740e2d25ae478335a55dafdd013b21c59cd17915846197",
         "RESULT pass max_residual=5.1159076974727213e-13"),
     "verify-a2-branch2-perturbed": ("verify", {
         "scenario": {"case": "a2-branch2"}, "frame": {"F": 1.0},
         "grid": grid(0.5, 100), "constants": {"D": 1.0, "B": 0.5},
         "perturb": {"a3": 1e-6}},
         4,
-        "af9bcf4ef1b137e4310dc6e93f6d20e963362fc5b34f2a456df4b25d163d5df8",
+        "685251ce0596081421f4a5a16320a0534dbc3e164edfcf90de41972e395e35f4",
         "RESULT fail max_residual=2.4000002994739589e-05"),
     # an exact closed form clipped just ahead of its pole, where a3 is about
     # 1000: the widest-ranged jet whose every line is pinned
@@ -1351,7 +1376,7 @@ CHARACTERIZED = {
         "scenario": {"case": "a1-shearless"}, "frame": {"F": 1.0},
         "grid": grid(0.9, 90), "constants": {"C": 1.0}},
         4,
-        "f929c28df5e53fd53bf05900d0cb19e4c20fd21507b32161e81f7ae0ba660ba8",
+        "4c0cdfb1a00aaea1391de873eee0895d903b00e76261e9b45ccf1778a03f4bd5",
         "RESULT fail max_residual=2.6822090148925781e-07"),
     # sign -1 with A < 0: negative a3 and F, clipped ahead of the family
     # boundary, so that negative residual entries set block maxima
@@ -1359,13 +1384,13 @@ CHARACTERIZED = {
         "scenario": {"case": "a1"}, "grid": grid(3.0, 300),
         "constants": {"A": -0.05, "B": 0.5, "sign": -1}},
         0,
-        "6a14df60bdd0c4870f0b27f4d8effe3e107c21657f78a5f638ff0fef0cdec4d1",
+        "1cf3924fd2d842d714bac9b5d3f1fa914fc58815d514b931bf0286c3ebff8c73",
         "RESULT pass max_residual=6.5483618527650833e-11"),
     "verify-a1-perturbed": ("verify", {
         "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
         "constants": {"A": 1.0, "B": 1.0}, "perturb": {"a3": 1e-6}},
         4,
-        "bfedeafc201cd8c25660cbc4e73537e6611dd6d4431c78a2cf8a1c52f1aa6340",
+        "36325752fe423ed237043077f1c1d5b72952d5e5d77cbe948f04bb2b3e0a6ac5",
         "RESULT fail max_residual=0.00043678519989498454"),
 }
 
@@ -1388,15 +1413,15 @@ def run_characterized(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", sorted(CHARACTERIZED))
 def test_characterization_exit_csv_and_result(tmp_path, capsys, name):
     """Exit code, RESULT line and the sha256 of the CSV of every solve case
-    and of the block and note lines of every verify case."""
+    and of the check and note lines of every verify case."""
     command, _, code, digest, result = CHARACTERIZED[name]
     status, lines, out = run_characterized(tmp_path, capsys, name)
     assert status == code
     assert lines[-1] == result
+    printed = check_and_note_lines(lines)
     if command == "solve":
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     else:
-        printed = "\n".join(l for l in lines if l.startswith(("block ", "note: ")))
         assert hashlib.sha256(printed.encode()).hexdigest() == digest
 
 
@@ -1433,18 +1458,18 @@ RESIDUAL_EXTRA = {
     "futurework": {},
 }
 RESIDUAL_CHARACTERIZED = {
-    # name: (exit code, CSV sha256, sha256 of the block and note lines, RESULT line)
+    # name: (exit code, CSV sha256, sha256 of the check and note lines, RESULT line)
     "general": (0, "4a921985728e30351f164fcb70b9a55b99aca364475ccd334738ec8a96b50b22",
-               "d4349225406be56628798e6d394560a0750a2680b092f61cda56a6e1c7331f36",
+               "99f64b7023e2dca5ac9a2f18355c713b456b0904228cc82810bd476b1d34f0c0",
                "RESULT pass max_residual=0.81291923793609722"),
     "special": (0, "216afe9bb10595df8a55ebf1430470582bc3be732b48fcca62a8ebcc1c1b500a",
-               "bea37d663e6234daf361e9370a1c7b413e41cfe83e88a4877670357fa4d11a63",
+               "61431be2740063f97ee20a47ae32b2eef0d160b81285c840adca46029cd3b1e1",
                "RESULT pass max_residual=0.054335366503437399"),
     "special-ungauged": (0, "30b0be8473ace8804642f604baceeb43b66ce921d012a3a8e4f4dd020bb263cd",
-                        "87ccc2e2e6c1b163e9d42e5eab7cf69bbebee0012a34f092ea318648e2ab7dd1",
+                        "716e8a82b3d4cfc4e415e7c0b30f9e550023a50344c0b6e51165484692521a10",
                         "RESULT pass max_residual=0.054335366503437399"),
     "futurework": (0, "f357532a93ce638d4f17c5eeaae97565ef7d7f5093cd2acd4ff42da29e1b00e5",
-                  "968612d16c122b35048ffd19d0d0a832c8cbd4a82267afa8f65579679c9108d7",
+                  "7a70a64cbd6dc4dfd5aea9f22a0deed856be8c4a9049c78b44e4cb46ab068b8e",
                   "RESULT pass max_residual=801.08897147103175"),
 }
 
@@ -1461,12 +1486,12 @@ def run_residual_characterized(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("name", sorted(RESIDUAL_CHARACTERIZED))
 def test_characterization_residual(tmp_path, capsys, name):
-    """Exit code, CSV sha256, block lines and RESULT line of every residual
+    """Exit code, CSV sha256, check and note lines and RESULT line of every residual
     system on a small A1 closed-form table."""
     code, digest, blocks, result = RESIDUAL_CHARACTERIZED[name]
     status, lines, out = run_residual_characterized(tmp_path, capsys, name)
     assert status == code
-    printed = "\n".join(l for l in lines if l.startswith(("block ", "note: ")))
+    printed = check_and_note_lines(lines)
     assert lines[-1] == result
     assert hashlib.sha256(printed.encode()).hexdigest() == blocks
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -1609,13 +1634,12 @@ def test_solve_ode_checks_recompute_from_the_csv(tmp_path, capsys, case):
         "a2": (A2_SOLVE, cf.case_a2_rhs, ("p", "udot3", "a3", "Omega3"), Grid(0.0, 0.5, 200)),
     }[case]
     assert main(["solve", "--config", write(tmp_path / "c.cfg", text.format(out=out))]) == 0
-    printed = {line.split()[1]: line.split()[2] for line in capsys.readouterr().out.splitlines()
-               if line.startswith("check ode[")}
+    printed = checks(capsys.readouterr().out)
     _, cols = read_csv(out)
     e3 = rhs(*(cols[n] for n in names))
     for name, expected in zip(names, e3):
         value = np.max(np.abs(1.0 * fd_derivative(cols[name], grid) - expected))
-        assert printed[f"ode[{name}]"] == f"max={value:.6e}", name
+        assert printed[f"ode[{name}]"]["max"] == f"{value:.6e}", name
 
 
 def test_verify_profile_key_is_unknown(tmp_path, capsys):
