@@ -307,15 +307,15 @@ class _Case:
 @dataclasses.dataclass
 class _Solved:
     """What a solve producer returns: the CSV columns in file order, the
-    gated checks and the jet the frame suite runs on.  A jet of None means
-    an integration stopped at a pole and the columns are the rows up to it."""
+    residual checks gated by residual_tol, the jet the frame suite runs on
+    and the diagnostic checks.  A jet of None means an integration stopped
+    at a pole and the columns are the rows up to it."""
 
     columns: dict
     checks: dict = dataclasses.field(default_factory=dict)
     jet: cf.SpecialJet | None = None
     pole: str | None = None
-    info: dict = dataclasses.field(default_factory=dict)
-    drift: float | None = None
+    diagnostics: list = dataclasses.field(default_factory=list)
 
 
 def _e_derivatives(grid: Grid, F, columns: dict) -> dict:
@@ -379,7 +379,9 @@ def _solve_a1(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
                         cf.a1_trajectory_jet, _a1_columns)
     if solved.jet is not None:
         first = solved.columns["firstintegral_A"]
-        solved.drift = float(np.max(np.abs(first - first[0])))
+        solved.diagnostics.append(Check("first-integral-drift",
+                                        float(np.max(np.abs(first - first[0]))),
+                                        tol=values.get("tolerances.conservation_tol", 1e-8)))
     return solved
 
 
@@ -431,7 +433,7 @@ def _solve_branch(fields_of, layout, values: dict, grid: Grid,
                            {"a3": e3_a3, "Omega3": jet.deriv[3].Omega3})
     return _Solved({name: fields[name] for name in layout}, checks, jet,
                    pole=None if f.note is None else f"pole: {f.note}",
-                   info={f"fd[{k}]": v for k, v in info.items()})
+                   diagnostics=[Check(f"fd[{k}]", v) for k, v in info.items()])
 
 
 _C_CONSTANTS = {"constants": {"C": (True, _parse_float), "B": (False, _parse_float)}}
@@ -457,7 +459,6 @@ def run_solve(config_path: str) -> int:
     grid = _build_grid(values)
     frame = _build_frame(values, grid)
     tol = values.get("tolerances.residual_tol", 1e-10)
-    cons_tol = values.get("tolerances.conservation_tol", 1e-8)
     out_path = values["scenario.output"]
     full_check = values.get("scenario.full_check", False)
 
@@ -471,11 +472,8 @@ def run_solve(config_path: str) -> int:
     if full_check:
         label, j, value = _threaded_report(cf.embed_special(solved.jet)).worst()
         residuals.append(Check("frame-suite", value, solved.jet.z[j], label, tol))
-    diagnostics = [Check(name, value) for name, value in solved.info.items()]
-    if solved.drift is not None:
-        diagnostics.append(Check("first-integral-drift", solved.drift, tol=cons_tol))
     ok = _report(f"solve case={case} grid=[{grid.z0:g},{grid.z1:g}] N={grid.N}",
-                 [solved.pole] if solved.pole else [], residuals, diagnostics,
+                 [solved.pole] if solved.pole else [], residuals, solved.diagnostics,
                  footer=f"csv written to {out_path}")
     if solved.pole:
         return EXIT_POLE

@@ -79,9 +79,6 @@ class Trajectory:
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite entries")
 
-    def column(self, i: int) -> np.ndarray:
-        return self.states[:, i]
-
 
 class PoleError(RuntimeError):
     """Integration produced a non-finite state; carries the usable prefix."""

@@ -67,11 +67,9 @@ class WeylSpinor:
     psi4: complex
 
     def max_abs(self):
-        """max |Psi_n|, taken as ``max`` takes it: a nan after Psi_0 is
-        passed over."""
-        return functools.reduce(lambda m, a: np.where(a > m, a, m),
-                                map(abs, (self.psi0, self.psi1, self.psi2,
-                                          self.psi3, self.psi4)))
+        """max |Psi_n|, nan where any Psi_n is nan."""
+        return functools.reduce(np.maximum, map(abs, (self.psi0, self.psi1, self.psi2,
+                                                      self.psi3, self.psi4)))
 
 
 def _tracefree(x, t: str) -> dict:

@@ -445,6 +445,17 @@ def test_spinor_overflowing_state_prints_inf_and_nan(tmp_path, capsys, tensor):
     assert "inf" in captured.out or "nan" in captured.out
 
 
+@pytest.mark.parametrize("state, psi", [
+    ("H11 = 1e308\nH22 = 1e308\n", "Psi2"),  # H33 overflows
+    ("E13 = -1e308\nE23 = -1e308\nH13 = 1e308\nH23 = -1e308\n", "Psi1"),  # inf - inf
+], ids=["H33-overflow", "inf-minus-inf"])
+def test_spinor_nan_weyl_spinor_is_not_conformally_flat(tmp_path, capsys, state, psi):
+    assert main(["spinor", "--state", write(tmp_path / "s.cfg", f"[state]\n{state}")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"{psi} nan+nani" in out
+    assert "conformally_flat false" in out
+
+
 def test_spinor_non_finite_state_is_config_error(tmp_path, capsys):
     """The config parser is the one check on non-finite state values."""
     state = write(tmp_path / "s.cfg", "[state]\nmu = nan\np = 0.1\n")
@@ -564,6 +575,29 @@ def test_residual_tol_gates_result(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("RESULT pass")
     assert main(["residual", "--table", table, "--tol", "1e-12"]) == 4
     assert capsys.readouterr().out.splitlines()[-1].startswith("RESULT fail")
+
+
+def test_residual_tol_gates_each_block(tmp_path, capsys):
+    """With --tol each block line carries its own verdict: on this table
+    divH alone exceeds 0.6, and the run exits 4."""
+    table = a1_closed_form_table(tmp_path / "state.csv", 40, RESIDUAL_EXTRA["general"])
+    assert main(["residual", "--table", table, "--tol", "0.6"]) == 4
+    out = capsys.readouterr().out
+    verdicts = {label: m["verdict"] for label, m in checks(out).items()}
+    assert verdicts.pop("divH") == "FAIL"
+    assert len(verdicts) == 14 and set(verdicts.values()) == {"pass"}
+    assert out.splitlines()[-1] == "RESULT fail max_residual=0.81291923793609722"
+
+
+def test_residual_lines_name_the_worst_point_in_the_table_coordinate(tmp_path, capsys):
+    """A t-table's check lines give the worst point as t=..., not gated
+    without --tol."""
+    table = eds_table(tmp_path / "eds.csv", 50)
+    assert main(["residual", "--table", table]) == 0
+    found = checks(capsys.readouterr().out)
+    assert len(found) == 15
+    assert {(m["coord"], m["verdict"]) for m in found.values()} == {("t", "(not gated)")}
+    assert all(0.5 <= float(m["at"]) <= 2.5 for m in found.values())
 
 
 @pytest.mark.parametrize("argv", [["--tol=nan"], ["--tol=inf"], ["--tol=-inf"],
@@ -1571,8 +1605,8 @@ SPINOR_CHARACTERIZED = {
         "12ed2239bd06f5932464c38aa5c13175a2c95ced887d8d4f6a5b9aa65cd683dd",
         "12ed2239bd06f5932464c38aa5c13175a2c95ced887d8d4f6a5b9aa65cd683dd"),
     "H-overflow": ([{"H11": "1e308", "H22": "1e308"}], 0,
-        "d66f68fa0430ba36666a11fc6952867c1ef22b8b3d6f048ab961b45cfec2d174",
-        "d66f68fa0430ba36666a11fc6952867c1ef22b8b3d6f048ab961b45cfec2d174"),
+        "262b68c0fa23771abd90ea2a83890922e0def80636617d0372a44c58fde42e0f",
+        "262b68c0fa23771abd90ea2a83890922e0def80636617d0372a44c58fde42e0f"),
     # mu + p + pi33 = 0, with an off-diagonal pi that the rotation would kill
     "phi00-zero": ([{"mu": "1.5", "p": "0.5", "pi11": "1.0", "pi22": "1.0", "pi13": "0.3"}], 0,
         "7267578a8856e8d22cec31ecf7986f83e8d44c1e28c696d035b0609ca2113883",

@@ -486,7 +486,7 @@ def test_first_integral_conserved_along_rk4_flow():
     s0, A = 0.1, 1.0
     a30 = s0 * np.sqrt(A * s0**2 + 9.0)
     traj = rk4_integrate(cf.case_a1_rhs, [s0, a30, 1.0], Grid(0.0, 1.0, 1000), F1)
-    vals = cf.case_a1_first_integral(traj.column(0), traj.column(1))
+    vals = cf.case_a1_first_integral(traj.states[:, 0], traj.states[:, 1])
     assert np.max(np.abs(vals - A)) < 1e-8
 
 
@@ -499,9 +499,9 @@ def test_case_a1_parameterizations_agree():
     F = cf.ScaleFactor(lambda z: 3.0 * np.exp(z))
     traj = rk4_integrate(cf.case_a1_rhs,
                          [f["sigma11"][0], f["a3"][0], f["Omega3"][0]], grid, F)
-    assert np.max(np.abs(traj.column(0) - f["sigma11"])) < 1e-8
-    assert np.max(np.abs(traj.column(1) - f["a3"])) < 1e-8
-    assert np.max(np.abs(traj.column(2) - f["Omega3"])) < 1e-8
+    assert np.max(np.abs(traj.states[:, 0] - f["sigma11"])) < 1e-8
+    assert np.max(np.abs(traj.states[:, 1] - f["a3"])) < 1e-8
+    assert np.max(np.abs(traj.states[:, 2] - f["Omega3"])) < 1e-8
 
 
 def test_case_a1_forbids_perfect_fluid():
@@ -695,7 +695,7 @@ def test_case_a2_dust_reduction_a3_zero():
     u30 = 0.8
     grid = Grid(0.0, 0.5, 500)
     traj = rk4_integrate(cf.case_a2_rhs, [0.0, u30, 0.0, 1.0], grid, F1)
-    p, u3, a3 = traj.column(0), traj.column(1), traj.column(2)
+    p, u3, a3, _ = traj.states.T
     assert np.max(np.abs(p)) == 0.0
     assert np.max(np.abs(a3)) == 0.0
     assert np.max(np.abs(cf.case_a2_pi11(p, u3, a3))) == 0.0
@@ -709,7 +709,7 @@ def test_case_a2_zero_acceleration_reduction():
     a30 = 0.6
     grid = Grid(0.0, 0.5, 500)
     traj = rk4_integrate(cf.case_a2_rhs, [0.0, 0.0, a30, 0.0], grid, F1)
-    p, u3, a3 = traj.column(0), traj.column(1), traj.column(2)
+    p, u3, a3, _ = traj.states.T
     assert np.max(np.abs(p)) == 0.0
     assert np.max(np.abs(u3)) == 0.0
     exact = 1.0 / (1.0 / a30 - 1.5 * grid.points())

@@ -49,14 +49,14 @@ def test_rk4_constant_and_exponential():
     t = rk4_integrate(lambda *y: [0.0] * len(y), [2.0, -3.0], g, unit_frame)
     assert np.max(np.abs(t.states - [2.0, -3.0])) == 0.0
     t = rk4_integrate(lambda *y: y, [1.0], g, unit_frame)
-    assert abs(t.column(0)[-1] - np.e) < 1e-10
+    assert abs(t.states[-1, 0] - np.e) < 1e-10
 
 
 def test_rk4_order():
     errs = []
     for N in (100, 200, 400):
         t = rk4_integrate(lambda *y: y, [1.0], Grid(0.0, 1.0, N), unit_frame)
-        errs.append(abs(t.column(0)[-1] - np.e))
+        errs.append(abs(t.states[-1, 0] - np.e))
     orders = measured_orders(errs)
     print("rk4 orders:", orders)
     assert min(orders) > 3.9
