@@ -95,6 +95,8 @@ def check_and_note_lines(lines):
     for line in lines:
         assert REPORT_LINE.fullmatch(line) or CHECK_LINE.fullmatch(line), line
     return "\n".join(l for l in lines if l.startswith(("check ", "note: ")))
+
+
 def test_solve_a1_csv_columns_and_conservation(tmp_path, capsys):
     out = tmp_path / "a1.csv"
     cfg = write(tmp_path / "a1.cfg", A1_SOLVE.format(out=out))
