@@ -261,6 +261,14 @@ class Check:
     entry: str | None = None
     tol: float | None = None
 
+    @classmethod
+    def located(cls, label: str, value: float, at, entry=None, tol=None) -> "Check":
+        """The check of a worst point at ``at`` in ``entry``; a largest value
+        of 0.0 is held at every point, so its check names no point."""
+        if value == 0.0:
+            at = entry = None
+        return cls(label, value, at, entry, tol)
+
 
 def _result(ok: bool, worst: float) -> None:
     print(f"RESULT {'pass' if ok else 'fail'} max_residual={_fmt(worst)}")
@@ -332,9 +340,9 @@ def _resubstitution(grid: Grid, F_vals, columns: dict, rhs: dict) -> dict[str, f
 
 def _solve_ode(rhs, y0, names, grid: Grid, frame: cf.ScaleFactor,
                trajectory_jet, csv_columns) -> _Solved:
-    """RK4 of the state fields ``names`` from y0.  The checks re-substitute
-    each column into e_3 = F d/dz against the jet's e_3 entries, which are
-    ``rhs`` evaluated on the columns."""
+    """RK4 of the state fields ``names`` from y0; the jet of the rows reached
+    fills the CSV columns from its value slot.  The checks re-substitute each
+    column into e_3 = F d/dz against the jet's e_3 entries, ``rhs`` on them."""
     try:
         states, complete = rk4_integrate(rhs, y0, grid, frame).states, True
     except PoleError as exc:
@@ -344,19 +352,18 @@ def _solve_ode(rhs, y0, names, grid: Grid, frame: cf.ScaleFactor,
     zs = grid.points()[: states.shape[0]]
     ys = dict(zip(names, states.T))
     Fv = np.asarray(frame(zs), dtype=float)
-    columns = csv_columns(zs, Fv, **ys)
+    jet = trajectory_jet(zs, *ys.values())
+    columns = csv_columns(zs, Fv, jet.value)
     if not complete:
         return _Solved(columns)
-    jet = trajectory_jet(zs, *ys.values())
     e3 = {name: getattr(jet.deriv[3], name) for name in names}
     checks = _resubstitution(grid, Fv, ys, e3)
     return _Solved(columns, {f"ode[{k}]": v for k, v in checks.items()}, jet)
 
 
-def _a1_columns(z, F, sigma11, a3, Omega3) -> dict:
-    pi11, p, udot3 = cf.case_a1_closure(sigma11, a3)
-    return dict(z=z, sigma11=sigma11, a3=a3, Omega3=Omega3, F=F, pi11=pi11, p=p,
-                udot3=udot3, firstintegral_A=cf.case_a1_first_integral(sigma11, a3))
+def _a1_columns(z, F, s) -> dict:
+    return dict(z=z, sigma11=s.sigma11, a3=s.a3, Omega3=s.Omega3, F=F, pi11=s.pi11, p=s.p,
+                udot3=s.udot3, firstintegral_A=cf.case_a1_first_integral(s.sigma11, s.a3))
 
 
 def _solve_a1(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
@@ -385,9 +392,8 @@ def _solve_a1(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
     return solved
 
 
-def _a2_columns(z, F, p, udot3, a3, Omega3) -> dict:
-    return dict(z=z, p=p, udot3=udot3, a3=a3, Omega3=Omega3,
-                pi11=cf.case_a2_pi11(p, udot3, a3))
+def _a2_columns(z, F, s) -> dict:
+    return dict(z=z, p=s.p, udot3=s.udot3, a3=s.a3, Omega3=s.Omega3, pi11=s.pi11)
 
 
 def _solve_a2(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
@@ -471,7 +477,7 @@ def run_solve(config_path: str) -> int:
     residuals = [Check(name, value, tol=tol) for name, value in solved.checks.items()]
     if full_check:
         label, j, value = _threaded_report(cf.embed_special(solved.jet)).worst()
-        residuals.append(Check("frame-suite", value, solved.jet.z[j], label, tol))
+        residuals.append(Check.located("frame-suite", value, solved.jet.z[j], label, tol))
     ok = _report(f"solve case={case} grid=[{grid.z0:g},{grid.z1:g}] N={grid.N}",
                  [solved.pole] if solved.pole else [], residuals, solved.diagnostics,
                  footer=f"csv written to {out_path}")
@@ -503,20 +509,18 @@ def _verify_blocks(jet: cf.SpecialJet, tol: float) -> list[Check]:
     for title, system in (("special-bianchi", cf.bianchi_special_residuals),
                           ("ricci-einstein", cf.ricci_einstein_residuals)):
         label, j, value = system(jet, scan=scan).worst()
-        rows.append(Check(title, value, zs[j], label, tol))
+        rows.append(Check.located(title, value, zs[j], label, tol))
     # embed_special shares the jet's entries, so the scan is its too
     rep = _threaded_report(cf.embed_special(jet), scan)
-    return rows + [Check(f"frame-{label}", value, zs[j], tol=tol)
+    return rows + [Check.located(f"frame-{label}", value, zs[j], tol=tol)
                    for label, (j, value) in rep.block_worst().items()]
 
 
 def _verify_a1(values: dict, grid: Grid):
     """The (solA1) family with sigma11 = e^z: the grid clipped to where it
     exists, its jet and the notes."""
-    form = cf.CaseA1ClosedForm(
-        cf.ScalarProfile.exp(), values["constants.A"],
-        values.get("constants.sign", 1), values["constants.B"],
-    )
+    form = cf.CaseA1ClosedForm(values["constants.A"], values.get("constants.sign", 1),
+                               values["constants.B"])
     try:
         grid, note = form.clip_grid(grid)
         jet, fields = form.jet(grid)
@@ -729,7 +733,7 @@ def run_residual(table_path: str, system: str, out_path: str | None,
             reports.append(_ansatz_checks(cols, np.zeros(len(zs))))
         else:
             reports = [cf.futurework_residuals(jet)]
-    rows = [Check(label, value, zs[j], tol=tol)
+    rows = [Check.located(label, value, zs[j], tol=tol)
             for rep in reports for label, (j, value) in rep.block_worst().items()]
     if out_path:
         # the general CSV holds each block's max-abs per point, the special
@@ -807,8 +811,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     _serve_temporaries_from_the_heap()
     try:
-        # overflowing input gives inf/nan, which NonFiniteResidual, PoleError
-        # and the partial pole CSV report; numpy need not warn about it too
+        # overflowing input gives inf/nan, which NonFiniteResidual and the
+        # partial pole CSV report; numpy need not warn about it too
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if args.command == "solve":
                 return run_solve(args.config)
@@ -823,9 +827,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a grid.N beyond memory, e.g. 10**17 points
         print(f"config error: input too large for memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PoleError as exc:
-        print(f"singularity: {exc}", file=sys.stderr)
-        return EXIT_POLE
     except NonFiniteResidual as exc:  # finite input, overflowing residual
         print(f"note: {exc}")
         _result(False, math.inf)

@@ -32,7 +32,6 @@ from .numerics import (Grid, NotAKnotSpline, check_frame_factor, cumulative_inte
 
 __all__ = [
     "ScaleFactor",
-    "ScalarProfile",
     "SPECIAL_NAMES",
     "SpecialJet",
     "CaseA1ClosedForm",
@@ -91,18 +90,6 @@ class ScaleFactor:
         if np.any(values <= 0.0):
             raise ValueError("tabulated frame factor must be positive")
         return cls(NotAKnotSpline(zs, values))
-
-
-@dataclass(frozen=True)
-class ScalarProfile:
-    """A scalar function of z with its analytic derivative."""
-
-    value: Callable
-    slope: Callable
-
-    @classmethod
-    def exp(cls) -> "ScalarProfile":
-        return cls(np.exp, np.exp)
 
 
 # The surviving variables of the conformally flat elastic ansatz.  The
@@ -452,10 +439,9 @@ def a1_trajectory_jet(z, sigma11, a3, Omega3) -> SpecialJet:
 
 @dataclass(frozen=True)
 class CaseA1ClosedForm:
-    """The (solA1) family: sigma11 free, a3 = sign sqrt(A sigma11^2 + 9) sigma11,
-    F = a3 sigma11 / sigma11', Omega3 = B exp(int a3/F dz)."""
+    """The (solA1) family with sigma11 = e^z: a3 = sign sqrt(A sigma11^2 + 9)
+    sigma11, F = a3 sigma11 / sigma11' and Omega3 = B exp(int a3/F dz)."""
 
-    profile: ScalarProfile
     A: float
     sign: int = 1
     B: float = 0.0
@@ -465,19 +451,17 @@ class CaseA1ClosedForm:
             raise ValueError("sign must be +1 or -1")
 
     def radicand(self, z):
-        return self.A * np.asarray(self.profile.value(z), dtype=float) ** 2 + 9.0
+        return self.A * np.exp(z) ** 2 + 9.0
 
     def clip_grid(self, grid: Grid) -> tuple[Grid, str | None]:
         """Restrict the grid to the subinterval where the family exists.
 
-        The radicand must stay nonnegative and sigma11' nonzero; following
-        the pole-handling rule the clipped interval stops POLE_MARGIN before
-        a detected sign change.
+        The radicand must stay nonnegative and sigma11' nonzero, which e^z
+        is not where it underflows; following the pole-handling rule the
+        clipped interval stops POLE_MARGIN before a detected sign change.
         """
         zs = grid.points()
-        rad = self.radicand(zs)
-        slope = np.asarray(self.profile.slope(zs), dtype=float)
-        bad = (rad <= 0.0) | (slope == 0.0)
+        bad = (self.radicand(zs) <= 0.0) | (np.exp(zs) == 0.0)
         if not np.any(bad):
             return grid, None
         j = int(np.argmax(bad))
@@ -486,7 +470,7 @@ class CaseA1ClosedForm:
         lo, hi = zs[j - 1], zs[j]
         for _ in range(80):  # bisect the radicand sign change
             mid = 0.5 * (lo + hi)
-            if self.radicand(mid) > 0.0 and self.profile.slope(mid) != 0.0:
+            if self.radicand(mid) > 0.0 and np.exp(mid) != 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -509,8 +493,7 @@ class CaseA1ClosedForm:
         endpoint where Omega3 = B.
         """
         zs = grid.points()
-        s11 = np.asarray(self.profile.value(zs), dtype=float)
-        ds11 = np.asarray(self.profile.slope(zs), dtype=float)
+        s11 = ds11 = np.exp(zs)  # sigma11' = sigma11
         rad = self.radicand(zs)
         if np.any(rad < 0.0):
             raise ValueError("negative radicand: A sigma11^2 + 9 < 0 on the grid")
@@ -526,10 +509,9 @@ class CaseA1ClosedForm:
             Omega3 = np.zeros_like(zs)
         else:
             def integrand(z):
-                # a3/F reduces to sigma11'/sigma11 for this family
-                return np.asarray(self.profile.slope(z), dtype=float) / np.asarray(
-                    self.profile.value(z), dtype=float
-                )
+                # a3/F reduces to sigma11'/sigma11 for this family: 1, and
+                # nan where e^z overflows
+                return np.exp(z) / np.exp(z)
 
             _, values, stride = cumulative_integral_refined(integrand, grid)
             Omega3 = self.B * np.exp(values[::stride])

@@ -321,10 +321,10 @@ class _Components:
 
     Every operator acts entry by entry and broadcasts over the component
     axes only; an operand that is not a table (a scalar field or a number)
-    enters every entry, and keeps its side of the operator.  A result whose
-    every entry is ``ZERO`` is ``ZERO`` itself, and indexing a single
-    component returns its entry.  ndarray operators defer to it
-    (``__array_ufunc__ = None``).
+    enters every entry, and keeps its side of the operator, the right one
+    but for ``*``.  A result whose every entry is ``ZERO`` is ``ZERO``
+    itself, and indexing a single component returns its entry.  ndarray
+    operators defer to it (``__array_ufunc__ = None``).
     """
 
     __array_ufunc__ = None
@@ -344,14 +344,8 @@ class _Components:
     def __add__(self, other):
         return self if other is ZERO else _table(_ADD(self.c, _cell(other)))
 
-    def __radd__(self, other):
-        return _table(_ADD(_cell(other), self.c))
-
     def __sub__(self, other):
         return self if other is ZERO else _table(_SUB(self.c, _cell(other)))
-
-    def __rsub__(self, other):
-        return _table(_SUB(_cell(other), self.c))
 
     def __mul__(self, other):
         return ZERO if other is ZERO else _table(_MUL(self.c, _cell(other)))
@@ -564,9 +558,10 @@ class _Trace:
 class _Entry:
     """A batch entry of a kernel being traced: a slot of its trace.
 
-    ``+ - * /`` and ``**`` with another entry of the trace or a number, and
-    unary minus, record the operation on the trace; numpy defers to it
-    (``__array_ufunc__ = None``), so any other use raises TypeError.
+    ``+ - * /`` and ``**`` with another entry of the trace or a number, a
+    number on the left of ``*`` only, and unary minus, record the operation
+    on the trace; numpy defers to it (``__array_ufunc__ = None``), so any
+    other use raises TypeError.
     """
 
     __array_ufunc__ = None
@@ -579,14 +574,8 @@ class _Entry:
     def __add__(self, other):
         return self.trace.record(operator.add, self, other)
 
-    def __radd__(self, other):
-        return self.trace.record(operator.add, other, self)
-
     def __sub__(self, other):
         return self.trace.record(operator.sub, self, other)
-
-    def __rsub__(self, other):
-        return self.trace.record(operator.sub, other, self)
 
     def __mul__(self, other):
         return self.trace.record(operator.mul, self, other)
@@ -1211,12 +1200,6 @@ class ResidualReport:
     def blocks(self):
         for label in self._blocks:
             yield label, self.block(label)
-
-    def block_norms(self) -> dict[str, float]:
-        return dict(self._norms)
-
-    def max_residual(self) -> float:
-        return max(self._norms.values())
 
     def _block_max(self, label: str):
         """The block's max-abs over its components at every batch entry,

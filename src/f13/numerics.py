@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import linecache
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -71,13 +70,7 @@ class Trajectory:
     """Per-node state vectors over a grid."""
 
     grid: Grid
-    states: np.ndarray  # shape (N + 1, d)
-
-    def __post_init__(self):
-        if self.states.shape[0] != self.grid.N + 1:
-            raise ValueError("trajectory length does not match grid")
-        if not np.all(np.isfinite(self.states)):
-            raise ValueError("trajectory contains non-finite entries")
+    states: np.ndarray  # shape (N + 1, d), finite
 
 
 class PoleError(RuntimeError):
@@ -252,33 +245,27 @@ def fd_derivative(samples, grid: Grid) -> np.ndarray:
 
 
 def quadrature(samples, grid: Grid) -> np.ndarray:
-    """Cumulative integral of gridded samples by composite Simpson.
+    """Cumulative integral of gridded samples by composite Simpson, on a
+    grid of an even number of cells (ValueError otherwise).
 
-    Even nodes are reached by exact Simpson pairs; odd interior nodes use the
-    O(h^4) three-point half-panel rule.  An odd final cell (odd N) falls back
-    to the trapezoid rule and is flagged with a warning.
+    Even nodes are reached by exact Simpson pairs; odd nodes use the
+    O(h^4) three-point half-panel rule.
     """
     f = np.asarray(samples, dtype=float)
     if f.shape[0] != grid.N + 1:
         raise ValueError("sample count does not match grid")
-    h = grid.h
     n = grid.N
+    if n % 2:
+        raise ValueError("Simpson quadrature needs an even number of cells")
+    h = grid.h
     out = np.zeros_like(f)
     # Simpson pairs: I[i] = I[i-2] + (h/3)(f[i-2] + 4 f[i-1] + f[i]); the
     # leading zero keeps the running sum in the loop's order, I[0] + inc[0]
-    m = n - n % 2
-    inc = (h / 3.0) * (f[0:m - 1:2] + 4.0 * f[1:m:2] + f[2:m + 1:2])
-    out[0:m + 1:2] = np.cumsum(np.concatenate((out[:1], inc)), axis=0)
+    inc = (h / 3.0) * (f[0:n - 1:2] + 4.0 * f[1:n:2] + f[2:n + 1:2])
+    out[0:n + 1:2] = np.cumsum(np.concatenate((out[:1], inc)), axis=0)
     # odd nodes from the quadratic through the neighbouring triple
-    out[1:m:2] = out[0:m - 1:2] + (h / 12.0) * (
-        5.0 * f[0:m - 1:2] + 8.0 * f[1:m:2] - f[2:m + 1:2])
-    if n % 2:
-        out[n] = out[n - 1] + 0.5 * h * (f[n - 1] + f[n])
-        warnings.warn(
-            "odd cell count: trapezoid fallback on the last cell",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    out[1:n:2] = out[0:n - 1:2] + (h / 12.0) * (
+        5.0 * f[0:n - 1:2] + 8.0 * f[1:n:2] - f[2:n + 1:2])
     return out
 
 

@@ -512,7 +512,7 @@ def a1_closed_form_table(path, N, extra=None):
     from f13 import conformal as cf
     from f13.numerics import Grid
 
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=1.0)
     f = form.evaluate(Grid(0.0, 1.0, N))
     names = ["z", "F", "Theta", "sigma11", "sigma22", "udot3", "a3", "p",
              "pi11", "pi22", "Omega3", "mu"]
@@ -593,13 +593,19 @@ def test_residual_tol_gates_each_block(tmp_path, capsys):
 
 def test_residual_lines_name_the_worst_point_in_the_table_coordinate(tmp_path, capsys):
     """A t-table's check lines give the worst point as t=..., not gated
-    without --tol."""
+    without --tol; a block that is zero everywhere names no point."""
     table = eds_table(tmp_path / "eds.csv", 50)
     assert main(["residual", "--table", table]) == 0
     found = checks(capsys.readouterr().out)
     assert len(found) == 15
-    assert {(m["coord"], m["verdict"]) for m in found.values()} == {("t", "(not gated)")}
-    assert all(0.5 <= float(m["at"]) <= 2.5 for m in found.values())
+    assert {m["verdict"] for m in found.values()} == {"(not gated)"}
+    located = {label for label, m in found.items() if float(m["max"]) != 0.0}
+    assert located == {"field1", "field3", "bianchi1"}
+    for label, m in found.items():
+        if label in located:
+            assert m["coord"] == "t" and 0.5 <= float(m["at"]) <= 2.5, label
+        else:
+            assert m["coord"] is None and m["entry"] is None, label
 
 
 @pytest.mark.parametrize("argv", [["--tol=nan"], ["--tol=inf"], ["--tol=-inf"],
@@ -1385,26 +1391,26 @@ CHARACTERIZED = {
         "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
         "constants": {"A": 1.0, "B": 1.0, "sign": -1}},
         0,
-        "3be505f7ae5934a68fab0e0976413935922f105560e0d415f45623eaa6df611e",
+        "73a2fd630e9cec0d99fccc5e804ebe8cb77ee9b67f1816e969a500818b5902b1",
         "RESULT pass max_residual=5.1159076974727213e-12"),
     "verify-a1-shearless": ("verify", {
         "scenario": {"case": "a1-shearless"}, "frame": {"F_table": "{table}"},
         "grid": grid(0.4, 120), "constants": {"C": 1.0, "B": 1.0}},
         0,
-        "33b61f1e85d9a72ce962263b11312b48436edb6334a9933eb6572381640230ad",
+        "5f1a82579c30c328b417b976bfae7096d01bea00650afebad484c4d73942b4fb",
         "RESULT pass max_residual=1.2789769243681803e-13"),
     "verify-a2-branch1": ("verify", {
         "scenario": {"case": "a2-branch1"}, "frame": {"F": 1.0},
         "grid": grid(0.4, 120), "constants": {"C": 1.0}},
         0,
-        "667a9b78e43cb58e16740e2d25ae478335a55dafdd013b21c59cd17915846197",
+        "4be810b204dcdfedda70a82d02661a035ef45027947e96a8d166578eb674579e",
         "RESULT pass max_residual=5.1159076974727213e-13"),
     "verify-a2-branch2-perturbed": ("verify", {
         "scenario": {"case": "a2-branch2"}, "frame": {"F": 1.0},
         "grid": grid(0.5, 100), "constants": {"D": 1.0, "B": 0.5},
         "perturb": {"a3": 1e-6}},
         4,
-        "685251ce0596081421f4a5a16320a0534dbc3e164edfcf90de41972e395e35f4",
+        "312c6695ee86e8927d053c20b5549201571411dcdd05171a61599d54bbb80564",
         "RESULT fail max_residual=2.4000002994739589e-05"),
     # an exact closed form clipped just ahead of its pole, where a3 is about
     # 1000: the widest-ranged jet whose every line is pinned
@@ -1412,7 +1418,7 @@ CHARACTERIZED = {
         "scenario": {"case": "a1-shearless"}, "frame": {"F": 1.0},
         "grid": grid(0.9, 90), "constants": {"C": 1.0}},
         4,
-        "4c0cdfb1a00aaea1391de873eee0895d903b00e76261e9b45ccf1778a03f4bd5",
+        "b326d3ba718b943289c96b89c7f34a7b2a2613047191233e814ccc2710da1c91",
         "RESULT fail max_residual=2.6822090148925781e-07"),
     # sign -1 with A < 0: negative a3 and F, clipped ahead of the family
     # boundary, so that negative residual entries set block maxima
@@ -1420,13 +1426,13 @@ CHARACTERIZED = {
         "scenario": {"case": "a1"}, "grid": grid(3.0, 300),
         "constants": {"A": -0.05, "B": 0.5, "sign": -1}},
         0,
-        "1cf3924fd2d842d714bac9b5d3f1fa914fc58815d514b931bf0286c3ebff8c73",
+        "883b9f30181c8b6c5ffcf3e1e6cd143cd74137f8afa6643535cb0ad9ab4c926d",
         "RESULT pass max_residual=6.5483618527650833e-11"),
     "verify-a1-perturbed": ("verify", {
         "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
         "constants": {"A": 1.0, "B": 1.0}, "perturb": {"a3": 1e-6}},
         4,
-        "36325752fe423ed237043077f1c1d5b72952d5e5d77cbe948f04bb2b3e0a6ac5",
+        "bbee5cdc85d783cb13b6f0d35b3782449d51b48bc7765c7c801cf8a911b8bfd0",
         "RESULT fail max_residual=0.00043678519989498454"),
 }
 
@@ -1496,16 +1502,16 @@ RESIDUAL_EXTRA = {
 RESIDUAL_CHARACTERIZED = {
     # name: (exit code, CSV sha256, sha256 of the check and note lines, RESULT line)
     "general": (0, "4a921985728e30351f164fcb70b9a55b99aca364475ccd334738ec8a96b50b22",
-               "99f64b7023e2dca5ac9a2f18355c713b456b0904228cc82810bd476b1d34f0c0",
+               "962de8f7fd03f0177c088440f0244896211229c5f1a41f23b77b95f5c9c068ad",
                "RESULT pass max_residual=0.81291923793609722"),
     "special": (0, "216afe9bb10595df8a55ebf1430470582bc3be732b48fcca62a8ebcc1c1b500a",
-               "61431be2740063f97ee20a47ae32b2eef0d160b81285c840adca46029cd3b1e1",
+               "626eda1a01168c47eb61cf8f8f4b8d154966956314434b4e9624513daaab31c6",
                "RESULT pass max_residual=0.054335366503437399"),
     "special-ungauged": (0, "30b0be8473ace8804642f604baceeb43b66ce921d012a3a8e4f4dd020bb263cd",
-                        "716e8a82b3d4cfc4e415e7c0b30f9e550023a50344c0b6e51165484692521a10",
+                        "46ab1adccf2dfd8852b90d202340916e97e25378730ff09e06c1c1415c62eaec",
                         "RESULT pass max_residual=0.054335366503437399"),
     "futurework": (0, "f357532a93ce638d4f17c5eeaae97565ef7d7f5093cd2acd4ff42da29e1b00e5",
-                  "7a70a64cbd6dc4dfd5aea9f22a0deed856be8c4a9049c78b44e4cb46ab068b8e",
+                  "6cdf1eb000668ac90028f6a084fb566a257ffde147550ca3f5fc9f28811e13e9",
                   "RESULT pass max_residual=801.08897147103175"),
 }
 
@@ -1711,3 +1717,123 @@ def test_parser_is_built_once_and_an_argparse_error_leaves_it_usable(tmp_path, c
     assert "error:" in capsys.readouterr().err
     assert [run(solve), run(verify)] == fresh
     assert _parser() is parser
+
+
+# ---------------------------------------------------------------------------
+# config errors, each printed through main
+# ---------------------------------------------------------------------------
+
+def solve_a1_sections(**changes):
+    sections = {"scenario": {"case": "a1", "output": "{out}"}, "frame": {"F": 1.0},
+                "grid": grid(1.0, 100), "initial": {"sigma11": 0.1, "Omega3": 1.0},
+                "constants": {"A": 1.0}}
+    for section, keys in changes.items():
+        sections[section] = keys
+    return sections
+
+
+def verify_a1_sections(**constants):
+    return {"scenario": {"case": "a1"}, "grid": grid(1.0, 100),
+            "constants": {"A": 1.0, "B": 1.0, **constants}}
+
+
+MISSING = "{dir}/missing.csv"
+TABLE_ROWS = {
+    "frame-three-columns": "z,F,x\n0,1,0\n1,1,0\n",
+    "header-only": "z,p\n",
+    "non-uniform": "z,p\n0,1\n0.1,1\n0.3,1\n0.4,1\n0.5,1\n",
+    "decreasing": "z,p\n0.4,1\n0.3,1\n0.2,1\n0.1,1\n0,1\n",
+}
+# name: (command, config sections or a residual table name, the stderr or
+# its prefix, whether an OS message follows the prefix)
+CONFIG_ERRORS = {
+    "sign": ("verify", verify_a1_sections(sign=2),
+             "config error: bad value for constants.sign: sign must be +1 or -1, got '2'\n",
+             False),
+    "unreadable-config": ("solve", None, f"config error: cannot read config '{MISSING}': ",
+                          True),
+    "no-case": ("solve", {"grid": grid(1.0, 100)},
+                "config error: missing required key scenario.case\n", False),
+    "no-frame": ("solve", solve_a1_sections(frame={}),
+                 "config error: frame needs exactly one of F or F_table\n", False),
+    "frame-F-zero": ("solve", solve_a1_sections(frame={"F": 0}),
+                     "config error: frame.F must be positive\n", False),
+    "unreadable-frame-table": ("solve", solve_a1_sections(frame={"F_table": MISSING}),
+                               f"config error: cannot read frame table '{MISSING}': ", True),
+    "frame-three-columns": ("solve", solve_a1_sections(frame={"F_table": "{table}"}),
+                            "config error: frame table must have two columns: z, F\n", False),
+    "negative-radicand": ("solve", solve_a1_sections(initial={"sigma11": 1.0, "Omega3": 1.0},
+                                                     constants={"A": -1000.0}),
+                          "config error: constants.A gives a negative radicand at sigma11_0\n",
+                          False),
+    "zero-sigma11": ("solve", solve_a1_sections(
+                         initial={"sigma11": 0.0, "a3": 0.5, "Omega3": 1.0}, constants={}),
+                     "config error: case a1 needs sigma11_0 != 0; use a1-shearless instead\n",
+                     False),
+    "closed-form-start": ("verify", verify_a1_sections(A=-10.0),
+                          "config error: closed form undefined at the interval start\n", False),
+    "unreadable-table": ("residual", None, f"config error: cannot read table '{MISSING}': ",
+                         True),
+    "header-only": ("residual", "header-only",
+                    "config error: table needs a header row and at least one data row\n", False),
+    "non-uniform": ("residual", "non-uniform", "config error: table grid must be uniform\n",
+                    False),
+    "decreasing": ("residual", "decreasing",
+                   "config error: table coordinate must be increasing\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
+def test_config_error_line(tmp_path, capsys, name):
+    """Exit 2 and the one config error line on stderr, nothing on stdout."""
+    command, sections, want, os_message = CONFIG_ERRORS[name]
+    table = write(tmp_path / "table.csv", TABLE_ROWS.get(name, "z,F\n0,1\n1,1\n"))
+    missing = MISSING.format(dir=tmp_path)
+    if command == "residual":
+        argv = ["residual", "--table", missing if sections is None else table]
+    else:
+        cfg = missing
+        if sections is not None:
+            cfg = write(tmp_path / "c.cfg", config_text(
+                {s: {k: str(v).format(out=tmp_path / "out.csv", table=table, dir=tmp_path)
+                     for k, v in keys.items()} for s, keys in sections.items()}))
+        argv = [command, "--config", cfg]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    want = want.format(dir=tmp_path)
+    assert captured.out == ""
+    if os_message:
+        assert captured.err.startswith(want) and captured.err.endswith("\n")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == want
+
+
+def test_solve_a1_on_a_two_row_frame_table_takes_the_straight_line(tmp_path, capsys):
+    """A two-row F_table is the line through its rows."""
+    out = tmp_path / "a1.csv"
+    table = frame_table(tmp_path / "F.csv", [(0.0, 1.0), (1.0, 1.2)])
+    cfg = write(tmp_path / "a1.cfg", A1_SOLVE.format(out=out).replace(
+        "F = 1.0", f"F_table = {table}"))
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("RESULT pass ")
+    _, cols = read_csv(out)
+    assert np.max(np.abs(cols["F"] - (1.0 + 0.2 * cols["z"]))) <= 3e-16
+
+
+def test_verify_a1_with_B_zero_passes_and_its_zero_blocks_name_no_point(tmp_path, capsys):
+    """B = 0 takes the Omega3 = 0 branch of the closed form.  A block whose
+    largest residual is 0.0 holds it at every point, so its check line names
+    no point: neither a coordinate nor an entry."""
+    cfg = write(tmp_path / "v.cfg", VERIFY_A1.format(A=1.0, extra="").replace(
+        "B = 1.0", "B = 0.0"))
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].startswith("RESULT pass ")
+    found = checks(out)
+    zero = {label for label, m in found.items() if float(m["max"]) == 0.0}
+    assert {"frame-jacobi2", "frame-jacobi3", "frame-jacobi4", "frame-jacobi5",
+            "frame-bianchi4", "frame-divH"} <= zero
+    for label, m in found.items():
+        located = (m["at"], m["entry"]) != (None, None)
+        assert located == (label not in zero), label

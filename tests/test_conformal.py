@@ -39,7 +39,7 @@ def test_special_ricci_matches_general_map():
     """The null tetrad Ricci components of the general matter map, in one
     call on a whole A1 closed-form jet, against the ansatz's own relation to
     the pressures and the energy density at every point."""
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=-1, B=1.0)
     jet, fields = form.jet(Grid(-1.0, 1.0, 400))
     r = ricci_spinor(jet.value)
     phi00, phi11 = cf.special_ricci(fields["p"], fields["pi11"])
@@ -53,18 +53,18 @@ def test_special_ricci_matches_general_map():
 
 def test_bianchi_special_zero_state():
     vec = cf.bianchi_special_residuals(zero_jet())
-    assert vec.max_residual() == 0.0
-    assert tuple(vec.block_norms()) == cf.B_NAMES
+    assert vec.worst()[2] == 0.0
+    assert tuple(vec.block_worst()) == cf.B_NAMES
     assert len(cf.B_NAMES) == 17
 
 
 def test_bianchi_special_b16_entry():
     s = dict(sigma11=0.3, sigma22=0.5)
     vec = cf.bianchi_special_residuals(cf.SpecialJet.build(0.0, s))
-    assert vec.block_norms()["b16"] == pytest.approx(0.2, rel=1e-14)
+    assert vec.block_worst()["b16"][1] == pytest.approx(0.2, rel=1e-14)
     s = dict(omega3=0.7)
     vec = cf.bianchi_special_residuals(cf.SpecialJet.build(0.0, s))
-    assert vec.block_norms()["b15"] == 0.7
+    assert vec.block_worst()["b15"][1] == 0.7
 
 
 def test_gauge_reduce():
@@ -88,7 +88,7 @@ def test_gauge_reduce():
     # (b9)-(b14) vanish identically on reduced states
     vec = cf.bianchi_special_residuals(red)
     for name in ("b9", "b10", "b11", "b12", "b13", "b14"):
-        assert vec.block_norms()[name] == 0.0
+        assert vec.block_worst()[name][1] == 0.0
 
 
 def test_ricci_einstein_requires_reduction():
@@ -99,8 +99,8 @@ def test_ricci_einstein_requires_reduction():
 
 def test_ricci_einstein_zero_jet():
     vec = cf.ricci_einstein_residuals(zero_jet())
-    assert vec.max_residual() == 0.0
-    assert tuple(vec.block_norms()) == cf.RE_NAMES
+    assert vec.worst()[2] == 0.0
+    assert tuple(vec.block_worst()) == cf.RE_NAMES
     assert len(cf.RE_NAMES) == 18
 
 
@@ -196,7 +196,7 @@ def test_ricci_einstein_entries_are_projections_of_the_general_system():
 def test_re8_is_a_projection_of_the_general_system():
     """RE8 reads 2 e3(a1) + e2(n11); e2(n11) is nonzero on these jets."""
     reduced, general = ricci_einstein_and_general(47)
-    assert reduced.block_norms()["RE8"] > 0.1
+    assert reduced.block_worst()["RE8"][1] > 0.1
     assert_projections(reduced, general, ["RE8"])
 
 
@@ -289,7 +289,6 @@ def test_planned_reduced_systems_equal_the_kernels_on_the_jet(jet):
                 continue
             reports = [system(jet), system(jet, scan=scan)]
         for rep in reports:
-            assert rep.block_norms() == ref.block_norms(), name
             assert rep.block_worst() == ref.block_worst(), name
             for label, block in ref.blocks():
                 assert (np.abs(rep.block(label)).tobytes()
@@ -355,7 +354,7 @@ def test_non_finite_reduced_reports_leave_the_plans_as_they_are():
         bad_jet = cf.SpecialJet(None, jet.shape, jet.entries | {key: bad})
         for kernel, system, rep in zip(REDUCED_KERNELS, REDUCED.values(), reports, strict=True):
             if key not in kernel.keys_read:
-                assert system(bad_jet).block_norms() == rep.block_norms(), key
+                assert system(bad_jet).block_worst() == rep.block_worst(), key
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NonFiniteResidual):
@@ -493,7 +492,7 @@ def test_first_integral_conserved_along_rk4_flow():
 def test_case_a1_parameterizations_agree():
     """Choosing sigma11(z) and deriving F must agree with choosing that F
     and integrating the ODE system from matching initial data."""
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=0.0, sign=1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=0.0, sign=1, B=1.0)
     grid = Grid(0.0, 1.0, 1000)
     f = form.evaluate(grid)
     F = cf.ScaleFactor(lambda z: 3.0 * np.exp(z))
@@ -519,7 +518,7 @@ def test_case_a1_forbids_perfect_fluid():
 
 
 def test_closed_form_exp_profile():
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=0.0, sign=1, B=0.0)
+    form = cf.CaseA1ClosedForm(A=0.0, sign=1, B=0.0)
     grid = Grid(0.0, 1.0, 100)
     f = form.evaluate(grid)
     zs = grid.points()
@@ -531,14 +530,14 @@ def test_closed_form_exp_profile():
 
 def test_closed_form_omega3_quadrature_vs_log_identity():
     # for sigma11 = e^z the integral of a3/F is z, so Omega3 = B e^z exactly
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=2.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=2.0)
     grid = Grid(0.0, 1.0, 200)
     f = form.evaluate(grid)
     assert np.max(np.abs(f["Omega3"] - 2.0 * np.exp(grid.points()))) < 1e-9
 
 
 def test_closed_form_negative_radicand():
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=-5.0, sign=1, B=0.0)
+    form = cf.CaseA1ClosedForm(A=-5.0, sign=1, B=0.0)
     grid = Grid(0.0, 1.0, 500)
     with pytest.raises(ValueError, match="radicand"):
         form.evaluate(grid)
@@ -552,16 +551,17 @@ def test_closed_form_negative_radicand():
 
 
 def test_closed_form_flat_profile_rejected():
-    prof = cf.ScalarProfile(value=np.cos, slope=lambda z: -np.sin(z))
-    form = cf.CaseA1ClosedForm(prof, A=0.0, sign=1, B=0.0)
+    # sigma11' = e^z underflows to 0 below z = -745.14
+    form = cf.CaseA1ClosedForm(A=0.0, sign=1, B=0.0)
+    grid = Grid(-800.0, -700.0, 100)
     with pytest.raises(ValueError, match="slope|nonconstant"):
-        form.evaluate(Grid(-0.5, 0.5, 100))  # slope vanishes at z = 0
-    clipped, note = form.clip_grid(Grid(-0.5, 0.5, 100))
-    assert note is not None and clipped.z1 < 0.0
+        form.evaluate(grid)
+    with pytest.raises(ValueError, match="undefined at the interval start"):
+        form.clip_grid(grid)
 
 
 def test_closed_form_negative_sign_flags_orientation():
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=0.0, sign=-1, B=0.0)
+    form = cf.CaseA1ClosedForm(A=0.0, sign=-1, B=0.0)
     f = form.evaluate(Grid(0.0, 1.0, 100))
     assert f["orientation_flipped"]
     assert np.all(f["F"] < 0.0)
@@ -569,7 +569,7 @@ def test_closed_form_negative_sign_flags_orientation():
 
 def test_closed_form_feeds_rhs_consistently():
     # points of the family satisfy the ODE system: residuals at closure level
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=1.0)
     grid = Grid(0.0, 1.0, 200)
     f = form.evaluate(grid)
     e3_sigma = f["F"] * f["d_sigma11"]
@@ -753,9 +753,9 @@ def test_a1_trajectory_embedding_zeroes_all_systems():
         np.zeros(n), rng.uniform(-1.5, 1.5, n), rng.uniform(-2.0, 2.0, n),
         rng.uniform(-1.0, 1.0, n),
     )
-    assert cf.bianchi_special_residuals(jet).max_residual() < 1e-12
-    assert cf.ricci_einstein_residuals(jet).max_residual() < 1e-12
-    assert residual_report(cf.embed_special(jet)).max_residual() < 1e-12
+    assert cf.bianchi_special_residuals(jet).worst()[2] < 1e-12
+    assert cf.ricci_einstein_residuals(jet).worst()[2] < 1e-12
+    assert residual_report(cf.embed_special(jet)).worst()[2] < 1e-12
 
 
 def test_a2_trajectory_embedding_zeroes_all_systems():
@@ -765,9 +765,9 @@ def test_a2_trajectory_embedding_zeroes_all_systems():
         np.zeros(n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.5, 1.5, n),
         rng.uniform(-1.5, 1.5, n), rng.uniform(-1.0, 1.0, n),
     )
-    assert cf.bianchi_special_residuals(jet).max_residual() < 1e-12
-    assert cf.ricci_einstein_residuals(jet).max_residual() < 1e-12
-    assert residual_report(cf.embed_special(jet)).max_residual() < 1e-12
+    assert cf.bianchi_special_residuals(jet).worst()[2] < 1e-12
+    assert cf.ricci_einstein_residuals(jet).worst()[2] < 1e-12
+    assert residual_report(cf.embed_special(jet)).worst()[2] < 1e-12
 
 
 def stacked_embedding(jet):
@@ -802,7 +802,7 @@ def stacked_embedding(jet):
 
 
 def test_embed_special_matches_stacked_batch_first_embedding():
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=0.5)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=-1, B=0.5)
     grid, _ = form.clip_grid(Grid(0.0, 1.0, 3001))
     F = cf.ScaleFactor.from_table(np.linspace(0.0, 1.0, 11),
                                   1.0 + 0.1 * np.sin(np.linspace(0.0, 3.0, 11)))
@@ -838,7 +838,7 @@ def test_embed_special_hands_over_the_a1_components_by_reference():
     """12 components in the value and 12 in the e_3 slot, each the jet's
     own array or one computed from it (mu = 3p, pi33 = -2 pi11); every
     other component, e_0 to e_2 included, is ``ZERO``."""
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=1.0)
     jet = form.jet(Grid(0.0, 0.5, 100))[0]
     ja = fe._Sparse.of(cf.embed_special(jet)).tables
     held = {name: fe._nonzero_components(getattr(ja, name), comp)
@@ -856,7 +856,7 @@ def test_embed_special_hands_over_the_a1_components_by_reference():
 
 SPECIAL_JETS = {
     "a1-closed-form": lambda: cf.CaseA1ClosedForm(
-        cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0).jet(Grid(0.0, 0.5, 100))[0],
+        A=1.0, sign=1, B=1.0).jet(Grid(0.0, 0.5, 100))[0],
     "shearless": lambda: cf.branch_jet(cf.shearless_branch_fields(F1, 1.0, 1.0, Grid(0.0, 0.4, 400))),
     "branch2": lambda: cf.branch_jet(cf.a2_branch2_fields(F1, 1.0, 0.5, Grid(0.0, 0.6, 401))),
     "a1-trajectory": lambda: cf.a1_trajectory_jet(
@@ -928,11 +928,11 @@ def test_replace_value_keeps_every_other_entry():
 
 
 def test_perturbed_a3_breaks_residuals():
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=0.0, sign=1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=0.0, sign=1, B=1.0)
     grid = Grid(0.0, 1.0, 100)
     jet, _ = form.jet(grid)
-    assert cf.ricci_einstein_residuals(jet).max_residual() < 1e-10
-    assert cf.ricci_einstein_residuals(_perturbed(jet, 1e-3)).max_residual() > 1e-4
+    assert cf.ricci_einstein_residuals(jet).worst()[2] < 1e-10
+    assert cf.ricci_einstein_residuals(_perturbed(jet, 1e-3)).worst()[2] > 1e-4
 
 
 def test_omega3_equation_consistency_across_cases():
@@ -953,8 +953,8 @@ def test_omega3_equation_consistency_across_cases():
 
 def test_futurework_zero_jet():
     vec = cf.futurework_residuals(zero_jet())
-    assert vec.max_residual() == 0.0
-    assert tuple(vec.block_norms()) == cf.FW_NAMES
+    assert vec.worst()[2] == 0.0
+    assert tuple(vec.block_worst()) == cf.FW_NAMES
 
 
 def test_futurework_flrw_reduction():
@@ -965,7 +965,7 @@ def test_futurework_flrw_reduction():
     jet = cf.SpecialJet.build(0.0, value, e0=e0)
     vec = cf.futurework_residuals(jet)
     expected = dtheta + theta**2 / 3.0 + 3.0 * p
-    assert vec.block_norms()["RES5"] == pytest.approx(abs(expected), rel=1e-14)
+    assert vec.block_worst()["RES5"][1] == pytest.approx(abs(expected), rel=1e-14)
 
 
 def test_futurework_res3_is_re3_with_res2_substituted():
@@ -987,8 +987,8 @@ def test_futurework_res3_is_re3_with_res2_substituted():
 def test_futurework_flags_spatial_gradients():
     jet = cf.SpecialJet.build(0.0, {}, e1=dict(Theta=0.33))
     vec = cf.futurework_residuals(jet)
-    assert vec.block_norms()["RES8_e1"] == 0.33
-    assert vec.max_residual() == 0.33
+    assert vec.block_worst()["RES8_e1"][1] == 0.33
+    assert vec.worst()[2] == 0.33
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1020,7 @@ def test_residual_vector_worst_location():
     vals[1, 3] = -2.5
     vec = residual_vector(("x", "y"), vals)
     assert vec.worst() == ("y", 3, 2.5)
-    assert vec.max_residual() == 2.5
+    assert vec.worst()[2] == 2.5
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (3, 4)])
@@ -1035,8 +1035,8 @@ def test_residual_vector_worst_matches_flat_argmax_with_ties(batch):
         i, j = np.unravel_index(np.argmax(flat), flat.shape)
         vec = residual_vector(names, vals)
         assert vec.worst() == (names[i], int(j), float(flat[i, j]))
-        assert vec.max_residual() == np.max(flat)
-        assert vec.block_norms() == {n: float(np.max(flat[k])) for k, n in enumerate(names)}
+        assert vec.block_worst() == {n: (int(np.argmax(flat[k])), float(np.max(flat[k])))
+                                     for k, n in enumerate(names)}
     assert residual_vector(names, np.zeros((len(names),) + batch)).worst() == ("a", 0, 0.0)
 
 
@@ -1086,10 +1086,13 @@ def test_residual_vector_reduces_each_entry_like_the_stacked_form(batch, shapes)
         values, top, per_point, worst = stacked_reductions(names, entries)
         blocks = np.stack([arr for _, arr in vec.blocks()])
         assert blocks.tobytes() == values.tobytes() and blocks.shape == values.shape
-        assert vec.block_norms() == dict(zip(names, top.tolist()))
-        assert vec.max_residual() == np.max(top)
         assert np.asarray(vec.per_point_max()).tobytes() == np.asarray(per_point).tobytes()
-        if worst is not None:
+        if worst is None:  # an empty batch: no point is worst
+            with pytest.raises(ValueError):
+                vec.worst()
+        else:
+            assert {k: v for k, (_, v) in vec.block_worst().items()} == dict(
+                zip(names, top.tolist()))
             assert vec.worst() == worst
 
 

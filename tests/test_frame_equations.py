@@ -60,17 +60,17 @@ def test_curly_R_examples():
 
 def test_minkowski_all_zero():
     rep = residual_report(zero_jet())
-    assert rep.max_residual() == 0.0
+    assert rep.worst()[2] == 0.0
 
 
 def test_einstein_de_sitter_nullity():
     for t in (0.5, 1.0, 2.0):
         rep = residual_report(eds_jet_arrays(t))
-        norms = rep.block_norms()
-        assert norms["field1"] < 1e-12
-        assert norms["field3"] < 1e-12
-        assert norms["bianchi1"] < 1e-12
-        assert rep.max_residual() < 1e-12
+        norms = rep.block_worst()
+        assert norms["field1"][1] < 1e-12
+        assert norms["field3"][1] < 1e-12
+        assert norms["bianchi1"][1] < 1e-12
+        assert rep.worst()[2] < 1e-12
 
 
 def test_report_blocks_on_eds():
@@ -199,7 +199,7 @@ def test_rotating_congruence_satisfies_all_blocks():
     for r in (0.3, 1.0, 2.0):
         for w in (0.1, 0.35):
             rep = residual_report(rotating_congruence_jet(r, w))
-            assert rep.max_residual() < 1e-13, (r, w, rep.block_norms())
+            assert rep.worst()[2] < 1e-13, (r, w, rep.block_worst())
 
 
 def boosted_shear_jet(phi1, phi2):
@@ -220,7 +220,7 @@ def test_boosted_shear_congruence_satisfies_all_blocks():
     for phi1 in (0.4, -1.1):
         for phi2 in (0.0, 0.8, -2.3):
             rep = residual_report(boosted_shear_jet(phi1, phi2))
-            assert rep.max_residual() < 1e-14, (phi1, phi2, rep.block_norms())
+            assert rep.worst()[2] < 1e-14, (phi1, phi2, rep.block_worst())
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def test_kernels_match_einsum_on_random_jets():
 
 def test_kernels_bit_identical_on_closed_form_a1_jets():
     for A, sign, B in ((0.0, 1, 1.0), (1.0, -1, 0.0), (-5.0, 1, 1.0)):
-        form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A, sign, B)
+        form = cf.CaseA1ClosedForm(A, sign, B)
         grid, _ = form.clip_grid(Grid(0.0, 1.0, 4999))
         jet, _ = form.jet(grid)
         for name, new, ref in report_pairs(cf.embed_special(jet)):
@@ -311,11 +311,11 @@ def test_report_reductions_agree_per_point_and_per_block():
     for label, arr in rep.blocks():
         points = [np.max(np.abs(arr[..., j])) for j in range(arr.shape[-1])]
         assert np.array_equal(rowmax[label], points), label
-        assert np.max(rowmax[label]) == rep.block_norms()[label]
+        assert np.max(rowmax[label]) == rep.block_worst()[label][1]
         # the stored maxima, not a second reduction of the block
         assert rep.block_point_max()[label] is rowmax[label], label
     assert np.array_equal(rep.per_point_max(), np.max(list(rowmax.values()), axis=0))
-    assert np.max(rep.per_point_max()) == rep.max_residual()
+    assert np.max(rep.per_point_max()) == rep.worst()[2]
 
 
 @pytest.mark.parametrize("shape", [(), (37,), (4, 5)])
@@ -440,8 +440,8 @@ def test_reductions_from_the_extremes_equal_the_max_abs_reductions(case):
             return
         for given_extremes in (extremes, None):
             rep = fe.ResidualReport(shape, blocks, given_extremes)
-            assert {k: v.hex() for k, v in rep.block_norms().items()} == {
-                k: v.hex() for k, v in ref.norms.items()}
+            assert outcome(lambda: {k: v.hex() for k, (_, v) in rep.block_worst().items()}) == (
+                outcome(lambda: {label: ref.worst_at(label)[1].hex() for label in blocks}))
             assert outcome(rep.block_worst) == outcome(
                 lambda: {label: ref.worst_at(label) for label in blocks})
             label = max(ref.norms, key=ref.norms.get)
@@ -457,7 +457,7 @@ def test_reductions_from_the_extremes_equal_the_max_abs_reductions(case):
 def test_replay_takes_the_extremes_of_each_result_array():
     """Each array a replay makes for a result, and no input it passes
     through, carries its first argmax and argmin."""
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=-1, B=1.0)
     ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 300))[0])
     results = fe._report_arrays(fe._Sparse.of(ja))
     made = {id(e): e for r, comp in zip(results, fe.GENERAL_BLOCKS.values(), strict=True)
@@ -487,8 +487,6 @@ def test_non_finite_residual_names_its_block(bad, field, entry, block, shape):
 TABLE_OPS = {
     "T + T^t": lambda T, x: T + T.swapaxes(0, 1),
     "T - x": lambda T, x: T - x,
-    "x - T": lambda T, x: x - T,
-    "x + T": lambda T, x: x + T,
     "T * x": lambda T, x: T * x,
     "x * T": lambda T, x: x * T,
     "T / x": lambda T, x: T / x,
@@ -525,7 +523,7 @@ def test_report_is_the_same_for_any_batch_shape():
 
 
 def test_zero_blocks_report_zero_maxima():
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=1.0)
     ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 3000))[0])
     results = fe._report_arrays(fe._Sparse.of(ja))
     zero = [name for name, res in zip(REPORT_FIELDS, results) if res is ZERO]
@@ -534,7 +532,7 @@ def test_zero_blocks_report_zero_maxima():
     rowmax = rep.block_point_max()
     for label in zero:
         assert rowmax[label].shape == ja.shape and not rowmax[label].any(), label
-        assert rep.block_norms()[label] == 0.0 and not rep.block(label).any(), label
+        assert rep.block_worst()[label][1] == 0.0 and not rep.block(label).any(), label
     nonzero = [rowmax[label] for label in rowmax if label not in zero]
     assert np.array_equal(rep.per_point_max(), np.max(nonzero, axis=0))
     # the worst point of each block: a ZERO block's is its first, with 0.0
@@ -573,7 +571,7 @@ def test_skipping_zeros_matches_einsum_on_conformally_flat_jets():
     316 components nonzero."""
     F = cf.ScaleFactor.from_table(np.linspace(0.0, 1.0, 11),
                                   1.0 + 0.1 * np.sin(np.linspace(0.0, 3.0, 11)))
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=-1, B=0.5)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=-1, B=0.5)
     grid, _ = form.clip_grid(Grid(0.0, 1.0, 3001))
     grid2 = Grid(0.0, 0.5, 2500)
     a1 = rk4_integrate(cf.case_a1_rhs, [0.1, 1.0, 1.0], grid2, F).states
@@ -659,7 +657,7 @@ def test_non_finite_entry_raises_with_zero_fields(case):
     throughout (0 * inf is nan).  The exceptions are e_0(p), e_0(udot) and
     e_0(Omega), which enter no equation of the system."""
     if case == "a1":
-        form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+        form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=1.0)
         jet = form.jet(Grid(0.0, 0.5, 60))[0]
     else:
         jet = cf.branch_jet(cf.a2_branch2_fields(cf.ScaleFactor.constant(1.0), 1.0, 0.5,
@@ -676,7 +674,7 @@ def test_non_finite_entry_raises_with_zero_fields(case):
             ja = JetArrays(jet.shape, entries)
             with np.errstate(over="ignore", invalid="ignore"):
                 if name in ("dp", "dudot", "dOmega") and index[0] == 0:
-                    assert residual_report(ja).max_residual() < 1e-10, (name, index)
+                    assert residual_report(ja).worst()[2] < 1e-10, (name, index)
                     continue
                 with pytest.raises(NonFiniteResidual):
                     residual_report(ja)
@@ -781,7 +779,6 @@ def test_planned_report_equals_the_direct_kernels(ja):
                 residual_report(ja)
             return
         rep = residual_report(ja)
-    assert rep.block_norms() == ref.block_norms()
     assert rep.block_worst() == ref.block_worst()
     for label in fe.GENERAL_BLOCKS:
         assert rep.block(label).tobytes() == ref.block(label).tobytes(), label
@@ -822,12 +819,12 @@ def test_plans_are_traced_once_per_pattern():
 def test_a_scan_is_taken_for_its_own_jet_only():
     """A report given the scan of its jet equals one that scans the jet
     itself; the scan of another jet, even an equal one, is refused."""
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=1.0)
     jet = form.jet(Grid(0.0, 0.5, 60))[0]
     scan = fe.scan_jet(jet)
     ref = residual_report(jet)
     rep = residual_report(cf.embed_special(jet), scan)
-    assert rep.block_norms() == ref.block_norms() and rep.block_worst() == ref.block_worst()
+    assert rep.block_worst() == ref.block_worst()
     twin = JetArrays(jet.shape, dict(jet.entries))
     for report in (lambda: residual_report(twin, scan),
                    lambda: cf.bianchi_special_residuals(twin, scan=scan),
@@ -840,7 +837,7 @@ def test_non_finite_report_leaves_the_plans_as_they_are():
     """A non-finite jet is evaluated on its dense tables by the kernels
     themselves: it traces no plan and evicts none, wherever its non-finite
     entry is."""
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=1.0)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=1.0)
     ja = cf.embed_special(form.jet(Grid(0.0, 0.5, 60))[0])
     residual_report(ja)
 
@@ -863,14 +860,14 @@ def test_trace_records_each_operation_once():
     keyed by its type and bits; any other operation is a TypeError."""
     trace = fe._Trace(2)
     x, y = fe._Entry(trace, 0), fe._Entry(trace, 1)
-    assert x * y is x * y and -x is -x and x**2 is x**2 and 0.5 - x is 0.5 - x
+    assert x * y is x * y and -x is -x and x**2 is x**2 and x - 0.5 is x - 0.5
     assert x * y is not y * x
     assert x * 2.0 is x * 2.0 and x * 2 is not x * 2.0 and x + 0.0 is not x + -0.0
     assert x + ZERO is x and ZERO - x is -x and ZERO * x is ZERO
     recorded = len(trace.ops)
     for op in (lambda: x + np.ones(3), lambda: np.ones(3) * x, lambda: np.float64(2.0) * x,
-               lambda: 2.0 / x, lambda: x / ZERO, lambda: abs(x), lambda: x < y,
-               lambda: bool(x), lambda: np.sin(x), lambda: x[0], lambda: x + "1"):
+               lambda: 2.0 / x, lambda: 0.5 + x, lambda: 0.5 - x, lambda: x / ZERO,
+               lambda: abs(x), lambda: x < y, lambda: bool(x), lambda: np.sin(x), lambda: x[0], lambda: x + "1"):
         with pytest.raises(TypeError):
             op()
     assert len(trace.ops) == recorded
@@ -881,10 +878,10 @@ def test_general_report_flags_single_variable_violations():
     cached the plan of its pattern, each violation is flagged in the block
     that the equations put it in.  Theta + 0.1 keeps the pattern, so the
     cached plan replays on the new array; each other adds a component."""
-    form = cf.CaseA1ClosedForm(cf.ScalarProfile.exp(), A=1.0, sign=1, B=0.5)
+    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=0.5)
     grid, _ = form.clip_grid(Grid(0.0, 1.0, 20_000))
     ja = cf.embed_special(form.jet(grid)[0])
-    assert residual_report(ja).max_residual() < 1e-10
+    assert residual_report(ja).worst()[2] < 1e-10
     for var, value, block in (("Theta", ja.value.Theta + 0.1, "bianchi1"),
                               ("a1", 0.1, "bianchi2"), ("a2", 0.1, "bianchi2"),
                               ("n13", 0.1, "bianchi2"), ("n23", 0.1, "bianchi2"),

@@ -1,7 +1,6 @@
 """Integration, differentiation and quadrature kernel tests."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -122,12 +121,11 @@ def test_quadrature_order():
     assert min(orders) > 3.9
 
 
-def test_quadrature_odd_cell_flagged():
-    g = Grid(0.0, 1.0, 101)
-    # a warning of its own: numpy's error state, which the CLI silences, keeps it
-    with pytest.warns(RuntimeWarning, match="trapezoid"), np.errstate(all="ignore"):
-        q = quadrature(np.exp(g.points()), g)
-    assert abs(q[-1] - (np.e - 1.0)) < 1e-6  # trapezoid tail costs accuracy
+@pytest.mark.parametrize("N", [5, 101])
+def test_quadrature_rejects_an_odd_cell_count(N):
+    g = Grid(0.0, 1.0, N)
+    with pytest.raises(ValueError, match="even number of cells"):
+        quadrature(np.exp(g.points()), g)
 
 
 def test_cumulative_refined_matches_log():
@@ -148,14 +146,6 @@ def test_cumulative_refined_gives_up_after_twelve_doublings():
     with pytest.raises(ValueError, match="did not reach tol=1e-10"):
         cumulative_integral_refined(never_settles, Grid(0.0, 1.0, 4))
     assert sizes == [4 * 2**k + 1 for k in range(13)]
-
-
-def test_trajectory_shape_checks():
-    g = Grid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.zeros((5, 2)))
-    with pytest.raises(ValueError):
-        Trajectory(g, np.full((11, 1), np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -495,24 +485,19 @@ def quadrature_loop_reference(samples, grid):
     out = np.zeros_like(f)
     for i in range(2, n + 1, 2):
         out[i] = out[i - 2] + (h / 3.0) * (f[i - 2] + 4.0 * f[i - 1] + f[i])
-    for i in range(1, n + 1, 2):
-        if i == n:
-            out[i] = out[i - 1] + 0.5 * h * (f[i - 1] + f[i])
-        else:
-            out[i] = out[i - 1] + (h / 12.0) * (5.0 * f[i - 1] + 8.0 * f[i] - f[i + 1])
+    for i in range(1, n, 2):
+        out[i] = out[i - 1] + (h / 12.0) * (5.0 * f[i - 1] + 8.0 * f[i] - f[i + 1])
     return out
 
 
-@pytest.mark.parametrize("N", [4, 5, 6, 101, 1000, 100_000])
+@pytest.mark.parametrize("N", [4, 6, 1000, 100_000])
 def test_quadrature_matches_loop_reference(N):
     g = Grid(-0.3, 2.0, N)
     z = g.points()
     cases = [np.exp(z) * np.sin(7.0 * z), np.full(N + 1, -0.0),
              np.stack([np.cos(z), 1.0 / (1.0 + z * z)], axis=1)]
     for f in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = quadrature(f, g)
+        got = quadrature(f, g)
         want = quadrature_loop_reference(f, g)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros too
