@@ -818,15 +818,19 @@ def test_write_csv_matches_per_value_writer(bits, ncols):
         assert_writes_like_per_value(Path(directory), list(table.T))
 
 
+def below_powers_of_ten():
+    """The doubles nearest to 10**j that lie below it; some print as 10**j."""
+    nearest = [float(f"1e{j}") for j in range(-300, 300)]
+    return [x for x in nearest if Fraction(x) < Fraction(10) ** int(f"{x:e}".split("e")[1])]
+
+
 def write_csv_fixed_cases():
     """Values chosen at the edges of the block formatter."""
     rng = np.random.default_rng(5)
     m = rng.integers(4 * 10**15, 9 * 10**15, 2000) | 1
     ties = m / 4.0  # exact, fraction .25 or .75: a tie at 17 digits
     powers = np.array([float(f"1e{j}") for j in range(-7, 18)])
-    # the doubles nearest to 10**j that lie below it; some print as 10**j
-    nearest = [float(f"1e{j}") for j in range(-300, 300)]
-    carries = [x for x in nearest if Fraction(x) < Fraction(10) ** int(f"{x:e}".split("e")[1])]
+    carries = below_powers_of_ten()
     # the only ties below 1e-6: odd m * 2**-j with m * 5**j of 18 digits
     inexact_ties = np.array([m * 2.0**-24 for m in range(3, 16, 2)] + [2.0**-25, 3 * 2.0**-25])
     bounds = np.array([1e-6, 1e16, 1e17, 1e-280, 1e290])
@@ -846,7 +850,7 @@ def test_write_csv_matches_per_value_writer_at_the_edges(tmp_path):
     # some doubles below a power of ten print as that power: the carry is taken
     assert any(_fmt(x).startswith("1e") for x in carries)
     # a tie the inexact product cannot settle is left to '%.17g'
-    assert csvtext._decimal(inexact_ties)[3].all()
+    assert csvtext._decimal(inexact_ties)[3].tolist() == list(range(inexact_ties.size))
     assert_writes_like_per_value(tmp_path, [values, values[::-1]])
 
 
@@ -859,6 +863,30 @@ def test_write_csv_matches_per_value_writer_special_and_strided(tmp_path):
     table = np.stack([special, special[::-1], wide], axis=1)
     columns = [special, table[:, 1], wide, np.arange(special.size)]  # strided, int
     assert_writes_like_per_value(tmp_path, columns, ["z", "rev", "wide", "idx"])
+
+
+# values outside the exact range 1e-6 < |x| < 1e16: each sends its block
+# down the general path
+OUTSIDERS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, 1e16, 5e-324,
+             *(x for x in below_powers_of_ten() if _fmt(x).startswith("1e"))]
+
+
+@EXACT
+@given(st.sampled_from([1, 3 * 7, 4 * 64, csvtext.BLOCK_VALUES]), st.integers(1, 4),
+       st.integers(1, 200), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.sampled_from(OUTSIDERS)), st.floats(0.0, 1.0, exclude_max=True))
+def test_write_csv_exact_range_blocks_with_one_outsider(block_values, ncols, rows, seed,
+                                                        outsider, where):
+    rng = np.random.default_rng(seed)
+    shape = (rows, ncols)
+    # |x| = m * 10**k with m in [1, 10) and k from -6 to 15, random signs
+    table = (rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape)
+             * 10.0 ** rng.integers(-6, 16, shape))
+    if outsider is not None:
+        table.flat[int(where * table.size)] = outsider
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as directory:
+        patch.setattr(csvtext, "BLOCK_VALUES", block_values)
+        assert_writes_like_per_value(Path(directory), list(table.T))
 
 
 @pytest.mark.parametrize("rows", [511, 512, 513])
@@ -880,28 +908,34 @@ def width_blocks(rows):
             values.flat[at] = wide
         return values
 
-    return [
-        block(),  # [1, 10): no prefix, one integer word, no exponent
-        -rng.uniform(1e-4, 1e-3, (rows, 3)),  # '-0.000' prefixes
+    blocks = [
+        block(),  # [1, 10): a one-word head, no exponent
+        -rng.uniform(1e-4, 1e-3, (rows, 3)),  # '-0.000' leaders
         block(1.2345678901234567e16), block(-9.87654321e16, -1),  # 17 integer digits
         block(3.5e-200), block(-7.25e123, -1), block(1e-5, -1),  # exponents
         block(0.0), block(-0.0, -1), block(np.inf), block(-np.inf, -1), block(np.nan, -1),
         block(at=-1),
     ]
+    tiny = blocks[1].copy()  # two-word heads and a three-digit exponent
+    tiny.flat[-1] = -3.5e-200
+    mixed = block(123.25)  # a two-word head, integer words and an exponent
+    mixed.flat[[1, -1]] = -1.25e-4, -2.5e-250
+    return [*blocks, tiny, mixed]
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 512, csvtext.BLOCK_VALUES // 3])
 def test_write_csv_blocks_of_different_widths(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(csvtext, "BLOCK_VALUES", 3 * block_rows)
     blocks = width_blocks(block_rows)
-    widths = {len(csvtext._slots(b.ravel(), 3)[0]) for b in blocks}
-    assert widths == {7, 8, 9, 11, 12}
+    widths = [len(csvtext._slots(b.ravel(), 3)[0]) for b in blocks]
+    assert widths == [7, 7, 11, 11, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 10]
     assert_writes_like_per_value(tmp_path, list(np.concatenate(blocks).T))
 
 
 def test_write_csv_same_bytes_for_any_block_size(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
-    table = np.concatenate(width_blocks(150))[rng.permutation(13 * 150)]
+    blocks = width_blocks(150)
+    table = np.concatenate(blocks)[rng.permutation(len(blocks) * 150)]
     columns = list(table.T)
     write_csv_per_value(str(tmp_path / "ref.csv"), ["a", "b", "c"], columns)
     # 1, 7, 512 and the default number of rows a block, the first from a
@@ -915,7 +949,8 @@ def test_write_csv_same_bytes_for_any_block_size(tmp_path, monkeypatch):
 def test_write_csv_block_of_values_left_to_format(tmp_path):
     """Subnormals are left to '%.17g', and their text fits the slot."""
     tiny = -np.array([2.2250738585072014e-308, 5e-324, 1.2345678901234567e-310])
-    assert len(csvtext._slots(tiny, 1)[0]) == 8 and csvtext._decimal(tiny)[3].all()
+    assert len(csvtext._slots(tiny, 1)[0]) == 7
+    assert csvtext._decimal(tiny)[3].tolist() == [0, 1, 2]
     assert_writes_like_per_value(tmp_path, [tiny])
 
 
@@ -1106,7 +1141,8 @@ def test_grid_outside_frame_table_is_config_error(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 2
     assert "outside the frame table range" in capsys.readouterr().err
     # inside the table range the same config solves
-    inside = write(tmp_path / "in.cfg", open(cfg).read().replace("z1 = 1.0", "z1 = 0.8")
+    text = Path(cfg).read_text(encoding="utf-8")
+    inside = write(tmp_path / "in.cfg", text.replace("z1 = 1.0", "z1 = 0.8")
                    + "\n[tolerances]\nresidual_tol = 1e-6\n")
     assert main(["solve", "--config", inside]) == 0
     capsys.readouterr()
@@ -1540,22 +1576,25 @@ def test_characterization_residual(tmp_path, capsys, name):
 
 
 # the check lines of every characterized run, as check_rows reads them; a
-# coordinate or entry of null is not pinned
+# coordinate or entry of null is not pinned, and one of "absent" pins that the
+# line has none
 CHECK_CONTENT = json.loads((Path(__file__).parent / "data" / "check_lines.json").read_text())
+ABSENT = "absent"
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_CONTENT))
 def test_characterization_check_lines(tmp_path, capsys, name):
-    """Label, max text, verdict and, where pinned, the coordinate and entry
-    of every check line of each characterized solve, verify and residual run."""
+    """Label, max text, verdict and, where pinned, the coordinate and entry,
+    or their absence, of every check line of each characterized solve,
+    verify and residual run."""
     if name.startswith("residual-"):
         _, lines, _ = run_residual_characterized(tmp_path, capsys, name.removeprefix("residual-"))
     else:
         _, lines, _ = run_characterized(tmp_path, capsys, name)
     rows, pinned = check_rows(lines), CHECK_CONTENT[name]
     assert len(rows) == len(pinned)
-    assert [[got if want is not None else None for got, want in zip(row, pin)]
-            for row, pin in zip(rows, pinned)] == pinned
+    assert [[ABSENT if want == ABSENT and got is None else got if want is not None else None
+             for got, want in zip(row, pin)] for row, pin in zip(rows, pinned)] == pinned
 
 
 def spinor_states(count, seed):
