@@ -440,7 +440,8 @@ def a1_trajectory_jet(z, sigma11, a3, Omega3) -> SpecialJet:
 @dataclass(frozen=True)
 class CaseA1ClosedForm:
     """The (solA1) family with sigma11 = e^z: a3 = sign sqrt(A sigma11^2 + 9)
-    sigma11, F = a3 sigma11 / sigma11' and Omega3 = B exp(int a3/F dz)."""
+    sigma11, F = a3 sigma11 / sigma11' and Omega3 = B exp(int a3/F dz),
+    which is B exp(z - z0), since a3/F = sigma11'/sigma11 = 1."""
 
     A: float
     sign: int = 1
@@ -488,9 +489,9 @@ class CaseA1ClosedForm:
 
         Raises on a negative radicand or a vanishing sigma11'; use
         clip_grid first for intervals that cross the family boundary.
-        Omega3 integrates a3/F = sigma11'/sigma11 (an identity of the
-        family) by refined cumulative Simpson, anchored at the left
-        endpoint where Omega3 = B.
+        Omega3 = B exp(z - z0) equals B at the left endpoint; past the
+        overflow of e^z it is inf and its derivative nan, as sigma11's
+        fields are there.
         """
         zs = grid.points()
         s11 = ds11 = np.exp(zs)  # sigma11' = sigma11
@@ -508,13 +509,7 @@ class CaseA1ClosedForm:
         if self.B == 0.0:
             Omega3 = np.zeros_like(zs)
         else:
-            def integrand(z):
-                # a3/F reduces to sigma11'/sigma11 for this family: 1, and
-                # nan where e^z overflows
-                return np.exp(z) / np.exp(z)
-
-            _, values, stride = cumulative_integral_refined(integrand, grid)
-            Omega3 = self.B * np.exp(values[::stride])
+            Omega3 = self.B * np.exp(zs - grid.z0)
         dOmega3 = (ds11 / s11) * Omega3
         return {
             "z": zs,
@@ -549,13 +544,19 @@ def _den_on_fine_grid(F: ScaleFactor, slope: float, const: float, grid: Grid):
 
     Returns (fine_grid, den_fine, stride, F_fine) with original nodes at
     ::stride and F_fine the values of F at the fine grid's points.  Raises
-    ValueError where F is not positive and finite on a refined grid.
+    ValueError naming the first point where F is not positive and finite,
+    on the coarsest grid that has one.
     """
     last = []
 
     def integrand(z):
         Fz = np.asarray(F(z), dtype=float)
-        check_frame_factor([z], [Fz])
+        try:
+            check_frame_factor([z], [Fz])
+        except ValueError:
+            if not last:  # the first call's even points are the coarse grid
+                check_frame_factor([z[::2]], [Fz[::2]])
+            raise
         last[:] = [Fz]
         return -slope / Fz
 
@@ -644,20 +645,23 @@ def _branch_fields(F: ScaleFactor, family: BranchFamily, const: float, B: float,
     # Omega3 solves e_3(Omega3) = -udot3 Omega3 on every branch
     omega_integrand = -udot3_fine / F_fine
     Omega3_fine = B * np.exp(quadrature(omega_integrand, fine))
-    sl = slice(None, None, stride)
-    a3 = a3_fine[sl]
-    den = den_fine[sl]
+
+    def coarse(fine_values):  # the grid's nodes, contiguous
+        return fine_values[::stride].copy()
+
+    a3 = coarse(a3_fine)
+    den = coarse(den_fine)
     p = family.p(a3)
     return BranchFields(
         family=family,
         grid=clipped,
-        z=fine.points()[sl],
+        z=coarse(fine.points()),
         a3=a3,
         den=den,
-        udot3=family.udot3(a3),
+        udot3=coarse(udot3_fine),
         p=p,
         pi11=-4.0 * p,
-        Omega3=Omega3_fine[sl],
+        Omega3=coarse(Omega3_fine),
         e3_a3=family.slope / (den * den),
         note=note,
     )
@@ -676,10 +680,10 @@ def a2_branch2_fields(F: ScaleFactor, D: float, B: float, grid: Grid) -> BranchF
 def branch_jet(f: BranchFields) -> SpecialJet:
     """Analytic jet of a branch family (profile derivatives, not closures,
     except e_3(Omega3) = -udot3 Omega3 of the A2 system)."""
-    value = dict(p=f.p, pi11=f.pi11, sigma11=0.0 * f.a3, Theta=0.0 * f.a3,
+    value = dict(p=f.p, pi11=f.pi11, sigma11=0.0, Theta=0.0,
                  udot3=f.udot3, a3=f.a3, Omega3=f.Omega3)
-    e3 = dict(**f.family.e3(f.a3, f.e3_a3), a3=f.e3_a3,
-              Omega3=_A2_RHS(f.p, f.udot3, f.a3, f.Omega3)[3])
+    # the last component of case_a2_rhs, by its operations
+    e3 = dict(**f.family.e3(f.a3, f.e3_a3), a3=f.e3_a3, Omega3=-f.udot3 * f.Omega3)
     return SpecialJet.build(f.z, value, e3=e3)
 
 

@@ -35,15 +35,16 @@ its separator (25 bytes), and a value left to '%.17g' always fits its slot.
 
 The 17 significant digits come from the exact product |x| * 10**(16 - k)
 with k = floor(log10|x|), held as a double p plus its error.  When every
-value of a block lies in 1e-6 < |x| < 1e16, 10**(16 - k) is a double, the
-product is exact and the block takes the exact-range path: p is an even
-integer of 1e16 or more, so D = p + rint(low) rounds half to even as
-CPython does, and no value there is special, inexact or carried to the
-next power of ten.  Other blocks take the general path.  There 10**s is a
-double-double good to about 2**-104 outside 0 <= s <= 22, the product is
-known to about 1e-13, and a value whose fraction lies within _TIE of one
-half is left to ``'%.17g'``.  So are values outside 1e-280 <= |x| < 1e290,
-where the splitting products could overflow.
+nonzero value of a block lies in 1e-6 < |x| < 1e16, 10**(16 - k) is a
+double, the product is exact and the block takes the exact-range path: p
+is an even integer of 1e16 or more, so D = p + rint(low) rounds half to
+even as CPython does, and no value there is inexact or carried to the next
+power of ten.  Its zeros are the only special values, written by index.
+Other blocks take the general path.  There 10**s is a double-double good
+to about 2**-104 outside 0 <= s <= 22, the product is known to about
+1e-13, and a value whose fraction lies within _TIE of one half is left to
+``'%.17g'``.  So are values outside 1e-280 <= |x| < 1e290, where the
+splitting products could overflow.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ _TIE = 2.0 ** -24  # far above the error of an inexact product, about 1e-13
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _LO, _HI = 1e-280, 1e290  # |x| range of the vectorised path
 _EXACT_LO, _EXACT_HI = 1e-6, 1e16  # open |x| range of the exact-range path
+_EXACT_LO_BITS = np.float64(_EXACT_LO).view(np.uint64)
 _K_LO, _K_HI = -282, 291  # decimal exponents of the tables, covering _LO.._HI +- 1
 _P10 = 10 ** np.arange(18, dtype=np.int64)
 _POINT = ord(".") << 24  # the last byte of a little-endian uint32 word
@@ -172,7 +174,19 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, ...]:
     and the indices of the special values (0, inf, nan, D = 0) and of the
     values left to '%.17g'."""
     a = np.abs(x)
-    exact = a.min() > _EXACT_LO and a.max() < _EXACT_HI  # false with a nan
+    lo = a.min()
+    exact = lo > _EXACT_LO and a.max() < _EXACT_HI  # false with a nan
+    zeros = _NONE
+    # zeros keep a block on the exact-range path, which writes them by index,
+    # as the general path writes its special values.  A magnitude's bits
+    # order as it does, and a zero's bits less one wrap to the largest
+    # uint64, so the test below reads every nonzero |x| > _EXACT_LO in one
+    # pass and one minimum
+    if (lo == 0.0 and a.max() < _EXACT_HI
+            and (a.view(np.uint64) - np.uint64(1)).min() >= _EXACT_LO_BITS):
+        exact = True
+        zeros = np.flatnonzero(a == 0.0)
+        a[zeros] = 2.0  # the general path's placeholder
     if not exact:
         fast = (a >= _LO) & (a < _HI)
         a = np.where(fast, a, 2.0)  # k = 0 and p = 2e16: no step to check
@@ -194,7 +208,8 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, ...]:
     if exact:  # low is exact and p even: rint rounds p + low half to even
         D = p.astype(np.int64)
         D += np.rint(low).astype(np.int64)
-        return D, k, _NONE, _NONE
+        D[zeros] = 0
+        return D, k, zeros, _NONE
     floor = np.floor(low)
     frac = low - floor
     D = p.astype(np.int64) + floor.astype(np.int64)

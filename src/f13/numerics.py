@@ -8,9 +8,11 @@ runs on Python floats and is generated once per state dimension, unrolled
 over the components; it performs the operations of the list-based step
 written out above ``_RK4_LOOP`` in the same order, so it gives the same
 bits.  Order-4 central finite differences with order-4 one-sided boundary
-stencils, and cumulative composite Simpson quadrature.  All kernels are
-pure functions on uniform grids.  ``NotAKnotSpline`` interpolates a tabulated frame
-factor; it equals scipy's ``CubicSpline`` bit for bit.
+stencils, and cumulative composite Simpson quadrature, which
+``cumulative_integral_refined`` repeats on doubled grids until two agree,
+evaluating its integrand once per doubling.  All kernels are pure
+functions on uniform grids.  ``NotAKnotSpline`` interpolates a tabulated
+frame factor; it equals scipy's ``CubicSpline`` bit for bit.
 """
 
 from __future__ import annotations
@@ -273,15 +275,22 @@ def cumulative_integral_refined(fn: Callable, grid: Grid, tol: float = 1e-10):
     """Cumulative integral of a callable, grid-doubled until two successive
     refinements agree to tol at the shared nodes.
 
+    fn acts elementwise and is called once per doubling, on the points of
+    the refined grid: a grid's points are the even points of its
+    refinement, bit for bit where its step is a normal double, so the first
+    comparison takes its coarse samples from the first call.
     Returns (fine_grid, values on it, stride), with the grid nodes at
     ``::stride``.  Raises ValueError if 12 doublings do not reach tol.
     """
     factor = 1 if grid.N % 2 == 0 else 2
     g = grid if factor == 1 else grid.refined()
-    vals = quadrature(fn(g.points()), g)
+    vals = None
     for _ in range(12):
         g2 = g.refined()
-        vals2 = quadrature(fn(g2.points()), g2)
+        f2 = fn(g2.points())
+        if vals is None:
+            vals = quadrature(f2[::2], g)
+        vals2 = quadrature(f2, g2)
         done = bool(np.max(np.abs(vals2[::2] - vals)) < tol)
         g, vals, factor = g2, vals2, factor * 2
         if done:

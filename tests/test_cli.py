@@ -865,8 +865,8 @@ def test_write_csv_matches_per_value_writer_special_and_strided(tmp_path):
     assert_writes_like_per_value(tmp_path, columns, ["z", "rev", "wide", "idx"])
 
 
-# values outside the exact range 1e-6 < |x| < 1e16: each sends its block
-# down the general path
+# values outside the exact range 1e-6 < |x| < 1e16: a zero keeps its block
+# on the exact-range path, each other value sends it down the general path
 OUTSIDERS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, 1e16, 5e-324,
              *(x for x in below_powers_of_ten() if _fmt(x).startswith("1e"))]
 
@@ -874,19 +874,51 @@ OUTSIDERS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, 1e16, 5e-324,
 @EXACT
 @given(st.sampled_from([1, 3 * 7, 4 * 64, csvtext.BLOCK_VALUES]), st.integers(1, 4),
        st.integers(1, 200), st.integers(0, 2**32 - 1),
-       st.one_of(st.none(), st.sampled_from(OUTSIDERS)), st.floats(0.0, 1.0, exclude_max=True))
+       st.one_of(st.none(), st.sampled_from(OUTSIDERS)), st.floats(0.0, 1.0, exclude_max=True),
+       st.sampled_from([0, 1, 5, "column"]))
 def test_write_csv_exact_range_blocks_with_one_outsider(block_values, ncols, rows, seed,
-                                                        outsider, where):
+                                                        outsider, where, zeros):
+    """Exact-range values with at most one outsider, and with none, a few
+    or a column of signed zeros besides."""
     rng = np.random.default_rng(seed)
     shape = (rows, ncols)
     # |x| = m * 10**k with m in [1, 10) and k from -6 to 15, random signs
     table = (rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape)
              * 10.0 ** rng.integers(-6, 16, shape))
+    at = (np.arange(0, table.size, ncols) if zeros == "column"
+          else rng.integers(0, table.size, zeros))
+    table.flat[at] = rng.choice([0.0, -0.0], at.size)
     if outsider is not None:
         table.flat[int(where * table.size)] = outsider
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as directory:
         patch.setattr(csvtext, "BLOCK_VALUES", block_values)
         assert_writes_like_per_value(Path(directory), list(table.T))
+
+
+def test_write_csv_zeros_keep_a_block_on_the_exact_range_path(tmp_path, monkeypatch):
+    """A block of exact-range values and signed zeros takes the exact-range
+    path, which writes the zeros by index as special values: the first
+    block of a solve CSV, whose z column starts at 0.0."""
+    paths = []
+    scaled = csvtext._scaled
+    monkeypatch.setattr(csvtext, "_scaled",
+                        lambda a, ah, al, k, exact=False: paths.append(exact)
+                        or scaled(a, ah, al, k, exact))
+    x = np.array([0.0, 0.5, -0.0, 123.25, -7e-6, 0.0])
+    D, k, special, slow = csvtext._decimal(x)
+    assert paths and all(paths)
+    assert special.tolist() == [0, 2, 5] and slow.size == 0
+    assert D[special].tolist() == [0, 0, 0] and k[special].tolist() == [0, 0, 0]
+    # the smallest nonzero |x| decides, at the edge of the open range too;
+    # a block of zeros alone takes the exact-range path
+    lo = csvtext._EXACT_LO
+    for block, exact in (([0.0, 0.5, 1e-7], False), ([0.0, 0.5, lo], False),
+                         ([0.0, -np.nextafter(lo, 1.0), 0.5], True), ([-0.0, 5e-324], False),
+                         ([0.0, -0.0], True)):
+        paths.clear()
+        csvtext._decimal(np.array(block))
+        assert paths and all(path == exact for path in paths), block
+    assert_writes_like_per_value(tmp_path, [x, x[::-1]])
 
 
 @pytest.mark.parametrize("rows", [511, 512, 513])
@@ -1041,6 +1073,43 @@ N = 200
     assert captured.out == ""
     assert captured.err.startswith("config error: frame factor must be positive and finite "
                                    "at z=0.26, got -0.00207")
+    assert not (tmp_path / "dip_out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("case, constant", [("a2-branch1", "C = 1.0"),
+                                            ("a2-branch2", "D = -1.0"),
+                                            ("a1-shearless", "C = 1.0")],
+                         ids=["a2-branch1", "a2-branch2", "a1-shearless"])
+def test_branch_frame_factor_error_names_the_first_bad_grid_point(tmp_path, capsys, command,
+                                                                  case, constant):
+    """The spline dips below zero from z = 0.259.  On N = 40 cells the first
+    bad grid point is z = 0.275, and the grid of 80 cells, on which the
+    refined quadrature evaluates F first, has a bad point before it, at
+    z = 0.2625: the error names the grid point."""
+    table = frame_table(tmp_path / "dip.csv", [(0.0, 1.0), (0.25, 0.02), (0.5, 0.02),
+                                               (0.75, 1.0), (1.0, 1.0)])
+    output = f"output = {tmp_path / 'dip_out.csv'}\n" if command == "solve" else ""
+    cfg = write(tmp_path / "dip.cfg", f"""\
+[scenario]
+case = {case}
+{output}
+[frame]
+F_table = {table}
+
+[constants]
+{constant}
+
+[grid]
+z0 = 0.0
+z1 = 1.0
+N = 40
+""")
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: frame factor must be positive and finite "
+                            "at z=0.275, got -0.03218500000000003\n")
     assert not (tmp_path / "dip_out.csv").exists()
 
 
@@ -1311,6 +1380,23 @@ def test_verify_a1_overflowing_residual_fails_without_traceback(tmp_path, capsys
     assert err == ""
 
 
+@pytest.mark.parametrize("B", ["0.0", "1.0"])
+def test_verify_a1_past_the_overflow_of_e_z_fails_on_a_non_finite_residual(tmp_path, capsys, B):
+    """e^z overflows past z = 709.78: sigma11 and, for B != 0, Omega3 =
+    B e^(z - z0) are inf there, and the residuals report it.  Both B end
+    alike (B != 0 integrated Omega3 before, which did not converge and
+    gave a config error)."""
+    cfg = write(tmp_path / "over.cfg", VERIFY_A1.format(A="1.0", extra="").replace(
+        "B = 1.0", f"B = {B}").replace("z1 = 1.0", "z1 = 800.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg]) == 4
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-2:] == ["note: non-finite residual in block b1",
+                                     "RESULT fail max_residual=inf"]
+    assert err == ""
+
+
 def test_residual_overflowing_cell_fails_without_traceback(tmp_path, capsys):
     rows = ["z,p,mu"] + [f"{0.1 * i},{'1e308' if i == 3 else '0.5'},1.5" for i in range(8)]
     table = write(tmp_path / "huge.csv", "\n".join(rows) + "\n")
@@ -1427,7 +1513,7 @@ CHARACTERIZED = {
         "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
         "constants": {"A": 1.0, "B": 1.0, "sign": -1}},
         0,
-        "73a2fd630e9cec0d99fccc5e804ebe8cb77ee9b67f1816e969a500818b5902b1",
+        "b8f864da2d3d7a24a283099f7feb484e934723bb70de1a5793a55e237b4e2ab9",
         "RESULT pass max_residual=5.1159076974727213e-12"),
     "verify-a1-shearless": ("verify", {
         "scenario": {"case": "a1-shearless"}, "frame": {"F_table": "{table}"},
@@ -1462,13 +1548,13 @@ CHARACTERIZED = {
         "scenario": {"case": "a1"}, "grid": grid(3.0, 300),
         "constants": {"A": -0.05, "B": 0.5, "sign": -1}},
         0,
-        "883b9f30181c8b6c5ffcf3e1e6cd143cd74137f8afa6643535cb0ad9ab4c926d",
+        "8baaf962aa962b9f03feb6056522fe86f3cf76e766eca0038847c3a910e9bfb1",
         "RESULT pass max_residual=6.5483618527650833e-11"),
     "verify-a1-perturbed": ("verify", {
         "scenario": {"case": "a1"}, "grid": grid(1.0, 200),
         "constants": {"A": 1.0, "B": 1.0}, "perturb": {"a3": 1e-6}},
         4,
-        "bbee5cdc85d783cb13b6f0d35b3782449d51b48bc7765c7c801cf8a911b8bfd0",
+        "7bcd74e61a35e4f3a5c8e3b2a27691bfbd77fadcd83d075215e64cbd507a528f",
         "RESULT fail max_residual=0.00043678519989498454"),
 }
 
@@ -1537,16 +1623,16 @@ RESIDUAL_EXTRA = {
 }
 RESIDUAL_CHARACTERIZED = {
     # name: (exit code, CSV sha256, sha256 of the check and note lines, RESULT line)
-    "general": (0, "4a921985728e30351f164fcb70b9a55b99aca364475ccd334738ec8a96b50b22",
-               "962de8f7fd03f0177c088440f0244896211229c5f1a41f23b77b95f5c9c068ad",
+    "general": (0, "dbedd7bb8c57aecd5073d62efb5f7504a416130bf6c18922af0f4340c91ffbf2",
+               "2e6d0f81d18ec036bdc8bfb0858ae618909316de68e7d2e4358379968872eca6",
                "RESULT pass max_residual=0.81291923793609722"),
-    "special": (0, "216afe9bb10595df8a55ebf1430470582bc3be732b48fcca62a8ebcc1c1b500a",
-               "626eda1a01168c47eb61cf8f8f4b8d154966956314434b4e9624513daaab31c6",
+    "special": (0, "0e179429537255f0682f247bed6200b0ae64b6f301d0860d502ae649812541b6",
+               "64e1062e2fd197c23916ea6a02202caf4530af9fc9a6d93e75560e799d0f9f63",
                "RESULT pass max_residual=0.054335366503437399"),
     "special-ungauged": (0, "30b0be8473ace8804642f604baceeb43b66ce921d012a3a8e4f4dd020bb263cd",
                         "46ab1adccf2dfd8852b90d202340916e97e25378730ff09e06c1c1415c62eaec",
                         "RESULT pass max_residual=0.054335366503437399"),
-    "futurework": (0, "f357532a93ce638d4f17c5eeaae97565ef7d7f5093cd2acd4ff42da29e1b00e5",
+    "futurework": (0, "b6c9d8a83ff39d3f00be9f1a11b639bd82b3ebd98eb3406f88ad33a33a44231f",
                   "6cdf1eb000668ac90028f6a084fb566a257ffde147550ca3f5fc9f28811e13e9",
                   "RESULT pass max_residual=801.08897147103175"),
 }

@@ -536,6 +536,19 @@ def test_closed_form_omega3_quadrature_vs_log_identity():
     assert np.max(np.abs(f["Omega3"] - 2.0 * np.exp(grid.points()))) < 1e-9
 
 
+@pytest.mark.parametrize("B", [-1.5, 0.0])
+def test_closed_form_omega3_in_closed_form(B):
+    """Omega3 = B e^(z - z0), B at the left endpoint, and its z-derivative
+    is itself; B = 0 gives zeros."""
+    grid = Grid(-0.3, 0.7, 200)
+    f = cf.CaseA1ClosedForm(A=1.0, sign=1, B=B).evaluate(grid)
+    zs = grid.points()
+    want = np.zeros_like(zs) if B == 0.0 else B * np.exp(zs - grid.z0)
+    assert f["Omega3"].tobytes() == want.tobytes()
+    assert f["Omega3"][0] == B
+    assert f["d_Omega3"].tobytes() == want.tobytes()
+
+
 def test_closed_form_negative_radicand():
     form = cf.CaseA1ClosedForm(A=-5.0, sign=1, B=0.0)
     grid = Grid(0.0, 1.0, 500)
@@ -653,6 +666,7 @@ def test_branch_fields_reuse_the_fine_grid_values_of_F(family, const, B, z1, fra
     assert got.grid == ref.grid and got.note == ref.note and got.family is ref.family
     for name in ("z", "a3", "den", "udot3", "p", "pi11", "Omega3", "e3_a3"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert getattr(got, name).flags.c_contiguous, name
     assert n_got == len(calls) - 1
 
 
@@ -933,6 +947,20 @@ def test_perturbed_a3_breaks_residuals():
     jet, _ = form.jet(grid)
     assert cf.ricci_einstein_residuals(jet).worst()[2] < 1e-10
     assert cf.ricci_einstein_residuals(_perturbed(jet, 1e-3)).worst()[2] > 1e-4
+
+
+def test_branch_jet_holds_no_shear_or_expansion_and_takes_e3_omega3_from_the_a2_rhs():
+    """sigma11 and Theta vanish on both branches, so the jet holds no entry
+    for them or for sigma22 and sigma33; e_3(Omega3) has the bits of the
+    last component of case_a2_rhs."""
+    for f in (cf.shearless_branch_fields(F1, 1.0, 1.0, Grid(0.0, 0.4, 400)),
+              cf.a2_branch2_fields(F1, 1.0, 0.5, Grid(0.0, 0.6, 401))):
+        jet = cf.branch_jet(f)
+        for name in ("sigma11", "sigma22", "sigma33", "Theta"):
+            field, indices = fe.COMPONENT_NAMES[name]
+            assert (field, indices[0]) not in jet.entries, name
+        want = cf.case_a2_rhs(f.p, f.udot3, f.a3, f.Omega3)[3]
+        assert jet.deriv[3].Omega3.tobytes() == want.tobytes()
 
 
 def test_omega3_equation_consistency_across_cases():

@@ -136,16 +136,100 @@ def test_cumulative_refined_matches_log():
     assert np.max(np.abs(vals[::stride] - np.log(g.points()))) < 1e-11
 
 
-def test_cumulative_refined_gives_up_after_twelve_doublings():
-    sizes = []
-
-    def never_settles(z):
+def never_settling(sizes):
+    """An integrand whose cumulative integral grows with every doubling,
+    and which Simpson does not integrate exactly on any grid; it records
+    the size of each grid it is evaluated on."""
+    def fn(z):
         sizes.append(z.size)
-        return np.full_like(z, z.size)  # the integral grows with every doubling
+        return z.size * z**4
 
+    return fn
+
+
+def test_cumulative_refined_gives_up_after_twelve_doublings():
+    """One evaluation per doubling, the first on the grid of 2N cells."""
+    sizes = []
     with pytest.raises(ValueError, match="did not reach tol=1e-10"):
-        cumulative_integral_refined(never_settles, Grid(0.0, 1.0, 4))
-    assert sizes == [4 * 2**k + 1 for k in range(13)]
+        cumulative_integral_refined(never_settling(sizes), Grid(0.0, 1.0, 4))
+    assert sizes == [4 * 2**k + 1 for k in range(1, 13)]
+
+
+# ---------------------------------------------------------------------------
+# one integrand evaluation per doubling: the grid invariant it rests on, and
+# bit-identity with the two-evaluation refinement
+# ---------------------------------------------------------------------------
+
+# grids whose step is a normal double: a subnormal step rounds differently
+# at N and 2N cells
+REFINABLE_GRIDS = st.builds(
+    lambda z0, width, N: (z0, z0 + width, N),
+    st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.integers(4, 50_000),
+) | st.builds(
+    lambda a, b, N: (min(a, b), max(a, b), N),
+    st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(4, 5_000),
+).filter(lambda g: g[1] - g[0] >= 2 * g[2] * np.finfo(float).tiny)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(REFINABLE_GRIDS)
+def test_grid_points_are_the_even_points_of_its_refinement(g):
+    z0, z1, N = g
+    grid = Grid(z0, z1, N)
+    assert grid.points().tobytes() == grid.refined().points()[::2].tobytes()
+
+
+def cumulative_refined_reference(fn, grid, tol=1e-10):
+    """cumulative_integral_refined as it was before it reused the even
+    points of each refined evaluation: fn evaluated on the starting grid
+    and again on every refinement."""
+    factor = 1 if grid.N % 2 == 0 else 2
+    g = grid if factor == 1 else grid.refined()
+    vals = quadrature(fn(g.points()), g)
+    for _ in range(12):
+        g2 = g.refined()
+        vals2 = quadrature(fn(g2.points()), g2)
+        done = bool(np.max(np.abs(vals2[::2] - vals)) < tol)
+        g, vals, factor = g2, vals2, factor * 2
+        if done:
+            return g, vals, factor
+    raise ValueError(f"cumulative quadrature did not reach tol={tol}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(z0=st.floats(-5.0, 5.0), width=st.floats(0.01, 5.0), N=st.integers(4, 600),
+       c=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       tol=st.sampled_from([1e-6, 1e-10, 1e-13]))
+def test_cumulative_refined_matches_the_two_evaluation_reference(z0, width, N, c, tol):
+    """The same grid, stride and value bytes as the reference, on smooth
+    integrands that settle after one or several doublings or not at all."""
+    def fn(z):
+        return c[0] * np.sin(c[1] * z) + c[2] * np.exp(-c[3] * z * z) + 1.5
+
+    grid = Grid(z0, z0 + width, N)
+    try:
+        want = cumulative_refined_reference(fn, grid, tol)
+    except ValueError as ref:
+        with pytest.raises(ValueError) as new:
+            cumulative_integral_refined(fn, grid, tol)
+        assert str(new.value) == str(ref)
+        return
+    fine, vals, stride = cumulative_integral_refined(fn, grid, tol)
+    assert (fine, stride) == want[::2]
+    assert vals.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("N", [4, 5, 40])
+def test_cumulative_refined_never_settling_matches_the_reference(N):
+    """Both give up with the same error; the reference evaluated the
+    starting grid too."""
+    sizes, ref_sizes = [], []
+    with pytest.raises(ValueError) as new:
+        cumulative_integral_refined(never_settling(sizes), Grid(0.0, 1.0, N))
+    with pytest.raises(ValueError) as ref:
+        cumulative_refined_reference(never_settling(ref_sizes), Grid(0.0, 1.0, N))
+    assert str(new.value) == str(ref.value)
+    assert sizes == ref_sizes[1:]
 
 
 # ---------------------------------------------------------------------------
