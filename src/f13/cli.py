@@ -35,7 +35,6 @@ from .frame_equations import (
     NonFiniteResidual,
     ResidualReport,
     residual_report,
-    scan_jet,
 )
 from .numerics import Grid, PoleError, fd_derivative, rk4_integrate
 from .spinors import (
@@ -499,19 +498,17 @@ def _perturbed(jet: cf.SpecialJet, delta: float) -> cf.SpecialJet:
 
 def _verify_blocks(jet: cf.SpecialJet, tol: float) -> list[Check]:
     """Per-block max residuals with the grid row of the worst entry.  The
-    jet's entries are scanned once, for which are live and whether all are
-    finite, and the three reports take their components from that scan;
-    each report reduces its results as the kernels make them, and each
-    special report is dropped before the next report is built."""
+    three reports read the jet's one scan (``JetArrays.scan``), since
+    ``embed_special`` hands over the jet itself; each report reduces its
+    results as the kernels make them, and each special report is dropped
+    before the next report is built."""
     zs = jet.z
-    scan = scan_jet(jet)
     rows = []
     for title, system in (("special-bianchi", cf.bianchi_special_residuals),
                           ("ricci-einstein", cf.ricci_einstein_residuals)):
-        label, j, value = system(jet, scan=scan).worst()
+        label, j, value = system(jet).worst()
         rows.append(Check.located(title, value, zs[j], label, tol))
-    # embed_special shares the jet's entries, so the scan is its too
-    rep = _threaded_report(cf.embed_special(jet), scan)
+    rep = _threaded_report(cf.embed_special(jet))
     return rows + [Check.located(f"frame-{label}", value, zs[j], tol=tol)
                    for label, (j, value) in rep.block_worst().items()]
 
@@ -704,10 +701,9 @@ def _special_jet_from_table(coord: str, grid: Grid, cols: dict) -> cf.SpecialJet
 
 
 # perfbench/tracing.py LAYER_PATCHES patches this name; callers look it up here
-def _threaded_report(ja: JetArrays, scan=None) -> ResidualReport:
-    """The general-system residual report of a jet batch (``scan``: see
-    ``residual_report``)."""
-    return residual_report(ja, scan)
+def _threaded_report(ja: JetArrays) -> ResidualReport:
+    """The general-system residual report of a jet batch."""
+    return residual_report(ja)
 
 
 def run_residual(table_path: str, system: str, out_path: str | None,

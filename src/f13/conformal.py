@@ -13,9 +13,10 @@ Entries (b1)-(b14) and (RE1)-(RE14b) are kernels that read the jet's slots
 by variable name, evaluated through per-pattern plans that skip every term
 with a factor the jet does not hold (``frame_equations._planned_view``):
 the same bits as the kernel on the jet itself, up to the sign of a zero.
-``signed_zeros`` runs the kernel on the jet itself, for the ``residual``
-CSV, which writes each sign.  ``scan``, the jet's
-``frame_equations.scan_jet``, spares reading its entries once per system.
+The plans read the jet's one scan (``JetArrays.scan``), which the general
+report of the same jet reads too: ``embed_special`` hands the jet itself
+to the general system.  ``signed_zeros`` runs the kernel on the jet
+itself, for the ``residual`` CSV, which writes each sign.
 """
 
 from __future__ import annotations
@@ -192,8 +193,7 @@ def _special_bianchi(jet):
     )
 
 
-def bianchi_special_residuals(jet: SpecialJet, signed_zeros: bool = False,
-                              scan=None) -> ResidualReport:
+def bianchi_special_residuals(jet: SpecialJet, signed_zeros: bool = False) -> ResidualReport:
     """Seventeen-entry residual vector of the specialized Bianchi system.
 
     Entries 1-8 are derivative equations, 9-14 algebraic constraints, and
@@ -204,7 +204,7 @@ def bianchi_special_residuals(jet: SpecialJet, signed_zeros: bool = False,
     entry (see ``frame_equations._planned_view``).
     """
     s = jet.value
-    planned = _special_bianchi(jet, signed_zeros, scan)
+    planned = _special_bianchi(jet, signed_zeros)
     entries = [
         *planned,
         np.maximum.reduce(
@@ -299,8 +299,7 @@ def _ricci_einstein(jet):
     )
 
 
-def ricci_einstein_residuals(jet: SpecialJet, signed_zeros: bool = False,
-                             scan=None) -> ResidualReport:
+def ricci_einstein_residuals(jet: SpecialJet, signed_zeros: bool = False) -> ResidualReport:
     """Residuals of the reduced Ricci/Einstein system, skipping their zero
     terms unless ``signed_zeros`` asks for the sign of each zero entry (see
     ``frame_equations._planned_view``).
@@ -309,7 +308,7 @@ def ricci_einstein_residuals(jet: SpecialJet, signed_zeros: bool = False,
     """
     if not is_gauge_reduced(jet):
         raise ValueError("ricci_einstein_residuals requires a gauge-reduced state")
-    planned = _ricci_einstein(jet, signed_zeros, scan)
+    planned = _ricci_einstein(jet, signed_zeros)
     return ResidualReport.of_entries(jet.shape, RE_NAMES, planned, planned.extremes)
 
 
@@ -331,35 +330,32 @@ def futurework_residuals(jet: SpecialJet) -> ResidualReport:
     """
     s = jet.value
     e0, e1, e2, e3 = jet.deriv
-    th2 = np.asarray(s.Theta) ** 2
+    th2 = s.Theta ** 2
     entries = [
-        np.asarray(e0.p) + (4.0 / 3.0) * s.p * s.Theta + 2.0 * s.sigma11 * s.pi11,
-        np.asarray(e0.pi11) + 4.0 * s.sigma11 * s.p
-        - (np.asarray(s.sigma11) - s.Theta / 3.0) * s.pi11,
-        np.asarray(e3.pi11) - 3.0 * s.a3 * s.pi11,
-        np.asarray(e1.p),
-        np.asarray(e2.p),
-        np.asarray(e3.p),
-        np.asarray(e1.pi11),
-        np.asarray(e2.pi11),
-        np.asarray(e0.a3) + s.a3 * s.Theta / 3.0 + s.a3 * s.sigma11,
-        np.asarray(e3.a3)
-        - (1.5 * s.p - th2 / 6.0 + 1.5 * np.asarray(s.sigma11) ** 2
-           + 1.5 * np.asarray(s.a3) ** 2),
-        np.asarray(e0.sigma11)
-        - (0.5 * s.p + np.asarray(s.pi11) + 0.5 * np.asarray(s.sigma11) ** 2
-           + 0.5 * np.asarray(s.a3) ** 2 - th2 / 18.0 - s.Theta * s.sigma11),
-        np.asarray(e3.sigma11) + np.asarray(e3.Theta) / 3.0 - 3.0 * s.a3 * s.sigma11,
-        np.asarray(e0.Theta) + th2 / 3.0 + 6.0 * np.asarray(s.sigma11) ** 2 + 3.0 * s.p,
-        np.asarray(e1.a3),
-        np.asarray(e2.a3),
-        np.asarray(e1.sigma11),
-        np.asarray(e2.sigma11),
-        np.asarray(e1.Theta),
-        np.asarray(e2.Theta),
-        np.asarray(e1.Omega3),
-        np.asarray(e2.Omega3),
-        np.asarray(e3.Omega3),
+        e0.p + (4.0 / 3.0) * s.p * s.Theta + 2.0 * s.sigma11 * s.pi11,
+        e0.pi11 + 4.0 * s.sigma11 * s.p - (s.sigma11 - s.Theta / 3.0) * s.pi11,
+        e3.pi11 - 3.0 * s.a3 * s.pi11,
+        e1.p,
+        e2.p,
+        e3.p,
+        e1.pi11,
+        e2.pi11,
+        e0.a3 + s.a3 * s.Theta / 3.0 + s.a3 * s.sigma11,
+        e3.a3 - (1.5 * s.p - th2 / 6.0 + 1.5 * s.sigma11 ** 2 + 1.5 * s.a3 ** 2),
+        e0.sigma11
+        - (0.5 * s.p + s.pi11 + 0.5 * s.sigma11 ** 2
+           + 0.5 * s.a3 ** 2 - th2 / 18.0 - s.Theta * s.sigma11),
+        e3.sigma11 + e3.Theta / 3.0 - 3.0 * s.a3 * s.sigma11,
+        e0.Theta + th2 / 3.0 + 6.0 * s.sigma11 ** 2 + 3.0 * s.p,
+        e1.a3,
+        e2.a3,
+        e1.sigma11,
+        e2.sigma11,
+        e1.Theta,
+        e2.Theta,
+        e1.Omega3,
+        e2.Omega3,
+        e3.Omega3,
     ]
     return ResidualReport.of_entries(jet.shape, FW_NAMES, entries)
 
@@ -744,6 +740,7 @@ def embed_special(jet: SpecialJet) -> JetArrays:
     Conformally flat elastic data: E = H = 0, q = 0, Lambda = 0 and
     mu = 3p (vanishing NP curvature scalar); pi = diag(pi11, pi11, -2 pi11).
     This is the input to the master cross-check against the general system:
-    the jet's own entries, held by reference, as a plain ``JetArrays``.
+    the jet itself, already a ``JetArrays`` over the full variable set,
+    so that the general report reads the scan its reduced systems read.
     """
-    return JetArrays(jet.shape, jet.entries)
+    return jet

@@ -55,8 +55,11 @@ drops with the term.  No kernel writes into its operands, since
 
 Plans.  ``residual_report`` does not run the block kernels on the jet's
 arrays: ``_efe_arr``, ``_jacobi_arr`` and ``_bianchi_arr`` are planned
-(``_planned``).  A jet's sparsity pattern (``_Sparse.sparsity``), read
-from its entries, lists the components that hold a nonzero entry and, for
+(``_planned``).  A jet's entries are scanned once, on first use, for which
+are live (nonzero somewhere) and which of those are not finite
+(``JetArrays.scan``, a ``_Sparse``); the scan is kept on the jet, whose
+entries must therefore not change.  Its sparsity pattern
+(``_Sparse.sparsity``) lists the live components and, for
 each, which of the jet's distinct arrays it holds, by identity: pi22 is
 pi11 and x_ji is x_ij on the conformally flat jets.  The first time a block
 sees a pattern, it runs its kernel once on symbolic entries (``_Entry``)
@@ -83,10 +86,12 @@ The component tables are built only for a trace and for a non-finite jet.
 The reduced systems of ``conformal`` are planned the same way
 (``_planned_view``): their kernels read a jet's value and derivative slots
 by variable name, ``ZERO`` where the jet holds no nonzero entry, and their
-patterns list only the components they read.  A jet's entries are scanned
-for which are live and finite once per report, or once for all the reports
-of one jet when each is given its ``scan_jet``, as ``verify`` does; a scan
-is never cached on the jet, whose entries a caller may change.
+patterns list only the components they read.  Each reads the jet's one
+scan restricted to those components (``_Sparse.restrict``), a view that is
+dense exactly when a component it reads is not finite; a non-finite entry
+the kernel does not read leaves it on its plan.  So the general report and
+the two reduced systems of one jet, as ``verify`` runs them, read its
+entries once.
 
 Residual norms are max-abs: a single violated component must not be
 averaged away.
@@ -196,7 +201,8 @@ class JetArrays:
     the index (), a vector (i,), a tensor (i, j) and a derivative field
     (a,) + the component index, for e_a of that component.  Every component
     not in ``entries`` is zero.  ``value`` and ``deriv[a]`` read the entries
-    by variable name (``COMPONENT_NAMES``).  Treat instances as frozen.
+    by variable name (``COMPONENT_NAMES``).  Treat instances as frozen:
+    ``scan`` is read from the entries once and kept.
     """
 
     def __init__(self, shape: tuple[int, ...], entries: dict):
@@ -207,6 +213,13 @@ class JetArrays:
         self.entries = entries
         self.value = _Slot(entries, None)
         self.deriv = tuple(_Slot(entries, a) for a in range(4))
+
+    @functools.cached_property
+    def scan(self) -> "_Sparse":
+        """The jet as the planned kernels take it: which entries are live
+        and which of those are not finite, read on first use.  Every report
+        of the jet reads this one scan."""
+        return _Sparse.of(self)
 
     @staticmethod
     def build(shape: tuple[int, ...], value: dict, e0=None, e1=None, e2=None,
@@ -415,8 +428,9 @@ class _Sparse:
     """A jet as the planned kernels take it.
 
     ``entries`` are the jet's own, and ``live`` maps each component whose
-    entry is nonzero somewhere to that entry.  ``dense`` marks a jet with a
-    non-finite live entry, which the kernels evaluate without a plan.
+    entry is nonzero somewhere to that entry.  ``nonfinite`` lists the live
+    components whose entry is not finite, and ``dense`` marks a jet that
+    has one, which the kernels evaluate without a plan.
     ``sparsity`` is what a plan replays; the kernels' arguments, ``tables``
     (the component tables) and ``view`` (the value and derivative slots by
     variable name), are built only when read, for a dense jet or a trace.
@@ -426,28 +440,33 @@ class _Sparse:
     where it holds none, as a direct evaluation does.
     """
 
-    def __init__(self, shape: tuple, entries: dict, live: dict, dense: bool = False):
+    def __init__(self, shape: tuple, entries: dict, live: dict, nonfinite=frozenset()):
         self.shape = shape
         self.entries = entries
         self.live = live
-        self.dense = dense
+        self.nonfinite = nonfinite
+        self.dense = bool(nonfinite)
 
     @staticmethod
-    def of(ja: JetArrays, keys=None) -> "_Sparse":
-        """``ja`` as the kernels take it; ``keys``, if given, are the
-        components the kernels read, and the others are left out."""
+    def of(ja: JetArrays) -> "_Sparse":
+        """``ja`` as the kernels take it, read from its entries."""
         if not isinstance(ja, JetArrays):
             raise TypeError(f"expected JetArrays, got {type(ja).__name__}")
-        entries = ja.entries if keys is None else {
-            key: e for key, e in ja.entries.items() if key in keys}
         head = bool(ja.shape)
         # a component with a nonzero entry nearly always has one among its
         # first points; testing those first spares the full scan
-        live = {key: e for key, e in entries.items()
+        live = {key: e for key, e in ja.entries.items()
                 if (head and e[..., :16].any()) or e.any()}
         # an overflowing sum of finite entries also forms the zero terms
-        dense = not all(np.isfinite(e.sum()) for e in live.values())
-        return _Sparse(ja.shape, entries, live, dense)
+        nonfinite = frozenset(key for key, e in live.items() if not np.isfinite(e.sum()))
+        return _Sparse(ja.shape, ja.entries, live, nonfinite)
+
+    def restrict(self, keys) -> "_Sparse":
+        """The jet as the kernels that read only the components ``keys``
+        take it: their live entries, dense if one of them is not finite."""
+        return _Sparse(self.shape, self.entries,
+                       {key: e for key, e in self.live.items() if key in keys},
+                       self.nonfinite & keys)
 
     @functools.cached_property
     def sparsity(self) -> tuple:
@@ -476,25 +495,9 @@ class _Sparse:
         return _View(self.entries, 0.0) if self.dense else _View(self.live, ZERO)
 
 
-def scan_jet(ja: JetArrays) -> _Sparse:
-    """The live entries of ``ja`` and whether all are finite, read once.
-    ``residual_report`` and the reduced systems of ``conformal`` take it as
-    ``scan`` instead of reading the entries of the same jet again.  It
-    reads the entries as they are now: scan again after changing them."""
-    return _Sparse.of(ja)
-
-
-def _sparse(ja: JetArrays, scan: _Sparse | None, keys=None) -> _Sparse:
-    """``ja`` as the kernels that read ``keys`` (all if None) take it: from
-    its ``scan`` if given, else from its entries."""
-    if scan is not None and scan.entries is not ja.entries:
-        raise ValueError("the scan is of another jet")
-    if scan is None or (keys is not None and scan.dense):
-        # a non-finite entry of the jet may be one the kernels do not read
-        return _Sparse.of(ja, keys)
-    if keys is None:
-        return scan
-    return _Sparse(ja.shape, ja.entries, {key: e for key, e in scan.live.items() if key in keys})
+def _scan(ja) -> _Sparse:
+    """``ja.scan``; ``_Sparse.of`` refuses anything but a ``JetArrays``."""
+    return ja.scan if isinstance(ja, JetArrays) else _Sparse.of(ja)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +714,8 @@ def _planned(kernel, reads=operator.attrgetter("tables")):
 def _planned_view(kernel):
     """A kernel that reads a jet's ``value`` and ``deriv`` slots by variable
     name (a reduced system), evaluated on a ``JetArrays``: through its plan
-    for the pattern of the components it reads (taken from the jet's
-    ``scan`` if given), or, with ``signed_zeros``, by the kernel itself on
+    for the pattern of the components it reads (the jet's ``scan``
+    restricted to them), or, with ``signed_zeros``, by the kernel itself on
     the jet's own entries, 0.0 where it holds none, so that each zero
     result keeps the sign its terms give it (a planned result that is zero
     throughout is ``ZERO``, read as +0.0).  ``plan`` is the plan cache and
@@ -723,8 +726,8 @@ def _planned_view(kernel):
     block = _planned(kernel, operator.attrgetter("view"))
 
     @functools.wraps(kernel)
-    def evaluate(ja: JetArrays, signed_zeros: bool = False, scan=None) -> _Results:
-        return _Results(kernel(ja)) if signed_zeros else block(_sparse(ja, scan, keys))
+    def evaluate(ja: JetArrays, signed_zeros: bool = False) -> _Results:
+        return _Results(kernel(ja)) if signed_zeros else block(_scan(ja).restrict(keys))
 
     evaluate.plan = block.plan
     evaluate.keys_read = keys
@@ -1269,16 +1272,15 @@ def _report_arrays(c: _Sparse) -> _Results:
                     {k: v for part in parts for k, v in part.extremes.items()})
 
 
-def residual_report(jet: JetArrays, scan: _Sparse | None = None) -> ResidualReport:
+def residual_report(jet: JetArrays) -> ResidualReport:
     """Evaluate every block of the general system on a jet or jet batch.
 
     The batch is evaluated in one piece, whatever its shape, and the report
     keeps the kernel results as they are.  Components that are zero
-    throughout are skipped (see the module docstring); ``jet`` itself is
-    left as it is.  ``scan``, if given, is ``scan_jet(jet)``, read instead
-    of the jet's entries.
+    throughout are skipped (see the module docstring), as the jet's
+    ``scan`` lists them; the jet's entries are left as they are.
     """
-    c = _sparse(jet, scan)
+    c = _scan(jet)
     results = _report_arrays(c)
     return ResidualReport(c.shape, {label: (comp, res) for (label, comp), res
                                     in zip(GENERAL_BLOCKS.items(), results, strict=True)},

@@ -314,18 +314,39 @@ def test_verify_and_full_check_build_no_dense_array(tmp_path, capsys, monkeypatc
     assert built == ["block"]
 
 
+def counted_scans(monkeypatch) -> list:
+    """The jets ``_Sparse.of`` scans from now on, in order."""
+    scans, of = [], fe._Sparse.of
+    monkeypatch.setattr(fe._Sparse, "of", staticmethod(lambda ja: scans.append(ja) or of(ja)))
+    return scans
+
+
 def test_verify_scans_its_jet_once_and_builds_no_per_point_maxima(tmp_path, monkeypatch):
-    """The three reports of verify take their live components from one
-    scan of the jet, and read their maxima from the extremes alone."""
-    scans, maxima = [], []
-    of, block_max = fe._Sparse.of, fe.ResidualReport._block_max
-    monkeypatch.setattr(fe._Sparse, "of", staticmethod(
-        lambda ja, keys=None: scans.append(keys) or of(ja, keys)))
+    """The three reports of verify read one scan of the jet, and read
+    their maxima from the extremes alone."""
+    scans, maxima = counted_scans(monkeypatch), []
+    block_max = fe.ResidualReport._block_max
     monkeypatch.setattr(fe.ResidualReport, "_block_max",
                         lambda rep, label: maxima.append(label) or block_max(rep, label))
     cfg = write(tmp_path / "v.cfg", VERIFY_A1.format(A=1.0, extra="\n[perturb]\na3 = 1e-3\n"))
     assert run_verify(cfg) == 4
-    assert scans == [None] and maxima == []
+    assert len(scans) == 1 and isinstance(scans[0], cf.SpecialJet) and maxima == []
+
+
+def test_solve_full_check_and_residual_general_scan_their_jet_once(tmp_path, monkeypatch):
+    """solve with full_check and residual --system general each scan their
+    one jet once; embed_special hands over the special jet itself."""
+    scans = counted_scans(monkeypatch)
+    out = tmp_path / "fc.csv"
+    cfg = write(tmp_path / "fc.cfg", A1_SOLVE.format(out=out).replace(
+        "output = ", "full_check = true\noutput = "))
+    assert main(["solve", "--config", cfg]) == 0
+    assert len(scans) == 1 and isinstance(scans[0], cf.SpecialJet)
+    assert main(["residual", "--table", str(out), "--system", "general"]) == 0
+    assert len(scans) == 2 and type(scans[1]) is fe.JetArrays
+    from f13.numerics import Grid
+    jet = cf.CaseA1ClosedForm(A=1.0).jet(Grid(0.0, 0.5, 8))[0]
+    assert cf.embed_special(jet) is jet
 
 
 def test_verify_branch_cases_agree(tmp_path, capsys):

@@ -272,23 +272,22 @@ def reduced_jets(draw):
 @given(reduced_jets())
 def test_planned_reduced_systems_equal_the_kernels_on_the_jet(jet):
     """Every norm and worst entry, and every entry up to the sign of its
-    zeros, bit for bit, whether the plan's components come from a scan of
-    the kernel's own or from one scan of the whole jet; a non-finite jet
-    fails all, naming the same entry."""
-    scan = fe.scan_jet(jet)
-    for name, system in REDUCED.items():
-        if system is cf.ricci_einstein_residuals and not cf.is_gauge_reduced(jet):
-            continue
-        with np.errstate(all="ignore"):
-            try:
-                ref = system(jet, signed_zeros=True)
-            except NonFiniteResidual as exc:
-                for given_scan in (None, scan):
-                    with pytest.raises(NonFiniteResidual, match=f"^{exc}$"):
-                        system(jet, scan=given_scan)
+    zeros, bit for bit, on the jet's one scan, whichever system takes it
+    and whichever reads it after; a non-finite jet fails all, naming the
+    same entry."""
+    for order in (list(REDUCED.items()), list(REDUCED.items())[::-1]):
+        twin = cf.SpecialJet(None, jet.shape, jet.entries)  # not yet scanned
+        for name, system in order:
+            if system is cf.ricci_einstein_residuals and not cf.is_gauge_reduced(twin):
                 continue
-            reports = [system(jet), system(jet, scan=scan)]
-        for rep in reports:
+            with np.errstate(all="ignore"):
+                try:
+                    ref = system(twin, signed_zeros=True)
+                except NonFiniteResidual as exc:
+                    with pytest.raises(NonFiniteResidual, match=f"^{exc}$"):
+                        system(twin)
+                    continue
+                rep = system(twin)
             assert rep.block_worst() == ref.block_worst(), name
             for label, block in ref.blocks():
                 assert (np.abs(rep.block(label)).tobytes()
@@ -360,6 +359,50 @@ def test_non_finite_reduced_reports_leave_the_plans_as_they_are():
                 with pytest.raises(NonFiniteResidual):
                     system(bad_jet)
     assert plans() == before
+
+
+def test_a_non_finite_entry_is_dense_only_for_the_kernel_that_reads_it():
+    """The jet's one scan records which live entries are not finite; a
+    reduced system whose kernel does not read that entry is replayed
+    through its plan, equal to the kernel on the jet, and one whose kernel
+    reads it fails, naming the same block as before."""
+    rng = np.random.default_rng(60)
+    n = 60
+    jet = cf.SpecialJet.build(
+        np.zeros(n), {name: rng.uniform(-1.0, 1.0, n)
+                      for name in ("p", "pi11", "Theta", "sigma11", "a3", "udot3")},
+        e0={name: rng.uniform(-1.0, 1.0, n) for name in ("p", "sigma11")},
+        e3={name: rng.uniform(-1.0, 1.0, n) for name in ("p", "pi11", "sigma11", "a3")})
+    kernels = dict(zip(REDUCED.values(), REDUCED_KERNELS))
+    # e_0(p) is read by (b1) only, e_3(a3) by (RE2) only
+    for key, reader, label in ((("dp", (0,)), cf.bianchi_special_residuals, "b1"),
+                               (("da", (3, 2)), cf.ricci_einstein_residuals, "RE2")):
+        bad = np.array(jet.entries[key])
+        bad[7] = np.inf
+        bad_jet = cf.SpecialJet(None, jet.shape, jet.entries | {key: bad})
+        for system, kernel in kernels.items():
+            system(jet)  # the plan of the clean pattern
+            info = kernel.plan.cache_info()
+            with np.errstate(all="ignore"):
+                if system is reader:
+                    assert key in kernel.keys_read
+                    with pytest.raises(NonFiniteResidual,
+                                       match=f"^non-finite residual in block {label}$"):
+                        system(bad_jet, signed_zeros=True)
+                    with pytest.raises(NonFiniteResidual,
+                                       match=f"^non-finite residual in block {label}$"):
+                        system(bad_jet)
+                    assert kernel.plan.cache_info() == info
+                    continue
+                ref = system(bad_jet, signed_zeros=True)
+                rep = system(bad_jet)
+            assert key not in kernel.keys_read
+            after = kernel.plan.cache_info()
+            assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+            assert rep.block_worst() == ref.block_worst()
+            for name, block in ref.blocks():
+                assert np.abs(rep.block(name)).tobytes() == np.abs(block).tobytes(), name
+        assert bad_jet.scan.nonfinite == {key} and bad_jet.scan.dense
 
 
 # ---------------------------------------------------------------------------

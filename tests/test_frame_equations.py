@@ -84,9 +84,12 @@ def test_report_blocks_on_eds():
     assert np.max(np.abs(rep.block("divH"))) == 0.0
 
 
-@pytest.mark.parametrize("evaluate", [residual_report, curly_S, curly_R])
+@pytest.mark.parametrize("evaluate", [residual_report, curly_S, curly_R, cf._special_bianchi,
+                                      cf._ricci_einstein])
 @pytest.mark.parametrize("jet", [None, 0.0, {"mu": 1.0}], ids=["None", "float", "dict"])
 def test_evaluators_take_jet_arrays_only(evaluate, jet):
+    """The general report and the planned reduced kernels read a jet's
+    ``scan``, which only a ``JetArrays`` has."""
     with pytest.raises(TypeError, match=f"expected JetArrays, got {type(jet).__name__}$"):
         evaluate(jet)
 
@@ -752,10 +755,12 @@ def table_sparsity(tables):
 @given(plan_jets())
 def test_sparsity_read_from_the_entries_equals_the_table_walk(ja):
     """The live components are those with a nonzero entry; their pattern
-    and inputs, by identity, are those of the walk over their tables; and a
-    report builds the tables of a non-finite jet only."""
+    and inputs, by identity, are those of the walk over their tables; the
+    non-finite ones are listed; and a report builds the tables of a
+    non-finite jet only."""
     c = fe._Sparse.of(ja)
     assert c.live.keys() == {key for key, e in ja.entries.items() if np.any(e)}
+    assert c.nonfinite == {key for key, e in c.live.items() if not np.isfinite(e).all()}
     pattern, inputs = c.sparsity
     ref_pattern, ref_inputs = table_sparsity(fe._tables(ja.shape, c.live))
     assert pattern == ref_pattern
@@ -814,23 +819,6 @@ def test_plans_are_traced_once_per_pattern():
     for block in PLANNED_BLOCKS:
         info = block.plan.cache_info()
         assert info.maxsize == fe.PLAN_CACHE and info.currsize == fe.PLAN_CACHE
-
-
-def test_a_scan_is_taken_for_its_own_jet_only():
-    """A report given the scan of its jet equals one that scans the jet
-    itself; the scan of another jet, even an equal one, is refused."""
-    form = cf.CaseA1ClosedForm(A=1.0, sign=1, B=1.0)
-    jet = form.jet(Grid(0.0, 0.5, 60))[0]
-    scan = fe.scan_jet(jet)
-    ref = residual_report(jet)
-    rep = residual_report(cf.embed_special(jet), scan)
-    assert rep.block_worst() == ref.block_worst()
-    twin = JetArrays(jet.shape, dict(jet.entries))
-    for report in (lambda: residual_report(twin, scan),
-                   lambda: cf.bianchi_special_residuals(twin, scan=scan),
-                   lambda: cf.ricci_einstein_residuals(twin, scan=scan)):
-        with pytest.raises(ValueError, match="the scan is of another jet"):
-            report()
 
 
 def test_non_finite_report_leaves_the_plans_as_they_are():
