@@ -60,6 +60,7 @@ _MMAP_THRESHOLD = 4 << 20
 _TRIM_THRESHOLD = 64 << 20
 
 
+@cache  # the settings are the process's: once is enough
 def _serve_temporaries_from_the_heap() -> None:
     """On glibc, serve allocations of up to 4 MiB from the heap and keep up
     to 64 MiB of it free, so that numpy temporaries reuse heap pages.  By

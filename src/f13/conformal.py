@@ -28,6 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .frame_equations import JetArrays, ResidualReport, _planned_view
+# quadrature is not called here: perfbench/tracing.py's LAYER_PATCHES look
+# it up in this module, and its install() raises AttributeError without it
 from .numerics import (Grid, NotAKnotSpline, check_frame_factor, cumulative_integral_refined,
                        quadrature)
 
@@ -538,27 +540,27 @@ class CaseA1ClosedForm:
 def _den_on_fine_grid(F: ScaleFactor, slope: float, const: float, grid: Grid):
     """Denominator int_{z0}^{z} (-slope/F) dz' + const on a refined grid.
 
-    Returns (fine_grid, den_fine, stride, F_fine) with original nodes at
-    ::stride and F_fine the values of F at the fine grid's points.  Raises
-    ValueError naming the first point where F is not positive and finite,
-    on the coarsest grid that has one.
+    Returns (fine_grid, den_fine, stride) with original nodes at ::stride.
+    F is evaluated once per doubling.  Raises ValueError naming the first
+    point where F is not positive and finite, on the coarsest grid that
+    has one.
     """
-    last = []
+    first = True
 
     def integrand(z):
+        nonlocal first
         Fz = np.asarray(F(z), dtype=float)
         try:
             check_frame_factor([z], [Fz])
         except ValueError:
-            if not last:  # the first call's even points are the coarse grid
+            if first:  # the first call's even points are the coarse grid
                 check_frame_factor([z[::2]], [Fz[::2]])
             raise
-        last[:] = [Fz]
+        first = False
         return -slope / Fz
 
-    # the last evaluation is on the grid the refinement returns
     fine, vals, stride = cumulative_integral_refined(integrand, grid)
-    return fine, vals + const, stride, last[0]
+    return fine, vals + const, stride
 
 
 def _clip_at_sign_change(grid: Grid, fine: Grid, den_fine: np.ndarray):
@@ -588,6 +590,9 @@ class BranchFamily:
 
     udot3(a3) and p(a3) give the algebraic fields (pi11 = -4p on both
     branches); e3(a3, e3_a3) gives the e_3 entries of p, pi11 and udot3.
+    udot3 is u a3 for a constant u, so e_3(Omega3) = -udot3 Omega3
+    integrates in closed form: e_3 ln Omega3 = -u a3 = -(u/slope) e_3 ln a3,
+    and Omega3 = B (a3/a3(z0))^q with q = -u/slope.
     """
 
     slope: float
@@ -632,32 +637,31 @@ class BranchFields:
 
 def _branch_fields(F: ScaleFactor, family: BranchFamily, const: float, B: float,
                    grid: Grid) -> BranchFields:
-    fine, den_fine, stride, F_fine = _den_on_fine_grid(F, family.slope, const, grid)
+    """The fields of a branch family on the grid, clipped ahead of a
+    denominator sign change.  The denominator comes from the refined
+    quadrature of -slope/F; every other field is a closed form in it,
+    Omega3 = B (a3/a3[0])^q (see BranchFamily), which is B at z0."""
+    fine, den_fine, stride = _den_on_fine_grid(F, family.slope, const, grid)
     clipped, note = _clip_at_sign_change(grid, fine, den_fine)
     if note is not None:
-        fine, den_fine, stride, F_fine = _den_on_fine_grid(F, family.slope, const, clipped)
-    a3_fine = 1.0 / den_fine
-    udot3_fine = family.udot3(a3_fine)
-    # Omega3 solves e_3(Omega3) = -udot3 Omega3 on every branch
-    omega_integrand = -udot3_fine / F_fine
-    Omega3_fine = B * np.exp(quadrature(omega_integrand, fine))
-
-    def coarse(fine_values):  # the grid's nodes, contiguous
-        return fine_values[::stride].copy()
-
-    a3 = coarse(a3_fine)
-    den = coarse(den_fine)
+        fine, den_fine, stride = _den_on_fine_grid(F, family.slope, const, clipped)
+    den = den_fine[::stride].copy()  # the grid's nodes, contiguous
+    a3 = 1.0 / den
+    udot3 = family.udot3(a3)
+    # q = -u/slope with udot3 = u a3; the clip keeps den's sign, so
+    # a3/a3[0] > 0
+    Omega3 = B * (a3 / a3[0]) ** (-family.udot3(1.0) / family.slope)
     p = family.p(a3)
     return BranchFields(
         family=family,
         grid=clipped,
-        z=coarse(fine.points()),
+        z=fine.points()[::stride].copy(),
         a3=a3,
         den=den,
-        udot3=coarse(udot3_fine),
+        udot3=udot3,
         p=p,
         pi11=-4.0 * p,
-        Omega3=coarse(Omega3_fine),
+        Omega3=Omega3,
         e3_a3=family.slope / (den * den),
         note=note,
     )

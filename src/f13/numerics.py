@@ -251,7 +251,11 @@ def quadrature(samples, grid: Grid) -> np.ndarray:
     grid of an even number of cells (ValueError otherwise).
 
     Even nodes are reached by exact Simpson pairs; odd nodes use the
-    O(h^4) three-point half-panel rule.
+    O(h^4) three-point half-panel rule.  samples may be (N+1,) or
+    (N+1, k), integrated along axis 0.  Each value has the bits of the
+    node-by-node loop (tests/test_numerics.py keeps it as
+    ``quadrature_loop_reference``): the operations run in its order, in
+    place in two arrays, the result and one zero-led buffer.
     """
     f = np.asarray(samples, dtype=float)
     if f.shape[0] != grid.N + 1:
@@ -260,14 +264,25 @@ def quadrature(samples, grid: Grid) -> np.ndarray:
     if n % 2:
         raise ValueError("Simpson quadrature needs an even number of cells")
     h = grid.h
-    out = np.zeros_like(f)
+    left, mid, right = f[0:n - 1:2], f[1:n:2], f[2:n + 1:2]
+    out = np.empty_like(f)
     # Simpson pairs: I[i] = I[i-2] + (h/3)(f[i-2] + 4 f[i-1] + f[i]); the
     # leading zero keeps the running sum in the loop's order, I[0] + inc[0]
-    inc = (h / 3.0) * (f[0:n - 1:2] + 4.0 * f[1:n:2] + f[2:n + 1:2])
-    out[0:n + 1:2] = np.cumsum(np.concatenate((out[:1], inc)), axis=0)
-    # odd nodes from the quadratic through the neighbouring triple
-    out[1:n:2] = out[0:n - 1:2] + (h / 12.0) * (
-        5.0 * f[0:n - 1:2] + 8.0 * f[1:n:2] - f[2:n + 1:2])
+    acc = np.empty((n // 2 + 1,) + f.shape[1:])
+    acc[0] = 0.0
+    inc = acc[1:]
+    np.multiply(4.0, mid, out=inc)
+    np.add(left, inc, out=inc)
+    inc += right
+    inc *= h / 3.0
+    np.cumsum(acc, axis=0, out=out[0:n + 1:2])
+    # odd nodes from the quadratic through the neighbouring triple,
+    # I[i-1] + (h/12)(5 f[i-1] + 8 f[i] - f[i+1]), built in their own slots
+    odd = np.multiply(8.0, mid, out=out[1:n:2])
+    np.add(np.multiply(5.0, left, out=inc), odd, out=odd)
+    odd -= right
+    odd *= h / 12.0
+    np.add(out[0:n - 1:2], odd, out=odd)
     return out
 
 

@@ -88,6 +88,14 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
+def _quarter(re, im) -> np.ndarray:
+    """0.25 (re + i im) by the operations of the complex product
+    (0.25 + 0i)(re + i im), unfused: where numpy's complex loop fuses a
+    multiply and an add, a zero part of a product with a subnormal re or
+    im takes the other sign."""
+    return _complex(0.25 * re - 0.0 * im, 0.25 * im + 0.0 * re)
+
+
 def ricci_spinor(x) -> RicciSpinor:
     """Map the matter variables of the jet slot x to the Ricci spinor
     components.
@@ -101,9 +109,9 @@ def ricci_spinor(x) -> RicciSpinor:
     s = x.mu + x.p
     phi00 = 0.25 * (s + pi["33"])
     phi11 = 0.125 * (s + pi["11"] + pi["22"] - pi["33"])
-    phi01 = 0.25 * _complex(-pi["13"], pi["23"])
-    phi12 = 0.25 * _complex(pi["13"], -pi["23"])
-    phi02 = 0.25 * _complex(pi["11"] - pi["22"], -2.0 * pi["12"])
+    phi01 = _quarter(-pi["13"], pi["23"])
+    phi12 = _quarter(pi["13"], -pi["23"])
+    phi02 = _quarter(pi["11"] - pi["22"], -2.0 * pi["12"])
     lam_np = (x.mu - 3.0 * x.p) / 24.0
     return RicciSpinor(phi00, phi11, phi00, phi01, phi02, phi12, lam_np)
 

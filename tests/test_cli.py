@@ -1,6 +1,7 @@
 """Command-line contract tests: config validation, exit codes, CSV output."""
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -23,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 from f13 import conformal as cf
 from f13 import csvtext
 from f13 import frame_equations as fe
-from f13.cli import (_STATE_KEYS, RESIDUAL_SYSTEMS, _fmt, _parser, _read_table, _write_csv,
-                     main, run_verify)
+from f13.cli import (_STATE_KEYS, RESIDUAL_SYSTEMS, _fmt, _parser, _read_table,
+                     _serve_temporaries_from_the_heap, _write_csv, main, run_verify)
 
 EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -1223,6 +1224,25 @@ def test_second_verify_reuses_the_heap_pages_of_the_first(tmp_path):
     assert int(proc.stdout) < 100  # about 2,850 with an 8 MiB trim threshold
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux sets the thresholds")
+def test_main_sets_the_heap_thresholds_once_per_process(tmp_path, capsys, monkeypatch):
+    """The mallopt settings hold for the whole process, so a second main
+    call does not open the C library again."""
+    opened = []
+    real = ctypes.CDLL
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", counting)
+    _serve_temporaries_from_the_heap.cache_clear()
+    for _ in range(2):
+        assert main(["spinor", "--state", str(tmp_path / "missing.txt")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert opened == [(None,)]
+
+
 def test_grid_outside_frame_table_is_config_error(tmp_path, capsys):
     table = frame_table(tmp_path / "half.csv", [(0.0, 1.0), (0.25, 1.1), (0.5, 1.2),
                                                 (0.75, 1.1), (0.8, 1.0)])
@@ -1500,7 +1520,7 @@ CHARACTERIZED = {
     "solve-a1-shearless": ("solve", {
         "scenario": {"case": "a1-shearless", "full_check": "true"}, "frame": {"F": 1.0},
         "grid": grid(0.4, 120), "constants": {"C": 1.0, "B": 1.0}},
-        0, "c82d908fb91b43e2d3d241b66fdeaf2836f3c684f37b2f17621cc7fe0f2b238f",
+        0, "085986e1cd3c55134c5d7ca07e463d439e221fc59381b99490f9820a6a7adf05",
         "RESULT pass max_residual=5.1159076974727213e-13"),
     "solve-a2": ("solve", {
         "scenario": {"case": "a2", "full_check": "true"}, "frame": {"F": 1.0},
@@ -1512,12 +1532,12 @@ CHARACTERIZED = {
     "solve-a2-branch1": ("solve", {
         "scenario": {"case": "a2-branch1"}, "frame": {"F_table": "{table}"},
         "grid": grid(0.3, 100), "constants": {"C": 1.0, "B": 0.5}},
-        0, "8a9e0099210ccd548e286cfda291a7aaa57c1ae4a68f32554c405accee217dad",
+        0, "8e28ec1bf0c6d359d0ba01808f36ee16cb8bb05816333b5db9b59feb6ce9aa28",
         "RESULT pass max_residual=3.5527136788005009e-15"),
     "solve-a2-branch2": ("solve", {
         "scenario": {"case": "a2-branch2", "full_check": "true"}, "frame": {"F": 0.8},
         "grid": grid(0.5, 100), "constants": {"D": 1.0, "B": 1.0}},
-        0, "ae8f506979f772080d7247d0951696f1bb96a75d216bb8a27c4e61437e744a61",
+        0, "d1918fa9fd7b81f57a6d5984c62076f58d3badd36a2255898f5e1e080d587a5d",
         "RESULT pass max_residual=1.1368683772161603e-13"),
     "solve-a1-pole": ("solve", {
         "scenario": {"case": "a1"}, "frame": {"F": 1.0},
@@ -1765,6 +1785,11 @@ SPINOR_CHARACTERIZED = {
     "phi00-zero": ([{"mu": "1.5", "p": "0.5", "pi11": "1.0", "pi22": "1.0", "pi13": "0.3"}], 0,
         "7267578a8856e8d22cec31ecf7986f83e8d44c1e28c696d035b0609ca2113883",
         "7267578a8856e8d22cec31ecf7986f83e8d44c1e28c696d035b0609ca2113883"),
+    # 0.25 times a subnormal pi13: a fused multiply-add would give Phi01 the
+    # real part -0
+    "subnormal-pi13": ([{"pi13": "5e-324", "pi23": "-0.3858"}], 0,
+        "a032b0e38bee66e14d1926cb118c6cbd971c6703578f13d07c381445233676ac",
+        "a032b0e38bee66e14d1926cb118c6cbd971c6703578f13d07c381445233676ac"),
     "generated": (spinor_states(400, seed=0), 0,
         "373b8feb0aae2211df946f9eef5e3e346866c20324387b1162c02df5f495c9f8",
         "ff0cc8ca9c56148b342be4dbfa39ae6319618122578a1225ca4fb82acd787a8b"),

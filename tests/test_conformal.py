@@ -658,9 +658,10 @@ def test_branch_fields_values_and_pole():
 
 
 def two_evaluation_branch_fields(F, family, const, B, grid):
-    """The branch fields with F evaluated once more on the fine grid for the
-    Omega3 integrand: the reference for reusing the values of the last
-    evaluation of the denominator's integrand."""
+    """The branch fields with Omega3 = B exp(int -udot3/F dz) by Simpson
+    quadrature on the fine grid, which evaluates F once more: the
+    reference for the closed-form Omega3 and for the fields that take
+    their bits from the denominator alone."""
     def den(g):
         def integrand(z):
             Fz = np.asarray(F(z), dtype=float)
@@ -693,8 +694,9 @@ def two_evaluation_branch_fields(F, family, const, B, grid):
 ])
 @pytest.mark.parametrize("frame", ["constant", "table"])
 def test_branch_fields_reuse_the_fine_grid_values_of_F(family, const, B, z1, frame):
-    """The branch fields, byte for byte, of the reference that evaluates F
-    once more on the fine grid, with one call of F fewer per denominator."""
+    """The branch fields but Omega3, byte for byte, of the reference that
+    evaluates F once more on the fine grid, with one call of F fewer per
+    denominator: the closed-form Omega3 needs no value of F."""
     zs = np.linspace(0.0, 1.0, 21)
     F = (cf.ScaleFactor.constant(0.9) if frame == "constant"
          else cf.ScaleFactor.from_table(zs, 1.0 + 0.1 * np.sin(3.0 * zs)))
@@ -707,10 +709,49 @@ def test_branch_fields_reuse_the_fine_grid_values_of_F(family, const, B, z1, fra
     ref = two_evaluation_branch_fields(counted, family, const, B, grid)
     assert (got.note is None) == (z1 in (0.4, 1.0))
     assert got.grid == ref.grid and got.note == ref.note and got.family is ref.family
-    for name in ("z", "a3", "den", "udot3", "p", "pi11", "Omega3", "e3_a3"):
+    for name in ("z", "a3", "den", "udot3", "p", "pi11", "e3_a3"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
         assert getattr(got, name).flags.c_contiguous, name
+    assert got.Omega3.flags.c_contiguous
     assert n_got == len(calls) - 1
+
+
+@pytest.mark.parametrize("family, const, z1", [
+    (cf.SHEARLESS, -1.5, 1.0),    # unclipped
+    (cf.SHEARLESS, 1.0, 0.9),     # clipped ahead of the pole, z = F/2 for a constant F
+    (cf.A2_BRANCH2, -1.5, 1.0),   # unclipped
+    (cf.A2_BRANCH2, 1.0, 0.9),    # clipped ahead of the pole, z = 2F/3 for a constant F
+])
+@pytest.mark.parametrize("B", [1.2, 0.0, -0.8])
+@pytest.mark.parametrize("frame", ["constant", "table"])
+def test_branch_omega3_closed_form(family, const, z1, B, frame):
+    """Omega3 = B (a3/a3[0])^q, q = 1/2 on the shearless branch and -1/3 on
+    A2 branch 2, is B at z0 and +0.0 throughout for B = 0, and it is the
+    solution of e_3(Omega3) = -udot3 Omega3 that the Simpson quadrature of
+    -udot3/F on the fine grid approaches: to 1e-13 relative wherever
+    |a3| <= 2 |a3[0]|.  Next to a clip a3 grows like 1/(z_pole - z) and
+    the quadrature lags, by 2.6e-6 relative on N = 2000 for a constant F;
+    there its error falls by about h^4 when the grid is doubled."""
+    zs = np.linspace(0.0, 1.0, 21)
+    F = (cf.ScaleFactor.constant(0.9) if frame == "constant"
+         else cf.ScaleFactor.from_table(zs, 1.0 + 0.1 * np.sin(3.0 * zs)))
+    q = -family.udot3(1.0) / family.slope
+    assert q == (0.5 if family is cf.SHEARLESS else -1.0 / 3.0)
+    got = cf._branch_fields(F, family, const, B, Grid(0.0, z1, 2000))
+    assert (got.note is None) == (const < 0.0)
+    assert got.Omega3[0] == B
+    if B == 0.0:
+        assert got.Omega3.tobytes() == np.zeros_like(got.z).tobytes()
+        return
+    ref = two_evaluation_branch_fields(F, family, const, B, Grid(0.0, z1, 2000))
+    err = np.abs(got.Omega3 / ref.Omega3 - 1.0)
+    near = np.abs(got.a3) <= 2.0 * abs(got.a3[0])
+    assert err[near].max() <= 1e-13
+    if got.note is not None:
+        # the clipped interval on twice the nodes; its last node is the clip
+        finer = two_evaluation_branch_fields(F, family, const, B, Grid(0.0, got.grid.z1, 4000))
+        assert finer.note is None and finer.z[-1] == got.z[-1]
+        assert np.abs(got.Omega3[-1] / finer.Omega3[-1] - 1.0) < err[-1] / 8.0
 
 
 def test_scale_factor_from_table():
