@@ -338,11 +338,28 @@ def _resubstitution(grid: Grid, F_vals, columns: dict, rhs: dict) -> dict[str, f
     return {name: float(np.max(np.abs(e[name] - rhs_vals))) for name, rhs_vals in rhs.items()}
 
 
+_A1_COLUMNS = ("z", "sigma11", "a3", "Omega3", "F", "pi11", "p", "udot3")
+_A2_COLUMNS = ("z", "p", "udot3", "a3", "Omega3", "pi11")
+
+
+def _csv_columns(layout, jet: cf.SpecialJet, F) -> dict:
+    """The CSV columns ``layout`` of a jet: its z grid, the frame factor F on
+    it and each variable's value entry, +0.0 throughout for a variable the
+    jet holds no entry for."""
+    special = {"z": jet.z, "F": F}
+    columns = {}
+    for name in layout:
+        column = special[name] if name in special else getattr(jet.value, name)
+        columns[name] = column if np.ndim(column) else np.zeros(jet.shape)
+    return columns
+
+
 def _solve_ode(rhs, y0, names, grid: Grid, frame: cf.ScaleFactor,
-               trajectory_jet, csv_columns) -> _Solved:
+               trajectory_jet, layout) -> _Solved:
     """RK4 of the state fields ``names`` from y0; the jet of the rows reached
-    fills the CSV columns from its value slot.  The checks re-substitute each
-    column into e_3 = F d/dz against the jet's e_3 entries, ``rhs`` on them."""
+    fills the CSV columns ``layout``.  The checks re-substitute the jet's
+    state entries into e_3 = F d/dz against its e_3 entries, ``rhs`` on
+    them."""
     try:
         states, complete = rk4_integrate(rhs, y0, grid, frame).states, True
     except PoleError as exc:
@@ -350,20 +367,14 @@ def _solve_ode(rhs, y0, names, grid: Grid, frame: cf.ScaleFactor,
     except ValueError as exc:  # F not positive at a stage abscissa
         raise ConfigError(str(exc)) from None
     zs = grid.points()[: states.shape[0]]
-    ys = dict(zip(names, states.T))
     Fv = np.asarray(frame(zs), dtype=float)
-    jet = trajectory_jet(zs, *ys.values())
-    columns = csv_columns(zs, Fv, jet.value)
+    jet = trajectory_jet(zs, *states.T)
+    columns = _csv_columns(layout, jet, Fv)
     if not complete:
         return _Solved(columns)
-    e3 = {name: getattr(jet.deriv[3], name) for name in names}
-    checks = _resubstitution(grid, Fv, ys, e3)
+    checks = _resubstitution(grid, Fv, {name: getattr(jet.value, name) for name in names},
+                             {name: getattr(jet.deriv[3], name) for name in names})
     return _Solved(columns, {f"ode[{k}]": v for k, v in checks.items()}, jet)
-
-
-def _a1_columns(z, F, s) -> dict:
-    return dict(z=z, sigma11=s.sigma11, a3=s.a3, Omega3=s.Omega3, F=F, pi11=s.pi11, p=s.p,
-                udot3=s.udot3, firstintegral_A=cf.case_a1_first_integral(s.sigma11, s.a3))
 
 
 def _solve_a1(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
@@ -383,62 +394,49 @@ def _solve_a1(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
         raise ConfigError("case a1 needs sigma11_0 != 0; use a1-shearless instead")
     solved = _solve_ode(cf.case_a1_rhs, [s0, a30, values["initial.Omega3"]],
                         ("sigma11", "a3", "Omega3"), grid, frame,
-                        cf.a1_trajectory_jet, _a1_columns)
+                        cf.a1_trajectory_jet, _A1_COLUMNS)
+    # a diagnostic of the state columns, inf where sigma11^4 is 0
+    first = cf.case_a1_first_integral(solved.columns["sigma11"], solved.columns["a3"])
+    solved.columns["firstintegral_A"] = first
     if solved.jet is not None:
-        first = solved.columns["firstintegral_A"]
         solved.diagnostics.append(Check("first-integral-drift",
                                         float(np.max(np.abs(first - first[0]))),
                                         tol=values.get("tolerances.conservation_tol", 1e-8)))
     return solved
 
 
-def _a2_columns(z, F, s) -> dict:
-    return dict(z=z, p=s.p, udot3=s.udot3, a3=s.a3, Omega3=s.Omega3, pi11=s.pi11)
-
-
 def _solve_a2(values: dict, grid: Grid, frame: cf.ScaleFactor) -> _Solved:
     names = ("p", "udot3", "a3", "Omega3")
     return _solve_ode(cf.case_a2_rhs, [values[f"initial.{n}"] for n in names], names,
-                      grid, frame, cf.a2_trajectory_jet, _a2_columns)
+                      grid, frame, cf.a2_trajectory_jet, _A2_COLUMNS)
 
 
-def _shearless(values: dict, frame: cf.ScaleFactor, grid: Grid) -> cf.BranchFields:
-    return cf.shearless_branch_fields(frame, values["constants.C"],
-                                      values.get("constants.B", 0.0), grid)
-
-
-def _branch2(values: dict, frame: cf.ScaleFactor, grid: Grid) -> cf.BranchFields:
-    return cf.a2_branch2_fields(frame, values["constants.D"],
-                                values.get("constants.B", 0.0), grid)
-
-
-def _branch_fields(fields_of, values: dict, frame: cf.ScaleFactor,
-                   grid: Grid) -> cf.BranchFields:
+def _branch(family: cf.BranchFamily, values: dict, frame: cf.ScaleFactor, grid: Grid):
+    """The clipped grid, jet and clip note of a branch family.  The closed
+    forms are looked up in ``cf`` when called, where a traced run patches
+    them."""
+    fields_of, const = ((cf.shearless_branch_fields, "C") if family is cf.SHEARLESS
+                        else (cf.a2_branch2_fields, "D"))
     try:
-        return fields_of(values, frame, grid)
+        return fields_of(frame, values[f"constants.{const}"], values.get("constants.B", 0.0),
+                         grid)
     except ValueError as exc:  # pole at the interval start, quadrature not converging
         raise ConfigError(str(exc)) from None
 
 
-_A1_COLUMNS = ("z", "sigma11", "a3", "Omega3", "F", "pi11", "p", "udot3")
-_A2_COLUMNS = ("z", "p", "udot3", "a3", "Omega3", "pi11")
-
-
-def _solve_branch(fields_of, layout, values: dict, grid: Grid,
+def _solve_branch(family: cf.BranchFamily, layout, values: dict, grid: Grid,
                   frame: cf.ScaleFactor) -> _Solved:
-    f = _branch_fields(fields_of, values, frame, grid)
-    Fv = np.asarray(frame(f.z), dtype=float)
-    fields = dict(z=f.z, sigma11=np.zeros_like(f.z), a3=f.a3, Omega3=f.Omega3, F=Fv,
-                  pi11=f.pi11, p=f.p, udot3=f.udot3)
-    e3_a3 = f.family.slope * f.a3**2
+    grid, jet, note = _branch(family, values, frame, grid)
+    Fv = np.asarray(frame(jet.z), dtype=float)
+    a3, Omega3, e3 = jet.value.a3, jet.value.Omega3, jet.deriv[3]
+    e3_a3 = family.slope * a3**2
     # the closed form carries its analytic derivative; that residual is
     # the gated check, finite differences are informational only
-    checks = {"ode[a3] analytic": float(np.max(np.abs(f.e3_a3 - e3_a3)))}
-    jet = cf.branch_jet(f)
-    info = _resubstitution(f.grid, Fv, {"a3": f.a3, "Omega3": f.Omega3},
-                           {"a3": e3_a3, "Omega3": jet.deriv[3].Omega3})
-    return _Solved({name: fields[name] for name in layout}, checks, jet,
-                   pole=None if f.note is None else f"pole: {f.note}",
+    checks = {"ode[a3] analytic": float(np.max(np.abs(e3.a3 - e3_a3)))}
+    info = _resubstitution(grid, Fv, {"a3": a3, "Omega3": Omega3},
+                           {"a3": e3_a3, "Omega3": e3.Omega3})
+    return _Solved(_csv_columns(layout, jet, Fv), checks, jet,
+                   pole=None if note is None else f"pole: {note}",
                    diagnostics=[Check(f"fd[{k}]", v) for k, v in info.items()])
 
 
@@ -450,12 +448,12 @@ _SOLVE = {
                              "Omega3": (True, _parse_float)},
                  "constants": {"A": (False, _parse_float), "sign": (False, _parse_sign)}},
                 _solve_a1),
-    "a1-shearless": _Case(_C_CONSTANTS, partial(_solve_branch, _shearless, _A1_COLUMNS)),
+    "a1-shearless": _Case(_C_CONSTANTS, partial(_solve_branch, cf.SHEARLESS, _A1_COLUMNS)),
     "a2": _Case({"initial": {name: (True, _parse_float)
                              for name in ("p", "udot3", "a3", "Omega3")}},
                 _solve_a2),
-    "a2-branch1": _Case(_C_CONSTANTS, partial(_solve_branch, _shearless, _A2_COLUMNS)),
-    "a2-branch2": _Case(_D_CONSTANTS, partial(_solve_branch, _branch2, _A2_COLUMNS)),
+    "a2-branch1": _Case(_C_CONSTANTS, partial(_solve_branch, cf.SHEARLESS, _A2_COLUMNS)),
+    "a2-branch2": _Case(_D_CONSTANTS, partial(_solve_branch, cf.A2_BRANCH2, _A2_COLUMNS)),
 }
 SOLVE_CASES = tuple(_SOLVE)
 
@@ -530,18 +528,20 @@ def _verify_a1(values: dict, grid: Grid):
     return grid, jet, notes
 
 
-def _verify_branch(fields_of, values: dict, grid: Grid):
-    f = _branch_fields(fields_of, values, _build_frame(values, grid), grid)
-    return f.grid, cf.branch_jet(f), [] if f.note is None else [f.note]
+def _verify_branch(family: cf.BranchFamily, values: dict, grid: Grid):
+    grid, jet, note = _branch(family, values, _build_frame(values, grid), grid)
+    return grid, jet, [] if note is None else [note]
 
 
 _VERIFY = {
     "a1": _Case({"constants": {"A": (True, _parse_float), "B": (True, _parse_float),
                                "sign": (False, _parse_sign)}},
                 _verify_a1),
-    "a1-shearless": _Case({**_C_CONSTANTS, "frame": _FRAME}, partial(_verify_branch, _shearless)),
-    "a2-branch1": _Case({**_C_CONSTANTS, "frame": _FRAME}, partial(_verify_branch, _shearless)),
-    "a2-branch2": _Case({**_D_CONSTANTS, "frame": _FRAME}, partial(_verify_branch, _branch2)),
+    "a1-shearless": _Case({**_C_CONSTANTS, "frame": _FRAME},
+                          partial(_verify_branch, cf.SHEARLESS)),
+    "a2-branch1": _Case({**_C_CONSTANTS, "frame": _FRAME}, partial(_verify_branch, cf.SHEARLESS)),
+    "a2-branch2": _Case({**_D_CONSTANTS, "frame": _FRAME},
+                        partial(_verify_branch, cf.A2_BRANCH2)),
 }
 VERIFY_CASES = tuple(_VERIFY)
 
@@ -664,9 +664,8 @@ def _read_table(path: str):
         raise ConfigError(f"table rows have {data.shape[1]} cells, header has {len(header)}")
     if not np.all(np.isfinite(data)):
         r, c = np.argwhere(~np.isfinite(data))[0]
-        raise ConfigError(
-            f"non-finite table entry {data[r, c]!r} in column {header[c]!r}, data row {r + 1}"
-        )
+        raise ConfigError(f"non-finite table entry {float(data[r, c])!r} in column "
+                          f"{header[c]!r}, data row {r + 1}")
     if data.shape[0] < 5:
         raise ConfigError("insufficient grid: order-4 stencils need >= 5 rows")
     coords = data[:, 0]

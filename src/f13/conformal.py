@@ -39,7 +39,6 @@ __all__ = [
     "SpecialJet",
     "CaseA1ClosedForm",
     "BranchFamily",
-    "BranchFields",
     "SHEARLESS",
     "A2_BRANCH2",
     "special_ricci",
@@ -55,7 +54,6 @@ __all__ = [
     "case_a2_pi11",
     "shearless_branch_fields",
     "a2_branch2_fields",
-    "branch_jet",
     "a1_trajectory_jet",
     "a2_trajectory_jet",
     "embed_special",
@@ -406,12 +404,12 @@ def _a1_closure_slopes(s11, a3, ds11, da3):
 def case_a1_first_integral(sigma11, a3):
     """Conserved quantity A = (a3^2 - 9 sigma11^2)/sigma11^4 of case A1.
 
-    Undefined on the shearless branch (sigma11 = 0).
+    Undefined on the shearless branch: where sigma11^4 is 0 (sigma11 = 0,
+    or an underflow) A is +-inf, or nan where a3^2 - 9 sigma11^2 is 0 too.
     """
     s = np.asarray(sigma11, dtype=float)
-    if np.any(s == 0.0):
-        raise ValueError("first integral undefined at sigma11 = 0; use the shearless branch")
-    return (np.asarray(a3, dtype=float) ** 2 - 9.0 * s * s) / s**4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.asarray(a3, dtype=float) ** 2 - 9.0 * s * s) / s**4
 
 
 def _a1_e3_closure(sigma11, a3, Omega3):
@@ -618,73 +616,42 @@ A2_BRANCH2 = BranchFamily(
 )
 
 
-@dataclass(frozen=True)
-class BranchFields:
-    """Closed-form fields of a branch family on a grid."""
-
-    family: BranchFamily
-    grid: Grid
-    z: np.ndarray
-    a3: np.ndarray
-    den: np.ndarray
-    udot3: np.ndarray
-    p: np.ndarray
-    pi11: np.ndarray
-    Omega3: np.ndarray
-    e3_a3: np.ndarray
-    note: str | None
-
-
 def _branch_fields(F: ScaleFactor, family: BranchFamily, const: float, B: float,
-                   grid: Grid) -> BranchFields:
-    """The fields of a branch family on the grid, clipped ahead of a
-    denominator sign change.  The denominator comes from the refined
-    quadrature of -slope/F; every other field is a closed form in it,
-    Omega3 = B (a3/a3[0])^q (see BranchFamily), which is B at z0."""
+                   grid: Grid) -> tuple[Grid, SpecialJet, str | None]:
+    """The analytic jet of a branch family on the grid, clipped ahead of a
+    denominator sign change, with the clipped grid and the clip note.  The
+    denominator comes from the refined quadrature of -slope/F; every field
+    is a closed form in it, Omega3 = B (a3/a3[0])^q (see BranchFamily),
+    which is B at z0.  The e_3 entries are the profile's derivatives, not
+    closures, except e_3(Omega3) = -udot3 Omega3 of the A2 system."""
     fine, den_fine, stride = _den_on_fine_grid(F, family.slope, const, grid)
     clipped, note = _clip_at_sign_change(grid, fine, den_fine)
     if note is not None:
         fine, den_fine, stride = _den_on_fine_grid(F, family.slope, const, clipped)
     den = den_fine[::stride].copy()  # the grid's nodes, contiguous
     a3 = 1.0 / den
+    e3_a3 = family.slope / (den * den)
     udot3 = family.udot3(a3)
     # q = -u/slope with udot3 = u a3; the clip keeps den's sign, so
     # a3/a3[0] > 0
     Omega3 = B * (a3 / a3[0]) ** (-family.udot3(1.0) / family.slope)
     p = family.p(a3)
-    return BranchFields(
-        family=family,
-        grid=clipped,
-        z=fine.points()[::stride].copy(),
-        a3=a3,
-        den=den,
-        udot3=udot3,
-        p=p,
-        pi11=-4.0 * p,
-        Omega3=Omega3,
-        e3_a3=family.slope / (den * den),
-        note=note,
-    )
+    value = dict(p=p, pi11=-4.0 * p, udot3=udot3, a3=a3, Omega3=Omega3)
+    # the last component of case_a2_rhs, by its operations
+    e3 = dict(**family.e3(a3, e3_a3), a3=e3_a3, Omega3=-udot3 * Omega3)
+    return clipped, SpecialJet.build(fine.points()[::stride].copy(), value, e3=e3), note
 
 
-def shearless_branch_fields(F: ScaleFactor, C: float, B: float, grid: Grid) -> BranchFields:
+def shearless_branch_fields(F: ScaleFactor, C: float, B: float,
+                            grid: Grid) -> tuple[Grid, SpecialJet, str | None]:
     """Shearless case A1 family (= case A2 branch 1) on a grid."""
     return _branch_fields(F, SHEARLESS, C, B, grid)
 
 
-def a2_branch2_fields(F: ScaleFactor, D: float, B: float, grid: Grid) -> BranchFields:
+def a2_branch2_fields(F: ScaleFactor, D: float, B: float,
+                      grid: Grid) -> tuple[Grid, SpecialJet, str | None]:
     """Case A2 branch udot3 = a3/2 on a grid; p vanishes identically here."""
     return _branch_fields(F, A2_BRANCH2, D, B, grid)
-
-
-def branch_jet(f: BranchFields) -> SpecialJet:
-    """Analytic jet of a branch family (profile derivatives, not closures,
-    except e_3(Omega3) = -udot3 Omega3 of the A2 system)."""
-    value = dict(p=f.p, pi11=f.pi11, sigma11=0.0, Theta=0.0,
-                 udot3=f.udot3, a3=f.a3, Omega3=f.Omega3)
-    # the last component of case_a2_rhs, by its operations
-    e3 = dict(**f.family.e3(f.a3, f.e3_a3), a3=f.e3_a3, Omega3=-f.udot3 * f.Omega3)
-    return SpecialJet.build(f.z, value, e3=e3)
 
 
 # ---------------------------------------------------------------------------

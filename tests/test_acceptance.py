@@ -83,17 +83,17 @@ def test_criterion_3_shearless_branches():
     """a3 = 1/(1-2z) and a3 = 1/(1-3z/2) satisfy their ODEs analytically
     (< 1e-12) and are reproduced by RK4 to < 1e-8 on [0, 0.4]."""
     grid = Grid(0.0, 0.4, 400)
-    f1 = cf.shearless_branch_fields(F1, 1.0, 0.0, grid)
-    res1 = float(np.max(np.abs(f1.e3_a3 - 2.0 * f1.a3**2)))
+    f1 = cf.shearless_branch_fields(F1, 1.0, 0.0, grid)[1]
+    res1 = float(np.max(np.abs(f1.deriv[3].a3 - 2.0 * f1.value.a3**2)))
     exact1 = 1.0 / (1.0 - 2.0 * f1.z)
-    form_err1 = float(np.max(np.abs(f1.a3 - exact1)))
+    form_err1 = float(np.max(np.abs(f1.value.a3 - exact1)))
     rk1 = rk4_integrate(lambda y: [2.0 * y * y], [1.0], grid, F1)
     rk_err1 = float(np.max(np.abs(rk1.states[:, 0] - exact1)))
 
-    f2 = cf.a2_branch2_fields(F1, 1.0, 0.0, grid)
-    res2 = float(np.max(np.abs(f2.e3_a3 - 1.5 * f2.a3**2)))
+    f2 = cf.a2_branch2_fields(F1, 1.0, 0.0, grid)[1]
+    res2 = float(np.max(np.abs(f2.deriv[3].a3 - 1.5 * f2.value.a3**2)))
     exact2 = 1.0 / (1.0 - 1.5 * f2.z)
-    form_err2 = float(np.max(np.abs(f2.a3 - exact2)))
+    form_err2 = float(np.max(np.abs(f2.value.a3 - exact2)))
     rk2 = rk4_integrate(lambda y: [1.5 * y * y], [1.0], grid, F1)
     rk_err2 = float(np.max(np.abs(rk2.states[:, 0] - exact2)))
 
@@ -108,8 +108,8 @@ def test_criterion_4_case_a2_branch_properties():
     """Branch udot3 = a3/2 has p identically 0; a3 = 0 reduces to dust with
     only the udot3 equation active."""
     grid = Grid(0.0, 0.4, 400)
-    f2 = cf.a2_branch2_fields(F1, 1.0, 1.0, grid)
-    p_branch = float(np.max(np.abs(f2.p)))
+    f2 = cf.a2_branch2_fields(F1, 1.0, 1.0, grid)[1]
+    p_branch = float(np.max(np.abs(f2.value.p)))
     # trajectory started on the branch stays pressure-free
     a30 = 1.0
     traj = rk4_integrate(cf.case_a2_rhs, [0.0, 0.5 * a30, a30, 1.0], grid, F1)

@@ -26,6 +26,7 @@ from f13 import csvtext
 from f13 import frame_equations as fe
 from f13.cli import (_STATE_KEYS, RESIDUAL_SYSTEMS, _fmt, _parser, _read_table,
                      _serve_temporaries_from_the_heap, _write_csv, main, run_verify)
+from f13.numerics import Grid, rk4_integrate
 
 EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -265,6 +266,32 @@ def test_solve_a1_pole_rows_raise_no_numpy_warnings(tmp_path, capsys):
     _, cols = read_csv(out)
     assert not np.isfinite(cols["pi11"][-1]) and not np.isfinite(cols["firstintegral_A"][-1])
     assert capsys.readouterr().out.splitlines()[-1] == "RESULT fail max_residual=inf"
+
+
+@pytest.mark.parametrize("a3, N, code", [(-5.0, 4, 3), (-6.0, 4, 4), (-7.0, 4, 3),
+                                         (-20.0, 16, 3)])
+def test_solve_a1_with_sigma11_underflowing_to_zero_writes_its_csv(tmp_path, capsys, a3, N,
+                                                                   code):
+    """sigma11 = 5e-324 is 0 after the first step, where the first integral
+    is inf, as it is where sigma11^4 underflows: the CSV is written, and the
+    run ends in a RESULT fail line without a warning.  It exits 4 with the
+    drift check nan FAIL, or 3 where RK4 overflows on these coarse steps of
+    a3' = 2 a3^2 before the interval ends."""
+    out = tmp_path / "u.csv"
+    text = (A1_SOLVE.format(out=out).replace("sigma11 = 0.1", f"sigma11 = 5e-324\na3 = {a3}")
+            .replace("N = 1000", f"N = {N}").replace("\n[constants]\nA = 1.0\n", ""))
+    cfg = write(tmp_path / "u.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg]) == code
+    _, cols = read_csv(out)
+    assert np.all(cols["sigma11"][1:] == 0.0) and np.all(cols["firstintegral_A"] == np.inf)
+    lines = capsys.readouterr().out.splitlines()
+    if code == 4:
+        assert "check first-integral-drift   max=nan FAIL" in lines
+    else:
+        assert lines[0] == f"pole encountered; partial CSV written to {out}"
+    assert lines[-1].startswith("RESULT fail max_residual=")
 
 
 VERIFY_A1 = """\
@@ -1386,14 +1413,17 @@ def test_residual_table_errors_name_the_row_width_or_the_entry(tmp_path, capsys)
 
 
 def test_residual_nan_cell_is_config_error(tmp_path, capsys):
-    with open(tmp_path / "nan.csv", "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z", "p", "mu"])
-        for i in range(6):
-            w.writerow([str(0.1 * i), "nan" if i == 3 else "0.5", "1.5"])
-    assert main(["residual", "--table", str(tmp_path / "nan.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: non-finite table entry") and "'p'" in err
+    """The entry reads as Python prints the float, as in the frame factor's
+    error, not as numpy's repr (np.float64(inf))."""
+    for cell in ("nan", "inf", "-inf"):
+        with open(tmp_path / "nan.csv", "w", newline="\n", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["z", "p", "mu"])
+            for i in range(6):
+                w.writerow([str(0.1 * i), cell if i == 3 else "0.5", "1.5"])
+        assert main(["residual", "--table", str(tmp_path / "nan.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: non-finite table entry {cell} in column 'p', data row 4\n")
     # rows shorter than the header
     with open(tmp_path / "short.csv", "w", newline="\n", encoding="utf-8") as fh:
         fh.write("z,p,mu\n" + "".join(f"{0.1 * i},0.5\n" for i in range(6)))
@@ -1853,6 +1883,55 @@ def test_solve_ode_checks_recompute_from_the_csv(tmp_path, capsys, case):
     for name, expected in zip(names, e3):
         value = np.max(np.abs(1.0 * fd_derivative(cols[name], grid) - expected))
         assert printed[f"ode[{name}]"]["max"] == f"{value:.6e}", name
+
+
+# solve case -> (its config sections but [scenario], the jet of its solution)
+JET_SOLVES = {
+    "a1": ("[initial]\nsigma11 = 0.1\na3 = 0.3\nOmega3 = 0.7\n",
+           lambda F, grid: cf.a1_trajectory_jet(grid.points(), *rk4_integrate(
+               cf.case_a1_rhs, [0.1, 0.3, 0.7], grid, F).states.T)),
+    "a2": ("[initial]\np = 0.1\nudot3 = 0.4\na3 = 0.2\nOmega3 = 0.7\n",
+           lambda F, grid: cf.a2_trajectory_jet(grid.points(), *rk4_integrate(
+               cf.case_a2_rhs, [0.1, 0.4, 0.2, 0.7], grid, F).states.T)),
+    "a1-shearless": ("[constants]\nC = -1.5\nB = 1.2\n",
+                     lambda F, grid: cf.shearless_branch_fields(F, -1.5, 1.2, grid)[1]),
+    "a2-branch1": ("[constants]\nC = -1.5\nB = -0.8\n",
+                   lambda F, grid: cf.shearless_branch_fields(F, -1.5, -0.8, grid)[1]),
+    "a2-branch2": ("[constants]\nD = -1.0\nB = 1.2\n",
+                   lambda F, grid: cf.a2_branch2_fields(F, -1.0, 1.2, grid)[1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JET_SOLVES))
+def test_solve_csv_columns_are_the_jet_value_entries(tmp_path, capsys, case):
+    """Every column of a solve CSV but firstintegral_A is, cell for cell,
+    the text of the solution jet's own z, F or value entry; a variable the
+    jet holds no entry for (sigma11 on the shearless branch) is written as
+    0, never -0."""
+    out = tmp_path / "o.csv"
+    sections, solution = JET_SOLVES[case]
+    cfg = write(tmp_path / "c.cfg", f"[scenario]\ncase = {case}\noutput = {out}\n\n"
+                f"[frame]\nF = 0.9\n\n[grid]\nz0 = 0.0\nz1 = 0.5\nN = 400\n\n{sections}")
+    assert main(["solve", "--config", cfg]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    F = cf.ScaleFactor.constant(0.9)
+    jet = solution(F, Grid(0.0, 0.5, 400))
+    assert len(rows) == 401
+    # solve a1 writes the first integral last
+    assert ("firstintegral_A" in header) == (case == "a1")
+    for k, name in enumerate(header):
+        if name == "firstintegral_A":
+            assert k == len(header) - 1
+            continue
+        entry = {"z": jet.z, "F": F(jet.z)}.get(name, getattr(jet.value, name, None))
+        cells = [row[k] for row in rows]
+        if np.ndim(entry) == 0:  # the jet holds no entry
+            assert case == "a1-shearless" and name == "sigma11" and entry == 0.0
+            assert cells == ["0"] * 401
+        else:
+            assert cells == [f"{x:.17g}" for x in entry], name
 
 
 def test_verify_profile_key_is_unknown(tmp_path, capsys):

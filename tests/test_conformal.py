@@ -508,8 +508,9 @@ def test_first_integral_inversion_and_errors():
         a3 = s0 * np.sqrt(A * s0**2 + 9.0)
         assert cf.case_a1_first_integral(s0, a3) == pytest.approx(A, rel=1e-10)
     assert abs(cf.case_a1_first_integral(0.4, 3 * 0.4)) < 1e-12
-    with pytest.raises(ValueError):
-        cf.case_a1_first_integral(0.0, 1.0)
+    # undefined at sigma11 = 0: inf, or nan where a3 = 0 too, without a warning
+    assert cf.case_a1_first_integral(0.0, 1.0) == math.inf
+    assert math.isnan(cf.case_a1_first_integral(0.0, 0.0))
 
 
 def test_first_integral_ode_reduction_oracle():
@@ -642,26 +643,27 @@ def test_closed_form_feeds_rhs_consistently():
 def test_branch_fields_values_and_pole():
     # a3 = 1/(C - 2z) through z = 0, on a grid starting left of it at
     # z0 = -0.25 where the denominator is C + 0.5
-    f = cf.shearless_branch_fields(F1, 1.5, 0.0, Grid(-0.25, 0.25, 200))
-    assert f.a3[0] == 1.0 / 1.5
-    assert f.a3[100] == pytest.approx(1.0, rel=1e-12)
-    assert f.a3[-1] == pytest.approx(2.0, rel=1e-12)
-    f2 = cf.a2_branch2_fields(F1, 1.3, 0.0, Grid(-0.2, 0.2, 200))
-    assert f2.a3[0] == pytest.approx(1.0 / 1.3, rel=1e-12)
-    assert f2.a3[-1] == pytest.approx(1.0 / 0.7, rel=1e-12)
+    a3 = cf.shearless_branch_fields(F1, 1.5, 0.0, Grid(-0.25, 0.25, 200))[1].value.a3
+    assert a3[0] == 1.0 / 1.5
+    assert a3[100] == pytest.approx(1.0, rel=1e-12)
+    assert a3[-1] == pytest.approx(2.0, rel=1e-12)
+    a3 = cf.a2_branch2_fields(F1, 1.3, 0.0, Grid(-0.2, 0.2, 200))[1].value.a3
+    assert a3[0] == pytest.approx(1.0 / 1.3, rel=1e-12)
+    assert a3[-1] == pytest.approx(1.0 / 0.7, rel=1e-12)
     # blow-up where the denominator vanishes: z = 1/2 and z = 2/3
-    for fields, z_pole in ((cf.shearless_branch_fields(F1, 1.0, 0.0, Grid(0.0, 0.6, 120)), 0.5),
-                           (cf.a2_branch2_fields(F1, 1.0, 0.0, Grid(0.0, 0.8, 160)), 2.0 / 3.0)):
-        assert "sign change near z=" in fields.note
-        assert fields.grid.z1 == pytest.approx(z_pole - cf.POLE_MARGIN, abs=1e-9)
-        assert np.all(np.isfinite(fields.a3))
+    for (grid, jet, note), z_pole in (
+            (cf.shearless_branch_fields(F1, 1.0, 0.0, Grid(0.0, 0.6, 120)), 0.5),
+            (cf.a2_branch2_fields(F1, 1.0, 0.0, Grid(0.0, 0.8, 160)), 2.0 / 3.0)):
+        assert "sign change near z=" in note
+        assert grid.z1 == pytest.approx(z_pole - cf.POLE_MARGIN, abs=1e-9)
+        assert np.all(np.isfinite(jet.value.a3))
 
 
 def two_evaluation_branch_fields(F, family, const, B, grid):
-    """The branch fields with Omega3 = B exp(int -udot3/F dz) by Simpson
-    quadrature on the fine grid, which evaluates F once more: the
-    reference for the closed-form Omega3 and for the fields that take
-    their bits from the denominator alone."""
+    """The branch's (clipped grid, jet, note) with Omega3 = B exp(int
+    -udot3/F dz) by Simpson quadrature on the fine grid, which evaluates F
+    once more: the reference for the closed-form Omega3 and for the entries
+    that take their bits from the denominator alone."""
     def den(g):
         def integrand(z):
             Fz = np.asarray(F(z), dtype=float)
@@ -679,11 +681,17 @@ def two_evaluation_branch_fields(F, family, const, B, grid):
     omega_integrand = -family.udot3(a3_fine) / np.asarray(F(fine.points()), dtype=float)
     Omega3_fine = B * np.exp(quadrature(omega_integrand, fine))
     sl = slice(None, None, stride)
-    a3, den = a3_fine[sl], den_fine[sl]
+    a3, den, Omega3 = a3_fine[sl], den_fine[sl], Omega3_fine[sl]
+    e3_a3 = family.slope / (den * den)
+    udot3 = family.udot3(a3)
     p = family.p(a3)
-    return cf.BranchFields(family=family, grid=clipped, z=fine.points()[sl], a3=a3, den=den,
-                           udot3=family.udot3(a3), p=p, pi11=-4.0 * p, Omega3=Omega3_fine[sl],
-                           e3_a3=family.slope / (den * den), note=note)
+    value = dict(p=p, pi11=-4.0 * p, udot3=udot3, a3=a3, Omega3=Omega3)
+    e3 = dict(**family.e3(a3, e3_a3), a3=e3_a3, Omega3=-udot3 * Omega3)
+    return clipped, cf.SpecialJet.build(fine.points()[sl], value, e3=e3), note
+
+
+# the value and e_3 entries of Omega3
+OMEGA3_ENTRIES = (("Omega", (2,)), ("dOmega", (3, 2)))
 
 
 @pytest.mark.parametrize("family, const, B, z1", [
@@ -694,25 +702,27 @@ def two_evaluation_branch_fields(F, family, const, B, grid):
 ])
 @pytest.mark.parametrize("frame", ["constant", "table"])
 def test_branch_fields_reuse_the_fine_grid_values_of_F(family, const, B, z1, frame):
-    """The branch fields but Omega3, byte for byte, of the reference that
-    evaluates F once more on the fine grid, with one call of F fewer per
-    denominator: the closed-form Omega3 needs no value of F."""
+    """The branch jet's z and entries but Omega3's, byte for byte, of the
+    reference that evaluates F once more on the fine grid, with one call of
+    F fewer per denominator: the closed-form Omega3 needs no value of F.
+    a3 = 1/den and e_3(a3) = slope/den^2 carry the denominator's bits."""
     zs = np.linspace(0.0, 1.0, 21)
     F = (cf.ScaleFactor.constant(0.9) if frame == "constant"
          else cf.ScaleFactor.from_table(zs, 1.0 + 0.1 * np.sin(3.0 * zs)))
     calls = []
     counted = cf.ScaleFactor(lambda z: calls.append(1) or F(z))
     grid = Grid(0.0, z1, 150)
-    got = cf._branch_fields(counted, family, const, B, grid)
+    got_grid, got, got_note = cf._branch_fields(counted, family, const, B, grid)
     n_got = len(calls)
     calls.clear()
-    ref = two_evaluation_branch_fields(counted, family, const, B, grid)
-    assert (got.note is None) == (z1 in (0.4, 1.0))
-    assert got.grid == ref.grid and got.note == ref.note and got.family is ref.family
-    for name in ("z", "a3", "den", "udot3", "p", "pi11", "e3_a3"):
-        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-        assert getattr(got, name).flags.c_contiguous, name
-    assert got.Omega3.flags.c_contiguous
+    ref_grid, ref, ref_note = two_evaluation_branch_fields(counted, family, const, B, grid)
+    assert (got_note is None) == (z1 in (0.4, 1.0))
+    assert got_grid == ref_grid and got_note == ref_note
+    assert got.entries.keys() == ref.entries.keys()
+    for key, x in [("z", got.z), *got.entries.items()]:
+        if key not in OMEGA3_ENTRIES:
+            assert x.tobytes() == (ref.z if key == "z" else ref.entries[key]).tobytes(), key
+        assert x.flags.c_contiguous, key
     assert n_got == len(calls) - 1
 
 
@@ -737,21 +747,23 @@ def test_branch_omega3_closed_form(family, const, z1, B, frame):
          else cf.ScaleFactor.from_table(zs, 1.0 + 0.1 * np.sin(3.0 * zs)))
     q = -family.udot3(1.0) / family.slope
     assert q == (0.5 if family is cf.SHEARLESS else -1.0 / 3.0)
-    got = cf._branch_fields(F, family, const, B, Grid(0.0, z1, 2000))
-    assert (got.note is None) == (const < 0.0)
-    assert got.Omega3[0] == B
+    grid, got, note = cf._branch_fields(F, family, const, B, Grid(0.0, z1, 2000))
+    Omega3 = got.value.Omega3
+    assert (note is None) == (const < 0.0)
+    assert Omega3[0] == B
     if B == 0.0:
-        assert got.Omega3.tobytes() == np.zeros_like(got.z).tobytes()
+        assert Omega3.tobytes() == np.zeros_like(got.z).tobytes()
         return
-    ref = two_evaluation_branch_fields(F, family, const, B, Grid(0.0, z1, 2000))
-    err = np.abs(got.Omega3 / ref.Omega3 - 1.0)
-    near = np.abs(got.a3) <= 2.0 * abs(got.a3[0])
+    ref = two_evaluation_branch_fields(F, family, const, B, Grid(0.0, z1, 2000))[1]
+    err = np.abs(Omega3 / ref.value.Omega3 - 1.0)
+    near = np.abs(got.value.a3) <= 2.0 * abs(got.value.a3[0])
     assert err[near].max() <= 1e-13
-    if got.note is not None:
+    if note is not None:
         # the clipped interval on twice the nodes; its last node is the clip
-        finer = two_evaluation_branch_fields(F, family, const, B, Grid(0.0, got.grid.z1, 4000))
-        assert finer.note is None and finer.z[-1] == got.z[-1]
-        assert np.abs(got.Omega3[-1] / finer.Omega3[-1] - 1.0) < err[-1] / 8.0
+        _, finer, finer_note = two_evaluation_branch_fields(F, family, const, B,
+                                                            Grid(0.0, grid.z1, 4000))
+        assert finer_note is None and finer.z[-1] == got.z[-1]
+        assert np.abs(Omega3[-1] / finer.value.Omega3[-1] - 1.0) < err[-1] / 8.0
 
 
 def test_scale_factor_from_table():
@@ -771,12 +783,13 @@ def test_scale_factor_from_table():
 
 def test_shearless_branch_satisfies_ode():
     grid = Grid(0.0, 0.4, 400)
-    f = cf.shearless_branch_fields(F1, 1.0, 1.0, grid)
-    exact = 1.0 / (1.0 - 2.0 * f.z)
-    assert np.max(np.abs(f.a3 - exact)) < 1e-10
+    _, jet, note = cf.shearless_branch_fields(F1, 1.0, 1.0, grid)
+    a3 = jet.value.a3
+    exact = 1.0 / (1.0 - 2.0 * jet.z)
+    assert np.max(np.abs(a3 - exact)) < 1e-10
     # analytic-derivative residual of e3(a3) = 2 a3^2
-    assert np.max(np.abs(f.e3_a3 - 2.0 * f.a3**2)) < 1e-12
-    assert f.note is None
+    assert np.max(np.abs(jet.deriv[3].a3 - 2.0 * a3**2)) < 1e-12
+    assert note is None
 
 
 def test_case_a2_rhs_and_pi11():
@@ -816,27 +829,31 @@ def test_case_a2_zero_acceleration_reduction():
 
 def test_case_a2_branches():
     grid = Grid(0.0, 0.4, 400)
-    # branch 1 is the shearless family; the slope of each branch is its
-    # record's
-    assert cf.shearless_branch_fields(F1, 1.0, 0.0, grid).family is cf.SHEARLESS
+    # branch 1 is the shearless family and branch 2 the A2_BRANCH2 one,
+    # jet for jet; the slope of each branch is its record's
+    for fields_of, family in ((cf.shearless_branch_fields, cf.SHEARLESS),
+                              (cf.a2_branch2_fields, cf.A2_BRANCH2)):
+        jet = fields_of(F1, 1.0, 0.0, grid)[1]
+        ref = cf._branch_fields(F1, family, 1.0, 0.0, grid)[1]
+        assert jet.z.tobytes() == ref.z.tobytes() and jet.entries.keys() == ref.entries.keys()
+        assert all(x.tobytes() == ref.entries[key].tobytes() for key, x in jet.entries.items())
     assert (cf.SHEARLESS.slope, cf.A2_BRANCH2.slope) == (2.0, 1.5)
     # branch 2: a3 = 1/(1 - 3z/2) for F = 1, D = 1
-    a = cf.a2_branch2_fields(F1, 1.0, 0.0, Grid(0.0, 0.2, 200)).a3[-1]
+    a = cf.a2_branch2_fields(F1, 1.0, 0.0, Grid(0.0, 0.2, 200))[1].value.a3[-1]
     assert a == pytest.approx(1.0 / 0.7, rel=1e-12)
-    f2 = cf.a2_branch2_fields(F1, 1.0, 0.0, grid)
-    assert f2.family is cf.A2_BRANCH2
-    assert np.max(np.abs(f2.a3 - 1.0 / (1.0 - 1.5 * f2.z))) < 1e-10
-    assert np.max(np.abs(f2.e3_a3 - 1.5 * f2.a3**2)) < 1e-12
+    f2 = cf.a2_branch2_fields(F1, 1.0, 0.0, grid)[1]
+    assert np.max(np.abs(f2.value.a3 - 1.0 / (1.0 - 1.5 * f2.z))) < 1e-10
+    assert np.max(np.abs(f2.deriv[3].a3 - 1.5 * f2.value.a3**2)) < 1e-12
     # p vanishes identically on branch 2, and equals a3^2/3 on branch 1
-    assert np.max(np.abs(f2.p)) == 0.0
-    f1 = cf.shearless_branch_fields(F1, 1.0, 0.0, grid)
+    assert np.max(np.abs(f2.value.p)) == 0.0
+    f1 = cf.shearless_branch_fields(F1, 1.0, 0.0, grid)[1].value
     assert np.allclose(f1.p, f1.a3**2 / 3.0, rtol=1e-14)
 
 
 def test_branch_clipping_reports_pole():
-    f = cf.shearless_branch_fields(F1, 1.0, 0.0, Grid(0.0, 0.9, 200))
-    assert f.note is not None and "sign change" in f.note
-    assert f.grid.z1 < 0.5
+    grid, _, note = cf.shearless_branch_fields(F1, 1.0, 0.0, Grid(0.0, 0.9, 200))
+    assert note is not None and "sign change" in note
+    assert grid.z1 < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -906,8 +923,8 @@ def test_embed_special_matches_stacked_batch_first_embedding():
                                   1.0 + 0.1 * np.sin(np.linspace(0.0, 3.0, 11)))
     jets = [
         form.jet(grid)[0],
-        cf.branch_jet(cf.shearless_branch_fields(F, 1.0, 1.0, Grid(0.0, 0.4, 400))),
-        cf.branch_jet(cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401))),
+        cf.shearless_branch_fields(F, 1.0, 1.0, Grid(0.0, 0.4, 400))[1],
+        cf.a2_branch2_fields(F, 1.0, 0.5, Grid(0.0, 0.6, 401))[1],
         cf.a2_trajectory_jet(0.0, 0.3, -0.2, 0.7, 0.1),  # a single jet
     ]
     # every entry set, off-diagonal shear and commutation entries included
@@ -955,8 +972,8 @@ def test_embed_special_hands_over_the_a1_components_by_reference():
 SPECIAL_JETS = {
     "a1-closed-form": lambda: cf.CaseA1ClosedForm(
         A=1.0, sign=1, B=1.0).jet(Grid(0.0, 0.5, 100))[0],
-    "shearless": lambda: cf.branch_jet(cf.shearless_branch_fields(F1, 1.0, 1.0, Grid(0.0, 0.4, 400))),
-    "branch2": lambda: cf.branch_jet(cf.a2_branch2_fields(F1, 1.0, 0.5, Grid(0.0, 0.6, 401))),
+    "shearless": lambda: cf.shearless_branch_fields(F1, 1.0, 1.0, Grid(0.0, 0.4, 400))[1],
+    "branch2": lambda: cf.a2_branch2_fields(F1, 1.0, 0.5, Grid(0.0, 0.6, 401))[1],
     "a1-trajectory": lambda: cf.a1_trajectory_jet(
         np.zeros(60), *np.random.default_rng(3).uniform(-1.0, 1.0, (3, 60))),
     "a2-trajectory": lambda: cf.a2_trajectory_jet(
@@ -1037,13 +1054,13 @@ def test_branch_jet_holds_no_shear_or_expansion_and_takes_e3_omega3_from_the_a2_
     """sigma11 and Theta vanish on both branches, so the jet holds no entry
     for them or for sigma22 and sigma33; e_3(Omega3) has the bits of the
     last component of case_a2_rhs."""
-    for f in (cf.shearless_branch_fields(F1, 1.0, 1.0, Grid(0.0, 0.4, 400)),
-              cf.a2_branch2_fields(F1, 1.0, 0.5, Grid(0.0, 0.6, 401))):
-        jet = cf.branch_jet(f)
+    for _, jet, _ in (cf.shearless_branch_fields(F1, 1.0, 1.0, Grid(0.0, 0.4, 400)),
+                      cf.a2_branch2_fields(F1, 1.0, 0.5, Grid(0.0, 0.6, 401))):
         for name in ("sigma11", "sigma22", "sigma33", "Theta"):
             field, indices = fe.COMPONENT_NAMES[name]
             assert (field, indices[0]) not in jet.entries, name
-        want = cf.case_a2_rhs(f.p, f.udot3, f.a3, f.Omega3)[3]
+        s = jet.value
+        want = cf.case_a2_rhs(s.p, s.udot3, s.a3, s.Omega3)[3]
         assert jet.deriv[3].Omega3.tobytes() == want.tobytes()
 
 
@@ -1051,9 +1068,9 @@ def test_omega3_equation_consistency_across_cases():
     """On the udot3 = -a3 branch the A2 angular-velocity equation
     e3(Omega3) = -udot3 Omega3 coincides with the A1 form a3 Omega3."""
     grid = Grid(0.0, 0.3, 120)
-    f = cf.shearless_branch_fields(F1, 1.0, 1.0, grid)
+    jet = cf.shearless_branch_fields(F1, 1.0, 1.0, grid)[1]
+    f = jet.value
     assert np.max(np.abs(-f.udot3 - f.a3)) == 0.0
-    jet = cf.branch_jet(f)
     e3 = jet.deriv[3]
     assert np.max(np.abs(np.asarray(e3.Omega3) - f.a3 * f.Omega3)) < 1e-14
 
